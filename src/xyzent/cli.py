@@ -129,6 +129,7 @@ def _limit_values(p: XYZParams, tmax, grid, tol) -> dict:
         "t_critical": tc.t_c,
         "reentry_lower": lt.reentry.lower if lt.reentry else None,
         "reentry_upper": lt.reentry.upper if lt.reentry else None,
+        "reentry_two_level": lt.reentry.two_level if lt.reentry else None,
     }
 
 
@@ -166,22 +167,21 @@ def cmd_point(args) -> int:
 
 def cmd_limits(args) -> int:
     p = canonicalize(args.vx, args.vy, args.vz, args.b)
-    lt = limits.limit_temperatures(p, t_max=args.tmax, grid_n=args.grid, rel_tol=args.tol)
-    tc_closed = meanfield.critical_temperature(p, method="closed")
+    lim = _limit_values(p, args.tmax, args.grid, args.tol)
     tc_numeric = meanfield.critical_temperature(p, method="numeric")
     row = {
         "vx": args.vx,
         "vy": args.vy,
         "vz": args.vz,
         "b": args.b,
-        "t_exact": lt.t_exact,
-        "t_disorder": lt.t_disorder,
-        "t_entropic": lt.t_entropic,
-        "t_critical_closed": tc_closed.t_c,
+        "t_exact": lim["t_exact"],
+        "t_disorder": lim["t_disorder"],
+        "t_entropic": lim["t_entropic"],
+        "t_critical_closed": lim["t_critical"],
         "t_critical_numeric": tc_numeric.t_c,
-        "reentry_lower": lt.reentry.lower if lt.reentry else None,
-        "reentry_upper": lt.reentry.upper if lt.reentry else None,
-        "reentry_two_level": lt.reentry.two_level if lt.reentry else None,
+        "reentry_lower": lim["reentry_lower"],
+        "reentry_upper": lim["reentry_upper"],
+        "reentry_two_level": lim["reentry_two_level"],
     }
     if args.format == "json":
         _write_lines([json.dumps(row)], args.out)
@@ -288,26 +288,10 @@ def cmd_figure(args) -> int:
     bottom = ["b_over_v,v_over_b,c_at_t_exact,c_at_t_disorder,c_at_t_entropic,c_at_t_critical"]
     for b in fields:
         p = canonicalize(vx, vy, 0.0, float(b))
-        lt = limits.limit_temperatures(p, t_max=args.tmax, grid_n=args.grid, rel_tol=args.tol)
-        tc = meanfield.critical_temperature(p, method="closed")
+        lim = _limit_values(p, args.tmax, args.grid, args.tol)
         ratio = b / v_unit
         inv = 1.0 / ratio if ratio > 0.0 else None
-        center.append(
-            ",".join(
-                fmt(x)
-                for x in (
-                    ratio,
-                    inv,
-                    lt.t_exact,
-                    lt.t_disorder,
-                    lt.t_entropic,
-                    tc.t_c,
-                    lt.reentry.lower if lt.reentry else None,
-                    lt.reentry.upper if lt.reentry else None,
-                    lt.reentry.two_level if lt.reentry else None,
-                )
-            )
-        )
+        center.append(",".join(fmt(x) for x in (ratio, inv, *lim.values())))
 
         def c_at(t):
             if t is None or t <= 0.0:
@@ -320,10 +304,7 @@ def cmd_figure(args) -> int:
                 for x in (
                     ratio,
                     inv,
-                    c_at(lt.t_exact if lt.t_exact > 0 else None),
-                    c_at(lt.t_disorder),
-                    c_at(lt.t_entropic),
-                    c_at(tc.t_c),
+                    *(c_at(lim[k]) for k in ("t_exact", "t_disorder", "t_entropic", "t_critical")),
                 )
             )
         )

@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import xlogy
 
-from .entanglement import separability_exact
-from .states import BellMixture, SpinAverages, spin_averages
+from .entanglement import _LN2, _binary_entropy_bits, separability_exact
+from .states import BellMixture, SpinAverages
 
 __all__ = [
     "CriterionReport",
@@ -58,8 +59,7 @@ def disorder_check(m: BellMixture) -> CriterionReport:
     with |<S_z>| = |(b/Delta)(p_2 - p_1)|.  Detection requires some
     p_j > 1/2, and the check is exact when b = 0.
     """
-    bound = 0.5 * (1.0 + abs(m.eigen.b_ratio * (m.probs[2] - m.probs[1])))
-    margins = tuple(float(bound - p) for p in m.probs)
+    margins = tuple(float(x) for x in _disorder_margin_rows(m.probs, m.eigen.b_ratio))
     worst = min(margins)
     return CriterionReport(
         criterion="disorder",
@@ -67,6 +67,13 @@ def disorder_check(m: BellMixture) -> CriterionReport:
         margin=worst,
         detail=margins,
     )
+
+
+def _disorder_margin_rows(p, b_r: float):
+    """Per-level disorder margins [1 + |(b/Delta)(p_2 - p_1)|]/2 - p_j of
+    probabilities p (shape (4, ...)); broadcasts over the trailing axes."""
+    bound = 0.5 * (1.0 + np.abs(b_r * (p[2] - p[1])))
+    return bound - p
 
 
 def disorder_margins_spin_form(a: SpinAverages) -> tuple[float, float]:
@@ -91,12 +98,7 @@ def entropic_check(m: BellMixture) -> CriterionReport:
     straight from the mixture weights (the state is diagonal in its own
     eigenbasis) and each reduction has spectrum (1 +- <S_z>)/2.
     """
-    p = m.probs
-    nz = p[p > 0.0]
-    s_global = float(-(nz * np.log2(nz)).sum())
-    s_reduced = _binary_entropy_bits(0.5 * (1.0 + abs(spin_averages(m).sz)))
-    # the two reductions are identical by permutation symmetry
-    margin = float(s_global - s_reduced)
+    margin = float(_entropic_margin_row(m.probs, m.eigen.b_ratio))
     return CriterionReport(
         criterion="entropic",
         detected=bool(margin < 0.0),
@@ -105,12 +107,13 @@ def entropic_check(m: BellMixture) -> CriterionReport:
     )
 
 
-def _binary_entropy_bits(q: float) -> float:
-    e = 0.0
-    for x in (q, 1.0 - q):
-        if x > 0.0:
-            e -= x * math.log2(x)
-    return e
+def _entropic_margin_row(p, b_r: float):
+    """Entropic margin S(rho) - S(rho_A) in bits of probabilities p
+    (shape (4, ...)); broadcasts over the trailing axes.  The two
+    reductions are identical by permutation symmetry, with spectrum
+    (1 +- <S_z>)/2 and <S_z> = (b/Delta)(p_1 - p_2)."""
+    s_global = -xlogy(p, p).sum(axis=0) / _LN2
+    return s_global - _binary_entropy_bits(0.5 * (1.0 + np.abs(b_r * (p[1] - p[2]))))
 
 
 def majorization_margins(spectrum4, spectrum2) -> np.ndarray:

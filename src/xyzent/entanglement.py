@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import xlogy
 
 from . import linalg
 from .errors import DegenerateBasis, OutOfRange
@@ -35,6 +36,8 @@ __all__ = [
     "entanglement_of_formation",
     "total_spin_margins",
 ]
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -93,28 +96,40 @@ def _require_ratios(m: BellMixture) -> tuple[float, float]:
     return eig.vm_ratio, eig.b_ratio
 
 
-def exact_margins(m: BellMixture) -> tuple[float, float]:
-    """(margin_12, margin_03) for the mixture; negative means violated.
+def _exact_margin_rows(w, a1, a2, vm_r: float):
+    """(margin_12, margin_03) of the mixture w / sum(w), times sum(w).
 
-    Both are evaluated in cancellation-free form: the 03 radicand
-    (p1+p2)^2 - (b/Delta)^2 (p2-p1)^2 equals (v_minus/Delta)^2 (p2-p1)^2
-    + 4 p1 p2 identically, and the 12 margin groups the two dominant
-    weights first so near-degenerate ground pairs cancel exactly instead
-    of leaving O(eps) verdict noise.
+    w has shape (4, ...) and may be unnormalised; everything broadcasts
+    over the trailing axes.
+
+    a1, a2 are the amplitudes sqrt(w_1), sqrt(w_2).  The cross term is
+    their product, never sqrt(w_1 w_2), so it survives where w_1 alone
+    underflows.  Both margins are in cancellation-free form: the 03
+    radicand (w1+w2)^2 - (b/Delta)^2 (w2-w1)^2 equals
+    (v_minus/Delta)^2 (w2-w1)^2 + 4 w1 w2 identically, and the 12 margin
+    groups the two dominant weights first so near-degenerate ground pairs
+    cancel exactly instead of leaving O(eps) verdict noise.
     """
-    vm_r, _ = _require_ratios(m)
-    p0, p1, p2, p3 = m.probs
-    hi, lo = (p2, p1) if p2 >= p1 else (p1, p2)
-    big, small = (p3, p0) if p3 >= p0 else (p0, p3)
+    hi = np.maximum(w[1], w[2])
+    lo = np.minimum(w[1], w[2])
+    big = np.maximum(w[0], w[3])
+    small = np.minimum(w[0], w[3])
     margin_12 = (big - vm_r * hi) + small + vm_r * lo
-    root = math.hypot(vm_r * (p2 - p1), 2.0 * math.sqrt(p1) * math.sqrt(p2))
-    margin_03 = root - abs(p3 - p0)
+    margin_03 = np.hypot(vm_r * (w[2] - w[1]), 2.0 * a1 * a2) - np.abs(w[3] - w[0])
     return margin_12, margin_03
+
+
+def exact_margins(m: BellMixture) -> tuple[float, float]:
+    """(margin_12, margin_03) for the mixture; negative means violated."""
+    vm_r, _ = _require_ratios(m)
+    p = m.probs
+    margin_12, margin_03 = _exact_margin_rows(p, math.sqrt(p[1]), math.sqrt(p[2]), vm_r)
+    return float(margin_12), float(margin_03)
 
 
 def separability_exact(m: BellMixture) -> SeparabilityReport:
     """Exact verdict; margins at exactly zero classify as separable."""
-    margin_12, margin_03 = (float(x) for x in exact_margins(m))
+    margin_12, margin_03 = exact_margins(m)
     worst = min(margin_12, margin_03)
     entangled = bool(worst < 0.0)
     if not entangled:
@@ -194,13 +209,16 @@ def entanglement_of_formation(concurrence: float) -> float:
     if not -1e-12 <= c <= 1.0 + 1e-12:
         raise OutOfRange(f"concurrence must lie in [0, 1], got {c!r}")
     c = min(max(c, 0.0), 1.0)
-    q_plus = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c)))
-    q_minus = 1.0 - q_plus
-    e = 0.0
-    for q in (q_plus, q_minus):
-        if q > 0.0:
-            e -= q * math.log2(q)
-    return e
+    return float(_binary_entropy_bits(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c)))))
+
+
+def _binary_entropy_bits(q):
+    """Binary entropy h(q) in bits, with 0 log 0 = 0; broadcasts.
+
+    Subtracting from 0.0 (rather than negating) makes h(0) = h(1) = +0.0,
+    so a separable state's entanglement of formation prints as 0, not -0.
+    """
+    return (0.0 - (xlogy(q, q) + xlogy(1.0 - q, 1.0 - q))) / _LN2
 
 
 def total_spin_margins(a: SpinAverages) -> tuple[float, float]:

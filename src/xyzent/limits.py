@@ -2,10 +2,19 @@
 
 Limit temperatures, entangled temperature intervals, the
 vanishing-plus-reentry window, reference closed forms, and the two-level
-mixture thresholds.  All detection boundaries are located by a grid scan
-of the relevant signed margin followed by bisection.
+mixture thresholds.
 
-The two exact margins are scanned separately and their violation sets
+limit_temperatures is the only scan; limit_temperature,
+entangled_intervals and reentry_window are views of its record.  It
+resolves the temperature grid once and evaluates one (4, N) table of
+signed margins on it: the two exact margins m12 and m03, the disorder
+margin and the entropic margin.  Every grid sign change of every row is
+then refined in a single vectorised bisection.  The margin formulas are
+the ones behind the scalar checks (entanglement.exact_margins,
+criteria.disorder_check, criteria.entropic_check), broadcast over the
+grid.
+
+The two exact margins are refined separately and their violation sets
 merged.  Each margin crosses zero transversally, so both reentry
 endpoints are resolved to machine precision even though the separable
 gap between them shrinks exponentially as the field approaches the
@@ -18,9 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
-from .errors import DegenerateBasis
+from .criteria import _disorder_margin_rows, _entropic_margin_row
+from .entanglement import _exact_margin_rows
+from .errors import DegenerateBasis, OutOfRange
 from .model import EigenSystem, XYZParams, eigensystem
 from .states import thermal_probabilities
 
@@ -41,7 +51,6 @@ __all__ = [
 
 DEFAULT_GRID = 4096
 DEFAULT_REL_TOL = 1e-10
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -109,41 +118,31 @@ class ClosedFormLimits:
 # ---------------------------------------------------------------------------
 
 
-def _exact_margin_arrays(eig: EigenSystem, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact separability margins of the thermal state over a T grid.
-
-    Works with half-exponent Gibbs amplitudes a_j = exp(-(E_j-E_min)/2T)
-    (so cross terms like sqrt(p1 p2) survive where p1 itself would
-    underflow) and groups the dominant weights first.  This keeps both
-    margins free of spurious sign flips at any temperature: a genuinely
-    separable model never scans as entangled.
-    """
+def _exact_rows(eig: EigenSystem, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact margins (m12, m03) of the thermal state over ts, from the
+    half-exponent Gibbs amplitudes a_j = exp(-(E_j-E_min)/2T), so that a
+    genuinely separable model never scans as entangled at any
+    temperature (see _exact_margin_rows)."""
     e = eig.energies
-    a = np.exp(-0.5 * (e[:, None] - e.min()) / np.asarray(ts)[None, :])
+    a = np.exp(-0.5 * (e[:, None] - e.min()) / ts[None, :])
     w = a * a
     z = w.sum(axis=0)
-    vm_r = eig.vm_ratio
-    hi = np.maximum(w[1], w[2])
-    lo = np.minimum(w[1], w[2])
-    big = np.maximum(w[0], w[3])
-    small = np.minimum(w[0], w[3])
-    m12 = ((big - vm_r * hi) + small + vm_r * lo) / z
-    m03 = (np.hypot(vm_r * (w[2] - w[1]), 2.0 * a[1] * a[2]) - np.abs(w[3] - w[0])) / z
-    return m12, m03
+    m12, m03 = _exact_margin_rows(w, a[1], a[2], eig.vm_ratio)
+    return m12 / z, m03 / z
 
 
-def _disorder_margin_array(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
+def _margin_table(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
+    """The (4, len(ts)) table of signed margins over ts; rows m12, m03,
+    disorder, entropic.  The last two come from the full-exponent Gibbs
+    weights."""
     p = thermal_probabilities(eig, ts)
-    bound = 0.5 * (1.0 + np.abs(eig.b_ratio * (p[2] - p[1])))
-    return bound - p.max(axis=0)
-
-
-def _entropic_margin_array(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
-    p = thermal_probabilities(eig, ts)
-    s_global = -xlogy(p, p).sum(axis=0) / _LN2
-    q = 0.5 * (1.0 + np.abs(eig.b_ratio * (p[1] - p[2])))
-    s_reduced = -(xlogy(q, q) + xlogy(1.0 - q, 1.0 - q)) / _LN2
-    return s_global - s_reduced
+    return np.stack(
+        [
+            *_exact_rows(eig, ts),
+            _disorder_margin_rows(p, eig.b_ratio).min(axis=0),
+            _entropic_margin_row(p, eig.b_ratio),
+        ]
+    )
 
 
 def thermal_margin_exact(p: XYZParams, temperature: float) -> tuple[float, float]:
@@ -195,69 +194,27 @@ def _scaled(bracket: float, log_factor: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bisect(f, lo: float, hi: float, f_lo_neg: bool, rel: float = 1e-10) -> float:
-    """Refine a sign change of f inside (lo, hi) to relative width `rel`."""
-    for _ in range(200):
-        if hi - lo <= rel * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if (f(mid) < 0.0) == f_lo_neg:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _violation_intervals(f_arr, ts: np.ndarray, t_end: float, rel: float = DEFAULT_REL_TOL):
-    """Maximal intervals where the sampled margin is negative.
-
-    Grid endpoints are refined by bisection; a negative first sample
-    extends the interval down to 0 (intervals are open there), and a
-    negative last sample extends it to t_end.
-    """
-    vals = f_arr(ts)
-    neg = vals < 0.0
-    if not neg.any():
-        return []
-
-    def f(t):
-        return float(f_arr(np.array([t]))[0])
-
-    intervals = []
-    idx = np.flatnonzero(np.diff(neg.astype(int)) != 0)
-    starts = [0.0] if neg[0] else []
-    for i in idx:
-        t_cross = _bisect(f, float(ts[i]), float(ts[i + 1]), f_lo_neg=bool(neg[i]), rel=rel)
-        if neg[i]:  # leaving the violated region
-            intervals.append((starts.pop(), t_cross))
-        else:
-            starts.append(t_cross)
-    if neg[-1]:
-        intervals.append((starts.pop(), float(t_end)))
-    return intervals
-
-
 def _default_t_max(p: XYZParams) -> float:
     return 20.0 * max(p.energy_scale, 1e-6)
 
 
-def _scan_grid(p: XYZParams, eig: EigenSystem, t_max: float | None, grid_n: int):
+def _scan_grid(p: XYZParams, eig: EigenSystem, t_r: float | None, t_max: float | None, grid_n: int):
     """Resolve the scan range (adaptive doubling while still entangled at
-    the top) and assemble the grid, densified around the two-level gap."""
+    the top) and assemble the grid, densified around the two-level gap
+    temperature t_r."""
     if grid_n < 64:
-        raise ValueError(f"grid_n must be >= 64, got {grid_n}")
+        raise OutOfRange(f"grid_n must be >= 64, got {grid_n}")
     if t_max is None:
         t_max = _default_t_max(p)
         for _ in range(8):
-            m12, m03 = _exact_margin_arrays(eig, np.array([t_max]))
+            m12, m03 = _exact_rows(eig, np.array([t_max]))
             if min(m12[0], m03[0]) >= 0.0:
                 break
             t_max *= 2.0
-    elif t_max <= 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max!r}")
+    elif not (math.isfinite(t_max) and t_max > 0.0):
+        raise OutOfRange(f"t_max must be finite and positive, got {t_max!r}")
 
     ts = np.linspace(0.0, t_max, grid_n + 1)[1:]
-    t_r = reentry_two_level(p)
     e = eig.energies
     if t_r is not None and e[3] < min(e[0], e[1]):
         # the separable gap sits near t_r; make sure both lobes around it
@@ -268,41 +225,90 @@ def _scan_grid(p: XYZParams, eig: EigenSystem, t_max: float | None, grid_n: int)
     return ts, float(t_max)
 
 
+def _negative_intervals(eig: EigenSystem, table: np.ndarray, ts: np.ndarray, t_end: float, rel: float):
+    """Per table row, the maximal intervals where its margin is negative.
+
+    Every grid sign change of every row is refined in one vectorised
+    bisection; each bracket stops on its own once hi - lo <= rel * hi
+    (checked before each step) or after 200 steps.  A negative first
+    sample extends an interval down to 0 (intervals are open there), a
+    negative last sample up to t_end.
+    """
+    neg = table < 0.0
+    rows, idx = np.nonzero(neg[:, 1:] != neg[:, :-1])
+    leaving = neg[rows, idx]  # negative below the crossing
+    lo, hi = ts[idx], ts[idx + 1]
+    for _ in range(200):
+        live = np.flatnonzero(~(hi - lo <= rel * hi))
+        if live.size == 0:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        to_lo = (_margin_table(eig, mid)[rows[live], np.arange(live.size)] < 0.0) == leaving[live]
+        lo[live[to_lo]] = mid[to_lo]
+        hi[live[~to_lo]] = mid[~to_lo]
+    t_cross = 0.5 * (lo + hi)
+
+    out = []
+    for r in range(table.shape[0]):
+        intervals, starts = [], [0.0] if neg[r, 0] else []
+        for left, t in zip(leaving[rows == r], t_cross[rows == r]):
+            if left:
+                intervals.append((starts.pop(), float(t)))
+            else:
+                starts.append(float(t))
+        if neg[r, -1]:
+            intervals.append((starts.pop(), t_end))
+        out.append(intervals)
+    return out
+
+
+def limit_temperatures(
+    p: XYZParams,
+    t_max: float | None = None,
+    grid_n: int = DEFAULT_GRID,
+    rel_tol: float = DEFAULT_REL_TOL,
+) -> LimitTemperatures:
+    """All detection limits in one record (see LimitTemperatures).
+
+    Raises OutOfRange for grid_n < 64 or a t_max that is not finite and
+    positive.  The two exact margins' violation sets are merged; they
+    are disjoint (at most one margin is negative at a time), so any
+    overlap beyond refinement noise would be a bug and is folded
+    together defensively.
+    """
+    eig = eigensystem(p)
+    t_r = _two_level(p, eig)
+    ts, t_end = _scan_grid(p, eig, t_r, t_max, grid_n)
+    m12, m03, dis, ent = _negative_intervals(eig, _margin_table(eig, ts), ts, t_end, rel_tol)
+    ints: list[tuple[float, float]] = []
+    for lo, hi in sorted(m12 + m03):
+        if ints and lo < ints[-1][1]:
+            if ints[-1][1] - lo > 1e-6 * max(lo, ints[-1][1]):
+                ints[-1] = (ints[-1][0], max(hi, ints[-1][1]))  # genuine overlap
+                continue
+            lo = ints[-1][1]  # refinement noise; keep the gap structure
+        ints.append((lo, max(lo, hi)))
+    reentry = None
+    if len(ints) >= 2:
+        reentry = ReentryWindow(lower=ints[0][1], upper=ints[1][0], two_level=t_r)
+    return LimitTemperatures(
+        t_exact=ints[-1][1] if ints else 0.0,
+        t_disorder=dis[-1][1] if dis else None,
+        t_entropic=ent[-1][1] if ent else None,
+        intervals=tuple(ints),
+        reentry=reentry,
+    )
+
+
 def entangled_intervals(
     p: XYZParams,
     t_max: float | None = None,
     grid_n: int = DEFAULT_GRID,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> list[tuple[float, float]]:
-    """Maximal temperature intervals on which the thermal state is entangled.
-
-    Each of the two exact margins is scanned and bisected on its own and
-    the violation sets are merged; they are disjoint (at most one margin
-    is negative at a time), so any overlap beyond refinement noise would
-    be a bug and is folded together defensively.  Empty result means
-    separable at every sampled temperature.
-    """
-    eig = eigensystem(p)
-    ts, t_end = _scan_grid(p, eig, t_max, grid_n)
-    raw = _violation_intervals(lambda t: _exact_margin_arrays(eig, t)[0], ts, t_end, rel=rel_tol)
-    raw += _violation_intervals(lambda t: _exact_margin_arrays(eig, t)[1], ts, t_end, rel=rel_tol)
-    raw.sort()
-    merged: list[tuple[float, float]] = []
-    for lo, hi in raw:
-        if merged and lo < merged[-1][1]:
-            if merged[-1][1] - lo > 1e-6 * max(lo, merged[-1][1]):
-                merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))  # genuine overlap
-                continue
-            lo = merged[-1][1]  # refinement noise; keep the gap structure
-        merged.append((lo, max(lo, hi)))
-    return merged
-
-
-_MARGIN_FNS = {
-    "exact": lambda eig, ts: np.minimum(*_exact_margin_arrays(eig, ts)),
-    "disorder": _disorder_margin_array,
-    "entropic": _entropic_margin_array,
-}
+    """Maximal temperature intervals on which the thermal state is
+    entangled; empty means separable at every sampled temperature."""
+    return list(limit_temperatures(p, t_max=t_max, grid_n=grid_n, rel_tol=rel_tol).intervals)
 
 
 def limit_temperature(
@@ -312,19 +318,13 @@ def limit_temperature(
     grid_n: int = DEFAULT_GRID,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> float | None:
-    """Largest temperature at which the criterion detects entanglement of
-    the thermal state, or None if it never fires."""
-    if criterion == "exact":
-        ints = entangled_intervals(p, t_max=t_max, grid_n=grid_n, rel_tol=rel_tol)
-        return ints[-1][1] if ints else None
-    try:
-        f = _MARGIN_FNS[criterion]
-    except KeyError:
-        raise ValueError(f"unknown criterion {criterion!r}") from None
-    eig = eigensystem(p)
-    ts, t_end = _scan_grid(p, eig, t_max, grid_n)
-    ints = _violation_intervals(lambda t: f(eig, t), ts, t_end, rel=rel_tol)
-    return ints[-1][1] if ints else None
+    """Largest temperature at which the criterion ("exact", "disorder" or
+    "entropic") detects entanglement of the thermal state, or None if it
+    never fires."""
+    if criterion not in ("exact", "disorder", "entropic"):
+        raise ValueError(f"unknown criterion {criterion!r}")
+    lt = limit_temperatures(p, t_max=t_max, grid_n=grid_n, rel_tol=rel_tol)
+    return (lt.t_exact or None) if criterion == "exact" else getattr(lt, f"t_{criterion}")
 
 
 def reentry_two_level(p: XYZParams) -> float | None:
@@ -333,7 +333,10 @@ def reentry_two_level(p: XYZParams) -> float | None:
     Defined only when level 2 lies below level 3 and the logarithm is
     positive (v_minus > 0 and b > 0); None otherwise.
     """
-    eig = eigensystem(p)
+    return _two_level(p, eigensystem(p))
+
+
+def _two_level(p: XYZParams, eig: EigenSystem) -> float | None:
     vm = p.v_minus
     if vm <= 0.0 or eig.delta <= vm * (1.0 + 1e-15):
         return None
@@ -349,30 +352,7 @@ def reentry_window(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> ReentryWindow | None:
     """The separable gap between the two entangled lobes, if present."""
-    ints = entangled_intervals(p, t_max=t_max, grid_n=grid_n, rel_tol=rel_tol)
-    if len(ints) < 2:
-        return None
-    return ReentryWindow(lower=ints[0][1], upper=ints[1][0], two_level=reentry_two_level(p))
-
-
-def limit_temperatures(
-    p: XYZParams,
-    t_max: float | None = None,
-    grid_n: int = DEFAULT_GRID,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> LimitTemperatures:
-    """All detection limits in one record (see LimitTemperatures)."""
-    ints = entangled_intervals(p, t_max=t_max, grid_n=grid_n, rel_tol=rel_tol)
-    reentry = None
-    if len(ints) >= 2:
-        reentry = ReentryWindow(lower=ints[0][1], upper=ints[1][0], two_level=reentry_two_level(p))
-    return LimitTemperatures(
-        t_exact=ints[-1][1] if ints else 0.0,
-        t_disorder=limit_temperature(p, "disorder", t_max=t_max, grid_n=grid_n, rel_tol=rel_tol),
-        t_entropic=limit_temperature(p, "entropic", t_max=t_max, grid_n=grid_n, rel_tol=rel_tol),
-        intervals=tuple(ints),
-        reentry=reentry,
-    )
+    return limit_temperatures(p, t_max=t_max, grid_n=grid_n, rel_tol=rel_tol).reentry
 
 
 def mixture_thresholds(p: XYZParams) -> MixtureThresholds:

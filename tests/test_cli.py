@@ -91,6 +91,14 @@ class TestLimits:
         assert values["t_critical_numeric"] == ""
         assert float(values["t_exact"]) > 0
 
+    def test_invalid_scan_settings_are_input_errors(self, capsys):
+        for flag in ("--grid=10", "--tmax=-1", "--tmax=0", "--tmax=nan", "--tmax=inf"):
+            code, out, err = run(capsys, "limits", "--vx", "1", "--vy", "1", flag)
+            assert code == 2, flag
+            assert out == ""
+            # one short line, not a traceback or an echoed temperature grid
+            assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 120, err
+
 
 class TestSweep:
     def test_temperature_sweep_monotone(self, capsys):
@@ -144,6 +152,13 @@ class TestSweep:
         assert code == 2
         code, _, _ = run(capsys, "sweep", "--axis", "b", "--from", "0", "--to", "1", "--steps", "1")
         assert code == 2
+
+    def test_invalid_grid_is_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--axis", "b", "--from", "0", "--to", "1", "--steps", "3",
+            "--vx", "1", "--outputs", "limits", "--grid=10",
+        )
+        assert code == 2 and out == "" and "grid_n" in err
 
     def test_state_columns_need_temperature(self, capsys):
         code, _, err = run(
@@ -249,6 +264,12 @@ class TestFigure:
         # windows live where v_plus/b is roughly in [0.9, 1.4]
         assert min(populated) > 1 / 1.45
         assert max(populated) < 1 / 0.85
+
+    def test_invalid_grid_is_input_error(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "figure", "fig2", "--out", str(tmp_path), "--steps", "5", "--grid=10"
+        )
+        assert code == 2 and "grid_n" in err
 
     def test_unwritable_path_is_io_error(self, capsys):
         code, _, _ = run(capsys, "figure", "fig2", "--out", "/proc/nope/dir", "--steps", "5")

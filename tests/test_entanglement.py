@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,6 +200,7 @@ class TestEntanglementOfFormation:
     def test_endpoints(self):
         assert entanglement_of_formation(0.0) == 0.0
         assert entanglement_of_formation(1.0) == 1.0
+        assert math.copysign(1.0, entanglement_of_formation(0.0)) == 1.0  # prints "0", not "-0"
 
     def test_half(self):
         assert abs(entanglement_of_formation(0.5) - 0.35458) < 1e-4

@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
+from xyzent.criteria import disorder_check, entropic_check
 from xyzent.entanglement import exact_margins, separability_exact
-from xyzent.errors import DegenerateBasis
+from xyzent.errors import DegenerateBasis, OutOfRange
 from xyzent.limits import (
+    DEFAULT_GRID,
+    DEFAULT_REL_TOL,
+    LimitTemperatures,
+    ReentryWindow,
+    _margin_table,
+    _scan_grid,
     closed_form_limits,
     entangled_intervals,
     limit_temperature,
@@ -17,7 +25,7 @@ from xyzent.limits import (
 )
 from xyzent.meanfield import critical_temperature
 from xyzent.model import canonicalize, eigensystem
-from xyzent.states import mixture, thermal_mixture
+from xyzent.states import mixture, thermal_mixture, thermal_probabilities
 
 from conftest import log_uniform
 
@@ -100,6 +108,11 @@ class TestEntangledIntervals:
             entangled_intervals(XX(0.5), grid_n=16)
         with pytest.raises(ValueError):
             entangled_intervals(XX(0.5), t_max=-1.0)
+
+    def test_invalid_scan_settings_are_out_of_range(self):
+        for kwargs in ({"grid_n": 63}, {"t_max": 0.0}, {"t_max": math.nan}, {"t_max": math.inf}):
+            with pytest.raises(OutOfRange):
+                limit_temperatures(XX(0.5), **kwargs)
 
 
 class TestLimitTemperature:
@@ -259,3 +272,168 @@ class TestLimitRecord:
         assert lt.t_exact == 0.0
         assert lt.t_disorder is None
         assert critical_temperature(p).t_c == pytest.approx(0.5, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Reference: one grid scan and one scalar bisection per margin, each
+# criterion on its own, with the array margins written out separately.
+# The single-table scan must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _ref_exact(eig, ts):
+    e = eig.energies
+    a = np.exp(-0.5 * (e[:, None] - e.min()) / np.asarray(ts)[None, :])
+    w = a * a
+    z = w.sum(axis=0)
+    vm_r = eig.vm_ratio
+    hi = np.maximum(w[1], w[2])
+    lo = np.minimum(w[1], w[2])
+    big = np.maximum(w[0], w[3])
+    small = np.minimum(w[0], w[3])
+    m12 = ((big - vm_r * hi) + small + vm_r * lo) / z
+    m03 = (np.hypot(vm_r * (w[2] - w[1]), 2.0 * a[1] * a[2]) - np.abs(w[3] - w[0])) / z
+    return m12, m03
+
+
+def _ref_disorder(eig, ts):
+    p = thermal_probabilities(eig, ts)
+    return 0.5 * (1.0 + np.abs(eig.b_ratio * (p[2] - p[1]))) - p.max(axis=0)
+
+
+def _ref_entropic(eig, ts):
+    p = thermal_probabilities(eig, ts)
+    s_global = -xlogy(p, p).sum(axis=0) / math.log(2.0)
+    q = 0.5 * (1.0 + np.abs(eig.b_ratio * (p[1] - p[2])))
+    return s_global + (xlogy(q, q) + xlogy(1.0 - q, 1.0 - q)) / math.log(2.0)
+
+
+def _ref_bisect(f, lo, hi, f_lo_neg, rel):
+    for _ in range(200):
+        if hi - lo <= rel * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if (f(mid) < 0.0) == f_lo_neg:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _ref_violation_intervals(f_arr, ts, t_end, rel):
+    neg = f_arr(ts) < 0.0
+    if not neg.any():
+        return []
+
+    def f(t):
+        return float(f_arr(np.array([t]))[0])
+
+    intervals = []
+    starts = [0.0] if neg[0] else []
+    for i in np.flatnonzero(np.diff(neg.astype(int)) != 0):
+        t_cross = _ref_bisect(f, float(ts[i]), float(ts[i + 1]), bool(neg[i]), rel)
+        if neg[i]:
+            intervals.append((starts.pop(), t_cross))
+        else:
+            starts.append(t_cross)
+    if neg[-1]:
+        intervals.append((starts.pop(), float(t_end)))
+    return intervals
+
+
+def reference_limit_temperatures(p, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL):
+    def scan(f_arr):
+        eig = eigensystem(p)
+        ts, t_end = _scan_grid(p, eig, reentry_two_level(p), t_max, grid_n)
+        return _ref_violation_intervals(lambda t: f_arr(eig, t), ts, t_end, rel_tol)
+
+    raw = sorted(scan(lambda e, t: _ref_exact(e, t)[0]) + scan(lambda e, t: _ref_exact(e, t)[1]))
+    ints = []
+    for lo, hi in raw:
+        if ints and lo < ints[-1][1]:
+            if ints[-1][1] - lo > 1e-6 * max(lo, ints[-1][1]):
+                ints[-1] = (ints[-1][0], max(hi, ints[-1][1]))
+                continue
+            lo = ints[-1][1]
+        ints.append((lo, max(lo, hi)))
+    t_disorder = scan(_ref_disorder)
+    t_entropic = scan(_ref_entropic)
+    reentry = None
+    if len(ints) >= 2:
+        reentry = ReentryWindow(lower=ints[0][1], upper=ints[1][0], two_level=reentry_two_level(p))
+    return LimitTemperatures(
+        t_exact=ints[-1][1] if ints else 0.0,
+        t_disorder=t_disorder[-1][1] if t_disorder else None,
+        t_entropic=t_entropic[-1][1] if t_entropic else None,
+        intervals=tuple(ints),
+        reentry=reentry,
+    )
+
+
+def _reference_cases(rng):
+    """About 200 (params, t_max, grid_n) cases over the awkward corners."""
+    grids = (64, 256, 1024, DEFAULT_GRID)
+    cases = []
+    for k in range(80):  # generic, vz != 0
+        vp, vm, b = log_uniform(rng, 1e-2, 1e1, size=3)
+        vz = log_uniform(rng, 1e-2, 1e1) * rng.choice([-1.0, 1.0])
+        cases.append((canonicalize(vp + vm, vp - vm, vz, b), None, grids[k % 4]))
+    while len(cases) < 130:  # just above the level-crossing field
+        vp = rng.uniform(0.5, 2.0)
+        vm = rng.uniform(0.0, 0.9) * vp
+        vz = rng.uniform(-0.5, 0.3) * vp
+        bc = canonicalize(vp + vm, vp - vm, vz, 0.0).b_crossing
+        if bc > 0.0:
+            b = bc * (1.0 + 10.0 ** rng.uniform(-4.0, -2.0))
+            cases.append((canonicalize(vp + vm, vp - vm, vz, b), None, grids[len(cases) % 4]))
+    for k in range(20):  # Delta = 0
+        vp = log_uniform(rng, 1e-1, 1e1)
+        vz = rng.uniform(-1.0, 1.0) * vp
+        cases.append((canonicalize(vp, vp, vz, 0.0), None, grids[k % 4]))
+    for k in range(20):  # vz above v_plus: never entangled
+        vp, vm = rng.uniform(0.1, 1.0, size=2)
+        vz = vp + vm + rng.uniform(0.1, 2.0)
+        cases.append((canonicalize(vp + vm, vp - vm, vz, rng.uniform(0.0, 2.0)), None, grids[k % 4]))
+    for k in range(30):  # user t_max, often below t_exact (censored)
+        vp, vm, b = rng.uniform(0.1, 2.0, size=3)
+        vz = rng.uniform(-0.5, 0.5)
+        cases.append((canonicalize(vp + vm, vp - vm, vz, b), rng.uniform(0.05, 3.0), grids[k % 4]))
+    return cases
+
+
+class TestSingleScanMatchesReference:
+    def test_bit_identical_to_per_criterion_scans(self, rng):
+        cases = _reference_cases(rng)
+        assert len(cases) >= 200
+        censored = never = reentry = 0
+        for p, t_max, grid_n in cases:
+            got = limit_temperatures(p, t_max=t_max, grid_n=grid_n)
+            assert got == reference_limit_temperatures(p, t_max=t_max, grid_n=grid_n), (p, t_max)
+            censored += t_max is not None and got.t_exact == t_max
+            never += not got.intervals
+            reentry += got.reentry is not None
+        assert censored and never and reentry
+
+    def test_views_agree_with_record(self):
+        for p in (CASE3(0.9), XX(0.5), canonicalize(0.5, 0.5, 1.0, 0.3)):
+            lt = limit_temperatures(p, grid_n=512)
+            assert entangled_intervals(p, grid_n=512) == list(lt.intervals)
+            assert reentry_window(p, grid_n=512) == lt.reentry
+            assert limit_temperature(p, "exact", grid_n=512) == (lt.t_exact or None)
+            assert limit_temperature(p, "disorder", grid_n=512) == lt.t_disorder
+            assert limit_temperature(p, "entropic", grid_n=512) == lt.t_entropic
+
+    def test_scalar_checks_match_table(self, rng):
+        eps = np.finfo(float).eps
+        for p, _, _ in _reference_cases(rng)[::5]:
+            eig = eigensystem(p)
+            ts = log_uniform(rng, 1e-2, 1e1, size=8) * p.energy_scale
+            table = _margin_table(eig, ts)
+            for k, t in enumerate(ts):
+                m = thermal_mixture(p, float(t))
+                scalar = (
+                    *exact_margins(m),
+                    disorder_check(m).margin,
+                    entropic_check(m).margin,
+                )
+                assert np.abs(np.array(scalar) - table[:, k]).max() <= 16 * eps, (p, t)
