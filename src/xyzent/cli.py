@@ -265,18 +265,16 @@ def cmd_figure(args) -> int:
 
     v_plus, v_minus, top_fields = _FIGURES[args.which]
     vx, vy = v_plus + v_minus, v_plus - v_minus
-    os.makedirs(args.out, exist_ok=True)
 
     # top: concurrence vs temperature at a few fields
     temps = np.linspace(0.0, 2.5, 501)[1:]
-    lines = ["b,temp,concurrence"]
+    top = ["b,temp,concurrence"]
     for b in top_fields:
         p = canonicalize(vx, vy, 0.0, b)
         for t in temps:
             m = states.thermal_mixture(p, float(t))
             c = entanglement.separability_exact(m).concurrence
-            lines.append(f"{fmt(b)},{fmt(t)},{fmt(c)}")
-    _write_lines(lines, os.path.join(args.out, f"{args.which}_top.csv"))
+            top.append(f"{fmt(b)},{fmt(t)},{fmt(c)}")
 
     # center: limit temperatures vs field; bottom: concurrence at each limit
     v_unit = v_plus if v_plus > 0.0 else v_minus
@@ -308,8 +306,10 @@ def cmd_figure(args) -> int:
                 )
             )
         )
-    _write_lines(center, os.path.join(args.out, f"{args.which}_center.csv"))
-    _write_lines(bottom, os.path.join(args.out, f"{args.which}_bottom.csv"))
+    # every panel is built (and every setting validated) before any file is written
+    os.makedirs(args.out, exist_ok=True)
+    for panel, lines in (("top", top), ("center", center), ("bottom", bottom)):
+        _write_lines(lines, os.path.join(args.out, f"{args.which}_{panel}.csv"))
     return 0
 
 

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
-from .entanglement import _LN2, _binary_entropy_bits, separability_exact
+from .entanglement import _LN2, _binary_entropy_bits, _xlogx, separability_exact
 from .states import BellMixture, SpinAverages
 
 __all__ = [
@@ -112,7 +111,7 @@ def _entropic_margin_row(p, b_r: float):
     (shape (4, ...)); broadcasts over the trailing axes.  The two
     reductions are identical by permutation symmetry, with spectrum
     (1 +- <S_z>)/2 and <S_z> = (b/Delta)(p_1 - p_2)."""
-    s_global = -xlogy(p, p).sum(axis=0) / _LN2
+    s_global = -_xlogx(p).sum(axis=0) / _LN2
     return s_global - _binary_entropy_bits(0.5 * (1.0 + np.abs(b_r * (p[1] - p[2]))))
 
 

@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import linalg
-from .errors import DegenerateBasis, OutOfRange
+from .errors import OutOfRange
 from .states import BellMixture, SpinAverages
 
 __all__ = [
@@ -89,13 +88,6 @@ class PTSpectrum:
         return min(self.q_0, self.q_1, self.q_2, self.q_3)
 
 
-def _require_ratios(m: BellMixture) -> tuple[float, float]:
-    eig = m.eigen
-    if eig.degenerate and abs(m.probs[1] - m.probs[2]) > 1e-12:
-        raise DegenerateBasis("closed forms need p_1 == p_2 when Delta ~ 0")
-    return eig.vm_ratio, eig.b_ratio
-
-
 def _exact_margin_rows(w, a1, a2, vm_r: float):
     """(margin_12, margin_03) of the mixture w / sum(w), times sum(w).
 
@@ -121,9 +113,8 @@ def _exact_margin_rows(w, a1, a2, vm_r: float):
 
 def exact_margins(m: BellMixture) -> tuple[float, float]:
     """(margin_12, margin_03) for the mixture; negative means violated."""
-    vm_r, _ = _require_ratios(m)
     p = m.probs
-    margin_12, margin_03 = _exact_margin_rows(p, math.sqrt(p[1]), math.sqrt(p[2]), vm_r)
+    margin_12, margin_03 = _exact_margin_rows(p, math.sqrt(p[1]), math.sqrt(p[2]), m.eigen.vm_ratio)
     return float(margin_12), float(margin_03)
 
 
@@ -148,7 +139,7 @@ def separability_exact(m: BellMixture) -> SeparabilityReport:
 def r_spectrum(m: BellMixture) -> RSpectrum:
     """Closed-form spectrum of R; max(2*lambda_max - trace R, 0) is the
     concurrence."""
-    vm_r, _ = _require_ratios(m)
+    vm_r = m.eigen.vm_ratio
     p0, p1, p2, p3 = m.probs
     root = math.hypot(vm_r * (p2 - p1), 2.0 * math.sqrt(p1) * math.sqrt(p2))
     half_split = 0.5 * vm_r * (p1 - p2)
@@ -168,10 +159,9 @@ def pt_spectrum(m: BellMixture) -> PTSpectrum:
 
     At most one of them is negative, exactly when the state is entangled.
     """
-    vm_r, b_r = _require_ratios(m)
     p0, p1, p2, p3 = m.probs
-    split_12 = vm_r * (p2 - p1)
-    root_03 = math.hypot(p3 - p0, b_r * (p2 - p1))
+    split_12 = m.eigen.vm_ratio * (p2 - p1)
+    root_03 = math.hypot(p3 - p0, m.eigen.b_ratio * (p2 - p1))
     return PTSpectrum(
         q_0=0.5 * (p1 + p2 + root_03),
         q_1=0.5 * (p0 + p3 + split_12),
@@ -202,23 +192,33 @@ def concurrence_general(rho) -> float:
 def entanglement_of_formation(concurrence: float) -> float:
     """Entanglement of formation in bits as a function of concurrence.
 
-    E = h((1 + sqrt(1 - C^2)) / 2) with h the binary entropy; monotone
-    increasing from E(0) = 0 to E(1) = 1.
+    E = h((1 - sqrt(1 - C^2)) / 2) with h the binary entropy; monotone
+    increasing from E(0) = 0 to E(1) = 1.  The argument is evaluated as
+    C^2 / (2 (1 + sqrt(1 - C^2))), which does not cancel at small C.
     """
     c = float(concurrence)
     if not -1e-12 <= c <= 1.0 + 1e-12:
         raise OutOfRange(f"concurrence must lie in [0, 1], got {c!r}")
     c = min(max(c, 0.0), 1.0)
-    return float(_binary_entropy_bits(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c)))))
+    return float(_binary_entropy_bits(c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c)))))
+
+
+def _xlogx(q):
+    """q ln q, with 0 ln 0 = 0; broadcasts."""
+    q = np.asarray(q, dtype=float)
+    return q * np.log(np.where(q > 0.0, q, 1.0))
 
 
 def _binary_entropy_bits(q):
     """Binary entropy h(q) in bits, with 0 log 0 = 0; broadcasts.
 
-    Subtracting from 0.0 (rather than negating) makes h(0) = h(1) = +0.0,
-    so a separable state's entanglement of formation prints as 0, not -0.
+    The complement term is (1 - q) log1p(-q), so h keeps full relative
+    accuracy for q far below machine epsilon.  Subtracting from 0.0
+    (rather than negating) makes h(0) = h(1) = +0.0, so a separable
+    state's entanglement of formation prints as 0, not -0.
     """
-    return (0.0 - (xlogy(q, q) + xlogy(1.0 - q, 1.0 - q))) / _LN2
+    q = np.asarray(q, dtype=float)
+    return (0.0 - (_xlogx(q) + (1.0 - q) * np.log1p(-np.where(q < 1.0, q, 0.0)))) / _LN2
 
 
 def total_spin_margins(a: SpinAverages) -> tuple[float, float]:

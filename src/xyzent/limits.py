@@ -270,12 +270,14 @@ def limit_temperatures(
 ) -> LimitTemperatures:
     """All detection limits in one record (see LimitTemperatures).
 
-    Raises OutOfRange for grid_n < 64 or a t_max that is not finite and
-    positive.  The two exact margins' violation sets are merged; they
-    are disjoint (at most one margin is negative at a time), so any
-    overlap beyond refinement noise would be a bug and is folded
-    together defensively.
+    Raises OutOfRange for grid_n < 64, a t_max that is not finite and
+    positive, or a rel_tol outside (0, 1).  The two exact margins'
+    violation sets are merged; they are disjoint (at most one margin is
+    negative at a time), so any overlap beyond refinement noise would be
+    a bug and is folded together defensively.
     """
+    if not 0.0 < rel_tol < 1.0:
+        raise OutOfRange(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
     eig = eigensystem(p)
     t_r = _two_level(p, eig)
     ts, t_end = _scan_grid(p, eig, t_r, t_max, grid_n)

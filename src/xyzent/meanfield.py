@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import root
-from scipy.special import logsumexp, xlogy
 
+from .entanglement import _xlogx
 from .errors import InvalidTemperature, NoConvergence
 from .model import XYZParams, eigensystem
 
@@ -46,6 +45,15 @@ __all__ = [
 BREAK_TOL = 1e-6
 #: self-consistency residual accepted as converged
 RESIDUAL_TOL = 1e-9
+#: damped fixed-point sweeps before the Newton polish takes over
+FP_SWEEPS = 2000
+#: largest component update at which the fixed-point sweeps stop
+UPDATE_TOL = 1e-12
+#: a polished seed stops once its full Newton step is this small relative to |lambda|
+NEWTON_STEP_TOL = 1e-13
+#: Newton steps per polish, and step halvings per Newton step
+NEWTON_STEPS = 100
+NEWTON_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -90,7 +98,7 @@ def _qubit_entropy_nat(s) -> np.ndarray:
     """Natural-log entropy of qubits with spin expectation rows s."""
     m = np.linalg.norm(np.asarray(s, dtype=float), axis=-1)
     up, dn = 0.5 + m, 0.5 - m
-    return -(xlogy(up, up) + xlogy(dn, dn))
+    return -(_xlogx(up) + _xlogx(dn))
 
 
 def _interaction_energy(p: XYZParams, s_a, s_b) -> np.ndarray:
@@ -113,7 +121,9 @@ def mf_free_energy(lambda_a, lambda_b, p: XYZParams, temperature: float) -> floa
 def exact_free_energy(p: XYZParams, temperature: float) -> float:
     """-T ln Z from the exact spectrum; lower bound for every product state."""
     t = _check_temperature(temperature)
-    return float(-t * logsumexp(-eigensystem(p).energies / t))
+    e = eigensystem(p).energies
+    e_min = e.min()
+    return float(e_min - t * np.log(np.exp(-(e - e_min) / t).sum()))
 
 
 def _default_seeds(p: XYZParams) -> np.ndarray:
@@ -139,21 +149,81 @@ def _self_consistent_map(lam, p: XYZParams, t: float) -> np.ndarray:
     return out
 
 
-def solve_mf(
-    p: XYZParams,
-    temperature: float,
-    seeds=None,
-    max_iter: int = 100_000,
-    update_tol: float = 1e-12,
-) -> MeanFieldSolution:
+def _residual(lam, p: XYZParams, t: float) -> np.ndarray:
+    return _self_consistent_map(lam, p, t) - lam
+
+
+def _residual_jacobian(lam, p: XYZParams, t: float) -> np.ndarray:
+    """Jacobian of r(lambda) = F(lambda) - lambda for seed rows of shape
+    (k, 2, 3), flattened to (k, 6, 6).
+
+    F_A depends only on lambda_B, through -2 v_i <s_i>, and
+
+        d<s>/dlambda = -[(tanh(n/2T)/n)(I - u u^T) + (sech^2(n/2T)/2T) u u^T] / 2
+
+    with n = |lambda|, u = lambda/n, and the limit -I/(4T) at n = 0.  u u^T
+    comes from the unit vector, never lambda lambda^T / n^2, which would
+    overflow for |lambda| beyond ~1e154.
+    """
+    n = np.linalg.norm(lam, axis=-1, keepdims=True)
+    u = np.divide(lam, n, out=np.zeros_like(lam), where=n > 0.0)
+    th = np.tanh(0.5 * n / t)
+    across = np.divide(th, n, out=np.full_like(n, 0.5 / t), where=n > 0.0)[..., None]
+    along = ((1.0 - th * th) / (2.0 * t))[..., None]
+    uu = u[..., :, None] * u[..., None, :]
+    d_map = np.array([p.vx, p.vy, p.vz])[:, None] * (across * (np.eye(3) - uu) + along * uu)
+    jac = np.zeros((lam.shape[0], 6, 6))
+    jac[:, :3, 3:] = d_map[:, 1]
+    jac[:, 3:, :3] = d_map[:, 0]
+    return jac - np.eye(6)
+
+
+def _newton_polish(lam: np.ndarray, live: np.ndarray, p: XYZParams, t: float, tol: float) -> None:
+    """Newton's method on r(lambda) = 0 for the seed rows lam[live], all
+    at once and in place.
+
+    Each step is the minimum-norm solution of J step = -r (a pseudo-
+    inverse: J is singular along the Goldstone direction of a broken root
+    with |vx| = |vy|), halved until the residual norm strictly decreases;
+    an equal residual is no progress (a 2-cycle of the damped iteration
+    looks like that).  A seed stops once its full step is within
+    NEWTON_STEP_TOL |lambda| with its residual below tol, when no halving
+    decreases its residual, or after NEWTON_STEPS steps.
+    """
+    for _ in range(NEWTON_STEPS):
+        if live.size == 0:
+            break
+        x = lam[live]
+        r = _residual(x, p, t)
+        step = -(np.linalg.pinv(_residual_jacobian(x, p, t)) @ r.reshape(-1, 6, 1)).reshape(x.shape)
+        small = np.linalg.norm(step, axis=(1, 2)) <= NEWTON_STEP_TOL * np.linalg.norm(x, axis=(1, 2))
+        going = ~(small & (np.abs(r).max(axis=(1, 2)) < tol))
+        r_norm = np.linalg.norm(r, axis=(1, 2))
+        moved = np.zeros(live.size, dtype=bool)
+        frac = 1.0
+        for _ in range(NEWTON_HALVINGS):
+            todo = np.flatnonzero(going & ~moved)
+            if todo.size == 0:
+                break
+            trial = x[todo] + frac * step[todo]
+            better = np.linalg.norm(_residual(trial, p, t), axis=(1, 2)) < r_norm[todo]
+            lam[live[todo[better]]] = trial[better]
+            moved[todo[better]] = True
+            frac *= 0.5
+        live = live[moved]
+
+
+def solve_mf(p: XYZParams, temperature: float, seeds=None) -> MeanFieldSolution:
     """Damped fixed-point solution of the self-consistency conditions.
 
-    All seeds are iterated (damping 0.5) until the largest component
-    update drops below `update_tol`; stragglers get a quasi-Newton
-    finish, which cures the critical slowing down of plain iteration
-    near T_c.  Among the seeds whose final residual is below 1e-9 the
-    one with the lowest free energy wins (ties fall to seed order, so
-    results are deterministic).
+    All seeds are iterated (damping 0.5) for up to FP_SWEEPS sweeps,
+    until the largest component update drops below UPDATE_TOL; seeds
+    whose residual is still above RESIDUAL_TOL get a Newton finish
+    (_newton_polish), which cures the critical slowing down of plain
+    iteration near T_c.  Among the seeds whose final residual is below
+    RESIDUAL_TOL the one with the lowest free energy wins (ties fall to
+    seed order, so results are deterministic).  `iterations` counts the
+    fixed-point sweeps.
     """
     t = _check_temperature(temperature)
     lam = np.array(seeds, dtype=float) if seeds is not None else _default_seeds(p)
@@ -162,34 +232,27 @@ def solve_mf(
     if lam.shape[1:] != (2, 3):
         raise ValueError(f"seeds must have shape (n, 2, 3), got {lam.shape}")
 
-    fp_budget = min(max_iter, 2000)
     iterations = 0
     active = np.ones(lam.shape[0], dtype=bool)
-    for _ in range(fp_budget):
+    for _ in range(FP_SWEEPS):
         new = 0.5 * lam[active] + 0.5 * _self_consistent_map(lam[active], p, t)
         moved = np.abs(new - lam[active]).max(axis=(1, 2))
         lam[active] = new
         iterations += 1
-        still = moved >= update_tol
+        still = moved >= UPDATE_TOL
         if not still.any():
             active[:] = False
             break
         idx = np.flatnonzero(active)
         active[idx[~still]] = False
 
-    def residual(x):
-        l = x.reshape(2, 3)
-        return (_self_consistent_map(l, p, t) - l).ravel()
-
-    scale = max(p.energy_scale, 1.0)
-    resid = np.abs(_self_consistent_map(lam, p, t) - lam).max(axis=(1, 2))
-    for i in np.flatnonzero(resid >= RESIDUAL_TOL * scale):
-        # quasi-Newton polish for stragglers (plain iteration slows
-        # critically near T_c); the iterate is already in the right basin
-        sol = root(residual, lam[i].ravel(), method="hybr", tol=1e-13)
-        lam[i] = sol.x.reshape(2, 3)
-        resid[i] = np.abs(residual(sol.x)).max()
-    ok = resid < RESIDUAL_TOL * scale
+    # plain iteration slows critically near T_c; the stragglers' iterates
+    # are already in the right basin
+    tol = RESIDUAL_TOL * max(p.energy_scale, 1.0)
+    stragglers = np.flatnonzero(np.abs(_residual(lam, p, t)).max(axis=(1, 2)) >= tol)
+    _newton_polish(lam, stragglers, p, t, tol)
+    resid = np.abs(_residual(lam, p, t)).max(axis=(1, 2))
+    ok = resid < tol
     if not ok.any():
         raise NoConvergence(f"no seed converged; best residual {resid.min():.3e}")
 

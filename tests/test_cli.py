@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import xyzent
 from xyzent.cli import fmt, main, point_report
 
 ALPHA = 1.0 / math.log(1.0 + math.sqrt(2.0))
@@ -92,7 +96,8 @@ class TestLimits:
         assert float(values["t_exact"]) > 0
 
     def test_invalid_scan_settings_are_input_errors(self, capsys):
-        for flag in ("--grid=10", "--tmax=-1", "--tmax=0", "--tmax=nan", "--tmax=inf"):
+        flags = ("--grid=10", "--tmax=-1", "--tmax=0", "--tmax=nan", "--tmax=inf")
+        for flag in flags + ("--tol=nan", "--tol=-1", "--tol=0"):
             code, out, err = run(capsys, "limits", "--vx", "1", "--vy", "1", flag)
             assert code == 2, flag
             assert out == ""
@@ -270,6 +275,7 @@ class TestFigure:
             capsys, "figure", "fig2", "--out", str(tmp_path), "--steps", "5", "--grid=10"
         )
         assert code == 2 and "grid_n" in err
+        assert list(tmp_path.iterdir()) == []  # no panel written before validation
 
     def test_unwritable_path_is_io_error(self, capsys):
         code, _, _ = run(capsys, "figure", "fig2", "--out", "/proc/nope/dir", "--steps", "5")
@@ -283,3 +289,11 @@ class TestFormatting:
         assert fmt(0.5) == "0.5"
         assert fmt(1.0 / 3.0) == "0.333333333333"
         assert fmt(1.134592657106511) == "1.13459265711"
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(xyzent.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, xyzent.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -67,11 +67,11 @@ class TestSeparabilityExact:
             assert not (rep.margin_12 < 0 and rep.margin_03 < 0)
 
     def test_degenerate_basis_raises(self):
+        # the mixture itself rejects unequal weights on a degenerate pair,
+        # so no verdict can be formed from them
         p = canonicalize(0.5, 0.5, 0.0, 0.0)
-        m = mixture(p, [0.2, 0.3, 0.3, 0.2])
-        object.__setattr__(m, "probs", np.array([0.2, 0.5, 0.1, 0.2]))
         with pytest.raises(DegenerateBasis):
-            separability_exact(m)
+            separability_exact(mixture(p, [0.2, 0.5, 0.1, 0.2]))
 
 
 class TestRSpectrum:
@@ -210,6 +210,15 @@ class TestEntanglementOfFormation:
             entanglement_of_formation(1.5)
         with pytest.raises(OutOfRange):
             entanglement_of_formation(-0.2)
+
+    def test_matches_high_precision_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for c in np.concatenate([np.logspace(-12, 0, 241), 1.0 - np.logspace(-16, -1, 31)]):
+                q = (1 - mpmath.sqrt(1 - mpmath.mpf(float(c)) ** 2)) / 2
+                ref = -(q * mpmath.log(q) + (1 - q) * mpmath.log1p(-q)) / mpmath.log(2)
+                got = entanglement_of_formation(float(c))
+                assert abs(got - ref) <= 1e-13 * ref, c
 
     @given(st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=200, deadline=None)

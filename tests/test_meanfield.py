@@ -133,6 +133,54 @@ class TestSolveMF:
             solve_mf(XCHAIN, 0.0)
 
 
+def _max_residual(p, sol):
+    v = np.array([p.vx, p.vy, p.vz])
+    b = np.array([0.0, 0.0, p.b])
+    return max(
+        np.abs(sol.lambda_a - (b - 2 * v * sol.s_b)).max(),
+        np.abs(sol.lambda_b - (b - 2 * v * sol.s_a)).max(),
+    )
+
+
+@pytest.mark.parametrize(
+    "p, t",
+    [
+        # stop rule: a polish that stops as soon as the residual is below
+        # tolerance accepts non-roots near T_c and moves T_c by 8e-6
+        pytest.param(
+            canonicalize(4004660.677592519, 2952603.4204812893, 949004.5412642648, 2113942.929786735),
+            None,
+            id="stop_rule",
+        ),
+        # |vx| = |vy|: the Jacobian at the broken root is singular along
+        # the Goldstone direction, so only a minimum-norm step works
+        pytest.param(
+            canonicalize(8.890061109800813e42, -8.890061109800813e42, 0.0, 8.112159671074608e42),
+            None,
+            id="singular_jacobian",
+        ),
+        # the damped iteration ends in a 2-cycle whose half Newton step has
+        # exactly the same residual: backtracking needs a strict decrease
+        pytest.param(
+            canonicalize(4.561518660819901, 4.266003906532173, -71.71507665235677, 9.339780289050124),
+            0.012324222183123517,
+            id="two_cycle",
+        ),
+    ],
+)
+def test_newton_polish_regressions(p, t):
+    if t is None:
+        closed = critical_temperature(p, "closed").t_c
+        numeric = critical_temperature(p, "numeric").t_c
+        assert abs(numeric - closed) <= 2e-6 * closed
+        return
+    sol = solve_mf(p, t)
+    assert sol.converged
+    assert _max_residual(p, sol) < 1e-9 * max(1.0, p.energy_scale)
+    assert not sol.broken_phase_flip and not sol.broken_permutation
+    assert_allclose([sol.lambda_a[2], sol.lambda_b[2]], 0.003227, rtol=1e-3)
+
+
 class TestCriticalTemperature:
     def test_zero_field_limit(self):
         tc = critical_temperature(canonicalize(1.0, 0.0, 0.0, 1e-6))
