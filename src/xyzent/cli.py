@@ -18,13 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
 from . import criteria, entanglement, limits, meanfield, states
 from .errors import NoConvergence, XyzentError
-from .model import XYZParams, canonicalize
+from .model import XYZParams, canonicalize, eigensystem
 
 PARAM_KEYS = ("vx", "vy", "vz", "b")
 STATE_COLUMNS = (
@@ -106,21 +107,24 @@ def point_report(vx, vy, vz, b, temp) -> dict:
     }
 
 
-def _state_values(p: XYZParams, temp: float) -> dict:
-    m = states.thermal_mixture(p, temp)
-    exact = entanglement.separability_exact(m)
-    return {
-        "concurrence": exact.concurrence,
-        "eof": entanglement.entanglement_of_formation(exact.concurrence),
-        "margin_12": exact.margin_12,
-        "margin_03": exact.margin_03,
-        "disorder_margin": criteria.disorder_check(m).margin,
-        "entropic_margin": criteria.entropic_check(m).margin,
-    }
+def _state_values(p: XYZParams, temps: np.ndarray) -> dict:
+    """The STATE_COLUMNS of p's thermal states at the temperatures temps
+    (1-D), one array each, read off the limit scan's margin table."""
+    m12, m03, dis, ent = limits.margin_table(eigensystem(p), temps)
+    worst = np.minimum(m12, m03)
+    c = np.where(worst < 0.0, -worst, 0.0)
+    return dict(zip(STATE_COLUMNS, (c, entanglement.entanglement_of_formation(c), m12, m03, dis, ent)))
 
 
 def _limit_values(p: XYZParams, tmax, grid, tol) -> dict:
     lt = limits.limit_temperatures(p, t_max=tmax, grid_n=grid, rel_tol=tol)
+    if lt.censored:
+        print(
+            f"warning: {', '.join(lt.censored)} still detected at the top of the scan for"
+            f" vx={fmt(p.vx)} vy={fmt(p.vy)} vz={fmt(p.vz)} b={fmt(p.b)}; those limits are"
+            " lower bounds (raise --tmax)",
+            file=sys.stderr,
+        )
     tc = meanfield.critical_temperature(p, method="closed")
     return {
         "t_exact": lt.t_exact,
@@ -240,14 +244,16 @@ def cmd_sweep(args) -> int:
 
     values = np.linspace(args.start, args.stop, args.steps)
     lines = [",".join(columns)]
-    for value in values:
-        p, temp = _sweep_params(args, float(value))
-        row = {args.axis: value}
+    # a temperature axis is one model, so one batch serves every row
+    for batch in [values] if args.axis == "temp" else values[:, None]:
+        p, temp = _sweep_params(args, float(batch[0]))
+        cols = {args.axis: batch}
         if "state" in groups:
-            row.update(_state_values(p, temp))
+            cols.update(_state_values(p, batch if args.axis == "temp" else np.array([temp])))
         if "limits" in groups:
-            row.update(_limit_values(p, args.tmax, args.grid, args.tol))
-        lines.append(",".join(fmt(row[c]) for c in columns))
+            lim = _limit_values(p, args.tmax, args.grid, args.tol)
+            cols.update((k, [v] * len(batch)) for k, v in lim.items())
+        lines += (",".join(fmt(cols[c][i]) for c in columns) for i in range(len(batch)))
     _write_lines(lines, args.out)
     return 0
 
@@ -270,11 +276,8 @@ def cmd_figure(args) -> int:
     temps = np.linspace(0.0, 2.5, 501)[1:]
     top = ["b,temp,concurrence"]
     for b in top_fields:
-        p = canonicalize(vx, vy, 0.0, b)
-        for t in temps:
-            m = states.thermal_mixture(p, float(t))
-            c = entanglement.separability_exact(m).concurrence
-            top.append(f"{fmt(b)},{fmt(t)},{fmt(c)}")
+        c = _state_values(canonicalize(vx, vy, 0.0, b), temps)["concurrence"]
+        top += (f"{fmt(b)},{fmt(t)},{fmt(x)}" for t, x in zip(temps, c))
 
     # center: limit temperatures vs field; bottom: concurrence at each limit
     v_unit = v_plus if v_plus > 0.0 else v_minus
@@ -290,22 +293,9 @@ def cmd_figure(args) -> int:
         ratio = b / v_unit
         inv = 1.0 / ratio if ratio > 0.0 else None
         center.append(",".join(fmt(x) for x in (ratio, inv, *lim.values())))
-
-        def c_at(t):
-            if t is None or t <= 0.0:
-                return None
-            return entanglement.separability_exact(states.thermal_mixture(p, t)).concurrence
-
-        bottom.append(
-            ",".join(
-                fmt(x)
-                for x in (
-                    ratio,
-                    inv,
-                    *(c_at(lim[k]) for k in ("t_exact", "t_disorder", "t_entropic", "t_critical")),
-                )
-            )
-        )
+        ts = np.array([lim[k] or 0.0 for k in ("t_exact", "t_disorder", "t_entropic", "t_critical")])
+        c = np.where(ts > 0.0, _state_values(p, ts)["concurrence"], np.nan)  # absent at T = 0
+        bottom.append(",".join(fmt(x) for x in (ratio, inv, *c)))
     # every panel is built (and every setting validated) before any file is written
     os.makedirs(args.out, exist_ok=True)
     for panel, lines in (("top", top), ("center", center), ("bottom", bottom)):
@@ -352,19 +342,25 @@ def _apply_config(args):
         setattr(args, key, value)
 
 
-class _Tracking(argparse.ArgumentParser):
-    """Records which options were given explicitly, so config-file values
-    only fill the gaps."""
+class _Given(argparse.Action):
+    """Store the value and record its dest as given on the command line,
+    so config-file values only fill the gaps (abbreviations included)."""
 
-    def parse_args(self, argv=None, namespace=None):
-        args = super().parse_args(argv, namespace)
-        explicit = set()
-        argv = list(sys.argv[1:] if argv is None else argv)
-        for token in argv:
-            if token.startswith("--"):
-                explicit.add(token[2:].split("=")[0].replace("-", "_"))
-        args._explicit = explicit
-        return args
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace._explicit = namespace._explicit | {self.dest}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parser (and subparsers) whose plain options record that they were
+    given, and which read -4e-15 as a negative number rather than an
+    option, as argparse does from Python 3.13 on."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Given)
+        self.set_defaults(_explicit=frozenset())
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 def _add_common(sub, temp_default=None):
@@ -382,7 +378,7 @@ def _add_common(sub, temp_default=None):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Tracking(prog="xyzent", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="xyzent", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("point", help="report one thermal state")

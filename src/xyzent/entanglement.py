@@ -189,18 +189,21 @@ def concurrence_general(rho) -> float:
     return float(max(0.0, 2.0 * lam[-1] - lam.sum()))
 
 
-def entanglement_of_formation(concurrence: float) -> float:
+def entanglement_of_formation(concurrence):
     """Entanglement of formation in bits as a function of concurrence.
 
     E = h((1 - sqrt(1 - C^2)) / 2) with h the binary entropy; monotone
     increasing from E(0) = 0 to E(1) = 1.  The argument is evaluated as
     C^2 / (2 (1 + sqrt(1 - C^2))), which does not cancel at small C.
+    Broadcasts over arrays; a scalar concurrence gives a float.
     """
-    c = float(concurrence)
-    if not -1e-12 <= c <= 1.0 + 1e-12:
-        raise OutOfRange(f"concurrence must lie in [0, 1], got {c!r}")
-    c = min(max(c, 0.0), 1.0)
-    return float(_binary_entropy_bits(c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c)))))
+    c = np.asarray(concurrence, dtype=float)
+    bad = ~((-1e-12 <= c) & (c <= 1.0 + 1e-12))
+    if bad.any():
+        raise OutOfRange(f"concurrence must lie in [0, 1], got {float(c[bad][0])!r}")
+    c = np.clip(c, 0.0, 1.0)
+    e = _binary_entropy_bits(c * c / (2.0 * (1.0 + np.sqrt(1.0 - c * c))))
+    return float(e) if e.ndim == 0 else e
 
 
 def _xlogx(q):

@@ -7,12 +7,13 @@ mixture thresholds.
 limit_temperatures is the only scan; limit_temperature,
 entangled_intervals and reentry_window are views of its record.  It
 resolves the temperature grid once and evaluates one (4, N) table of
-signed margins on it: the two exact margins m12 and m03, the disorder
-margin and the entropic margin.  Every grid sign change of every row is
-then refined in a single vectorised bisection.  The margin formulas are
-the ones behind the scalar checks (entanglement.exact_margins,
-criteria.disorder_check, criteria.entropic_check), broadcast over the
-grid.
+signed margins on it (margin_table): the two exact margins m12 and m03,
+the disorder margin and the entropic margin.  Every grid sign change of
+every row is then refined in a single vectorised bisection.  The margin
+formulas are the ones behind the scalar checks
+(entanglement.exact_margins, criteria.disorder_check,
+criteria.entropic_check), broadcast over the grid.  The same table gives
+the CLI its thermal-state columns (sweep and figure).
 
 The two exact margins are refined separately and their violation sets
 merged.  Each margin crosses zero transversally, so both reentry
@@ -32,13 +33,14 @@ from .criteria import _disorder_margin_rows, _entropic_margin_row
 from .entanglement import _exact_margin_rows
 from .errors import DegenerateBasis, OutOfRange
 from .model import EigenSystem, XYZParams, eigensystem
-from .states import thermal_probabilities
+from .states import _check_weights, thermal_probabilities
 
 __all__ = [
     "LimitTemperatures",
     "MixtureThresholds",
     "ReentryWindow",
     "ClosedFormLimits",
+    "margin_table",
     "thermal_margin_exact",
     "entangled_intervals",
     "limit_temperature",
@@ -51,6 +53,7 @@ __all__ = [
 
 DEFAULT_GRID = 4096
 DEFAULT_REL_TOL = 1e-10
+_CRITERIA = ("exact", "disorder", "entropic")
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,9 @@ class LimitTemperatures:
 
     t_exact is 0.0 when the thermal state is separable at every
     temperature; t_disorder / t_entropic are None when the criterion
-    never fires.
+    never fires.  censored names the criteria ("exact", "disorder",
+    "entropic") still detecting at the top of the scan, whose limit is
+    then only a lower bound.
     """
 
     t_exact: float
@@ -67,6 +72,7 @@ class LimitTemperatures:
     t_entropic: float | None
     intervals: tuple[tuple[float, float], ...]
     reentry: "ReentryWindow | None"
+    censored: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -118,31 +124,35 @@ class ClosedFormLimits:
 # ---------------------------------------------------------------------------
 
 
-def _exact_rows(eig: EigenSystem, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact margins (m12, m03) of the thermal state over ts, from the
-    half-exponent Gibbs amplitudes a_j = exp(-(E_j-E_min)/2T), so that a
-    genuinely separable model never scans as entangled at any
-    temperature (see _exact_margin_rows)."""
+def margin_table(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
+    """The (4, len(ts)) table of signed margins of the thermal states at
+    the temperatures ts >= 0 (1-D); rows m12, m03, disorder, entropic.
+
+    The exact rows use the half-exponent Gibbs amplitudes
+    a_j = exp(-(E_j-E_min)/2T), so that a genuinely separable model never
+    scans as entangled at any temperature (see _exact_margin_rows); the
+    last two the Gibbs weights, which pass BellMixture's checks.  At T = 0
+    both use the ground-level spread of thermal_probabilities.
+    """
+    p = thermal_probabilities(eig, ts)
+    _check_weights(p, eig)
+    return _margin_table(eig, ts, p)
+
+
+def _margin_table(eig: EigenSystem, ts: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
+    """margin_table without the weight check: the limit scan reads these
+    rows wherever the absolute DEGENERACY_TOL lets a degenerate pair split."""
+    if p is None:
+        p = thermal_probabilities(eig, ts)
     e = eig.energies
-    a = np.exp(-0.5 * (e[:, None] - e.min()) / ts[None, :])
-    w = a * a
+    zero = ts == 0.0
+    a = np.exp(-0.5 * (e[:, None] - e.min()) / np.where(zero, 1.0, ts))
+    a[:, zero] = np.sqrt(p[:, zero])
+    w = np.where(zero, p, a * a)
     z = w.sum(axis=0)
     m12, m03 = _exact_margin_rows(w, a[1], a[2], eig.vm_ratio)
-    return m12 / z, m03 / z
-
-
-def _margin_table(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
-    """The (4, len(ts)) table of signed margins over ts; rows m12, m03,
-    disorder, entropic.  The last two come from the full-exponent Gibbs
-    weights."""
-    p = thermal_probabilities(eig, ts)
-    return np.stack(
-        [
-            *_exact_rows(eig, ts),
-            _disorder_margin_rows(p, eig.b_ratio).min(axis=0),
-            _entropic_margin_row(p, eig.b_ratio),
-        ]
-    )
+    dis = _disorder_margin_rows(p, eig.b_ratio).min(axis=0)
+    return np.stack([m12 / z, m03 / z, dis, _entropic_margin_row(p, eig.b_ratio)])
 
 
 def thermal_margin_exact(p: XYZParams, temperature: float) -> tuple[float, float]:
@@ -207,8 +217,7 @@ def _scan_grid(p: XYZParams, eig: EigenSystem, t_r: float | None, t_max: float |
     if t_max is None:
         t_max = _default_t_max(p)
         for _ in range(8):
-            m12, m03 = _exact_rows(eig, np.array([t_max]))
-            if min(m12[0], m03[0]) >= 0.0:
+            if _margin_table(eig, np.array([t_max]))[:2, 0].min() >= 0.0:
                 break
             t_max *= 2.0
     elif not (math.isfinite(t_max) and t_max > 0.0):
@@ -226,7 +235,8 @@ def _scan_grid(p: XYZParams, eig: EigenSystem, t_r: float | None, t_max: float |
 
 
 def _negative_intervals(eig: EigenSystem, table: np.ndarray, ts: np.ndarray, t_end: float, rel: float):
-    """Per table row, the maximal intervals where its margin is negative.
+    """Per table row, the maximal intervals where its margin is negative,
+    and the rows still negative at t_end.
 
     Every grid sign change of every row is refined in one vectorised
     bisection; each bracket stops on its own once hi - lo <= rel * hi
@@ -259,7 +269,7 @@ def _negative_intervals(eig: EigenSystem, table: np.ndarray, ts: np.ndarray, t_e
         if neg[r, -1]:
             intervals.append((starts.pop(), t_end))
         out.append(intervals)
-    return out
+    return out, neg[:, -1]
 
 
 def limit_temperatures(
@@ -281,7 +291,7 @@ def limit_temperatures(
     eig = eigensystem(p)
     t_r = _two_level(p, eig)
     ts, t_end = _scan_grid(p, eig, t_r, t_max, grid_n)
-    m12, m03, dis, ent = _negative_intervals(eig, _margin_table(eig, ts), ts, t_end, rel_tol)
+    (m12, m03, dis, ent), at_end = _negative_intervals(eig, _margin_table(eig, ts), ts, t_end, rel_tol)
     ints: list[tuple[float, float]] = []
     for lo, hi in sorted(m12 + m03):
         if ints and lo < ints[-1][1]:
@@ -299,6 +309,7 @@ def limit_temperatures(
         t_entropic=ent[-1][1] if ent else None,
         intervals=tuple(ints),
         reentry=reentry,
+        censored=tuple(c for c, hit in zip(_CRITERIA, (at_end[0] or at_end[1], *at_end[2:])) if hit),
     )
 
 
@@ -323,7 +334,7 @@ def limit_temperature(
     """Largest temperature at which the criterion ("exact", "disorder" or
     "entropic") detects entanglement of the thermal state, or None if it
     never fires."""
-    if criterion not in ("exact", "disorder", "entropic"):
+    if criterion not in _CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
     lt = limit_temperatures(p, t_max=t_max, grid_n=grid_n, rel_tol=rel_tol)
     return (lt.t_exact or None) if criterion == "exact" else getattr(lt, f"t_{criterion}")

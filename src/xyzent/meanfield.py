@@ -85,9 +85,13 @@ def _check_temperature(t: float) -> float:
 
 
 def qubit_expectations(lambdas, temperature: float) -> np.ndarray:
-    """<s> for each effective field row; zero field gives zero spin."""
+    """<s> for each effective field row; zero field gives zero spin.
+
+    Norms here and below come from np.hypot.reduce, which never squares a
+    component, so fields near the top of the float range do not overflow.
+    """
     lam = np.asarray(lambdas, dtype=float)
-    norm = np.linalg.norm(lam, axis=-1, keepdims=True)
+    norm = np.hypot.reduce(lam, axis=-1, keepdims=True)
     amp = np.divide(
         np.tanh(0.5 * norm / temperature), norm, out=np.zeros_like(norm), where=norm > 0.0
     )
@@ -96,7 +100,7 @@ def qubit_expectations(lambdas, temperature: float) -> np.ndarray:
 
 def _qubit_entropy_nat(s) -> np.ndarray:
     """Natural-log entropy of qubits with spin expectation rows s."""
-    m = np.linalg.norm(np.asarray(s, dtype=float), axis=-1)
+    m = np.hypot.reduce(np.asarray(s, dtype=float), axis=-1)
     up, dn = 0.5 + m, 0.5 - m
     return -(_xlogx(up) + _xlogx(dn))
 
@@ -165,7 +169,7 @@ def _residual_jacobian(lam, p: XYZParams, t: float) -> np.ndarray:
     comes from the unit vector, never lambda lambda^T / n^2, which would
     overflow for |lambda| beyond ~1e154.
     """
-    n = np.linalg.norm(lam, axis=-1, keepdims=True)
+    n = np.hypot.reduce(lam, axis=-1, keepdims=True)
     u = np.divide(lam, n, out=np.zeros_like(lam), where=n > 0.0)
     th = np.tanh(0.5 * n / t)
     across = np.divide(th, n, out=np.full_like(n, 0.5 / t), where=n > 0.0)[..., None]
@@ -196,9 +200,9 @@ def _newton_polish(lam: np.ndarray, live: np.ndarray, p: XYZParams, t: float, to
         x = lam[live]
         r = _residual(x, p, t)
         step = -(np.linalg.pinv(_residual_jacobian(x, p, t)) @ r.reshape(-1, 6, 1)).reshape(x.shape)
-        small = np.linalg.norm(step, axis=(1, 2)) <= NEWTON_STEP_TOL * np.linalg.norm(x, axis=(1, 2))
+        small = np.hypot.reduce(step, axis=(1, 2)) <= NEWTON_STEP_TOL * np.hypot.reduce(x, axis=(1, 2))
         going = ~(small & (np.abs(r).max(axis=(1, 2)) < tol))
-        r_norm = np.linalg.norm(r, axis=(1, 2))
+        r_norm = np.hypot.reduce(r, axis=(1, 2))
         moved = np.zeros(live.size, dtype=bool)
         frac = 1.0
         for _ in range(NEWTON_HALVINGS):
@@ -206,7 +210,7 @@ def _newton_polish(lam: np.ndarray, live: np.ndarray, p: XYZParams, t: float, to
             if todo.size == 0:
                 break
             trial = x[todo] + frac * step[todo]
-            better = np.linalg.norm(_residual(trial, p, t), axis=(1, 2)) < r_norm[todo]
+            better = np.hypot.reduce(_residual(trial, p, t), axis=(1, 2)) < r_norm[todo]
             lam[live[todo[better]]] = trial[better]
             moved[todo[better]] = True
             frac *= 0.5

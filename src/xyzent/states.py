@@ -30,16 +30,23 @@ class BellMixture:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (4,):
             raise InvalidMixture(f"expected 4 weights, got shape {p.shape}")
-        if p.min() < -_PROB_TOL or abs(p.sum() - 1.0) > _PROB_TOL:
-            raise InvalidMixture(f"not a probability vector: {p!r}")
-        if self.eigen.degenerate and abs(p[1] - p[2]) > _PROB_TOL:
-            # With Delta = 0 the |Phi_1>, |Phi_2> basis choice is a pure
-            # convention; closed forms are exact only for equal weights.
-            raise DegenerateBasis(
-                "degenerate aligned sector requires p_1 == p_2, "
-                f"got {p[1]!r} and {p[2]!r}"
-            )
+        _check_weights(p, self.eigen)
         object.__setattr__(self, "probs", p)
+
+
+def _check_weights(p: np.ndarray, eigen: EigenSystem) -> None:
+    """Raise unless p, shape (4,) or (4, N), holds probability vectors over
+    the levels of eigen (one per column); names the first bad column."""
+    q = p.reshape(4, -1)
+    bad = (q < -_PROB_TOL).any(axis=0) | (np.abs(q.sum(axis=0) - 1.0) > _PROB_TOL)
+    if bad.any():
+        raise InvalidMixture(f"not a probability vector: {q[:, bad.argmax()]!r}")
+    bad = np.abs(q[1] - q[2]) > _PROB_TOL
+    if eigen.degenerate and bad.any():
+        # With Delta = 0 the |Phi_1>, |Phi_2> basis choice is a pure
+        # convention; closed forms are exact only for equal weights.
+        p1, p2 = q[1:3, bad.argmax()]
+        raise DegenerateBasis(f"degenerate aligned sector requires p_1 == p_2, got {p1!r} and {p2!r}")
 
 
 def mixture(params: XYZParams, probs) -> BellMixture:
@@ -56,8 +63,9 @@ def thermal_probabilities(eigen: EigenSystem, temperature) -> np.ndarray:
     levels (the T -> 0+ limit of the Gibbs state).
     """
     t = np.asarray(temperature, dtype=float)
-    if np.any(~np.isfinite(t)) or np.any(t < 0.0):
-        raise InvalidTemperature(f"temperature must be finite and >= 0, got {temperature!r}")
+    bad = ~(np.isfinite(t) & (t >= 0.0))
+    if bad.any():
+        raise InvalidTemperature(f"temperature must be finite and >= 0, got {float(t[bad][0])!r}")
     e = eigen.energies
     scalar = t.ndim == 0
     t2 = np.atleast_1d(t)

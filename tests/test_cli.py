@@ -7,7 +7,10 @@ import sys
 import numpy as np
 
 import xyzent
-from xyzent.cli import fmt, main, point_report
+from xyzent.cli import _state_values, fmt, main, point_report
+from xyzent.model import canonicalize
+
+from conftest import log_uniform, random_canonical_params
 
 ALPHA = 1.0 / math.log(1.0 + math.sqrt(2.0))
 
@@ -95,6 +98,21 @@ class TestLimits:
         assert values["t_critical_numeric"] == ""
         assert float(values["t_exact"]) > 0
 
+    def test_negative_scientific_notation_is_a_value(self, capsys):
+        spaced = run(capsys, "limits", "--vx", "1", "--vy", "-4e-15")
+        joined = run(capsys, "limits", "--vx", "1", "--vy=-4e-15")
+        assert spaced[0] == 0 and spaced == joined
+
+    def test_censored_limits_warn_on_stderr(self, capsys):
+        code, out, err = run(capsys, "limits", "--vx", "1", "--vy", "1", "--tmax", "0.5")
+        assert code == 0
+        header, row = out.strip().split("\n")
+        values = dict(zip(header.split(","), row.split(",")))
+        assert values["t_exact"] == values["t_disorder"] == "0.5"  # stdout as before
+        assert err.startswith("warning: exact, disorder ") and err.count("\n") == 1, err
+        _, _, err = run(capsys, "limits", "--vx", "1", "--vy", "1")
+        assert err == ""
+
     def test_invalid_scan_settings_are_input_errors(self, capsys):
         flags = ("--grid=10", "--tmax=-1", "--tmax=0", "--tmax=nan", "--tmax=inf")
         for flag in flags + ("--tol=nan", "--tol=-1", "--tol=0"):
@@ -138,6 +156,20 @@ class TestSweep:
         rep = point_report(1.0, -1.0, 0.0, 0.0, 1.0)
         assert rows["1"] == fmt(rep["concurrence"])
 
+    def test_concurrence_and_eof_match_point_reports(self, rng):
+        # the margins are checked against the scalar route in test_limits;
+        # here the two columns derived from them, T = 0 and ground ties included
+        eps = np.finfo(float).eps
+        ties = [canonicalize(1.0, 0.4, 0.4, 0.0), canonicalize(0.7, 0.7, -0.3, 0.0)]
+        for p in ties + [random_canonical_params(rng) for _ in range(20)]:
+            temps = np.concatenate([[0.0], log_uniform(rng, 1e-2, 1e1, size=6) * p.energy_scale])
+            cols = _state_values(p, temps)
+            assert not np.signbit(cols["concurrence"]).any()  # never prints "-0"
+            for k, t in enumerate(temps):
+                rep = point_report(p.vx, p.vy, p.vz, p.b, float(t))
+                assert abs(cols["concurrence"][k] - rep["concurrence"]) <= 16 * eps, (p, t)
+                assert abs(cols["eof"][k] - rep["eof"]) <= 16 * eps, (p, t)
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["sweep", "--axis", "b", "--from", "0", "--to", "2", "--steps", "5",
                 "--vx", "1.7", "--vy", "0.3", "--outputs", "limits"]
@@ -164,6 +196,23 @@ class TestSweep:
             "--vx", "1", "--outputs", "limits", "--grid=10",
         )
         assert code == 2 and out == "" and "grid_n" in err
+
+    def test_degenerate_basis_is_input_error(self, capsys):
+        # Delta = 1e-13 counts as degenerate, but the two aligned levels
+        # still split the Gibbs weights at these temperatures
+        code, out, err = run(
+            capsys, "sweep", "--axis", "temp", "--from", "0", "--to", "1e-12", "--steps", "5",
+            "--vz", "1", "--b=1e-13",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: degenerate aligned sector") and err.count("\n") == 1, err
+
+    def test_negative_temperature_names_the_first(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--axis", "temp", "--from=-1", "--to", "1", "--steps", "5000", "--vx", "1",
+        )
+        assert code == 2 and out == ""
+        assert "-1.0" in err and err.count("\n") == 1 and len(err) < 120, err
 
     def test_state_columns_need_temperature(self, capsys):
         code, _, err = run(
@@ -204,6 +253,20 @@ class TestConfig:
         code, out, _ = run(capsys, "point", "--config", str(cfg), "--temp", "1e9")
         assert code == 0
         assert "concurrence: 0\n" in out
+
+    def test_abbreviated_flags_override_config(self, capsys, tmp_path):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("temp = 2\nstart = 0.5\n")
+        code, out, _ = run(capsys, "point", "--vx", "1", "--vy", "-1", "--te", "0.5", "--config", str(cfg))
+        assert code == 0
+        assert out.startswith("params: vx=1 vy=-1 vz=0 b=0 temp=0.5\n")
+        # --from stores into `start`; the flag still wins over the file
+        code, out, _ = run(
+            capsys, "sweep", "--axis", "temp", "--from", "0.25", "--to", "1", "--steps", "2",
+            "--vx", "1", "--config", str(cfg),
+        )
+        assert code == 0
+        assert out.split("\n")[1].startswith("0.25,")
 
     def test_missing_config_is_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "point", "--temp", "1", "--config", str(tmp_path / "nope.cfg"))

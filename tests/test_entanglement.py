@@ -210,6 +210,8 @@ class TestEntanglementOfFormation:
             entanglement_of_formation(1.5)
         with pytest.raises(OutOfRange):
             entanglement_of_formation(-0.2)
+        with pytest.raises(OutOfRange, match="1.5"):
+            entanglement_of_formation(np.array([0.2, 1.5, -0.2]))
 
     def test_matches_high_precision_reference(self):
         mpmath = pytest.importorskip("mpmath")
@@ -218,7 +220,10 @@ class TestEntanglementOfFormation:
                 q = (1 - mpmath.sqrt(1 - mpmath.mpf(float(c)) ** 2)) / 2
                 ref = -(q * mpmath.log(q) + (1 - q) * mpmath.log1p(-q)) / mpmath.log(2)
                 got = entanglement_of_formation(float(c))
+                assert isinstance(got, float)
                 assert abs(got - ref) <= 1e-13 * ref, c
+            cs = np.concatenate([np.logspace(-12, 0, 241), [0.0]])
+            assert list(entanglement_of_formation(cs)) == [entanglement_of_formation(float(c)) for c in cs]
 
     @given(st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=200, deadline=None)

@@ -12,12 +12,12 @@ from xyzent.limits import (
     DEFAULT_REL_TOL,
     LimitTemperatures,
     ReentryWindow,
-    _margin_table,
     _scan_grid,
     closed_form_limits,
     entangled_intervals,
     limit_temperature,
     limit_temperatures,
+    margin_table,
     mixture_thresholds,
     reentry_two_level,
     reentry_window,
@@ -265,6 +265,12 @@ class TestLimitRecord:
         lt = limit_temperatures(XX(0.5))
         assert lt.reentry is None and len(lt.intervals) == 1
 
+    def test_censored_names_criteria_firing_at_t_max(self):
+        lt = limit_temperatures(XX(0.0), t_max=0.5)
+        assert lt.censored == ("exact", "disorder")
+        assert lt.t_exact == lt.t_disorder == 0.5 and lt.t_entropic < 0.5
+        assert limit_temperatures(XX(0.0)).censored == ()
+
     def test_separable_model_reports_zero(self):
         # degenerate ground state at zero field: T_c exists but T_e = 0
         p = canonicalize(1.0, 0.4, 0.4, 0.0)
@@ -321,9 +327,11 @@ def _ref_bisect(f, lo, hi, f_lo_neg, rel):
 
 
 def _ref_violation_intervals(f_arr, ts, t_end, rel):
+    """The intervals where f_arr is negative, and whether the last one
+    reaches t_end (the criterion still fires at the top of the scan)."""
     neg = f_arr(ts) < 0.0
     if not neg.any():
-        return []
+        return [], False
 
     def f(t):
         return float(f_arr(np.array([t]))[0])
@@ -338,7 +346,7 @@ def _ref_violation_intervals(f_arr, ts, t_end, rel):
             starts.append(t_cross)
     if neg[-1]:
         intervals.append((starts.pop(), float(t_end)))
-    return intervals
+    return intervals, bool(neg[-1])
 
 
 def reference_limit_temperatures(p, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL):
@@ -347,7 +355,8 @@ def reference_limit_temperatures(p, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEF
         ts, t_end = _scan_grid(p, eig, reentry_two_level(p), t_max, grid_n)
         return _ref_violation_intervals(lambda t: f_arr(eig, t), ts, t_end, rel_tol)
 
-    raw = sorted(scan(lambda e, t: _ref_exact(e, t)[0]) + scan(lambda e, t: _ref_exact(e, t)[1]))
+    (m12, top_12), (m03, top_03) = (scan(lambda e, t: _ref_exact(e, t)[k]) for k in (0, 1))
+    raw = sorted(m12 + m03)
     ints = []
     for lo, hi in raw:
         if ints and lo < ints[-1][1]:
@@ -356,8 +365,8 @@ def reference_limit_temperatures(p, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEF
                 continue
             lo = ints[-1][1]
         ints.append((lo, max(lo, hi)))
-    t_disorder = scan(_ref_disorder)
-    t_entropic = scan(_ref_entropic)
+    t_disorder, top_dis = scan(_ref_disorder)
+    t_entropic, top_ent = scan(_ref_entropic)
     reentry = None
     if len(ints) >= 2:
         reentry = ReentryWindow(lower=ints[0][1], upper=ints[1][0], two_level=reentry_two_level(p))
@@ -367,6 +376,9 @@ def reference_limit_temperatures(p, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEF
         t_entropic=t_entropic[-1][1] if t_entropic else None,
         intervals=tuple(ints),
         reentry=reentry,
+        censored=tuple(
+            c for c, top in zip(("exact", "disorder", "entropic"), (top_12 or top_03, top_dis, top_ent)) if top
+        ),
     )
 
 
@@ -409,7 +421,7 @@ class TestSingleScanMatchesReference:
         for p, t_max, grid_n in cases:
             got = limit_temperatures(p, t_max=t_max, grid_n=grid_n)
             assert got == reference_limit_temperatures(p, t_max=t_max, grid_n=grid_n), (p, t_max)
-            censored += t_max is not None and got.t_exact == t_max
+            censored += "exact" in got.censored
             never += not got.intervals
             reentry += got.reentry is not None
         assert censored and never and reentry
@@ -427,8 +439,8 @@ class TestSingleScanMatchesReference:
         eps = np.finfo(float).eps
         for p, _, _ in _reference_cases(rng)[::5]:
             eig = eigensystem(p)
-            ts = log_uniform(rng, 1e-2, 1e1, size=8) * p.energy_scale
-            table = _margin_table(eig, ts)
+            ts = np.concatenate([[0.0], log_uniform(rng, 1e-2, 1e1, size=8) * p.energy_scale, [0.0]])
+            table = margin_table(eig, ts)
             for k, t in enumerate(ts):
                 m = thermal_mixture(p, float(t))
                 scalar = (

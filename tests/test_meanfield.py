@@ -166,6 +166,11 @@ def _max_residual(p, sol):
             0.012324222183123517,
             id="two_cycle",
         ),
+        # norms of fields beyond ~1e154 must not square their components
+        *(
+            pytest.param(canonicalize(*(s * x for x in (1.0, 0.3, 0.1, 0.4))), None, id=f"scale_{s:.0e}")
+            for s in (1e200, 1e300)
+        ),
     ],
 )
 def test_newton_polish_regressions(p, t):

@@ -6,6 +6,7 @@ from scipy.linalg import expm
 from xyzent.errors import DegenerateBasis, InvalidMixture, InvalidTemperature
 from xyzent.model import canonicalize, eigensystem, hamiltonian_matrix
 from xyzent.states import (
+    _check_weights,
     mixture,
     realize_matrix,
     spin_averages,
@@ -53,6 +54,9 @@ class TestThermalMixture:
             thermal_mixture(CASE2, -1.0)
         with pytest.raises(InvalidTemperature):
             thermal_mixture(CASE2, np.nan)
+        # an array names its first bad temperature, not the whole array
+        with pytest.raises(InvalidTemperature, match=r"got -2\.0$"):
+            thermal_probabilities(eigensystem(CASE2), np.r_[np.linspace(0.0, 1.0, 999), -2.0, -3.0])
 
     def test_weights_invariant_under_sign_flips(self):
         # thermal_mixture after canonicalize is well defined: any sign
@@ -85,6 +89,13 @@ class TestMixtureValidation:
         with pytest.raises(DegenerateBasis):
             mixture(p, [0.2, 0.5, 0.1, 0.2])
         mixture(p, [0.2, 0.3, 0.3, 0.2])  # equal weights are fine
+        # the same rule column by column on a (4, N) table of weights
+        ok = np.array([[0.2, 0.3, 0.3, 0.2], [0.25] * 4]).T
+        _check_weights(ok, eigensystem(p))
+        with pytest.raises(DegenerateBasis, match="0.5"):
+            _check_weights(np.c_[ok, [0.2, 0.5, 0.1, 0.2]], eigensystem(p))
+        with pytest.raises(InvalidMixture):
+            _check_weights(np.c_[ok, [0.5] * 4], eigensystem(CASE2))
 
 
 class TestSpinAverages:
