@@ -12,8 +12,9 @@ the disorder margin and the entropic margin.  Every grid sign change of
 every row is then refined in a single vectorised bisection.  The margin
 formulas are the ones behind the scalar checks
 (entanglement.exact_margins, criteria.disorder_check,
-criteria.entropic_check), broadcast over the grid.  The same table gives
-the CLI its thermal-state columns (sweep and figure).
+criteria.entropic_check), broadcast over the grid.  There is one
+margin_table: the grid scan, the t_max doubling, the bisection and the
+CLI's thermal-state columns (sweep and figure) all call it.
 
 The two exact margins are refined separately and their violation sets
 merged.  Each margin crosses zero transversally, so both reentry
@@ -33,7 +34,7 @@ from .criteria import _disorder_margin_rows, _entropic_margin_row
 from .entanglement import _exact_margin_rows
 from .errors import DegenerateBasis, OutOfRange
 from .model import EigenSystem, XYZParams, eigensystem
-from .states import _check_weights, thermal_probabilities
+from .states import thermal_probabilities
 
 __all__ = [
     "LimitTemperatures",
@@ -131,19 +132,10 @@ def margin_table(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
     The exact rows use the half-exponent Gibbs amplitudes
     a_j = exp(-(E_j-E_min)/2T), so that a genuinely separable model never
     scans as entangled at any temperature (see _exact_margin_rows); the
-    last two the Gibbs weights, which pass BellMixture's checks.  At T = 0
-    both use the ground-level spread of thermal_probabilities.
+    last two the Gibbs weights.  At T = 0 both use the ground-level spread
+    of thermal_probabilities.
     """
     p = thermal_probabilities(eig, ts)
-    _check_weights(p, eig)
-    return _margin_table(eig, ts, p)
-
-
-def _margin_table(eig: EigenSystem, ts: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
-    """margin_table without the weight check: the limit scan reads these
-    rows wherever the absolute DEGENERACY_TOL lets a degenerate pair split."""
-    if p is None:
-        p = thermal_probabilities(eig, ts)
     e = eig.energies
     zero = ts == 0.0
     a = np.exp(-0.5 * (e[:, None] - e.min()) / np.where(zero, 1.0, ts))
@@ -205,7 +197,8 @@ def _scaled(bracket: float, log_factor: float) -> float:
 
 
 def _default_t_max(p: XYZParams) -> float:
-    return 20.0 * max(p.energy_scale, 1e-6)
+    # the all-zero model is separable at every T, so any positive t_max will do
+    return 20.0 * (p.energy_scale or 1.0)
 
 
 def _scan_grid(p: XYZParams, eig: EigenSystem, t_r: float | None, t_max: float | None, grid_n: int):
@@ -217,7 +210,7 @@ def _scan_grid(p: XYZParams, eig: EigenSystem, t_r: float | None, t_max: float |
     if t_max is None:
         t_max = _default_t_max(p)
         for _ in range(8):
-            if _margin_table(eig, np.array([t_max]))[:2, 0].min() >= 0.0:
+            if margin_table(eig, np.array([t_max]))[:2, 0].min() >= 0.0:
                 break
             t_max *= 2.0
     elif not (math.isfinite(t_max) and t_max > 0.0):
@@ -253,7 +246,7 @@ def _negative_intervals(eig: EigenSystem, table: np.ndarray, ts: np.ndarray, t_e
         if live.size == 0:
             break
         mid = 0.5 * (lo[live] + hi[live])
-        to_lo = (_margin_table(eig, mid)[rows[live], np.arange(live.size)] < 0.0) == leaving[live]
+        to_lo = (margin_table(eig, mid)[rows[live], np.arange(live.size)] < 0.0) == leaving[live]
         lo[live[to_lo]] = mid[to_lo]
         hi[live[~to_lo]] = mid[~to_lo]
     t_cross = 0.5 * (lo + hi)
@@ -291,7 +284,7 @@ def limit_temperatures(
     eig = eigensystem(p)
     t_r = _two_level(p, eig)
     ts, t_end = _scan_grid(p, eig, t_r, t_max, grid_n)
-    (m12, m03, dis, ent), at_end = _negative_intervals(eig, _margin_table(eig, ts), ts, t_end, rel_tol)
+    (m12, m03, dis, ent), at_end = _negative_intervals(eig, margin_table(eig, ts), ts, t_end, rel_tol)
     ints: list[tuple[float, float]] = []
     for lo, hi in sorted(m12 + m03):
         if ints and lo < ints[-1][1]:
@@ -382,8 +375,7 @@ def mixture_thresholds(p: XYZParams) -> MixtureThresholds:
 
 def closed_form_limits(p: XYZParams) -> ClosedFormLimits:
     """Reference closed forms for the two special coupling cases."""
-    scale = max(p.energy_scale, 1.0)
-    tol = 1e-12 * scale
+    tol = 1e-12 * p.energy_scale
     vp, vm, vz = p.v_plus, p.v_minus, p.vz
     if abs(vm) <= tol and abs(vz) <= tol and vp > tol:
         return ClosedFormLimits(case="xx", t_exact=vp / math.log(1.0 + math.sqrt(2.0)))

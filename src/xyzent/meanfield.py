@@ -16,7 +16,7 @@ solution exists below the critical temperature
 
     T_c = v_max * chi / ln[(1+chi)/(1-chi)],   chi = |b| / (v_max - vz),
 
-feasible for v_max > vz and |b| < v_max - vz, with T_c -> v_max/2 as
+feasible for v_max > max(vz, 0) and |b| < v_max - vz, with T_c -> v_max/2 as
 chi -> 0.  Entropies here are natural-log (thermodynamic convention).
 """
 
@@ -43,11 +43,11 @@ __all__ = [
 
 #: |lambda_{x,y}| above this multiple of v_max counts as a broken phase flip
 BREAK_TOL = 1e-6
-#: self-consistency residual accepted as converged
+#: self-consistency residual accepted as converged, relative to energy_scale
 RESIDUAL_TOL = 1e-9
 #: damped fixed-point sweeps before the Newton polish takes over
 FP_SWEEPS = 2000
-#: largest component update at which the fixed-point sweeps stop
+#: largest component update at which the fixed-point sweeps stop, relative to energy_scale
 UPDATE_TOL = 1e-12
 #: a polished seed stops once its full Newton step is this small relative to |lambda|
 NEWTON_STEP_TOL = 1e-13
@@ -191,7 +191,7 @@ def _newton_polish(lam: np.ndarray, live: np.ndarray, p: XYZParams, t: float, to
     with |vx| = |vy|), halved until the residual norm strictly decreases;
     an equal residual is no progress (a 2-cycle of the damped iteration
     looks like that).  A seed stops once its full step is within
-    NEWTON_STEP_TOL |lambda| with its residual below tol, when no halving
+    NEWTON_STEP_TOL |lambda| with its residual at most tol, when no halving
     decreases its residual, or after NEWTON_STEPS steps.
     """
     for _ in range(NEWTON_STEPS):
@@ -201,7 +201,7 @@ def _newton_polish(lam: np.ndarray, live: np.ndarray, p: XYZParams, t: float, to
         r = _residual(x, p, t)
         step = -(np.linalg.pinv(_residual_jacobian(x, p, t)) @ r.reshape(-1, 6, 1)).reshape(x.shape)
         small = np.hypot.reduce(step, axis=(1, 2)) <= NEWTON_STEP_TOL * np.hypot.reduce(x, axis=(1, 2))
-        going = ~(small & (np.abs(r).max(axis=(1, 2)) < tol))
+        going = ~(small & (np.abs(r).max(axis=(1, 2)) <= tol))
         r_norm = np.hypot.reduce(r, axis=(1, 2))
         moved = np.zeros(live.size, dtype=bool)
         frac = 1.0
@@ -221,13 +221,15 @@ def solve_mf(p: XYZParams, temperature: float, seeds=None) -> MeanFieldSolution:
     """Damped fixed-point solution of the self-consistency conditions.
 
     All seeds are iterated (damping 0.5) for up to FP_SWEEPS sweeps,
-    until the largest component update drops below UPDATE_TOL; seeds
+    until the largest component update is at most UPDATE_TOL; seeds
     whose residual is still above RESIDUAL_TOL get a Newton finish
     (_newton_polish), which cures the critical slowing down of plain
-    iteration near T_c.  Among the seeds whose final residual is below
+    iteration near T_c.  Among the seeds whose final residual is at most
     RESIDUAL_TOL the one with the lowest free energy wins (ties fall to
-    seed order, so results are deterministic).  `iterations` counts the
-    fixed-point sweeps.
+    seed order, so results are deterministic).  Both tolerances are
+    relative to p.energy_scale, so the solution and `iterations` (the
+    fixed-point sweeps) do not depend on the energy unit; the all-zero
+    model converges in one sweep.
     """
     t = _check_temperature(temperature)
     lam = np.array(seeds, dtype=float) if seeds is not None else _default_seeds(p)
@@ -243,7 +245,7 @@ def solve_mf(p: XYZParams, temperature: float, seeds=None) -> MeanFieldSolution:
         moved = np.abs(new - lam[active]).max(axis=(1, 2))
         lam[active] = new
         iterations += 1
-        still = moved >= UPDATE_TOL
+        still = moved > UPDATE_TOL * p.energy_scale
         if not still.any():
             active[:] = False
             break
@@ -252,11 +254,11 @@ def solve_mf(p: XYZParams, temperature: float, seeds=None) -> MeanFieldSolution:
 
     # plain iteration slows critically near T_c; the stragglers' iterates
     # are already in the right basin
-    tol = RESIDUAL_TOL * max(p.energy_scale, 1.0)
-    stragglers = np.flatnonzero(np.abs(_residual(lam, p, t)).max(axis=(1, 2)) >= tol)
+    tol = RESIDUAL_TOL * p.energy_scale
+    stragglers = np.flatnonzero(np.abs(_residual(lam, p, t)).max(axis=(1, 2)) > tol)
     _newton_polish(lam, stragglers, p, t, tol)
     resid = np.abs(_residual(lam, p, t)).max(axis=(1, 2))
-    ok = resid < tol
+    ok = resid <= tol
     if not ok.any():
         raise NoConvergence(f"no seed converged; best residual {resid.min():.3e}")
 
@@ -267,7 +269,7 @@ def solve_mf(p: XYZParams, temperature: float, seeds=None) -> MeanFieldSolution:
     winner = int(np.argmin(free))  # argmin takes the first minimum: seed order
 
     lam_a, lam_b = lam[winner]
-    break_scale = BREAK_TOL * p.v_max if p.v_max > 0.0 else 1e-12
+    break_scale = BREAK_TOL * p.v_max
     transverse = max(abs(lam_a[0]), abs(lam_a[1]), abs(lam_b[0]), abs(lam_b[1]))
     return MeanFieldSolution(
         lambda_a=lam_a,
@@ -288,12 +290,13 @@ def critical_temperature(p: XYZParams, method: str = "closed") -> CriticalTemper
     "closed" evaluates T_c = v_max chi / ln[(1+chi)/(1-chi)] (the chi -> 0
     limit v_max/2 taken analytically); "numeric" bisects the onset of
     broken_phase_flip in solve_mf to 1e-6 relative.  Absent (t_c None)
-    whenever v_max <= vz or |b| >= v_max - vz.
+    whenever v_max <= max(vz, 0) or |b| >= v_max - vz.
     """
     v_max = p.v_max
-    b_c = p.b_critical
-    feasible = v_max > p.vz and abs(p.b) < b_c
-    chi = abs(p.b) / b_c if b_c > 0.0 else math.inf
+    chi = p.chi
+    # chi < 1 also requires v_max > vz; without transverse coupling there
+    # is nothing to break
+    feasible = v_max > 0.0 and chi < 1.0
     if not feasible:
         return CriticalTemperature(t_c=None, chi=chi, v_max=v_max, feasible=False)
 

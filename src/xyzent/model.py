@@ -21,9 +21,6 @@ import numpy as np
 
 from .errors import NonFiniteInput
 
-#: Delta below this threshold is treated as the degenerate case.
-DEGENERACY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class XYZParams:
@@ -148,10 +145,11 @@ def _snap_degeneracies(energies: np.ndarray) -> np.ndarray:
     Physically degenerate levels (e.g. the ground doublet at vy = vz,
     b = 0) can come out a few ulps apart because the closed forms round
     differently; at low temperature the Gibbs weights amplify that fake
-    splitting into wrong separability verdicts.  Levels within a few ulps
-    of each other are set to their common mean.
+    splitting into wrong separability verdicts.  Levels closer together
+    than 16 ulps of the largest |E_j| are set to their common mean, so the
+    rule is the same in every energy unit.
     """
-    tol = 16.0 * np.finfo(float).eps * max(1.0, float(np.abs(energies).max()))
+    tol = 16.0 * np.finfo(float).eps * float(np.abs(energies).max())
     order = np.argsort(energies)
     out = energies.copy()
     start = 0
@@ -168,7 +166,9 @@ def eigensystem(p: XYZParams) -> EigenSystem:
     """Eigen-energies and eigenvectors for canonical parameters."""
     vp, vm, vz, b = p.v_plus, p.v_minus, p.vz, p.b
     delta = math.hypot(vm, b)
-    degenerate = delta < DEGENERACY_TOL
+    # the closed forms are exact for every Delta > 0; at Delta == 0 the
+    # levels E_1 and E_2 are the same float, so their Gibbs weights are equal
+    degenerate = delta == 0.0
     if degenerate:
         # the b -> 0+ limit at v_minus = 0: |Phi_1> = |++>, |Phi_2> = |-->
         vm_ratio, b_ratio = 0.0, 0.0
@@ -192,9 +192,7 @@ def eigensystem(p: XYZParams) -> EigenSystem:
         ]
     )
 
-    e_min = energies.min()
-    atol = DEGENERACY_TOL * max(1.0, float(np.abs(energies).max()))
-    ground = tuple(int(j) for j in np.flatnonzero(energies <= e_min + atol))
+    ground = tuple(int(j) for j in np.flatnonzero(energies == energies.min()))
     return EigenSystem(
         energies=energies,
         delta=delta,

@@ -90,13 +90,18 @@ class TestLimits:
         assert float(values["reentry_lower"]) < float(values["reentry_upper"])
 
     def test_infeasible_mean_field_empty(self, capsys):
-        code, out, _ = run(capsys, "limits", "--vx", "1", "--vy", "-1", "--b", "2")
-        assert code == 0
-        header, row = out.strip().split("\n")
-        values = dict(zip(header.split(","), row.split(",")))
-        assert values["t_critical_closed"] == ""
-        assert values["t_critical_numeric"] == ""
-        assert float(values["t_exact"]) > 0
+        # a field above the critical one; no transverse coupling at all
+        for model, entangled in (
+            (("--vx", "1", "--vy", "-1", "--b", "2"), True),
+            (("--vz=-1",), False),
+        ):
+            code, out, _ = run(capsys, "limits", *model)
+            assert code == 0, model
+            header, row = out.strip().split("\n")
+            values = dict(zip(header.split(","), row.split(",")))
+            assert values["t_critical_closed"] == ""
+            assert values["t_critical_numeric"] == ""
+            assert (float(values["t_exact"]) > 0) == entangled, model
 
     def test_negative_scientific_notation_is_a_value(self, capsys):
         spaced = run(capsys, "limits", "--vx", "1", "--vy", "-4e-15")
@@ -197,15 +202,24 @@ class TestSweep:
         )
         assert code == 2 and out == "" and "grid_n" in err
 
-    def test_degenerate_basis_is_input_error(self, capsys):
-        # Delta = 1e-13 counts as degenerate, but the two aligned levels
-        # still split the Gibbs weights at these temperatures
+    def test_tiny_field_splitting_is_not_degenerate(self, capsys):
+        # Delta = 1e-13 is a real splitting of the aligned levels, resolved
+        # at these temperatures; only Delta == 0 is degenerate
+        temps = np.linspace(0.0, 1e-12, 5)
         code, out, err = run(
             capsys, "sweep", "--axis", "temp", "--from", "0", "--to", "1e-12", "--steps", "5",
             "--vz", "1", "--b=1e-13",
         )
-        assert code == 2 and out == ""
-        assert err.startswith("error: degenerate aligned sector") and err.count("\n") == 1, err
+        assert code == 0 and err == ""
+        rows = out.strip().split("\n")[1:]
+        assert [float(r.split(",")[0]) for r in rows] == list(temps)
+        p = canonicalize(0.0, 0.0, 1.0, 1e-13)
+        cols = _state_values(p, temps)
+        eps = np.finfo(float).eps
+        for k, t in enumerate(temps):
+            rep = point_report(0.0, 0.0, 1.0, 1e-13, float(t))
+            assert abs(cols["concurrence"][k] - rep["concurrence"]) <= 16 * eps, t
+            assert abs(cols["eof"][k] - rep["eof"]) <= 16 * eps, t
 
     def test_negative_temperature_names_the_first(self, capsys):
         code, out, err = run(

@@ -208,8 +208,11 @@ class TestCriticalTemperature:
         assert tc.t_c is None and not tc.feasible
 
     def test_absent_for_dominant_zz(self):
-        tc = critical_temperature(canonicalize(0.5, 0.5, 1.0, 0.1))
-        assert tc.t_c is None and not tc.feasible
+        # v_max <= vz, and v_max = 0 (nothing transverse to break) with vz < 0
+        for p in (canonicalize(0.5, 0.5, 1.0, 0.1), canonicalize(0, 0, -1, 0.2)):
+            for method in ("closed", "numeric"):
+                tc = critical_temperature(p, method)
+                assert tc.t_c is None and not tc.feasible, (p, method)
 
     def test_monotone_decreasing_in_chi(self):
         chis = [0.05, 0.2, 0.5, 0.8, 0.95, 0.999]
