@@ -220,8 +220,6 @@ def _sweep_params(args, value: float) -> tuple[XYZParams, float | None]:
 
 
 def cmd_sweep(args) -> int:
-    if args.steps < 2:
-        raise XyzentError(f"steps must be >= 2, got {args.steps}")
     if not args.start < args.stop:
         raise XyzentError(f"need from < to, got {args.start} and {args.stop}")
 
@@ -322,23 +320,24 @@ def _load_config(path) -> dict:
     return cfg
 
 
-_FLOAT_KEYS = {"vx", "vy", "vz", "b", "temp", "tmax", "tol"}
-_INT_KEYS = {"grid", "steps"}
-
-
-def _apply_config(args):
+def _apply_config(args, parser):
     if not getattr(args, "config", None):
         return
     cfg = _load_config(args.config)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    options = {a.dest: a for a in sub._actions if isinstance(a, _Given)}
     for key, value in cfg.items():
-        if not hasattr(args, key):
+        action = options.get(key)
+        if action is None:
             continue  # keys for other subcommands are fine in one file
         if key in args._explicit:
             continue  # flags win over the file
-        if key in _FLOAT_KEYS:
-            value = float(value)
-        elif key in _INT_KEYS:
-            value = int(value)
+        try:
+            value = action.type(value) if action.type else value
+        except ValueError:
+            raise XyzentError(f"config key {key!r}: invalid value {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise XyzentError(f"config key {key!r}: {value!r} is not one of {', '.join(action.choices)}")
         setattr(args, key, value)
 
 
@@ -410,18 +409,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
-        if args.command == "point":
-            if args.temp is None:
-                raise XyzentError("point requires --temp")
-            if args.temp < 0:
-                raise XyzentError(f"temperature must be >= 0, got {args.temp}")
-        elif args.command == "sweep":
+        _apply_config(args, parser)
+        if args.command == "point" and args.temp is None:
+            raise XyzentError("point requires --temp")
+        if args.command == "sweep":
             if args.axis == "temp":
                 if "temp" in args._explicit:
                     raise XyzentError("axis parameter 'temp' cannot also be fixed")
             elif args.axis in ("b", "vz") and args.axis in args._explicit:
                 raise XyzentError(f"axis parameter {args.axis!r} cannot also be fixed")
+        if args.command in ("sweep", "figure") and args.steps < 2:
+            raise XyzentError(f"steps must be >= 2, got {args.steps}")
         return args.func(args)
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)

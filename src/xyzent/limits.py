@@ -32,9 +32,9 @@ import numpy as np
 
 from .criteria import _disorder_margin_rows, _entropic_margin_row
 from .entanglement import _exact_margin_rows
-from .errors import DegenerateBasis, OutOfRange
+from .errors import DegenerateBasis, InvalidTemperature, OutOfRange
 from .model import EigenSystem, XYZParams, eigensystem
-from .states import thermal_probabilities
+from .states import _gibbs_exponents, thermal_probabilities
 
 __all__ = [
     "LimitTemperatures",
@@ -132,15 +132,13 @@ def margin_table(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
     The exact rows use the half-exponent Gibbs amplitudes
     a_j = exp(-(E_j-E_min)/2T), so that a genuinely separable model never
     scans as entangled at any temperature (see _exact_margin_rows); the
-    last two the Gibbs weights.  At T = 0 both use the ground-level spread
-    of thermal_probabilities.
+    last two the Gibbs weights of thermal_probabilities.  Both come from
+    the exponents of states._gibbs_exponents, so T = 0 is their T -> 0+
+    limit (a_j = 1 on each ground level, 0 above) and no T warns.
     """
     p = thermal_probabilities(eig, ts)
-    e = eig.energies
-    zero = ts == 0.0
-    a = np.exp(-0.5 * (e[:, None] - e.min()) / np.where(zero, 1.0, ts))
-    a[:, zero] = np.sqrt(p[:, zero])
-    w = np.where(zero, p, a * a)
+    a = np.exp(-0.5 * _gibbs_exponents(eig, ts))
+    w = a * a
     z = w.sum(axis=0)
     m12, m03 = _exact_margin_rows(w, a[1], a[2], eig.vm_ratio)
     dis = _disorder_margin_rows(p, eig.b_ratio).min(axis=0)
@@ -160,7 +158,7 @@ def thermal_margin_exact(p: XYZParams, temperature: float) -> tuple[float, float
     +-inf rather than NaN.
     """
     if temperature <= 0.0 or not math.isfinite(temperature):
-        raise ValueError(f"temperature must be positive, got {temperature!r}")
+        raise InvalidTemperature(f"temperature must be positive, got {temperature!r}")
     eig = eigensystem(p)
     beta = 1.0 / temperature
     a = beta * p.v_plus

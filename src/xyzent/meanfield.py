@@ -30,6 +30,7 @@ import numpy as np
 from .entanglement import _xlogx
 from .errors import InvalidTemperature, NoConvergence
 from .model import XYZParams, eigensystem
+from .states import _gibbs_exponents
 
 __all__ = [
     "MeanFieldSolution",
@@ -125,9 +126,8 @@ def mf_free_energy(lambda_a, lambda_b, p: XYZParams, temperature: float) -> floa
 def exact_free_energy(p: XYZParams, temperature: float) -> float:
     """-T ln Z from the exact spectrum; lower bound for every product state."""
     t = _check_temperature(temperature)
-    e = eigensystem(p).energies
-    e_min = e.min()
-    return float(e_min - t * np.log(np.exp(-(e - e_min) / t).sum()))
+    eig = eigensystem(p)
+    return float(eig.energies.min() - t * np.log(np.exp(-_gibbs_exponents(eig, t)).sum()))
 
 
 def _default_seeds(p: XYZParams) -> np.ndarray:

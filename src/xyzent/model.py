@@ -132,7 +132,6 @@ class EigenSystem:
     u_plus: float
     u_minus: float
     vectors: np.ndarray  # shape (4, 4), row j = |Phi_j> in the standard basis
-    ground_indices: tuple[int, ...]
     degenerate: bool
     #: v_minus/Delta and b/Delta under the degenerate convention
     vm_ratio: float = 0.0
@@ -192,14 +191,12 @@ def eigensystem(p: XYZParams) -> EigenSystem:
         ]
     )
 
-    ground = tuple(int(j) for j in np.flatnonzero(energies == energies.min()))
     return EigenSystem(
         energies=energies,
         delta=delta,
         u_plus=u_plus,
         u_minus=u_minus,
         vectors=vectors,
-        ground_indices=ground,
         degenerate=degenerate,
         vm_ratio=vm_ratio,
         b_ratio=b_ratio,

@@ -30,23 +30,13 @@ class BellMixture:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (4,):
             raise InvalidMixture(f"expected 4 weights, got shape {p.shape}")
-        _check_weights(p, self.eigen)
+        if (p < -_PROB_TOL).any() or abs(p.sum() - 1.0) > _PROB_TOL:
+            raise InvalidMixture(f"not a probability vector: {p!r}")
+        if self.eigen.degenerate and abs(p[1] - p[2]) > _PROB_TOL:
+            # With Delta = 0 the |Phi_1>, |Phi_2> basis choice is a pure
+            # convention; closed forms are exact only for equal weights.
+            raise DegenerateBasis(f"degenerate aligned sector requires p_1 == p_2, got {p[1]!r} and {p[2]!r}")
         object.__setattr__(self, "probs", p)
-
-
-def _check_weights(p: np.ndarray, eigen: EigenSystem) -> None:
-    """Raise unless p, shape (4,) or (4, N), holds probability vectors over
-    the levels of eigen (one per column); names the first bad column."""
-    q = p.reshape(4, -1)
-    bad = (q < -_PROB_TOL).any(axis=0) | (np.abs(q.sum(axis=0) - 1.0) > _PROB_TOL)
-    if bad.any():
-        raise InvalidMixture(f"not a probability vector: {q[:, bad.argmax()]!r}")
-    bad = np.abs(q[1] - q[2]) > _PROB_TOL
-    if eigen.degenerate and bad.any():
-        # With Delta = 0 the |Phi_1>, |Phi_2> basis choice is a pure
-        # convention; closed forms are exact only for equal weights.
-        p1, p2 = q[1:3, bad.argmax()]
-        raise DegenerateBasis(f"degenerate aligned sector requires p_1 == p_2, got {p1!r} and {p2!r}")
 
 
 def mixture(params: XYZParams, probs) -> BellMixture:
@@ -54,31 +44,32 @@ def mixture(params: XYZParams, probs) -> BellMixture:
     return BellMixture(probs=np.asarray(probs, dtype=float), params=params, eigen=eigensystem(params))
 
 
-def thermal_probabilities(eigen: EigenSystem, temperature) -> np.ndarray:
-    """Gibbs weights exp(-E_j/T)/Z, broadcast over an array of temperatures.
+def _gibbs_exponents(eigen: EigenSystem, temperature) -> np.ndarray:
+    """The Boltzmann exponents (E_j - E_min)/T, shape (4,) + shape(T).
 
-    Computed with the minimum energy subtracted before exponentiation, so
-    arbitrarily low temperatures neither overflow nor produce NaN.  At
-    T = 0 the weight is spread uniformly over all degenerate ground
-    levels (the T -> 0+ limit of the Gibbs state).
+    Exactly 0 on the ground levels and +inf above them wherever the ratio
+    overflows, T = 0 included, so exp(-r) is the T -> 0+ limit of the
+    Gibbs factors at every temperature and nothing warns.
     """
     t = np.asarray(temperature, dtype=float)
     bad = ~(np.isfinite(t) & (t >= 0.0))
     if bad.any():
         raise InvalidTemperature(f"temperature must be finite and >= 0, got {float(t[bad][0])!r}")
-    e = eigen.energies
-    scalar = t.ndim == 0
-    t2 = np.atleast_1d(t)
-    p = np.empty((4, t2.size))
-    pos = t2 > 0.0
-    if pos.any():
-        w = np.exp(-(e[:, None] - e.min()) / t2[None, pos])
-        p[:, pos] = w / w.sum(axis=0)
-    if (~pos).any():
-        ground = np.zeros(4)
-        ground[list(eigen.ground_indices)] = 1.0 / len(eigen.ground_indices)
-        p[:, ~pos] = ground[:, None]
-    return p[:, 0] if scalar else p
+    gap = (eigen.energies - eigen.energies.min()).reshape((4,) + (1,) * t.ndim)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.divide(gap, t, out=np.zeros((4,) + t.shape), where=gap > 0.0)
+
+
+def thermal_probabilities(eigen: EigenSystem, temperature) -> np.ndarray:
+    """Gibbs weights exp(-E_j/T)/Z, broadcast over an array of temperatures.
+
+    Computed from the exponents of _gibbs_exponents, so arbitrarily low
+    temperatures neither overflow nor produce NaN.  At T = 0 the weight is
+    spread uniformly over all degenerate ground levels (the T -> 0+ limit
+    of the Gibbs state).
+    """
+    w = np.exp(-_gibbs_exponents(eigen, temperature))
+    return w / w.sum(axis=0)
 
 
 def thermal_mixture(params: XYZParams, temperature: float) -> BellMixture:

@@ -62,8 +62,9 @@ class TestPoint:
         assert "error:" in err
 
     def test_negative_temp_is_input_error(self, capsys):
-        code, _, _ = run(capsys, "point", "--temp", "-1")
-        assert code == 2
+        for temp in ("-1", "nan"):
+            code, out, err = run(capsys, "point", "--temp", temp)
+            assert code == 2 and out == "" and "temperature must be finite and >= 0" in err, temp
 
     def test_non_finite_is_input_error(self, capsys):
         code, _, _ = run(capsys, "point", "--vx", "nan", "--temp", "1")
@@ -256,7 +257,8 @@ class TestSweep:
 class TestConfig:
     def test_config_supplies_params(self, capsys, tmp_path):
         cfg = tmp_path / "model.cfg"
-        cfg.write_text("# case 2\nvx = 1\nvy = -1\ntemp = 1\n")
+        # keys that are not options of the subcommand are ignored
+        cfg.write_text("# case 2\nvx = 1\nvy = -1\ntemp = 1\nfunc = x\ncommand = sweep\n")
         code, out, _ = run(capsys, "point", "--config", str(cfg))
         assert code == 0
         assert "concurrence: 0.068893290777" in out
@@ -291,6 +293,11 @@ class TestConfig:
         cfg.write_text("vx 1\n")
         code, _, _ = run(capsys, "point", "--temp", "1", "--config", str(cfg))
         assert code == 2
+        # values are converted and checked as the flag's would be
+        for line in ("format = xml", "grid = 10.5", "temp = abc"):
+            cfg.write_text(line + "\n")
+            code, out, err = run(capsys, "limits", "--vx", "1", "--config", str(cfg))
+            assert code == 2 and out == "" and f"config key {line.split()[0]!r}" in err, line
 
 
 class TestFigure:
@@ -353,6 +360,13 @@ class TestFigure:
         )
         assert code == 2 and "grid_n" in err
         assert list(tmp_path.iterdir()) == []  # no panel written before validation
+
+    def test_too_few_steps_is_input_error(self, capsys, tmp_path):
+        for steps in ("-1", "0", "1"):
+            out_dir = tmp_path / steps
+            code, out, err = run(capsys, "figure", "fig2", "--out", str(out_dir), f"--steps={steps}")
+            assert code == 2 and out == "" and "steps must be >= 2" in err, steps
+            assert not out_dir.exists()  # no panel written before validation
 
     def test_unwritable_path_is_io_error(self, capsys):
         code, _, _ = run(capsys, "figure", "fig2", "--out", "/proc/nope/dir", "--steps", "5")

@@ -449,3 +449,42 @@ class TestSingleScanMatchesReference:
                     entropic_check(m).margin,
                 )
                 assert np.abs(np.array(scalar) - table[:, k]).max() <= 16 * eps, (p, t)
+
+
+class TestZeroTemperatureLimit:
+    """T = 0 is the T -> 0+ limit of the one Gibbs formula: the weights and
+    the margins at T = 0 equal those at any temperature far below the
+    level gaps, the smallest positive float included, bit for bit."""
+
+    GROUNDS = {
+        (1.0, 1.0, 1.0, 0.0): (1, 2, 3),  # triple ground
+        (0.0, 0.0, 1.0, 0.0): (1, 2),
+        (0.0, 0.0, -1.0, 0.0): (0, 3),
+        (1.0, 0.4, 0.4, 0.0): (2, 3),
+        (0.0, 0.0, 0.0, 0.0): (0, 1, 2, 3),  # all-zero model
+    }
+
+    def test_zero_temperature_is_the_cold_limit(self):
+        eps = np.finfo(float).eps
+        for model, ground in self.GROUNDS.items():
+            p = canonicalize(*model)
+            eig = eigensystem(p)
+            cold = np.array([0.0, 1e-200 * (p.energy_scale or 1.0), np.nextafter(0.0, 1.0)])
+
+            probs = thermal_probabilities(eig, cold)
+            assert np.flatnonzero(probs[:, 0]).tolist() == list(ground), model
+            assert np.all(probs[list(ground), 0] == 1.0 / len(ground)), model
+            assert np.array_equal(thermal_probabilities(eig, 0.0), probs[:, 0]), model
+            assert np.array_equal(probs, np.repeat(probs[:, :1], cold.size, axis=1)), model
+
+            table = margin_table(eig, cold)
+            assert np.array_equal(table, np.repeat(table[:, :1], cold.size, axis=1)), model
+            m = thermal_mixture(p, 0.0)
+            scalar = (*exact_margins(m), disorder_check(m).margin, entropic_check(m).margin)
+            assert np.abs(np.array(scalar) - table[:, 0]).max() <= 16 * eps, model
+
+    def test_exact_margins_at_zero_temperature_are_exact(self):
+        # the (|Phi_1>, |Phi_2>) = (|++>, |-->) ground pair is separable
+        # with m03 = 1 exactly; amplitudes sqrt(1/2) would round it up
+        table = margin_table(eigensystem(canonicalize(0.0, 0.0, 1.0, 0.0)), np.array([0.0]))
+        assert table[1, 0] == 1.0

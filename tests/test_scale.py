@@ -9,7 +9,7 @@ import numpy as np
 
 from xyzent.cli import main
 from xyzent.limits import limit_temperatures, margin_table
-from xyzent.meanfield import critical_temperature, solve_mf
+from xyzent.meanfield import critical_temperature, exact_free_energy, solve_mf
 from xyzent.model import canonicalize, eigensystem
 from xyzent.states import thermal_mixture
 
@@ -17,6 +17,9 @@ from conftest import log_uniform, random_canonical_params
 
 #: (vx, vy, vz, b) whose small-scale copies once came out degenerate
 MODEL = (1.3, -0.4, 0.2, 0.7)
+#: a model near the top of the float range, whose level gaps over T = 1e-10
+#: overflow: its ground state |Phi_3> is a Bell state
+HUGE = (1e300, 3e299, 0.0, 1e299)
 
 
 def scaled(p, lam):
@@ -82,3 +85,19 @@ def test_numeric_critical_temperature_at_three_scales():
     for lam in (1e-300, 1e-14, 1e300):
         t_c = critical_temperature(scaled(p, lam), "numeric").t_c
         assert t_c is not None and abs(t_c / lam - unit) <= 1e-9 * unit, lam
+
+
+def test_no_overflow_far_below_the_level_gaps(capsys):
+    argv = [f"--{k}={x!r}" for k, x in zip(("vx", "vy", "vz", "b"), HUGE)]
+    assert main(["point", *argv, "--temp=1e-10"]) == 0
+    out, err = capsys.readouterr()
+    assert "weights: p0=0 p1=0 p2=0 p3=1\n" in out and "concurrence: 1\n" in out and err == ""
+    assert main(["sweep", "--axis=temp", "--from=1e-10", "--to=2e-10", "--steps=2", *argv]) == 0
+    out, err = capsys.readouterr()
+    assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["1", "1"] and err == ""
+
+    p = canonicalize(*HUGE)
+    eig = eigensystem(p)
+    cold = margin_table(eig, np.array([0.0, 1e-10]))
+    assert np.array_equal(cold[:, 1], cold[:, 0])
+    assert exact_free_energy(p, 1e-10) == eig.energies.min()

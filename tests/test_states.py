@@ -6,7 +6,6 @@ from scipy.linalg import expm
 from xyzent.errors import DegenerateBasis, InvalidMixture, InvalidTemperature
 from xyzent.model import canonicalize, eigensystem, hamiltonian_matrix
 from xyzent.states import (
-    _check_weights,
     mixture,
     realize_matrix,
     spin_averages,
@@ -89,13 +88,6 @@ class TestMixtureValidation:
         with pytest.raises(DegenerateBasis):
             mixture(p, [0.2, 0.5, 0.1, 0.2])
         mixture(p, [0.2, 0.3, 0.3, 0.2])  # equal weights are fine
-        # the same rule column by column on a (4, N) table of weights
-        ok = np.array([[0.2, 0.3, 0.3, 0.2], [0.25] * 4]).T
-        _check_weights(ok, eigensystem(p))
-        with pytest.raises(DegenerateBasis, match="0.5"):
-            _check_weights(np.c_[ok, [0.2, 0.5, 0.1, 0.2]], eigensystem(p))
-        with pytest.raises(InvalidMixture):
-            _check_weights(np.c_[ok, [0.5] * 4], eigensystem(CASE2))
 
 
 class TestSpinAverages:
