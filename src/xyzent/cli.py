@@ -231,8 +231,11 @@ def cmd_sweep(args) -> int:
     for g in groups:
         if g not in ("state", "limits"):
             raise XyzentError(f"unknown output group {g!r}")
-    if "state" in groups and args.axis != "temp" and args.temp is None:
-        raise XyzentError("state columns on a parameter axis need --temp")
+    if args.axis != "temp":
+        if "state" in groups and args.temp is None:
+            raise XyzentError("state columns on a parameter axis need --temp")
+        if "state" not in groups and "temp" in args._explicit:
+            raise XyzentError("--temp on a parameter axis is read only by the state columns")
 
     columns = [args.axis]
     if "state" in groups:
@@ -362,34 +365,37 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
-def _add_common(sub, temp_default=None):
-    sub.add_argument("--vx", type=float, default=0.0)
-    sub.add_argument("--vy", type=float, default=0.0)
-    sub.add_argument("--vz", type=float, default=0.0)
-    sub.add_argument("--b", type=float, default=0.0)
-    sub.add_argument("--temp", type=float, default=temp_default)
+def _add_couplings(sub):
+    for key in PARAM_KEYS:
+        sub.add_argument(f"--{key}", type=float, default=0.0)
+
+
+def _add_scan(sub):
     sub.add_argument("--tmax", type=float, default=None, help="scan range override")
     sub.add_argument("--grid", type=int, default=limits.DEFAULT_GRID, help="scan grid points")
     sub.add_argument("--tol", type=float, default=limits.DEFAULT_REL_TOL, help="bisection relative tolerance")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default=None, help="output file (default: stdout)")
-    sub.add_argument("--config", default=None, help="key=value parameter file; flags win")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand declares only the options it reads, so any other
+    flag is an argparse error (exit 2) rather than silently dropped."""
     parser = _Parser(prog="xyzent", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("point", help="report one thermal state")
-    _add_common(sp, temp_default=None)
+    _add_couplings(sp)
+    sp.add_argument("--temp", type=float, default=None)
     sp.set_defaults(func=cmd_point)
 
     sl = subs.add_parser("limits", help="limit temperatures for one model")
-    _add_common(sl)
+    _add_couplings(sl)
+    _add_scan(sl)
     sl.set_defaults(func=cmd_limits)
 
     ss = subs.add_parser("sweep", help="1-D parameter sweep as CSV")
-    _add_common(ss)
+    _add_couplings(ss)
+    ss.add_argument("--temp", type=float, default=None, help="fixed temperature of a parameter-axis state sweep")
+    _add_scan(ss)
     ss.add_argument("--axis", choices=_AXES, required=True)
     ss.add_argument("--from", dest="start", type=float, required=True)
     ss.add_argument("--to", dest="stop", type=float, required=True)
@@ -399,9 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sf = subs.add_parser("figure", help="regenerate a reference dataset")
     sf.add_argument("which", choices=tuple(_FIGURES))
-    _add_common(sf)
+    _add_scan(sf)
     sf.add_argument("--steps", type=int, default=201, help="field grid points")
+    sf.add_argument("--out", default=None, help="output directory (required)")
     sf.set_defaults(func=cmd_figure)
+
+    for sub in (sp, sl):
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    for sub in (sp, sl, ss):
+        sub.add_argument("--out", default=None, help="output file (default: stdout)")
+    for sub in (sp, sl, ss, sf):
+        sub.add_argument("--config", default=None, help="key=value parameter file; flags win")
     return parser
 
 
@@ -412,6 +426,8 @@ def main(argv=None) -> int:
         _apply_config(args, parser)
         if args.command == "point" and args.temp is None:
             raise XyzentError("point requires --temp")
+        if args.command == "figure" and args.out is None:
+            raise XyzentError("figure requires --out")
         if args.command == "sweep":
             if args.axis == "temp":
                 if "temp" in args._explicit:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import _LN2, _binary_entropy_bits, _xlogx, separability_exact
+from .entanglement import _LN2, _xlogx, separability_exact
 from .states import BellMixture, SpinAverages
 
 __all__ = [
@@ -108,11 +108,21 @@ def entropic_check(m: BellMixture) -> CriterionReport:
 
 def _entropic_margin_row(p, b_r: float):
     """Entropic margin S(rho) - S(rho_A) in bits of probabilities p
-    (shape (4, ...)); broadcasts over the trailing axes.  The two
-    reductions are identical by permutation symmetry, with spectrum
-    (1 +- <S_z>)/2 and <S_z> = (b/Delta)(p_1 - p_2)."""
-    s_global = -_xlogx(p).sum(axis=0) / _LN2
-    return s_global - _binary_entropy_bits(0.5 * (1.0 + np.abs(b_r * (p[1] - p[2]))))
+    (shape (4,) or (4, N)).  The two reductions are identical by
+    permutation symmetry, with spectrum (1 +- <S_z>)/2 and
+    <S_z> = (b/Delta)(p_1 - p_2).
+
+    The spectrum is built from the weights as q_1 = s + a p_1 + (1-a) p_2
+    and q_2 = s + (1-a) p_1 + a p_2, with s = (p_0 + p_3)/2 and
+    a = (1 + |b/Delta|)/2, and each q_k ln q_k is paired with the
+    p_k ln p_k it cancels against, so the separable product-diagonal
+    mixture (p_0 = p_3 = 0, |b/Delta| = 1, hence q_k = p_k) gives exactly
+    0; subtracting the two entropies whole can leave -1 ulp there.
+    """
+    a = 0.5 * (1.0 + abs(b_r))
+    xq1, xq2 = _xlogx(np.array([[0.5, a, 1.0 - a, 0.5], [0.5, 1.0 - a, a, 0.5]]) @ p)
+    xp = _xlogx(p)
+    return ((xq1 - xp[1]) + (xq2 - xp[2]) - xp[0] - xp[3]) / _LN2
 
 
 def majorization_margins(spectrum4, spectrum2) -> np.ndarray:

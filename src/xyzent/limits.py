@@ -13,8 +13,8 @@ every row is then refined in a single vectorised bisection.  The margin
 formulas are the ones behind the scalar checks
 (entanglement.exact_margins, criteria.disorder_check,
 criteria.entropic_check), broadcast over the grid.  There is one
-margin_table: the grid scan, the t_max doubling, the bisection and the
-CLI's thermal-state columns (sweep and figure) all call it.
+margin_table: the grid scan, the bisection and the CLI's thermal-state
+columns (sweep and figure) all call it.
 
 The two exact margins are refined separately and their violation sets
 merged.  Each margin crosses zero transversally, so both reentry
@@ -200,17 +200,20 @@ def _default_t_max(p: XYZParams) -> float:
 
 
 def _scan_grid(p: XYZParams, eig: EigenSystem, t_r: float | None, t_max: float | None, grid_n: int):
-    """Resolve the scan range (adaptive doubling while still entangled at
-    the top) and assemble the grid, densified around the two-level gap
-    temperature t_r."""
+    """Resolve the scan range and assemble the grid, densified around the
+    two-level gap temperature t_r.
+
+    The default range needs no check that the state is separable at its
+    top.  Every level gap is at most 3 energy_scale (2 v_plus, 2 Delta,
+    or |vz| + v_plus + Delta, with v_plus + v_minus, b and |vz| each
+    <= energy_scale), so at T >= 3 energy_scale all Gibbs weights lie
+    within a factor e < 3 of each other, and both exact margins are
+    >= 3 w_min - w_max > 0.
+    """
     if grid_n < 64:
         raise OutOfRange(f"grid_n must be >= 64, got {grid_n}")
     if t_max is None:
         t_max = _default_t_max(p)
-        for _ in range(8):
-            if margin_table(eig, np.array([t_max]))[:2, 0].min() >= 0.0:
-                break
-            t_max *= 2.0
     elif not (math.isfinite(t_max) and t_max > 0.0):
         raise OutOfRange(f"t_max must be finite and positive, got {t_max!r}")
 

@@ -1,13 +1,17 @@
+import argparse
 import json
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import xyzent
-from xyzent.cli import _state_values, fmt, main, point_report
+from xyzent.cli import _state_values, build_parser, fmt, main, point_report
 from xyzent.model import canonicalize
 
 from conftest import log_uniform, random_canonical_params
@@ -69,6 +73,12 @@ class TestPoint:
     def test_non_finite_is_input_error(self, capsys):
         code, _, _ = run(capsys, "point", "--vx", "nan", "--temp", "1")
         assert code == 2
+
+    def test_product_diagonal_mixture_not_entropic_detected(self, capsys):
+        # p1|++> + p2|--> is separable; its entropic margin is exactly 0
+        code, out, _ = run(capsys, "point", "--vz", "1", "--b=1e-13", "--temp", "2.5e-13")
+        assert code == 0
+        assert "concurrence: 0\n" in out and "entropic: not detected margin=0\n" in out
 
 
 class TestLimits:
@@ -235,6 +245,12 @@ class TestSweep:
             "--outputs", "state",
         )
         assert code == 2 and "--temp" in err
+        # and the converse: a temperature no column reads is not dropped
+        code, out, err = run(
+            capsys, "sweep", "--axis", "b", "--from", "0", "--to", "1", "--steps", "3",
+            "--vx", "1", "--outputs=limits", "--temp=-1",
+        )
+        assert code == 2 and out == "" and "--temp" in err and err.count("\n") == 1, err
 
     def test_v_minus_axis(self, capsys):
         code, out, _ = run(
@@ -294,9 +310,9 @@ class TestConfig:
         code, _, _ = run(capsys, "point", "--temp", "1", "--config", str(cfg))
         assert code == 2
         # values are converted and checked as the flag's would be
-        for line in ("format = xml", "grid = 10.5", "temp = abc"):
+        for command, line in (("limits", "format = xml"), ("limits", "grid = 10.5"), ("point", "temp = abc")):
             cfg.write_text(line + "\n")
-            code, out, err = run(capsys, "limits", "--vx", "1", "--config", str(cfg))
+            code, out, err = run(capsys, command, "--vx", "1", "--config", str(cfg))
             assert code == 2 and out == "" and f"config key {line.split()[0]!r}" in err, line
 
 
@@ -368,9 +384,85 @@ class TestFigure:
             assert code == 2 and out == "" and "steps must be >= 2" in err, steps
             assert not out_dir.exists()  # no panel written before validation
 
+    def test_missing_out_is_input_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "figure", "fig2", "--steps", "3")
+        assert code == 2 and out == "" and err == "error: figure requires --out\n"
+        assert list(tmp_path.iterdir()) == []
+        # the config file may supply it
+        (tmp_path / "fig.cfg").write_text("out = panels\n")
+        code, _, _ = run(capsys, "figure", "fig2", "--steps", "3", "--config", "fig.cfg")
+        assert code == 0 and (tmp_path / "panels" / "fig2_center.csv").exists()
+
     def test_unwritable_path_is_io_error(self, capsys):
         code, _, _ = run(capsys, "figure", "fig2", "--out", "/proc/nope/dir", "--steps", "5")
         assert code == 3
+
+
+#: every value each subcommand can set, positionals included
+OPTIONS = {
+    "point": ["vx", "vy", "vz", "b", "temp", "format", "out", "config"],
+    "limits": ["vx", "vy", "vz", "b", "tmax", "grid", "tol", "format", "out", "config"],
+    "sweep": [
+        "vx", "vy", "vz", "b", "temp", "tmax", "grid", "tol",
+        "axis", "start", "stop", "steps", "outputs", "out", "config",
+    ],
+    "figure": ["which", "tmax", "grid", "tol", "steps", "out", "config"],
+}
+
+
+class TestOptions:
+    """Each subcommand takes only the options it reads."""
+
+    def test_settable_values(self):
+        subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: [a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+            for name, sub in subs.choices.items()
+        }
+        assert got == OPTIONS
+        assert sum(map(len, got.values())) == 40
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("point", "--tmax=-3"),
+            ("point", "--grid=10"),
+            ("point", "--tol=-1"),
+            ("limits", "--temp=nan"),
+            ("sweep", "--format=json"),
+            ("figure", "--vx=5"),
+            ("figure", "--vy=1"),
+            ("figure", "--vz=1"),
+            ("figure", "--b=1"),
+            ("figure", "--temp=1"),
+            ("figure", "--format=json"),
+        ],
+    )
+    def test_unread_flag_is_input_error(self, capsys, tmp_path, command, flag):
+        base = {
+            "point": ["--temp", "0.5"],
+            "limits": ["--vx", "1"],
+            "sweep": ["--axis", "temp", "--from", "0.1", "--to", "1", "--steps", "3", "--vx", "1"],
+            "figure": ["fig2", "--steps", "3", "--out", str(tmp_path / "panels")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *base, flag])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.endswith(f"error: unrecognized arguments: {flag}\n"), out.err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv and argv[0] == "xyzent"]
+    assert len(commands) >= 6
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
 
 
 class TestFormatting:

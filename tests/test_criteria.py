@@ -1,3 +1,4 @@
+import numpy as np
 from numpy.testing import assert_allclose
 
 from xyzent import linalg
@@ -8,11 +9,12 @@ from xyzent.criteria import (
     exact_check,
     majorization_margins,
 )
-from xyzent.entanglement import separability_exact
-from xyzent.model import canonicalize
-from xyzent.states import mixture, realize_matrix, spin_averages, thermal_mixture
+from xyzent.entanglement import _LN2, _binary_entropy_bits, _xlogx, separability_exact
+from xyzent.limits import margin_table
+from xyzent.model import canonicalize, eigensystem
+from xyzent.states import mixture, realize_matrix, spin_averages, thermal_mixture, thermal_probabilities
 
-from conftest import random_mixture
+from conftest import log_uniform, random_canonical_params, random_mixture
 
 CASE2 = canonicalize(1.0, -1.0, 0.0, 0.0)
 BELL_DIAG = canonicalize(0.8, -0.2, 0.1, 0.0)
@@ -119,6 +121,25 @@ class TestEntropicCheck:
                 linalg.hermitian_eigenvalues(linalg.partial_trace(rho, "A"))
             )
             assert abs(entropic_check(m).margin - (s_rho - s_red)) < 1e-9
+
+    def test_product_diagonal_mixtures_are_not_detected(self):
+        # vx = vy = 0: every thermal state is separable, and where p0 = p3
+        # underflow to 0 it is p1|++> + p2|-->, whose margin is exactly 0;
+        # subtracting the two entropies whole can leave -1 ulp there
+        temps = np.linspace(2e-4, 2e-3, 40)
+        for b in np.linspace(1e-4, 1e-3, 40):
+            m12, m03, _, ent = margin_table(eigensystem(canonicalize(0.0, 0.0, 1.0, b)), temps)
+            assert np.all((ent >= 0.0) | (np.minimum(m12, m03) < 0.0)), b
+
+    def test_agrees_with_whole_entropy_difference(self, rng):
+        for _ in range(2000):
+            p = random_canonical_params(rng)
+            eig = eigensystem(p)
+            temps = log_uniform(rng, 1e-2, 1e1, size=20) * p.energy_scale
+            w = thermal_probabilities(eig, temps)
+            q = 0.5 * (1.0 + np.abs(eig.b_ratio * (w[1] - w[2])))
+            whole = -_xlogx(w).sum(axis=0) / _LN2 - _binary_entropy_bits(q)
+            assert np.abs(margin_table(eig, temps)[3] - whole).max() <= 1e-14, p
 
     def test_reductions_identical(self, rng):
         for _ in range(20):

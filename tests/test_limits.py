@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from xyzent.meanfield import critical_temperature
 from xyzent.model import canonicalize, eigensystem
 from xyzent.states import mixture, thermal_mixture, thermal_probabilities
 
-from conftest import log_uniform
+from conftest import log_uniform, random_canonical_params
 
 ALPHA = 1.0 / math.log(1.0 + math.sqrt(2.0))  # 1.134593
 
@@ -278,6 +279,30 @@ class TestLimitRecord:
         assert lt.t_exact == 0.0
         assert lt.t_disorder is None
         assert critical_temperature(p).t_c == pytest.approx(0.5, abs=1e-12)
+
+
+class TestDefaultScanRange:
+    """The default t_max = 20 energy_scale needs no check that the state is
+    separable at the top of the scan: both exact margins are positive from
+    T = 3 energy_scale on, at every scale and on a coupling lattice."""
+
+    def assert_separable_from_three_scales(self, p):
+        s = p.energy_scale or 1.0
+        table = margin_table(eigensystem(p), np.array([3.0 * s, 20.0 * s]))
+        assert np.all(table[:2] > 0.0), (p, table[:2])
+
+    def test_seeded_models_at_every_scale(self, rng):
+        for lam in 10.0 ** np.arange(-300.0, 301.0, 50.0):
+            for _ in range(20):
+                p = random_canonical_params(rng)
+                self.assert_separable_from_three_scales(
+                    canonicalize(lam * p.vx, lam * p.vy, lam * p.vz, lam * p.b)
+                )
+
+    def test_coupling_lattice(self):
+        values = (-1.0, -0.5, 0.0, 0.5, 1.0)
+        for model in itertools.product(values, repeat=4):
+            self.assert_separable_from_three_scales(canonicalize(*model))
 
 
 # ---------------------------------------------------------------------------
