@@ -31,12 +31,9 @@ from .limits import (
     MixtureThresholds,
     ReentryWindow,
     closed_form_limits,
-    entangled_intervals,
-    limit_temperature,
     limit_temperatures,
     mixture_thresholds,
     reentry_two_level,
-    reentry_window,
     thermal_margin_exact,
 )
 from .linalg import (
@@ -88,7 +85,6 @@ __all__ = [
     "disorder_check",
     "disorder_margins_spin_form",
     "eigensystem",
-    "entangled_intervals",
     "entanglement_of_formation",
     "entropic_check",
     "entropy_base2",
@@ -96,7 +92,6 @@ __all__ = [
     "exact_free_energy",
     "hamiltonian_matrix",
     "hermitian_eigenvalues",
-    "limit_temperature",
     "limit_temperatures",
     "mf_free_energy",
     "mixture",
@@ -107,7 +102,6 @@ __all__ = [
     "r_spectrum",
     "realize_matrix",
     "reentry_two_level",
-    "reentry_window",
     "separability_exact",
     "solve_mf",
     "spin_averages",

@@ -71,10 +71,16 @@ def _write_lines(lines, out_path):
 
 
 def point_report(vx, vy, vz, b, temp) -> dict:
-    """Everything `point` prints, as one plain dict (stable key order)."""
+    """Everything `point` prints, as one plain dict (stable key order).
+
+    The exact fields come from the margin table, as in sweep and figure:
+    its half-exponent amplitudes keep the cross term sqrt(p_1 p_2) that
+    the weights lose once one of them underflows to 0.
+    """
     p = canonicalize(vx, vy, vz, b)
     m = states.thermal_mixture(p, temp)
-    exact = entanglement.separability_exact(m)
+    cols = _state_values(p, np.array([temp]))
+    c, eof, m12, m03 = (float(cols[k][0]) for k in ("concurrence", "eof", "margin_12", "margin_03"))
     dis = criteria.disorder_check(m)
     ent = criteria.entropic_check(m)
     pt = entanglement.pt_spectrum(m)
@@ -89,13 +95,13 @@ def point_report(vx, vy, vz, b, temp) -> dict:
         },
         "energies": [float(e) for e in m.eigen.energies],
         "probabilities": [float(x) for x in m.probs],
-        "concurrence": exact.concurrence,
-        "eof": entanglement.entanglement_of_formation(exact.concurrence),
+        "concurrence": c,
+        "eof": eof,
         "exact": {
-            "margin_12": exact.margin_12,
-            "margin_03": exact.margin_03,
-            "entangled": exact.entangled,
-            "violated": exact.violated,
+            "margin_12": m12,
+            "margin_03": m03,
+            "entangled": c > 0.0,
+            "violated": ("12" if m12 < m03 else "03") if c > 0.0 else None,
         },
         "disorder": {
             "detected": dis.detected,

@@ -4,17 +4,16 @@ Limit temperatures, entangled temperature intervals, the
 vanishing-plus-reentry window, reference closed forms, and the two-level
 mixture thresholds.
 
-limit_temperatures is the only scan; limit_temperature,
-entangled_intervals and reentry_window are views of its record.  It
-resolves the temperature grid once and evaluates one (4, N) table of
-signed margins on it (margin_table): the two exact margins m12 and m03,
-the disorder margin and the entropic margin.  Every grid sign change of
-every row is then refined in a single vectorised bisection.  The margin
-formulas are the ones behind the scalar checks
-(entanglement.exact_margins, criteria.disorder_check,
+limit_temperatures is the only scan, and its record holds every limit.
+It resolves the temperature grid once, with T = 0 as its first sample,
+and evaluates one (4, N) table of signed margins on it (margin_table):
+the two exact margins m12 and m03, the disorder margin and the entropic
+margin.  Every grid sign change of every row is then refined in a
+single vectorised bisection.  The margin formulas are the ones behind
+the scalar checks (entanglement.exact_margins, criteria.disorder_check,
 criteria.entropic_check), broadcast over the grid.  There is one
 margin_table: the grid scan, the bisection and the CLI's thermal-state
-columns (sweep and figure) all call it.
+columns (point, sweep and figure) all call it.
 
 The two exact margins are refined separately and their violation sets
 merged.  Each margin crosses zero transversally, so both reentry
@@ -43,10 +42,7 @@ __all__ = [
     "ClosedFormLimits",
     "margin_table",
     "thermal_margin_exact",
-    "entangled_intervals",
-    "limit_temperature",
     "limit_temperatures",
-    "reentry_window",
     "reentry_two_level",
     "mixture_thresholds",
     "closed_form_limits",
@@ -200,8 +196,8 @@ def _default_t_max(p: XYZParams) -> float:
 
 
 def _scan_grid(p: XYZParams, eig: EigenSystem, t_r: float | None, t_max: float | None, grid_n: int):
-    """Resolve the scan range and assemble the grid, densified around the
-    two-level gap temperature t_r.
+    """Resolve the scan range and assemble the grid from T = 0 up,
+    densified around the two-level gap temperature t_r.
 
     The default range needs no check that the state is separable at its
     top.  Every level gap is at most 3 energy_scale (2 v_plus, 2 Delta,
@@ -217,14 +213,14 @@ def _scan_grid(p: XYZParams, eig: EigenSystem, t_r: float | None, t_max: float |
     elif not (math.isfinite(t_max) and t_max > 0.0):
         raise OutOfRange(f"t_max must be finite and positive, got {t_max!r}")
 
-    ts = np.linspace(0.0, t_max, grid_n + 1)[1:]
+    ts = np.linspace(0.0, t_max, grid_n + 1)
     e = eig.energies
     if t_r is not None and e[3] < min(e[0], e[1]):
         # the separable gap sits near t_r; make sure both lobes around it
         # are sampled even when they are much narrower than the base grid
         window = np.linspace(t_r / grid_n, min(3.0 * t_r, t_max), grid_n)
         ts = np.unique(np.concatenate([ts, window]))
-        ts = ts[(ts > 0.0) & (ts <= t_max)]
+        ts = ts[ts <= t_max]
     return ts, float(t_max)
 
 
@@ -234,11 +230,14 @@ def _negative_intervals(eig: EigenSystem, table: np.ndarray, ts: np.ndarray, t_e
 
     Every grid sign change of every row is refined in one vectorised
     bisection; each bracket stops on its own once hi - lo <= rel * hi
-    (checked before each step) or after 200 steps.  A negative first
-    sample extends an interval down to 0 (intervals are open there), a
-    negative last sample up to t_end.
+    (checked before each step) or after 200 steps.  The first sample is
+    T = 0; a margin exactly 0 there takes the sign of the next sample,
+    so a boundary ground state does not start its interval where exp
+    stops underflowing.  A negative first sample extends an interval
+    down to 0, a negative last sample up to t_end.
     """
     neg = table < 0.0
+    neg[:, 0] = np.where(table[:, 0] == 0.0, neg[:, 1], neg[:, 0])
     rows, idx = np.nonzero(neg[:, 1:] != neg[:, :-1])
     leaving = neg[rows, idx]  # negative below the crossing
     lo, hi = ts[idx], ts[idx + 1]
@@ -276,9 +275,11 @@ def limit_temperatures(
 
     Raises OutOfRange for grid_n < 64, a t_max that is not finite and
     positive, or a rel_tol outside (0, 1).  The two exact margins'
-    violation sets are merged; they are disjoint (at most one margin is
-    negative at a time), so any overlap beyond refinement noise would be
-    a bug and is folded together defensively.
+    violation sets are merged; they are disjoint, so only the bisection's
+    noise can make them overlap.  With hi, lo = max, min(w1, w2) and
+    big = max(w0, w3), m12 < 0 needs vm (hi - lo) > big, while m03 < 0
+    needs |w3 - w0| > vm (hi - lo); since |w3 - w0| <= big, at most one
+    margin is negative at any T.
     """
     if not 0.0 < rel_tol < 1.0:
         raise OutOfRange(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
@@ -289,9 +290,6 @@ def limit_temperatures(
     ints: list[tuple[float, float]] = []
     for lo, hi in sorted(m12 + m03):
         if ints and lo < ints[-1][1]:
-            if ints[-1][1] - lo > 1e-6 * max(lo, ints[-1][1]):
-                ints[-1] = (ints[-1][0], max(hi, ints[-1][1]))  # genuine overlap
-                continue
             lo = ints[-1][1]  # refinement noise; keep the gap structure
         ints.append((lo, max(lo, hi)))
     reentry = None
@@ -305,33 +303,6 @@ def limit_temperatures(
         reentry=reentry,
         censored=tuple(c for c, hit in zip(_CRITERIA, (at_end[0] or at_end[1], *at_end[2:])) if hit),
     )
-
-
-def entangled_intervals(
-    p: XYZParams,
-    t_max: float | None = None,
-    grid_n: int = DEFAULT_GRID,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> list[tuple[float, float]]:
-    """Maximal temperature intervals on which the thermal state is
-    entangled; empty means separable at every sampled temperature."""
-    return list(limit_temperatures(p, t_max=t_max, grid_n=grid_n, rel_tol=rel_tol).intervals)
-
-
-def limit_temperature(
-    p: XYZParams,
-    criterion: str = "exact",
-    t_max: float | None = None,
-    grid_n: int = DEFAULT_GRID,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> float | None:
-    """Largest temperature at which the criterion ("exact", "disorder" or
-    "entropic") detects entanglement of the thermal state, or None if it
-    never fires."""
-    if criterion not in _CRITERIA:
-        raise ValueError(f"unknown criterion {criterion!r}")
-    lt = limit_temperatures(p, t_max=t_max, grid_n=grid_n, rel_tol=rel_tol)
-    return (lt.t_exact or None) if criterion == "exact" else getattr(lt, f"t_{criterion}")
 
 
 def reentry_two_level(p: XYZParams) -> float | None:
@@ -350,16 +321,6 @@ def _two_level(p: XYZParams, eig: EigenSystem) -> float | None:
     if eig.energies[2] >= eig.energies[3]:
         return None
     return float((eig.energies[3] - eig.energies[2]) / math.log(eig.delta / vm))
-
-
-def reentry_window(
-    p: XYZParams,
-    t_max: float | None = None,
-    grid_n: int = DEFAULT_GRID,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> ReentryWindow | None:
-    """The separable gap between the two entangled lobes, if present."""
-    return limit_temperatures(p, t_max=t_max, grid_n=grid_n, rel_tol=rel_tol).reentry
 
 
 def mixture_thresholds(p: XYZParams) -> MixtureThresholds:

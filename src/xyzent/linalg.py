@@ -15,7 +15,6 @@ import numpy as np
 from .errors import InvalidSpectrum, NonHermitianInput, NonPhysicalState
 
 HERMITICITY_TOL = 1e-8
-TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])

@@ -132,15 +132,18 @@ def exact_free_energy(p: XYZParams, temperature: float) -> float:
 
 def _default_seeds(p: XYZParams) -> np.ndarray:
     """Seed fields, shape (n_seeds, 2, 3): symmetric first (tie-break order),
-    then +-x, +-y transverse, then one permutation-asymmetric x seed."""
+    then +x, +y transverse, then one permutation-asymmetric x seed.
+
+    No -x or -y seed: the map is odd in the transverse components, so a
+    mirrored seed converges to the negated fields in the same sweep, with
+    the same free energy, and would lose every tie to its mirror image.
+    """
     v = max(p.v_max, 0.0)
-    seeds = np.zeros((6, 2, 3))
+    seeds = np.zeros((4, 2, 3))
     seeds[1, :, 0] = v
-    seeds[2, :, 0] = -v
-    seeds[3, :, 1] = v
-    seeds[4, :, 1] = -v
-    seeds[5, 0, 0] = v
-    seeds[5, 1, 0] = -v
+    seeds[2, :, 1] = v
+    seeds[3, 0, 0] = v
+    seeds[3, 1, 0] = -v
     return seeds
 
 

@@ -77,9 +77,6 @@ class XYZParams:
     def energy_scale(self) -> float:
         return max(abs(self.vx), abs(self.vy), abs(self.vz), abs(self.b))
 
-    def is_canonical(self, tol: float = 0.0) -> bool:
-        return self.b >= -tol and self.v_plus >= -tol and self.v_minus >= -tol
-
 
 def canonicalize(vx: float, vy: float, vz: float, b: float) -> XYZParams:
     """Map raw couplings to the canonical sign sector.

@@ -9,13 +9,7 @@ import math
 import numpy as np
 
 from xyzent.entanglement import separability_exact
-from xyzent.limits import (
-    limit_temperature,
-    limit_temperatures,
-    reentry_two_level,
-    reentry_window,
-    thermal_margin_exact,
-)
+from xyzent.limits import limit_temperatures, reentry_two_level, thermal_margin_exact
 from xyzent.meanfield import critical_temperature, exact_free_energy, solve_mf
 from xyzent.model import canonicalize
 from xyzent.states import thermal_mixture
@@ -34,7 +28,7 @@ def concurrence_at(params, temperature):
 
 
 def test_ac1_xx_limit_temperature():
-    values = [limit_temperature(XX(b), "exact") for b in (0.0, 0.3, 0.6, 0.9)]
+    values = [limit_temperatures(XX(b)).t_exact for b in (0.0, 0.3, 0.6, 0.9)]
     for v in values:
         assert abs(v - 1.134593) < 1e-5
     assert max(values) - min(values) < 1e-6
@@ -45,30 +39,25 @@ def test_ac2_max_anisotropy_closed_forms():
     fields = (0.0, 0.5, 1.0, 2.0, 5.0)
     for b in fields:
         delta = math.hypot(1.0, b)
-        t_e = limit_temperature(MAX_ANISO(b), "exact")
-        t_d = limit_temperature(MAX_ANISO(b), "disorder")
+        lt = limit_temperatures(MAX_ANISO(b))
+        t_e, t_d = lt.t_exact, lt.t_disorder
         assert abs(t_e - delta / math.asinh(delta)) < 1e-5
         assert abs(t_d - delta / math.asinh(delta / (delta - b))) < 1e-5
         assert t_d / t_e >= 0.5 - 1e-9
 
     scan = np.arange(1.0, 1.51, 0.01)
-    t_d = np.array([limit_temperature(MAX_ANISO(float(b)), "disorder") for b in scan])
+    records = [limit_temperatures(MAX_ANISO(float(b))) for b in scan]
+    t_d = np.array([lt.t_disorder for lt in records])
     b_min = float(scan[np.argmin(t_d)])
     assert abs(b_min - 1.25) < 0.05
-    assert all(
-        limit_temperature(MAX_ANISO(float(b)), "disorder")
-        / limit_temperature(MAX_ANISO(float(b)), "exact")
-        >= 0.5 - 1e-9
-        for b in scan[::10]
-    )
+    assert all(lt.t_disorder / lt.t_exact >= 0.5 - 1e-9 for lt in records[::10])
     print(f"ACCEPTANCE 2 PASS: closed forms match; disorder minimum at b = {b_min:.3f}")
 
 
 def test_ac3_entropic_limits():
-    for params in (XX(0.01), MAX_ANISO(0.01)):
-        t_s = limit_temperature(params, "entropic")
-        assert abs(t_s - 0.478) < 0.003
-    t_s = limit_temperature(XX(0.01), "entropic")
+    t_s, t_s_aniso = (limit_temperatures(params).t_entropic for params in (XX(0.01), MAX_ANISO(0.01)))
+    assert abs(t_s - 0.478) < 0.003
+    assert abs(t_s_aniso - 0.478) < 0.003
     c = concurrence_at(XX(0.01), t_s)
     assert abs(c - 0.584) < 0.003
     print(f"ACCEPTANCE 3 PASS: entropic limit 0.478, concurrence there {c:.4f}")
@@ -104,17 +93,16 @@ def test_ac5_case3_phase_structure():
     assert abs(b0 - math.sqrt(0.51)) < 1e-15
 
     for b in (b0 + 0.011, 0.8, 0.9, 1.0, 1.049):
-        assert reentry_window(CASE3(float(b))) is not None
+        assert limit_temperatures(CASE3(float(b))).reentry is not None
     for b in (1.2, 1.3):
-        assert reentry_window(CASE3(b)) is None
+        assert limit_temperatures(CASE3(b)).reentry is None
 
-    assert abs(limit_temperature(CASE3(0.01), "exact") - 0.93) < 0.01
-    assert abs(limit_temperature(CASE3(0.01), "entropic") - 0.39) < 0.01
+    lt = limit_temperatures(CASE3(0.01))
+    assert abs(lt.t_exact - 0.93) < 0.01
+    assert abs(lt.t_entropic - 0.39) < 0.01
     assert abs(critical_temperature(CASE3(0.01)).t_c - 0.85) < 0.01
     for b in (1.15, 1.25, 1.3):
-        t_c = critical_temperature(CASE3(b)).t_c
-        t_e = limit_temperature(CASE3(b), "exact")
-        assert t_c > t_e
+        assert critical_temperature(CASE3(b)).t_c > limit_temperatures(CASE3(b)).t_exact
     print(f"ACCEPTANCE 5 PASS: b0 = {b0:.5f}; reentry band and T_c > T_e region verified")
 
 
@@ -122,7 +110,7 @@ def test_ac6_reentry_gap():
     p = CASE3(0.9)
     t_r = reentry_two_level(p)
     assert abs(t_r - 0.2873) < 1e-3
-    w = reentry_window(p)
+    w = limit_temperatures(p).reentry
     assert w is not None
     for endpoint in (w.lower, w.upper):
         assert abs(endpoint - t_r) < 0.1 * t_r

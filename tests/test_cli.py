@@ -51,6 +51,16 @@ class TestPoint:
         assert code == 0
         assert "concurrence: 1\n" in out
 
+    def test_underflowed_weight_keeps_separable_verdict(self, capsys):
+        # p1 = exp(-2/T)/Z underflows to 0, which drops the weights' cross
+        # term sqrt(p1 p2); the margin table's amplitudes keep it (m03 > 0)
+        code, out, _ = run(
+            capsys, "point", "--vx", "1", "--vy", "1", "--vz", "1.5", "--b", "1", "--temp", "0.0023"
+        )
+        assert code == 0
+        assert "concurrence: 0\n" in out
+        assert "exact: separable" in out and "violated" not in out
+
     def test_json_roundtrip(self, capsys):
         args = ["point", "--vx", "1", "--vy", "-1", "--vz", "0.2", "--b", "0.4",
                 "--temp", "0.8", "--format", "json"]
@@ -173,9 +183,8 @@ class TestSweep:
         assert rows["1"] == fmt(rep["concurrence"])
 
     def test_concurrence_and_eof_match_point_reports(self, rng):
-        # the margins are checked against the scalar route in test_limits;
-        # here the two columns derived from them, T = 0 and ground ties included
-        eps = np.finfo(float).eps
+        # point reads its exact fields off the same margin table, so the two
+        # columns derived from them agree bit for bit, T = 0 and ground ties included
         ties = [canonicalize(1.0, 0.4, 0.4, 0.0), canonicalize(0.7, 0.7, -0.3, 0.0)]
         for p in ties + [random_canonical_params(rng) for _ in range(20)]:
             temps = np.concatenate([[0.0], log_uniform(rng, 1e-2, 1e1, size=6) * p.energy_scale])
@@ -183,8 +192,8 @@ class TestSweep:
             assert not np.signbit(cols["concurrence"]).any()  # never prints "-0"
             for k, t in enumerate(temps):
                 rep = point_report(p.vx, p.vy, p.vz, p.b, float(t))
-                assert abs(cols["concurrence"][k] - rep["concurrence"]) <= 16 * eps, (p, t)
-                assert abs(cols["eof"][k] - rep["eof"]) <= 16 * eps, (p, t)
+                assert cols["concurrence"][k] == rep["concurrence"], (p, t)
+                assert cols["eof"][k] == rep["eof"], (p, t)
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["sweep", "--axis", "b", "--from", "0", "--to", "2", "--steps", "5",

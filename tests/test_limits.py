@@ -15,13 +15,10 @@ from xyzent.limits import (
     ReentryWindow,
     _scan_grid,
     closed_form_limits,
-    entangled_intervals,
-    limit_temperature,
     limit_temperatures,
     margin_table,
     mixture_thresholds,
     reentry_two_level,
-    reentry_window,
     thermal_margin_exact,
 )
 from xyzent.meanfield import critical_temperature
@@ -85,14 +82,14 @@ class TestThermalMarginExact:
 
 class TestEntangledIntervals:
     def test_xx_single_interval(self):
-        ints = entangled_intervals(XX(0.5))
+        ints = limit_temperatures(XX(0.5)).intervals
         assert len(ints) == 1
         lo, hi = ints[0]
         assert lo == 0.0
         assert abs(hi - ALPHA) < 1e-6
 
     def test_case3_reentry_gap(self):
-        ints = entangled_intervals(CASE3(0.9))
+        ints = limit_temperatures(CASE3(0.9)).intervals
         assert len(ints) == 2
         assert ints[0][1] < ints[1][0]
         assert abs(ints[0][1] - 0.2873) < 0.03
@@ -102,87 +99,83 @@ class TestEntangledIntervals:
     def test_dominant_zz_coupling_never_entangled(self):
         # v_plus < vz: no entanglement at any temperature
         p = canonicalize(0.5, 0.5, 1.0, 0.3)
-        assert entangled_intervals(p) == []
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            entangled_intervals(XX(0.5), grid_n=16)
-        with pytest.raises(ValueError):
-            entangled_intervals(XX(0.5), t_max=-1.0)
+        assert limit_temperatures(p).intervals == ()
 
     def test_invalid_scan_settings_are_out_of_range(self):
-        for kwargs in ({"grid_n": 63}, {"t_max": 0.0}, {"t_max": math.nan}, {"t_max": math.inf}):
+        for kwargs in (
+            {"grid_n": 16},
+            {"grid_n": 63},
+            {"t_max": -1.0},
+            {"t_max": 0.0},
+            {"t_max": math.nan},
+            {"t_max": math.inf},
+        ):
             with pytest.raises(OutOfRange):
                 limit_temperatures(XX(0.5), **kwargs)
 
 
 class TestLimitTemperature:
     def test_xx_field_independent(self):
-        values = [limit_temperature(XX(b), "exact") for b in (0.1, 0.5, 0.9)]
+        values = [limit_temperatures(XX(b)).t_exact for b in (0.1, 0.5, 0.9)]
         for v in values:
             assert abs(v - ALPHA) < 1e-6
         assert max(values) - min(values) < 1e-6
 
     def test_max_anisotropy_zero_field(self):
-        t = limit_temperature(MAX_ANISO(0.0), "exact")
+        t = limit_temperatures(MAX_ANISO(0.0)).t_exact
         assert abs(t - 1.0 / math.asinh(1.0)) < 1e-6
 
     def test_entropic_xx_small_field(self):
-        t = limit_temperature(XX(0.01), "entropic")
+        t = limit_temperatures(XX(0.01)).t_entropic
         assert abs(t - 0.478) < 0.002
 
     def test_disorder_case2_closed_form(self):
         # Delta/arcsinh(Delta/(Delta-b)) at v_minus = 1, b = 0.5
-        t = limit_temperature(MAX_ANISO(0.5), "disorder")
+        t = limit_temperatures(MAX_ANISO(0.5)).t_disorder
         d = math.hypot(1.0, 0.5)
         assert abs(t - d / math.asinh(d / (d - 0.5))) < 1e-6
         assert abs(t - 0.825232) < 1e-4
 
     def test_never_detected_is_none(self):
-        p = canonicalize(0.5, 0.5, 1.0, 0.3)
-        assert limit_temperature(p, "exact") is None
-        assert limit_temperature(p, "disorder") is None
-
-    def test_unknown_criterion(self):
-        with pytest.raises(ValueError):
-            limit_temperature(XX(0.5), "ppt")
+        lt = limit_temperatures(canonicalize(0.5, 0.5, 1.0, 0.3))
+        assert lt.t_exact == 0.0
+        assert lt.t_disorder is None and lt.t_entropic is None
 
     def test_case2_growth_in_field(self):
-        values = [limit_temperature(MAX_ANISO(b), "exact") for b in (0.0, 1, 3, 10)]
+        values = [limit_temperatures(MAX_ANISO(b)).t_exact for b in (0.0, 1, 3, 10)]
         assert all(a < b for a, b in zip(values, values[1:]))
-        big = limit_temperature(MAX_ANISO(100.0), "exact")
+        big = limit_temperatures(MAX_ANISO(100.0)).t_exact
         assert big > 15.0  # ~ b / ln(2b)
 
     def test_sign_invariance(self):
-        ref = limit_temperature(CASE3(0.9), "exact")
+        ref = limit_temperatures(CASE3(0.9)).t_exact
         for vx, vy, b in [(-1.7, -0.3, 0.9), (0.3, 1.7, -0.9), (-0.3, -1.7, 0.9)]:
-            t = limit_temperature(canonicalize(vx, vy, 0.0, b), "exact")
+            t = limit_temperatures(canonicalize(vx, vy, 0.0, b)).t_exact
             assert abs(t - ref) < 1e-10
 
 
 class TestReentryWindow:
     def test_case3_window(self):
-        w = reentry_window(CASE3(0.9))
+        w = limit_temperatures(CASE3(0.9)).reentry
         assert w is not None
         assert abs(w.two_level - 0.28733) < 1e-4
         for endpoint in (w.lower, w.upper):
             assert abs(endpoint - w.two_level) < 0.1 * w.two_level
 
     def test_absent_above_reentry_field(self):
-        assert reentry_window(CASE3(2.0)) is None
+        assert limit_temperatures(CASE3(2.0)).reentry is None
 
     def test_absent_at_small_field(self):
         # v_minus/b large: gap temperature runs off to infinity
-        assert reentry_window(canonicalize(1.0, -1.0, 0.0, 0.01)) is None
+        assert limit_temperatures(canonicalize(1.0, -1.0, 0.0, 0.01)).reentry is None
 
     def test_two_level_form_undefined_at_zero_field(self):
         assert reentry_two_level(MAX_ANISO(0.0)) is None
 
     def test_disorder_blind_to_reentry(self):
         # detection stops below the gap: T_e^d <= T_r^-
-        w = reentry_window(CASE3(0.9))
-        t_d = limit_temperature(CASE3(0.9), "disorder")
-        assert t_d is not None and t_d <= w.lower + 1e-9
+        lt = limit_temperatures(CASE3(0.9))
+        assert lt.t_disorder is not None and lt.t_disorder <= lt.reentry.lower + 1e-9
 
 
 class TestMixtureThresholds:
@@ -234,9 +227,9 @@ class TestClosedFormLimits:
     def test_matches_scan(self):
         for p in (XX(0.3), MAX_ANISO(0.8)):
             cf = closed_form_limits(p)
-            assert abs(cf.t_exact - limit_temperature(p, "exact")) < 1e-6
+            assert abs(cf.t_exact - limit_temperatures(p).t_exact) < 1e-6
         cf = closed_form_limits(MAX_ANISO(0.8))
-        assert abs(cf.t_disorder - limit_temperature(MAX_ANISO(0.8), "disorder")) < 1e-6
+        assert abs(cf.t_disorder - limit_temperatures(MAX_ANISO(0.8)).t_disorder) < 1e-6
 
 
 class TestLimitRecord:
@@ -281,6 +274,39 @@ class TestLimitRecord:
         assert critical_temperature(p).t_c == pytest.approx(0.5, abs=1e-12)
 
 
+class TestScanFromZero:
+    """T = 0 is the first grid sample, so a limit below the first positive
+    sample t_max / grid_n is still found."""
+
+    def test_criteria_firing_only_below_first_step(self):
+        # fig4 model at b/v = 0.71: disorder and entropic fire only below
+        # T = 0.00549, under the first positive sample 20 * 1.7 / 4096
+        lt = limit_temperatures(CASE3(0.71))
+        assert lt.t_disorder < 20.0 * 1.7 / DEFAULT_GRID
+        assert lt.t_disorder == pytest.approx(0.00549421282194, rel=1e-10)
+        assert lt.t_entropic == pytest.approx(0.00549421282194, rel=1e-10)
+        below, above = (thermal_mixture(CASE3(0.71), t) for t in (0.0054, 0.0056))
+        assert disorder_check(below).detected and entropic_check(below).detected
+        assert not (disorder_check(above).detected or entropic_check(above).detected)
+
+    def test_whole_entangled_range_below_first_coarse_step(self):
+        # Bell ground state |Phi_3>; entangled on [0, 1.899], first grid-64
+        # sample at 20 * 6.26 / 64 = 1.96
+        p = canonicalize(1.343514123042203, -1.1694385314915339, -6.263640849586743, 0.8798462890500257)
+        coarse = limit_temperatures(p, grid_n=64)
+        assert coarse.intervals[0][0] == 0.0
+        assert coarse.t_exact == pytest.approx(1.89878669384, rel=1e-10)
+        assert coarse.t_exact == pytest.approx(limit_temperatures(p).t_exact, rel=1e-10)
+        assert coarse.t_disorder is not None and coarse.t_entropic is not None
+
+    def test_zero_margin_at_zero_temperature_takes_next_sign(self):
+        # XX above b = 1: m03 is exactly 0 from T = 0 until exp stops
+        # underflowing; the interval still starts at 0, not at that edge
+        assert margin_table(eigensystem(XX(1.5)), np.array([0.0]))[1, 0] == 0.0
+        (lo, hi), = limit_temperatures(XX(1.5)).intervals
+        assert lo == 0.0 and abs(hi - ALPHA) < 1e-6
+
+
 class TestDefaultScanRange:
     """The default t_max = 20 energy_scale needs no check that the state is
     separable at the top of the scan: both exact margins are positive from
@@ -313,8 +339,11 @@ class TestDefaultScanRange:
 
 
 def _ref_exact(eig, ts):
-    e = eig.energies
-    a = np.exp(-0.5 * (e[:, None] - e.min()) / np.asarray(ts)[None, :])
+    gap = eig.energies[:, None] - eig.energies.min()
+    ts = np.asarray(ts)[None, :]
+    # T = 0 is the T -> 0+ limit: exponent 0 on the ground levels, +inf above
+    r = np.where(ts > 0.0, gap / np.where(ts > 0.0, ts, 1.0), np.where(gap > 0.0, np.inf, 0.0))
+    a = np.exp(-0.5 * r)
     w = a * a
     z = w.sum(axis=0)
     vm_r = eig.vm_ratio
@@ -333,10 +362,14 @@ def _ref_disorder(eig, ts):
 
 
 def _ref_entropic(eig, ts):
+    # S(rho) - S(rho_A), each reduced-spectrum term q_k ln q_k paired with
+    # the weight term p_k ln p_k it cancels against
     p = thermal_probabilities(eig, ts)
-    s_global = -xlogy(p, p).sum(axis=0) / math.log(2.0)
-    q = 0.5 * (1.0 + np.abs(eig.b_ratio * (p[1] - p[2])))
-    return s_global + (xlogy(q, q) + xlogy(1.0 - q, 1.0 - q)) / math.log(2.0)
+    a = 0.5 * (1.0 + abs(eig.b_ratio))
+    q1 = 0.5 * p[0] + a * p[1] + (1.0 - a) * p[2] + 0.5 * p[3]
+    q2 = 0.5 * p[0] + (1.0 - a) * p[1] + a * p[2] + 0.5 * p[3]
+    x = xlogy(p, p)
+    return ((xlogy(q1, q1) - x[1]) + (xlogy(q2, q2) - x[2]) - x[0] - x[3]) / math.log(2.0)
 
 
 def _ref_bisect(f, lo, hi, f_lo_neg, rel):
@@ -354,7 +387,10 @@ def _ref_bisect(f, lo, hi, f_lo_neg, rel):
 def _ref_violation_intervals(f_arr, ts, t_end, rel):
     """The intervals where f_arr is negative, and whether the last one
     reaches t_end (the criterion still fires at the top of the scan)."""
-    neg = f_arr(ts) < 0.0
+    values = f_arr(ts)
+    neg = values < 0.0
+    if values[0] == 0.0:  # a margin exactly 0 at T = 0 takes the next sample's sign
+        neg[0] = neg[1]
     if not neg.any():
         return [], False
 
@@ -427,10 +463,10 @@ def _reference_cases(rng):
         vp = log_uniform(rng, 1e-1, 1e1)
         vz = rng.uniform(-1.0, 1.0) * vp
         cases.append((canonicalize(vp, vp, vz, 0.0), None, grids[k % 4]))
-    for k in range(20):  # vz above v_plus: never entangled
-        vp, vm = rng.uniform(0.1, 1.0, size=2)
-        vz = vp + vm + rng.uniform(0.1, 2.0)
-        cases.append((canonicalize(vp + vm, vp - vm, vz, rng.uniform(0.0, 2.0)), None, grids[k % 4]))
+    for k in range(20):  # v_minus = 0, vz above v_plus: never entangled
+        vp = rng.uniform(0.1, 1.0)
+        vz = vp + rng.uniform(0.1, 2.0)
+        cases.append((canonicalize(vp, vp, vz, rng.uniform(0.0, 2.0)), None, grids[k % 4]))
     for k in range(30):  # user t_max, often below t_exact (censored)
         vp, vm, b = rng.uniform(0.1, 2.0, size=3)
         vz = rng.uniform(-0.5, 0.5)
@@ -450,15 +486,6 @@ class TestSingleScanMatchesReference:
             never += not got.intervals
             reentry += got.reentry is not None
         assert censored and never and reentry
-
-    def test_views_agree_with_record(self):
-        for p in (CASE3(0.9), XX(0.5), canonicalize(0.5, 0.5, 1.0, 0.3)):
-            lt = limit_temperatures(p, grid_n=512)
-            assert entangled_intervals(p, grid_n=512) == list(lt.intervals)
-            assert reentry_window(p, grid_n=512) == lt.reentry
-            assert limit_temperature(p, "exact", grid_n=512) == (lt.t_exact or None)
-            assert limit_temperature(p, "disorder", grid_n=512) == lt.t_disorder
-            assert limit_temperature(p, "entropic", grid_n=512) == lt.t_entropic
 
     def test_scalar_checks_match_table(self, rng):
         eps = np.finfo(float).eps

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from xyzent.meanfield import (
 )
 from xyzent.model import canonicalize
 
-from conftest import log_uniform
+from conftest import log_uniform, random_canonical_params
 
 XCHAIN = canonicalize(1.0, 0.0, 0.0, 0.0)  # v_max = 1, T_c = 1/2
 
@@ -142,37 +143,37 @@ def _max_residual(p, sol):
     )
 
 
-@pytest.mark.parametrize(
-    "p, t",
-    [
-        # stop rule: a polish that stops as soon as the residual is below
-        # tolerance accepts non-roots near T_c and moves T_c by 8e-6
-        pytest.param(
-            canonicalize(4004660.677592519, 2952603.4204812893, 949004.5412642648, 2113942.929786735),
-            None,
-            id="stop_rule",
-        ),
-        # |vx| = |vy|: the Jacobian at the broken root is singular along
-        # the Goldstone direction, so only a minimum-norm step works
-        pytest.param(
-            canonicalize(8.890061109800813e42, -8.890061109800813e42, 0.0, 8.112159671074608e42),
-            None,
-            id="singular_jacobian",
-        ),
-        # the damped iteration ends in a 2-cycle whose half Newton step has
-        # exactly the same residual: backtracking needs a strict decrease
-        pytest.param(
-            canonicalize(4.561518660819901, 4.266003906532173, -71.71507665235677, 9.339780289050124),
-            0.012324222183123517,
-            id="two_cycle",
-        ),
-        # norms of fields beyond ~1e154 must not square their components
-        *(
-            pytest.param(canonicalize(*(s * x for x in (1.0, 0.3, 0.1, 0.4))), None, id=f"scale_{s:.0e}")
-            for s in (1e200, 1e300)
-        ),
-    ],
-)
+_POLISH_REGRESSIONS = [
+    # stop rule: a polish that stops as soon as the residual is below
+    # tolerance accepts non-roots near T_c and moves T_c by 8e-6
+    pytest.param(
+        canonicalize(4004660.677592519, 2952603.4204812893, 949004.5412642648, 2113942.929786735),
+        None,
+        id="stop_rule",
+    ),
+    # |vx| = |vy|: the Jacobian at the broken root is singular along
+    # the Goldstone direction, so only a minimum-norm step works
+    pytest.param(
+        canonicalize(8.890061109800813e42, -8.890061109800813e42, 0.0, 8.112159671074608e42),
+        None,
+        id="singular_jacobian",
+    ),
+    # the damped iteration ends in a 2-cycle whose half Newton step has
+    # exactly the same residual: backtracking needs a strict decrease
+    pytest.param(
+        canonicalize(4.561518660819901, 4.266003906532173, -71.71507665235677, 9.339780289050124),
+        0.012324222183123517,
+        id="two_cycle",
+    ),
+    # norms of fields beyond ~1e154 must not square their components
+    *(
+        pytest.param(canonicalize(*(s * x for x in (1.0, 0.3, 0.1, 0.4))), None, id=f"scale_{s:.0e}")
+        for s in (1e200, 1e300)
+    ),
+]
+
+
+@pytest.mark.parametrize("p, t", _POLISH_REGRESSIONS)
 def test_newton_polish_regressions(p, t):
     if t is None:
         closed = critical_temperature(p, "closed").t_c
@@ -184,6 +185,34 @@ def test_newton_polish_regressions(p, t):
     assert _max_residual(p, sol) < 1e-9 * max(1.0, p.energy_scale)
     assert not sol.broken_phase_flip and not sol.broken_permutation
     assert_allclose([sol.lambda_a[2], sol.lambda_b[2]], 0.003227, rtol=1e-3)
+
+
+def _with_mirrored_seeds(p):
+    """Symmetric, +-x, +-y transverse, then the permutation-asymmetric x
+    seed: the default seeds plus the mirror images of the +x and +y rows."""
+    v = max(p.v_max, 0.0)
+    seeds = np.zeros((6, 2, 3))
+    seeds[1, :, 0] = v
+    seeds[2, :, 0] = -v
+    seeds[3, :, 1] = v
+    seeds[4, :, 1] = -v
+    seeds[5, 0, 0] = v
+    seeds[5, 1, 0] = -v
+    return seeds
+
+
+def test_mirrored_seeds_change_nothing(rng):
+    # a -x or -y seed converges to the negated fields of its mirror image in
+    # the same sweep, at the same free energy, and loses the tie to it
+    cases = [case.values for case in _POLISH_REGRESSIONS[:4]]
+    cases += [(random_canonical_params(rng), None) for _ in range(4)] + [(XCHAIN, None)]
+    for p, t_case in cases:
+        t_c = critical_temperature(p).t_c or p.energy_scale
+        temps = [t_c * x for x in (0.05, 0.5, 1.0 - 1e-5, 1.0 + 1e-5, 3.0)] + ([t_case] if t_case else [])
+        for t in temps:
+            got, ref = solve_mf(p, t), solve_mf(p, t, seeds=_with_mirrored_seeds(p))
+            for f in dataclasses.fields(got):
+                assert np.array_equal(getattr(got, f.name), getattr(ref, f.name)), (p, t, f.name)
 
 
 class TestCriticalTemperature:
