@@ -101,15 +101,14 @@ class TestEntangledIntervals:
         p = canonicalize(0.5, 0.5, 1.0, 0.3)
         assert limit_temperatures(p).intervals == ()
 
+    def test_grid_validation(self):
+        with pytest.raises(ValueError):
+            limit_temperatures(XX(0.5), grid_n=16)
+        with pytest.raises(ValueError):
+            limit_temperatures(XX(0.5), t_max=-1.0)
+
     def test_invalid_scan_settings_are_out_of_range(self):
-        for kwargs in (
-            {"grid_n": 16},
-            {"grid_n": 63},
-            {"t_max": -1.0},
-            {"t_max": 0.0},
-            {"t_max": math.nan},
-            {"t_max": math.inf},
-        ):
+        for kwargs in ({"grid_n": 63}, {"t_max": 0.0}, {"t_max": math.nan}, {"t_max": math.inf}):
             with pytest.raises(OutOfRange):
                 limit_temperatures(XX(0.5), **kwargs)
 
