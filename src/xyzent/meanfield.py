@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +56,8 @@ NEWTON_STEP_TOL = 1e-13
 #: Newton steps per polish, and step halvings per Newton step
 NEWTON_STEPS = 100
 NEWTON_HALVINGS = 60
+#: bisection levels of the numeric T_c solved together in one round
+TREE_LEVELS = 5
 
 
 @dataclass(frozen=True)
@@ -86,12 +89,17 @@ def _check_temperature(t: float) -> float:
 
 
 def qubit_expectations(lambdas, temperature: float) -> np.ndarray:
-    """<s> for each effective field row; zero field gives zero spin.
+    """<s> for each effective field row; zero field gives zero spin."""
+    return _spins(np.asarray(lambdas, dtype=float), _check_temperature(temperature))
+
+
+def _spins(lam: np.ndarray, temperature) -> np.ndarray:
+    """qubit_expectations for a validated temperature, a float or an array
+    that broadcasts against the field rows.
 
     Norms here and below come from np.hypot.reduce, which never squares a
     component, so fields near the top of the float range do not overflow.
     """
-    lam = np.asarray(lambdas, dtype=float)
     norm = np.hypot.reduce(lam, axis=-1, keepdims=True)
     amp = np.divide(
         np.tanh(0.5 * norm / temperature), norm, out=np.zeros_like(norm), where=norm > 0.0
@@ -117,8 +125,8 @@ def mf_free_energy(lambda_a, lambda_b, p: XYZParams, temperature: float) -> floa
     Exact for genuinely uncorrelated problems (all couplings zero).
     """
     t = _check_temperature(temperature)
-    s_a = qubit_expectations(lambda_a, t)
-    s_b = qubit_expectations(lambda_b, t)
+    s_a = _spins(np.asarray(lambda_a, dtype=float), t)
+    s_b = _spins(np.asarray(lambda_b, dtype=float), t)
     energy = _interaction_energy(p, s_a, s_b)
     return float(energy - t * (_qubit_entropy_nat(s_a) + _qubit_entropy_nat(s_b)))
 
@@ -147,22 +155,23 @@ def _default_seeds(p: XYZParams) -> np.ndarray:
     return seeds
 
 
-def _self_consistent_map(lam, p: XYZParams, t: float) -> np.ndarray:
-    """One sweep of lambda_i^{A,B} = b delta_iz - 2 v_i <s_i^{B,A}>."""
+def _self_consistent_map(lam, p: XYZParams, t) -> np.ndarray:
+    """One sweep of lambda_i^{A,B} = b delta_iz - 2 v_i <s_i^{B,A}> for seed
+    rows of shape (k, 2, 3) at temperatures t of shape (k, 1, 1)."""
     v = np.array([p.vx, p.vy, p.vz])
-    s = qubit_expectations(lam, t)
+    s = _spins(lam, t)
     out = -2.0 * v * s[..., ::-1, :]
     out[..., 2] += p.b
     return out
 
 
-def _residual(lam, p: XYZParams, t: float) -> np.ndarray:
+def _residual(lam, p: XYZParams, t) -> np.ndarray:
     return _self_consistent_map(lam, p, t) - lam
 
 
-def _residual_jacobian(lam, p: XYZParams, t: float) -> np.ndarray:
+def _residual_jacobian(lam, p: XYZParams, t) -> np.ndarray:
     """Jacobian of r(lambda) = F(lambda) - lambda for seed rows of shape
-    (k, 2, 3), flattened to (k, 6, 6).
+    (k, 2, 3) at temperatures t of shape (k, 1, 1), flattened to (k, 6, 6).
 
     F_A depends only on lambda_B, through -2 v_i <s_i>, and
 
@@ -185,9 +194,9 @@ def _residual_jacobian(lam, p: XYZParams, t: float) -> np.ndarray:
     return jac - np.eye(6)
 
 
-def _newton_polish(lam: np.ndarray, live: np.ndarray, p: XYZParams, t: float, tol: float) -> None:
-    """Newton's method on r(lambda) = 0 for the seed rows lam[live], all
-    at once and in place.
+def _newton_polish(lam: np.ndarray, t: np.ndarray, live: np.ndarray, p: XYZParams, tol: float) -> None:
+    """Newton's method on r(lambda) = 0 for the seed rows lam[live] at their
+    temperatures t[live], all at once and in place.
 
     Each step is the minimum-norm solution of J step = -r (a pseudo-
     inverse: J is singular along the Goldstone direction of a broken root
@@ -200,9 +209,9 @@ def _newton_polish(lam: np.ndarray, live: np.ndarray, p: XYZParams, t: float, to
     for _ in range(NEWTON_STEPS):
         if live.size == 0:
             break
-        x = lam[live]
-        r = _residual(x, p, t)
-        step = -(np.linalg.pinv(_residual_jacobian(x, p, t)) @ r.reshape(-1, 6, 1)).reshape(x.shape)
+        x, tx = lam[live], t[live]
+        r = _residual(x, p, tx)
+        step = -(np.linalg.pinv(_residual_jacobian(x, p, tx)) @ r.reshape(-1, 6, 1)).reshape(x.shape)
         small = np.hypot.reduce(step, axis=(1, 2)) <= NEWTON_STEP_TOL * np.hypot.reduce(x, axis=(1, 2))
         going = ~(small & (np.abs(r).max(axis=(1, 2)) <= tol))
         r_norm = np.hypot.reduce(r, axis=(1, 2))
@@ -213,11 +222,93 @@ def _newton_polish(lam: np.ndarray, live: np.ndarray, p: XYZParams, t: float, to
             if todo.size == 0:
                 break
             trial = x[todo] + frac * step[todo]
-            better = np.hypot.reduce(_residual(trial, p, t), axis=(1, 2)) < r_norm[todo]
+            better = np.hypot.reduce(_residual(trial, p, tx[todo]), axis=(1, 2)) < r_norm[todo]
             lam[live[todo[better]]] = trial[better]
             moved[todo[better]] = True
             frac *= 0.5
         live = live[moved]
+
+
+class _Rows(NamedTuple):
+    """solve_mf at k temperatures of one model; entry i belongs to row i."""
+
+    lam: np.ndarray  # winning seed's fields, (k, 2, 3)
+    s: np.ndarray  # their spin expectations, (k, 2, 3)
+    free_energy: np.ndarray  # (k,)
+    converged: np.ndarray  # (k,) bool: the winner's residual is accepted
+    residual: np.ndarray  # (k,) smallest residual over the row's seeds
+    iterations: np.ndarray  # (k,) fixed-point sweeps, the max over the row's seeds
+    broken_phase_flip: np.ndarray  # (k,) bool
+    broken_permutation: np.ndarray  # (k,) bool
+
+    def solution(self, i: int) -> MeanFieldSolution:
+        """Row i as solve_mf returns it; NoConvergence if no seed converged."""
+        if not self.converged[i]:
+            raise NoConvergence(f"no seed converged; best residual {self.residual[i]:.3e}")
+        return MeanFieldSolution(
+            lambda_a=self.lam[i, 0],
+            lambda_b=self.lam[i, 1],
+            s_a=self.s[i, 0],
+            s_b=self.s[i, 1],
+            free_energy=float(self.free_energy[i]),
+            broken_phase_flip=bool(self.broken_phase_flip[i]),
+            broken_permutation=bool(self.broken_permutation[i]),
+            converged=True,
+            iterations=int(self.iterations[i]),
+        )
+
+
+def _solve_rows(p: XYZParams, temperatures: np.ndarray, seeds: np.ndarray) -> _Rows:
+    """The solver of solve_mf over a row axis: row i holds every seed at
+    temperatures[i], which must be valid (finite and > 0).
+
+    The rows are flattened to seed rows of shape (k * n_seeds, 2, 3), and
+    each seed row takes exactly the steps it would take alone, so row i is
+    solve_mf(p, temperatures[i], seeds) bit for bit.
+    """
+    k, n = temperatures.size, seeds.shape[0]
+    lam = np.tile(seeds, (k, 1, 1))
+    t = np.repeat(temperatures, n)[:, None, None]
+    sweeps = np.full(k * n, FP_SWEEPS)
+    active = np.arange(k * n)
+    update_tol = UPDATE_TOL * p.energy_scale
+    for sweep in range(1, FP_SWEEPS + 1):
+        x = lam[active]
+        new = 0.5 * x + 0.5 * _self_consistent_map(x, p, t[active])
+        lam[active] = new
+        still = np.abs(new - x).max(axis=(1, 2)) > update_tol
+        sweeps[active[~still]] = sweep
+        active = active[still]
+        if active.size == 0:
+            break
+
+    # plain iteration slows critically near T_c; the stragglers' iterates
+    # are already in the right basin
+    tol = RESIDUAL_TOL * p.energy_scale
+    stragglers = np.flatnonzero(np.abs(_residual(lam, p, t)).max(axis=(1, 2)) > tol)
+    _newton_polish(lam, t, stragglers, p, tol)
+    resid = np.abs(_residual(lam, p, t)).max(axis=(1, 2))
+    ok = resid <= tol
+
+    s = _spins(lam, t)
+    energy = _interaction_energy(p, s[:, 0], s[:, 1])
+    free = energy - t[:, 0, 0] * (_qubit_entropy_nat(s[:, 0]) + _qubit_entropy_nat(s[:, 1]))
+    free = np.where(ok, free, np.inf)
+    # argmin takes the first minimum: seed order
+    winner = np.arange(k) * n + np.argmin(free.reshape(k, n), axis=1)
+
+    lam = lam[winner]
+    break_scale = BREAK_TOL * p.v_max
+    return _Rows(
+        lam=lam,
+        s=s[winner],
+        free_energy=free[winner],
+        converged=ok[winner],
+        residual=resid.reshape(k, n).min(axis=1),
+        iterations=sweeps.reshape(k, n).max(axis=1),
+        broken_phase_flip=np.abs(lam[:, :, :2]).max(axis=(1, 2)) > break_scale,
+        broken_permutation=np.abs(lam[:, 0] - lam[:, 1]).max(axis=1) > break_scale,
+    )
 
 
 def solve_mf(p: XYZParams, temperature: float, seeds=None) -> MeanFieldSolution:
@@ -231,60 +322,31 @@ def solve_mf(p: XYZParams, temperature: float, seeds=None) -> MeanFieldSolution:
     RESIDUAL_TOL the one with the lowest free energy wins (ties fall to
     seed order, so results are deterministic).  Both tolerances are
     relative to p.energy_scale, so the solution and `iterations` (the
-    fixed-point sweeps) do not depend on the energy unit; the all-zero
-    model converges in one sweep.
+    fixed-point sweeps of the slowest seed) do not depend on the energy
+    unit; the all-zero model converges in one sweep.
     """
     t = _check_temperature(temperature)
     lam = np.array(seeds, dtype=float) if seeds is not None else _default_seeds(p)
     if lam.ndim == 2:
         lam = lam[None]
-    if lam.shape[1:] != (2, 3):
-        raise ValueError(f"seeds must have shape (n, 2, 3), got {lam.shape}")
+    if lam.shape[1:] != (2, 3) or lam.shape[0] == 0:
+        raise ValueError(f"seeds must have shape (n, 2, 3) with n >= 1, got {lam.shape}")
+    return _solve_rows(p, np.array([t]), lam).solution(0)
 
-    iterations = 0
-    active = np.ones(lam.shape[0], dtype=bool)
-    for _ in range(FP_SWEEPS):
-        new = 0.5 * lam[active] + 0.5 * _self_consistent_map(lam[active], p, t)
-        moved = np.abs(new - lam[active]).max(axis=(1, 2))
-        lam[active] = new
-        iterations += 1
-        still = moved > UPDATE_TOL * p.energy_scale
-        if not still.any():
-            active[:] = False
-            break
-        idx = np.flatnonzero(active)
-        active[idx[~still]] = False
 
-    # plain iteration slows critically near T_c; the stragglers' iterates
-    # are already in the right basin
-    tol = RESIDUAL_TOL * p.energy_scale
-    stragglers = np.flatnonzero(np.abs(_residual(lam, p, t)).max(axis=(1, 2)) > tol)
-    _newton_polish(lam, stragglers, p, t, tol)
-    resid = np.abs(_residual(lam, p, t)).max(axis=(1, 2))
-    ok = resid <= tol
-    if not ok.any():
-        raise NoConvergence(f"no seed converged; best residual {resid.min():.3e}")
+def _unresolved(lo: float, hi: float) -> bool:
+    """Whether the numeric T_c bisection still halves [lo, hi]."""
+    return hi - lo > 1e-6 * hi
 
-    s = qubit_expectations(lam, t)
-    energy = _interaction_energy(p, s[:, 0], s[:, 1])
-    free = energy - t * (_qubit_entropy_nat(s[:, 0]) + _qubit_entropy_nat(s[:, 1]))
-    free = np.where(ok, free, np.inf)
-    winner = int(np.argmin(free))  # argmin takes the first minimum: seed order
 
-    lam_a, lam_b = lam[winner]
-    break_scale = BREAK_TOL * p.v_max
-    transverse = max(abs(lam_a[0]), abs(lam_a[1]), abs(lam_b[0]), abs(lam_b[1]))
-    return MeanFieldSolution(
-        lambda_a=lam_a,
-        lambda_b=lam_b,
-        s_a=s[winner, 0],
-        s_b=s[winner, 1],
-        free_energy=float(free[winner]),
-        broken_phase_flip=bool(transverse > break_scale),
-        broken_permutation=bool(np.abs(lam_a - lam_b).max() > break_scale),
-        converged=bool(ok[winner]),
-        iterations=iterations,
-    )
+def _bisection_tree(lo: float, hi: float, levels: int = TREE_LEVELS) -> list[tuple[float, float]]:
+    """Every bracket the numeric T_c bisection can halve in its next
+    `levels` steps from [lo, hi]: at most 2**levels - 1, fewer where it
+    stops first."""
+    if levels == 0 or not _unresolved(lo, hi):
+        return []
+    mid = 0.5 * (lo + hi)
+    return [(lo, hi)] + _bisection_tree(lo, mid, levels - 1) + _bisection_tree(mid, hi, levels - 1)
 
 
 def critical_temperature(p: XYZParams, method: str = "closed") -> CriticalTemperature:
@@ -292,9 +354,16 @@ def critical_temperature(p: XYZParams, method: str = "closed") -> CriticalTemper
 
     "closed" evaluates T_c = v_max chi / ln[(1+chi)/(1-chi)] (the chi -> 0
     limit v_max/2 taken analytically); "numeric" bisects the onset of
-    broken_phase_flip in solve_mf to 1e-6 relative.  Absent (t_c None)
-    whenever v_max <= max(vz, 0) or |b| >= v_max - vz.
+    broken_phase_flip in solve_mf to 1e-6 relative.  The bisection runs
+    in rounds: each round solves the midpoints of every bracket of its
+    next TREE_LEVELS steps (up to 2**TREE_LEVELS - 1 temperatures) in one
+    batch, then walks that tree as the step-by-step bisection would, with
+    the same midpoints and stop test, so T_c is the same to the last bit.
+    Only a midpoint the walk visits raises NoConvergence.  Absent (t_c
+    None) whenever v_max <= max(vz, 0) or |b| >= v_max - vz.
     """
+    if method not in ("closed", "numeric"):
+        raise ValueError(f"method must be 'closed' or 'numeric', got {method!r}")
     v_max = p.v_max
     chi = p.chi
     # chi < 1 also requires v_max > vz; without transverse coupling there
@@ -306,15 +375,24 @@ def critical_temperature(p: XYZParams, method: str = "closed") -> CriticalTemper
     if method == "closed":
         t_c = 0.5 * v_max if chi == 0.0 else v_max * chi / (2.0 * math.atanh(chi))
         return CriticalTemperature(t_c=t_c, chi=chi, v_max=v_max, feasible=True)
-    if method != "numeric":
-        raise ValueError(f"method must be 'closed' or 'numeric', got {method!r}")
 
-    lo, hi = 1e-4 * v_max, 0.75 * v_max
-    if not solve_mf(p, lo).broken_phase_flip:
+    seeds = _default_seeds(p)
+
+    def solve_round(lo, hi, *extra):
+        """Rows for `extra` then every bracket the next steps can reach."""
+        tree = _bisection_tree(lo, hi)
+        rows = _solve_rows(p, np.array([*extra, *(0.5 * (a + b) for a, b in tree)]), seeds)
+        return rows, {bracket: i for i, bracket in enumerate(tree, len(extra))}
+
+    lo, hi = _check_temperature(1e-4 * v_max), 0.75 * v_max
+    rows, row_of = solve_round(lo, hi, lo)
+    if not rows.solution(0).broken_phase_flip:
         return CriticalTemperature(t_c=None, chi=chi, v_max=v_max, feasible=True)
-    while hi - lo > 1e-6 * hi:
+    while _unresolved(lo, hi):
+        if (lo, hi) not in row_of:
+            rows, row_of = solve_round(lo, hi)
         mid = 0.5 * (lo + hi)
-        if solve_mf(p, mid).broken_phase_flip:
+        if rows.solution(row_of[lo, hi]).broken_phase_flip:
             lo = mid
         else:
             hi = mid

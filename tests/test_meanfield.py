@@ -1,11 +1,13 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from xyzent.errors import InvalidTemperature
+from xyzent import meanfield
+from xyzent.errors import InvalidTemperature, NoConvergence
 from xyzent.meanfield import (
     critical_temperature,
     exact_free_energy,
@@ -80,6 +82,14 @@ class TestQubitExpectations:
             norm = np.linalg.norm(lam)
             assert abs(np.linalg.norm(s) - 0.5 * math.tanh(0.5 * norm / t)) < 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [0.0, -0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_temperature(self, t):
+        # at T = 0 the tanh argument divides by zero; at T < 0 the spin
+        # silently took the wrong sign
+        with pytest.raises(InvalidTemperature):
+            qubit_expectations([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], t)
+
 
 class TestSolveMF:
     def test_symmetric_above_tc(self):
@@ -132,6 +142,11 @@ class TestSolveMF:
     def test_rejects_zero_temperature(self):
         with pytest.raises(InvalidTemperature):
             solve_mf(XCHAIN, 0.0)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 3, 2), (6,)])
+    def test_rejects_bad_seed_shape(self, shape):
+        with pytest.raises(ValueError, match=r"seeds must have shape \(n, 2, 3\)"):
+            solve_mf(XCHAIN, 0.3, seeds=np.zeros(shape))
 
 
 def _max_residual(p, sol):
@@ -201,14 +216,20 @@ def _with_mirrored_seeds(p):
     return seeds
 
 
-def test_mirrored_seeds_change_nothing(rng):
-    # a -x or -y seed converges to the negated fields of its mirror image in
-    # the same sweep, at the same free energy, and loses the tie to it
+def _solver_cases(rng):
+    """(model, temperatures) pairs around T_c, where the Newton polish fires:
+    four Newton-regression models, four seeded ones and the x chain."""
     cases = [case.values for case in _POLISH_REGRESSIONS[:4]]
     cases += [(random_canonical_params(rng), None) for _ in range(4)] + [(XCHAIN, None)]
     for p, t_case in cases:
         t_c = critical_temperature(p).t_c or p.energy_scale
-        temps = [t_c * x for x in (0.05, 0.5, 1.0 - 1e-5, 1.0 + 1e-5, 3.0)] + ([t_case] if t_case else [])
+        yield p, [t_c * x for x in (0.05, 0.5, 1.0 - 1e-5, 1.0 + 1e-5, 3.0)] + ([t_case] if t_case else [])
+
+
+def test_mirrored_seeds_change_nothing(rng):
+    # a -x or -y seed converges to the negated fields of its mirror image in
+    # the same sweep, at the same free energy, and loses the tie to it
+    for p, temps in _solver_cases(rng):
         for t in temps:
             got, ref = solve_mf(p, t), solve_mf(p, t, seeds=_with_mirrored_seeds(p))
             for f in dataclasses.fields(got):
@@ -262,6 +283,111 @@ class TestCriticalTemperature:
     def test_method_validation(self):
         with pytest.raises(ValueError):
             critical_temperature(XCHAIN, "analytic")
+
+    def test_method_validated_on_infeasible_models(self):
+        # the method used to be checked only after the infeasible return
+        for p in (canonicalize(1.0, 0.4, 0.1, 5.0), canonicalize(0.5, 0.5, 1.0, 0.1)):
+            with pytest.raises(ValueError, match="method"):
+                critical_temperature(p, "numerci")
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_bisection(p):
+    """The numeric T_c as a step-by-step bisection, one solve_mf per
+    temperature, and the temperatures it solves in order."""
+    visited = []
+
+    def broken(t):
+        visited.append(t)
+        return solve_mf(p, t).broken_phase_flip
+
+    if not critical_temperature(p).feasible:
+        return None, ()
+    lo, hi = 1e-4 * p.v_max, 0.75 * p.v_max
+    if not broken(lo):
+        return None, tuple(visited)
+    while hi - lo > 1e-6 * hi:
+        mid = 0.5 * (lo + hi)
+        if broken(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), tuple(visited)
+
+
+def _ref_numeric_tc(p):
+    return _ref_bisection(p)[0]
+
+
+def _seeded_tc_models():
+    """Low, mid and high chi, chi > 1 and v_max <= vz, at energy scales
+    from 1e-300 to 1e300."""
+    rng = np.random.default_rng(20261018)
+    chi_range = {"low": (0.0, 0.05), "mid": (0.3, 0.7), "high": (0.9, 0.95), "field": (1.05, 2.0)}
+    models = []
+    for kind in ("low", "mid", "high", "field", "zz"):
+        for k in range(4):
+            vy = rng.uniform(-0.9, 0.9)  # v_max = 1 before scaling
+            if kind == "zz":
+                vz, b = rng.uniform(1.05, 1.5), rng.uniform(0.0, 1.0)
+            else:
+                vz = rng.uniform(-0.5, 0.5)
+                b = rng.uniform(*chi_range[kind]) * (1.0 - vz)
+            scale = 10.0 ** rng.uniform(-300.0, 300.0)
+            p = canonicalize(scale, scale * vy, scale * vz, scale * b)
+            models.append(pytest.param(p, id=f"{kind}{k}"))
+    return models
+
+
+_TC_MODELS = [
+    *(pytest.param(case.values[0], id=case.id) for case in _POLISH_REGRESSIONS),
+    pytest.param(XCHAIN, id="xchain"),
+    *_seeded_tc_models(),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", _TC_MODELS)
+def test_numeric_tc_matches_sequential_bisection(p):
+    # each round solves a tree of midpoints at once; the walk through it
+    # must end on exactly the bits of the step-by-step bisection
+    assert critical_temperature(p, "numeric").t_c == _ref_numeric_tc(p)
+
+
+def test_rows_match_one_temperature_solves(rng):
+    # all temperatures of a model in one row solve, each equal to its own solve_mf
+    for p, temps in _solver_cases(rng):
+        rows = meanfield._solve_rows(p, np.array(temps), meanfield._default_seeds(p))
+        for i, t in enumerate(temps):
+            got, ref = rows.solution(i), solve_mf(p, t)
+            for f in dataclasses.fields(got):
+                assert np.array_equal(getattr(got, f.name), getattr(ref, f.name)), (p, t, f.name)
+
+
+def _failing_rows(monkeypatch, fails):
+    """Make every row whose temperature satisfies fails(t) report no converged seed."""
+    solve_rows = meanfield._solve_rows
+
+    def patched(p, temperatures, seeds):
+        rows = solve_rows(p, temperatures, seeds)
+        bad = np.array([fails(t) for t in temperatures], dtype=bool)
+        return rows._replace(converged=rows.converged & ~bad)
+
+    monkeypatch.setattr(meanfield, "_solve_rows", patched)
+
+
+@pytest.mark.parametrize("p", [XCHAIN, canonicalize(1.0, 0.4, 0.1, 0.5)])
+def test_unvisited_rows_may_fail(monkeypatch, p):
+    t_c, visited = _ref_bisection(p)
+    _failing_rows(monkeypatch, lambda t: t not in visited)
+    assert critical_temperature(p, "numeric").t_c == t_c
+
+
+def test_visited_row_failure_raises(monkeypatch):
+    visited = _ref_bisection(XCHAIN)[1]
+    _failing_rows(monkeypatch, lambda t: t == visited[7])
+    with pytest.raises(NoConvergence, match="no seed converged"):
+        critical_temperature(XCHAIN, "numeric")
 
 
 class TestVariationalBound:
