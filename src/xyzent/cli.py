@@ -79,7 +79,7 @@ def point_report(vx, vy, vz, b, temp) -> dict:
     """
     p = canonicalize(vx, vy, vz, b)
     m = states.thermal_mixture(p, temp)
-    cols = _state_values(p, np.array([temp]))
+    cols = _state_values([m.eigen], np.array([temp]))
     c, eof, m12, m03 = (float(cols[k][0]) for k in ("concurrence", "eof", "margin_12", "margin_03"))
     dis = criteria.disorder_check(m)
     ent = criteria.entropic_check(m)
@@ -113,17 +113,28 @@ def point_report(vx, vy, vz, b, temp) -> dict:
     }
 
 
-def _state_values(p: XYZParams, temps: np.ndarray) -> dict:
-    """The STATE_COLUMNS of p's thermal states at the temperatures temps
-    (1-D), one array each, read off the limit scan's margin table."""
-    m12, m03, dis, ent = limits.margin_table(eigensystem(p), temps)
+def _state_values(eigs, temps: np.ndarray) -> dict:
+    """The STATE_COLUMNS of the thermal states at the temperatures temps
+    (1-D), one array each, from one call to the limit scan's margin
+    kernel; eigs holds one EigenSystem for every temperature, or one per
+    temperature."""
+    m12, m03, dis, ent = limits._margin_columns(
+        np.stack([e.energies for e in eigs], axis=1),
+        np.array([e.vm_ratio for e in eigs]),
+        np.array([e.b_ratio for e in eigs]),
+        temps,
+    )
     worst = np.minimum(m12, m03)
     c = np.where(worst < 0.0, -worst, 0.0)
     return dict(zip(STATE_COLUMNS, (c, entanglement.entanglement_of_formation(c), m12, m03, dis, ent)))
 
 
-def _limit_values(p: XYZParams, tmax, grid, tol) -> dict:
-    lt = limits.limit_temperatures(p, t_max=tmax, grid_n=grid, rel_tol=tol)
+def _limit_rows(ps, tmax, grid, tol) -> list[dict]:
+    """The limit values of every model in ps, from one limit scan."""
+    return [_limit_values(p, lt) for p, lt in zip(ps, limits._limit_records(ps, tmax, grid, tol))]
+
+
+def _limit_values(p: XYZParams, lt: limits.LimitTemperatures) -> dict:
     if lt.censored:
         print(
             f"warning: {', '.join(lt.censored)} still detected at the top of the scan for"
@@ -177,7 +188,7 @@ def cmd_point(args) -> int:
 
 def cmd_limits(args) -> int:
     p = canonicalize(args.vx, args.vy, args.vz, args.b)
-    lim = _limit_values(p, args.tmax, args.grid, args.tol)
+    (lim,) = _limit_rows([p], args.tmax, args.grid, args.tol)
     tc_numeric = meanfield.critical_temperature(p, method="numeric")
     row = {
         "vx": args.vx,
@@ -206,12 +217,10 @@ def cmd_limits(args) -> int:
 _AXES = ("temp", "b", "v_plus", "v_minus", "vz")
 
 
-def _sweep_params(args, value: float) -> tuple[XYZParams, float | None]:
-    """Parameters and temperature for one grid point of the sweep."""
-    vx, vy, vz, b, temp = args.vx, args.vy, args.vz, args.b, args.temp
-    if args.axis == "temp":
-        temp = value
-    elif args.axis == "b":
+def _sweep_model(args, value: float) -> XYZParams:
+    """The model at one value of a parameter axis."""
+    vx, vy, vz, b = args.vx, args.vy, args.vz, args.b
+    if args.axis == "b":
         b = value
     elif args.axis == "vz":
         vz = value
@@ -222,10 +231,12 @@ def _sweep_params(args, value: float) -> tuple[XYZParams, float | None]:
         else:
             v_minus = value
         vx, vy = v_plus + v_minus, v_plus - v_minus
-    return canonicalize(vx, vy, vz, b), temp
+    return canonicalize(vx, vy, vz, b)
 
 
 def cmd_sweep(args) -> int:
+    if not all(map(math.isfinite, (args.start, args.stop, args.stop - args.start))):
+        raise XyzentError(f"need a finite range, got from {args.start} to {args.stop}")
     if not args.start < args.stop:
         raise XyzentError(f"need from < to, got {args.start} and {args.stop}")
 
@@ -250,17 +261,20 @@ def cmd_sweep(args) -> int:
         columns += list(LIMIT_COLUMNS)
 
     values = np.linspace(args.start, args.stop, args.steps)
+    # a temperature axis is one model, whose limits fill every row
+    if args.axis == "temp":
+        models = [canonicalize(args.vx, args.vy, args.vz, args.b)]
+    else:
+        models = [_sweep_model(args, float(v)) for v in values]
+    cols = {args.axis: values}
+    if "state" in groups:
+        temps = values if args.axis == "temp" else np.full(values.size, args.temp)
+        cols.update(_state_values([eigensystem(p) for p in models], temps))
+    if "limits" in groups:
+        lims = _limit_rows(models, args.tmax, args.grid, args.tol) * (values.size // len(models))
+        cols.update((k, [lim[k] for lim in lims]) for k in LIMIT_COLUMNS)
     lines = [",".join(columns)]
-    # a temperature axis is one model, so one batch serves every row
-    for batch in [values] if args.axis == "temp" else values[:, None]:
-        p, temp = _sweep_params(args, float(batch[0]))
-        cols = {args.axis: batch}
-        if "state" in groups:
-            cols.update(_state_values(p, batch if args.axis == "temp" else np.array([temp])))
-        if "limits" in groups:
-            lim = _limit_values(p, args.tmax, args.grid, args.tol)
-            cols.update((k, [v] * len(batch)) for k, v in lim.items())
-        lines += (",".join(fmt(cols[c][i]) for c in columns) for i in range(len(batch)))
+    lines += (",".join(fmt(cols[c][i]) for c in columns) for i in range(values.size))
     _write_lines(lines, args.out)
     return 0
 
@@ -283,7 +297,7 @@ def cmd_figure(args) -> int:
     temps = np.linspace(0.0, 2.5, 501)[1:]
     top = ["b,temp,concurrence"]
     for b in top_fields:
-        c = _state_values(canonicalize(vx, vy, 0.0, b), temps)["concurrence"]
+        c = _state_values([eigensystem(canonicalize(vx, vy, 0.0, b))], temps)["concurrence"]
         top += (f"{fmt(b)},{fmt(t)},{fmt(x)}" for t, x in zip(temps, c))
 
     # center: limit temperatures vs field; bottom: concurrence at each limit
@@ -294,15 +308,18 @@ def cmd_figure(args) -> int:
         "reentry_lower,reentry_upper,reentry_two_level"
     ]
     bottom = ["b_over_v,v_over_b,c_at_t_exact,c_at_t_disorder,c_at_t_entropic,c_at_t_critical"]
-    for b in fields:
-        p = canonicalize(vx, vy, 0.0, float(b))
-        lim = _limit_values(p, args.tmax, args.grid, args.tol)
+    models = [canonicalize(vx, vy, 0.0, float(b)) for b in fields]
+    lims = _limit_rows(models, args.tmax, args.grid, args.tol)
+    # the concurrence at each model's four limits, one kernel column each
+    ts = np.array([[lim[k] or 0.0 for k in ("t_exact", "t_disorder", "t_entropic", "t_critical")] for lim in lims])
+    eigs = [e for e in map(eigensystem, models) for _ in range(ts.shape[1])]
+    c = _state_values(eigs, ts.ravel())["concurrence"].reshape(ts.shape)
+    c = np.where(ts > 0.0, c, np.nan)  # absent at T = 0
+    for b, lim, c_row in zip(fields, lims, c):
         ratio = b / v_unit
         inv = 1.0 / ratio if ratio > 0.0 else None
         center.append(",".join(fmt(x) for x in (ratio, inv, *lim.values())))
-        ts = np.array([lim[k] or 0.0 for k in ("t_exact", "t_disorder", "t_entropic", "t_critical")])
-        c = np.where(ts > 0.0, _state_values(p, ts)["concurrence"], np.nan)  # absent at T = 0
-        bottom.append(",".join(fmt(x) for x in (ratio, inv, *c)))
+        bottom.append(",".join(fmt(x) for x in (ratio, inv, *c_row)))
     # every panel is built (and every setting validated) before any file is written
     os.makedirs(args.out, exist_ok=True)
     for panel, lines in (("top", top), ("center", center), ("bottom", bottom)):

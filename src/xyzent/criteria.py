@@ -68,9 +68,9 @@ def disorder_check(m: BellMixture) -> CriterionReport:
     )
 
 
-def _disorder_margin_rows(p, b_r: float):
+def _disorder_margin_rows(p, b_r):
     """Per-level disorder margins [1 + |(b/Delta)(p_2 - p_1)|]/2 - p_j of
-    probabilities p (shape (4, ...)); broadcasts over the trailing axes."""
+    probabilities p (shape (4, ...)); b_r broadcasts with p[0]."""
     bound = 0.5 * (1.0 + np.abs(b_r * (p[2] - p[1])))
     return bound - p
 
@@ -106,21 +106,23 @@ def entropic_check(m: BellMixture) -> CriterionReport:
     )
 
 
-def _entropic_margin_row(p, b_r: float):
+def _entropic_margin_row(p, b_r):
     """Entropic margin S(rho) - S(rho_A) in bits of probabilities p
-    (shape (4,) or (4, N)).  The two reductions are identical by
-    permutation symmetry, with spectrum (1 +- <S_z>)/2 and
-    <S_z> = (b/Delta)(p_1 - p_2).
+    (shape (4,) or (4, N)), b_r broadcasting with p[0].  The two
+    reductions are identical by permutation symmetry, with spectrum
+    (1 +- <S_z>)/2 and <S_z> = (b/Delta)(p_1 - p_2).
 
     The spectrum is built from the weights as q_1 = s + a p_1 + (1-a) p_2
     and q_2 = s + (1-a) p_1 + a p_2, with s = (p_0 + p_3)/2 and
     a = (1 + |b/Delta|)/2, and each q_k ln q_k is paired with the
     p_k ln p_k it cancels against, so the separable product-diagonal
     mixture (p_0 = p_3 = 0, |b/Delta| = 1, hence q_k = p_k) gives exactly
-    0; subtracting the two entropies whole can leave -1 ulp there.
+    0; subtracting the two entropies whole can leave -1 ulp there.  The
+    sums are elementwise, as a matrix product rounds by batch size.
     """
-    a = 0.5 * (1.0 + abs(b_r))
-    xq1, xq2 = _xlogx(np.array([[0.5, a, 1.0 - a, 0.5], [0.5, 1.0 - a, a, 0.5]]) @ p)
+    a = 0.5 * (1.0 + np.abs(b_r))
+    xq1 = _xlogx(0.5 * p[0] + a * p[1] + (1.0 - a) * p[2] + 0.5 * p[3])
+    xq2 = _xlogx(0.5 * p[0] + (1.0 - a) * p[1] + a * p[2] + 0.5 * p[3])
     xp = _xlogx(p)
     return ((xq1 - xp[1]) + (xq2 - xp[2]) - xp[0] - xp[3]) / _LN2
 

@@ -88,11 +88,11 @@ class PTSpectrum:
         return min(self.q_0, self.q_1, self.q_2, self.q_3)
 
 
-def _exact_margin_rows(w, a1, a2, vm_r: float):
+def _exact_margin_rows(w, a1, a2, vm_r):
     """(margin_12, margin_03) of the mixture w / sum(w), times sum(w).
 
     w has shape (4, ...) and may be unnormalised; everything broadcasts
-    over the trailing axes.
+    over the trailing axes, vm_r included.
 
     a1, a2 are the amplitudes sqrt(w_1), sqrt(w_2).  The cross term is
     their product, never sqrt(w_1 w_2), so it survives where w_1 alone

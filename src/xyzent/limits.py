@@ -4,16 +4,18 @@ Limit temperatures, entangled temperature intervals, the
 vanishing-plus-reentry window, reference closed forms, and the two-level
 mixture thresholds.
 
-limit_temperatures is the only scan, and its record holds every limit.
-It resolves the temperature grid once, with T = 0 as its first sample,
-and evaluates one (4, N) table of signed margins on it (margin_table):
-the two exact margins m12 and m03, the disorder margin and the entropic
-margin.  Every grid sign change of every row is then refined in a
-single vectorised bisection.  The margin formulas are the ones behind
-the scalar checks (entanglement.exact_margins, criteria.disorder_check,
-criteria.entropic_check), broadcast over the grid.  There is one
-margin_table: the grid scan, the bisection and the CLI's thermal-state
-columns (point, sweep and figure) all call it.
+One scan (_limit_records) computes the limits of any number of models,
+and each model's record holds every limit; limit_temperatures is its
+one-model view.  It resolves each model's grid once, with T = 0 as its
+first sample, evaluates one (4, N) table of signed margins on it (the
+two exact margins m12 and m03, the disorder margin and the entropic
+margin) and keeps its sign changes; one vectorised bisection then
+refines every sign change of every model.  All margins come from one
+kernel, _margin_columns, which takes a model per column and whose
+one-model view is margin_table.  Its formulas are the ones behind the
+scalar checks (entanglement.exact_margins, criteria.disorder_check,
+criteria.entropic_check), broadcast over the columns; the grid tables,
+the bisection and the CLI's thermal-state columns all call it.
 
 The two exact margins are refined separately and their violation sets
 merged.  Each margin crosses zero transversally, so both reentry
@@ -33,7 +35,7 @@ from .criteria import _disorder_margin_rows, _entropic_margin_row
 from .entanglement import _exact_margin_rows
 from .errors import DegenerateBasis, InvalidTemperature, OutOfRange
 from .model import EigenSystem, XYZParams, eigensystem
-from .states import _gibbs_exponents, thermal_probabilities
+from .states import _gibbs_exponents, thermal_probabilities  # noqa: F401  (kept bound for tracing)
 
 __all__ = [
     "LimitTemperatures",
@@ -124,21 +126,33 @@ class ClosedFormLimits:
 def margin_table(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
     """The (4, len(ts)) table of signed margins of the thermal states at
     the temperatures ts >= 0 (1-D); rows m12, m03, disorder, entropic.
+    The one-model view of the margin kernel, _margin_columns."""
+    return _margin_columns(eig.energies, eig.vm_ratio, eig.b_ratio, ts)
+
+
+def _margin_columns(energies, vm_ratio, b_ratio, ts) -> np.ndarray:
+    """The margin kernel: column k of the (4, K) table holds the margins
+    of a model's thermal state at ts[k] >= 0, the model given by column k
+    of energies (4, K) and of vm_ratio, b_ratio (K,), or by energies (4,)
+    and scalar ratios in every column.  Each step is elementwise, so a
+    column's bits do not depend on which columns share the call.
 
     The exact rows use the half-exponent Gibbs amplitudes
     a_j = exp(-(E_j-E_min)/2T), so that a genuinely separable model never
     scans as entangled at any temperature (see _exact_margin_rows); the
-    last two the Gibbs weights of thermal_probabilities.  Both come from
-    the exponents of states._gibbs_exponents, so T = 0 is their T -> 0+
-    limit (a_j = 1 on each ground level, 0 above) and no T warns.
+    last two the Gibbs weights exp(-r)/sum(exp(-r)).  Both come from one
+    call to states._gibbs_exponents, so T = 0 is their T -> 0+ limit
+    (a_j = 1 on each ground level, 0 above) and no T warns.
     """
-    p = thermal_probabilities(eig, ts)
-    a = np.exp(-0.5 * _gibbs_exponents(eig, ts))
+    r = _gibbs_exponents(energies, ts)
+    w = np.exp(-r)
+    p = w / w.sum(axis=0)
+    a = np.exp(-0.5 * r)
     w = a * a
     z = w.sum(axis=0)
-    m12, m03 = _exact_margin_rows(w, a[1], a[2], eig.vm_ratio)
-    dis = _disorder_margin_rows(p, eig.b_ratio).min(axis=0)
-    return np.stack([m12 / z, m03 / z, dis, _entropic_margin_row(p, eig.b_ratio)])
+    m12, m03 = _exact_margin_rows(w, a[1], a[2], vm_ratio)
+    dis = _disorder_margin_rows(p, b_ratio).min(axis=0)
+    return np.stack([m12 / z, m03 / z, dis, _entropic_margin_row(p, b_ratio)])
 
 
 def thermal_margin_exact(p: XYZParams, temperature: float) -> tuple[float, float]:
@@ -224,69 +238,62 @@ def _scan_grid(p: XYZParams, eig: EigenSystem, t_r: float | None, t_max: float |
     return ts, float(t_max)
 
 
-def _negative_intervals(eig: EigenSystem, table: np.ndarray, ts: np.ndarray, t_end: float, rel: float):
-    """Per table row, the maximal intervals where its margin is negative,
-    and the rows still negative at t_end.
+def _limit_records(ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL) -> list[LimitTemperatures]:
+    """The LimitTemperatures of every model in ps (see limit_temperatures).
 
-    Every grid sign change of every row is refined in one vectorised
-    bisection; each bracket stops on its own once hi - lo <= rel * hi
-    (checked before each step) or after 200 steps.  The first sample is
-    T = 0; a margin exactly 0 there takes the sign of the next sample,
-    so a boundary ground state does not start its interval where exp
-    stops underflowing.  A negative first sample extends an interval
-    down to 0, a negative last sample up to t_end.
-    """
-    neg = table < 0.0
-    neg[:, 0] = np.where(table[:, 0] == 0.0, neg[:, 1], neg[:, 0])
-    rows, idx = np.nonzero(neg[:, 1:] != neg[:, :-1])
-    leaving = neg[rows, idx]  # negative below the crossing
-    lo, hi = ts[idx], ts[idx + 1]
-    for _ in range(200):
-        live = np.flatnonzero(~(hi - lo <= rel * hi))
-        if live.size == 0:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        to_lo = (margin_table(eig, mid)[rows[live], np.arange(live.size)] < 0.0) == leaving[live]
-        lo[live[to_lo]] = mid[to_lo]
-        hi[live[~to_lo]] = mid[~to_lo]
-    t_cross = 0.5 * (lo + hi)
-
-    out = []
-    for r in range(table.shape[0]):
-        intervals, starts = [], [0.0] if neg[r, 0] else []
-        for left, t in zip(leaving[rows == r], t_cross[rows == r]):
-            if left:
-                intervals.append((starts.pop(), float(t)))
-            else:
-                starts.append(float(t))
-        if neg[r, -1]:
-            intervals.append((starts.pop(), t_end))
-        out.append(intervals)
-    return out, neg[:, -1]
-
-
-def limit_temperatures(
-    p: XYZParams,
-    t_max: float | None = None,
-    grid_n: int = DEFAULT_GRID,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> LimitTemperatures:
-    """All detection limits in one record (see LimitTemperatures).
-
-    Raises OutOfRange for grid_n < 64, a t_max that is not finite and
-    positive, or a rel_tol outside (0, 1).  The two exact margins'
-    violation sets are merged; they are disjoint, so only the bisection's
-    noise can make them overlap.  With hi, lo = max, min(w1, w2) and
-    big = max(w0, w3), m12 < 0 needs vm (hi - lo) > big, while m03 < 0
-    needs |w3 - w0| > vm (hi - lo); since |w3 - w0| <= big, at most one
-    margin is negative at any T.
+    Each grid table is reduced to its sign-change brackets and first and
+    last signs; a margin exactly 0 at T = 0 takes the sign of the next
+    sample, so a boundary ground state does not start its interval where
+    exp stops underflowing.  One bisection refines every bracket in its
+    own model's column; each stops once hi - lo <= rel_tol * hi (checked
+    before each step) or after 200 steps, as it would alone.
     """
     if not 0.0 < rel_tol < 1.0:
         raise OutOfRange(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
-    eig = eigensystem(p)
-    t_r = _two_level(p, eig)
-    ts, t_end = _scan_grid(p, eig, t_r, t_max, grid_n)
-    (m12, m03, dis, ent), at_end = _negative_intervals(eig, margin_table(eig, ts), ts, t_end, rel_tol)
+    eigs, scans, brackets = [], [], []
+    for k, p in enumerate(ps):
+        eig = eigensystem(p)
+        t_r = _two_level(p, eig)
+        ts, t_end = _scan_grid(p, eig, t_r, t_max, grid_n)
+        table = margin_table(eig, ts)
+        neg = table < 0.0
+        neg[:, 0] = np.where(table[:, 0] == 0.0, neg[:, 1], neg[:, 0])
+        rows, idx = np.nonzero(neg[:, 1:] != neg[:, :-1])
+        eigs.append(eig)
+        scans.append((neg[:, 0].tolist(), neg[:, -1].tolist(), t_end, t_r))
+        brackets.append((rows, neg[rows, idx], ts[idx], ts[idx + 1], np.full(rows.size, k)))
+    # row, negative below the crossing, bracket, and model of every bracket
+    rows, leaving, lo, hi, model = map(np.concatenate, zip(*brackets))
+    energies = np.stack([e.energies for e in eigs], axis=1)[:, model]
+    vm_ratio = np.array([e.vm_ratio for e in eigs])[model]
+    b_ratio = np.array([e.b_ratio for e in eigs])[model]
+    for _ in range(200):
+        live = np.flatnonzero(~(hi - lo <= rel_tol * hi))
+        if live.size == 0:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        table = _margin_columns(energies[:, live], vm_ratio[live], b_ratio[live], mid)
+        to_lo = (table[rows[live], np.arange(live.size)] < 0.0) == leaving[live]
+        lo[live[to_lo]] = mid[to_lo]
+        hi[live[~to_lo]] = mid[~to_lo]
+    t_cross = 0.5 * (lo + hi)
+    return [_record(rows[model == k], t_cross[model == k], *scan) for k, scan in enumerate(scans)]
+
+
+def _record(rows, t_cross, first, last, t_end: float, t_r: float | None) -> LimitTemperatures:
+    """One model's record from its refined sign changes.
+
+    A row's sign changes alternate, so with 0 in front of a negative
+    first sample and t_end (censored) behind a negative last one they
+    pair up into the maximal intervals where the margin is negative.
+    The two exact margins' violation sets are merged; they are disjoint,
+    so only the bisection's noise can make them overlap.  With
+    hi, lo = max, min(w1, w2) and big = max(w0, w3), m12 < 0 needs
+    vm (hi - lo) > big, while m03 < 0 needs |w3 - w0| > vm (hi - lo);
+    since |w3 - w0| <= big, at most one margin is negative at any T.
+    """
+    edges = ([0.0] * first[r] + t_cross[rows == r].tolist() + [t_end] * last[r] for r in range(4))
+    m12, m03, dis, ent = (list(zip(e[::2], e[1::2])) for e in edges)
     ints: list[tuple[float, float]] = []
     for lo, hi in sorted(m12 + m03):
         if ints and lo < ints[-1][1]:
@@ -301,8 +308,22 @@ def limit_temperatures(
         t_entropic=ent[-1][1] if ent else None,
         intervals=tuple(ints),
         reentry=reentry,
-        censored=tuple(c for c, hit in zip(_CRITERIA, (at_end[0] or at_end[1], *at_end[2:])) if hit),
+        censored=tuple(c for c, hit in zip(_CRITERIA, (last[0] or last[1], *last[2:])) if hit),
     )
+
+
+def limit_temperatures(
+    p: XYZParams,
+    t_max: float | None = None,
+    grid_n: int = DEFAULT_GRID,
+    rel_tol: float = DEFAULT_REL_TOL,
+) -> LimitTemperatures:
+    """All detection limits in one record (see LimitTemperatures).
+
+    Raises OutOfRange for grid_n < 64, a t_max that is not finite and
+    positive, or a rel_tol outside (0, 1).
+    """
+    return _limit_records([p], t_max, grid_n, rel_tol)[0]
 
 
 def reentry_two_level(p: XYZParams) -> float | None:

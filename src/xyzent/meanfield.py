@@ -135,7 +135,7 @@ def exact_free_energy(p: XYZParams, temperature: float) -> float:
     """-T ln Z from the exact spectrum; lower bound for every product state."""
     t = _check_temperature(temperature)
     eig = eigensystem(p)
-    return float(eig.energies.min() - t * np.log(np.exp(-_gibbs_exponents(eig, t)).sum()))
+    return float(eig.energies.min() - t * np.log(np.exp(-_gibbs_exponents(eig.energies, t)).sum()))
 
 
 def _default_seeds(p: XYZParams) -> np.ndarray:

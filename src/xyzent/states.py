@@ -44,9 +44,11 @@ def mixture(params: XYZParams, probs) -> BellMixture:
     return BellMixture(probs=np.asarray(probs, dtype=float), params=params, eigen=eigensystem(params))
 
 
-def _gibbs_exponents(eigen: EigenSystem, temperature) -> np.ndarray:
-    """The Boltzmann exponents (E_j - E_min)/T, shape (4,) + shape(T).
+def _gibbs_exponents(energies, temperature) -> np.ndarray:
+    """The Boltzmann exponents (E_j - E_min)/T.
 
+    energies has shape (4,), one model broadcast over any shape of T, or
+    (4, K), one model per column at the temperatures T of shape (K,).
     Exactly 0 on the ground levels and +inf above them wherever the ratio
     overflows, T = 0 included, so exp(-r) is the T -> 0+ limit of the
     Gibbs factors at every temperature and nothing warns.
@@ -55,9 +57,10 @@ def _gibbs_exponents(eigen: EigenSystem, temperature) -> np.ndarray:
     bad = ~(np.isfinite(t) & (t >= 0.0))
     if bad.any():
         raise InvalidTemperature(f"temperature must be finite and >= 0, got {float(t[bad][0])!r}")
-    gap = (eigen.energies - eigen.energies.min()).reshape((4,) + (1,) * t.ndim)
+    gap = energies - energies.min(axis=0)
+    gap = gap.reshape(gap.shape + (1,) * (t.ndim + 1 - gap.ndim))
     with np.errstate(divide="ignore", over="ignore"):
-        return np.divide(gap, t, out=np.zeros((4,) + t.shape), where=gap > 0.0)
+        return np.divide(gap, t, out=np.zeros(np.broadcast_shapes(gap.shape, t.shape)), where=gap > 0.0)
 
 
 def thermal_probabilities(eigen: EigenSystem, temperature) -> np.ndarray:
@@ -68,7 +71,7 @@ def thermal_probabilities(eigen: EigenSystem, temperature) -> np.ndarray:
     spread uniformly over all degenerate ground levels (the T -> 0+ limit
     of the Gibbs state).
     """
-    w = np.exp(-_gibbs_exponents(eigen, temperature))
+    w = np.exp(-_gibbs_exponents(eigen.energies, temperature))
     return w / w.sum(axis=0)
 
 

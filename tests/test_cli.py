@@ -12,7 +12,10 @@ import pytest
 
 import xyzent
 from xyzent.cli import _state_values, build_parser, fmt, main, point_report
-from xyzent.model import canonicalize
+from xyzent.entanglement import entanglement_of_formation
+from xyzent.limits import limit_temperatures, margin_table
+from xyzent.meanfield import critical_temperature
+from xyzent.model import canonicalize, eigensystem
 
 from conftest import log_uniform, random_canonical_params
 
@@ -23,6 +26,35 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def limits_alone(p, t_max=None):
+    """The limit values of one model, from its own limit_temperatures."""
+    lt = limit_temperatures(p, t_max=t_max)
+    window = lt.reentry
+    return {
+        "t_exact": lt.t_exact,
+        "t_disorder": lt.t_disorder,
+        "t_entropic": lt.t_entropic,
+        "t_critical": critical_temperature(p, method="closed").t_c,
+        "reentry_lower": window.lower if window else None,
+        "reentry_upper": window.upper if window else None,
+        "reentry_two_level": window.two_level if window else None,
+    }
+
+
+def state_alone(p, temp):
+    """The state values of one model at one temperature, from its own margin_table."""
+    m12, m03, dis, ent = margin_table(eigensystem(p), np.array([temp]))[:, 0]
+    c = -min(m12, m03) if min(m12, m03) < 0.0 else 0.0
+    return {
+        "concurrence": c,
+        "eof": entanglement_of_formation(c),
+        "margin_12": m12,
+        "margin_03": m03,
+        "disorder_margin": dis,
+        "entropic_margin": ent,
+    }
 
 
 class TestPoint:
@@ -188,7 +220,7 @@ class TestSweep:
         ties = [canonicalize(1.0, 0.4, 0.4, 0.0), canonicalize(0.7, 0.7, -0.3, 0.0)]
         for p in ties + [random_canonical_params(rng) for _ in range(20)]:
             temps = np.concatenate([[0.0], log_uniform(rng, 1e-2, 1e1, size=6) * p.energy_scale])
-            cols = _state_values(p, temps)
+            cols = _state_values([eigensystem(p)], temps)
             assert not np.signbit(cols["concurrence"]).any()  # never prints "-0"
             for k, t in enumerate(temps):
                 rep = point_report(p.vx, p.vy, p.vz, p.b, float(t))
@@ -222,6 +254,58 @@ class TestSweep:
         )
         assert code == 2 and out == "" and "grid_n" in err
 
+    def test_parameter_axis_matches_one_model_rows(self, capsys):
+        # one limit scan and one state kernel call for all 41 rows, each row
+        # as its model gives alone
+        code, out, err = run(
+            capsys, "sweep", "--axis", "b", "--from", "0", "--to", "2", "--steps", "41",
+            "--vx", "1.7", "--vy", "0.3", "--outputs", "state,limits", "--temp", "0.3",
+        )
+        assert code == 0 and err == ""
+        lines = out.strip().split("\n")
+        header = lines[0].split(",")
+        assert len(lines) == 42
+        for b, line in zip(np.linspace(0.0, 2.0, 41), lines[1:]):
+            p = canonicalize(1.7, 0.3, 0.0, float(b))
+            want = {**state_alone(p, 0.3), **limits_alone(p)}
+            assert line == ",".join([fmt(b)] + [fmt(want[k]) for k in header[1:]]), b
+
+    def test_censored_rows_warn_in_row_order(self, capsys):
+        # t_exact = 1.13 at b <= 1 and 0 above; the disorder limit falls with b
+        code, out, err = run(
+            capsys, "sweep", "--axis", "b", "--from", "0", "--to", "2", "--steps", "9",
+            "--vx", "1", "--vy", "1", "--outputs", "limits", "--tmax", "0.6",
+        )
+        assert code == 0
+        want = []
+        for b in np.linspace(0.0, 2.0, 9):
+            p = canonicalize(1.0, 1.0, 0.0, float(b))
+            censored = limit_temperatures(p, t_max=0.6).censored
+            if censored:
+                want.append(
+                    f"warning: {', '.join(censored)} still detected at the top of the scan for"
+                    f" vx=1 vy=1 vz=0 b={fmt(b)}; those limits are lower bounds (raise --tmax)"
+                )
+        assert len(want) >= 2 and err == "".join(w + "\n" for w in want)
+        assert [line.split(",")[1] for line in out.strip().split("\n")[1:]] == [
+            fmt(limits_alone(canonicalize(1.0, 1.0, 0.0, float(b)), 0.6)["t_exact"])
+            for b in np.linspace(0.0, 2.0, 9)
+        ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "axis, start, stop",
+        [("b", "-1e308", "1e308"), ("b", "0", "inf"), ("temp", "0", "inf"), ("vz", "-inf", "0"), ("b", "nan", "1")],
+    )
+    def test_non_finite_range_is_input_error(self, capsys, axis, start, stop):
+        # rejected before np.linspace, which would warn and hand on a nan
+        code, out, err = run(
+            capsys, "sweep", f"--axis={axis}", f"--from={start}", f"--to={stop}", "--steps=3",
+            "--vx=1", *(["--outputs=limits"] if axis != "temp" else []),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: need a finite range") and err.count("\n") == 1, err
+
     def test_tiny_field_splitting_is_not_degenerate(self, capsys):
         # Delta = 1e-13 is a real splitting of the aligned levels, resolved
         # at these temperatures; only Delta == 0 is degenerate
@@ -234,7 +318,7 @@ class TestSweep:
         rows = out.strip().split("\n")[1:]
         assert [float(r.split(",")[0]) for r in rows] == list(temps)
         p = canonicalize(0.0, 0.0, 1.0, 1e-13)
-        cols = _state_values(p, temps)
+        cols = _state_values([eigensystem(p)], temps)
         eps = np.finfo(float).eps
         for k, t in enumerate(temps):
             rep = point_report(0.0, 0.0, 1.0, 1e-13, float(t))
@@ -385,6 +469,40 @@ class TestFigure:
         )
         assert code == 2 and "grid_n" in err
         assert list(tmp_path.iterdir()) == []  # no panel written before validation
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--grid=10", "grid_n must be >= 64, got 10"),
+            ("--tmax=-1", "t_max must be finite and positive, got -1.0"),
+            ("--tol=nan", "rel_tol must lie in (0, 1), got nan"),
+        ],
+    )
+    def test_invalid_scan_settings_write_nothing(self, capsys, tmp_path, flag, message):
+        for argv in (
+            ["figure", "fig4", "--steps", "5", "--out", str(tmp_path / "panels")],
+            ["sweep", "--axis=b", "--from=0", "--to=1", "--steps=5", "--vx=1", "--out", str(tmp_path / "rows.csv")],
+        ):
+            code, out, err = run(capsys, *argv, flag)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+            assert list(tmp_path.iterdir()) == [], argv
+
+    def test_fig4_matches_one_model_rows(self, capsys, tmp_path):
+        # centre and bottom panels come from one limit scan and one kernel
+        # call; every row must be what its model gives alone
+        code, _, err = run(capsys, "figure", "fig4", "--out", str(tmp_path), "--steps", "41")
+        assert code == 0 and err == ""
+        center = (tmp_path / "fig4_center.csv").read_text().strip().split("\n")
+        bottom = (tmp_path / "fig4_bottom.csv").read_text().strip().split("\n")
+        assert len(center) == len(bottom) == 42
+        keys = ("t_exact", "t_disorder", "t_entropic", "t_critical")
+        for ratio, c_line, b_line in zip(np.linspace(0.0, 2.0, 41), center[1:], bottom[1:]):
+            p = canonicalize(1.7, 0.3, 0.0, float(ratio))
+            want = limits_alone(p)
+            head = [fmt(ratio), fmt(1.0 / ratio if ratio > 0.0 else None)]
+            assert c_line == ",".join(head + [fmt(v) for v in want.values()]), ratio
+            c = [state_alone(p, want[k])["concurrence"] if want[k] else None for k in keys]
+            assert b_line == ",".join(head + [fmt(x) for x in c]), ratio
 
     def test_too_few_steps_is_input_error(self, capsys, tmp_path):
         for steps in ("-1", "0", "1"):

@@ -13,6 +13,8 @@ from xyzent.limits import (
     DEFAULT_REL_TOL,
     LimitTemperatures,
     ReentryWindow,
+    _limit_records,
+    _margin_columns,
     _scan_grid,
     closed_form_limits,
     limit_temperatures,
@@ -487,6 +489,9 @@ class TestSingleScanMatchesReference:
         assert censored and never and reentry
 
     def test_scalar_checks_match_table(self, rng):
+        # the disorder and entropic checks run the table's formulas on the
+        # same weights, so they agree bit for bit; the exact margins take
+        # their cross term from sqrt(p_1 p_2) instead of the amplitudes
         eps = np.finfo(float).eps
         for p, _, _ in _reference_cases(rng)[::5]:
             eig = eigensystem(p)
@@ -494,12 +499,64 @@ class TestSingleScanMatchesReference:
             table = margin_table(eig, ts)
             for k, t in enumerate(ts):
                 m = thermal_mixture(p, float(t))
-                scalar = (
-                    *exact_margins(m),
-                    disorder_check(m).margin,
-                    entropic_check(m).margin,
-                )
-                assert np.abs(np.array(scalar) - table[:, k]).max() <= 16 * eps, (p, t)
+                assert np.abs(np.array(exact_margins(m)) - table[:2, k]).max() <= 16 * eps, (p, t)
+                assert disorder_check(m).margin == table[2, k], (p, t)
+                assert entropic_check(m).margin == table[3, k], (p, t)
+
+    def test_table_columns_do_not_depend_on_the_batch(self, rng):
+        # a column has the same bits alone, among 7 and among 5000, and the
+        # scalar checks (what `point` prints) equal it; a matrix product in
+        # the entropic row used to round columns by batch size
+        for _ in range(20):
+            p = random_canonical_params(rng)
+            eig = eigensystem(p)
+            ts = log_uniform(rng, 1e-2, 1e1, size=5000) * p.energy_scale
+            batch = margin_table(eig, ts)
+            for k in range(3, 5000, 125):
+                alone = margin_table(eig, ts[k : k + 1])[:, 0]
+                assert np.array_equal(alone, batch[:, k]), (p, ts[k])
+                assert np.array_equal(margin_table(eig, ts[k - 3 : k + 4])[:, 3], alone), (p, ts[k])
+                m = thermal_mixture(p, float(ts[k]))
+                assert disorder_check(m).margin == batch[2, k], (p, ts[k])
+                assert entropic_check(m).margin == batch[3, k], (p, ts[k])
+
+    def test_kernel_columns_are_one_model_tables(self, rng):
+        # one model per column gives each column the bits of its own table
+        models = [random_canonical_params(rng) for _ in range(30)] + [canonicalize(0.7, 0.7, -0.3, 0.0)]
+        eigs = [eigensystem(p) for p in models]
+        ts = np.concatenate([[0.0], log_uniform(rng, 1e-2, 1e1, size=len(models) - 1)])
+        ts *= [p.energy_scale for p in models]
+        table = _margin_columns(
+            np.stack([e.energies for e in eigs], axis=1),
+            np.array([e.vm_ratio for e in eigs]),
+            np.array([e.b_ratio for e in eigs]),
+            ts,
+        )
+        for k, (eig, t) in enumerate(zip(eigs, ts)):
+            assert np.array_equal(table[:, k], margin_table(eig, np.array([t]))[:, 0]), (models[k], t)
+
+
+class TestBatchedScan:
+    def test_groups_match_one_model_scans(self, rng):
+        # every (t_max, grid_n) group in one scan: each record equals the
+        # model's own limit_temperatures field for field, bit for bit
+        groups = {}
+        for p, t_max, grid_n in _reference_cases(rng):
+            groups.setdefault((t_max, grid_n), []).append(p)
+            if t_max is None:  # and every default-range model in one scan
+                groups.setdefault((None, 512), []).append(p)
+        assert max(map(len, groups.values())) >= 150
+        censored = never = reentry = degenerate = 0
+        for (t_max, grid_n), ps in groups.items():
+            got = _limit_records(ps, t_max, grid_n, DEFAULT_REL_TOL)
+            assert len(got) == len(ps)
+            for p, lt in zip(ps, got):
+                assert lt == limit_temperatures(p, t_max=t_max, grid_n=grid_n), (p, t_max, grid_n)
+                censored += "exact" in lt.censored
+                never += not lt.intervals
+                reentry += lt.reentry is not None
+                degenerate += eigensystem(p).degenerate
+        assert censored and never and reentry and degenerate
 
 
 class TestZeroTemperatureLimit:
