@@ -333,16 +333,20 @@ def cmd_figure(args) -> int:
 
 
 def _load_config(path) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise XyzentError(f"config file {path!r} is not UTF-8 text") from None
     cfg = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise XyzentError(f"bad config line: {line!r}")
-            key, _, value = line.partition("=")
-            cfg[key.strip()] = value.strip()
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise XyzentError(f"bad config line: {line!r}")
+        key, _, value = line.partition("=")
+        cfg[key.strip()] = value.strip()
     return cfg
 
 

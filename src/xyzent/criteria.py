@@ -8,21 +8,18 @@ at zero field; the entropic check is strictly weaker for mixed states.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import _LN2, _xlogx, separability_exact
-from .states import BellMixture, SpinAverages
+from .states import BellMixture
 
 __all__ = [
     "CriterionReport",
     "exact_check",
     "disorder_check",
-    "disorder_margins_spin_form",
     "entropic_check",
-    "majorization_margins",
 ]
 
 
@@ -75,21 +72,6 @@ def _disorder_margin_rows(p, b_r):
     return bound - p
 
 
-def disorder_margins_spin_form(a: SpinAverages) -> tuple[float, float]:
-    """Disorder margins recast in total-spin averages.
-
-    |<S_x^2 - S_y^2>| <= sqrt(<1-S_z^2>^2 + 2 |<S_z>| <1-S_z^2>)
-    |<S_x^2 + S_y^2 - 1>| <= <S_z^2> + |<S_z>|
-
-    Each line is sign-equivalent to the eigenvalue form restricted to
-    levels 1,2 and 0,3 respectively (margins differ in magnitude).
-    """
-    w = 1.0 - a.sz2  # = p_0 + p_3, never negative
-    margin_12 = math.sqrt(max(0.0, w * w + 2.0 * abs(a.sz) * w)) - abs(a.sx2 - a.sy2)
-    margin_03 = (a.sz2 + abs(a.sz)) - abs(a.sx2 + a.sy2 - 1.0)
-    return margin_12, margin_03
-
-
 def entropic_check(m: BellMixture) -> CriterionReport:
     """Von Neumann entropic criterion, base-2 on both sides.
 
@@ -125,20 +107,3 @@ def _entropic_margin_row(p, b_r):
     xq2 = _xlogx(0.5 * p[0] + (1.0 - a) * p[1] + a * p[2] + 0.5 * p[3])
     xp = _xlogx(p)
     return ((xq1 - xp[1]) + (xq2 - xp[2]) - xp[0] - xp[3]) / _LN2
-
-
-def majorization_margins(spectrum4, spectrum2) -> np.ndarray:
-    """Partial-sum margins of 'spectrum4 majorized by spectrum2'.
-
-    Both spectra are sorted descending and the short one zero-padded;
-    entry k is sum(top k of spectrum2) - sum(top k of spectrum4).  All
-    entries >= 0 means majorized.  For a two-entry right-hand side only
-    the first partial sum can bind, which is why disorder_check needs
-    just the largest-eigenvalue comparison; this general form backs that
-    reduction in tests.
-    """
-    a = np.sort(np.asarray(spectrum4, dtype=float))[::-1]
-    r = np.zeros_like(a)
-    b = np.sort(np.asarray(spectrum2, dtype=float))[::-1]
-    r[: b.size] = b
-    return np.cumsum(r) - np.cumsum(a)

@@ -9,7 +9,7 @@ The state is entangled iff one of them is violated (never both), and its
 concurrence equals the size of the violation.  The labels 12/03 name the
 eigenstate pair the entanglement is attributed to when the corresponding
 inequality breaks.  The general (any two-qubit density matrix) route via
-the spin-flipped product spectrum is kept as an independent oracle.
+the spin-flipped product spectrum is the oracle linalg.concurrence_general.
 """
 
 from __future__ import annotations
@@ -19,21 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import OutOfRange
-from .states import BellMixture, SpinAverages
+from .states import BellMixture
 
 __all__ = [
     "SeparabilityReport",
-    "RSpectrum",
     "PTSpectrum",
     "separability_exact",
     "exact_margins",
-    "r_spectrum",
     "pt_spectrum",
-    "concurrence_general",
     "entanglement_of_formation",
-    "total_spin_margins",
 ]
 
 _LN2 = math.log(2.0)
@@ -48,26 +43,6 @@ class SeparabilityReport:
     entangled: bool
     violated: str | None  # None | "12" | "03"
     concurrence: float
-
-
-@dataclass(frozen=True)
-class RSpectrum:
-    """Eigenvalues of the concurrence matrix R, labelled like the levels:
-    lambda_0 = p_0, lambda_3 = p_3, and the 1/2 pair carrying the field
-    dependence."""
-
-    lambda_0: float
-    lambda_1: float
-    lambda_2: float
-    lambda_3: float
-
-    @property
-    def trace_r(self) -> float:
-        return self.lambda_0 + self.lambda_1 + self.lambda_2 + self.lambda_3
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([self.lambda_0, self.lambda_1, self.lambda_2, self.lambda_3])
 
 
 @dataclass(frozen=True)
@@ -136,21 +111,6 @@ def separability_exact(m: BellMixture) -> SeparabilityReport:
     )
 
 
-def r_spectrum(m: BellMixture) -> RSpectrum:
-    """Closed-form spectrum of R; max(2*lambda_max - trace R, 0) is the
-    concurrence."""
-    vm_r = m.eigen.vm_ratio
-    p0, p1, p2, p3 = m.probs
-    root = math.hypot(vm_r * (p2 - p1), 2.0 * math.sqrt(p1) * math.sqrt(p2))
-    half_split = 0.5 * vm_r * (p1 - p2)
-    return RSpectrum(
-        lambda_0=p0,
-        lambda_1=0.5 * root + half_split,
-        lambda_2=0.5 * root - half_split,
-        lambda_3=p3,
-    )
-
-
 def pt_spectrum(m: BellMixture) -> PTSpectrum:
     """Closed-form partial-transpose eigenvalues.
 
@@ -168,25 +128,6 @@ def pt_spectrum(m: BellMixture) -> PTSpectrum:
         q_2=0.5 * (p0 + p3 - split_12),
         q_3=0.5 * (p1 + p2 - root_03),
     )
-
-
-def concurrence_general(rho) -> float:
-    """Wootters concurrence of an arbitrary two-qubit density matrix.
-
-    Computed from the eigenvalues of rho @ spin_flip(rho): their square
-    roots are the R eigenvalues, and C = max(0, 2*max - sum).  Eigenvalue
-    dust of the product (negative, or positive below the eigensolver's
-    resolution) is clipped before the square root; without the clip the
-    square root amplifies O(eps)-sized dust of rank-deficient products
-    (pure states) to O(sqrt(eps)) errors.
-    """
-    a = linalg.validate_density(rho)
-    m = a @ linalg.spin_flip(a)
-    ev = np.linalg.eigvals(m).real
-    dust = 64.0 * np.finfo(float).eps * max(np.abs(ev).max(), np.abs(m).max())
-    lam = np.sqrt(np.where(ev > dust, ev, 0.0))
-    lam.sort()
-    return float(max(0.0, 2.0 * lam[-1] - lam.sum()))
 
 
 def entanglement_of_formation(concurrence):
@@ -222,17 +163,3 @@ def _binary_entropy_bits(q):
     """
     q = np.asarray(q, dtype=float)
     return (0.0 - (_xlogx(q) + (1.0 - q) * np.log1p(-np.where(q < 1.0, q, 0.0)))) / _LN2
-
-
-def total_spin_margins(a: SpinAverages) -> tuple[float, float]:
-    """The separability margins written in total-spin averages.
-
-    |<S_x^2 - S_y^2>| <= <1 - S_z^2>         (pair 12)
-    |<S_x^2 + S_y^2 - 1>| <= sqrt(<S_z^2>^2 - <S_z>^2)   (pair 03)
-
-    Algebraically identical to exact_margins on the generating mixture.
-    """
-    margin_12 = (1.0 - a.sz2) - abs(a.sx2 - a.sy2)
-    rad = max(0.0, a.sz2 - a.sz) * max(0.0, a.sz2 + a.sz)  # factored difference of squares
-    margin_03 = math.sqrt(rad) - abs(a.sx2 + a.sy2 - 1.0)
-    return margin_12, margin_03

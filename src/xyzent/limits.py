@@ -33,7 +33,7 @@ import numpy as np
 
 from .criteria import _disorder_margin_rows, _entropic_margin_row
 from .entanglement import _exact_margin_rows
-from .errors import DegenerateBasis, InvalidTemperature, OutOfRange
+from .errors import DegenerateBasis, OutOfRange
 from .model import EigenSystem, XYZParams, eigensystem
 from .states import _gibbs_exponents, thermal_probabilities  # noqa: F401  (kept bound for tracing)
 
@@ -43,7 +43,6 @@ __all__ = [
     "ReentryWindow",
     "ClosedFormLimits",
     "margin_table",
-    "thermal_margin_exact",
     "limit_temperatures",
     "reentry_two_level",
     "mixture_thresholds",
@@ -153,50 +152,6 @@ def _margin_columns(energies, vm_ratio, b_ratio, ts) -> np.ndarray:
     m12, m03 = _exact_margin_rows(w, a[1], a[2], vm_ratio)
     dis = _disorder_margin_rows(p, b_ratio).min(axis=0)
     return np.stack([m12 / z, m03 / z, dis, _entropic_margin_row(p, b_ratio)])
-
-
-def thermal_margin_exact(p: XYZParams, temperature: float) -> tuple[float, float]:
-    """The exact separability margins in their thermal (hyperbolic) form.
-
-    margin 1:  cosh(b_+ ) - (v_-/Delta) e^{b_z} sinh(b_D)
-    margin 2:  sqrt(1 + (v_-/Delta)^2 sinh^2(b_D)) - e^{-b_z} sinh(b_+)
-
-    with b_+ = v_plus/T, b_z = vz/T, b_D = Delta/T.  Same signs as the
-    probability-form margins (they differ by the positive factor
-    Z e^{+-b_z/2} / 2), so min < 0 iff the thermal state is entangled.
-    Evaluated with a factored-out exponential so extreme beta yields
-    +-inf rather than NaN.
-    """
-    if temperature <= 0.0 or not math.isfinite(temperature):
-        raise InvalidTemperature(f"temperature must be positive, got {temperature!r}")
-    eig = eigensystem(p)
-    beta = 1.0 / temperature
-    a = beta * p.v_plus
-    d = beta * eig.delta
-    z = beta * p.vz
-    vm_r = eig.vm_ratio
-
-    m = max(a, z + d, z - d, 0.0)
-    bracket = (
-        0.5 * (math.exp(a - m) + math.exp(-a - m))
-        - 0.5 * vm_r * (math.exp(z + d - m) - math.exp(z - d - m))
-    )
-    margin_1 = _scaled(bracket, m)
-
-    m = max(d, a - z, -a - z, 0.0)
-    sinh_d = 0.5 * (math.exp(d - m) - math.exp(-d - m))
-    lhs = math.hypot(math.exp(-m), vm_r * sinh_d)
-    rhs = 0.5 * (math.exp(a - z - m) - math.exp(-a - z - m))
-    margin_2 = _scaled(lhs - rhs, m)
-    return margin_1, margin_2
-
-
-def _scaled(bracket: float, log_factor: float) -> float:
-    if bracket == 0.0:
-        return 0.0
-    if log_factor > 700.0:  # exp would overflow; sign is already decided
-        return math.copysign(math.inf, bracket)
-    return bracket * math.exp(log_factor)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput
+from .errors import NonFiniteInput, OutOfRange
+
+#: Largest accepted energy scale max(|vx|, |vy|, |vz|, |b|), about 2.8e306.
+#: The largest intermediate any computation forms is the limit-scan
+#: bisection sum lo + hi <= 2 t_max = 40 energy_scale, which must stay finite.
+MAX_ENERGY_SCALE = 2.0**1018
 
 
 @dataclass(frozen=True)
@@ -84,10 +89,14 @@ def canonicalize(vx: float, vy: float, vz: float, b: float) -> XYZParams:
     b, v_plus and v_minus are replaced by their absolute values (vz is
     kept as given); the applied flips are recorded on the result.  The
     spectrum, concurrence and every limit temperature are unchanged.
+    Raises OutOfRange above MAX_ENERGY_SCALE.
     """
     vals = (vx, vy, vz, b)
     if not all(math.isfinite(v) for v in vals):
         raise NonFiniteInput(f"non-finite parameter in {vals!r}")
+    scale = max(abs(v) for v in vals)
+    if scale > MAX_ENERGY_SCALE:
+        raise OutOfRange(f"energy scale {scale!r} exceeds the bound 2**1018 (about 2.8e306)")
     flips = []
     if b < 0.0:
         b = -b
@@ -121,14 +130,13 @@ class EigenSystem:
     with Delta = sqrt(v_minus^2 + b^2) and u_pm = sqrt(1 +- b/Delta).
     In the degenerate case Delta = 0 (v_minus = b = 0) the convention is
     u_plus = sqrt(2), u_minus = 0, i.e. |Phi_1> = |++>, |Phi_2> = |-->,
-    and the ratios v_minus/Delta and b/Delta are both taken as 0.
+    and the ratios v_minus/Delta and b/Delta are both taken as 0.  The
+    runtime needs only the energies and the two ratios; the vectors are
+    built by the oracle linalg.eigenvectors.
     """
 
     energies: np.ndarray  # shape (4,), indexed by level label
     delta: float
-    u_plus: float
-    u_minus: float
-    vectors: np.ndarray  # shape (4, 4), row j = |Phi_j> in the standard basis
     degenerate: bool
     #: v_minus/Delta and b/Delta under the degenerate convention
     vm_ratio: float = 0.0
@@ -159,59 +167,25 @@ def _snap_degeneracies(energies: np.ndarray) -> np.ndarray:
 
 
 def eigensystem(p: XYZParams) -> EigenSystem:
-    """Eigen-energies and eigenvectors for canonical parameters."""
+    """Eigen-energies and mixing ratios for canonical parameters."""
     vp, vm, vz, b = p.v_plus, p.v_minus, p.vz, p.b
     delta = math.hypot(vm, b)
     # the closed forms are exact for every Delta > 0; at Delta == 0 the
     # levels E_1 and E_2 are the same float, so their Gibbs weights are equal
     degenerate = delta == 0.0
     if degenerate:
-        # the b -> 0+ limit at v_minus = 0: |Phi_1> = |++>, |Phi_2> = |-->
         vm_ratio, b_ratio = 0.0, 0.0
-        u_plus, u_minus = math.sqrt(2.0), 0.0
     else:
         vm_ratio = vm / delta
         b_ratio = b / delta
-        u_plus = math.sqrt(1.0 + b_ratio)
-        u_minus = math.sqrt(max(0.0, 1.0 - b_ratio))
 
     energies = np.array([0.5 * vz + vp, -0.5 * vz + delta, -0.5 * vz - delta, 0.5 * vz - vp])
     energies = _snap_degeneracies(energies)
 
-    s = 1.0 / math.sqrt(2.0)
-    vectors = np.array(
-        [
-            [0.0, s, -s, 0.0],
-            [u_plus * s, 0.0, 0.0, -u_minus * s],
-            [u_minus * s, 0.0, 0.0, u_plus * s],
-            [0.0, s, s, 0.0],
-        ]
-    )
-
     return EigenSystem(
         energies=energies,
         delta=delta,
-        u_plus=u_plus,
-        u_minus=u_minus,
-        vectors=vectors,
         degenerate=degenerate,
         vm_ratio=vm_ratio,
         b_ratio=b_ratio,
-    )
-
-
-def hamiltonian_matrix(p: XYZParams) -> np.ndarray:
-    """The Hamiltonian as a real symmetric 4x4 matrix in the standard basis.
-
-    Accepts raw (pre-canonicalization) parameters as well; the matrix
-    itself is sign-dependent but its spectrum is not.
-    """
-    vp, vm, vz, b = p.v_plus, p.v_minus, p.vz, p.b
-    return np.array(
-        [
-            [b - 0.5 * vz, 0.0, 0.0, -vm],
-            [0.0, 0.5 * vz, -vp, 0.0],
-            [0.0, -vp, 0.5 * vz, 0.0],
-            [-vm, 0.0, 0.0, -b - 0.5 * vz],
-        ]
     )

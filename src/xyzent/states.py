@@ -80,68 +80,3 @@ def thermal_mixture(params: XYZParams, temperature: float) -> BellMixture:
     eig = eigensystem(params)
     p = thermal_probabilities(eig, float(temperature))
     return BellMixture(probs=p, params=params, eigen=eig)
-
-
-@dataclass(frozen=True)
-class SpinAverages:
-    """Total and pair spin expectations of a BellMixture.
-
-    sz is <S_z>; sxsx, sysy, szsz are the pair correlators <s_i^A s_i^B>;
-    sx2, sy2, sz2 are <S_i^2> = 2 <s_i^A s_i^B> + 1/2.
-    """
-
-    sz: float
-    sxsx: float
-    sysy: float
-    szsz: float
-    sx2: float
-    sy2: float
-    sz2: float
-
-
-def spin_averages(m: BellMixture) -> SpinAverages:
-    """Spin expectations in closed form.
-
-    <S_z>        = (b/Delta) (p_1 - p_2)
-    <s_z s_z>    = (p_1 + p_2 - 1/2) / 2
-    <s_x s_x>    = [p_3 - p_0 + (v_minus/Delta)(p_2 - p_1)] / 4
-    <s_y s_y>    = [p_3 - p_0 - (v_minus/Delta)(p_2 - p_1)] / 4
-    """
-    p0, p1, p2, p3 = m.probs
-    eig = m.eigen
-    sz = eig.b_ratio * (p1 - p2)
-    szsz = 0.5 * (p1 + p2 - 0.5)
-    sxsx = 0.25 * (p3 - p0 + eig.vm_ratio * (p2 - p1))
-    sysy = 0.25 * (p3 - p0 - eig.vm_ratio * (p2 - p1))
-    return SpinAverages(
-        sz=sz,
-        sxsx=sxsx,
-        sysy=sysy,
-        szsz=szsz,
-        sx2=2.0 * sxsx + 0.5,
-        sy2=2.0 * sysy + 0.5,
-        sz2=2.0 * szsz + 0.5,
-    )
-
-
-_SZ = np.diag([1.0, 0.0, 0.0, -1.0])
-_XX = np.fliplr(np.eye(4))
-_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
-_ZZ = np.diag([1.0, -1.0, -1.0, 1.0])
-
-
-def realize_matrix(m: BellMixture) -> np.ndarray:
-    """The mixture as an explicit 4x4 density matrix (real, standard basis).
-
-    Built two ways and cross-checked entry-wise to 1e-12: the spectral
-    sum over projectors onto the eigenvectors, and the operator form
-    1/4 + <S_z> S_z / 2 + sum_i <s_i s_i> sigma_i (x) sigma_i.
-    """
-    spectral = np.einsum("j,ja,jb->ab", m.probs, m.eigen.vectors, m.eigen.vectors)
-    spectral = 0.5 * (spectral + spectral.T)  # exact symmetry
-    a = spin_averages(m)
-    operator = 0.25 * np.eye(4) + 0.5 * a.sz * _SZ + a.sxsx * _XX + a.sysy * _YY + a.szsz * _ZZ
-    dev = np.abs(spectral - operator).max()
-    if dev > 1e-12:
-        raise AssertionError(f"spectral and operator constructions disagree by {dev:.3e}")
-    return spectral

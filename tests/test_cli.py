@@ -397,6 +397,13 @@ class TestConfig:
         code, _, _ = run(capsys, "point", "--temp", "1", "--config", str(tmp_path / "nope.cfg"))
         assert code == 3
 
+    def test_non_utf8_config_is_input_error(self, capsys, tmp_path):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "point", "--temp", "1", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error: config file") and err.count("\n") == 1, err
+
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("vx 1\n")

@@ -2,17 +2,12 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from xyzent import linalg
-from xyzent.criteria import (
-    disorder_check,
-    disorder_margins_spin_form,
-    entropic_check,
-    exact_check,
-    majorization_margins,
-)
+from xyzent.criteria import disorder_check, entropic_check, exact_check
 from xyzent.entanglement import _LN2, _binary_entropy_bits, _xlogx, separability_exact
 from xyzent.limits import margin_table
+from xyzent.linalg import disorder_margins_spin_form, majorization_margins, realize_matrix, spin_averages
 from xyzent.model import canonicalize, eigensystem
-from xyzent.states import mixture, realize_matrix, spin_averages, thermal_mixture, thermal_probabilities
+from xyzent.states import mixture, thermal_mixture, thermal_probabilities
 
 from conftest import log_uniform, random_canonical_params, random_mixture
 

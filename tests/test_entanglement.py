@@ -7,17 +7,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xyzent import linalg
-from xyzent.entanglement import (
-    concurrence_general,
-    entanglement_of_formation,
-    pt_spectrum,
-    r_spectrum,
-    separability_exact,
-    total_spin_margins,
-)
+from xyzent.entanglement import entanglement_of_formation, pt_spectrum, separability_exact
 from xyzent.errors import DegenerateBasis, NonPhysicalState, OutOfRange
+from xyzent.linalg import concurrence_general, r_spectrum, realize_matrix, spin_averages, total_spin_margins
 from xyzent.model import canonicalize
-from xyzent.states import mixture, realize_matrix, spin_averages, thermal_mixture
+from xyzent.states import mixture, thermal_mixture
 
 from conftest import random_canonical_params, random_mixture, random_simplex
 

@@ -21,8 +21,8 @@ from xyzent.limits import (
     margin_table,
     mixture_thresholds,
     reentry_two_level,
-    thermal_margin_exact,
 )
+from xyzent.linalg import thermal_margin_exact
 from xyzent.meanfield import critical_temperature
 from xyzent.model import canonicalize, eigensystem
 from xyzent.states import mixture, thermal_mixture, thermal_probabilities

@@ -4,8 +4,9 @@ from numpy.testing import assert_allclose
 
 from xyzent import linalg
 from xyzent.errors import InvalidSpectrum, NonHermitianInput, NonPhysicalState
+from xyzent.linalg import realize_matrix, spin_averages
 from xyzent.model import canonicalize
-from xyzent.states import realize_matrix, spin_averages, thermal_mixture
+from xyzent.states import thermal_mixture
 
 from conftest import random_mixture
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xyzent.errors import NonFiniteInput
-from xyzent.model import XYZParams, canonicalize, eigensystem, hamiltonian_matrix
+from xyzent.linalg import _amplitudes, eigenvectors, hamiltonian_matrix
+from xyzent.model import XYZParams, canonicalize, eigensystem
 
 from conftest import random_canonical_params
 
@@ -58,17 +59,19 @@ class TestEigensystem:
         eig = eigensystem(canonicalize(1.0, 1.0, 0.0, 0.5))
         assert_allclose(eig.energies, [1.0, 0.5, -0.5, -1.0])
         assert eig.delta == 0.5
-        assert abs(eig.u_plus - math.sqrt(2)) < 1e-15
-        assert eig.u_minus == 0.0
-        assert_allclose(eig.vectors[1], [1, 0, 0, 0], atol=1e-15)  # |Phi_1> = |++>
-        assert_allclose(eig.vectors[2], [0, 0, 0, 1], atol=1e-15)
+        u_plus, u_minus = _amplitudes(eig)
+        assert abs(u_plus - math.sqrt(2)) < 1e-15
+        assert u_minus == 0.0
+        assert_allclose(eigenvectors(eig)[1], [1, 0, 0, 0], atol=1e-15)  # |Phi_1> = |++>
+        assert_allclose(eigenvectors(eig)[2], [0, 0, 0, 1], atol=1e-15)
 
     def test_zero_field_bell_basis(self):
         eig = eigensystem(canonicalize(0.8, 0.2, 0.1, 0.0))
-        assert eig.u_plus == eig.u_minus == 1.0
+        u_plus, u_minus = _amplitudes(eig)
+        assert u_plus == u_minus == 1.0
         s = 1 / math.sqrt(2)
-        assert_allclose(eig.vectors[1], [s, 0, 0, -s])
-        assert_allclose(eig.vectors[2], [s, 0, 0, s])
+        assert_allclose(eigenvectors(eig)[1], [s, 0, 0, -s])
+        assert_allclose(eigenvectors(eig)[2], [s, 0, 0, s])
 
     def test_case3_ground_state(self):
         eig = eigensystem(canonicalize(1.7, 0.3, 0.0, 0.9))
@@ -82,25 +85,25 @@ class TestEigensystem:
             p = random_canonical_params(rng)
             eig = eigensystem(p)
             for j in (1, 2):
-                a, _, _, d = eig.vectors[j]
+                a, _, _, d = eigenvectors(eig)[j]
                 assert abs(2 * abs(a * d) - eig.vm_ratio) < 1e-12
 
     def test_amplitude_normalization(self, rng):
         for _ in range(20):
-            eig = eigensystem(random_canonical_params(rng))
-            assert abs(eig.u_plus**2 + eig.u_minus**2 - 2.0) < 1e-12
+            u_plus, u_minus = _amplitudes(eigensystem(random_canonical_params(rng)))
+            assert abs(u_plus**2 + u_minus**2 - 2.0) < 1e-12
 
     def test_orthonormal_vectors(self, rng):
         for _ in range(20):
-            v = eigensystem(random_canonical_params(rng)).vectors
+            v = eigenvectors(eigensystem(random_canonical_params(rng)))
             assert_allclose(v @ v.T, np.eye(4), atol=1e-12)
 
     def test_degenerate_convention(self):
         eig = eigensystem(canonicalize(0.5, 0.5, 0.2, 0.0))  # v_minus = b = 0
         assert eig.degenerate
         assert eig.vm_ratio == eig.b_ratio == 0.0
-        assert_allclose(eig.vectors[1], [1, 0, 0, 0])
-        assert_allclose(eig.vectors[2], [0, 0, 0, 1])
+        assert_allclose(eigenvectors(eig)[1], [1, 0, 0, 0])
+        assert_allclose(eigenvectors(eig)[2], [0, 0, 0, 1])
 
 
 class TestHamiltonianMatrix:
@@ -124,7 +127,7 @@ class TestHamiltonianMatrix:
             h = hamiltonian_matrix(p)
             eig = eigensystem(p)
             scale = max(1.0, np.abs(eig.energies).max())
-            for e, v in zip(eig.energies, eig.vectors):
+            for e, v in zip(eig.energies, eigenvectors(eig)):
                 assert np.abs(h @ v - e * v).max() < 1e-10 * scale
 
     @given(finite, finite, finite, finite)

@@ -3,14 +3,19 @@
 Multiplying every coupling, the field and the temperature by lam leaves
 concurrences and margins unchanged and scales every temperature by lam,
 for lam from 1e-300 to 1e300 (pytest turns every warning into an error).
+Energy scales above model.MAX_ENERGY_SCALE are rejected as input errors.
 """
 
+import math
+
 import numpy as np
+import pytest
 
 from xyzent.cli import main
+from xyzent.errors import OutOfRange
 from xyzent.limits import limit_temperatures, margin_table
 from xyzent.meanfield import critical_temperature, exact_free_energy, solve_mf
-from xyzent.model import canonicalize, eigensystem
+from xyzent.model import MAX_ENERGY_SCALE, canonicalize, eigensystem
 from xyzent.states import thermal_mixture
 
 from conftest import log_uniform, random_canonical_params
@@ -101,3 +106,30 @@ def test_no_overflow_far_below_the_level_gaps(capsys):
     cold = margin_table(eig, np.array([0.0, 1e-10]))
     assert np.array_equal(cold[:, 1], cold[:, 0])
     assert exact_free_energy(p, 1e-10) == eig.energies.min()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--vx=1e308", "--vy=1e308", "--temp=1"],
+        ["sweep", "--axis=b", "--from=0", "--to=1", "--steps=3", "--vx=1e308", "--vy=-1e308",
+         "--outputs=state", "--temp=1"],
+        ["limits", "--vx=1", "--b=1e308"],
+    ],
+)
+def test_energy_scale_above_the_bound_is_input_error(capsys, argv):
+    # v_plus, v_minus and t_max = 20 energy_scale would overflow here
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: energy scale") and err.count("\n") == 1, err
+
+
+def test_energy_scale_bound_is_inclusive(capsys):
+    top = MAX_ENERGY_SCALE
+    assert canonicalize(top, -top, top, top).vz == top
+    with pytest.raises(OutOfRange):
+        canonicalize(0.0, 0.0, 0.0, -math.nextafter(MAX_ENERGY_SCALE, math.inf))
+    # just below the bound the Bell ground state is still found, warning-free
+    assert main(["point", "--vx=2.8e306", "--vy=2.8e306", "--temp=1"]) == 0
+    out, err = capsys.readouterr()
+    assert "concurrence: 1\n" in out and err == ""

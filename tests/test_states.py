@@ -4,14 +4,9 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from xyzent.errors import DegenerateBasis, InvalidMixture, InvalidTemperature
-from xyzent.model import canonicalize, eigensystem, hamiltonian_matrix
-from xyzent.states import (
-    mixture,
-    realize_matrix,
-    spin_averages,
-    thermal_mixture,
-    thermal_probabilities,
-)
+from xyzent.linalg import hamiltonian_matrix, realize_matrix, spin_averages
+from xyzent.model import canonicalize, eigensystem
+from xyzent.states import mixture, thermal_mixture, thermal_probabilities
 
 from conftest import random_canonical_params, random_mixture
 
