@@ -47,8 +47,11 @@ __all__ = [
 BREAK_TOL = 1e-6
 #: self-consistency residual accepted as converged, relative to energy_scale
 RESIDUAL_TOL = 1e-9
-#: damped fixed-point sweeps before the Newton polish takes over
+#: backstop cap on a seed row's damped sweeps; the hand-off below ends rows first
 FP_SWEEPS = 2000
+#: a seed row hands off to Newton after HANDOFF_SWEEPS sweeps that each shrank its largest
+#: update by less than HANDOFF_RATIO or held it (2-cycle) to within rounding, never grew it
+HANDOFF_RATIO, HANDOFF_GROWTH, HANDOFF_SWEEPS = 0.9, 1.0 + 1e-6, 20
 #: largest component update at which the fixed-point sweeps stop, relative to energy_scale
 UPDATE_TOL = 1e-12
 #: a polished seed stops once its full Newton step is this small relative to |lambda|
@@ -237,7 +240,7 @@ class _Rows(NamedTuple):
     free_energy: np.ndarray  # (k,)
     converged: np.ndarray  # (k,) bool: the winner's residual is accepted
     residual: np.ndarray  # (k,) smallest residual over the row's seeds
-    iterations: np.ndarray  # (k,) fixed-point sweeps, the max over the row's seeds
+    iterations: np.ndarray  # (k,) sweeps before the stop or hand-off, the max over the row's seeds
     broken_phase_flip: np.ndarray  # (k,) bool
     broken_permutation: np.ndarray  # (k,) bool
 
@@ -262,28 +265,33 @@ def _solve_rows(p: XYZParams, temperatures: np.ndarray, seeds: np.ndarray) -> _R
     """The solver of solve_mf over a row axis: row i holds every seed at
     temperatures[i], which must be valid (finite and > 0).
 
-    The rows are flattened to seed rows of shape (k * n_seeds, 2, 3), and
-    each seed row takes exactly the steps it would take alone, so row i is
-    solve_mf(p, temperatures[i], seeds) bit for bit.
+    The rows are flattened to seed rows of shape (k * n_seeds, 2, 3); each
+    stops or hands off (see solve_mf) on its own updates alone, so row i
+    is solve_mf(p, temperatures[i], seeds) bit for bit.
     """
     k, n = temperatures.size, seeds.shape[0]
     lam = np.tile(seeds, (k, 1, 1))
     t = np.repeat(temperatures, n)[:, None, None]
     sweeps = np.full(k * n, FP_SWEEPS)
     active = np.arange(k * n)
+    last, slow = np.full(k * n, np.inf), np.zeros(k * n, dtype=int)
     update_tol = UPDATE_TOL * p.energy_scale
     for sweep in range(1, FP_SWEEPS + 1):
         x = lam[active]
         new = 0.5 * x + 0.5 * _self_consistent_map(x, p, t[active])
         lam[active] = new
-        still = np.abs(new - x).max(axis=(1, 2)) > update_tol
-        sweeps[active[~still]] = sweep
-        active = active[still]
-        if active.size == 0:
-            break
+        moved = np.abs(new - x).max(axis=(1, 2))
+        ratio, last = moved / last, moved
+        slow = np.where((ratio > HANDOFF_RATIO) & (ratio <= HANDOFF_GROWTH), slow + 1, 0)
+        still = (moved > update_tol) & (slow < HANDOFF_SWEEPS)
+        if not still.all():
+            sweeps[active[~still]] = sweep
+            active, last, slow = active[still], moved[still], slow[still]
+            if active.size == 0:
+                break
 
-    # plain iteration slows critically near T_c; the stragglers' iterates
-    # are already in the right basin
+    # plain iteration slows critically near T_c; the rows handed off (or
+    # cut at FP_SWEEPS) are already in the right basin
     tol = RESIDUAL_TOL * p.energy_scale
     stragglers = np.flatnonzero(np.abs(_residual(lam, p, t)).max(axis=(1, 2)) > tol)
     _newton_polish(lam, t, stragglers, p, tol)
@@ -314,16 +322,17 @@ def _solve_rows(p: XYZParams, temperatures: np.ndarray, seeds: np.ndarray) -> _R
 def solve_mf(p: XYZParams, temperature: float, seeds=None) -> MeanFieldSolution:
     """Damped fixed-point solution of the self-consistency conditions.
 
-    All seeds are iterated (damping 0.5) for up to FP_SWEEPS sweeps,
-    until the largest component update is at most UPDATE_TOL; seeds
-    whose residual is still above RESIDUAL_TOL get a Newton finish
-    (_newton_polish), which cures the critical slowing down of plain
-    iteration near T_c.  Among the seeds whose final residual is at most
-    RESIDUAL_TOL the one with the lowest free energy wins (ties fall to
-    seed order, so results are deterministic).  Both tolerances are
-    relative to p.energy_scale, so the solution and `iterations` (the
-    fixed-point sweeps of the slowest seed) do not depend on the energy
-    unit; the all-zero model converges in one sweep.
+    Seeds are iterated (damping 0.5) until the largest component update
+    is at most UPDATE_TOL, or hand off once HANDOFF_SWEEPS sweeps in a row
+    shrank it by less than the factor HANDOFF_RATIO without growing it
+    (near T_c, or in a 2-cycle); FP_SWEEPS is only a backstop.  Seeds whose
+    residual is then above RESIDUAL_TOL get a Newton finish (_newton_polish).
+    Among the seeds whose final residual is at most RESIDUAL_TOL the one
+    with the lowest free energy wins (ties fall to seed order, so results
+    are deterministic).  Both tolerances are relative to p.energy_scale and
+    the hand-off compares updates only, so the solution and `iterations`
+    (sweeps of the slowest seed before its stop or hand-off) do not depend
+    on the energy unit; the all-zero model converges in one sweep.
     """
     t = _check_temperature(temperature)
     lam = np.array(seeds, dtype=float) if seeds is not None else _default_seeds(p)

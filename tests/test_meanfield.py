@@ -364,6 +364,55 @@ def test_rows_match_one_temperature_solves(rng):
                 assert np.array_equal(getattr(got, f.name), getattr(ref, f.name)), (p, t, f.name)
 
 
+@pytest.mark.parametrize(
+    "p, pinned",
+    [
+        pytest.param(XCHAIN, (40, 45, 67), id="xchain"),
+        pytest.param(canonicalize(1.0, 0.4, 0.1, 0.5), (141, 114, 72), id="xyz"),
+        pytest.param(canonicalize(1.0, 0.0, 0.0, 0.5), (58, 67, 70), id="x_field"),
+    ],
+)
+def test_sweeps_near_tc_hand_off(p, pinned):
+    # near T_c the damped map contracts by ~1 - |T - T_c|/T_c per sweep; a
+    # fixed cap ran all 2000 sweeps there, the hand-off leaves after < 100
+    t_c = critical_temperature(p).t_c
+    for factor in (1.0 - 1e-5, 1.0 + 1e-5):
+        assert solve_mf(p, t_c * factor).iterations <= 200, factor
+    # away from T_c every row stops on UPDATE_TOL, as before the hand-off
+    assert tuple(solve_mf(p, t_c * f).iterations for f in (0.05, 0.5, 3.0)) == pinned
+
+
+#: T/T_c of the verdict-stability pairs: far below, near and far above T_c
+_STABILITY_FACTORS = (0.3, 0.9, 1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-5, 1.0 + 1e-5, 2.0)
+
+
+def test_hand_off_keeps_verdicts(rng, monkeypatch):
+    # 1,001 (model, T) pairs against the same solver with the hand-off
+    # disabled (FP_SWEEPS damped sweeps before the polish); infeasible
+    # models take energy_scale for T_c
+    cases = []
+    for _ in range(143):
+        p = random_canonical_params(rng)
+        temps = np.array(_STABILITY_FACTORS) * (critical_temperature(p).t_c or p.energy_scale)
+        cases.append((p, temps, meanfield._solve_rows(p, temps, meanfield._default_seeds(p))))
+    monkeypatch.setattr(meanfield, "HANDOFF_SWEEPS", meanfield.FP_SWEEPS + 1)
+    for p, temps, got in cases:
+        ref = meanfield._solve_rows(p, temps, meanfield._default_seeds(p))
+        assert got.converged.all(), p
+        slack = 1e-12 * np.abs(ref.free_energy)
+        assert (got.free_energy <= ref.free_energy + slack).all(), p
+        same = (got.broken_phase_flip == ref.broken_phase_flip) & (
+            got.broken_permutation == ref.broken_permutation
+        )
+        # a changed verdict must be a strictly better root
+        assert (same | (got.free_energy < ref.free_energy - slack)).all(), p
+        # where vz/(2T) < -3 the damped map's symmetric z mode has multiplier
+        # below -1: its 2-cycle may decay a transverse seed the hand-off keeps
+        plain = p.vz / (2.0 * temps) >= -3.0
+        assert same[plain].all(), p
+        assert (np.abs(got.free_energy - ref.free_energy) <= slack)[plain].all(), p
+
+
 def _failing_rows(monkeypatch, fails):
     """Make every row whose temperature satisfies fails(t) report no converged seed."""
     solve_rows = meanfield._solve_rows
