@@ -17,6 +17,14 @@ scalar checks (entanglement.exact_margins, criteria.disorder_check,
 criteria.entropic_check), broadcast over the columns; the grid tables,
 the bisection and the CLI's thermal-state columns all call it.
 
+Each grid table ends at the first sample past t_cut = (E_max - E_min)/ln 2.
+Past t_cut the Gibbs weights (sum Z) obey w_max <= 2 w_min, so w_min/Z >= 1/7
+and every margin is >= 0.1; no later sample can hold a sign change:
+  Z m12 = (big - vm hi) + small + vm lo >= 3 w_min - w_max >= w_min;
+  Z m03 >= 2 a1 a2 - |w3 - w0| >= 2 w_min - (w_max - w_min) >= w_min;
+  disorder >= 1/2 - p_max >= 1/2 - 2/5 = 0.1;
+  entropic >= -log2 p_max - 1 >= log2(5/2) - 1 > 0.32 bits.
+
 The two exact margins are refined separately and their violation sets
 merged.  Each margin crosses zero transversally, so both reentry
 endpoints are resolved to machine precision even though the separable
@@ -168,12 +176,11 @@ def _scan_grid(p: XYZParams, eig: EigenSystem, t_r: float | None, t_max: float |
     """Resolve the scan range and assemble the grid from T = 0 up,
     densified around the two-level gap temperature t_r.
 
-    The default range needs no check that the state is separable at its
-    top.  Every level gap is at most 3 energy_scale (2 v_plus, 2 Delta,
-    or |vz| + v_plus + Delta, with v_plus + v_minus, b and |vz| each
-    <= energy_scale), so at T >= 3 energy_scale all Gibbs weights lie
-    within a factor e < 3 of each other, and both exact margins are
-    >= 3 w_min - w_max > 0.
+    The range needs no check that the state is separable at its top:
+    every margin is >= 0.1 past t_cut = (E_max - E_min)/ln 2 (module
+    docstring), and t_cut < 4.33 energy_scale, since every level gap is
+    at most 3 energy_scale (2 v_plus, 2 Delta, or |vz| + v_plus + Delta,
+    with v_plus + v_minus, b and |vz| each <= energy_scale).
     """
     if grid_n < 64:
         raise OutOfRange(f"grid_n must be >= 64, got {grid_n}")
@@ -199,9 +206,11 @@ def _limit_records(ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL)
     Each grid table is reduced to its sign-change brackets and first and
     last signs; a margin exactly 0 at T = 0 takes the sign of the next
     sample, so a boundary ground state does not start its interval where
-    exp stops underflowing.  One bisection refines every bracket in its
-    own model's column; each stops once hi - lo <= rel_tol * hi (checked
-    before each step) or after 200 steps, as it would alone.
+    exp stops underflowing.  A table ends at the first sample past t_cut,
+    as no margin is negative later (module docstring).  One bisection
+    refines every bracket in its own model's column; each stops once
+    hi - lo <= rel_tol * hi (checked before each step), as it would alone,
+    or once lo, hi are adjacent floats, within 2,098 halvings of any bracket.
     """
     if not 0.0 < rel_tol < 1.0:
         raise OutOfRange(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
@@ -210,6 +219,8 @@ def _limit_records(ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL)
         eig = eigensystem(p)
         t_r = _two_level(p, eig)
         ts, t_end = _scan_grid(p, eig, t_r, t_max, grid_n)
+        t_cut = (eig.energies.max() - eig.energies.min()) / math.log(2.0)
+        ts = ts[: np.searchsorted(ts, t_cut, side="right") + 1]
         table = margin_table(eig, ts)
         neg = table < 0.0
         neg[:, 0] = np.where(table[:, 0] == 0.0, neg[:, 1], neg[:, 0])
@@ -222,11 +233,12 @@ def _limit_records(ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL)
     energies = np.stack([e.energies for e in eigs], axis=1)[:, model]
     vm_ratio = np.array([e.vm_ratio for e in eigs])[model]
     b_ratio = np.array([e.b_ratio for e in eigs])[model]
-    for _ in range(200):
-        live = np.flatnonzero(~(hi - lo <= rel_tol * hi))
+    for _ in range(2200):
+        mid = 0.5 * (lo + hi)
+        live = np.flatnonzero(~(hi - lo <= rel_tol * hi) & (lo < mid) & (mid < hi))
         if live.size == 0:
             break
-        mid = 0.5 * (lo[live] + hi[live])
+        mid = mid[live]
         table = _margin_columns(energies[:, live], vm_ratio[live], b_ratio[live], mid)
         to_lo = (table[rows[live], np.arange(live.size)] < 0.0) == leaving[live]
         lo[live[to_lo]] = mid[to_lo]
@@ -285,7 +297,7 @@ def reentry_two_level(p: XYZParams) -> float | None:
     """Closed-form gap temperature (E_3 - E_2) / ln(Delta / v_minus).
 
     Defined only when level 2 lies below level 3 and the logarithm is
-    positive (v_minus > 0 and b > 0); None otherwise.
+    positive (v_minus > 0 and b > 0) and the quotient finite; else None.
     """
     return _two_level(p, eigensystem(p))
 
@@ -296,7 +308,9 @@ def _two_level(p: XYZParams, eig: EigenSystem) -> float | None:
         return None
     if eig.energies[2] >= eig.energies[3]:
         return None
-    return float((eig.energies[3] - eig.energies[2]) / math.log(eig.delta / vm))
+    # near MAX_ENERGY_SCALE with Delta close to v_minus this overflows (to inf, silently in floats)
+    t_r = (float(eig.energies[3]) - float(eig.energies[2])) / math.log(eig.delta / vm)
+    return t_r if math.isfinite(t_r) else None
 
 
 def mixture_thresholds(p: XYZParams) -> MixtureThresholds:

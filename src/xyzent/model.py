@@ -21,9 +21,10 @@ import numpy as np
 
 from .errors import NonFiniteInput, OutOfRange
 
-#: Largest accepted energy scale max(|vx|, |vy|, |vz|, |b|), about 2.8e306.
-#: The largest intermediate any computation forms is the limit-scan
-#: bisection sum lo + hi <= 2 t_max = 40 energy_scale, which must stay finite.
+#: Largest accepted energy scale max(|vx|, |vy|, |vz|, |b|), about 2.8e306:
+#: v_plus, v_minus, every level gap and the bisection sum lo + hi <= 2 t_max
+#: (40 energy_scale at the default range) stay finite.  The two-level gap
+#: temperature (E_3 - E_2)/ln(Delta/v_minus) may not; limits._two_level drops it.
 MAX_ENERGY_SCALE = 2.0**1018
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
+from xyzent import limits
 from xyzent.criteria import disorder_check, entropic_check
 from xyzent.entanglement import exact_margins, separability_exact
 from xyzent.errors import DegenerateBasis, OutOfRange
@@ -24,7 +25,7 @@ from xyzent.limits import (
 )
 from xyzent.linalg import thermal_margin_exact
 from xyzent.meanfield import critical_temperature
-from xyzent.model import canonicalize, eigensystem
+from xyzent.model import MAX_ENERGY_SCALE, canonicalize, eigensystem
 from xyzent.states import mixture, thermal_mixture, thermal_probabilities
 
 from conftest import log_uniform, random_canonical_params
@@ -275,6 +276,31 @@ class TestLimitRecord:
         assert critical_temperature(p).t_c == pytest.approx(0.5, abs=1e-12)
 
 
+class TestBisectionConverges:
+    def test_limits_do_not_depend_on_t_max(self):
+        # the bracket [0, t_max / grid_n] needs log2(step / limit) + 34
+        # halvings, about 1,060 at t_max = 1.7e308; 200 used to stop it early
+        p = canonicalize(1.0, 0.3, 0.0, 0.0)
+        ref = limit_temperatures(p)
+        assert ref.t_exact == pytest.approx(0.66442074918, rel=1e-10)
+        for t_max in (1e20, 1e60, 1e100, 1.7e308):
+            lt = limit_temperatures(p, t_max=t_max)
+            for key in ("t_exact", "t_disorder", "t_entropic"):
+                assert getattr(lt, key) == pytest.approx(getattr(ref, key), rel=1e-9), (t_max, key)
+            assert lt.censored == ()
+
+    def test_bisection_stops_at_adjacent_floats(self, monkeypatch):
+        # a rel_tol below the float spacing is never met; each bracket stops
+        # once lo and hi are neighbours, where more steps would move nothing
+        calls = []
+        kernel = limits._margin_columns
+        monkeypatch.setattr(limits, "_margin_columns", lambda *args: calls.append(1) or kernel(*args))
+        lt = limit_temperatures(CASE3(0.9), rel_tol=1e-300)
+        assert len(calls) <= 100  # 1 grid table, about 50 halvings
+        monkeypatch.undo()
+        assert lt == reference_limit_temperatures(CASE3(0.9), rel_tol=1e-300)
+
+
 class TestScanFromZero:
     """T = 0 is the first grid sample, so a limit below the first positive
     sample t_max / grid_n is still found."""
@@ -309,9 +335,14 @@ class TestScanFromZero:
 
 
 class TestDefaultScanRange:
-    """The default t_max = 20 energy_scale needs no check that the state is
-    separable at the top of the scan: both exact margins are positive from
-    T = 3 energy_scale on, at every scale and on a coupling lattice."""
+    """No scan range needs a check that the state is separable at its top:
+    both exact margins are positive from T = 3 energy_scale on, and all
+    four margins are >= 0.1 (asserted >= 0.09) at every sample past
+    t_cut = (E_max - E_min)/ln 2 <= 4.33 energy_scale, where every Gibbs
+    weight is within a factor 2 of every other.  This holds at every
+    scale up to MAX_ENERGY_SCALE, on a coupling lattice and at fields
+    just above the level crossing, so the scan evaluates no grid table
+    past its first sample beyond t_cut."""
 
     def assert_separable_from_three_scales(self, p):
         s = p.energy_scale or 1.0
@@ -330,6 +361,70 @@ class TestDefaultScanRange:
         values = (-1.0, -0.5, 0.0, 0.5, 1.0)
         for model in itertools.product(values, repeat=4):
             self.assert_separable_from_three_scales(canonicalize(*model))
+
+    @staticmethod
+    def t_cut(eig):
+        return (eig.energies.max() - eig.energies.min()) / math.log(2.0)
+
+    def assert_margins_positive_past_cut(self, p):
+        eig = eigensystem(p)
+        t_cut = self.t_cut(eig)
+        above = np.array([np.nextafter(t_cut, np.inf), t_cut * (1.0 + 1e-9), 1.5 * t_cut, 4.0 * t_cut])
+        table = margin_table(eig, np.append(above, 20.0 * (p.energy_scale or 1.0)))
+        assert table.min() >= 0.09, (p, table.min(axis=1))
+
+    def test_margins_past_cut_at_every_scale(self, rng):
+        for lam in 10.0 ** np.arange(-300.0, 301.0, 50.0):
+            for _ in range(50):
+                p = random_canonical_params(rng)
+                self.assert_margins_positive_past_cut(canonicalize(lam * p.vx, lam * p.vy, lam * p.vz, lam * p.b))
+
+    def test_margins_past_cut_on_coupling_lattice(self):
+        values = (-1.0, -0.5, 0.0, 0.5, 1.0)
+        for model in itertools.product(values, repeat=4):
+            self.assert_margins_positive_past_cut(canonicalize(*model))
+
+    def test_margins_past_cut_just_above_level_crossing(self, rng):
+        checked = 0
+        while checked < 500:
+            vp = rng.uniform(0.5, 2.0)
+            vm = rng.uniform(0.0, 0.9) * vp
+            vz = rng.uniform(-0.5, 0.3) * vp
+            bc = canonicalize(vp + vm, vp - vm, vz, 0.0).b_crossing
+            if bc > 0.0:
+                b = bc * (1.0 + 10.0 ** rng.uniform(-12.0, -2.0))
+                self.assert_margins_positive_past_cut(canonicalize(vp + vm, vp - vm, vz, b))
+                checked += 1
+
+    def test_margins_past_cut_at_the_energy_scale_bound(self):
+        top = MAX_ENERGY_SCALE
+        for model in itertools.product((-top, -0.3 * top, 0.0, 0.7 * top, top), repeat=4):
+            self.assert_margins_positive_past_cut(canonicalize(*model))
+
+    def test_grid_tables_stop_past_the_cut(self, monkeypatch):
+        # fig4's 201 models: each grid table is its full grid up to the first
+        # sample past t_cut, or all of it where t_max comes first
+        tables = []
+        kernel = limits.margin_table
+        monkeypatch.setattr(limits, "margin_table", lambda eig, ts: tables.append(ts) or kernel(eig, ts))
+        for t_max, ps in (
+            (None, [CASE3(b) for b in np.linspace(0.0, 2.0, 201)]),
+            (0.5, [CASE3(b) for b in (0.0, 0.9, 2.0)]),
+            (30.0, [CASE3(0.9), XX(0.5), canonicalize(0.0, 0.0, 0.0, 0.0)]),
+        ):
+            tables.clear()
+            _limit_records(ps, t_max)
+            assert len(tables) == len(ps)
+            for p, ts in zip(ps, tables):
+                eig = eigensystem(p)
+                full, t_end = _scan_grid(p, eig, reentry_two_level(p), t_max, DEFAULT_GRID)
+                assert np.array_equal(ts, full[: ts.size]), p
+                t_cut = self.t_cut(eig)
+                assert ts[-1] > t_cut >= ts[-2] or (ts[-1] == t_end and ts.size == full.size), p
+            if t_max is None:
+                assert sum(ts.size for ts in tables) <= 700_000  # 1,351,881 for the full grids
+            if t_max == 0.5:
+                assert all(ts[-1] == 0.5 for ts in tables)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +469,7 @@ def _ref_entropic(eig, ts):
 
 
 def _ref_bisect(f, lo, hi, f_lo_neg, rel):
-    for _ in range(200):
+    for _ in range(2200):
         if hi - lo <= rel * hi:
             break
         mid = 0.5 * (lo + hi)
@@ -472,6 +567,10 @@ def _reference_cases(rng):
         vp, vm, b = rng.uniform(0.1, 2.0, size=3)
         vz = rng.uniform(-0.5, 0.5)
         cases.append((canonicalize(vp + vm, vp - vm, vz, b), rng.uniform(0.05, 3.0), grids[k % 4]))
+    for k in range(12):  # user t_max far above t_cut, where the scan stops its tables
+        vp, vm, b = rng.uniform(0.1, 2.0, size=3)
+        p = canonicalize(vp + vm, vp - vm, rng.uniform(-0.5, 0.5), b)
+        cases.append((p, rng.uniform(5.0, 100.0) * p.energy_scale, grids[k % 4]))
     return cases
 
 

@@ -25,6 +25,13 @@ MODEL = (1.3, -0.4, 0.2, 0.7)
 #: a model near the top of the float range, whose level gaps over T = 1e-10
 #: overflow: its ground state |Phi_3> is a Bell state
 HUGE = (1e300, 3e299, 0.0, 1e299)
+#: runs near the energy-scale bound with Delta close to v_minus, where the
+#: two-level gap temperature (E_3 - E_2)/ln(Delta/v_minus) overflows
+NEAR_CROSSING_AT_THE_BOUND = [
+    ["limits", "--vx=2.8e306", "--vy=-1.2e306", "--vz=2.8e306", "--b=2e305", "--format=csv"],
+    ["sweep", "--axis=b", "--from=0", "--to=2.8e306", "--steps=5", "--vx=2.8e306", "--vy=-2.8e306",
+     "--vz=2.8e306", "--outputs=limits"],
+]
 
 
 def scaled(p, lam):
@@ -133,3 +140,29 @@ def test_energy_scale_bound_is_inclusive(capsys):
     assert main(["point", "--vx=2.8e306", "--vy=2.8e306", "--temp=1"]) == 0
     out, err = capsys.readouterr()
     assert "concurrence: 1\n" in out and err == ""
+
+
+def _scaled_flag(arg, lam):
+    key, _, value = arg.partition("=")
+    return f"{key}={lam * float(value)!r}" if key in ("--vx", "--vy", "--vz", "--b", "--from", "--to") else arg
+
+
+@pytest.mark.parametrize("argv", NEAR_CROSSING_AT_THE_BOUND)
+def test_overflowing_gap_temperature_is_undefined(capsys, argv):
+    # warning-free, and every printed temperature (and field) is the
+    # 1e-10-scaled run's times 1e10
+    def run(argv):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        head, *rows = out.splitlines()
+        return head, [[float(x) if x else None for x in row.split(",")] for row in rows]
+
+    small = [_scaled_flag(a, 1e-10) for a in argv]
+    assert small != argv
+    (head, got), (head_small, want) = run(argv), run(small)
+    assert head == head_small and len(got) == len(want) >= 1
+    for row, row_small in zip(got, want):
+        assert [x is None for x in row] == [x is None for x in row_small], (row, row_small)
+        for x, y in zip(row, row_small):
+            assert x is None or abs(x - 1e10 * y) <= 1e-9 * abs(1e10 * y), (head, row, row_small)
