@@ -7,23 +7,48 @@ mixture thresholds.
 One scan (_limit_records) computes the limits of any number of models,
 and each model's record holds every limit; limit_temperatures is its
 one-model view.  It resolves each model's grid once, with T = 0 as its
-first sample, evaluates one (4, N) table of signed margins on it (the
-two exact margins m12 and m03, the disorder margin and the entropic
-margin) and keeps its sign changes; one vectorised bisection then
-refines every sign change of every model.  All margins come from one
-kernel, _margin_columns, which takes a model per column and whose
+first sample, finds every sign change between neighbouring samples of
+the four signed margins (the two exact margins m12 and m03, the
+disorder margin and the entropic margin), and one vectorised bisection
+then refines every sign change of every model.  All margins come from
+one kernel, _margin_columns, which takes a model per column and whose
 one-model view is margin_table.  Its formulas are the ones behind the
 scalar checks (entanglement.exact_margins, criteria.disorder_check,
-criteria.entropic_check), broadcast over the columns; the grid tables,
+criteria.entropic_check), broadcast over the columns; the grid pass,
 the bisection and the CLI's thermal-state columns all call it.
 
-Each grid table ends at the first sample past t_cut = (E_max - E_min)/ln 2.
+Each grid ends at the first sample past t_cut = (E_max - E_min)/ln 2.
 Past t_cut the Gibbs weights (sum Z) obey w_max <= 2 w_min, so w_min/Z >= 1/7
 and every margin is >= 0.1; no later sample can hold a sign change:
   Z m12 = (big - vm hi) + small + vm lo >= 3 w_min - w_max >= w_min;
   Z m03 >= 2 a1 a2 - |w3 - w0| >= 2 w_min - (w_max - w_min) >= w_min;
   disorder >= 1/2 - p_max >= 1/2 - 2/5 = 0.1;
   entropic >= -log2 p_max - 1 >= log2(5/2) - 1 > 0.32 bits.
+
+Within that range the grid pass evaluates a coarse subset of the grid
+first, then every sample of each coarse cell that can hold a sign change,
+so it finds the sign changes of the whole grid.  In beta = 1/T, with
+w_j = exp(-beta (E_j - E_min)), three margins have the signs of sums of
+at most six exponentials:
+  Z m12 = w0 + w3 + vm (w1 - w2);
+  m03 discriminant = vm^2 (w2 - w1)^2 + 4 w1 w2 - (w3 - w0)^2;
+  2 Z disorder = Z + b (w2 - w1) - 2 w_ground,
+with vm, b = v_minus/Delta, b/Delta.  Such a sum has no more zeros in
+beta > 0 than the partial sums of its coefficients, taken in increasing
+exponent, have sign changes (Laguerre's rule of signs; Polya and Szego,
+Problems and Theorems in Analysis II, Part V, 77; G. J. O. Jameson,
+Math. Gazette 90, 2006).  Zeros the coarse samples do not see come in
+pairs inside one cell, so a row whose coarse sign changes fall short of
+its bound by less than 2 has none.  Otherwise one Rolle step: e^{beta e_m}
+times the sum has the same zeros, and for an e_m where its derivative's
+bound is 1, a hidden pair encloses the derivative's only zero, whose
+cell (and one on each side) is evaluated.  A row with more coarse sign
+changes than its bound (rounding), or with no such e_m, has all its
+cells evaluated.  The entropic margin has no such bound, but entropic
+detection implies disorder detection (the spectrum of rho is majorized
+by that of rho_A wherever the disorder margin is >= 0, and entropy is
+Schur-concave), so every cell where the disorder margin is negative at
+an end is evaluated, as is every cell where any row changes sign.
 
 The two exact margins are refined separately and their violation sets
 merged.  Each margin crosses zero transversally, so both reentry
@@ -200,39 +225,205 @@ def _scan_grid(p: XYZParams, eig: EigenSystem, t_r: float | None, t_max: float |
     return ts, float(t_max)
 
 
+#: The grid pass evaluates the samples 0, 1, 1 + _COARSE, 1 + 2 _COARSE,
+#: ... and the last of a grid first, then the cells between them that can
+#: hold a sign change (_grid_brackets).
+_COARSE = 32
+#: Grid samples one _grid_brackets call takes, and the most columns one of
+#: its kernel calls evaluates; together they bound the scan's memory.
+_BATCH = 1 << 15
+_CHUNK = 1 << 11
+
+# Row r of _sign_change_bounds is the sum over j of (N + M rho) w_I w_J, with
+# w_4 = 1 and the Gibbs weights w_i = exp(-beta g_i), g_i = E_i - E_min:
+#   Z m12 = w0 + vm w1 - vm w2 + w3                       (rho = vm)
+#   m03 discriminant = vm^2 w2^2 + (4 - 2 vm^2) w1 w2 + vm^2 w1^2
+#                      - w3^2 + 2 w0 w3 - w0^2           (rho = vm^2)
+#   2 Z disorder = w0 + (1 - b) w1 + (1 + b) w2 + w3 - 2 w_ground  (rho = b)
+# with vm, b = v_minus/Delta, b/Delta.  Terms 5-6 of m12 and disorder are 0.
+_I = np.array([[0, 1, 2, 3, 0, 0], [2, 1, 1, 3, 0, 0], [0, 1, 2, 3, 0, 0]])
+_J = np.array([[4, 4, 4, 4, 4, 4], [2, 2, 1, 3, 3, 0], [4, 4, 4, 4, 4, 4]])
+_N = np.array([[1, 0, 0, 1, 0, 0], [0, 4, 0, -1, 2, -1], [1, 1, 1, 1, 0, 0]])
+_M = np.array([[0, 1, -1, 0, 0, 0], [1, -2, 1, 0, 0, 0], [0, -1, 1, 0, 0, 0]])
+
+
+def _sign_changes(a: np.ndarray) -> np.ndarray:
+    """Sign changes along the last axis of a, zeros skipped."""
+    last = np.zeros(a.shape[:-1])
+    count = np.zeros(a.shape[:-1], dtype=int)
+    for x in np.moveaxis(np.sign(a), -1, 0):
+        count += x * last < 0.0
+        last = np.where(x != 0.0, x, last)
+    return count
+
+
+def _run_ends(lam: np.ndarray) -> np.ndarray:
+    """Where an exponent, sorted along the last axis, ends its run of equal
+    ones: a partial sum counts in Laguerre's rule only there."""
+    return np.append(lam[..., :-1] != lam[..., 1:], np.ones(lam.shape[:-1] + (1,), bool), axis=-1)
+
+
+def _sign_change_bounds(energies, vm_ratio, b_ratio):
+    """Laguerre's bound on the sign changes in T > 0 of the rows m12, m03
+    and disorder of each model, a column of energies (module docstring).
+
+    Returns the bound (3, K), and the exponents lam (3, K, 6) of each row's
+    exponential sum in increasing order with their coefficients (3, K, 6).
+    Each partial sum is formed as N + M rho with integers N, M, one
+    rounding, so the bound counts its exact signs.
+    """
+    k = energies.shape[1]
+    g = np.concatenate([energies - energies.min(axis=0), np.zeros((1, k))])
+    n = np.repeat(_N[:, :, None], k, axis=2)
+    n[2, np.argmin(energies, axis=0), np.arange(k)] -= 2
+    m = np.broadcast_to(_M[:, :, None], n.shape)
+    # vm^2 stands beside a nonzero integer in every partial sum but the
+    # first, where a floor keeps the sign of a square that underflows
+    vm2 = np.where(vm_ratio > 0.0, np.maximum(vm_ratio**2, np.finfo(float).tiny), 0.0)
+    rho = np.stack([vm_ratio, vm2, b_ratio])[:, :, None]
+    lam = g[_I] + g[_J]
+    order = np.argsort(lam, axis=1, kind="stable")
+    lam, n, m = (np.take_along_axis(x, order, axis=1).transpose(0, 2, 1) for x in (lam, n, m))
+    partial = np.cumsum(n, axis=-1) + np.cumsum(m, axis=-1) * rho
+    return _sign_changes(np.where(_run_ends(lam), partial, 0.0)), lam, n + m * rho
+
+
+def _rolle_derivative(lam, coef):
+    """One Rolle step for exponential sums f (rows of lam, coef): e^{beta e_m} f
+    has the zeros of f, and its beta-derivative the coefficients
+    coef (e_m - lam) on the same exponents.  Returns these, for the first
+    e_m among the exponents and their midpoints whose partial sums change
+    sign at most once and are clear of rounding, and whether one exists.
+    """
+    x = lam / np.maximum(lam[:, -1:], np.finfo(float).tiny)  # beta scaled: nothing overflows
+    e_m = np.concatenate([x, 0.5 * (x[:, 1:] + x[:, :-1])], axis=1)
+    d = coef[:, None, :] * (e_m[:, :, None] - x[:, None, :])
+    ends = _run_ends(lam)[:, None, :]
+    partial = np.where(ends, np.cumsum(d, axis=-1), 0.0)
+    unclear = ends & (np.cumsum(d != 0.0, axis=-1) > 0)
+    unclear &= np.abs(partial) <= 1e-9 * np.abs(d).sum(axis=-1, keepdims=True)
+    ok = (_sign_changes(partial) <= 1) & ~unclear.any(axis=-1)
+    return d[np.arange(d.shape[0]), np.argmax(ok, axis=1)], ok.any(axis=1)
+
+
+def _columns(energies, vm_ratio, b_ratio, model, ts, negative=False) -> np.ndarray:
+    """The kernel on model[k] at ts[k], _CHUNK columns per call, or with
+    negative only where each margin is negative."""
+    out = np.empty((4, ts.size), bool if negative else float)
+    for lo in range(0, ts.size, _CHUNK):
+        m = model[lo : lo + _CHUNK]
+        table = _margin_columns(energies[:, m], vm_ratio[m], b_ratio[m], ts[lo : lo + _CHUNK])
+        out[:, lo : lo + _CHUNK] = table < 0.0 if negative else table
+    return out
+
+
+def _grid_brackets(ts, sizes, energies, vm_ratio, b_ratio):
+    """The grid signs of the models whose grids, of sizes, are concatenated
+    in ts: the negative flags (4, K) of each one's first and last samples,
+    and the row, sign below, bracket and model of every sign change between
+    neighbouring samples of a grid, model by model and in T order.
+
+    The kernel runs first on the coarse samples 0, 1, 1 + _COARSE, ... and
+    the last of each grid, then on every sample inside a coarse cell where
+    some row may change sign (module docstring): where a row changes sign
+    over the cell or the disorder or entropic margin is negative at an end,
+    in the cell holding the root of a row's Rolle derivative (and one on
+    each side, for rounding) when the row's bound exceeds its coarse sign
+    changes by 2 or more, and in every cell of a model with a row unproven.
+    """
+    bound, lam, coef = _sign_change_bounds(energies, vm_ratio, b_ratio)
+    counts = 2 + (sizes - 2 + _COARSE - 1) // _COARSE
+    model = np.repeat(np.arange(sizes.size), counts)
+    first = np.cumsum(counts) - counts
+    rank = np.arange(model.size) - first[model]
+    pos = (np.cumsum(sizes) - sizes)[model] + np.clip(1 + (rank - 1) * _COARSE, 0, sizes[model] - 1)
+    neg = _grid_signs(_columns(energies, vm_ratio, b_ratio, model, ts[pos]), first)
+    same = model[1:] == model[:-1]
+    flips = (neg[:, 1:] != neg[:, :-1]) & same
+    seen = np.stack([np.bincount(model[:-1][f], minlength=sizes.size) for f in flips[:3]])
+    rows, ms = np.nonzero(bound - seen >= 2)
+    deriv, has_deriv = _rolle_derivative(lam[rows, ms], coef[rows, ms])
+    whole = np.zeros(sizes.size, bool)
+    whole[np.nonzero(seen > bound)[1]] = True
+    whole[ms[~has_deriv]] = True
+    cells = same & (flips.any(axis=0) | neg[2:, 1:].any(axis=0) | neg[2:, :-1].any(axis=0) | whole[model[:-1]])
+
+    rows, ms, deriv = rows[has_deriv], ms[has_deriv], deriv[has_deriv]
+    if rows.size:
+        # the derivative's signs at the coarse samples of each such row
+        q = np.repeat(np.arange(rows.size), counts[ms])
+        at = np.arange(q.size) + np.repeat(first[ms] - (np.cumsum(counts[ms]) - counts[ms]), counts[ms])
+        r = _gibbs_exponents(lam[rows, ms][q].T, ts[pos[at]])
+        sign = np.sign((deriv[q].T * np.exp(-r)).sum(axis=0))
+        root = at[:-1][(sign[1:] != sign[:-1]) & (q[1:] == q[:-1])]
+        near = np.clip(np.concatenate([root - 1, root, root + 1]), 0, cells.size - 1)
+        cells[near] |= same[near]
+
+    # the coarse columns, each followed by the samples inside its cell if flagged
+    gaps = np.where(cells, np.diff(pos) - 1, 0)
+    before = np.append(0, np.cumsum(gaps))
+    out = np.arange(pos.size) + before
+    inside = np.ones(out[-1] + 1, bool)
+    inside[out] = False
+    at = np.empty(inside.size, int)
+    at[out] = pos
+    at[inside] = np.arange(before[-1]) + np.repeat(pos[:-1] + 1 - before[:-1], gaps)
+    signs = np.empty((4, inside.size), bool)
+    signs[:, out] = neg
+    signs[:, inside] = _columns(energies, vm_ratio, b_ratio, np.repeat(model[:-1], gaps), ts[at[inside]], negative=True)
+    flips = signs[:, 1:] != signs[:, :-1]
+    flips[:, out[first[1:]] - 1] = False  # between two models' grids
+    idx, rows = np.nonzero(flips.T)
+    owner = np.searchsorted(out[first], idx, side="right") - 1
+    brackets = rows, signs[rows, idx], ts[at[idx]], ts[at[idx + 1]], owner
+    return (signs[:, out[first]], signs[:, out[first + counts - 1]], *brackets)
+
+
+def _grid_signs(table: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """The negative flags of table, whose columns zero hold T = 0 samples:
+    a margin exactly 0 there takes the sign of the next column."""
+    neg = table < 0.0
+    neg[:, zero] = np.where(table[:, zero] == 0.0, neg[:, zero + 1], neg[:, zero])
+    return neg
+
+
 def _limit_records(ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL) -> list[LimitTemperatures]:
     """The LimitTemperatures of every model in ps (see limit_temperatures).
 
-    Each grid table is reduced to its sign-change brackets and first and
-    last signs; a margin exactly 0 at T = 0 takes the sign of the next
-    sample, so a boundary ground state does not start its interval where
-    exp stops underflowing.  A table ends at the first sample past t_cut,
-    as no margin is negative later (module docstring).  One bisection
+    Each grid is reduced to its sign-change brackets and first and last
+    signs; a margin exactly 0 at T = 0 takes the sign of the next sample,
+    so a boundary ground state does not start its interval where exp stops
+    underflowing.  A grid ends at the first sample past t_cut, as no
+    margin is negative later, and _grid_brackets evaluates only the cells
+    of it that can hold a sign change (module docstring).  One bisection
     refines every bracket in its own model's column; each stops once
     hi - lo <= rel_tol * hi (checked before each step), as it would alone,
     or once lo, hi are adjacent floats, within 2,098 halvings of any bracket.
     """
     if not 0.0 < rel_tol < 1.0:
         raise OutOfRange(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
-    eigs, scans, brackets = [], [], []
-    for k, p in enumerate(ps):
-        eig = eigensystem(p)
+    eigs = [eigensystem(p) for p in ps]
+    energies = np.stack([e.energies for e in eigs], axis=1)
+    vm_ratio = np.array([e.vm_ratio for e in eigs])
+    b_ratio = np.array([e.b_ratio for e in eigs])
+    t_cut = (energies.max(axis=0) - energies.min(axis=0)) / math.log(2.0)
+    scans, grids, found, size = [], [], [], 0
+    for k, (p, eig) in enumerate(zip(ps, eigs)):
         t_r = _two_level(p, eig)
         ts, t_end = _scan_grid(p, eig, t_r, t_max, grid_n)
-        t_cut = (eig.energies.max() - eig.energies.min()) / math.log(2.0)
-        ts = ts[: np.searchsorted(ts, t_cut, side="right") + 1]
-        table = margin_table(eig, ts)
-        neg = table < 0.0
-        neg[:, 0] = np.where(table[:, 0] == 0.0, neg[:, 1], neg[:, 0])
-        rows, idx = np.nonzero(neg[:, 1:] != neg[:, :-1])
-        eigs.append(eig)
-        scans.append((neg[:, 0].tolist(), neg[:, -1].tolist(), t_end, t_r))
-        brackets.append((rows, neg[rows, idx], ts[idx], ts[idx + 1], np.full(rows.size, k)))
-    # row, negative below the crossing, bracket, and model of every bracket
-    rows, leaving, lo, hi, model = map(np.concatenate, zip(*brackets))
-    energies = np.stack([e.energies for e in eigs], axis=1)[:, model]
-    vm_ratio = np.array([e.vm_ratio for e in eigs])[model]
-    b_ratio = np.array([e.b_ratio for e in eigs])[model]
+        grids.append(ts[: np.searchsorted(ts, t_cut[k], side="right") + 1].copy())  # not a view of all of ts
+        scans.append((t_end, t_r))
+        size += grids[-1].size
+        if size >= _BATCH or k == len(ps) - 1:
+            batch = slice(k + 1 - len(grids), k + 1)
+            ts, sizes, grids, size = np.concatenate(grids), np.array([g.size for g in grids]), [], 0
+            *signs, model = _grid_brackets(ts, sizes, energies[:, batch], vm_ratio[batch], b_ratio[batch])
+            found.append((*signs, model + batch.start))
+    # first and last signs, and the row, sign below, bracket and model of every bracket
+    first, last, rows, leaving, lo, hi, model = (np.concatenate(x, axis=-1) for x in zip(*found))
+    energies = energies[:, model]
+    vm_ratio = vm_ratio[model]
+    b_ratio = b_ratio[model]
     for _ in range(2200):
         mid = 0.5 * (lo + hi)
         live = np.flatnonzero(~(hi - lo <= rel_tol * hi) & (lo < mid) & (mid < hi))
@@ -244,7 +435,11 @@ def _limit_records(ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL)
         lo[live[to_lo]] = mid[to_lo]
         hi[live[~to_lo]] = mid[~to_lo]
     t_cross = 0.5 * (lo + hi)
-    return [_record(rows[model == k], t_cross[model == k], *scan) for k, scan in enumerate(scans)]
+    ends = np.searchsorted(model, np.arange(len(ps) + 1))
+    return [
+        _record(rows[a:b], t_cross[a:b], *ends_neg, *scan)
+        for a, b, ends_neg, scan in zip(ends[:-1], ends[1:], zip(first.T.tolist(), last.T.tolist()), scans)
+    ]
 
 
 def _record(rows, t_cross, first, last, t_end: float, t_r: float | None) -> LimitTemperatures:
@@ -308,8 +503,11 @@ def _two_level(p: XYZParams, eig: EigenSystem) -> float | None:
         return None
     if eig.energies[2] >= eig.energies[3]:
         return None
-    # near MAX_ENERGY_SCALE with Delta close to v_minus this overflows (to inf, silently in floats)
-    t_r = (float(eig.energies[3]) - float(eig.energies[2])) / math.log(eig.delta / vm)
+    ratio = eig.delta / vm
+    # a tiny v_minus beside b overflows the ratio, not its logarithm
+    log_ratio = math.log(ratio) if math.isfinite(ratio) else math.log(eig.delta) - math.log(vm)
+    # near MAX_ENERGY_SCALE with Delta close to v_minus the quotient overflows (to inf, silently in floats)
+    t_r = (float(eig.energies[3]) - float(eig.energies[2])) / log_ratio
     return t_r if math.isfinite(t_r) else None
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from xyzent import limits
@@ -341,8 +343,8 @@ class TestDefaultScanRange:
     t_cut = (E_max - E_min)/ln 2 <= 4.33 energy_scale, where every Gibbs
     weight is within a factor 2 of every other.  This holds at every
     scale up to MAX_ENERGY_SCALE, on a coupling lattice and at fields
-    just above the level crossing, so the scan evaluates no grid table
-    past its first sample beyond t_cut."""
+    just above the level crossing, so the scan evaluates no grid sample
+    past its first one beyond t_cut."""
 
     def assert_separable_from_three_scales(self, p):
         s = p.energy_scale or 1.0
@@ -401,30 +403,175 @@ class TestDefaultScanRange:
         for model in itertools.product((-top, -0.3 * top, 0.0, 0.7 * top, top), repeat=4):
             self.assert_margins_positive_past_cut(canonicalize(*model))
 
-    def test_grid_tables_stop_past_the_cut(self, monkeypatch):
-        # fig4's 201 models: each grid table is its full grid up to the first
-        # sample past t_cut, or all of it where t_max comes first
-        tables = []
-        kernel = limits.margin_table
-        monkeypatch.setattr(limits, "margin_table", lambda eig, ts: tables.append(ts) or kernel(eig, ts))
+    def test_grid_pass_evaluates_only_grid_samples(self, monkeypatch):
+        # the grid pass evaluates samples of each model's grid up to its first
+        # sample past t_cut (or all of it where t_max comes first), among them
+        # T = 0, the next sample and the last; fig4's 201 models take at most
+        # 200,000 columns (621,031 when every table was whole up to the cut)
+        calls, in_grid_pass = [], []
+        kernel, grid_pass = limits._margin_columns, limits._grid_brackets
+
+        def record(energies, vm_ratio, b_ratio, ts):
+            if in_grid_pass:
+                calls.append((energies, ts))
+            return kernel(energies, vm_ratio, b_ratio, ts)
+
+        def flagged(*args):
+            in_grid_pass.append(True)
+            try:
+                return grid_pass(*args)
+            finally:
+                in_grid_pass.clear()
+
+        monkeypatch.setattr(limits, "_margin_columns", record)
+        monkeypatch.setattr(limits, "_grid_brackets", flagged)
         for t_max, ps in (
             (None, [CASE3(b) for b in np.linspace(0.0, 2.0, 201)]),
             (0.5, [CASE3(b) for b in (0.0, 0.9, 2.0)]),
             (30.0, [CASE3(0.9), XX(0.5), canonicalize(0.0, 0.0, 0.0, 0.0)]),
         ):
-            tables.clear()
+            calls.clear()
             _limit_records(ps, t_max)
-            assert len(tables) == len(ps)
-            for p, ts in zip(ps, tables):
+            energies = np.concatenate([e for e, _ in calls], axis=1)
+            ts = np.concatenate([t for _, t in calls])
+            for p in ps:
                 eig = eigensystem(p)
                 full, t_end = _scan_grid(p, eig, reentry_two_level(p), t_max, DEFAULT_GRID)
-                assert np.array_equal(ts, full[: ts.size]), p
-                t_cut = self.t_cut(eig)
-                assert ts[-1] > t_cut >= ts[-2] or (ts[-1] == t_end and ts.size == full.size), p
+                grid = full[: np.searchsorted(full, self.t_cut(eig), side="right") + 1]
+                evaluated = ts[(energies == eig.energies[:, None]).all(axis=0)]
+                assert np.isin(evaluated, grid).all(), p
+                assert {grid[0], grid[1], grid[-1]} <= set(evaluated.tolist()), p
+                assert grid[-1] > self.t_cut(eig) or grid[-1] == t_end, p
             if t_max is None:
-                assert sum(ts.size for ts in tables) <= 700_000  # 1,351,881 for the full grids
-            if t_max == 0.5:
-                assert all(ts[-1] == 0.5 for ts in tables)
+                assert ts.size <= 200_000
+
+
+class TestSignChangeCertificate:
+    """The grid pass leaves a coarse cell unevaluated only where Laguerre's
+    rule of signs proves no row changes sign in it (module docstring):
+    the bound holds on every full grid, entropic detection implies disorder
+    detection pointwise, and the records do not depend on the coarse stride."""
+
+    #: below this field the second exact interval of CASE3, an m03 lobe near
+    #: T = 0.645, closes; just below it the lobe hides inside one coarse cell
+    #: of the t_r window, and only the Rolle step sends the scan there
+    LOBE_CLOSES = 1.117688862704923
+    #: m03 has bound 2, as -(w3 - w0)^2 puts -1, 2, -1 on nearly equal
+    #: exponents, and no one-step Rolle certificate: its whole grid is evaluated
+    NO_ROLLE_STEP = (0.0812208166341524, -0.01757039728340143, -5.472783263878623, 6.800158599933459)
+
+    @staticmethod
+    def certificate(p):
+        """The bounds of rows m12, m03, disorder, and whether each has a Rolle step."""
+        eig = eigensystem(p)
+        bound, lam, coef = limits._sign_change_bounds(
+            eig.energies[:, None], np.array([eig.vm_ratio]), np.array([eig.b_ratio])
+        )
+        return bound[:, 0], limits._rolle_derivative(lam[:, 0], coef[:, 0])[1]
+
+    @staticmethod
+    def grid_sign_changes(table):
+        neg = table < 0.0
+        neg[:, 0] = np.where(table[:, 0] == 0.0, neg[:, 1], neg[:, 0])
+        return (neg[:, 1:] != neg[:, :-1]).sum(axis=1)
+
+    def test_grid_sign_changes_within_the_partial_sum_bound(self, rng):
+        tight = 0
+        for p, t_max, grid_n in _reference_cases(rng):
+            eig = eigensystem(p)
+            ts, _ = _scan_grid(p, eig, reentry_two_level(p), t_max, grid_n)
+            changes = self.grid_sign_changes(margin_table(eig, ts))[:3]
+            bound = self.certificate(p)[0]
+            assert np.all(changes <= bound), (p, changes, bound)
+            tight += int(np.sum((changes == bound) & (changes == 2)))
+        assert tight  # reentry models meet the bound of 2
+
+    @given(
+        st.floats(-1.0, 1.0),
+        st.floats(-1.0, 1.0),
+        st.floats(-1.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.integers(-300, 300),
+    )
+    @example(1.7, 0.3, 0.0, 0.71, 0)  # disorder and entropic fire only below 0.00549
+    @example(1.0, 1.0, 0.0, 1.5, 0)  # m03 exactly 0 at T = 0
+    @example(1.0, 0.0, 0.0, 1.0, 300)  # |b/Delta| near 1, product-diagonal ground pair
+    @example(1.343514123042203, -1.1694385314915339, -6.263640849586743, 0.8798462890500257, -300)
+    @example(0.0, 0.0, 0.0, 0.0, 0)
+    @settings(max_examples=300, deadline=None)
+    def test_entropic_detection_implies_disorder_detection(self, vx, vy, vz, b, exponent):
+        lam = 10.0**exponent
+        p = canonicalize(lam * vx, lam * vy, lam * vz, lam * b)
+        ts = np.concatenate([[0.0], np.geomspace(1e-4, 10.0, 400)]) * (p.energy_scale or 1.0)
+        table = margin_table(eigensystem(p), ts)
+        assert np.all(table[2, table[3] < 0.0] < 0.0), (p, ts[(table[3] < 0.0) & (table[2] >= 0.0)])
+
+    def test_pinned_cases_take_the_rolle_step_and_the_fallback(self):
+        # m03's bound and whether a Rolle step exists for it
+        for p, want in ((canonicalize(*self.NO_ROLLE_STEP), False), (CASE3(self.LOBE_CLOSES * (1.0 - 1e-6)), True)):
+            bound, has_deriv = self.certificate(p)
+            assert bound[1] == 2 and has_deriv[1] == want, p
+        lt = limit_temperatures(CASE3(self.LOBE_CLOSES * (1.0 - 1e-6)))
+        assert len(lt.intervals) == 2 and lt.intervals[1][1] - lt.intervals[1][0] < 0.002
+
+    def test_entropic_row_is_evaluated_wherever_disorder_detects(self, monkeypatch):
+        # no real model shows a second entropic interval, so a narrow one is
+        # put into the kernel inside CASE3(0.2)'s disorder-only range
+        # (0.378, 0.718); the entropic row has no bound of its own, and the
+        # scan finds the interval because it evaluates every cell where the
+        # disorder margin is negative
+        kernel = limits._margin_columns
+
+        def with_lobe(energies, vm_ratio, b_ratio, ts):
+            table = kernel(energies, vm_ratio, b_ratio, ts)
+            table[3, (0.6 < ts) & (ts < 0.61)] = -1.0
+            return table
+
+        monkeypatch.setattr(limits, "_margin_columns", with_lobe)
+        lt = limit_temperatures(CASE3(0.2), grid_n=8192)
+        assert lt.t_entropic == pytest.approx(0.61, rel=1e-9) and lt.t_disorder == pytest.approx(0.718, rel=1e-3)
+        monkeypatch.setattr(limits, "_COARSE", 1)
+        assert limit_temperatures(CASE3(0.2), grid_n=8192) == lt
+
+    @pytest.mark.parametrize("stride", [1, 1024])
+    def test_records_do_not_depend_on_the_coarse_stride(self, rng, monkeypatch, stride):
+        # stride 1 evaluates every grid sample, 1024 leaves most cells to
+        # the Rolle step or the whole-grid fallback
+        groups = {}
+        for p, t_max, grid_n in _reference_cases(rng):
+            groups.setdefault((t_max, grid_n), []).append(p)
+        groups.setdefault((None, 64), []).append(canonicalize(*self.NO_ROLLE_STEP))
+        near = groups.setdefault((None, DEFAULT_GRID), [])
+        near += [CASE3(self.LOBE_CLOSES * (1.0 - 10.0**-k)) for k in np.arange(3.0, 10.0, 0.5)]
+        while len(near) < 300:
+            vp = rng.uniform(0.5, 2.0)
+            vm = rng.uniform(0.0, 0.9) * vp
+            vz = rng.uniform(-0.5, 0.3) * vp
+            bc = canonicalize(vp + vm, vp - vm, vz, 0.0).b_crossing
+            if bc > 0.0:
+                near.append(canonicalize(vp + vm, vp - vm, vz, bc * (1.0 + 10.0 ** rng.uniform(-12.0, -2.0))))
+        want = {key: _limit_records(ps, *key) for key, ps in groups.items()}
+        monkeypatch.setattr(limits, "_COARSE", stride)
+        for key, ps in groups.items():
+            got = _limit_records(ps, *key)
+            for p, lt, ref in zip(ps, got, want[key]):
+                assert lt == ref, (p, key, stride)
+
+
+class TestSharedScanBoundaries:
+    """Models share the grid pass's kernel calls in batches of grids, but a
+    grid's last sample and the next grid's T = 0 sample are no bracket: a
+    grid still negative at t_max followed by one separable at T = 0 (or the
+    reverse) gives each model its own record."""
+
+    @pytest.mark.parametrize("batch", [limits._BATCH, 64])
+    def test_censored_models_in_one_scan(self, monkeypatch, batch):
+        monkeypatch.setattr(limits, "_BATCH", batch)
+        ps = [CASE3(b) for b in np.linspace(0.0, 2.0, 21)] + [XX(0.0), canonicalize(1.0, 0.4, 0.4, 0.0)]
+        for t_max in (0.3, 0.5, None):
+            got = _limit_records(ps, t_max)
+            assert got == [limit_temperatures(p, t_max=t_max) for p in ps], t_max
+            assert t_max is None or sum(bool(lt.censored) for lt in got) >= 10
 
 
 # ---------------------------------------------------------------------------

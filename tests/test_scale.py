@@ -13,7 +13,7 @@ import pytest
 
 from xyzent.cli import main
 from xyzent.errors import OutOfRange
-from xyzent.limits import limit_temperatures, margin_table
+from xyzent.limits import limit_temperatures, margin_table, reentry_two_level
 from xyzent.meanfield import critical_temperature, exact_free_energy, solve_mf
 from xyzent.model import MAX_ENERGY_SCALE, canonicalize, eigensystem
 from xyzent.states import thermal_mixture
@@ -166,3 +166,20 @@ def test_overflowing_gap_temperature_is_undefined(capsys, argv):
         assert [x is None for x in row] == [x is None for x in row_small], (row, row_small)
         for x, y in zip(row, row_small):
             assert x is None or abs(x - 1e10 * y) <= 1e-9 * abs(1e10 * y), (head, row, row_small)
+
+
+def test_gap_temperature_when_delta_over_v_minus_overflows():
+    # Delta / v_minus = 2e600 overflows, but ln Delta - ln v_minus does not:
+    # t_r = (E_3 - E_2) / (ln 1e300 - ln 5e-301), not gap / inf = 0
+    p = canonicalize(1e-300, 0.0, 0.0, 1e300)
+    t_r = reentry_two_level(p)
+    assert t_r == pytest.approx(7.2346116398699e296, rel=1e-12)
+    e = eigensystem(p).energies
+    assert t_r == pytest.approx((e[3] - e[2]) / (math.log(1e300) - math.log(5e-301)), rel=1e-15)
+    assert limit_temperatures(p).t_exact == 0.0
+    # where the ratio is finite the logarithm of the quotient stays, bit for bit
+    for model in ((1.7, 0.3, 0.0, 0.9), (1e-150, 0.0, 0.0, 1e150), (1.0, 0.5, 0.2, 0.8)):
+        q = canonicalize(*model)
+        eig = eigensystem(q)
+        gap = float(eig.energies[3]) - float(eig.energies[2])
+        assert reentry_two_level(q) == gap / math.log(eig.delta / q.v_minus), model
