@@ -447,14 +447,18 @@ def _record(rows, t_cross, first, last, t_end: float, t_r: float | None) -> Limi
 
     A row's sign changes alternate, so with 0 in front of a negative
     first sample and t_end (censored) behind a negative last one they
-    pair up into the maximal intervals where the margin is negative.
+    pair up into the maximal intervals where the margin is negative; a
+    row whose edges do not pair up is a fault of the scan, and raises
+    RuntimeError rather than lose a limit.
     The two exact margins' violation sets are merged; they are disjoint,
     so only the bisection's noise can make them overlap.  With
     hi, lo = max, min(w1, w2) and big = max(w0, w3), m12 < 0 needs
     vm (hi - lo) > big, while m03 < 0 needs |w3 - w0| > vm (hi - lo);
     since |w3 - w0| <= big, at most one margin is negative at any T.
     """
-    edges = ([0.0] * first[r] + t_cross[rows == r].tolist() + [t_end] * last[r] for r in range(4))
+    edges = [[0.0] * first[r] + t_cross[rows == r].tolist() + [t_end] * last[r] for r in range(4)]
+    if any(len(e) % 2 for e in edges):
+        raise RuntimeError(f"limit scan: unpaired sign changes, {[len(e) for e in edges]} edges per margin")
     m12, m03, dis, ent = (list(zip(e[::2], e[1::2])) for e in edges)
     ints: list[tuple[float, float]] = []
     for lo, hi in sorted(m12 + m03):

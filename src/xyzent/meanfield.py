@@ -59,7 +59,7 @@ NEWTON_STEP_TOL = 1e-13
 #: Newton steps per polish, and step halvings per Newton step
 NEWTON_STEPS = 100
 NEWTON_HALVINGS = 60
-#: bisection levels of the numeric T_c solved together in one round
+#: bisection levels of the numeric T_c solved together in each round after the first
 TREE_LEVELS = 5
 
 
@@ -348,6 +348,17 @@ def _unresolved(lo: float, hi: float) -> bool:
     return hi - lo > 1e-6 * hi
 
 
+def _bisection_path(lo: float, hi: float, t: float) -> list[tuple[float, float]]:
+    """Every bracket the numeric T_c bisection halves from [lo, hi] if each
+    midpoint below t is broken and each other midpoint is not."""
+    path = []
+    while _unresolved(lo, hi):
+        path.append((lo, hi))
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid < t else (lo, mid)
+    return path
+
+
 def _bisection_tree(lo: float, hi: float, levels: int = TREE_LEVELS) -> list[tuple[float, float]]:
     """Every bracket the numeric T_c bisection can halve in its next
     `levels` steps from [lo, hi]: at most 2**levels - 1, fewer where it
@@ -364,12 +375,17 @@ def critical_temperature(p: XYZParams, method: str = "closed") -> CriticalTemper
     "closed" evaluates T_c = v_max chi / ln[(1+chi)/(1-chi)] (the chi -> 0
     limit v_max/2 taken analytically); "numeric" bisects the onset of
     broken_phase_flip in solve_mf to 1e-6 relative.  The bisection runs
-    in rounds: each round solves the midpoints of every bracket of its
-    next TREE_LEVELS steps (up to 2**TREE_LEVELS - 1 temperatures) in one
-    batch, then walks that tree as the step-by-step bisection would, with
-    the same midpoints and stop test, so T_c is the same to the last bit.
-    Only a midpoint the walk visits raises NoConvergence.  Absent (t_c
-    None) whenever v_max <= max(vz, 0) or |b| >= v_max - vz.
+    in rounds, each one batch of _solve_rows, walked as the step-by-step
+    bisection would walk them, with the same midpoints and stop test, so
+    T_c is the same to the last bit.  The first round solves the lowest
+    temperature and every midpoint of the path the bisection takes if the
+    closed-form T_c is right (_bisection_path); where the walk leaves it,
+    each further round solves every bracket of the next TREE_LEVELS steps
+    (up to 2**TREE_LEVELS - 1 temperatures).  The closed form only
+    schedules temperatures, never decides a verdict, so where it is wrong
+    T_c takes at most one round more than trees alone.  Only a midpoint
+    the walk visits raises NoConvergence.  Absent (t_c None) whenever
+    v_max <= max(vz, 0) or |b| >= v_max - vz.
     """
     if method not in ("closed", "numeric"):
         raise ValueError(f"method must be 'closed' or 'numeric', got {method!r}")
@@ -381,25 +397,24 @@ def critical_temperature(p: XYZParams, method: str = "closed") -> CriticalTemper
     if not feasible:
         return CriticalTemperature(t_c=None, chi=chi, v_max=v_max, feasible=False)
 
+    t_closed = 0.5 * v_max if chi == 0.0 else v_max * chi / (2.0 * math.atanh(chi))
     if method == "closed":
-        t_c = 0.5 * v_max if chi == 0.0 else v_max * chi / (2.0 * math.atanh(chi))
-        return CriticalTemperature(t_c=t_c, chi=chi, v_max=v_max, feasible=True)
+        return CriticalTemperature(t_c=t_closed, chi=chi, v_max=v_max, feasible=True)
 
     seeds = _default_seeds(p)
 
-    def solve_round(lo, hi, *extra):
-        """Rows for `extra` then every bracket the next steps can reach."""
-        tree = _bisection_tree(lo, hi)
-        rows = _solve_rows(p, np.array([*extra, *(0.5 * (a + b) for a, b in tree)]), seeds)
-        return rows, {bracket: i for i, bracket in enumerate(tree, len(extra))}
+    def solve_round(brackets, *extra):
+        """Rows for `extra`, then the midpoint of each bracket."""
+        rows = _solve_rows(p, np.array([*extra, *(0.5 * (a + b) for a, b in brackets)]), seeds)
+        return rows, {bracket: i for i, bracket in enumerate(brackets, len(extra))}
 
     lo, hi = _check_temperature(1e-4 * v_max), 0.75 * v_max
-    rows, row_of = solve_round(lo, hi, lo)
+    rows, row_of = solve_round(_bisection_path(lo, hi, t_closed), lo)
     if not rows.solution(0).broken_phase_flip:
         return CriticalTemperature(t_c=None, chi=chi, v_max=v_max, feasible=True)
     while _unresolved(lo, hi):
         if (lo, hi) not in row_of:
-            rows, row_of = solve_round(lo, hi)
+            rows, row_of = solve_round(_bisection_tree(lo, hi))
         mid = 0.5 * (lo + hi)
         if rows.solution(row_of[lo, hi]).broken_phase_flip:
             lo = mid

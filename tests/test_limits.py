@@ -403,6 +403,21 @@ class TestDefaultScanRange:
         for model in itertools.product((-top, -0.3 * top, 0.0, 0.7 * top, top), repeat=4):
             self.assert_margins_positive_past_cut(canonicalize(*model))
 
+    def test_unpaired_sign_change_raises(self, monkeypatch):
+        # one spurious bracket leaves a row with an odd number of edges; the
+        # record must refuse it rather than drop a limit
+        grid_pass = limits._grid_brackets
+
+        def odd(ts, *args):
+            first, last, rows, leaving, lo, hi, model = grid_pass(ts, *args)
+            put = lambda a, x: np.concatenate([[x], a])
+            return first, last, put(rows, 3), put(leaving, True), put(lo, ts[1]), put(hi, ts[2]), put(model, 0)
+
+        assert limit_temperatures(CASE3(0.9)).t_entropic is not None
+        monkeypatch.setattr(limits, "_grid_brackets", odd)
+        with pytest.raises(RuntimeError, match="unpaired sign changes"):
+            limit_temperatures(CASE3(0.9))
+
     def test_grid_pass_evaluates_only_grid_samples(self, monkeypatch):
         # the grid pass evaluates samples of each model's grid up to its first
         # sample past t_cut (or all of it where t_max comes first), among them

@@ -339,19 +339,91 @@ def _seeded_tc_models():
     return models
 
 
+#: a Neel-z model whose numeric T_c lies far below the closed form, so the
+#: walk leaves the predicted first round
+NEEL_MISS = canonicalize(0.865, 0.192, -2.775, 0.877)
+
 _TC_MODELS = [
     *(pytest.param(case.values[0], id=case.id) for case in _POLISH_REGRESSIONS),
     pytest.param(XCHAIN, id="xchain"),
+    pytest.param(NEEL_MISS, id="neel_miss"),
     *_seeded_tc_models(),
 ]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", _TC_MODELS)
-def test_numeric_tc_matches_sequential_bisection(p):
-    # each round solves a tree of midpoints at once; the walk through it
-    # must end on exactly the bits of the step-by-step bisection
-    assert critical_temperature(p, "numeric").t_c == _ref_numeric_tc(p)
+def test_numeric_tc_matches_sequential_bisection(monkeypatch, p):
+    # the first round solves the predicted path, each later one a tree of
+    # midpoints; the walk through them must end on exactly the bits of the
+    # step-by-step bisection, in at most one round more than trees alone
+    t_c, rounds = _tc_rounds(monkeypatch, p)
+    assert t_c == _ref_numeric_tc(p)
+    assert rounds <= _tree_walk_rounds(p) + 1
+
+
+def _tc_rounds(monkeypatch, p):
+    """The numeric T_c of p and the _solve_rows calls (rounds) it makes."""
+    calls = []
+    solve_rows = meanfield._solve_rows
+
+    def counted(*args):
+        calls.append(args)
+        return solve_rows(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(meanfield, "_solve_rows", counted)
+        return critical_temperature(p, "numeric").t_c, len(calls)
+
+
+def _tree_walk_rounds(p):
+    """Rounds of the plain tree walk, every round one TREE_LEVELS tree,
+    replayed along the brackets of the step-by-step bisection."""
+    visited = _ref_bisection(p)[1]
+    if not visited:
+        return 0
+    lo, hi = visited[0], 0.75 * p.v_max
+    rounds, tree = 1, meanfield._bisection_tree(lo, hi)
+    for mid, after in zip(visited[1:], visited[2:] + (None,)):
+        if (lo, hi) not in tree:
+            rounds, tree = rounds + 1, meanfield._bisection_tree(lo, hi)
+        assert mid == 0.5 * (lo + hi)
+        if after is not None:
+            lo, hi = (mid, hi) if after > mid else (lo, mid)
+    return rounds
+
+
+def _model_limits_families(rng):
+    """Feasible models like those of the model_limits benchmark: low, mid
+    and high chi, just above the level crossing, and the xx and maximal-
+    anisotropy closed forms, at energy scales from 1e-4 to 1e100."""
+    for _ in range(3):
+        scale = 10.0 ** rng.uniform(-4.0, 100.0)
+        v_minus, vz = rng.uniform(0.0, 0.9), rng.uniform(-0.5, 0.5)
+        for chi in ((0.0, 0.05), (0.3, 0.7), (0.9, 0.95)):
+            b = rng.uniform(*chi) * (1.0 + v_minus - vz)
+            yield canonicalize(*(scale * x for x in (1.0 + v_minus, 1.0 - v_minus, vz, b)))
+        vz = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.6)
+        b = math.sqrt((1.0 - vz) ** 2 - v_minus**2) * (1.0 + 10.0 ** rng.uniform(-4.0, -2.0))
+        yield canonicalize(*(scale * x for x in (1.0 + v_minus, 1.0 - v_minus, vz, b)))
+        yield canonicalize(scale, scale, 0.0, scale * rng.uniform(0.0, 0.95))
+        yield canonicalize(scale, -scale, 0.0, scale * rng.uniform(0.0, 0.95))
+
+
+def test_predicted_path_takes_one_round(monkeypatch, rng):
+    # where the walk follows the closed form, the first round (the lowest
+    # temperature and the predicted path) holds every midpoint it visits
+    seeded = [param.values[0] for param in _seeded_tc_models()]
+    for p in [*(p for p in seeded if critical_temperature(p).feasible), *_model_limits_families(rng)]:
+        assert _tc_rounds(monkeypatch, p)[1] == 1, p
+
+
+def test_missed_prediction_falls_back_to_trees(monkeypatch):
+    # the walk leaves the predicted path at its first midpoint between the
+    # numeric and the closed-form T_c; trees of TREE_LEVELS steps finish it
+    closed = critical_temperature(NEEL_MISS).t_c
+    assert closed == 0.42399759625124206
+    assert _tc_rounds(monkeypatch, NEEL_MISS) == (0.3541087701419591, 5)
 
 
 def test_rows_match_one_temperature_solves(rng):
