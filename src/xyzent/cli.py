@@ -56,16 +56,6 @@ def fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _csv_lines(rows) -> list[str]:
-    """",".join(map(fmt, row)) for each row of a table whose absent cells
-    are None or nan: one "%.12g,..." template per row of finite values,
-    fmt cell by cell only on a row with an absent or non-finite value."""
-    table = np.array(rows, dtype=float)  # None -> nan
-    template = ",".join(["%.12g"] * table.shape[1])
-    whole = np.isfinite(table).all(axis=1).tolist()
-    return [template % tuple(row) if ok else ",".join(map(fmt, row)) for row, ok in zip(table.tolist(), whole)]
-
-
 def _write_lines(lines, out_path):
     text = "".join(line + "\n" for line in lines)
     if out_path:
@@ -217,7 +207,10 @@ def cmd_limits(args) -> int:
     if args.format == "json":
         _write_lines([json.dumps(row)], args.out)
     else:
-        _write_lines([",".join(row), *_csv_lines([list(row.values())])], args.out)
+        _write_lines(
+            [",".join(row), ",".join(fmt(v) for v in row.values())],
+            args.out,
+        )
     return 0
 
 
@@ -280,8 +273,9 @@ def cmd_sweep(args) -> int:
     if "limits" in groups:
         lims = _limit_rows(models, args.tmax, args.grid, args.tol) * (values.size // len(models))
         cols.update((k, [lim[k] for lim in lims]) for k in LIMIT_COLUMNS)
-    table = np.column_stack([np.array(cols[c], dtype=float) for c in columns])
-    _write_lines([",".join(columns), *_csv_lines(table)], args.out)
+    lines = [",".join(columns)]
+    lines += (",".join(fmt(cols[c][i]) for c in columns) for i in range(values.size))
+    _write_lines(lines, args.out)
     return 0
 
 
@@ -304,7 +298,7 @@ def cmd_figure(args) -> int:
     top = ["b,temp,concurrence"]
     for b in top_fields:
         c = _state_values([eigensystem(canonicalize(vx, vy, 0.0, b))], temps)["concurrence"]
-        top += _csv_lines(np.column_stack([np.full(temps.size, b), temps, c]))
+        top += (f"{fmt(b)},{fmt(t)},{fmt(x)}" for t, x in zip(temps, c))
 
     # center: limit temperatures vs field; bottom: concurrence at each limit
     v_unit = v_plus if v_plus > 0.0 else v_minus
@@ -321,10 +315,11 @@ def cmd_figure(args) -> int:
     eigs = [e for e in map(eigensystem, models) for _ in range(ts.shape[1])]
     c = _state_values(eigs, ts.ravel())["concurrence"].reshape(ts.shape)
     c = np.where(ts > 0.0, c, np.nan)  # absent at T = 0
-    ratio = fields / v_unit
-    inv = np.divide(1.0, ratio, out=np.full(ratio.size, np.nan), where=ratio > 0.0)
-    center += _csv_lines([(r, i, *lim.values()) for r, i, lim in zip(ratio, inv, lims)])
-    bottom += _csv_lines(np.column_stack([ratio, inv, c]))
+    for b, lim, c_row in zip(fields, lims, c):
+        ratio = b / v_unit
+        inv = 1.0 / ratio if ratio > 0.0 else None
+        center.append(",".join(fmt(x) for x in (ratio, inv, *lim.values())))
+        bottom.append(",".join(fmt(x) for x in (ratio, inv, *c_row)))
     # every panel is built (and every setting validated) before any file is written
     os.makedirs(args.out, exist_ok=True)
     for panel, lines in (("top", top), ("center", center), ("bottom", bottom)):

@@ -9,11 +9,9 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 import xyzent
-from xyzent.cli import _csv_lines, _state_values, build_parser, fmt, main, point_report
+from xyzent.cli import _state_values, build_parser, fmt, main, point_report
 from xyzent.entanglement import entanglement_of_formation
 from xyzent.limits import limit_temperatures, margin_table
 from xyzent.meanfield import critical_temperature
@@ -601,16 +599,6 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         assert main(argv[1:]) == 0, argv
 
 
-#: a CSV cell: absent, any float (nan, +-inf, -0.0 and subnormals included),
-#: a float near the top of the range, or an integer
-_CELL = st.one_of(
-    st.none(),
-    st.floats(),
-    st.floats(min_value=1e307, max_value=1.8e308).flatmap(lambda x: st.sampled_from([x, -x])),
-    st.integers(-(10**15), 10**15),
-)
-
-
 class TestFormatting:
     def test_fmt(self):
         assert fmt(None) == ""
@@ -618,12 +606,6 @@ class TestFormatting:
         assert fmt(0.5) == "0.5"
         assert fmt(1.0 / 3.0) == "0.333333333333"
         assert fmt(1.134592657106511) == "1.13459265711"
-
-    @given(st.integers(1, 8).flatmap(lambda n: st.lists(st.lists(_CELL, min_size=n, max_size=n), min_size=1, max_size=6)))
-    @example([[None, float("nan"), float("inf"), -float("inf")], [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]])
-    @example([[0.5, 1.0 / 3.0, -1e-300, 1e308]])
-    def test_csv_lines_are_fmt_per_cell(self, rows):
-        assert _csv_lines(rows) == [",".join(map(fmt, row)) for row in rows]
 
 
 def test_cli_import_loads_no_scipy():
