@@ -56,13 +56,35 @@ def fmt(x) -> str:
     return f"{x:.12g}"
 
 
+#: rows per block of a CSV table that one format operation renders
+_BLOCK = 1024
+
+
+def _csv_blocks(columns, table):
+    """The header and then the rows of a CSV table, in blocks of at most
+    _BLOCK lines each.  table holds one row per line (None or nan for an
+    absent value).  A block is one "%.12g,..." format of its values, which
+    renders every finite value as fmt does; where the block holds a
+    non-finite value, the tokens "-inf", "inf" and "nan" are then removed,
+    so that value is an empty field, as fmt renders it."""
+    yield ",".join(columns)
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.12g"] * table.shape[1])
+    for k in range(0, len(table), _BLOCK):
+        block = table[k : k + _BLOCK]
+        text = "\n".join([row] * len(block)) % tuple(block.ravel().tolist())
+        if not np.isfinite(block).all():
+            text = text.replace("-inf", "").replace("inf", "").replace("nan", "")
+        yield text
+
+
 def _write_lines(lines, out_path):
-    text = "".join(line + "\n" for line in lines)
+    """Write each string of lines and a newline to out_path, or to stdout."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(line + "\n" for line in lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +229,7 @@ def cmd_limits(args) -> int:
     if args.format == "json":
         _write_lines([json.dumps(row)], args.out)
     else:
-        _write_lines(
-            [",".join(row), ",".join(fmt(v) for v in row.values())],
-            args.out,
-        )
+        _write_lines(_csv_blocks(row, [list(row.values())]), args.out)
     return 0
 
 
@@ -253,12 +272,10 @@ def cmd_sweep(args) -> int:
             raise XyzentError("state columns on a parameter axis need --temp")
         if "state" not in groups and "temp" in args._explicit:
             raise XyzentError("--temp on a parameter axis is read only by the state columns")
-
-    columns = [args.axis]
-    if "state" in groups:
-        columns += list(STATE_COLUMNS)
-    if "limits" in groups:
-        columns += list(LIMIT_COLUMNS)
+    if "limits" not in groups:
+        for key in ("tmax", "grid", "tol"):
+            if key in args._explicit:
+                raise XyzentError(f"--{key} is read only by the limits columns")
 
     values = np.linspace(args.start, args.stop, args.steps)
     # a temperature axis is one model, whose limits fill every row
@@ -266,16 +283,17 @@ def cmd_sweep(args) -> int:
         models = [canonicalize(args.vx, args.vy, args.vz, args.b)]
     else:
         models = [_sweep_model(args, float(v)) for v in values]
-    cols = {args.axis: values}
+    columns, parts = [args.axis], [values[:, None]]
     if "state" in groups:
         temps = values if args.axis == "temp" else np.full(values.size, args.temp)
-        cols.update(_state_values([eigensystem(p) for p in models], temps))
+        cols = _state_values([eigensystem(p) for p in models], temps)
+        columns += STATE_COLUMNS
+        parts.append(np.column_stack([cols[k] for k in STATE_COLUMNS]))
     if "limits" in groups:
-        lims = _limit_rows(models, args.tmax, args.grid, args.tol) * (values.size // len(models))
-        cols.update((k, [lim[k] for lim in lims]) for k in LIMIT_COLUMNS)
-    lines = [",".join(columns)]
-    lines += (",".join(fmt(cols[c][i]) for c in columns) for i in range(values.size))
-    _write_lines(lines, args.out)
+        lims = [[lim[k] for k in LIMIT_COLUMNS] for lim in _limit_rows(models, args.tmax, args.grid, args.tol)]
+        columns += LIMIT_COLUMNS
+        parts.append(np.broadcast_to(np.array(lims, dtype=float), (values.size, len(LIMIT_COLUMNS))))
+    _write_lines(_csv_blocks(columns, np.hstack(parts)), args.out)
     return 0
 
 
@@ -295,19 +313,14 @@ def cmd_figure(args) -> int:
 
     # top: concurrence vs temperature at a few fields
     temps = np.linspace(0.0, 2.5, 501)[1:]
-    top = ["b,temp,concurrence"]
+    top = []
     for b in top_fields:
         c = _state_values([eigensystem(canonicalize(vx, vy, 0.0, b))], temps)["concurrence"]
-        top += (f"{fmt(b)},{fmt(t)},{fmt(x)}" for t, x in zip(temps, c))
+        top.append(np.column_stack([np.full(temps.size, b), temps, c]))
 
     # center: limit temperatures vs field; bottom: concurrence at each limit
     v_unit = v_plus if v_plus > 0.0 else v_minus
     fields = np.linspace(0.0, 2.0, args.steps) * v_unit
-    center = [
-        "b_over_v,v_over_b,t_exact,t_disorder,t_entropic,t_critical,"
-        "reentry_lower,reentry_upper,reentry_two_level"
-    ]
-    bottom = ["b_over_v,v_over_b,c_at_t_exact,c_at_t_disorder,c_at_t_entropic,c_at_t_critical"]
     models = [canonicalize(vx, vy, 0.0, float(b)) for b in fields]
     lims = _limit_rows(models, args.tmax, args.grid, args.tol)
     # the concurrence at each model's four limits, one kernel column each
@@ -315,15 +328,22 @@ def cmd_figure(args) -> int:
     eigs = [e for e in map(eigensystem, models) for _ in range(ts.shape[1])]
     c = _state_values(eigs, ts.ravel())["concurrence"].reshape(ts.shape)
     c = np.where(ts > 0.0, c, np.nan)  # absent at T = 0
-    for b, lim, c_row in zip(fields, lims, c):
-        ratio = b / v_unit
-        inv = 1.0 / ratio if ratio > 0.0 else None
-        center.append(",".join(fmt(x) for x in (ratio, inv, *lim.values())))
-        bottom.append(",".join(fmt(x) for x in (ratio, inv, *c_row)))
+    ratio = fields / v_unit
+    inv = np.divide(1.0, ratio, out=np.full(ratio.size, np.nan), where=ratio > 0.0)
+    center = np.column_stack([ratio, inv, np.array([list(lim.values()) for lim in lims], dtype=float)])
+    bottom = np.column_stack([ratio, inv, c])
     # every panel is built (and every setting validated) before any file is written
     os.makedirs(args.out, exist_ok=True)
-    for panel, lines in (("top", top), ("center", center), ("bottom", bottom)):
-        _write_lines(lines, os.path.join(args.out, f"{args.which}_{panel}.csv"))
+    for panel, columns, table in (
+        ("top", ("b", "temp", "concurrence"), np.vstack(top)),
+        ("center", ("b_over_v", "v_over_b", *LIMIT_COLUMNS, "reentry_two_level"), center),
+        (
+            "bottom",
+            ("b_over_v", "v_over_b", "c_at_t_exact", "c_at_t_disorder", "c_at_t_entropic", "c_at_t_critical"),
+            bottom,
+        ),
+    ):
+        _write_lines(_csv_blocks(columns, table), os.path.join(args.out, f"{args.which}_{panel}.csv"))
     return 0
 
 

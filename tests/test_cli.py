@@ -9,11 +9,26 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 import xyzent
-from xyzent.cli import _state_values, build_parser, fmt, main, point_report
+from xyzent.cli import (
+    _BLOCK,
+    _FIGURES,
+    LIMIT_COLUMNS,
+    STATE_COLUMNS,
+    _csv_blocks,
+    _limit_rows,
+    _state_values,
+    _sweep_model,
+    build_parser,
+    fmt,
+    main,
+    point_report,
+)
 from xyzent.entanglement import entanglement_of_formation
-from xyzent.limits import limit_temperatures, margin_table
+from xyzent.limits import DEFAULT_GRID, DEFAULT_REL_TOL, limit_temperatures, margin_table
 from xyzent.meanfield import critical_temperature
 from xyzent.model import canonicalize, eigensystem
 
@@ -353,6 +368,26 @@ class TestSweep:
         assert code == 0
         assert len(out.strip().split("\n")) == 5
 
+    @pytest.mark.parametrize(
+        "flag, name", [("--grid=10", "grid"), ("--tol=nan", "tol"), ("--tmax=3", "tmax"), ("--gr=64", "grid")]
+    )
+    def test_scan_flag_needs_limit_columns(self, capsys, tmp_path, flag, name):
+        for argv in (
+            ["--axis=temp", "--from=0", "--to=1", "--steps=3", "--vx=1"],
+            ["--axis=temp", "--from=0", "--to=1", "--steps=3", "--vx=1", "--outputs=state"],
+            ["--axis=vz", "--from=0", "--to=1", "--steps=3", "--vx=1", "--outputs=state", "--temp=0.5"],
+        ):
+            code, out, err = run(capsys, "sweep", *argv, flag)
+            assert code == 2 and out == "" and err.count("\n") == 1, (argv, err)
+            assert err == f"error: --{name} is read only by the limits columns\n", err
+        # a key of the config file stays ignored where nothing reads it
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("grid = 10\ntol = nan\ntmax = 3\n")
+        code, out, _ = run(
+            capsys, "sweep", "--axis=temp", "--from=0", "--to=1", "--steps=3", "--vx=1", "--config", str(cfg),
+        )
+        assert code == 0 and out.count("\n") == 4
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run(
@@ -599,6 +634,81 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         assert main(argv[1:]) == 0, argv
 
 
+def per_cell_csv(columns, rows) -> str:
+    """A CSV table as the CLI wrote it before its block writer: each cell
+    through fmt, joined row by row."""
+    lines = [",".join(columns)] + [",".join(fmt(x) for x in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def block_csv(columns, rows) -> str:
+    return "".join(line + "\n" for line in _csv_blocks(columns, rows))
+
+
+def reference_sweep(argv) -> str:
+    """The sweep table of argv (which names --outputs) as the CLI wrote it
+    before its block writer: columns filled as then, each cell through fmt."""
+    args = build_parser().parse_args(["sweep", *argv])
+    groups = [g.strip() for g in args.outputs.split(",")]
+    values = np.linspace(args.start, args.stop, args.steps)
+    columns = [args.axis]
+    if args.axis == "temp":
+        models = [canonicalize(args.vx, args.vy, args.vz, args.b)]
+    else:
+        models = [_sweep_model(args, float(v)) for v in values]
+    cols = {args.axis: values}
+    if "state" in groups:
+        columns += STATE_COLUMNS
+        temps = values if args.axis == "temp" else np.full(values.size, args.temp)
+        cols.update(_state_values([eigensystem(p) for p in models], temps))
+    if "limits" in groups:
+        columns += LIMIT_COLUMNS
+        lims = _limit_rows(models, args.tmax, args.grid, args.tol) * (values.size // len(models))
+        cols.update((k, [lim[k] for lim in lims]) for k in LIMIT_COLUMNS)
+    return per_cell_csv(columns, ([cols[c][i] for c in columns] for i in range(values.size)))
+
+
+def reference_figure(which, steps) -> dict:
+    """The three panels of a figure as the CLI wrote them before its block
+    writer, each cell through fmt."""
+    v_plus, v_minus, top_fields = _FIGURES[which]
+    vx, vy = v_plus + v_minus, v_plus - v_minus
+    temps = np.linspace(0.0, 2.5, 501)[1:]
+    top = []
+    for b in top_fields:
+        c = _state_values([eigensystem(canonicalize(vx, vy, 0.0, b))], temps)["concurrence"]
+        top += ((b, t, x) for t, x in zip(temps, c))
+    v_unit = v_plus if v_plus > 0.0 else v_minus
+    fields = np.linspace(0.0, 2.0, steps) * v_unit
+    models = [canonicalize(vx, vy, 0.0, float(b)) for b in fields]
+    lims = _limit_rows(models, None, DEFAULT_GRID, DEFAULT_REL_TOL)
+    keys = ("t_exact", "t_disorder", "t_entropic", "t_critical")
+    ts = np.array([[lim[k] or 0.0 for k in keys] for lim in lims])
+    eigs = [e for e in map(eigensystem, models) for _ in keys]
+    c = _state_values(eigs, ts.ravel())["concurrence"].reshape(ts.shape)
+    c = np.where(ts > 0.0, c, np.nan)
+    center, bottom = [], []
+    for b, lim, c_row in zip(fields, lims, c):
+        ratio = b / v_unit
+        inv = 1.0 / ratio if ratio > 0.0 else None
+        center.append((ratio, inv, *lim.values()))
+        bottom.append((ratio, inv, *c_row))
+    return {
+        "top": per_cell_csv(("b", "temp", "concurrence"), top),
+        "center": per_cell_csv(("b_over_v", "v_over_b", *LIMIT_COLUMNS, "reentry_two_level"), center),
+        "bottom": per_cell_csv(("b_over_v", "v_over_b", *(f"c_at_{k}" for k in keys)), bottom),
+    }
+
+
+#: values whose fmt rendering is an edge case: signed zeros, subnormals,
+#: the ends of the float range, and the absent and non-finite values
+EDGE_CELLS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+    1e308, -1e308, 1.7976931348623157e308, -1e-308, 1e-300, 1e300,
+    float("nan"), float("inf"), float("-inf"), None,
+)
+
+
 class TestFormatting:
     def test_fmt(self):
         assert fmt(None) == ""
@@ -606,6 +716,51 @@ class TestFormatting:
         assert fmt(0.5) == "0.5"
         assert fmt(1.0 / 3.0) == "0.333333333333"
         assert fmt(1.134592657106511) == "1.13459265711"
+
+    # no shrinking: an example holds up to 65,000 cells, so shrinking one
+    # takes minutes; the list comparison names the first differing line
+    @settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(
+        rows=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5000]),
+        width=st.integers(1, 13),
+        cells=st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_CELLS)), min_size=1, max_size=24),
+        absent=st.sampled_from([0.0, 1e-4, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=5000, width=7, cells=list(EDGE_CELLS), absent=0.3, seed=1)
+    @example(rows=_BLOCK + 1, width=3, cells=[1.5, -0.0, 5e-324], absent=1e-4, seed=2)
+    def test_block_writer_matches_per_cell_fmt(self, rows, width, cells, absent, seed):
+        # each cell is drawn from cells, or is None with probability absent,
+        # so blocks with and without a non-finite value alternate
+        rng = np.random.default_rng(seed)
+        picks = rng.integers(len(cells), size=(rows, width)).tolist()
+        gaps = (rng.random((rows, width)) < absent).tolist()
+        table = [[None if gap else cells[k] for k, gap in zip(*row)] for row in zip(picks, gaps)]
+        columns = [f"c{j}" for j in range(width)]
+        want = per_cell_csv(columns, table).splitlines(keepends=True)
+        assert block_csv(columns, table).splitlines(keepends=True) == want
+        assert block_csv(columns, np.array(table, dtype=float)).splitlines(keepends=True) == want
+
+    @pytest.mark.parametrize("axis", ["temp", "b", "v_plus", "v_minus", "vz"])
+    @pytest.mark.parametrize("outputs", ["state", "limits", "state,limits", "limits, state"])
+    def test_sweep_matches_per_cell_reference(self, capsys, axis, outputs):
+        span = ["--from=0", "--to=2"] if axis == "temp" else ["--from=-0.5", "--to=2"]
+        argv = [f"--axis={axis}", *span, "--steps=9", f"--outputs={outputs}"]
+        argv += [f"--{k}={v}" for k, v in (("vx", 1.7), ("vy", 0.3), ("vz", 0.2), ("b", 0.9)) if k != axis]
+        if axis != "temp" and "state" in outputs:
+            argv.append("--temp=0.3")
+        code, out, _ = run(capsys, "sweep", *argv)
+        assert code == 0
+        assert out == reference_sweep(argv), argv
+        assert "nan" not in out and "inf" not in out
+
+    @pytest.mark.parametrize("which", sorted(_FIGURES))
+    def test_figure_matches_per_cell_reference(self, capsys, tmp_path, which):
+        code, _, _ = run(capsys, "figure", which, "--steps", "5", "--out", str(tmp_path))
+        assert code == 0
+        want = reference_figure(which, 5)
+        for panel in ("top", "center", "bottom"):
+            assert (tmp_path / f"{which}_{panel}.csv").read_text() == want[panel], panel
 
 
 def test_cli_import_loads_no_scipy():
