@@ -7,11 +7,12 @@ mixture thresholds.
 One scan (_limit_records) computes the limits of any number of models,
 and each model's record holds every limit; limit_temperatures is its
 one-model view.  It resolves each model's grid once, with T = 0 as its
-first sample, finds every sign change between neighbouring samples of
+first sample, finds the sign changes between neighbouring samples of
 the four signed margins (the two exact margins m12 and m03, the
-disorder margin and the entropic margin), and one vectorised bisection
-then refines every sign change of every model.  All margins come from
-one kernel, _margin_columns, which takes a model per column and whose
+disorder margin and the entropic margin) that its record needs, and one
+vectorised bisection then refines each exact sign change and the top
+one of the disorder and entropic rows of every model.  All margins come
+from one kernel, _margin_columns, which takes a model per column and whose
 one-model view is margin_table.  Its formulas are the ones behind the
 scalar checks (entanglement.exact_margins, criteria.disorder_check,
 criteria.entropic_check), broadcast over the columns; the grid pass,
@@ -26,8 +27,8 @@ and every margin is >= 0.1; no later sample can hold a sign change:
   entropic >= -log2 p_max - 1 >= log2(5/2) - 1 > 0.32 bits.
 
 Within that range the grid pass evaluates a coarse subset of the grid
-first, then every sample of each coarse cell that can hold a sign change,
-so it finds the sign changes of the whole grid.  In beta = 1/T, with
+first, then every sample of each coarse cell that can hold a sign change
+the record needs, so it finds those of the whole grid.  In beta = 1/T, with
 w_j = exp(-beta (E_j - E_min)), three margins have the signs of sums of
 at most six exponentials:
   Z m12 = w0 + w3 + vm (w1 - w2);
@@ -47,8 +48,14 @@ changes than its bound (rounding), or with no such e_m, has all its
 cells evaluated.  The entropic margin has no such bound, but entropic
 detection implies disorder detection (the spectrum of rho is majorized
 by that of rho_A wherever the disorder margin is >= 0, and entropy is
-Schur-concave), so every cell where the disorder margin is negative at
-an end is evaluated, as is every cell where any row changes sign.
+Schur-concave), and the record keeps only its limit, the top edge of
+its highest interval.  That edge lies above the model's highest coarse
+sample where the entropic margin is negative, so every cell from that
+sample up (every cell, where there is none) in which the disorder margin
+is negative at an end is evaluated, as is every cell where any row
+changes sign.  Cells below it may hide entropic sign changes, so of the
+disorder and entropic rows only the top sign change is refined; the
+sign changes of the exact and disorder rows are all found.
 
 The two exact margins are refined separately and their violation sets
 merged.  Each margin crosses zero transversally, so both reentry
@@ -205,7 +212,9 @@ def _scan_grid(p: XYZParams, eig: EigenSystem, t_r: float | None, t_max: float |
     every margin is >= 0.1 past t_cut = (E_max - E_min)/ln 2 (module
     docstring), and t_cut < 4.33 energy_scale, since every level gap is
     at most 3 energy_scale (2 v_plus, 2 Delta, or |vz| + v_plus + Delta,
-    with v_plus + v_minus, b and |vz| each <= energy_scale).
+    with v_plus + v_minus, b and |vz| each <= energy_scale).  So the grid
+    ends at its first sample past t_cut, and the base grid and the window
+    are cut there before they are merged.
     """
     if grid_n < 64:
         raise OutOfRange(f"grid_n must be >= 64, got {grid_n}")
@@ -214,15 +223,21 @@ def _scan_grid(p: XYZParams, eig: EigenSystem, t_r: float | None, t_max: float |
     elif not (math.isfinite(t_max) and t_max > 0.0):
         raise OutOfRange(f"t_max must be finite and positive, got {t_max!r}")
 
-    ts = np.linspace(0.0, t_max, grid_n + 1)
     e = eig.energies
+    t_cut = (e.max() - e.min()) / math.log(2.0)
+    ts = _cut(np.linspace(0.0, t_max, grid_n + 1), t_cut)
     if t_r is not None and e[3] < min(e[0], e[1]):
         # the separable gap sits near t_r; make sure both lobes around it
         # are sampled even when they are much narrower than the base grid
         window = np.linspace(t_r / grid_n, min(3.0 * t_r, t_max), grid_n)
-        ts = np.unique(np.concatenate([ts, window]))
-        ts = ts[ts <= t_max]
-    return ts, float(t_max)
+        ts = np.unique(np.concatenate([ts, _cut(window, t_cut)]))
+        ts = _cut(ts[ts <= t_max], t_cut)
+    return ts.copy(), float(t_max)  # not a view of the whole base grid
+
+
+def _cut(ts: np.ndarray, t_cut) -> np.ndarray:
+    """The increasing samples ts up to their first one past t_cut."""
+    return ts[: np.searchsorted(ts, t_cut, side="right") + 1]
 
 
 #: The grid pass evaluates the samples 0, 1, 1 + _COARSE, 1 + 2 _COARSE,
@@ -321,15 +336,19 @@ def _grid_brackets(ts, sizes, energies, vm_ratio, b_ratio):
     """The grid signs of the models whose grids, of sizes, are concatenated
     in ts: the negative flags (4, K) of each one's first and last samples,
     and the row, sign below, bracket and model of every sign change between
-    neighbouring samples of a grid, model by model and in T order.
+    neighbouring samples of a grid, model by model and in T order.  These
+    are all the sign changes of the exact and disorder rows, and of the
+    entropic row those above its highest coarse detection.
 
     The kernel runs first on the coarse samples 0, 1, 1 + _COARSE, ... and
     the last of each grid, then on every sample inside a coarse cell where
     some row may change sign (module docstring): where a row changes sign
-    over the cell or the disorder or entropic margin is negative at an end,
-    in the cell holding the root of a row's Rolle derivative (and one on
-    each side, for rounding) when the row's bound exceeds its coarse sign
-    changes by 2 or more, and in every cell of a model with a row unproven.
+    over the cell, where the disorder or entropic margin is negative at an
+    end of a cell at or above the model's highest coarse sample with the
+    entropic margin negative (any cell, where there is none), in the cell
+    holding the root of a row's Rolle derivative (and one on each side,
+    for rounding) when the row's bound exceeds its coarse sign changes by
+    2 or more, and in every cell of a model with a row unproven.
     """
     bound, lam, coef = _sign_change_bounds(energies, vm_ratio, b_ratio)
     counts = 2 + (sizes - 2 + _COARSE - 1) // _COARSE
@@ -346,7 +365,11 @@ def _grid_brackets(ts, sizes, energies, vm_ratio, b_ratio):
     whole = np.zeros(sizes.size, bool)
     whole[np.nonzero(seen > bound)[1]] = True
     whole[ms[~has_deriv]] = True
-    cells = same & (flips.any(axis=0) | neg[2:, 1:].any(axis=0) | neg[2:, :-1].any(axis=0) | whole[model[:-1]])
+    top = first.copy()  # each model's highest coarse sample with the entropic margin negative
+    np.maximum.at(top, model[neg[3]], np.flatnonzero(neg[3]))
+    upper = np.arange(same.size) >= top[model[:-1]]
+    detects = upper & (neg[2:, 1:].any(axis=0) | neg[2:, :-1].any(axis=0))
+    cells = same & (flips.any(axis=0) | detects | whole[model[:-1]])
 
     rows, ms, deriv = rows[has_deriv], ms[has_deriv], deriv[has_deriv]
     if rows.size:
@@ -395,10 +418,12 @@ def _limit_records(ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL)
     so a boundary ground state does not start its interval where exp stops
     underflowing.  A grid ends at the first sample past t_cut, as no
     margin is negative later, and _grid_brackets evaluates only the cells
-    of it that can hold a sign change (module docstring).  One bisection
-    refines every bracket in its own model's column; each stops once
-    hi - lo <= rel_tol * hi (checked before each step), as it would alone,
-    or once lo, hi are adjacent floats, within 2,098 halvings of any bracket.
+    of it that can hold a sign change (module docstring).  Of the disorder
+    and entropic rows only the top bracket is kept, as the record reports
+    only their top edges.  One bisection refines every kept bracket in its
+    own model's column; each stops once hi - lo <= rel_tol * hi (checked
+    before each step), as it would alone, or once lo, hi are adjacent
+    floats, within 2,098 halvings of any bracket.
     """
     if not 0.0 < rel_tol < 1.0:
         raise OutOfRange(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
@@ -406,12 +431,11 @@ def _limit_records(ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL)
     energies = np.stack([e.energies for e in eigs], axis=1)
     vm_ratio = np.array([e.vm_ratio for e in eigs])
     b_ratio = np.array([e.b_ratio for e in eigs])
-    t_cut = (energies.max(axis=0) - energies.min(axis=0)) / math.log(2.0)
     scans, grids, found, size = [], [], [], 0
     for k, (p, eig) in enumerate(zip(ps, eigs)):
         t_r = _two_level(p, eig)
         ts, t_end = _scan_grid(p, eig, t_r, t_max, grid_n)
-        grids.append(ts[: np.searchsorted(ts, t_cut[k], side="right") + 1].copy())  # not a view of all of ts
+        grids.append(ts)
         scans.append((t_end, t_r))
         size += grids[-1].size
         if size >= _BATCH or k == len(ps) - 1:
@@ -421,6 +445,11 @@ def _limit_records(ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL)
             found.append((*signs, model + batch.start))
     # first and last signs, and the row, sign below, bracket and model of every bracket
     first, last, rows, leaving, lo, hi, model = (np.concatenate(x, axis=-1) for x in zip(*found))
+    # of the disorder and entropic rows, only each model's last (top) bracket
+    upper = np.flatnonzero(rows >= 2)[::-1]
+    keep = rows < 2
+    keep[upper[np.unique(4 * model[upper] + rows[upper], return_index=True)[1]]] = True
+    rows, leaving, lo, hi, model = rows[keep], leaving[keep], lo[keep], hi[keep], model[keep]
     energies = energies[:, model]
     vm_ratio = vm_ratio[model]
     b_ratio = b_ratio[model]
@@ -434,32 +463,43 @@ def _limit_records(ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL)
         to_lo = (table[rows[live], np.arange(live.size)] < 0.0) == leaving[live]
         lo[live[to_lo]] = mid[to_lo]
         hi[live[~to_lo]] = mid[~to_lo]
-    t_cross = 0.5 * (lo + hi)
-    ends = np.searchsorted(model, np.arange(len(ps) + 1))
+    ends = np.searchsorted(model, np.arange(len(ps) + 1)).tolist()
+    rows, t_cross, leaving = rows.tolist(), (0.5 * (lo + hi)).tolist(), leaving.tolist()
     return [
-        _record(rows[a:b], t_cross[a:b], *ends_neg, *scan)
+        _record(rows[a:b], t_cross[a:b], leaving[a:b], *ends_neg, *scan)
         for a, b, ends_neg, scan in zip(ends[:-1], ends[1:], zip(first.T.tolist(), last.T.tolist()), scans)
     ]
 
 
-def _record(rows, t_cross, first, last, t_end: float, t_r: float | None) -> LimitTemperatures:
-    """One model's record from its refined sign changes.
+def _record(rows, t_cross, leaving, first, last, t_end: float, t_r: float | None) -> LimitTemperatures:
+    """One model's record from its refined sign changes (lists, in T order).
 
-    A row's sign changes alternate, so with 0 in front of a negative
+    An exact row's sign changes alternate, so with 0 in front of a negative
     first sample and t_end (censored) behind a negative last one they
     pair up into the maximal intervals where the margin is negative; a
     row whose edges do not pair up is a fault of the scan, and raises
     RuntimeError rather than lose a limit.
+    The disorder and entropic rows bring only their top sign change, and
+    their limit is its edge, t_end when the last sample is negative, or
+    None when the row never detects.  The row's sign above that edge (its
+    first sign, without one) must be its sign at the last sample; a row
+    where it is not is a fault of the scan, and raises RuntimeError.
     The two exact margins' violation sets are merged; they are disjoint,
     so only the bisection's noise can make them overlap.  With
     hi, lo = max, min(w1, w2) and big = max(w0, w3), m12 < 0 needs
     vm (hi - lo) > big, while m03 < 0 needs |w3 - w0| > vm (hi - lo);
     since |w3 - w0| <= big, at most one margin is negative at any T.
     """
-    edges = [[0.0] * first[r] + t_cross[rows == r].tolist() + [t_end] * last[r] for r in range(4)]
+    edges = [[0.0] * first[r] + [t for t, q in zip(t_cross, rows) if q == r] + [t_end] * last[r] for r in range(2)]
     if any(len(e) % 2 for e in edges):
-        raise RuntimeError(f"limit scan: unpaired sign changes, {[len(e) for e in edges]} edges per margin")
-    m12, m03, dis, ent = (list(zip(e[::2], e[1::2])) for e in edges)
+        raise RuntimeError(f"limit scan: unpaired sign changes, {[len(e) for e in edges]} edges per exact margin")
+    tops = []
+    for r in (2, 3):
+        top = next((k for k, q in enumerate(rows) if q == r), None)
+        if (first[r] if top is None else not leaving[top]) != last[r]:
+            raise RuntimeError(f"limit scan: the top edge of margin {r} disagrees with its sign at the top")
+        tops.append(t_end if last[r] else None if top is None else t_cross[top])
+    m12, m03 = (list(zip(e[::2], e[1::2])) for e in edges)
     ints: list[tuple[float, float]] = []
     for lo, hi in sorted(m12 + m03):
         if ints and lo < ints[-1][1]:
@@ -470,8 +510,8 @@ def _record(rows, t_cross, first, last, t_end: float, t_r: float | None) -> Limi
         reentry = ReentryWindow(lower=ints[0][1], upper=ints[1][0], two_level=t_r)
     return LimitTemperatures(
         t_exact=ints[-1][1] if ints else 0.0,
-        t_disorder=dis[-1][1] if dis else None,
-        t_entropic=ent[-1][1] if ent else None,
+        t_disorder=tops[0],
+        t_entropic=tops[1],
         intervals=tuple(ints),
         reentry=reentry,
         censored=tuple(c for c, hit in zip(_CRITERIA, (last[0] or last[1], *last[2:])) if hit),

@@ -403,26 +403,43 @@ class TestDefaultScanRange:
         for model in itertools.product((-top, -0.3 * top, 0.0, 0.7 * top, top), repeat=4):
             self.assert_margins_positive_past_cut(canonicalize(*model))
 
-    def test_unpaired_sign_change_raises(self, monkeypatch):
-        # one spurious bracket leaves a row with an odd number of edges; the
-        # record must refuse it rather than drop a limit
+    @staticmethod
+    def with_bracket(monkeypatch, row, leaving, lo, hi, at_top):
+        """Put one spurious bracket of model 0 into the grid pass's output,
+        below its brackets or above them; lo, hi index the grid samples."""
         grid_pass = limits._grid_brackets
 
-        def odd(ts, *args):
-            first, last, rows, leaving, lo, hi, model = grid_pass(ts, *args)
-            put = lambda a, x: np.concatenate([[x], a])
-            return first, last, put(rows, 3), put(leaving, True), put(lo, ts[1]), put(hi, ts[2]), put(model, 0)
+        def spurious(ts, *args):
+            first, last, *brackets = grid_pass(ts, *args)
+            put = lambda a, x: np.concatenate([a, [x]] if at_top else [[x], a])
+            return first, last, *map(put, brackets, (row, leaving, ts[lo], ts[hi], 0))
 
-        assert limit_temperatures(CASE3(0.9)).t_entropic is not None
-        monkeypatch.setattr(limits, "_grid_brackets", odd)
+        monkeypatch.setattr(limits, "_grid_brackets", spurious)
+
+    def test_unpaired_sign_change_raises(self, monkeypatch):
+        # one spurious bracket leaves an exact row with an odd number of
+        # edges; the record must refuse it rather than drop a limit
+        assert limit_temperatures(CASE3(0.9)).intervals
+        self.with_bracket(monkeypatch, 1, True, 1, 2, at_top=False)
         with pytest.raises(RuntimeError, match="unpaired sign changes"):
+            limit_temperatures(CASE3(0.9))
+
+    def test_top_edge_against_the_top_sign_raises(self, monkeypatch):
+        # of the entropic row only the top bracket is refined; one entering
+        # the negative set above the true top edge contradicts the row's
+        # non-negative last sample, and the record must refuse it
+        lt = limit_temperatures(CASE3(0.9))
+        assert lt.t_entropic is not None and "entropic" not in lt.censored
+        self.with_bracket(monkeypatch, 3, False, -2, -1, at_top=True)
+        with pytest.raises(RuntimeError, match="top edge"):
             limit_temperatures(CASE3(0.9))
 
     def test_grid_pass_evaluates_only_grid_samples(self, monkeypatch):
         # the grid pass evaluates samples of each model's grid up to its first
         # sample past t_cut (or all of it where t_max comes first), among them
         # T = 0, the next sample and the last; fig4's 201 models take at most
-        # 200,000 columns (621,031 when every table was whole up to the cut)
+        # 60,000 columns (621,031 when every table was whole up to the cut,
+        # 105,083 when every cell where disorder detects was evaluated)
         calls, in_grid_pass = [], []
         kernel, grid_pass = limits._margin_columns, limits._grid_brackets
 
@@ -458,7 +475,7 @@ class TestDefaultScanRange:
                 assert {grid[0], grid[1], grid[-1]} <= set(evaluated.tolist()), p
                 assert grid[-1] > self.t_cut(eig) or grid[-1] == t_end, p
             if t_max is None:
-                assert ts.size <= 200_000
+                assert ts.size <= 60_000
 
 
 class TestSignChangeCertificate:
@@ -547,6 +564,28 @@ class TestSignChangeCertificate:
         assert lt.t_entropic == pytest.approx(0.61, rel=1e-9) and lt.t_disorder == pytest.approx(0.718, rel=1e-3)
         monkeypatch.setattr(limits, "_COARSE", 1)
         assert limit_temperatures(CASE3(0.2), grid_n=8192) == lt
+
+    def test_entropic_sign_changes_below_the_top_detection_are_not_needed(self, monkeypatch):
+        # a positive blip in the entropic row below CASE3(0.2)'s top entropic
+        # edge (0.378): the grid pass may skip its cells, as they lie below the
+        # highest coarse detection, and where every sample is evaluated its
+        # sign changes are found but not refined; the record is the same
+        want = limit_temperatures(CASE3(0.2))
+        kernel, blip = limits._margin_columns, []
+
+        def with_blip(energies, vm_ratio, b_ratio, ts):
+            table = kernel(energies, vm_ratio, b_ratio, ts)
+            inside = (0.1 < ts) & (ts < 0.11)
+            blip.append(table[3, inside] < 0.0)
+            table[3, inside] = 1.0
+            return table
+
+        monkeypatch.setattr(limits, "_margin_columns", with_blip)
+        assert limit_temperatures(CASE3(0.2)) == want
+        monkeypatch.setattr(limits, "_COARSE", 1)
+        blip.clear()
+        assert limit_temperatures(CASE3(0.2)) == want
+        assert np.concatenate(blip).any()  # the blip turned detected samples positive
 
     @pytest.mark.parametrize("stride", [1, 1024])
     def test_records_do_not_depend_on_the_coarse_stride(self, rng, monkeypatch, stride):
