@@ -55,7 +55,7 @@ def disorder_check(m: BellMixture) -> CriterionReport:
     with |<S_z>| = |(b/Delta)(p_2 - p_1)|.  Detection requires some
     p_j > 1/2, and the check is exact when b = 0.
     """
-    margins = tuple(float(x) for x in _disorder_margin_rows(m.probs, m.eigen.b_ratio))
+    margins = tuple(float(x) for x in _disorder_margin_rows(m.probs, m.eigen.b_ratio, m.eigen.vm_ratio))
     worst = min(margins)
     return CriterionReport(
         criterion="disorder",
@@ -65,11 +65,29 @@ def disorder_check(m: BellMixture) -> CriterionReport:
     )
 
 
-def _disorder_margin_rows(p, b_r):
+def _disorder_margin_rows(p, b_r, vm_r):
     """Per-level disorder margins [1 + |(b/Delta)(p_2 - p_1)|]/2 - p_j of
-    probabilities p (shape (4, ...)); b_r broadcasts with p[0]."""
+    probabilities p (shape (4,) or (4, N)); b_r and vm_r (v_minus/Delta)
+    broadcast with p[0].  A margin within _NEAR_ZERO of 0 is replaced by
+    that of _disorder_near_zero."""
     bound = 0.5 * (1.0 + np.abs(b_r * (p[2] - p[1])))
-    return bound - p
+    return _near_zero(bound - p, _disorder_near_zero, p, b_r, vm_r)
+
+
+def _disorder_near_zero(p, b_r, vm_r):
+    """The disorder margins without cancellation.  Twice the margin of p_j
+    is |b/Delta| |p_2 - p_1| - e_j (e_j = 2 p_j - sum p, _deviations).  For
+    the larger of p_1, p_2 these two terms nearly cancel where |b/Delta| is
+    near 1, so for |b/Delta| >= 1/2 that row is (p_0 + p_3) - c |p_2 - p_1|,
+    with c = 1 - |b/Delta| taken as (v_minus/Delta)^2 / (1 + |b/Delta|)
+    (Delta^2 = v_minus^2 + b^2): it keeps its relative accuracy where
+    1 - |b/Delta| is rounding (c near or below 2^-53)."""
+    b = np.abs(b_r)
+    d = np.abs(p[2] - p[1])
+    c = vm_r * vm_r / (1.0 + b)
+    k = np.arange(4).reshape((4,) + (1,) * (p.ndim - 1))
+    larger = (k == np.where(p[1] >= p[2], 1, 2)) & (b >= 0.5)
+    return 0.5 * np.where(larger, (p[0] + p[3]) - c * d, b * d - _deviations(p)[0])
 
 
 def entropic_check(m: BellMixture) -> CriterionReport:
@@ -79,7 +97,7 @@ def entropic_check(m: BellMixture) -> CriterionReport:
     straight from the mixture weights (the state is diagonal in its own
     eigenbasis) and each reduction has spectrum (1 +- <S_z>)/2.
     """
-    margin = float(_entropic_margin_row(m.probs, m.eigen.b_ratio))
+    margin = float(_entropic_margin_row(m.probs, m.eigen.b_ratio, m.eigen.vm_ratio))
     return CriterionReport(
         criterion="entropic",
         detected=bool(margin < 0.0),
@@ -88,11 +106,11 @@ def entropic_check(m: BellMixture) -> CriterionReport:
     )
 
 
-def _entropic_margin_row(p, b_r):
+def _entropic_margin_row(p, b_r, vm_r):
     """Entropic margin S(rho) - S(rho_A) in bits of probabilities p
-    (shape (4,) or (4, N)), b_r broadcasting with p[0].  The two
-    reductions are identical by permutation symmetry, with spectrum
-    (1 +- <S_z>)/2 and <S_z> = (b/Delta)(p_1 - p_2).
+    (shape (4,) or (4, N)); b_r and vm_r (v_minus/Delta) broadcast with
+    p[0].  The two reductions are identical by permutation symmetry, with
+    spectrum (1 +- <S_z>)/2 and <S_z> = (b/Delta)(p_1 - p_2).
 
     The spectrum is built from the weights as q_1 = s + a p_1 + (1-a) p_2
     and q_2 = s + (1-a) p_1 + a p_2, with s = (p_0 + p_3)/2 and
@@ -100,10 +118,112 @@ def _entropic_margin_row(p, b_r):
     p_k ln p_k it cancels against, so the separable product-diagonal
     mixture (p_0 = p_3 = 0, |b/Delta| = 1, hence q_k = p_k) gives exactly
     0; subtracting the two entropies whole can leave -1 ulp there.  The
-    sums are elementwise, as a matrix product rounds by batch size.
+    sums are elementwise, as a matrix product rounds by batch size.  A
+    margin within _NEAR_ZERO of 0 is replaced by that of
+    _entropic_near_zero.
     """
     a = 0.5 * (1.0 + np.abs(b_r))
-    xq1 = _xlogx(0.5 * p[0] + a * p[1] + (1.0 - a) * p[2] + 0.5 * p[3])
-    xq2 = _xlogx(0.5 * p[0] + (1.0 - a) * p[1] + a * p[2] + 0.5 * p[3])
+    q1 = 0.5 * p[0] + a * p[1] + (1.0 - a) * p[2] + 0.5 * p[3]
+    q2 = 0.5 * p[0] + (1.0 - a) * p[1] + a * p[2] + 0.5 * p[3]
     xp = _xlogx(p)
-    return ((xq1 - xp[1]) + (xq2 - xp[2]) - xp[0] - xp[3]) / _LN2
+    margin = ((_xlogx(q1) - xp[1]) + (_xlogx(q2) - xp[2]) - xp[0] - xp[3]) / _LN2
+    return _near_zero(margin, _entropic_near_zero, p, b_r, vm_r)
+
+
+def _entropic_near_zero(p, b_r, vm_r):
+    """The entropic margin without cancellation.
+
+    With sigma = sum p = sum q, sigma times the margin is
+    sum_k q_k ln(2 q_k/sigma) - sum_j p_j ln(2 p_j/sigma) in nats.  Each log
+    is of a ratio near 1 where its weight is large: for x >= 1/4 it is
+    log1p of the deviation 2x - sigma, which is e_j for p_j (_deviations)
+    and +-t, t = |b/Delta| (p_1 - p_2), for q_1 and q_2; below 1/4 it is
+    log(2x/sigma).
+
+    The terms are paired as in the short form, each pair taken as
+    (q - p) ln(2q/sigma) + p ln(q/p) (_pair_gain), with q_k - p_k formed
+    without cancellation: (p_0 + p_3 -+ c (p_1 - p_2))/2 for |b/Delta| >= 1/2,
+    with c = 1 - |b/Delta| as in _disorder_near_zero, and (+-t - e_k)/2
+    below.  q_k itself is p_k plus that difference, which is at least
+    -p_k/2, so q_k is accurate too.  Where q_1 and q_2, or p_1 and p_2, are
+    both >= 1/4, the two terms of each pair are summed jointly instead
+    (_pair_xlog2x), so a reduction near fully mixed gives its t^2/2 to
+    full relative accuracy.  On the product-diagonal mixture (c = 0, so
+    q_k = p_k, and e_1 = t = -e_2) either way gives exactly 0.
+    """
+    e, sigma = _deviations(p)
+    b = np.abs(b_r)
+    t = b * (p[1] - p[2])
+    c = vm_r * vm_r / (1.0 + b)
+    rest, split = p[0] + p[3], c * (p[1] - p[2])
+    d1 = np.where(b >= 0.5, 0.5 * (rest - split), 0.5 * (t - e[1]))
+    d2 = np.where(b >= 0.5, 0.5 * (rest + split), 0.5 * (-t - e[2]))
+    q1, q2 = p[1] + d1, p[2] + d2
+    lq1, lq2, lp = _log_twice(q1, t, sigma), _log_twice(q2, -t, sigma), _log_twice(p, e, sigma)
+    pairs = _pair_gain(d1, p[1], lq1, lp[1]) + _pair_gain(d2, p[2], lq2, lp[2])
+    q_joint, q_sum = _pair_xlog2x(q1, q2, t, t, -t, lq1, lq2)
+    p_joint, p_sum = _pair_xlog2x(p[1], p[2], p[1] - p[2], e[1], e[2], lp[1], lp[2])
+    pairs = np.where(q_joint | p_joint, q_sum - p_sum, pairs)
+    return (pairs - p[0] * lp[0] - p[3] * lp[3]) / (sigma * _LN2)
+
+
+def _pair_gain(d, w, lq, lw):
+    """q ln(2q/sigma) - w ln(2w/sigma) of weights q = w + d, from d and the
+    logs lq, lw: d lq + w ln(q/w), the last log a log1p(d/w) where |d| <= w."""
+    close = np.abs(d) <= w
+    ratio = np.log1p(np.where(close, d, 0.0) / np.where(close & (w > 0.0), w, 1.0))
+    return d * lq + w * np.where(close, ratio, lq - lw)
+
+
+def _pair_xlog2x(w1, w2, diff, e1, e2, l1, l2):
+    """w1 l1 + w2 l2 of two weights with difference diff = w1 - w2,
+    deviations e_k = 2 w_k - sigma and logs l_k = ln(2 w_k/sigma); and
+    where it is summed jointly, the first result.  That is where both
+    weights are >= 1/4: there the sum is
+    (w1 + w2)/2 log1p(e1 + e2 + e1 e2) + diff/2 (l1 - l2), so opposite
+    deviations cancel inside the one log1p rather than between two terms."""
+    joint = (w1 >= 0.25) & (w2 >= 0.25)
+    both = np.log1p(np.where(joint, (e1 + e2) + e1 * e2, 0.0))
+    return joint, np.where(joint, 0.5 * (w1 + w2) * both + 0.5 * diff * (l1 - l2), w1 * l1 + w2 * l2)
+
+
+def _log_twice(x, e, sigma):
+    """ln(2x/sigma) of weights x >= 0 with deviations e = 2x - sigma: log1p(e)
+    where x >= 1/4, log(2x/sigma) below, and 0 where x = 0."""
+    big = x >= 0.25
+    return np.where(big, np.log1p(np.where(big, e, 0.0)), np.log(np.where(x > 0.0, (x + x) / sigma, 1.0)))
+
+
+def _deviations(p):
+    """e_j = 2 p_j - sum p of weights p (4, ...), and sum p.  The sum is
+    carried as s + err (Neumaier), so e_j = (2 p_j - s) - err, whose first
+    difference is exact wherever e_j is small, is correct to its own
+    rounding: two equal weights near 1/2 give e exactly, and weights far
+    below the spacing of 1 still count."""
+    s, err = p[0], 0.0
+    for x in p[1:]:
+        t = s + x
+        err = err + np.where(s >= x, (s - t) + x, (x - t) + s)
+        s = t
+    return (p + p - s) - err, s + err
+
+
+#: a margin closer to 0 than this may owe its sign to the rounding of its
+#: short form (a few ulps of terms up to 1 in size; under 2e-15 measured),
+#: so it is evaluated again by the cancellation-free form
+_NEAR_ZERO = 1e-13
+
+
+def _near_zero(values, form, p, *ratios):
+    """values, with each entry within _NEAR_ZERO of 0 replaced by that of
+    form(p, *ratios), evaluated only on the columns of p holding one; each
+    step is elementwise, so a column's bits do not depend on its batch."""
+    near = np.abs(values) < _NEAR_ZERO
+    if not near.any():
+        return values
+    if p.ndim == 1:
+        return np.where(near, form(p, *ratios), values)
+    cols = near.reshape(-1, near.shape[-1]).any(axis=0)
+    sub = form(p[:, cols], *(np.broadcast_to(r, cols.shape)[cols] for r in ratios))
+    values[..., cols] = np.where(near[..., cols], sub, values[..., cols])
+    return values

@@ -190,8 +190,8 @@ def _margin_columns(energies, vm_ratio, b_ratio, ts) -> np.ndarray:
     w = a * a
     z = w.sum(axis=0)
     m12, m03 = _exact_margin_rows(w, a[1], a[2], vm_ratio)
-    dis = _disorder_margin_rows(p, b_ratio).min(axis=0)
-    return np.stack([m12 / z, m03 / z, dis, _entropic_margin_row(p, b_ratio)])
+    dis = _disorder_margin_rows(p, b_ratio, vm_ratio).min(axis=0)
+    return np.stack([m12 / z, m03 / z, dis, _entropic_margin_row(p, b_ratio, vm_ratio)])
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,21 @@ class TestEntropicCheck:
             m12, m03, _, ent = margin_table(eigensystem(canonicalize(0.0, 0.0, 1.0, b)), temps)
             assert np.all((ent >= 0.0) | (np.minimum(m12, m03) < 0.0)), b
 
+    def test_half_half_pair_keeps_its_small_margin(self):
+        # p = (0, 0, 1/2, 1/2): S(rho) = 1 bit and the reduction is (1 +- u)/2
+        # with u = |b/Delta|/2, so the margin is 1 - h((1 + u)/2) =
+        # sum_n u^2n / (2n (2n - 1) ln 2) > 0; subtracting the two entropies
+        # near 1 bit rounded it to -8e-17 for every u below about 1e-8.
+        # Below 1e-13 bits the margin is exact to 1e-12; above, the short
+        # form's rounding (under 2e-15 bits) applies
+        for b in np.geomspace(1e-30, 1e-2, 57):
+            m = mixture(canonicalize(0.890625, 0.125, 0.125, b), [0.0, 0.0, 0.5, 0.5])
+            u = abs(m.eigen.b_ratio) / 2.0
+            want = sum(u ** (2 * n) / (2 * n * (2 * n - 1)) for n in (1, 2, 3)) / _LN2
+            tol = 1e-12 * want if want < 1e-13 else 2e-15
+            rep = entropic_check(m)
+            assert not rep.detected and abs(rep.margin - want) <= tol, (b, rep.margin, want)
+
     def test_agrees_with_whole_entropy_difference(self, rng):
         for _ in range(2000):
             p = random_canonical_params(rng)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from xyzent import limits
-from xyzent.criteria import disorder_check, entropic_check
+from xyzent.criteria import _NEAR_ZERO, _disorder_near_zero, _entropic_near_zero, disorder_check, entropic_check
 from xyzent.entanglement import exact_margins, separability_exact
 from xyzent.errors import DegenerateBasis, OutOfRange
 from xyzent.limits import (
@@ -277,6 +277,26 @@ class TestLimitRecord:
         assert lt.t_disorder is None
         assert critical_temperature(p).t_c == pytest.approx(0.5, abs=1e-12)
 
+    def test_degenerate_separable_ground_pair_is_not_detected(self):
+        # E2 = E3 and b/Delta = 2.6e-9: every thermal state is separable, the
+        # disorder margin is +6.5e-10 and the entropic one +1.2e-18 bits, which
+        # the short form of the entropic margin rounded to -8e-17 up to T = 0.0186
+        lt = limit_temperatures(canonicalize(0.890625, 0.125, 0.125, 1e-9))
+        assert (lt.t_exact, lt.t_disorder, lt.t_entropic, lt.intervals) == (0.0, None, None, ())
+
+    def test_field_far_above_v_minus_keeps_its_limits(self):
+        # b >> v_minus: c = 1 - b/Delta lies near or below the float spacing
+        # of 1, and forming it as 1 - b/Delta lost the disorder and entropic
+        # detection of the first model and put t_entropic above t_disorder in
+        # the second; the references are 50-digit roots of the margins
+        lt = limit_temperatures(canonicalize(1.00000001, 0.99999999, 0.3, 1.0))
+        assert lt.t_disorder == pytest.approx(0.007992644918878, rel=1e-9)
+        assert lt.t_entropic == pytest.approx(0.007992644918878, rel=1e-9)
+        p = canonicalize(1.0000001310448017, 0.9999998689551984, 0.21050010602433808, 4.652433864616178)
+        lt = limit_temperatures(p)
+        assert lt.t_disorder == pytest.approx(0.10892740132904, rel=1e-9)
+        assert lt.t_entropic <= lt.t_disorder <= lt.t_exact
+
 
 class TestBisectionConverges:
     def test_limits_do_not_depend_on_t_max(self):
@@ -530,6 +550,8 @@ class TestSignChangeCertificate:
     @example(1.0, 0.0, 0.0, 1.0, 300)  # |b/Delta| near 1, product-diagonal ground pair
     @example(1.343514123042203, -1.1694385314915339, -6.263640849586743, 0.8798462890500257, -300)
     @example(0.0, 0.0, 0.0, 0.0, 0)
+    @example(0.890625, 0.125, 0.125, 1e-9, 0)  # separable ground pair E2 = E3, entropic margin +1.2e-18
+    @example(1.0000001310448017, 0.9999998689551984, 0.21050010602433808, 4.652433864616178, 0)  # b >> v_minus
     @settings(max_examples=300, deadline=None)
     def test_entropic_detection_implies_disorder_detection(self, vx, vy, vz, b, exponent):
         lam = 10.0**exponent
@@ -654,19 +676,25 @@ def _ref_exact(eig, ts):
 
 
 def _ref_disorder(eig, ts):
+    # the worst level's margin; each level's within _NEAR_ZERO of 0 is the
+    # library's cancellation-free one
     p = thermal_probabilities(eig, ts)
-    return 0.5 * (1.0 + np.abs(eig.b_ratio * (p[2] - p[1]))) - p.max(axis=0)
+    rows = 0.5 * (1.0 + np.abs(eig.b_ratio * (p[2] - p[1]))) - p
+    rows = np.where(np.abs(rows) < _NEAR_ZERO, _disorder_near_zero(p, eig.b_ratio, eig.vm_ratio), rows)
+    return rows.min(axis=0)
 
 
 def _ref_entropic(eig, ts):
     # S(rho) - S(rho_A), each reduced-spectrum term q_k ln q_k paired with
-    # the weight term p_k ln p_k it cancels against
+    # the weight term p_k ln p_k it cancels against; within _NEAR_ZERO of 0
+    # the library's cancellation-free margin
     p = thermal_probabilities(eig, ts)
     a = 0.5 * (1.0 + abs(eig.b_ratio))
     q1 = 0.5 * p[0] + a * p[1] + (1.0 - a) * p[2] + 0.5 * p[3]
     q2 = 0.5 * p[0] + (1.0 - a) * p[1] + a * p[2] + 0.5 * p[3]
     x = xlogy(p, p)
-    return ((xlogy(q1, q1) - x[1]) + (xlogy(q2, q2) - x[2]) - x[0] - x[3]) / math.log(2.0)
+    short = ((xlogy(q1, q1) - x[1]) + (xlogy(q2, q2) - x[2]) - x[0] - x[3]) / math.log(2.0)
+    return np.where(np.abs(short) < _NEAR_ZERO, _entropic_near_zero(p, eig.b_ratio, eig.vm_ratio), short)
 
 
 def _ref_bisect(f, lo, hi, f_lo_neg, rel):
