@@ -226,13 +226,18 @@ def _scan_grid(p: XYZParams, eig: EigenSystem, t_r: float | None, t_max: float |
     e = eig.energies
     t_cut = (e.max() - e.min()) / math.log(2.0)
     ts = _cut(np.linspace(0.0, t_max, grid_n + 1), t_cut)
-    if t_r is not None and e[3] < min(e[0], e[1]):
-        # the separable gap sits near t_r; make sure both lobes around it
-        # are sampled even when they are much narrower than the base grid
-        window = np.linspace(t_r / grid_n, min(3.0 * t_r, t_max), grid_n)
-        ts = np.unique(np.concatenate([ts, _cut(window, t_cut)]))
-        ts = _cut(ts[ts <= t_max], t_cut)
-    return ts.copy(), float(t_max)  # not a view of the whole base grid
+    if t_r is None or e[3] >= min(e[0], e[1]):
+        return ts.copy(), float(t_max)  # not a view of the whole base grid
+    # the separable gap sits near t_r; make sure both lobes around it are
+    # sampled even when they are much narrower than the base grid.  The two
+    # sorted runs merge in one pass of a stable sort; equal samples are kept
+    # once, and none past t_max (the window runs down to t_max from a start
+    # above it where t_max < t_r / grid_n)
+    ts = np.concatenate([ts, _cut(np.linspace(t_r / grid_n, min(3.0 * t_r, t_max), grid_n), t_cut)])
+    ts.sort(kind="stable")
+    keep = ts <= t_max
+    keep[1:] &= ts[1:] != ts[:-1]
+    return _cut(ts[keep], t_cut), float(t_max)
 
 
 def _cut(ts: np.ndarray, t_cut) -> np.ndarray:
@@ -285,7 +290,10 @@ def _sign_change_bounds(energies, vm_ratio, b_ratio):
     Returns the bound (3, K), and the exponents lam (3, K, 6) of each row's
     exponential sum in increasing order with their coefficients (3, K, 6).
     Each partial sum is formed as N + M rho with integers N, M, one
-    rounding, so the bound counts its exact signs.
+    rounding, so the bound counts its exact signs; a disorder sum
+    N + M b = N (1 - |b|) (N = -M sign b) is formed as N c, with
+    c = vm^2/(1 + |b|) as in criteria._disorder_near_zero, since 1 - |b|
+    rounds to 0 or to a multiple of 2^-53 where b/Delta is near 1.
     """
     k = energies.shape[1]
     g = np.concatenate([energies - energies.min(axis=0), np.zeros((1, k))])
@@ -296,11 +304,18 @@ def _sign_change_bounds(energies, vm_ratio, b_ratio):
     # first, where a floor keeps the sign of a square that underflows
     vm2 = np.where(vm_ratio > 0.0, np.maximum(vm_ratio**2, np.finfo(float).tiny), 0.0)
     rho = np.stack([vm_ratio, vm2, b_ratio])[:, :, None]
+    c = (vm2 / (1.0 + np.abs(b_ratio)))[:, None]
     lam = g[_I] + g[_J]
     order = np.argsort(lam, axis=1, kind="stable")
     lam, n, m = (np.take_along_axis(x, order, axis=1).transpose(0, 2, 1) for x in (lam, n, m))
-    partial = np.cumsum(n, axis=-1) + np.cumsum(m, axis=-1) * rho
-    return _sign_changes(np.where(_run_ends(lam), partial, 0.0)), lam, n + m * rho
+
+    def sums(n, m):
+        s = n + m * rho
+        s[2] = np.where((n[2] != 0) & (n[2] == -m[2] * np.sign(b_ratio)[:, None]), n[2] * c, s[2])
+        return s
+
+    partial = sums(np.cumsum(n, axis=-1), np.cumsum(m, axis=-1))
+    return _sign_changes(np.where(_run_ends(lam), partial, 0.0)), lam, sums(n, m)
 
 
 def _rolle_derivative(lam, coef):

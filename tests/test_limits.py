@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from xyzent import limits
-from xyzent.criteria import _NEAR_ZERO, _disorder_near_zero, _entropic_near_zero, disorder_check, entropic_check
+from xyzent.criteria import disorder_check, entropic_check
 from xyzent.entanglement import exact_margins, separability_exact
 from xyzent.errors import DegenerateBasis, OutOfRange
 from xyzent.limits import (
@@ -16,6 +18,7 @@ from xyzent.limits import (
     DEFAULT_REL_TOL,
     LimitTemperatures,
     ReentryWindow,
+    _default_t_max,
     _limit_records,
     _margin_columns,
     _scan_grid,
@@ -538,6 +541,24 @@ class TestSignChangeCertificate:
             tight += int(np.sum((changes == bound) & (changes == 2)))
         assert tight  # reentry models meet the bound of 2
 
+    def test_field_far_above_v_minus_within_its_bound(self, monkeypatch):
+        # b >> v_minus (the two ROADMAP repros): the disorder row's coefficient
+        # 1 - b/Delta lies near or below the float spacing of 1, and formed as
+        # 1 - b it left the first model a bound of 0 beside its one sign change
+        ps = [
+            canonicalize(1.00000001, 0.99999999, 0.3, 1.0),
+            canonicalize(1.0000001310448017, 0.9999998689551984, 0.21050010602433808, 4.652433864616178),
+        ]
+        for p in ps:
+            eig = eigensystem(p)
+            ts, _ = _scan_grid(p, eig, reentry_two_level(p), None, DEFAULT_GRID)
+            changes = self.grid_sign_changes(margin_table(eig, ts))[:3]
+            bound = self.certificate(p)[0]
+            assert changes[2] == 1 and np.all(changes <= bound), (p, changes, bound)
+        want = _limit_records(ps)
+        monkeypatch.setattr(limits, "_COARSE", 1)
+        assert _limit_records(ps) == want
+
     @given(
         st.floats(-1.0, 1.0),
         st.floats(-1.0, 1.0),
@@ -675,26 +696,90 @@ def _ref_exact(eig, ts):
     return m12, m03
 
 
+#: the reference scans take each disorder or entropic margin closer to 0
+#: than this exactly, from the same float weights: in rationals, or in
+#: mpmath with up to 1,400 bits where logs enter.  It lies far above the
+#: rounding of the short forms (under 2e-15), so the kernel's forms near 0
+#: are checked against exact arithmetic, not reused.
+_REF_NEAR_ZERO = 1e-10
+
+
+def _ref_ratios(eig):
+    # |b/Delta| as exact rationals: b_ratio, and where its distance from 1
+    # counts (|b/Delta| >= 1/2) 1 - c with c = (v_minus/Delta)^2 / (1 + |b/Delta|),
+    # since 1 - |b_ratio| is rounding there
+    b = abs(Fraction(eig.b_ratio))
+    return b, 1 - Fraction(eig.vm_ratio) ** 2 / (1 + b) if 2 * b >= 1 else b
+
+
+def _ref_weights(eig, t):
+    return [Fraction(float(x)) for x in thermal_probabilities(eig, np.array([t]))[:, 0]]
+
+
+def _exact_disorder(eig, t):
+    # the worst level's (sum p + |b/Delta| |p_2 - p_1|)/2 - p_j
+    w, (b, b_top) = _ref_weights(eig, t), _ref_ratios(eig)
+    top = 1 if w[1] >= w[2] else 2
+    return float(min((sum(w) + (b_top if j == top else b) * abs(w[2] - w[1])) / 2 - w[j] for j in range(4)))
+
+
+def _exact_entropic(eig, t):
+    # sum_k q_k ln(q_k/sigma) - sum_j p_j ln(p_j/sigma), over sigma ln 2, with
+    # sigma = sum p and the reduced spectrum q = (sigma +- |b/Delta| (p_1 - p_2))/2
+    mpmath = pytest.importorskip("mpmath")
+    w = _ref_weights(eig, t)
+    sigma, split = sum(w), _ref_ratios(eig)[1] * (w[1] - w[2])
+    for prec in (160, 1400):  # the terms are at most ~1 in size; 160 bits settle all but tiny margins
+        with mpmath.workprec(prec):
+            mp = lambda f: mpmath.mpf(f.numerator) / f.denominator
+            s = mp(sigma)
+            xlog = lambda f: mp(f) * mpmath.log(mp(f) / s) if f else mpmath.mpf(0)
+            terms = [xlog((sigma + split) / 2), xlog((sigma - split) / 2)] + [-xlog(f) for f in w]
+            margin = mpmath.fsum(terms) / (s * mpmath.log(2))
+            if abs(margin) > 1e-40:
+                break
+    return float(margin)
+
+
+def _ref_near_zero(eig, ts, values, exact, row):
+    """values, with each one within _REF_NEAR_ZERO of 0 replaced by the exact
+    margin.  Where the kernel's sign differs from it, the exact margin must
+    change sign within 4 ulps of t, where no float evaluation can be held to
+    a sign; the kernel's value is taken there."""
+    for k in np.flatnonzero(np.abs(values) < _REF_NEAR_ZERO):
+        t = float(ts[k])
+        values[k] = exact(eig, t)
+        kernel = margin_table(eig, np.array([t]))[row, 0]
+        if (values[k] < 0.0) != (kernel < 0.0):
+            around = [t]
+            for direction in (-math.inf, math.inf):
+                u = t
+                for _ in range(4):
+                    u = math.nextafter(u, direction)
+                    around.append(u)
+            signs = {exact(eig, u) < 0.0 for u in around if u >= 0.0}
+            assert len(signs) == 2, (eig, t, row, values[k], kernel)
+            values[k] = kernel
+    return values
+
+
 def _ref_disorder(eig, ts):
-    # the worst level's margin; each level's within _NEAR_ZERO of 0 is the
-    # library's cancellation-free one
+    # the worst level's margin
     p = thermal_probabilities(eig, ts)
-    rows = 0.5 * (1.0 + np.abs(eig.b_ratio * (p[2] - p[1]))) - p
-    rows = np.where(np.abs(rows) < _NEAR_ZERO, _disorder_near_zero(p, eig.b_ratio, eig.vm_ratio), rows)
-    return rows.min(axis=0)
+    short = (0.5 * (1.0 + np.abs(eig.b_ratio * (p[2] - p[1]))) - p).min(axis=0)
+    return _ref_near_zero(eig, ts, short, _exact_disorder, 2)
 
 
 def _ref_entropic(eig, ts):
     # S(rho) - S(rho_A), each reduced-spectrum term q_k ln q_k paired with
-    # the weight term p_k ln p_k it cancels against; within _NEAR_ZERO of 0
-    # the library's cancellation-free margin
+    # the weight term p_k ln p_k it cancels against
     p = thermal_probabilities(eig, ts)
     a = 0.5 * (1.0 + abs(eig.b_ratio))
     q1 = 0.5 * p[0] + a * p[1] + (1.0 - a) * p[2] + 0.5 * p[3]
     q2 = 0.5 * p[0] + (1.0 - a) * p[1] + a * p[2] + 0.5 * p[3]
     x = xlogy(p, p)
     short = ((xlogy(q1, q1) - x[1]) + (xlogy(q2, q2) - x[2]) - x[0] - x[3]) / math.log(2.0)
-    return np.where(np.abs(short) < _NEAR_ZERO, _entropic_near_zero(p, eig.b_ratio, eig.vm_ratio), short)
+    return _ref_near_zero(eig, ts, short, _exact_entropic, 3)
 
 
 def _ref_bisect(f, lo, hi, f_lo_neg, rel):
@@ -719,6 +804,7 @@ def _ref_violation_intervals(f_arr, ts, t_end, rel):
     if not neg.any():
         return [], False
 
+    @functools.cache  # a bisection below the float spacing repeats its last midpoint
     def f(t):
         return float(f_arr(np.array([t]))[0])
 
@@ -736,9 +822,17 @@ def _ref_violation_intervals(f_arr, ts, t_end, rel):
 
 
 def reference_limit_temperatures(p, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL):
+    # the whole grid up to t_max, with the window around t_r merged in: the
+    # scan's claim that no margin changes sign past t_cut is checked, not assumed
+    eig = eigensystem(p)
+    t_end = _default_t_max(p) if t_max is None else t_max
+    ts = np.linspace(0.0, t_end, grid_n + 1)
+    t_r = reentry_two_level(p)
+    if t_r is not None and eig.energies[3] < min(eig.energies[:2]):
+        ts = np.unique(np.concatenate([ts, np.linspace(t_r / grid_n, min(3.0 * t_r, t_end), grid_n)]))
+        ts = ts[ts <= t_end]
+
     def scan(f_arr):
-        eig = eigensystem(p)
-        ts, t_end = _scan_grid(p, eig, reentry_two_level(p), t_max, grid_n)
         return _ref_violation_intervals(lambda t: f_arr(eig, t), ts, t_end, rel_tol)
 
     (m12, top_12), (m03, top_03) = (scan(lambda e, t: _ref_exact(e, t)[k]) for k in (0, 1))
@@ -847,6 +941,25 @@ class TestSingleScanMatchesReference:
                 m = thermal_mixture(p, float(ts[k]))
                 assert disorder_check(m).margin == batch[2, k], (p, ts[k])
                 assert entropic_check(m).margin == batch[3, k], (p, ts[k])
+
+    def test_margins_near_zero_match_exact_arithmetic(self):
+        # margins within 1e-13 of 0 away from any sign change: a degenerate
+        # separable ground pair (b/Delta from 2.6e-12 to 2.6e-4) and b >> v_minus
+        # below the disorder limit; each keeps full relative accuracy
+        ts = np.geomspace(1e-3, 1.5e-2, 7)
+        cases = [(canonicalize(0.890625, 0.125, 0.125, b), ts) for b in np.geomspace(1e-12, 1e-4, 5)]
+        cases.append((canonicalize(1.00000001, 0.99999999, 0.3, 1.0), np.geomspace(2e-3, 6e-3, 7)))
+        checked = 0
+        for p, ts in cases:
+            eig = eigensystem(p)
+            table = margin_table(eig, ts)
+            for k, t in enumerate(ts):
+                for row, exact in ((2, _exact_disorder), (3, _exact_entropic)):
+                    want = exact(eig, float(t))
+                    if 0.0 < abs(want) < 1e-13:
+                        assert abs(table[row, k] - want) <= 1e-12 * abs(want), (p, t, row, table[row, k], want)
+                        checked += 1
+        assert checked >= 30
 
     def test_kernel_columns_are_one_model_tables(self, rng):
         # one model per column gives each column the bits of its own table
