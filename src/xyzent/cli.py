@@ -141,7 +141,7 @@ def _state_values(eigs, temps: np.ndarray) -> dict:
     kernel; eigs holds one EigenSystem for every temperature, or one per
     temperature."""
     m12, m03, dis, ent = limits._margin_columns(
-        np.stack([e.energies for e in eigs], axis=1),
+        np.stack([e.gaps for e in eigs], axis=1),
         np.array([e.vm_ratio for e in eigs]),
         np.array([e.b_ratio for e in eigs]),
         temps,
@@ -419,7 +419,7 @@ def _add_couplings(sub):
 
 def _add_scan(sub):
     sub.add_argument("--tmax", type=float, default=None, help="scan range override")
-    sub.add_argument("--grid", type=int, default=limits.DEFAULT_GRID, help="scan grid points")
+    sub.add_argument("--grid", type=int, default=limits.DEFAULT_GRID, help="entropic-limit sampling steps up to --tmax")
     sub.add_argument("--tol", type=float, default=limits.DEFAULT_REL_TOL, help="bisection relative tolerance")
 
 

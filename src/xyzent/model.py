@@ -132,11 +132,14 @@ class EigenSystem:
     In the degenerate case Delta = 0 (v_minus = b = 0) the convention is
     u_plus = sqrt(2), u_minus = 0, i.e. |Phi_1> = |++>, |Phi_2> = |-->,
     and the ratios v_minus/Delta and b/Delta are both taken as 0.  The
-    runtime needs only the energies and the two ratios; the vectors are
+    runtime needs only the level gaps and the two ratios; the vectors are
     built by the oracle linalg.eigenvectors.
     """
 
     energies: np.ndarray  # shape (4,), indexed by level label
+    #: E_j - E_min, each to full relative accuracy (_level_gaps); the Gibbs
+    #: weights are taken from these, not from differences of energies
+    gaps: np.ndarray
     delta: float
     degenerate: bool
     #: v_minus/Delta and b/Delta under the degenerate convention
@@ -167,6 +170,50 @@ def _snap_degeneracies(energies: np.ndarray) -> np.ndarray:
     return out
 
 
+def _level_gaps(p: XYZParams, delta: float, tol: float) -> np.ndarray:
+    """The gaps E_j - E_min, each to full relative accuracy.
+
+    Only u = E_3 - E_2 = vz - v_plus + Delta can cancel, near the
+    level-crossing field; where vz < v_plus it is taken as
+    [(vx - vz)(vy - vz) - b^2] / (vz - v_plus - Delta), since
+    (vz - v_plus)^2 - v_minus^2 = (vz - vx)(vz - vy), with the numerator
+    formed without rounding error to first order (Dekker's two-sum and
+    two-product, on the couplings scaled by a power of 2).  Every other gap
+    is a sum of terms of one sign: (u + 2 v_plus, 2 Delta, 0, u) when the
+    ground level is E_2, (2 v_plus, 2 Delta - u, -u, 0) when it is E_3.
+    Gaps below tol (the snapping tolerance) are 0.
+    """
+    vz, vp = p.vz, p.v_plus
+    u = (vz - vp) + delta
+    if vz < vp:
+        k = math.frexp(p.energy_scale)[1]
+        (d1, e1), (d2, e2) = (_two_sum(math.ldexp(v, -k), math.ldexp(-vz, -k)) for v in (p.vx, p.vy))
+        (q, eq), b = _two_prod(d1, d2), math.ldexp(p.b, -k)
+        bb, eb = _two_prod(b, b)
+        num = (q - bb) + (((eq - eb) + d1 * e2 + d2 * e1) + e1 * e2)
+        u = math.ldexp(num / (math.ldexp(vz - vp, -k) - math.ldexp(delta, -k)), k)
+    gaps = np.array([u + 2.0 * vp, 2.0 * delta, 0.0, u] if u >= 0.0 else [2.0 * vp, 2.0 * delta - u, -u, 0.0])
+    return np.where(gaps < tol, 0.0, gaps)
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    q = a * b
+    return q, ((ah * bh - q) + ah * bl + al * bh) + al * bl
+
+
+def _split(a: float) -> tuple[float, float]:
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
 def eigensystem(p: XYZParams) -> EigenSystem:
     """Eigen-energies and mixing ratios for canonical parameters."""
     vp, vm, vz, b = p.v_plus, p.v_minus, p.vz, p.b
@@ -181,10 +228,12 @@ def eigensystem(p: XYZParams) -> EigenSystem:
         b_ratio = b / delta
 
     energies = np.array([0.5 * vz + vp, -0.5 * vz + delta, -0.5 * vz - delta, 0.5 * vz - vp])
+    tol = 16.0 * np.finfo(float).eps * float(np.abs(energies).max())
     energies = _snap_degeneracies(energies)
 
     return EigenSystem(
         energies=energies,
+        gaps=_level_gaps(p, delta, tol),
         delta=delta,
         degenerate=degenerate,
         vm_ratio=vm_ratio,

@@ -71,7 +71,7 @@ def thermal_probabilities(eigen: EigenSystem, temperature) -> np.ndarray:
     spread uniformly over all degenerate ground levels (the T -> 0+ limit
     of the Gibbs state).
     """
-    w = np.exp(-_gibbs_exponents(eigen.energies, temperature))
+    w = np.exp(-_gibbs_exponents(eigen.gaps, temperature))
     return w / w.sum(axis=0)
 
 

@@ -98,6 +98,34 @@ class TestEigensystem:
             v = eigenvectors(eigensystem(random_canonical_params(rng)))
             assert_allclose(v @ v.T, np.eye(4), atol=1e-12)
 
+    def test_level_gaps_to_full_relative_accuracy(self, rng):
+        # near the level crossing E_3 - E_2 lies far below the rounding of the
+        # energies; every gap matches 50-digit ones from the same float
+        # couplings, at every scale, and exact degeneracies are exactly 0
+        mpmath = pytest.importorskip("mpmath")
+        models = [random_canonical_params(rng) for _ in range(60)]
+        while len(models) < 180:
+            vp = rng.uniform(0.5, 2.0)
+            vm = rng.uniform(0.0, 0.9) * vp
+            vz = rng.uniform(-0.5, 0.3) * vp
+            bc = canonicalize(vp + vm, vp - vm, vz, 0.0).b_crossing
+            if bc > 0.0:
+                models.append(canonicalize(vp + vm, vp - vm, vz, bc * (1.0 + 10.0 ** rng.uniform(-12.0, 0.0))))
+        worst = 0.0
+        for lam in (1e-300, 1.0, 2.0**1000):
+            for q in models:
+                p = canonicalize(lam * q.vx, lam * q.vy, lam * q.vz, lam * q.b)
+                with mpmath.workdps(50):
+                    vx, vy, vz, b = (mpmath.mpf(float(x)) for x in (p.vx, p.vy, p.vz, p.b))
+                    delta = mpmath.sqrt((vx - vy) ** 2 / 4 + b * b)
+                    e = [vz / 2 + (vx + vy) / 2, delta - vz / 2, -delta - vz / 2, vz / 2 - (vx + vy) / 2]
+                    want = np.array([float(x - min(e)) for x in e])
+                got = eigensystem(p).gaps
+                assert np.all(np.abs(got - want) <= 1e-15 * want), (p, got, want)
+                worst = max(worst, float((np.abs(got - want) / np.where(want > 0, want, 1.0)).max()))
+        assert worst > 0.0
+        assert eigensystem(canonicalize(1.0, 0.4, 0.4, 0.0)).gaps.tolist() == [1.4, 0.6, 0.0, 0.0]  # vy = vz, b = 0
+
     def test_degenerate_convention(self):
         eig = eigensystem(canonicalize(0.5, 0.5, 0.2, 0.0))  # v_minus = b = 0
         assert eig.degenerate
