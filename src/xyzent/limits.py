@@ -277,16 +277,17 @@ def _signs(gaps, vm_ratio, b_ratio, model, ts) -> np.ndarray:
     return out
 
 
-def _root_brackets(gaps, vm_ratio, b_ratio, t_end):
+def _root_brackets(gaps, vm_ratio, b_ratio, t_max):
     """The kernel's signs of the rows m12, m03 and disorder of each model,
-    a column of level gaps, up to t_end (K,): the negative flags (3, K) at
-    T = 0 and at t_end, and the row, sign below, bracket and model of every
-    sign change, model by model and in T order (module docstring)."""
-    k = t_end.size
+    a column of level gaps, up to t_end = min(t_max, t_cut) (K,): the
+    negative flags (3, K) at T = 0 and at t_end, and the row, sign below,
+    bracket and model of every sign change, model by model and in T order
+    (module docstring)."""
+    k, t_cut = t_max.size, gaps.max(axis=0) / math.log(2.0)
+    t_end = np.minimum(t_max, t_cut)
     bound, lam, coef = _sign_change_bounds(gaps, vm_ratio, b_ratio)
     zeros = expsums.sum_zeros(lam.reshape(-1, 6), coef.reshape(-1, 6), bound.ravel(), np.tile(t_end, 3))
-    step = math.log1p(_STRADDLE)
-    t_cut = np.tile(gaps.max(axis=0), 3)[:, None] / math.log(2.0)
+    step, t_cut = math.log1p(_STRADDLE), np.tile(t_cut, 3)[:, None]
     i = np.floor(np.log(t_cut / zeros) / step)
     lower, upper = t_cut * np.exp(-(i + 2.0) * step), t_cut * np.exp(-(i - 1.0) * step)
     mid = 0.5 * (zeros[:, 1:] + zeros[:, :-1])  # for zeros closer than three grid steps
@@ -359,8 +360,7 @@ def _limit_records(ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL)
     gaps = np.stack([e.gaps for e in eigs], axis=1)
     vm_ratio = np.array([e.vm_ratio for e in eigs])
     b_ratio = np.array([e.b_ratio for e in eigs])
-    t_end = np.minimum(t_max, gaps.max(axis=0) / math.log(2.0))
-    first, last, rows, leaving, lo, hi, model = _root_brackets(gaps, vm_ratio, b_ratio, t_end)
+    first, last, rows, leaving, lo, hi, model = _root_brackets(gaps, vm_ratio, b_ratio, t_max)
     dis = np.flatnonzero(rows == 2)
     top = dis[model[dis] != np.append(model[dis][1:], -1)]
     keep = rows < 2
