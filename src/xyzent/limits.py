@@ -80,6 +80,7 @@ __all__ = [
 DEFAULT_GRID = 4096
 DEFAULT_REL_TOL = 1e-10
 _CRITERIA = ("exact", "disorder", "entropic")
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -386,12 +387,12 @@ def _limit_records(ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL)
     rows, t_cross, leaving = rows.tolist(), np.where(leaving, hi, lo).tolist(), leaving.tolist()
     first, last = np.vstack([first, ent_first]).T.tolist(), np.vstack([last, ent_last]).T.tolist()
     return [
-        _record(rows[a:b], t_cross[a:b], leaving[a:b], f, l, t, _two_level(p, eig))
+        _record(rows[a:b], t_cross[a:b], leaving[a:b], f, l, t, _two_level(p, eig), rel_tol)
         for a, b, f, l, t, p, eig in zip(ends[:-1], ends[1:], first, last, t_max.tolist(), ps, eigs)
     ]
 
 
-def _record(rows, t_cross, leaving, first, last, t_max: float, t_r: float | None) -> LimitTemperatures:
+def _record(rows, t_cross, leaving, first, last, t_max, t_r, rel_tol) -> LimitTemperatures:
     """One model's record from its refined sign changes (lists, in T order).
 
     An exact row's sign changes alternate, so with 0 in front of a negative
@@ -400,10 +401,13 @@ def _record(rows, t_cross, leaving, first, last, t_max: float, t_r: float | None
     disorder and entropic rows bring only their top sign change, and their
     limit is its edge, t_max when the last sample is negative, or None when
     the row never detects; the row's sign above that edge (its first sign,
-    without one) must be its sign at the last sample.  A row that breaks
-    either rule is a fault of the scan, and raises RuntimeError rather than
-    lose a limit.  The exact margins' violation sets are merged; they are
-    disjoint (m12 < 0 needs vm (hi - lo) > big, m03 < 0 needs
+    without one) must be its sign at the last sample.  Entropic detection
+    implies disorder detection, so an entropic limit above the disorder one
+    is refinement noise of coinciding limits, and is moved onto it, if it
+    lies within 2 max(rel_tol, 8 eps) of it.  A row that breaks any of these
+    rules is a fault of the scan, and raises RuntimeError rather than
+    report a wrong limit.  The exact margins' violation sets are merged;
+    they are disjoint (m12 < 0 needs vm (hi - lo) > big, m03 < 0 needs
     |w3 - w0| > vm (hi - lo), with hi, lo = max, min(w1, w2) and
     big = max(w0, w3) >= |w3 - w0|), so only refinement noise overlaps them.
     """
@@ -416,8 +420,12 @@ def _record(rows, t_cross, leaving, first, last, t_max: float, t_r: float | None
         if (first[r] if top is None else not leaving[top]) != last[r]:
             raise RuntimeError(f"limit scan: the top edge of margin {r} disagrees with its sign at the top")
         tops.append(t_max if last[r] else None if top is None else t_cross[top])
-    if None not in tops:  # the entropic margin is >= 0 at the disorder edge, where the disorder one is
-        tops[1] = min(tops)
+    if (tops[0] is None and tops[1] is not None) or (last[3] and not last[2]):
+        raise RuntimeError("limit scan: the entropic margin detects where the disorder margin does not")
+    if tops[1] is not None and tops[1] > tops[0]:
+        if tops[1] - tops[0] > 2.0 * max(rel_tol, 8.0 * _EPS) * tops[0]:
+            raise RuntimeError(f"limit scan: the entropic limit {tops[1]!r} lies above the disorder limit {tops[0]!r}")
+        tops[1] = tops[0]
     m12, m03 = (list(zip(e[::2], e[1::2])) for e in edges)
     ints: list[tuple[float, float]] = []
     for lo, hi in sorted(m12 + m03):
