@@ -43,7 +43,7 @@ def sum_zeros(lam, coef, bound, t_end):
     mu, x_end = lam[at] / scale[:, None], scale / t_end[at]
     levels, depth, cut = [coef[at]], np.zeros(at.size, int), bound[at] >= 2
     while cut.any():
-        c, m, rows = levels[-1][cut], mu[cut], np.arange(np.count_nonzero(cut))
+        c, m, rows = levels[-1][cut], mu[cut], np.arange(cut.sum())
         top = m[rows, 5 - np.argmax(c[:, ::-1] != 0.0, axis=1)]
         e_m = np.concatenate([m, 0.5 * (m[:, 1:] + m[:, :-1]), top[:, None]], axis=1)
         d = c[:, None, :] * (e_m[:, :, None] - m[:, None, :])
@@ -63,7 +63,10 @@ def sum_zeros(lam, coef, bound, t_end):
         c, lead = levels[k][on], np.argmax(levels[k][on] != 0.0, axis=1)
         e = np.where(c != 0.0, mu[on] - mu[on, lead][:, None], 0.0)  # F = e^{x mu_lead} f: nothing overflows
         cuts = np.where((depth[on] > k)[:, None] & (x[on, :6] > x_end[on, None]), x[on, :6], np.nan)
-        edges = np.sort(np.concatenate([x_end[on, None], cuts, np.full((on.size, 1), np.inf)], axis=1), axis=1)
+        # stable sorts (here and in limits) reuse the code the stable argsorts
+        # already page in; a quicksort's would add ~130 KB to every process
+        edges = np.concatenate([x_end[on, None], cuts, np.full((on.size, 1), np.inf)], axis=1)
+        edges.sort(axis=1, kind="stable")
         at_edges = np.exp(-np.where(np.isfinite(edges), edges, 0.0)[..., None] * e[:, None, :])
         sign = np.sign((c[:, None, :] * at_edges).sum(axis=-1))
         sign = np.where(np.isinf(edges), np.sign(c[np.arange(on.size), lead])[:, None], sign)  # the lead wins at inf
@@ -76,8 +79,8 @@ def sum_zeros(lam, coef, bound, t_end):
         far = np.log1p((np.abs(c[r]).sum(axis=1) - c_lead) / c_lead) / np.maximum(gap, 1e-300)
         x = np.full((at.size, 7), np.nan)
         x[on[r], j] = _newton(c[r], e[r], lo, np.where(np.isinf(hi), np.maximum(far, 2.0 * lo), hi), sign[r, j] < 0.0)
-        x.sort(axis=1)  # at most 5 zeros: the last column stays NaN
-    zeros[at] = np.sort(scale[:, None] / x[:, :6], axis=1)
+        x.sort(axis=1, kind="stable")  # at most 5 zeros: the last column stays NaN
+    zeros[at] = np.sort(scale[:, None] / x[:, :6], axis=1, kind="stable")
     return zeros
 
 

@@ -295,7 +295,7 @@ def _root_brackets(gaps, vm_ratio, b_ratio, t_max):
     upper[:, :-1], lower[:, 1:] = np.fmin(upper[:, :-1], mid), np.fmax(lower[:, 1:], mid)
     pts = np.concatenate([lower, upper]).reshape(6, k, 6).transpose(1, 0, 2).reshape(k, 36)
     pts = np.where(pts < t_end[:, None], pts, np.nan)
-    pts = np.sort(np.concatenate([np.zeros((k, 1)), pts, t_end[:, None]], axis=1), axis=1)
+    pts = np.sort(np.concatenate([np.zeros((k, 1)), pts, t_end[:, None]], axis=1), axis=1, kind="stable")
     count = (~np.isnan(pts)).sum(axis=1)
     ts, model = pts[~np.isnan(pts)], np.repeat(np.arange(k), count)
     first, last = np.cumsum(count) - count, np.cumsum(count) - 1
@@ -334,8 +334,8 @@ def _entropic_brackets(gaps, vm_ratio, b_ratio, t_max, grid_n, upper):
         start, stop = start[n[a:b] > 0], (start + n[a:b] - 1)[n[a:b] > 0]
         neg[start] = np.where(sign[start] == 0.0, neg[start + 1], neg[start])
         first[model[start]], last[model[stop]] = neg[start], neg[stop]
-        idx = np.flatnonzero((neg[1:] != neg[:-1]) & (model[1:] == model[:-1]))[::-1]
-        idx = idx[np.unique(model[idx], return_index=True)[1]]
+        idx = np.flatnonzero((neg[1:] != neg[:-1]) & (model[1:] == model[:-1]))
+        idx = idx[model[idx] != np.append(model[idx][1:], -1)]  # each model's top one
         tops.append((neg[idx], ts[idx], np.minimum(ts[idx + 1], upper[model[idx]]), model[idx]))
         a = b
     return first, last, *(np.concatenate(x) for x in zip(*tops))
