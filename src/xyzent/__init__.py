@@ -5,71 +5,79 @@ formation, the disorder and entropic detection criteria, limit
 temperatures (including vanishing-plus-reentry windows), and the
 symmetry-breaking mean-field critical temperature.  The independent
 oracles that check them live in xyzent.linalg.
+
+Importing the package runs none of its submodules.  Each one is put in
+sys.modules and on the package unexecuted (importlib.util.LazyLoader),
+and its body runs, once, when one of its attributes is first read.  The
+public names (_EXPORTS) are read from their submodules by the module
+__getattr__, so they load them the same way.  So `xyzent point` never
+runs the limit scan or the mean field, while every submodule can still
+be looked up in sys.modules (perfbench's tracer finds each layer there).
 """
 
-from .criteria import CriterionReport, disorder_check, entropic_check, exact_check
-from .entanglement import (
-    PTSpectrum,
-    SeparabilityReport,
-    entanglement_of_formation,
-    pt_spectrum,
-    separability_exact,
-)
-from .limits import (
-    ClosedFormLimits,
-    LimitTemperatures,
-    MixtureThresholds,
-    ReentryWindow,
-    closed_form_limits,
-    limit_temperatures,
-    mixture_thresholds,
-    reentry_two_level,
-)
-from .linalg import concurrence_general, realize_matrix
-from .meanfield import (
-    CriticalTemperature,
-    MeanFieldSolution,
-    critical_temperature,
-    exact_free_energy,
-    mf_free_energy,
-    solve_mf,
-)
-from .model import EigenSystem, XYZParams, canonicalize, eigensystem
-from .states import BellMixture, mixture, thermal_mixture
+import importlib.util as _util
+import sys as _sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BellMixture",
-    "ClosedFormLimits",
-    "CriterionReport",
-    "CriticalTemperature",
-    "EigenSystem",
-    "LimitTemperatures",
-    "MeanFieldSolution",
-    "MixtureThresholds",
-    "PTSpectrum",
-    "ReentryWindow",
-    "SeparabilityReport",
-    "XYZParams",
-    "canonicalize",
-    "closed_form_limits",
-    "concurrence_general",
-    "critical_temperature",
-    "disorder_check",
-    "eigensystem",
-    "entanglement_of_formation",
-    "entropic_check",
-    "exact_check",
-    "exact_free_energy",
-    "limit_temperatures",
-    "mf_free_energy",
-    "mixture",
-    "mixture_thresholds",
-    "pt_spectrum",
-    "realize_matrix",
-    "reentry_two_level",
-    "separability_exact",
-    "solve_mf",
-    "thermal_mixture",
-]
+#: The public names, by the submodule that defines them.
+_EXPORTS = {
+    "criteria": ("CriterionReport", "disorder_check", "entropic_check", "exact_check"),
+    "entanglement": (
+        "PTSpectrum",
+        "SeparabilityReport",
+        "entanglement_of_formation",
+        "pt_spectrum",
+        "separability_exact",
+    ),
+    "limits": (
+        "ClosedFormLimits",
+        "LimitTemperatures",
+        "MixtureThresholds",
+        "ReentryWindow",
+        "closed_form_limits",
+        "limit_temperatures",
+        "mixture_thresholds",
+        "reentry_two_level",
+    ),
+    "linalg": ("concurrence_general", "realize_matrix"),
+    "meanfield": (
+        "CriticalTemperature",
+        "MeanFieldSolution",
+        "critical_temperature",
+        "exact_free_energy",
+        "mf_free_energy",
+        "solve_mf",
+    ),
+    "model": ("EigenSystem", "XYZParams", "canonicalize", "eigensystem"),
+    "states": ("BellMixture", "mixture", "thermal_mixture"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def _register(name):
+    """Put the submodule name in sys.modules and on the package, unexecuted."""
+    spec = _util.find_spec(f"{__name__}.{name}")
+    spec.loader = _util.LazyLoader(spec.loader)
+    module = _sys.modules[spec.name] = _util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    globals()[name] = module
+
+
+# not cli: `python -m xyzent.cli` warns if that module is already in sys.modules
+for _name in ("errors", "model", "states", "entanglement", "criteria", "expsums", "limits", "meanfield", "linalg"):
+    _register(_name)
+del _name
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[module], name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -78,6 +78,16 @@ def _csv_blocks(columns, table):
         yield text
 
 
+def _steps(start, stop, steps) -> np.ndarray:
+    """np.linspace(start, stop, steps), where too many steps to allocate
+    is invalid input (XyzentError) rather than numpy's ValueError or
+    MemoryError."""
+    try:
+        return np.linspace(start, stop, steps)
+    except (ValueError, MemoryError) as exc:
+        raise XyzentError(f"steps={steps} is too many ({exc})") from None
+
+
 def _write_lines(lines, out_path):
     """Write each string of lines and a newline to out_path, or to stdout."""
     if out_path:
@@ -137,10 +147,10 @@ def point_report(vx, vy, vz, b, temp) -> dict:
 
 def _state_values(eigs, temps: np.ndarray) -> dict:
     """The STATE_COLUMNS of the thermal states at the temperatures temps
-    (1-D), one array each, from one call to the limit scan's margin
-    kernel; eigs holds one EigenSystem for every temperature, or one per
-    temperature."""
-    m12, m03, dis, ent = limits._margin_columns(
+    (1-D), one array each, from one call to the margin kernel
+    (criteria._margin_columns, which the limit scan also reads); eigs
+    holds one EigenSystem for every temperature, or one per temperature."""
+    m12, m03, dis, ent = criteria._margin_columns(
         np.stack([e.gaps for e in eigs], axis=1),
         np.array([e.vm_ratio for e in eigs]),
         np.array([e.b_ratio for e in eigs]),
@@ -152,7 +162,10 @@ def _state_values(eigs, temps: np.ndarray) -> dict:
 
 
 def _limit_rows(ps, tmax, grid, tol) -> list[dict]:
-    """The limit values of every model in ps, from one limit scan."""
+    """The limit values of every model in ps, from one limit scan; a grid
+    or tol of None takes the scan's default."""
+    grid = limits.DEFAULT_GRID if grid is None else grid
+    tol = limits.DEFAULT_REL_TOL if tol is None else tol
     return [_limit_values(p, lt) for p, lt in zip(ps, limits._limit_records(ps, tmax, grid, tol))]
 
 
@@ -277,7 +290,7 @@ def cmd_sweep(args) -> int:
             if key in args._explicit:
                 raise XyzentError(f"--{key} is read only by the limits columns")
 
-    values = np.linspace(args.start, args.stop, args.steps)
+    values = _steps(args.start, args.stop, args.steps)
     # a temperature axis is one model, whose limits fill every row
     if args.axis == "temp":
         models = [canonicalize(args.vx, args.vy, args.vz, args.b)]
@@ -320,7 +333,7 @@ def cmd_figure(args) -> int:
 
     # center: limit temperatures vs field; bottom: concurrence at each limit
     v_unit = v_plus if v_plus > 0.0 else v_minus
-    fields = np.linspace(0.0, 2.0, args.steps) * v_unit
+    fields = _steps(0.0, 2.0, args.steps) * v_unit
     models = [canonicalize(vx, vy, 0.0, float(b)) for b in fields]
     lims = _limit_rows(models, args.tmax, args.grid, args.tol)
     # the concurrence at each model's four limits, one kernel column each
@@ -419,8 +432,8 @@ def _add_couplings(sub):
 
 def _add_scan(sub):
     sub.add_argument("--tmax", type=float, default=None, help="scan range override")
-    sub.add_argument("--grid", type=int, default=limits.DEFAULT_GRID, help="entropic-limit sampling steps up to --tmax")
-    sub.add_argument("--tol", type=float, default=limits.DEFAULT_REL_TOL, help="bisection relative tolerance")
+    sub.add_argument("--grid", type=int, default=None, help="entropic-limit sampling steps up to --tmax")
+    sub.add_argument("--tol", type=float, default=None, help="bisection relative tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:

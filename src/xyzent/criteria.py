@@ -1,9 +1,18 @@
-"""Weaker entanglement-detection criteria: disorder and entropic.
+"""Weaker entanglement-detection criteria: disorder and entropic, and the
+margin kernel that evaluates them beside the exact margins.
 
-Both compare the global state against its single-qubit reductions and
-can only under-detect: every detection implies genuine entanglement, but
-entangled states may pass.  The disorder (majorization) check is exact
-at zero field; the entropic check is strictly weaker for mixed states.
+Both criteria compare the global state against its single-qubit
+reductions and can only under-detect: every detection implies genuine
+entanglement, but entangled states may pass.  The disorder
+(majorization) check is exact at zero field; the entropic check is
+strictly weaker for mixed states.
+
+The margin kernel, _margin_columns (one model per column; margin_table
+is its one-model view), evaluates the margins of thermal states: the
+exact rows of entanglement, the disorder row and the entropic row, with
+the formulas of the scalar checks (entanglement.exact_margins,
+disorder_check, entropic_check) broadcast over the columns.  The CLI's
+state columns and the limit scan (limits) both read their margins here.
 """
 
 from __future__ import annotations
@@ -12,14 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import _LN2, _xlogx, separability_exact
-from .states import BellMixture
+from .entanglement import _LN2, _exact_margin_rows, _xlogx, separability_exact
+from .model import EigenSystem
+from .states import BellMixture, _gibbs_exponents
 
 __all__ = [
     "CriterionReport",
     "exact_check",
     "disorder_check",
     "entropic_check",
+    "margin_table",
 ]
 
 
@@ -227,3 +238,39 @@ def _near_zero(values, form, p, *ratios):
     sub = form(p[:, cols], *(np.broadcast_to(r, cols.shape)[cols] for r in ratios))
     values[..., cols] = np.where(near[..., cols], sub, values[..., cols])
     return values
+
+
+# ---------------------------------------------------------------------------
+# the margin kernel: thermal states as functions of temperature
+# ---------------------------------------------------------------------------
+
+
+def margin_table(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
+    """The (4, len(ts)) table of signed margins of the thermal states at
+    the temperatures ts >= 0 (1-D); rows m12, m03, disorder, entropic.
+    The one-model view of the margin kernel, _margin_columns."""
+    return _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts)
+
+
+def _margin_columns(gaps, vm_ratio, b_ratio, ts) -> np.ndarray:
+    """The margin kernel: column k of the (4, K) table holds the margins
+    of a model's thermal state at ts[k] >= 0, the model given by column k
+    of its level gaps (4, K) (EigenSystem.gaps) and of vm_ratio, b_ratio
+    (K,), or by gaps (4,) and scalar ratios in every column.  Each step is
+    elementwise, so a column's bits do not depend on its neighbours.
+
+    The exact rows use the half-exponent Gibbs amplitudes
+    a_j = exp(-g_j/2T), so that a genuinely separable model never scans
+    as entangled at any temperature (see _exact_margin_rows); the last two
+    the Gibbs weights.  Both come from states._gibbs_exponents, so T = 0
+    is their T -> 0+ limit (a_j = 1 on each ground level, 0 above).
+    """
+    r = _gibbs_exponents(gaps, ts)
+    w = np.exp(-r)
+    p = w / w.sum(axis=0)
+    a = np.exp(-0.5 * r)
+    w = a * a
+    z = w.sum(axis=0)
+    m12, m03 = _exact_margin_rows(w, a[1], a[2], vm_ratio)
+    dis = _disorder_margin_rows(p, b_ratio, vm_ratio).min(axis=0)
+    return np.stack([m12 / z, m03 / z, dis, _entropic_margin_row(p, b_ratio, vm_ratio)])

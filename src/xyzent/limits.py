@@ -5,11 +5,11 @@ vanishing-plus-reentry window, reference closed forms, and the two-level
 mixture thresholds.
 
 One scan (_limit_records) computes every limit of any number of models;
-limit_temperatures is its one-model view.  All margins come from one
-kernel, _margin_columns (one model per column; margin_table is its
-one-model view), whose formulas are those of the scalar checks
-(entanglement.exact_margins, criteria.disorder_check,
-criteria.entropic_check) broadcast over the columns.
+limit_temperatures is its one-model view.  All margins come from the
+kernel criteria._margin_columns (one model per column), whose formulas
+are those of the scalar checks (entanglement.exact_margins,
+criteria.disorder_check, criteria.entropic_check) broadcast over the
+columns.
 
 No margin is negative past t_cut = (E_max - E_min)/ln 2.  There the
 Gibbs weights (sum Z) obey w_max <= 2 w_min, so w_min/Z >= 1/7 and every
@@ -59,18 +59,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expsums
-from .criteria import _disorder_margin_rows, _entropic_margin_row
-from .entanglement import _exact_margin_rows
+from .criteria import _margin_columns
 from .errors import DegenerateBasis, OutOfRange
 from .model import EigenSystem, XYZParams, eigensystem
-from .states import _gibbs_exponents, thermal_probabilities  # noqa: F401  (kept bound for tracing)
+from .states import thermal_probabilities  # noqa: F401  (kept bound for tracing)
 
 __all__ = [
     "LimitTemperatures",
     "MixtureThresholds",
     "ReentryWindow",
     "ClosedFormLimits",
-    "margin_table",
     "limit_temperatures",
     "reentry_two_level",
     "mixture_thresholds",
@@ -144,42 +142,6 @@ class ClosedFormLimits:
     case: str | None
     t_exact: float | None = None
     t_disorder: float | None = None
-
-
-# ---------------------------------------------------------------------------
-# margins as functions of temperature (vectorized over a T grid)
-# ---------------------------------------------------------------------------
-
-
-def margin_table(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
-    """The (4, len(ts)) table of signed margins of the thermal states at
-    the temperatures ts >= 0 (1-D); rows m12, m03, disorder, entropic.
-    The one-model view of the margin kernel, _margin_columns."""
-    return _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts)
-
-
-def _margin_columns(gaps, vm_ratio, b_ratio, ts) -> np.ndarray:
-    """The margin kernel: column k of the (4, K) table holds the margins
-    of a model's thermal state at ts[k] >= 0, the model given by column k
-    of its level gaps (4, K) (EigenSystem.gaps) and of vm_ratio, b_ratio
-    (K,), or by gaps (4,) and scalar ratios in every column.  Each step is
-    elementwise, so a column's bits do not depend on its neighbours.
-
-    The exact rows use the half-exponent Gibbs amplitudes
-    a_j = exp(-g_j/2T), so that a genuinely separable model never scans
-    as entangled at any temperature (see _exact_margin_rows); the last two
-    the Gibbs weights.  Both come from states._gibbs_exponents, so T = 0
-    is their T -> 0+ limit (a_j = 1 on each ground level, 0 above).
-    """
-    r = _gibbs_exponents(gaps, ts)
-    w = np.exp(-r)
-    p = w / w.sum(axis=0)
-    a = np.exp(-0.5 * r)
-    w = a * a
-    z = w.sum(axis=0)
-    m12, m03 = _exact_margin_rows(w, a[1], a[2], vm_ratio)
-    dis = _disorder_margin_rows(p, b_ratio, vm_ratio).min(axis=0)
-    return np.stack([m12 / z, m03 / z, dis, _entropic_margin_row(p, b_ratio, vm_ratio)])
 
 
 # ---------------------------------------------------------------------------

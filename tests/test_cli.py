@@ -28,7 +28,8 @@ from xyzent.cli import (
     point_report,
 )
 from xyzent.entanglement import entanglement_of_formation
-from xyzent.limits import DEFAULT_GRID, DEFAULT_REL_TOL, limit_temperatures, margin_table
+from xyzent.criteria import margin_table
+from xyzent.limits import DEFAULT_GRID, DEFAULT_REL_TOL, limit_temperatures
 from xyzent.meanfield import critical_temperature
 from xyzent.model import canonicalize, eigensystem
 
@@ -261,6 +262,12 @@ class TestSweep:
         assert code == 2
         code, _, _ = run(capsys, "sweep", "--axis", "b", "--from", "0", "--to", "1", "--steps", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("steps", ["4611686018427387904", "99999999999999999999"])
+    def test_too_many_steps_is_input_error(self, capsys, steps):
+        # numpy refuses both sizes before allocating anything
+        code, out, err = run(capsys, "sweep", "--axis=temp", "--from=0", "--to=1", "--vx=1", f"--steps={steps}")
+        assert (code, out) == (2, "") and err.startswith(f"error: steps={steps} is too many") and err.count("\n") == 1
 
     def test_invalid_grid_is_input_error(self, capsys):
         code, out, err = run(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from xyzent import limits
-from xyzent.criteria import disorder_check, entropic_check
+from xyzent.criteria import disorder_check, entropic_check, margin_table
 from xyzent.entanglement import exact_margins, separability_exact
 from xyzent.errors import DegenerateBasis, OutOfRange
 from xyzent.limits import (
@@ -24,7 +24,6 @@ from xyzent.limits import (
     _margin_columns,
     closed_form_limits,
     limit_temperatures,
-    margin_table,
     mixture_thresholds,
     reentry_two_level,
 )

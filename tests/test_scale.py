@@ -13,7 +13,8 @@ import pytest
 
 from xyzent.cli import main
 from xyzent.errors import OutOfRange
-from xyzent.limits import limit_temperatures, margin_table, reentry_two_level
+from xyzent.criteria import margin_table
+from xyzent.limits import limit_temperatures, reentry_two_level
 from xyzent.meanfield import critical_temperature, exact_free_energy, solve_mf
 from xyzent.model import MAX_ENERGY_SCALE, canonicalize, eigensystem
 from xyzent.states import thermal_mixture
