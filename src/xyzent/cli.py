@@ -25,7 +25,7 @@ import numpy as np
 
 from . import criteria, entanglement, limits, meanfield, states
 from .errors import NoConvergence, XyzentError
-from .model import XYZParams, canonicalize, eigensystem
+from .model import XYZParams, _eigen_columns, canonicalize
 
 PARAM_KEYS = ("vx", "vy", "vz", "b")
 STATE_COLUMNS = (
@@ -111,7 +111,7 @@ def point_report(vx, vy, vz, b, temp) -> dict:
     """
     p = canonicalize(vx, vy, vz, b)
     m = states.thermal_mixture(p, temp)
-    cols = _state_values([m.eigen], np.array([temp]))
+    cols = _state_values(_eigen_columns([p]), np.array([temp]))
     c, eof, m12, m03 = (float(cols[k][0]) for k in ("concurrence", "eof", "margin_12", "margin_03"))
     dis = criteria.disorder_check(m)
     ent = criteria.entropic_check(m)
@@ -145,28 +145,25 @@ def point_report(vx, vy, vz, b, temp) -> dict:
     }
 
 
-def _state_values(eigs, temps: np.ndarray) -> dict:
+def _state_values(columns, temps: np.ndarray) -> dict:
     """The STATE_COLUMNS of the thermal states at the temperatures temps
     (1-D), one array each, from one call to the margin kernel
-    (criteria._margin_columns, which the limit scan also reads); eigs
-    holds one EigenSystem for every temperature, or one per temperature."""
-    m12, m03, dis, ent = criteria._margin_columns(
-        np.stack([e.gaps for e in eigs], axis=1),
-        np.array([e.vm_ratio for e in eigs]),
-        np.array([e.b_ratio for e in eigs]),
-        temps,
-    )
+    (criteria._margin_columns, which the limit scan also reads); columns
+    are the level gaps, v_minus/Delta and b/Delta of model._eigen_columns,
+    of one model for every temperature or of one per temperature."""
+    m12, m03, dis, ent = criteria._margin_columns(*columns[:3], temps)
     worst = np.minimum(m12, m03)
     c = np.where(worst < 0.0, -worst, 0.0)
     return dict(zip(STATE_COLUMNS, (c, entanglement.entanglement_of_formation(c), m12, m03, dis, ent)))
 
 
-def _limit_rows(ps, tmax, grid, tol) -> list[dict]:
-    """The limit values of every model in ps, from one limit scan; a grid
-    or tol of None takes the scan's default."""
+def _limit_rows(ps, tmax, grid, tol, columns=None) -> list[dict]:
+    """The limit values of every model in ps, from one limit scan (of their
+    _eigen_columns, if given); a grid or tol of None takes the scan's
+    default."""
     grid = limits.DEFAULT_GRID if grid is None else grid
     tol = limits.DEFAULT_REL_TOL if tol is None else tol
-    return [_limit_values(p, lt) for p, lt in zip(ps, limits._limit_records(ps, tmax, grid, tol))]
+    return [_limit_values(p, lt) for p, lt in zip(ps, limits._limit_records(ps, tmax, grid, tol, columns))]
 
 
 def _limit_values(p: XYZParams, lt: limits.LimitTemperatures) -> dict:
@@ -177,12 +174,11 @@ def _limit_values(p: XYZParams, lt: limits.LimitTemperatures) -> dict:
             " lower bounds (raise --tmax)",
             file=sys.stderr,
         )
-    tc = meanfield.critical_temperature(p, method="closed")
     return {
         "t_exact": lt.t_exact,
         "t_disorder": lt.t_disorder,
         "t_entropic": lt.t_entropic,
-        "t_critical": tc.t_c,
+        "t_critical": p.t_critical,
         "reentry_lower": lt.reentry.lower if lt.reentry else None,
         "reentry_upper": lt.reentry.upper if lt.reentry else None,
         "reentry_two_level": lt.reentry.two_level if lt.reentry else None,
@@ -296,14 +292,16 @@ def cmd_sweep(args) -> int:
         models = [canonicalize(args.vx, args.vy, args.vz, args.b)]
     else:
         models = [_sweep_model(args, float(v)) for v in values]
+    eig_columns = _eigen_columns(models)
     columns, parts = [args.axis], [values[:, None]]
     if "state" in groups:
         temps = values if args.axis == "temp" else np.full(values.size, args.temp)
-        cols = _state_values([eigensystem(p) for p in models], temps)
+        cols = _state_values(eig_columns, temps)
         columns += STATE_COLUMNS
         parts.append(np.column_stack([cols[k] for k in STATE_COLUMNS]))
     if "limits" in groups:
-        lims = [[lim[k] for k in LIMIT_COLUMNS] for lim in _limit_rows(models, args.tmax, args.grid, args.tol)]
+        lims = _limit_rows(models, args.tmax, args.grid, args.tol, eig_columns)
+        lims = [[lim[k] for k in LIMIT_COLUMNS] for lim in lims]
         columns += LIMIT_COLUMNS
         parts.append(np.broadcast_to(np.array(lims, dtype=float), (values.size, len(LIMIT_COLUMNS))))
     _write_lines(_csv_blocks(columns, np.hstack(parts)), args.out)
@@ -328,18 +326,19 @@ def cmd_figure(args) -> int:
     temps = np.linspace(0.0, 2.5, 501)[1:]
     top = []
     for b in top_fields:
-        c = _state_values([eigensystem(canonicalize(vx, vy, 0.0, b))], temps)["concurrence"]
+        c = _state_values(_eigen_columns([canonicalize(vx, vy, 0.0, b)]), temps)["concurrence"]
         top.append(np.column_stack([np.full(temps.size, b), temps, c]))
 
     # center: limit temperatures vs field; bottom: concurrence at each limit
     v_unit = v_plus if v_plus > 0.0 else v_minus
     fields = _steps(0.0, 2.0, args.steps) * v_unit
     models = [canonicalize(vx, vy, 0.0, float(b)) for b in fields]
-    lims = _limit_rows(models, args.tmax, args.grid, args.tol)
+    eig_columns = _eigen_columns(models)
+    lims = _limit_rows(models, args.tmax, args.grid, args.tol, eig_columns)
     # the concurrence at each model's four limits, one kernel column each
     ts = np.array([[lim[k] or 0.0 for k in ("t_exact", "t_disorder", "t_entropic", "t_critical")] for lim in lims])
-    eigs = [e for e in map(eigensystem, models) for _ in range(ts.shape[1])]
-    c = _state_values(eigs, ts.ravel())["concurrence"].reshape(ts.shape)
+    c = _state_values([np.repeat(x, ts.shape[1], axis=-1) for x in eig_columns[:3]], ts.ravel())["concurrence"]
+    c = c.reshape(ts.shape)
     c = np.where(ts > 0.0, c, np.nan)  # absent at T = 0
     ratio = fields / v_unit
     inv = np.divide(1.0, ratio, out=np.full(ratio.size, np.nan), where=ratio > 0.0)

@@ -4,7 +4,8 @@ Limit temperatures, entangled temperature intervals, the
 vanishing-plus-reentry window, reference closed forms, and the two-level
 mixture thresholds.
 
-One scan (_limit_records) computes every limit of any number of models;
+One scan (_limit_records) computes every limit of any number of models,
+from one model._eigen_columns pass over their couplings;
 limit_temperatures is its one-model view.  All margins come from the
 kernel criteria._margin_columns (one model per column), whose formulas
 are those of the scalar checks (entanglement.exact_margins,
@@ -36,13 +37,14 @@ the sign of its sum's leading coefficient, its sign just above T = 0.
 The entropic margin has no such bound, but entropic detection implies
 disorder detection (the spectrum of rho is majorized by that of rho_A
 wherever the disorder margin is >= 0, and entropy is Schur-concave).  So
-it is sampled at T = i t_max/grid_n from T = 0 up to the first sample
-above the disorder row's top bracket, past which it is >= 0; grid_n sets
-this sampling and nothing else.  The record keeps only the top edges of
-the disorder and entropic rows, so of those rows only the top bracket is
-refined, and of the exact rows every bracket, all in one vectorised
-bisection that reports each edge at the end of its final bracket where
-its margin is >= 0.
+it is sampled at T = i t_max/grid_n from the first sample above the
+disorder row's top bracket, past which it is >= 0, downward, and only
+until its first sign change seen from the top (in chunks per model; down
+to T = 0 where there is none); grid_n sets this sampling and nothing
+else.  The record keeps only the top edges of the disorder and entropic
+rows, so of those rows only the top bracket is refined, and of the exact
+rows every bracket, all in one vectorised bisection that reports each
+edge at the end of its final bracket where its margin is >= 0.
 
 The two exact margins are refined separately and their violation sets
 merged.  Each margin crosses zero transversally, so both reentry
@@ -61,7 +63,7 @@ import numpy as np
 from . import expsums
 from .criteria import _margin_columns
 from .errors import DegenerateBasis, OutOfRange
-from .model import EigenSystem, XYZParams, eigensystem
+from .model import XYZParams, _eigen_columns, eigensystem
 from .states import thermal_probabilities  # noqa: F401  (kept bound for tracing)
 
 __all__ = [
@@ -173,8 +175,12 @@ def _scan_range(p: XYZParams, t_max: float | None, grid_n: int) -> float:
 #: by the midpoint to a neighbouring zero closer than that): so a bracket
 #: does not hang on the last bits of z, and scales with the model.
 _STRADDLE = 2.0**-20
-#: Entropic samples one batch takes, and the most columns one kernel call
-#: evaluates; together they bound the scan's memory.
+#: The entropic pass samples each model from the top down in chunks, the
+#: first _FIRST_CHUNK samples and each next _GROWTH times more.
+_FIRST_CHUNK, _GROWTH = 64, 4
+#: The most entropic samples one pass of the kernel takes (and the largest
+#: chunk), and the most columns one kernel call evaluates; together they
+#: bound the scan's memory.
 _BATCH = 1 << 15
 _CHUNK = 1 << 11
 
@@ -272,44 +278,66 @@ def _root_brackets(gaps, vm_ratio, b_ratio, t_max):
 
 def _entropic_brackets(gaps, vm_ratio, b_ratio, t_max, grid_n, upper):
     """The kernel's signs of the entropic row of each model at T = i step,
-    step = t_max/grid_n, from T = 0 up to the first sample above upper (K,)
-    (none where upper is 0): the negative flags (K,) of the first and last
-    sample, and the sign below, bracket and model of each model's top sign
-    change, its top end cut to upper, where the disorder margin and so the
-    entropic one are >= 0.  A margin exactly 0 at T = 0 takes the sign of
-    the next sample."""
+    step = t_max/grid_n, from the first sample above upper (K,) downward
+    (none where upper is 0), each model until its first sign change seen
+    from the top: the negative flags (K,) of the bottom and the top sample,
+    and the sign below, bracket and model of each model's top sign change,
+    its top end cut to upper, where the disorder margin and so the entropic
+    one are >= 0.  Each model is sampled in chunks, the first _FIRST_CHUNK
+    samples and each next _GROWTH times more (at most _BATCH), so it stops
+    at most one chunk below its top sign change; its bottom flag is then
+    the sign below that change.  A model without one is sampled down to
+    T = 0, where a margin exactly 0 takes the sign of the next sample."""
     step = t_max / grid_n
     i = np.floor(upper / step) - 1.0
     for _ in range(3):  # to the first sample above upper; the quotient may round either way
         i += i * step <= upper
-    n = np.where(upper > 0.0, np.minimum(i, grid_n) + 1, 0).astype(int)
-    first, last = np.zeros(n.size, bool), np.zeros(n.size, bool)
-    tops, ends, a = [], np.cumsum(n), 0
-    while a < n.size:  # models in batches of at most _BATCH samples, or one
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - n[a] + _BATCH, side="right")))
-        model = np.repeat(np.arange(a, b), n[a:b])
-        start = np.cumsum(n[a:b]) - n[a:b]
-        i = np.arange(model.size) - np.repeat(start, n[a:b])
-        ts = np.where(i == grid_n, t_max[model], i * step[model])
-        sign = _signs(gaps, vm_ratio, b_ratio, model, ts)[3]
-        neg = sign < 0.0
-        start, stop = start[n[a:b] > 0], (start + n[a:b] - 1)[n[a:b] > 0]
-        neg[start] = np.where(sign[start] == 0.0, neg[start + 1], neg[start])
-        first[model[start]], last[model[stop]] = neg[start], neg[stop]
-        idx = np.flatnonzero((neg[1:] != neg[:-1]) & (model[1:] == model[:-1]))
-        idx = idx[model[idx] != np.append(model[idx][1:], -1)]  # each model's top one
-        tops.append((neg[idx], ts[idx], np.minimum(ts[idx + 1], upper[model[idx]]), model[idx]))
-        a = b
-    return first, last, *(np.concatenate(x) for x in zip(*tops))
+    top = np.where(upper > 0.0, np.minimum(i, grid_n), -1.0).astype(int)  # each model's next sample down
+    first, last, above = np.zeros(top.size, bool), np.zeros(top.size, bool), None
+    tops = [(np.zeros(0, bool), np.zeros(0), np.zeros(0), np.zeros(0, int))]
+    live, size = np.flatnonzero(top >= 0), min(_FIRST_CHUNK, _BATCH)
+    while live.size:
+        for ks in np.split(live, range(_BATCH // size, live.size, _BATCH // size)):  # at most _BATCH samples
+            n = np.minimum(size, top[ks] + 1)
+            model, start = np.repeat(ks, n), np.cumsum(n) - n
+            i = np.repeat(top[ks], n) - (np.arange(model.size) - np.repeat(start, n))
+            ts = np.where(i == grid_n, t_max[model], i * step[model])
+            sign = _signs(gaps, vm_ratio, b_ratio, model, ts)[3]
+            neg = sign < 0.0
+            # the sign of the sample above each one; a model's top sample has none
+            up = np.append(False, neg[:-1])
+            up[start] = neg[start] if above is None else above[ks]
+            zero = (i == 0) & (sign == 0)
+            neg[zero] = up[zero]
+            if above is None:
+                last[ks] = neg[start]
+            idx = np.flatnonzero(neg != up)
+            idx = idx[model[idx] != np.append(-1, model[idx][:-1])]  # each model's top one
+            m = model[idx]
+            hi = np.where(i[idx] + 1 == grid_n, t_max[m], (i[idx] + 1) * step[m])
+            tops.append((neg[idx], ts[idx], np.minimum(hi, upper[m]), m))
+            bottom = start + n - 1
+            # first holds each model's bottom sign so far
+            first[ks], top[ks] = neg[bottom], top[ks] - n
+            first[m], top[m] = neg[idx], -1
+        above = first.copy()
+        live, size = live[top[live] >= 0], min(size * _GROWTH, _BATCH)
+    leaving, lo, hi, model = (np.concatenate(x) for x in zip(*tops))
+    order = np.argsort(model, kind="stable")
+    return first, last, leaving[order], lo[order], hi[order], model[order]
 
 
-def _limit_records(ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL) -> list[LimitTemperatures]:
+def _limit_records(
+    ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL, columns=None
+) -> list[LimitTemperatures]:
     """The LimitTemperatures of every model in ps (see limit_temperatures).
 
-    _root_brackets brackets every sign change of the exact and disorder
-    rows below t_end = min(t_max, t_cut), of which the disorder row keeps
-    its top one; _entropic_brackets brackets the entropic row's top one
-    below the disorder row's top bracket, or below t_max where the disorder
+    The models' level gaps and ratios come from one model._eigen_columns
+    pass, or are its result for ps, given as columns.  _root_brackets
+    brackets every sign change of the exact and disorder rows below
+    t_end = min(t_max, t_cut), of which the disorder row keeps its top one;
+    _entropic_brackets brackets the entropic row's top one, scanned down
+    from the disorder row's top bracket, or from t_max where the disorder
     row detects there (module docstring).  One bisection refines every
     bracket in its own model's column; each stops once hi - lo <= rel_tol
     * hi (checked before each step), as it would alone, or once lo, hi are
@@ -319,10 +347,7 @@ def _limit_records(ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL)
     if not 0.0 < rel_tol < 1.0:
         raise OutOfRange(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
     t_max = np.array([_scan_range(p, t_max, grid_n) for p in ps])
-    eigs = [eigensystem(p) for p in ps]
-    gaps = np.stack([e.gaps for e in eigs], axis=1)
-    vm_ratio = np.array([e.vm_ratio for e in eigs])
-    b_ratio = np.array([e.b_ratio for e in eigs])
+    gaps, vm_ratio, b_ratio, delta = _eigen_columns(ps) if columns is None else columns
     first, last, rows, leaving, lo, hi, model = _root_brackets(gaps, vm_ratio, b_ratio, t_max)
     dis = np.flatnonzero(rows == 2)
     top = dis[model[dis] != np.append(model[dis][1:], -1)]
@@ -348,9 +373,10 @@ def _limit_records(ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL)
     ends = np.searchsorted(model, np.arange(len(ps) + 1)).tolist()
     rows, t_cross, leaving = rows.tolist(), np.where(leaving, hi, lo).tolist(), leaving.tolist()
     first, last = np.vstack([first, ent_first]).T.tolist(), np.vstack([last, ent_last]).T.tolist()
+    t_r = [_two_level(p, d, u) for p, d, u in zip(ps, delta.tolist(), gaps[3].tolist())]
     return [
-        _record(rows[a:b], t_cross[a:b], leaving[a:b], f, l, t, _two_level(p, eig), rel_tol)
-        for a, b, f, l, t, p, eig in zip(ends[:-1], ends[1:], first, last, t_max.tolist(), ps, eigs)
+        _record(rows[a:b], t_cross[a:b], leaving[a:b], f, l, t, r, rel_tol)
+        for a, b, f, l, t, r in zip(ends[:-1], ends[1:], first, last, t_max.tolist(), t_r)
     ]
 
 
@@ -427,20 +453,22 @@ def reentry_two_level(p: XYZParams) -> float | None:
     Defined only when level 2 lies below level 3 and the logarithm is
     positive (v_minus > 0 and b > 0) and the quotient finite; else None.
     """
-    return _two_level(p, eigensystem(p))
+    eig = eigensystem(p)
+    return _two_level(p, eig.delta, float(eig.gaps[3]))
 
 
-def _two_level(p: XYZParams, eig: EigenSystem) -> float | None:
+def _two_level(p: XYZParams, delta: float, gap: float) -> float | None:
+    """reentry_two_level from Delta and the gap E_3 - E_min (floats)."""
     vm = p.v_minus
-    if vm <= 0.0 or eig.delta <= vm * (1.0 + 1e-15):
+    if vm <= 0.0 or delta <= vm * (1.0 + 1e-15):
         return None
-    if eig.gaps[3] <= 0.0:
+    if gap <= 0.0:
         return None
-    ratio = eig.delta / vm
+    ratio = delta / vm
     # a tiny v_minus beside b overflows the ratio, not its logarithm
-    log_ratio = math.log(ratio) if math.isfinite(ratio) else math.log(eig.delta) - math.log(vm)
+    log_ratio = math.log(ratio) if math.isfinite(ratio) else math.log(delta) - math.log(vm)
     # near MAX_ENERGY_SCALE with Delta close to v_minus the quotient overflows (to inf, silently in floats)
-    t_r = float(eig.gaps[3]) / log_ratio
+    t_r = gap / log_ratio
     return t_r if math.isfinite(t_r) else None
 
 

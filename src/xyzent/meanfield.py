@@ -372,8 +372,9 @@ def _bisection_tree(lo: float, hi: float, levels: int = TREE_LEVELS) -> list[tup
 def critical_temperature(p: XYZParams, method: str = "closed") -> CriticalTemperature:
     """Critical temperature of the transverse symmetry-breaking solution.
 
-    "closed" evaluates T_c = v_max chi / ln[(1+chi)/(1-chi)] (the chi -> 0
-    limit v_max/2 taken analytically); "numeric" bisects the onset of
+    "closed" returns XYZParams.t_critical, T_c = v_max chi /
+    ln[(1+chi)/(1-chi)] (the chi -> 0 limit v_max/2 taken analytically),
+    which needs nothing of this module; "numeric" bisects the onset of
     broken_phase_flip in solve_mf to 1e-6 relative.  The bisection runs
     in rounds, each one batch of _solve_rows, walked as the step-by-step
     bisection would walk them, with the same midpoints and stop test, so
@@ -389,15 +390,9 @@ def critical_temperature(p: XYZParams, method: str = "closed") -> CriticalTemper
     """
     if method not in ("closed", "numeric"):
         raise ValueError(f"method must be 'closed' or 'numeric', got {method!r}")
-    v_max = p.v_max
-    chi = p.chi
-    # chi < 1 also requires v_max > vz; without transverse coupling there
-    # is nothing to break
-    feasible = v_max > 0.0 and chi < 1.0
-    if not feasible:
+    v_max, chi, t_closed = p.v_max, p.chi, p.t_critical
+    if t_closed is None:
         return CriticalTemperature(t_c=None, chi=chi, v_max=v_max, feasible=False)
-
-    t_closed = 0.5 * v_max if chi == 0.0 else v_max * chi / (2.0 * math.atanh(chi))
     if method == "closed":
         return CriticalTemperature(t_c=t_closed, chi=chi, v_max=v_max, feasible=True)
 

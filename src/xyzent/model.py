@@ -10,6 +10,13 @@ all quantities derived from it are invariant under sign flips of b,
 v_plus = (v_x+v_y)/2 and v_minus = (v_x-v_y)/2 (not of v_z), so inputs
 are canonicalized to b >= 0, v_plus >= 0, v_minus >= 0 at the library
 boundary and internal code assumes that form.
+
+The level gaps and mixing ratios of any number of models come from one
+array pass, _eigen_columns, which the limit scan and the CLI's
+many-model tables call once per batch; eigensystem is its one-model view,
+with the same bits in every column whatever the batch.  The closed-form
+mean-field T_c (XYZParams.t_critical) lives here too, so the commands
+that print only it never run the mean-field module.
 """
 
 from __future__ import annotations
@@ -67,6 +74,17 @@ class XYZParams:
         """|b| / b_critical, defined for b_critical > 0."""
         bc = self.b_critical
         return abs(self.b) / bc if bc > 0.0 else math.inf
+
+    @property
+    def t_critical(self) -> float | None:
+        """Closed-form mean-field critical temperature
+        v_max chi / (2 atanh chi), v_max/2 at chi = 0; None where the
+        transverse solution is infeasible: chi >= 1 (which covers
+        v_max <= vz), or v_max <= 0, without transverse coupling to break."""
+        v_max, chi = self.v_max, self.chi
+        if not (v_max > 0.0 and chi < 1.0):
+            return None
+        return 0.5 * v_max if chi == 0.0 else v_max * chi / (2.0 * math.atanh(chi))
 
     @property
     def b_crossing(self) -> float:
@@ -137,7 +155,7 @@ class EigenSystem:
     """
 
     energies: np.ndarray  # shape (4,), indexed by level label
-    #: E_j - E_min, each to full relative accuracy (_level_gaps); the Gibbs
+    #: E_j - E_min, each to full relative accuracy (_eigen_columns); the Gibbs
     #: weights are taken from these, not from differences of energies
     gaps: np.ndarray
     delta: float
@@ -170,72 +188,84 @@ def _snap_degeneracies(energies: np.ndarray) -> np.ndarray:
     return out
 
 
-def _level_gaps(p: XYZParams, delta: float, tol: float) -> np.ndarray:
-    """The gaps E_j - E_min, each to full relative accuracy.
+def _eigen_columns(ps) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The level gaps (4, K), v_minus/Delta, b/Delta and Delta (K,) of the
+    canonical models ps, one column each; eigensystem is the one-column
+    view, and each column is the same whatever batch it sits in.
 
-    Only u = E_3 - E_2 = vz - v_plus + Delta can cancel, near the
-    level-crossing field; where vz < v_plus it is taken as
+    Each gap E_j - E_min has full relative accuracy.  Only
+    u = E_3 - E_2 = vz - v_plus + Delta can cancel, near the level-crossing
+    field; where vz < v_plus it is taken as
     [(vx - vz)(vy - vz) - b^2] / (vz - v_plus - Delta), since
     (vz - v_plus)^2 - v_minus^2 = (vz - vx)(vz - vy), with the numerator
     formed without rounding error to first order (Dekker's two-sum and
     two-product, on the couplings scaled by a power of 2).  Every other gap
     is a sum of terms of one sign: (u + 2 v_plus, 2 Delta, 0, u) when the
     ground level is E_2, (2 v_plus, 2 Delta - u, -u, 0) when it is E_3.
-    Gaps below tol (the snapping tolerance) are 0.
+    Gaps below 16 ulps of the largest |E_j| (the snapping tolerance of
+    _snap_degeneracies) are 0.  Delta is math.hypot of each column, as
+    np.hypot rounds some of them differently.
     """
-    vz, vp = p.vz, p.v_plus
+    vx, vy, vz, b = np.array([(p.vx, p.vy, p.vz, p.b) for p in ps], dtype=float).reshape(-1, 4).T
+    vp, vm = 0.5 * (vx + vy), 0.5 * (vx - vy)
+    delta = np.array(list(map(math.hypot, vm.tolist(), b.tolist())), dtype=float)
+    # the closed forms are exact for every Delta > 0; at Delta == 0 the levels
+    # E_1 and E_2 are the same float, and both ratios are taken as 0
+    vm_ratio, b_ratio = np.divide([vm, b], delta, out=np.zeros((2, delta.size)), where=delta > 0.0)
+    tol = 16.0 * np.finfo(float).eps * np.abs(_energies(vz, vp, delta)).max(axis=0)
     u = (vz - vp) + delta
-    if vz < vp:
-        k = math.frexp(p.energy_scale)[1]
-        (d1, e1), (d2, e2) = (_two_sum(math.ldexp(v, -k), math.ldexp(-vz, -k)) for v in (p.vx, p.vy))
-        (q, eq), b = _two_prod(d1, d2), math.ldexp(p.b, -k)
-        bb, eb = _two_prod(b, b)
-        num = (q - bb) + (((eq - eb) + d1 * e2 + d2 * e1) + e1 * e2)
-        u = math.ldexp(num / (math.ldexp(vz - vp, -k) - math.ldexp(delta, -k)), k)
-    gaps = np.array([u + 2.0 * vp, 2.0 * delta, 0.0, u] if u >= 0.0 else [2.0 * vp, 2.0 * delta - u, -u, 0.0])
-    return np.where(gaps < tol, 0.0, gaps)
+    near = np.flatnonzero(vz < vp)
+    if near.size:
+        u[near] = _crossing_gap(*(x[near] for x in (vx, vy, vz, b, vp, delta)))
+    zero = np.zeros_like(u)
+    gaps = np.where(u >= 0.0, [u + 2.0 * vp, 2.0 * delta, zero, u], [2.0 * vp, 2.0 * delta - u, -u, zero])
+    return np.where(gaps < tol, 0.0, gaps), vm_ratio, b_ratio, delta
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
+def _energies(vz, vp, delta) -> np.ndarray:
+    """E_0..E_3 (EigenSystem), of one model or of columns of models."""
+    return np.array([0.5 * vz + vp, -0.5 * vz + delta, -0.5 * vz - delta, 0.5 * vz - vp])
+
+
+def _crossing_gap(vx, vy, vz, b, vp, delta) -> np.ndarray:
+    """E_3 - E_2 = [(vx - vz)(vy - vz) - b^2] / (vz - v_plus - Delta) of
+    columns with vz < v_plus (_eigen_columns)."""
+    k = np.frexp(np.abs([vx, vy, vz, b]).max(axis=0))[1]
+    (d1, d2), (e1, e2) = _two_sum(np.ldexp([vx, vy], -k), np.ldexp(-vz, -k))
+    b = np.ldexp(b, -k)
+    (q, bb), (eq, eb) = _two_prod(np.array([d1, b]), np.array([d2, b]))
+    num = (q - bb) + (((eq - eb) + d1 * e2 + d2 * e1) + e1 * e2)
+    return np.ldexp(num / (np.ldexp(vz - vp, -k) - np.ldexp(delta, -k)), k)
+
+
+def _two_sum(a, b):
     s = a + b
     t = s - a
     return s, (a - (s - t)) + (b - t)
 
 
-def _two_prod(a: float, b: float) -> tuple[float, float]:
+def _two_prod(a, b):
     (ah, al), (bh, bl) = _split(a), _split(b)
     q = a * b
     return q, ((ah * bh - q) + ah * bl + al * bh) + al * bl
 
 
-def _split(a: float) -> tuple[float, float]:
+def _split(a):
     c = 134217729.0 * a  # 2^27 + 1
     hi = c - (c - a)
     return hi, a - hi
 
 
 def eigensystem(p: XYZParams) -> EigenSystem:
-    """Eigen-energies and mixing ratios for canonical parameters."""
-    vp, vm, vz, b = p.v_plus, p.v_minus, p.vz, p.b
-    delta = math.hypot(vm, b)
-    # the closed forms are exact for every Delta > 0; at Delta == 0 the
-    # levels E_1 and E_2 are the same float, so their Gibbs weights are equal
-    degenerate = delta == 0.0
-    if degenerate:
-        vm_ratio, b_ratio = 0.0, 0.0
-    else:
-        vm_ratio = vm / delta
-        b_ratio = b / delta
-
-    energies = np.array([0.5 * vz + vp, -0.5 * vz + delta, -0.5 * vz - delta, 0.5 * vz - vp])
-    tol = 16.0 * np.finfo(float).eps * float(np.abs(energies).max())
-    energies = _snap_degeneracies(energies)
-
+    """Eigen-energies and mixing ratios for canonical parameters: the
+    one-column view of _eigen_columns, plus the snapped energies."""
+    gaps, vm_ratio, b_ratio, delta = _eigen_columns([p])
+    delta = float(delta[0])
     return EigenSystem(
-        energies=energies,
-        gaps=_level_gaps(p, delta, tol),
+        energies=_snap_degeneracies(_energies(p.vz, p.v_plus, delta)),
+        gaps=gaps[:, 0],
         delta=delta,
-        degenerate=degenerate,
-        vm_ratio=vm_ratio,
-        b_ratio=b_ratio,
+        degenerate=delta == 0.0,
+        vm_ratio=float(vm_ratio[0]),
+        b_ratio=float(b_ratio[0]),
     )

@@ -73,6 +73,14 @@ def state_alone(p, temp):
     }
 
 
+def stacked(eigs):
+    """The level gaps and ratios of EigenSystems, one column each, as
+    model._eigen_columns lays them out: the tests build every
+    model's eigensystem on its own, not in one batch."""
+    gaps = np.stack([e.gaps for e in eigs], axis=1)
+    return gaps, np.array([e.vm_ratio for e in eigs]), np.array([e.b_ratio for e in eigs])
+
+
 class TestPoint:
     def test_case2_concurrence(self, capsys):
         code, out, _ = run(
@@ -236,7 +244,7 @@ class TestSweep:
         ties = [canonicalize(1.0, 0.4, 0.4, 0.0), canonicalize(0.7, 0.7, -0.3, 0.0)]
         for p in ties + [random_canonical_params(rng) for _ in range(20)]:
             temps = np.concatenate([[0.0], log_uniform(rng, 1e-2, 1e1, size=6) * p.energy_scale])
-            cols = _state_values([eigensystem(p)], temps)
+            cols = _state_values(stacked([eigensystem(p)]), temps)
             assert not np.signbit(cols["concurrence"]).any()  # never prints "-0"
             for k, t in enumerate(temps):
                 rep = point_report(p.vx, p.vy, p.vz, p.b, float(t))
@@ -340,7 +348,7 @@ class TestSweep:
         rows = out.strip().split("\n")[1:]
         assert [float(r.split(",")[0]) for r in rows] == list(temps)
         p = canonicalize(0.0, 0.0, 1.0, 1e-13)
-        cols = _state_values([eigensystem(p)], temps)
+        cols = _state_values(stacked([eigensystem(p)]), temps)
         eps = np.finfo(float).eps
         for k, t in enumerate(temps):
             rep = point_report(0.0, 0.0, 1.0, 1e-13, float(t))
@@ -667,7 +675,7 @@ def reference_sweep(argv) -> str:
     if "state" in groups:
         columns += STATE_COLUMNS
         temps = values if args.axis == "temp" else np.full(values.size, args.temp)
-        cols.update(_state_values([eigensystem(p) for p in models], temps))
+        cols.update(_state_values(stacked([eigensystem(p) for p in models]), temps))
     if "limits" in groups:
         columns += LIMIT_COLUMNS
         lims = _limit_rows(models, args.tmax, args.grid, args.tol) * (values.size // len(models))
@@ -683,7 +691,7 @@ def reference_figure(which, steps) -> dict:
     temps = np.linspace(0.0, 2.5, 501)[1:]
     top = []
     for b in top_fields:
-        c = _state_values([eigensystem(canonicalize(vx, vy, 0.0, b))], temps)["concurrence"]
+        c = _state_values(stacked([eigensystem(canonicalize(vx, vy, 0.0, b))]), temps)["concurrence"]
         top += ((b, t, x) for t, x in zip(temps, c))
     v_unit = v_plus if v_plus > 0.0 else v_minus
     fields = np.linspace(0.0, 2.0, steps) * v_unit
@@ -692,7 +700,7 @@ def reference_figure(which, steps) -> dict:
     keys = ("t_exact", "t_disorder", "t_entropic", "t_critical")
     ts = np.array([[lim[k] or 0.0 for k in keys] for lim in lims])
     eigs = [e for e in map(eigensystem, models) for _ in keys]
-    c = _state_values(eigs, ts.ravel())["concurrence"].reshape(ts.shape)
+    c = _state_values(stacked(eigs), ts.ravel())["concurrence"].reshape(ts.shape)
     c = np.where(ts > 0.0, c, np.nan)
     center, bottom = [], []
     for b, lim, c_row in zip(fields, lims, c):

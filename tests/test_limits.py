@@ -479,19 +479,26 @@ class TestDefaultScanRange:
 
     def test_grid_pass_evaluates_only_grid_samples(self, monkeypatch):
         # the entropic pass evaluates the samples i t_max/grid_n of each model
-        # from T = 0 up to the first above the disorder row's top bracket (all
-        # of them where the disorder row detects at t_max), and none where the
-        # disorder row never detects; over the whole scan, bisection included,
-        # fig4's 201 models take at most 25,000 kernel columns (65,658 when
-        # the exact and disorder rows were found on the grid too)
-        calls, in_entropic_pass = [], []
+        # from the first above the disorder row's top bracket (i = grid_n where
+        # the disorder row detects at t_max) down, in chunks of 64, 256, 1024,
+        # ... samples, and stops at the end of the chunk that holds its top
+        # sign change (at T = 0 without one): a contiguous run of grid samples
+        # reaching at most one chunk below that change, and none where the
+        # disorder row never detects.  Over the whole scan, bisection included,
+        # fig2's, fig3's and fig4's 201 models take at most 20,000, 33,000 and
+        # 25,000 kernel columns (21,493, 41,138 and 22,296 when the row was
+        # sampled from T = 0 up; fig4 took 65,658 when the exact and disorder
+        # rows were found on the grid too)
+        calls, in_entropic_pass, uppers = [], [], []
         kernel, entropic = limits._margin_columns, limits._entropic_brackets
 
         def record(energies, vm_ratio, b_ratio, ts):
-            calls.append((energies, ts, bool(in_entropic_pass)))
-            return kernel(energies, vm_ratio, b_ratio, ts)
+            table = kernel(energies, vm_ratio, b_ratio, ts)
+            calls.append((energies, ts, table[3], bool(in_entropic_pass)))
+            return table
 
         def flagged(*args):
+            uppers.append(args[-1])  # the disorder row's top bracket ends, or t_max
             in_entropic_pass.append(True)
             try:
                 return entropic(*args)
@@ -500,28 +507,48 @@ class TestDefaultScanRange:
 
         monkeypatch.setattr(limits, "_margin_columns", record)
         monkeypatch.setattr(limits, "_entropic_brackets", flagged)
-        for t_max, ps in (
-            (None, [CASE3(b) for b in np.linspace(0.0, 2.0, 201)]),
-            (0.5, [CASE3(b) for b in (0.0, 0.9, 2.0)]),
-            (30.0, [CASE3(0.9), XX(0.5), canonicalize(0.0, 0.0, 0.0, 0.0)]),
+        fields = np.linspace(0.0, 2.0, 201)
+        for t_max, ps, budget in (
+            (None, [XX(b) for b in fields], 20_000),
+            (None, [MAX_ANISO(b) for b in fields], 33_000),
+            (None, [CASE3(b) for b in fields], 25_000),
+            (0.5, [CASE3(b) for b in (0.0, 0.9, 2.0)], None),
+            (30.0, [CASE3(0.9), XX(0.5), canonicalize(0.0, 0.0, 0.0, 0.0)], None),
         ):
             calls.clear()
+            uppers.clear()
             records = _limit_records(ps, t_max)
-            energies = np.concatenate([e for e, _, flag in calls if flag], axis=1)
-            ts = np.concatenate([t for _, t, flag in calls if flag])
-            for p, lt in zip(ps, records):
+            (upper,) = uppers
+            energies, ts, margin = (np.concatenate([c[k] for c in calls if c[3]], axis=-1) for k in range(3))
+            stopped = 0
+            for p, lt, hi in zip(ps, records, upper):
                 step = (_default_t_max(p) if t_max is None else t_max) / DEFAULT_GRID
-                evaluated = np.sort(ts[(energies == eigensystem(p).gaps[:, None]).all(axis=0)])
+                mine = (energies == eigensystem(p).gaps[:, None]).all(axis=0)
+                order = np.argsort(-ts[mine], kind="stable")
+                evaluated, neg = ts[mine][order], margin[mine][order] < 0.0
                 if lt.t_disorder is None:
                     assert evaluated.size == 0, p
                     continue
-                assert np.array_equal(evaluated, np.arange(evaluated.size) * step), p
-                if "disorder" in lt.censored:
-                    assert evaluated.size == DEFAULT_GRID + 1, p
-                else:
-                    assert evaluated[-2] <= lt.t_disorder * (1.0 + 1e-5) < evaluated[-1], p
-            if t_max is None:
-                assert sum(t.size for _, t, _ in calls) <= 25_000
+                top = DEFAULT_GRID if "disorder" in lt.censored else round(evaluated[0] / step)
+                assert np.array_equal(evaluated, np.arange(top, top - evaluated.size, -1) * step), p
+                if "disorder" not in lt.censored:
+                    assert lt.t_disorder <= hi <= lt.t_disorder * (1.0 + 1e-5), p
+                    assert evaluated[1] <= hi < evaluated[0], p
+                if evaluated[-1] == 0.0 and margin[mine][order][-1] == 0.0:
+                    neg[-1] = neg[-2]  # a margin exactly 0 at T = 0 takes the sign above it
+                changes = np.flatnonzero(neg[1:] != neg[:-1])
+                ends = np.cumsum(limits._FIRST_CHUNK * limits._GROWTH ** np.arange(8))  # down to each chunk's end
+                if changes.size == 0:
+                    assert evaluated[-1] == 0.0, p
+                    continue
+                stopped += 1
+                c = changes[0] + 1  # the sample below the top sign change, in evaluation order
+                assert evaluated.size == min(top + 1, ends[np.searchsorted(ends, c, side="right")]), p
+                if lt.t_entropic is not None and "entropic" not in lt.censored:
+                    assert evaluated[c] <= lt.t_entropic <= evaluated[c - 1], p
+            assert stopped
+            if budget is not None:
+                assert sum(t.size for _, t, _, _ in calls) <= budget
 
 
 class TestSignChangeCertificate:
@@ -632,21 +659,36 @@ class TestSignChangeCertificate:
 
     def test_entropic_sign_changes_below_the_top_detection_are_not_needed(self, monkeypatch):
         # a positive blip in the entropic row below CASE3(0.2)'s top entropic
-        # edge (0.378): the entropic pass samples it and finds its sign
-        # changes, but only the top one is refined; the record is the same
-        want = limit_temperatures(CASE3(0.2))
-        kernel, blip = limits._margin_columns, []
+        # edge (0.378), where the row detects on every grid sample: the
+        # entropic pass scans down from the disorder row's top edge (0.718)
+        # and stops in the first chunk that holds the top sign change, so it
+        # never evaluates the blip, and the record is the same
+        p = CASE3(0.2)
+        want = limit_temperatures(p)
+        step = _default_t_max(p) / DEFAULT_GRID
+        grid = np.arange(math.ceil(0.1 / step), math.floor(0.11 / step) + 1) * step
+        assert grid.size and np.all(margin_table(eigensystem(p), grid)[3] < 0.0)
+        kernel, entropic, blip, in_entropic_pass = limits._margin_columns, limits._entropic_brackets, [], []
 
         def with_blip(energies, vm_ratio, b_ratio, ts):
             table = kernel(energies, vm_ratio, b_ratio, ts)
             inside = (0.1 < ts) & (ts < 0.11)
-            blip.append(table[3, inside] < 0.0)
+            if in_entropic_pass:
+                blip.append(ts[inside])
             table[3, inside] = 1.0
             return table
 
+        def flagged(*args):
+            in_entropic_pass.append(True)
+            try:
+                return entropic(*args)
+            finally:
+                in_entropic_pass.clear()
+
         monkeypatch.setattr(limits, "_margin_columns", with_blip)
-        assert limit_temperatures(CASE3(0.2)) == want
-        assert np.concatenate(blip).any()  # the blip turned detected samples positive
+        monkeypatch.setattr(limits, "_entropic_brackets", flagged)
+        assert limit_temperatures(p) == want
+        assert blip and np.concatenate(blip).size == 0  # the entropic pass ran, and never inside the blip
 
     def test_exact_and_disorder_limits_ignore_the_grid(self, rng):
         # the exact and disorder rows take no grid: grid_n, and a t_max above

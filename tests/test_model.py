@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 
 from xyzent.errors import NonFiniteInput
 from xyzent.linalg import _amplitudes, eigenvectors, hamiltonian_matrix
-from xyzent.model import XYZParams, canonicalize, eigensystem
+from xyzent.meanfield import critical_temperature
+from xyzent.model import MAX_ENERGY_SCALE, XYZParams, _eigen_columns, canonicalize, eigensystem
 
 from conftest import random_canonical_params
 
@@ -174,3 +175,63 @@ class TestHamiltonianMatrix:
             d = eigensystem(p).delta
             assert d >= p.v_minus - 1e-15
             assert d >= p.b - 1e-15
+
+
+class TestEigenColumns:
+    """model._eigen_columns is one array pass over many models, which the
+    limit scan and the CLI's tables read; eigensystem is its one-column view."""
+
+    @staticmethod
+    def models(rng):
+        """Seeded models at every scale, and those of them within 1e-12 of
+        the level crossing."""
+        ps, near = [], []
+        for lam in 10.0 ** np.arange(-300.0, 301.0, 50.0):
+            for _ in range(10):
+                q = random_canonical_params(rng)
+                ps.append(canonicalize(lam * q.vx, lam * q.vy, lam * q.vz, lam * q.b))
+            for side in (-1.0, 1.0):  # within 1e-12 of the level crossing, vz < v_plus
+                bc = 0.0
+                while bc == 0.0:
+                    vp, vz = rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.3)
+                    vm = rng.uniform(0.0, 0.9) * vp
+                    bc = canonicalize(vp + vm, vp - vm, vz * vp, 0.0).b_crossing
+                b = bc * (1.0 + side * 10.0 ** rng.uniform(-16.0, -12.0))
+                near.append(canonicalize(lam * (vp + vm), lam * (vp - vm), lam * vz * vp, lam * b))
+        top = MAX_ENERGY_SCALE
+        return ps + near + [
+            canonicalize(0.0, 0.0, 0.0, 0.0),
+            canonicalize(0.5, 0.5, 0.2, 0.0),  # Delta = 0
+            canonicalize(1.0, 0.4, 0.4, 0.0),  # E_2 = E_3
+            canonicalize(top, -top, top, top),
+            canonicalize(top, top, -top, 0.3 * top),
+        ], near
+
+    def test_columns_are_the_one_model_views_in_any_batch(self, rng):
+        ps, near = self.models(rng)
+        assert any(p.delta == 0.0 for p in ps) and all(p.vz < p.v_plus and p.b > 0.0 for p in near)
+        for batch in (ps, ps[::-1], [ps[k] for k in rng.permutation(len(ps))]):
+            gaps, vm_ratio, b_ratio, delta = _eigen_columns(batch)
+            assert gaps.shape == (4, len(batch))
+            for k, p in enumerate(batch):
+                e = eigensystem(p)
+                assert gaps[:, k].tobytes() == e.gaps.tobytes(), p
+                got = np.array([vm_ratio[k], b_ratio[k], delta[k]])
+                assert got.tobytes() == np.array([e.vm_ratio, e.b_ratio, e.delta]).tobytes(), p
+                assert delta[k] == math.hypot(p.v_minus, p.b), p
+
+    def test_closed_form_critical_temperature(self):
+        below_one = canonicalize(1.0, 0.0, 0.0, math.nextafter(1.0, 0.0))
+        assert 1.0 - below_one.chi < 1e-15
+        for p in (
+            canonicalize(1.0, 0.0, 0.0, 0.0),  # chi = 0: v_max / 2
+            canonicalize(1.0, 0.4, 0.1, 0.5),
+            below_one,
+            canonicalize(1.0, 0.0, 0.0, 1.0),  # chi = 1
+            canonicalize(1.0, 0.0, 2.0, 0.0),  # v_max < vz
+            canonicalize(0.0, 0.0, 0.0, 0.0),  # v_max = 0
+        ):
+            tc = critical_temperature(p, "closed")
+            assert p.t_critical == tc.t_c and (p.t_critical is None) == (not tc.feasible), p
+        assert canonicalize(1.0, 0.0, 0.0, 0.0).t_critical == 0.5
+        assert 0.0 < below_one.t_critical < 0.1

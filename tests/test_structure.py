@@ -118,24 +118,32 @@ def _fresh_cli(argv):
     return json.loads(out.stdout)
 
 
-_SCAN_MODULES = {"limits", "expsums", "meanfield"}
+#: the modules of the limit scan; `meanfield` runs only for the numeric T_c
+#: of `limits`, as the closed-form T_c is model.XYZParams.t_critical
+_SCAN_MODULES = {"limits", "expsums"}
 
 
 @pytest.mark.parametrize(
-    "argv, scan",
+    "argv, scan, mean_field",
     [
-        (["point", "--vx=1", "--vy=0.3", "--temp=0.5"], False),
-        (["sweep", "--axis=temp", "--from=0", "--to=2", "--steps=50", "--vx=1.7", "--vy=0.3", "--b=0.9"], False),
-        (["limits", "--vx=1", "--vy=0.3", "--b=0.2"], True),
-        (["sweep", "--axis=b", "--from=0", "--to=2", "--steps=9", "--vx=1.7", "--vy=0.3", "--outputs=limits"], True),
+        (["point", "--vx=1", "--vy=0.3", "--temp=0.5"], False, False),
+        (["sweep", "--axis=temp", "--from=0", "--to=2", "--steps=50", "--vx=1.7", "--vy=0.3", "--b=0.9"], False, False),
+        (["limits", "--vx=1", "--vy=0.3", "--b=0.2"], True, True),
+        (
+            ["sweep", "--axis=b", "--from=0", "--to=2", "--steps=9", "--vx=1.7", "--vy=0.3", "--outputs=limits"],
+            True,
+            False,
+        ),
+        (["figure", "fig2", "--steps=9", "--out={out}"], True, False),
     ],
-    ids=["point", "sweep_temp", "limits", "sweep_b_limits"],
+    ids=["point", "sweep_temp", "limits", "sweep_b_limits", "figure_fig2"],
 )
-def test_cli_command_runs_only_the_modules_it_uses(argv, scan):
-    code, ran, _ = _fresh_cli(argv)
+def test_cli_command_runs_only_the_modules_it_uses(argv, scan, mean_field, tmp_path):
+    code, ran, _ = _fresh_cli([a.replace("{out}", str(tmp_path)) for a in argv])
     assert code == 0
     assert {"cli", "model", "states", "entanglement", "criteria"} <= set(ran), ran
     assert (_SCAN_MODULES <= set(ran)) if scan else not (_SCAN_MODULES & set(ran)), ran
+    assert ("meanfield" in ran) == mean_field, ran
     assert "linalg" not in ran
 
 
