@@ -13,9 +13,14 @@ public names (_EXPORTS) are read from their submodules by the module
 __getattr__, so they load them the same way.  So `xyzent point` never
 runs the limit scan or the mean field, while every submodule can still
 be looked up in sys.modules (perfbench's tracer finds each layer there).
+
+Importing the package, or any of its modules, leaves os.environ as it is.
+Only the programs (`python -m xyzent.cli` and the `xyzent` console script,
+_console_script) call _one_blas_thread before numpy loads.
 """
 
 import importlib.util as _util
+import os as _os
 import sys as _sys
 
 __version__ = "0.1.0"
@@ -81,3 +86,30 @@ def __getattr__(name):
 
 def __dir__():
     return sorted(set(globals()) | set(__all__))
+
+
+#: The variables OpenBLAS reads its thread count from, in its order.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _one_blas_thread():
+    """Have OpenBLAS start no worker thread, unless a thread count is set.
+
+    OpenBLAS reads its thread count once, when numpy loads it, and by
+    default starts a worker thread per core but the first, which spin
+    while numpy imports.  The largest matrix the CLI hands to LAPACK is
+    6x6, so it never uses them.  Does nothing once numpy is imported, or
+    where the user set any of _BLAS_THREADS.  For the programs only: it
+    changes os.environ, which every child process inherits.
+    """
+    if "numpy" not in _sys.modules and not any(_os.environ.get(k) for k in _BLAS_THREADS):
+        _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+
+def _console_script():
+    """The `xyzent` console script: cli.main, with numpy loaded after
+    _one_blas_thread (xyzent.cli imports numpy as it loads)."""
+    _one_blas_thread()
+    from .cli import main
+
+    return main()

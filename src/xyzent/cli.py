@@ -11,6 +11,11 @@ Exit codes: 0 success, 2 invalid input, 3 I/O failure, 4 solver
 non-convergence.  Floats in CSV output carry up to 12 significant
 digits; absent values are empty fields.  Output is deterministic:
 identical invocations produce byte-identical files.
+
+Run as a program (`python -m xyzent.cli`, or the `xyzent` console script,
+xyzent._console_script), it has numpy start OpenBLAS with one thread
+unless the user set a thread count (xyzent._one_blas_thread): its largest
+matrix is 6x6.  Importing this module changes no environment variable.
 """
 
 from __future__ import annotations
@@ -20,6 +25,11 @@ import json
 import math
 import re
 import sys
+
+if __name__ == "__main__":  # before numpy: OpenBLAS reads its thread count as it loads
+    from . import _one_blas_thread
+
+    _one_blas_thread()
 
 import numpy as np
 

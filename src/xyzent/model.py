@@ -89,8 +89,15 @@ class XYZParams:
     @property
     def b_crossing(self) -> float:
         """Field at which the two lowest levels cross:
-        sqrt(max(0, (v_plus - vz)^2 - v_minus^2))."""
-        return math.sqrt(max(0.0, (self.v_plus - self.vz) ** 2 - self.v_minus**2))
+        sqrt(max(0, (v_plus - vz)^2 - v_minus^2)).  From 2**512 up, where
+        the squares would overflow, the two terms are scaled by a power of
+        2 (as in _crossing_gap); below it the scale is 1, so the bits are
+        those of the plain formula (** 2 is libm's pow, whose rounding a
+        power-of-2 scale can change)."""
+        d, m = self.v_plus - self.vz, self.v_minus
+        k = max(0, math.frexp(max(abs(d), abs(m)))[1] - 512)
+        s = 2.0**-k
+        return math.sqrt(max(0.0, (d * s) ** 2 - (m * s) ** 2)) * 2.0**k
 
     @property
     def delta(self) -> float:

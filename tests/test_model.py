@@ -53,6 +53,36 @@ class TestCanonicalize:
         assert abs(p.chi - 0.9 / 1.7) < 1e-15
         assert abs(p.b_crossing - math.sqrt(1.0 - 0.49)) < 1e-15
 
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_b_crossing_is_finite_up_to_the_energy_bound(self, kind):
+        # the plain squares overflow here: OverflowError with Python floats, a warning (an error here) with numpy's
+        p = canonicalize(*map(kind, (1e300, 0.5e300, 0.0, 1e300)))
+        assert p.b_crossing == pytest.approx(math.sqrt(0.5) * 1e300, rel=1e-15)
+        top = MAX_ENERGY_SCALE
+        for vals, want in [
+            ((top, 0.5 * top, 0.0, top), math.sqrt(0.5) * top),
+            ((top, top, -top, 0.0), 2.0 * top),
+            ((top, -top, top, top), 0.0),
+        ]:
+            assert canonicalize(*map(kind, vals)).b_crossing == pytest.approx(want, rel=1e-15), vals
+        # a power-of-2 scale moves the result by the same exponent (dyadic couplings, so exact squares)
+        for vx, vy, vz in [(1.0, 0.5, 0.0), (1.25, 0.25, -0.75), (2.5, 1.5, 0.125)]:
+            unit = canonicalize(vx, vy, vz, 0.0).b_crossing
+            for k in (500, 600, 1016):
+                big = canonicalize(*(kind(math.ldexp(v, k)) for v in (vx, vy, vz)), 0.0).b_crossing
+                assert big == math.ldexp(unit, k), (vx, vy, vz, k)
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_b_crossing_keeps_the_bits_of_the_plain_formula(self, rng, kind):
+        # ** 2 is libm's pow, whose rounding a power-of-2 scale can change: scaled
+        # at every size, about 1 of these models in 2,000 would get other bits
+        def plain(p):
+            return math.sqrt(max(0.0, (p.v_plus - p.vz) ** 2 - p.v_minus**2))
+
+        for couplings in rng.uniform(-2.0, 2.0, size=(20000, 4)).tolist():
+            p = canonicalize(*map(kind, couplings))
+            assert p.b_crossing == plain(p), p
+
 
 class TestEigensystem:
     def test_xx_case_separable_pair(self):

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -154,3 +155,105 @@ def test_cli_import_runs_no_oracle_and_registers_every_layer():
     _, ran, registered = _fresh_cli(None)
     assert ran == ["__init__", "cli", "errors", "model"]
     assert {f"xyzent.{layer}" for layer in tracing.LAYERS} <= set(registered)
+
+
+#: Run in a fresh interpreter: run the CLI as a program with the arguments
+#: in sys.argv[2] (JSON), either as `python -m xyzent.cli` does (sys.argv[1]
+#: is "-m") or through the console-script entry named in sys.argv[1]
+#: ("module:function").  The CLI's output goes to standard output; the last
+#: line of standard error is, as JSON, its exit code, the number of threads
+#: of the process at its end and the OPENBLAS_NUM_THREADS it ended with.
+_PROGRAM = """
+import importlib, json, os, runpy, sys
+entry, argv = sys.argv[1], json.loads(sys.argv[2])
+sys.argv = ["xyzent", *argv]
+if entry == "-m":
+    try:
+        runpy.run_module("xyzent.cli", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+else:
+    module, _, name = entry.partition(":")
+    code = getattr(importlib.import_module(module), name)()
+print(json.dumps([code, len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS")]), file=sys.stderr)
+"""
+
+
+def _fresh(cmd, **blas_threads):
+    """One fresh interpreter `python -W error cmd`, with src on the path and
+    no thread count for OpenBLAS but blas_threads."""
+    env = {k: v for k, v in os.environ.items() if k not in xyzent._BLAS_THREADS}
+    env.update(blas_threads, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-W", "error", *cmd], env=env, capture_output=True)
+    assert out.returncode == 0, out.stderr.decode()
+    return out
+
+
+def _program(entry, argv, **blas_threads):
+    """(standard output, [exit code, threads, OPENBLAS_NUM_THREADS]) of _PROGRAM."""
+    out = _fresh(["-c", _PROGRAM, entry, json.dumps(argv)], **blas_threads)
+    return out.stdout, json.loads(out.stderr.splitlines()[-1])
+
+
+def _console_script_entry():
+    """The `xyzent` entry of pyproject.toml's [project.scripts]."""
+    return re.search(r'^xyzent = "(.+)"$', (PACKAGE.parent.parent / "pyproject.toml").read_text(), re.M)[1]
+
+
+def _numpy_loads_openblas():
+    import numpy  # noqa: F401
+
+    with open("/proc/self/maps") as maps:
+        return "openblas" in maps.read().lower()
+
+
+openblas_threads = pytest.mark.skipif(
+    not (os.path.isdir("/proc/self/task") and _numpy_loads_openblas()),
+    reason="counts threads in /proc/self/task of a numpy linked to OpenBLAS",
+)
+
+#: a model whose numeric T_c (meanfield, with its 6x6 pinv) runs
+_LIMITS = ["limits", "--vx=1", "--vy=0.4", "--vz=0.1", "--b=0.5", "--format=json"]
+
+
+@openblas_threads
+@pytest.mark.parametrize("entry", ["-m", "console_script"])
+def test_cli_program_starts_no_blas_thread(entry):
+    entry = _console_script_entry() if entry == "console_script" else entry
+    assert entry != "xyzent.cli:main"  # that module imports numpy before any of its code runs
+    stdout, (code, threads, blas) = _program(entry, _LIMITS)
+    assert code == 0 and json.loads(stdout)["t_critical_numeric"] > 0.0
+    assert (threads, blas) == (1, "1")
+
+
+@openblas_threads
+def test_cli_program_keeps_a_user_set_thread_count(tmp_path):
+    default, (code, threads, blas) = _program("-m", _LIMITS)
+    assert (code, threads, blas) == (0, 1, "1")
+    two, (code, threads, blas) = _program("-m", _LIMITS, OPENBLAS_NUM_THREADS="2")
+    assert (code, threads, blas) == (0, min(2, len(os.sched_getaffinity(0))), "2")
+    assert two == default
+    _, (code, _, blas) = _program("-m", _LIMITS, OMP_NUM_THREADS="2")
+    assert (code, blas) == (0, None)
+    files = {}
+    for name, blas_threads in [("default", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})]:
+        out = tmp_path / name
+        assert _program("-m", ["figure", "fig4", f"--out={out}"], **blas_threads)[1][0] == 0
+        files[name] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert len(files["default"]) == 3 and files["two"] == files["default"]
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import xyzent",
+        "import xyzent.cli",
+        "from xyzent import *",
+        # once numpy has loaded OpenBLAS the variable would change nothing
+        "import numpy, xyzent\nxyzent._one_blas_thread()",
+    ],
+    ids=["import", "import_cli", "star_import", "after_numpy"],
+)
+def test_imports_leave_the_environment_alone(statement):
+    check = f"import os\nbefore = dict(os.environ)\n{statement}\nassert dict(os.environ) == before"
+    _fresh(["-c", check])
