@@ -15,21 +15,25 @@ identical invocations produce byte-identical files.
 Run as a program (`python -m xyzent.cli`, or the `xyzent` console script,
 xyzent._console_script), it has numpy start OpenBLAS with one thread
 unless the user set a thread count (xyzent._one_blas_thread): its largest
-matrix is 6x6.  Importing this module changes no environment variable.
+matrix is 6x6.  It also keeps the garbage collector off while its imports
+run and then freezes what they built, which lives until exit, and
+freezes again at exit, so the collector never scans those objects
+(xyzent._start_program, xyzent._freeze_imports).  Importing this module,
+or calling main in a process, does neither: the environment, the
+collector and the atexit callbacks stay as they were.
 """
 
 from __future__ import annotations
 
+if __name__ == "__main__":  # before the imports: OpenBLAS reads its thread count as numpy loads
+    from . import _start_program
+
+    _start_program()
+
 import argparse
-import json
 import math
 import re
 import sys
-
-if __name__ == "__main__":  # before numpy: OpenBLAS reads its thread count as it loads
-    from . import _one_blas_thread
-
-    _one_blas_thread()
 
 import numpy as np
 
@@ -201,6 +205,8 @@ def _limit_values(p: XYZParams, lt: limits.LimitTemperatures) -> dict:
 
 
 def cmd_point(args) -> int:
+    import json
+
     rep = point_report(args.vx, args.vy, args.vz, args.b, args.temp)
     if args.format == "json":
         _write_lines([json.dumps(rep)], args.out)
@@ -228,6 +234,8 @@ def cmd_point(args) -> int:
 
 
 def cmd_limits(args) -> int:
+    import json
+
     p = canonicalize(args.vx, args.vy, args.vz, args.b)
     (lim,) = _limit_rows([p], args.tmax, args.grid, args.tol)
     tc_numeric = meanfield.critical_temperature(p, method="numeric")
@@ -278,7 +286,7 @@ def cmd_sweep(args) -> int:
     if not args.start < args.stop:
         raise XyzentError(f"need from < to, got {args.start} and {args.stop}")
 
-    groups = [g.strip() for g in args.outputs.split(",")] if args.outputs else None
+    groups = [g.strip() for g in args.outputs.split(",")] if args.outputs is not None else None
     if groups is None:
         groups = ["state"] if args.axis == "temp" else ["limits"]
         if args.axis != "temp" and args.temp is not None:
@@ -518,4 +526,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    from . import _freeze_imports
+
+    _freeze_imports()
     sys.exit(main())

@@ -375,6 +375,16 @@ class TestSweep:
         )
         assert code == 2 and out == "" and "--temp" in err and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_empty_outputs_is_an_unknown_group(self, capsys, tmp_path, via):
+        # an empty value names the group '', as `--outputs=,` does, not the default groups
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("outputs =\n")
+        given = ["--outputs="] if via == "flag" else ["--config", str(cfg)]
+        code, out, err = run(capsys, "sweep", "--axis=temp", "--from=0", "--to=1", "--steps=3", "--vx=1", *given)
+        assert code == 2 and out == ""
+        assert err == "error: unknown output group ''\n", err
+
     def test_v_minus_axis(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--axis", "v_minus", "--from", "0.1", "--to", "1.0",

@@ -159,23 +159,30 @@ def test_cli_import_runs_no_oracle_and_registers_every_layer():
 
 #: Run in a fresh interpreter: run the CLI as a program with the arguments
 #: in sys.argv[2] (JSON), either as `python -m xyzent.cli` does (sys.argv[1]
-#: is "-m") or through the console-script entry named in sys.argv[1]
-#: ("module:function").  The CLI's output goes to standard output; the last
-#: line of standard error is, as JSON, its exit code, the number of threads
-#: of the process at its end and the OPENBLAS_NUM_THREADS it ended with.
+#: is "-m") or as the installed script does, sys.exit of the console-script
+#: entry named in sys.argv[1] ("module:function").  The CLI's output goes to
+#: standard output and standard error.  Then, at exit, an atexit callback
+#: registered before the CLI's own (so it runs after them) writes the last
+#: line of standard error: as JSON, the CLI's exit code, the number of
+#: threads of the process after the command, the OPENBLAS_NUM_THREADS it
+#: ended with, and the collector's state after the command and at exit,
+#: each as [gc.isenabled(), gc.get_freeze_count()].
 _PROGRAM = """
-import importlib, json, os, runpy, sys
+import atexit, gc, importlib, json, os, runpy, sys
+report = []
+atexit.register(lambda: print(json.dumps([*report, [gc.isenabled(), gc.get_freeze_count()]]), file=sys.stderr))
 entry, argv = sys.argv[1], json.loads(sys.argv[2])
 sys.argv = ["xyzent", *argv]
-if entry == "-m":
-    try:
+try:
+    if entry == "-m":
         runpy.run_module("xyzent.cli", run_name="__main__")
-    except SystemExit as exc:
-        code = exc.code
-else:
-    module, _, name = entry.partition(":")
-    code = getattr(importlib.import_module(module), name)()
-print(json.dumps([code, len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS")]), file=sys.stderr)
+    else:
+        module, _, name = entry.partition(":")
+        sys.exit(getattr(importlib.import_module(module), name)())
+except SystemExit as exc:
+    code = exc.code
+threads = len(os.listdir("/proc/self/task"))
+report += [code, threads, os.environ.get("OPENBLAS_NUM_THREADS"), [gc.isenabled(), gc.get_freeze_count()]]
 """
 
 
@@ -190,9 +197,13 @@ def _fresh(cmd, **blas_threads):
 
 
 def _program(entry, argv, **blas_threads):
-    """(standard output, [exit code, threads, OPENBLAS_NUM_THREADS]) of _PROGRAM."""
+    """(standard output, the CLI's standard error, [exit code, threads,
+    OPENBLAS_NUM_THREADS, collector after the command, collector at exit])
+    of _PROGRAM; entry "console_script" is the one of pyproject.toml."""
+    entry = _console_script_entry() if entry == "console_script" else entry
     out = _fresh(["-c", _PROGRAM, entry, json.dumps(argv)], **blas_threads)
-    return out.stdout, json.loads(out.stderr.splitlines()[-1])
+    *stderr, report = out.stderr.splitlines(keepends=True)
+    return out.stdout, b"".join(stderr), json.loads(report)
 
 
 def _console_script_entry():
@@ -221,26 +232,96 @@ _LIMITS = ["limits", "--vx=1", "--vy=0.4", "--vz=0.1", "--b=0.5", "--format=json
 def test_cli_program_starts_no_blas_thread(entry):
     entry = _console_script_entry() if entry == "console_script" else entry
     assert entry != "xyzent.cli:main"  # that module imports numpy before any of its code runs
-    stdout, (code, threads, blas) = _program(entry, _LIMITS)
+    stdout, _, (code, threads, blas, *_) = _program(entry, _LIMITS)
     assert code == 0 and json.loads(stdout)["t_critical_numeric"] > 0.0
     assert (threads, blas) == (1, "1")
 
 
 @openblas_threads
 def test_cli_program_keeps_a_user_set_thread_count(tmp_path):
-    default, (code, threads, blas) = _program("-m", _LIMITS)
+    default, _, (code, threads, blas, *_) = _program("-m", _LIMITS)
     assert (code, threads, blas) == (0, 1, "1")
-    two, (code, threads, blas) = _program("-m", _LIMITS, OPENBLAS_NUM_THREADS="2")
+    two, _, (code, threads, blas, *_) = _program("-m", _LIMITS, OPENBLAS_NUM_THREADS="2")
     assert (code, threads, blas) == (0, min(2, len(os.sched_getaffinity(0))), "2")
     assert two == default
-    _, (code, _, blas) = _program("-m", _LIMITS, OMP_NUM_THREADS="2")
+    _, _, (code, _, blas, *_) = _program("-m", _LIMITS, OMP_NUM_THREADS="2")
     assert (code, blas) == (0, None)
     files = {}
     for name, blas_threads in [("default", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})]:
         out = tmp_path / name
-        assert _program("-m", ["figure", "fig4", f"--out={out}"], **blas_threads)[1][0] == 0
+        assert _program("-m", ["figure", "fig4", f"--out={out}"], **blas_threads)[2][0] == 0
         files[name] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
     assert len(files["default"]) == 3 and files["two"] == files["default"]
+
+
+@pytest.mark.parametrize("entry", ["-m", "console_script"])
+def test_cli_program_freezes_its_imports(entry):
+    stdout, _, (code, _, _, (enabled, frozen), at_exit) = _program(entry, _LIMITS)
+    assert code == 0 and json.loads(stdout)["t_critical_numeric"] > 0.0
+    # the command's own garbage is collected; the imports' objects are frozen
+    assert enabled and frozen > 0
+    # and at exit so is what the command left, before the teardown collections
+    assert at_exit[0] and at_exit[1] > frozen
+
+
+@pytest.mark.parametrize("entry", ["-m", "console_script"])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["point", "--vx=1", "--bogus"], 2),
+        (["point", "--vx=1"], 2),
+        (["point", "--vx=1", "--temp=0.5", "--out={missing}"], 3),
+    ],
+    ids=["argparse", "xyzent_error", "io_error"],
+)
+def test_cli_program_error_exits(entry, argv, expected, tmp_path):
+    import contextlib
+    import io
+
+    import xyzent.cli
+
+    argv = [a.replace("{missing}", str(tmp_path / "missing" / "out.txt")) for a in argv]
+    stdout, stderr, (code, _, _, _, at_exit) = _program(entry, argv)
+    # the same exit code and standard error as an in-process main(argv)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            in_process = xyzent.cli.main(argv)
+        except SystemExit as exc:
+            in_process = exc.code
+    assert (code, stdout, stderr) == (expected, b"", err.getvalue().encode())
+    assert in_process == expected and at_exit[1] > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--vx=1", "--vy=0.3", "--temp=0.5"],
+        ["point", "--vx=1", "--vy=0.3", "--temp=0.5", "--format=json"],
+        ["limits", "--vx=1", "--vy=0.4", "--vz=0.1", "--b=0.5"],
+        _LIMITS,
+        ["sweep", "--axis=b", "--from=0", "--to=2", "--steps=9", "--vx=1.7", "--vy=0.3", "--temp=0.3"],
+    ],
+    ids=["point_csv", "point_json", "limits_csv", "limits_json", "sweep"],
+)
+def test_cli_program_output_is_complete(argv, tmp_path):
+    """A program's --out file holds what it prints, from either entry, so no
+    output waits on a finalizer the teardown may skip."""
+    stdout, _, report = _program("-m", argv)
+    assert report[0] == 0 and stdout.endswith(b"\n")
+    for entry in ("-m", "console_script"):
+        out = tmp_path / f"{entry}.out"
+        assert _program(entry, [*argv, f"--out={out}"])[:2] == (b"", b"")
+        assert out.read_bytes() == stdout
+
+
+def test_cli_program_entries_write_the_same_figure(tmp_path):
+    files = {}
+    for entry in ("-m", "console_script"):
+        out = tmp_path / entry
+        assert _program(entry, ["figure", "fig2", "--steps=41", f"--out={out}"])[2][0] == 0
+        files[entry] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert len(files["-m"]) == 3 and files["console_script"] == files["-m"]
 
 
 @pytest.mark.parametrize(
@@ -251,9 +332,19 @@ def test_cli_program_keeps_a_user_set_thread_count(tmp_path):
         "from xyzent import *",
         # once numpy has loaded OpenBLAS the variable would change nothing
         "import numpy, xyzent\nxyzent._one_blas_thread()",
+        "import xyzent.cli\nxyzent.cli.main(['point', '--vx=1', '--vy=0.3', '--temp=0.5'])",
     ],
-    ids=["import", "import_cli", "star_import", "after_numpy"],
+    ids=["import", "import_cli", "star_import", "after_numpy", "main"],
 )
 def test_imports_leave_the_environment_alone(statement):
-    check = f"import os\nbefore = dict(os.environ)\n{statement}\nassert dict(os.environ) == before"
-    _fresh(["-c", check])
+    """Only the programs change os.environ, the collector or the atexit
+    callbacks; the probe, registered first, runs after any callback."""
+    check = f"""
+import atexit, gc, json, os, sys
+atexit.register(lambda: print(json.dumps([gc.isenabled(), gc.get_freeze_count()]), file=sys.stderr))
+before = dict(os.environ), atexit._ncallbacks()
+{statement}
+assert (dict(os.environ), atexit._ncallbacks()) == before
+assert (gc.isenabled(), gc.get_freeze_count()) == (True, 0)
+"""
+    assert json.loads(_fresh(["-c", check]).stderr.splitlines()[-1]) == [True, 0]
