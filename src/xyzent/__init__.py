@@ -45,17 +45,8 @@ _EXPORTS = {
         "pt_spectrum",
         "separability_exact",
     ),
-    "limits": (
-        "ClosedFormLimits",
-        "LimitTemperatures",
-        "MixtureThresholds",
-        "ReentryWindow",
-        "closed_form_limits",
-        "limit_temperatures",
-        "mixture_thresholds",
-        "reentry_two_level",
-    ),
-    "linalg": ("concurrence_general", "realize_matrix"),
+    "limits": ("LimitTemperatures", "ReentryWindow", "limit_temperatures", "reentry_two_level"),
+    "linalg": ("ClosedFormLimits", "closed_form_limits", "concurrence_general", "realize_matrix"),
     "meanfield": (
         "CriticalTemperature",
         "MeanFieldSolution",

@@ -125,7 +125,8 @@ def point_report(vx, vy, vz, b, temp) -> dict:
     """
     p = canonicalize(vx, vy, vz, b)
     m = states.thermal_mixture(p, temp)
-    cols = _state_values(_eigen_columns([p]), np.array([temp]))
+    eig = m.eigen  # the one-column view of _eigen_columns([p])
+    cols = _state_values((eig.gaps[:, None], np.array([eig.vm_ratio]), np.array([eig.b_ratio])), np.array([temp]))
     c, eof, m12, m03 = (float(cols[k][0]) for k in ("concurrence", "eof", "margin_12", "margin_03"))
     dis = criteria.disorder_check(m)
     ent = criteria.entropic_check(m)
@@ -449,7 +450,7 @@ def _add_couplings(sub):
 
 def _add_scan(sub):
     sub.add_argument("--tmax", type=float, default=None, help="scan range override")
-    sub.add_argument("--grid", type=int, default=None, help="entropic-limit sampling steps up to --tmax")
+    sub.add_argument("--grid", type=int, default=None, help="entropic-limit sampling steps up to --tmax, 64 to 2**20")
     sub.add_argument("--tol", type=float, default=None, help="bisection relative tolerance")
 
 

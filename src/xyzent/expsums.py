@@ -40,7 +40,9 @@ def sum_zeros(lam, coef, bound, t_end):
     zeros = np.full((lam.shape[0], 6), np.nan)
     at = np.flatnonzero(bound > 0)
     scale = lam[at, -1]
-    mu, x_end = lam[at] / scale[:, None], scale / t_end[at]
+    mu = lam[at] / scale[:, None]
+    with np.errstate(over="ignore"):  # t_end far below the exponents: x_end = inf, and no zero lies past it
+        x_end = scale / t_end[at]
     levels, depth, cut = [coef[at]], np.zeros(at.size, int), bound[at] >= 2
     while cut.any():
         c, m, rows = levels[-1][cut], mu[cut], np.arange(cut.sum())

@@ -1,8 +1,9 @@
 """Temperature-domain analysis of thermal states.
 
-Limit temperatures, entangled temperature intervals, the
-vanishing-plus-reentry window, reference closed forms, and the two-level
-mixture thresholds.
+Limit temperatures, entangled temperature intervals and the
+vanishing-plus-reentry window.  The reference closed forms of the special
+coupling cases and the two-level mixture thresholds, which no command
+prints, are oracles in linalg.
 
 One scan (_limit_records) computes every limit of any number of models,
 from one model._eigen_columns pass over their couplings;
@@ -62,22 +63,15 @@ import numpy as np
 
 from . import expsums
 from .criteria import _margin_columns
-from .errors import DegenerateBasis, OutOfRange
+from .errors import OutOfRange
 from .model import XYZParams, _eigen_columns, eigensystem
 from .states import thermal_probabilities  # noqa: F401  (kept bound for tracing)
 
-__all__ = [
-    "LimitTemperatures",
-    "MixtureThresholds",
-    "ReentryWindow",
-    "ClosedFormLimits",
-    "limit_temperatures",
-    "reentry_two_level",
-    "mixture_thresholds",
-    "closed_form_limits",
-]
+__all__ = ["LimitTemperatures", "ReentryWindow", "limit_temperatures", "reentry_two_level"]
 
 DEFAULT_GRID = 4096
+#: The largest grid_n: the entropic sampling is linear in it.
+MAX_GRID = 256 * DEFAULT_GRID
 DEFAULT_REL_TOL = 1e-10
 _CRITERIA = ("exact", "disorder", "entropic")
 _EPS = float(np.finfo(float).eps)
@@ -103,21 +97,6 @@ class LimitTemperatures:
 
 
 @dataclass(frozen=True)
-class MixtureThresholds:
-    """Critical weights of the two-level mixture over levels 2 and 3.
-
-    p_c = 1/(1 + v_minus/Delta): the single weight at which the mixture
-    is separable; its concurrence is |p_2/p_c - 1|.  p_d and p_d_prime
-    bound the window the disorder criterion cannot see into:
-    p_d = 1/(2 - |b/Delta|) >= 1/2 >= p_d_prime = 1/(2 + |b/Delta|).
-    """
-
-    p_c: float
-    p_d: float
-    p_d_prime: float
-
-
-@dataclass(frozen=True)
 class ReentryWindow:
     """Separable gap inside the entangled temperature range.
 
@@ -131,21 +110,6 @@ class ReentryWindow:
     two_level: float | None
 
 
-@dataclass(frozen=True)
-class ClosedFormLimits:
-    """Reference closed forms, when the parameter case admits one.
-
-    case "xx" (v_minus = vz = 0):  t_exact = v_plus / ln(1 + sqrt(2)),
-    independent of the field.  case "max_anisotropy" (v_plus = vz = 0):
-    t_exact = Delta/arcsinh(Delta/v_minus) and t_disorder =
-    Delta/arcsinh(Delta/(Delta - b)).  Otherwise empty.
-    """
-
-    case: str | None
-    t_exact: float | None = None
-    t_disorder: float | None = None
-
-
 # ---------------------------------------------------------------------------
 # scanning machinery
 # ---------------------------------------------------------------------------
@@ -156,18 +120,21 @@ def _default_t_max(p: XYZParams) -> float:
     return 20.0 * (p.energy_scale or 1.0)
 
 
-def _scan_range(p: XYZParams, t_max: float | None, grid_n: int) -> float:
-    """The checked top t_max of a model's scan.  No check that the state is
-    separable there is needed: every margin is >= 0.1 past t_cut (module
-    docstring), and t_cut < 4.33 energy_scale, as every level gap is at
-    most 3 energy_scale (2 v_plus, 2 Delta, or |vz| + v_plus + Delta)."""
+def _scan_ranges(ps, t_max: float | None, grid_n: int) -> np.ndarray:
+    """The top t_max of each model's scan, with the settings checked once.
+    No check that the state is separable there is needed: every margin is
+    >= 0.1 past t_cut (module docstring), and t_cut < 4.33 energy_scale, as
+    every level gap is at most 3 energy_scale (2 v_plus, 2 Delta, or
+    |vz| + v_plus + Delta)."""
     if grid_n < 64:
         raise OutOfRange(f"grid_n must be >= 64, got {grid_n}")
+    if grid_n > MAX_GRID:
+        raise OutOfRange(f"grid_n must be <= {MAX_GRID} (2**20), got {grid_n}")
     if t_max is None:
-        return _default_t_max(p)
+        return np.array([_default_t_max(p) for p in ps], dtype=float)
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise OutOfRange(f"t_max must be finite and positive, got {t_max!r}")
-    return float(t_max)
+    return np.full(len(ps), float(t_max))
 
 
 #: The kernel brackets each zero z of a sum by the points t_cut r^-k of a
@@ -346,7 +313,7 @@ def _limit_records(
     """
     if not 0.0 < rel_tol < 1.0:
         raise OutOfRange(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
-    t_max = np.array([_scan_range(p, t_max, grid_n) for p in ps])
+    t_max = _scan_ranges(ps, t_max, grid_n)
     gaps, vm_ratio, b_ratio, delta = _eigen_columns(ps) if columns is None else columns
     first, last, rows, leaving, lo, hi, model = _root_brackets(gaps, vm_ratio, b_ratio, t_max)
     dis = np.flatnonzero(rows == 2)
@@ -441,8 +408,8 @@ def limit_temperatures(
 ) -> LimitTemperatures:
     """All detection limits in one record (see LimitTemperatures).
 
-    Raises OutOfRange for grid_n < 64, a t_max that is not finite and
-    positive, or a rel_tol outside (0, 1).
+    Raises OutOfRange for a grid_n outside [64, MAX_GRID], a t_max that is
+    not finite and positive, or a rel_tol outside (0, 1).
     """
     return _limit_records([p], t_max, grid_n, rel_tol)[0]
 
@@ -470,31 +437,3 @@ def _two_level(p: XYZParams, delta: float, gap: float) -> float | None:
     # near MAX_ENERGY_SCALE with Delta close to v_minus the quotient overflows (to inf, silently in floats)
     t_r = gap / log_ratio
     return t_r if math.isfinite(t_r) else None
-
-
-def mixture_thresholds(p: XYZParams) -> MixtureThresholds:
-    """Critical weights of the (levels 2, 3) two-level mixture."""
-    eig = eigensystem(p)
-    if eig.degenerate:
-        raise DegenerateBasis("thresholds need Delta > 0")
-    return MixtureThresholds(
-        p_c=1.0 / (1.0 + eig.vm_ratio),
-        p_d=1.0 / (2.0 - eig.b_ratio),
-        p_d_prime=1.0 / (2.0 + eig.b_ratio),
-    )
-
-
-def closed_form_limits(p: XYZParams) -> ClosedFormLimits:
-    """Reference closed forms for the two special coupling cases."""
-    tol = 1e-12 * p.energy_scale
-    vp, vm, vz = p.v_plus, p.v_minus, p.vz
-    if abs(vm) <= tol and abs(vz) <= tol and vp > tol:
-        return ClosedFormLimits(case="xx", t_exact=vp / math.log(1.0 + math.sqrt(2.0)))
-    if abs(vp) <= tol and abs(vz) <= tol and vm > tol:
-        delta = math.hypot(vm, p.b)
-        return ClosedFormLimits(
-            case="max_anisotropy",
-            t_exact=delta / math.asinh(delta / vm),
-            t_disorder=delta / math.asinh(delta / (delta - p.b)),
-        )
-    return ClosedFormLimits(case=None)

@@ -1,12 +1,14 @@
 """Independent oracles: second routes to the numbers the runtime computes.
 
 Matrix-level routes (explicit 4x4 Hamiltonians and density matrices,
-partial traces and transposes, the spin-flipped Wootters concurrence)
-and alternative closed forms (the R spectrum, the spin-form and
-hyperbolic margins), for tests and benchmark checks only.  No runtime
-module imports this one, so none of it runs on the hot path; each
-docstring names the runtime number its function checks.  Matrices are
-numpy arrays in the standard basis |++>, |+->, |-+>, |-->.
+partial traces and transposes, the spin-flipped Wootters concurrence),
+alternative closed forms (the R spectrum, the spin-form and hyperbolic
+margins), and reference closed forms that no command prints (the limit
+temperatures of the special coupling cases, the two-level mixture
+thresholds, the level-crossing field), for tests and benchmark checks
+only.  No runtime module imports this one, so none of it runs on the hot
+path; each docstring names the runtime number its function checks.
+Matrices are numpy arrays in the standard basis |++>, |+->, |-+>, |-->.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpectrum, InvalidTemperature, NonHermitianInput, NonPhysicalState
+from .errors import DegenerateBasis, InvalidSpectrum, InvalidTemperature, NonHermitianInput, NonPhysicalState
 from .model import EigenSystem, XYZParams, eigensystem
 from .states import BellMixture
 
@@ -376,3 +378,77 @@ def _scaled(bracket: float, log_factor: float) -> float:
     if log_factor > 700.0:  # exp would overflow; sign is already decided
         return math.copysign(math.inf, bracket)
     return bracket * math.exp(log_factor)
+
+
+@dataclass(frozen=True)
+class ClosedFormLimits:
+    """Reference closed forms, when the parameter case admits one.
+
+    case "xx" (v_minus = vz = 0):  t_exact = v_plus / ln(1 + sqrt(2)),
+    independent of the field.  case "max_anisotropy" (v_plus = vz = 0):
+    t_exact = Delta/arcsinh(Delta/v_minus) and t_disorder =
+    Delta/arcsinh(Delta/(Delta - b)).  Otherwise empty.
+    """
+
+    case: str | None
+    t_exact: float | None = None
+    t_disorder: float | None = None
+
+
+def closed_form_limits(p: XYZParams) -> ClosedFormLimits:
+    """Reference closed forms for the two special coupling cases.  Checks
+    limits.limit_temperatures there."""
+    tol = 1e-12 * p.energy_scale
+    vp, vm, vz = p.v_plus, p.v_minus, p.vz
+    if abs(vm) <= tol and abs(vz) <= tol and vp > tol:
+        return ClosedFormLimits(case="xx", t_exact=vp / math.log(1.0 + math.sqrt(2.0)))
+    if abs(vp) <= tol and abs(vz) <= tol and vm > tol:
+        delta = math.hypot(vm, p.b)
+        return ClosedFormLimits(
+            case="max_anisotropy",
+            t_exact=delta / math.asinh(delta / vm),
+            t_disorder=delta / math.asinh(delta / (delta - p.b)),
+        )
+    return ClosedFormLimits(case=None)
+
+
+@dataclass(frozen=True)
+class MixtureThresholds:
+    """Critical weights of the two-level mixture over levels 2 and 3.
+
+    p_c = 1/(1 + v_minus/Delta): the single weight at which the mixture
+    is separable; its concurrence is |p_2/p_c - 1|.  p_d and p_d_prime
+    bound the window the disorder criterion cannot see into:
+    p_d = 1/(2 - |b/Delta|) >= 1/2 >= p_d_prime = 1/(2 + |b/Delta|).
+    """
+
+    p_c: float
+    p_d: float
+    p_d_prime: float
+
+
+def mixture_thresholds(p: XYZParams) -> MixtureThresholds:
+    """Critical weights of the (levels 2, 3) two-level mixture.  Checks
+    entanglement.separability_exact's concurrence on that mixture."""
+    eig = eigensystem(p)
+    if eig.degenerate:
+        raise DegenerateBasis("thresholds need Delta > 0")
+    return MixtureThresholds(
+        p_c=1.0 / (1.0 + eig.vm_ratio),
+        p_d=1.0 / (2.0 - eig.b_ratio),
+        p_d_prime=1.0 / (2.0 + eig.b_ratio),
+    )
+
+
+def b_crossing(p: XYZParams) -> float:
+    """Field at which the two lowest levels cross:
+    sqrt(max(0, (v_plus - vz)^2 - v_minus^2)).  From 2**512 up, where the
+    squares would overflow, the two terms are scaled by a power of 2 (as in
+    model._crossing_gap); below it the scale is 1, so the bits are those of
+    the plain formula (** 2 is libm's pow, whose rounding a power-of-2 scale
+    can change).  Places the reentry models of the tests and the benchmark
+    workloads."""
+    d, m = p.v_plus - p.vz, p.v_minus
+    k = max(0, math.frexp(max(abs(d), abs(m)))[1] - 512)
+    s = 2.0**-k
+    return math.sqrt(max(0.0, (d * s) ** 2 - (m * s) ** 2)) * 2.0**k

@@ -16,7 +16,8 @@ array pass, _eigen_columns, which the limit scan and the CLI's
 many-model tables call once per batch; eigensystem is its one-model view,
 with the same bits in every column whatever the batch.  The closed-form
 mean-field T_c (XYZParams.t_critical) lives here too, so the commands
-that print only it never run the mean-field module.
+that print only it never run the mean-field module.  Quantities that no
+command prints, such as the level-crossing field, are oracles in linalg.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ from .errors import NonFiniteInput, OutOfRange
 #: (40 energy_scale at the default range) stay finite.  The two-level gap
 #: temperature (E_3 - E_2)/ln(Delta/v_minus) may not; limits._two_level drops it.
 MAX_ENERGY_SCALE = 2.0**1018
+#: Smallest accepted nonzero energy scale, about 3.6e-307, the mirror of
+#: MAX_ENERGY_SCALE: below it couplings near the subnormal range lose digits,
+#: and the mean field's tanh(|lambda|/2T)/|lambda| overflows.  The all-zero
+#: model is valid.
+MIN_ENERGY_SCALE = 2.0**-1018
 
 
 @dataclass(frozen=True)
@@ -61,10 +67,6 @@ class XYZParams:
         return max(self.vx, self.vy)
 
     @property
-    def v_min(self) -> float:
-        return min(self.vx, self.vy)
-
-    @property
     def b_critical(self) -> float:
         """Field above which no transverse mean field survives: v_max - vz."""
         return self.v_max - self.vz
@@ -87,19 +89,6 @@ class XYZParams:
         return 0.5 * v_max if chi == 0.0 else v_max * chi / (2.0 * math.atanh(chi))
 
     @property
-    def b_crossing(self) -> float:
-        """Field at which the two lowest levels cross:
-        sqrt(max(0, (v_plus - vz)^2 - v_minus^2)).  From 2**512 up, where
-        the squares would overflow, the two terms are scaled by a power of
-        2 (as in _crossing_gap); below it the scale is 1, so the bits are
-        those of the plain formula (** 2 is libm's pow, whose rounding a
-        power-of-2 scale can change)."""
-        d, m = self.v_plus - self.vz, self.v_minus
-        k = max(0, math.frexp(max(abs(d), abs(m)))[1] - 512)
-        s = 2.0**-k
-        return math.sqrt(max(0.0, (d * s) ** 2 - (m * s) ** 2)) * 2.0**k
-
-    @property
     def delta(self) -> float:
         """Gap parameter sqrt(v_minus^2 + b^2) of the aligned sector."""
         return math.hypot(self.v_minus, self.b)
@@ -115,7 +104,8 @@ def canonicalize(vx: float, vy: float, vz: float, b: float) -> XYZParams:
     b, v_plus and v_minus are replaced by their absolute values (vz is
     kept as given); the applied flips are recorded on the result.  The
     spectrum, concurrence and every limit temperature are unchanged.
-    Raises OutOfRange above MAX_ENERGY_SCALE.
+    Raises OutOfRange for an energy scale above MAX_ENERGY_SCALE, or
+    nonzero and below MIN_ENERGY_SCALE.
     """
     vals = (vx, vy, vz, b)
     if not all(math.isfinite(v) for v in vals):
@@ -123,6 +113,8 @@ def canonicalize(vx: float, vy: float, vz: float, b: float) -> XYZParams:
     scale = max(abs(v) for v in vals)
     if scale > MAX_ENERGY_SCALE:
         raise OutOfRange(f"energy scale {scale!r} exceeds the bound 2**1018 (about 2.8e306)")
+    if 0.0 < scale < MIN_ENERGY_SCALE:
+        raise OutOfRange(f"energy scale {scale!r} is below the bound 2**-1018 (about 3.6e-307)")
     flips = []
     if b < 0.0:
         b = -b

@@ -10,7 +10,7 @@ import numpy as np
 
 from xyzent.entanglement import separability_exact
 from xyzent.limits import limit_temperatures, reentry_two_level
-from xyzent.linalg import thermal_margin_exact
+from xyzent.linalg import b_crossing, thermal_margin_exact
 from xyzent.meanfield import critical_temperature, exact_free_energy, solve_mf
 from xyzent.model import canonicalize
 from xyzent.states import thermal_mixture
@@ -90,7 +90,7 @@ def test_ac4_mean_field_critical_temperature():
 
 
 def test_ac5_case3_phase_structure():
-    b0 = CASE3(0.0).b_crossing
+    b0 = b_crossing(CASE3(0.0))
     assert abs(b0 - math.sqrt(0.51)) < 1e-15
 
     for b in (b0 + 0.011, 0.8, 0.9, 1.0, 1.049):

@@ -196,7 +196,8 @@ class TestLimits:
         assert err == ""
 
     def test_invalid_scan_settings_are_input_errors(self, capsys):
-        flags = ("--grid=10", "--tmax=-1", "--tmax=0", "--tmax=nan", "--tmax=inf")
+        # a grid above 2**20 is refused at once, not sampled without end
+        flags = ("--grid=10", "--grid=9999999999999999999", "--tmax=-1", "--tmax=0", "--tmax=nan", "--tmax=inf")
         for flag in flags + ("--tol=nan", "--tol=-1", "--tol=0"):
             code, out, err = run(capsys, "limits", "--vx", "1", "--vy", "1", flag)
             assert code == 2, flag
@@ -541,6 +542,7 @@ class TestFigure:
         "flag, message",
         [
             ("--grid=10", "grid_n must be >= 64, got 10"),
+            ("--grid=1048577", "grid_n must be <= 1048576 (2**20), got 1048577"),
             ("--tmax=-1", "t_max must be finite and positive, got -1.0"),
             ("--tol=nan", "rel_tol must lie in (0, 1), got nan"),
         ],

@@ -22,14 +22,12 @@ from xyzent.limits import (
     _default_t_max,
     _limit_records,
     _margin_columns,
-    closed_form_limits,
     limit_temperatures,
-    mixture_thresholds,
     reentry_two_level,
 )
-from xyzent.linalg import thermal_margin_exact
+from xyzent.linalg import b_crossing, closed_form_limits, mixture_thresholds, thermal_margin_exact
 from xyzent.meanfield import critical_temperature
-from xyzent.model import MAX_ENERGY_SCALE, canonicalize, eigensystem
+from xyzent.model import MAX_ENERGY_SCALE, MIN_ENERGY_SCALE, canonicalize, eigensystem
 from xyzent.states import mixture, thermal_mixture, thermal_probabilities
 
 from conftest import log_uniform, random_canonical_params
@@ -118,6 +116,20 @@ class TestEntangledIntervals:
         for kwargs in ({"grid_n": 63}, {"t_max": 0.0}, {"t_max": math.nan}, {"t_max": math.inf}):
             with pytest.raises(OutOfRange):
                 limit_temperatures(XX(0.5), **kwargs)
+
+    def test_grid_is_bounded_above(self):
+        # the entropic sampling is linear in grid_n; the settings are checked
+        # once per scan, before any model (an empty batch included)
+        assert limits.MAX_GRID == 2**20 == 256 * DEFAULT_GRID
+        for ps in ([], [CASE3(0.2)] * 3):
+            with pytest.raises(OutOfRange, match=r"grid_n must be <= 1048576 \(2\*\*20\), got 1048577"):
+                _limit_records(ps, grid_n=limits.MAX_GRID + 1)
+        with pytest.raises(OutOfRange):
+            limit_temperatures(CASE3(0.2), grid_n=10**19)
+        # at the bound the scan runs; the exact and disorder limits ignore the grid
+        fine, default = limit_temperatures(CASE3(0.2), grid_n=limits.MAX_GRID), limit_temperatures(CASE3(0.2))
+        assert (fine.t_exact, fine.t_disorder) == (default.t_exact, default.t_disorder)
+        assert fine.t_entropic == pytest.approx(default.t_entropic, rel=1e-9)
 
 
 class TestLimitTemperature:
@@ -415,7 +427,7 @@ class TestDefaultScanRange:
             vp = rng.uniform(0.5, 2.0)
             vm = rng.uniform(0.0, 0.9) * vp
             vz = rng.uniform(-0.5, 0.3) * vp
-            bc = canonicalize(vp + vm, vp - vm, vz, 0.0).b_crossing
+            bc = b_crossing(canonicalize(vp + vm, vp - vm, vz, 0.0))
             if bc > 0.0:
                 b = bc * (1.0 + 10.0 ** rng.uniform(-12.0, -2.0))
                 self.assert_margins_positive_past_cut(canonicalize(vp + vm, vp - vm, vz, b))
@@ -618,7 +630,12 @@ class TestSignChangeCertificate:
     @settings(max_examples=300, deadline=None)
     def test_entropic_detection_implies_disorder_detection(self, vx, vy, vz, b, exponent):
         lam = 10.0**exponent
-        p = canonicalize(lam * vx, lam * vy, lam * vz, lam * b)
+        vals = (lam * vx, lam * vy, lam * vz, lam * b)
+        if 0.0 < max(map(abs, vals)) < MIN_ENERGY_SCALE:
+            with pytest.raises(OutOfRange):  # a nonzero scale below the bound is rejected
+                canonicalize(*vals)
+            return
+        p = canonicalize(*vals)
         ts = np.concatenate([[0.0], np.geomspace(1e-4, 10.0, 400)]) * (p.energy_scale or 1.0)
         table = margin_table(eigensystem(p), ts)
         assert np.all(table[2, table[3] < 0.0] < 0.0), (p, ts[(table[3] < 0.0) & (table[2] >= 0.0)])
@@ -697,7 +714,7 @@ class TestSignChangeCertificate:
         while len(ps) < 500:  # and fields just above the level crossing
             vp = rng.uniform(0.5, 2.0)
             vm = rng.uniform(0.0, 0.9) * vp
-            bc = canonicalize(vp + vm, vp - vm, 0.2 * vp, 0.0).b_crossing
+            bc = b_crossing(canonicalize(vp + vm, vp - vm, 0.2 * vp, 0.0))
             ps.append(canonicalize(vp + vm, vp - vm, 0.2 * vp, bc * (1.0 + 10.0 ** rng.uniform(-12.0, -2.0))))
         key = lambda lt: (lt.t_exact, lt.t_disorder, lt.intervals, lt.reentry)
         want = [key(lt) for lt in _limit_records(ps)]
@@ -936,7 +953,7 @@ def _reference_cases(rng):
         vp = rng.uniform(0.5, 2.0)
         vm = rng.uniform(0.0, 0.9) * vp
         vz = rng.uniform(-0.5, 0.3) * vp
-        bc = canonicalize(vp + vm, vp - vm, vz, 0.0).b_crossing
+        bc = b_crossing(canonicalize(vp + vm, vp - vm, vz, 0.0))
         if bc > 0.0:
             b = bc * (1.0 + 10.0 ** rng.uniform(-4.0, -2.0))
             cases.append((canonicalize(vp + vm, vp - vm, vz, b), None, grids[len(cases) % 4]))

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from xyzent.errors import NonFiniteInput
-from xyzent.linalg import _amplitudes, eigenvectors, hamiltonian_matrix
+from xyzent.errors import NonFiniteInput, OutOfRange
+from xyzent.linalg import _amplitudes, b_crossing, eigenvectors, hamiltonian_matrix
 from xyzent.meanfield import critical_temperature
-from xyzent.model import MAX_ENERGY_SCALE, XYZParams, _eigen_columns, canonicalize, eigensystem
+from xyzent.model import MAX_ENERGY_SCALE, MIN_ENERGY_SCALE, XYZParams, _eigen_columns, canonicalize, eigensystem
 
 from conftest import random_canonical_params
 
@@ -48,28 +48,27 @@ class TestCanonicalize:
     def test_derived_fields(self):
         p = canonicalize(1.7, 0.3, 0.0, 0.9)
         assert p.v_max == 1.7
-        assert p.v_min == 0.3
         assert p.b_critical == 1.7
         assert abs(p.chi - 0.9 / 1.7) < 1e-15
-        assert abs(p.b_crossing - math.sqrt(1.0 - 0.49)) < 1e-15
+        assert abs(b_crossing(p) - math.sqrt(1.0 - 0.49)) < 1e-15
 
     @pytest.mark.parametrize("kind", [float, np.float64])
     def test_b_crossing_is_finite_up_to_the_energy_bound(self, kind):
         # the plain squares overflow here: OverflowError with Python floats, a warning (an error here) with numpy's
         p = canonicalize(*map(kind, (1e300, 0.5e300, 0.0, 1e300)))
-        assert p.b_crossing == pytest.approx(math.sqrt(0.5) * 1e300, rel=1e-15)
+        assert b_crossing(p) == pytest.approx(math.sqrt(0.5) * 1e300, rel=1e-15)
         top = MAX_ENERGY_SCALE
         for vals, want in [
             ((top, 0.5 * top, 0.0, top), math.sqrt(0.5) * top),
             ((top, top, -top, 0.0), 2.0 * top),
             ((top, -top, top, top), 0.0),
         ]:
-            assert canonicalize(*map(kind, vals)).b_crossing == pytest.approx(want, rel=1e-15), vals
+            assert b_crossing(canonicalize(*map(kind, vals))) == pytest.approx(want, rel=1e-15), vals
         # a power-of-2 scale moves the result by the same exponent (dyadic couplings, so exact squares)
         for vx, vy, vz in [(1.0, 0.5, 0.0), (1.25, 0.25, -0.75), (2.5, 1.5, 0.125)]:
-            unit = canonicalize(vx, vy, vz, 0.0).b_crossing
+            unit = b_crossing(canonicalize(vx, vy, vz, 0.0))
             for k in (500, 600, 1016):
-                big = canonicalize(*(kind(math.ldexp(v, k)) for v in (vx, vy, vz)), 0.0).b_crossing
+                big = b_crossing(canonicalize(*(kind(math.ldexp(v, k)) for v in (vx, vy, vz)), 0.0))
                 assert big == math.ldexp(unit, k), (vx, vy, vz, k)
 
     @pytest.mark.parametrize("kind", [float, np.float64])
@@ -81,7 +80,7 @@ class TestCanonicalize:
 
         for couplings in rng.uniform(-2.0, 2.0, size=(20000, 4)).tolist():
             p = canonicalize(*map(kind, couplings))
-            assert p.b_crossing == plain(p), p
+            assert b_crossing(p) == plain(p), p
 
 
 class TestEigensystem:
@@ -139,7 +138,7 @@ class TestEigensystem:
             vp = rng.uniform(0.5, 2.0)
             vm = rng.uniform(0.0, 0.9) * vp
             vz = rng.uniform(-0.5, 0.3) * vp
-            bc = canonicalize(vp + vm, vp - vm, vz, 0.0).b_crossing
+            bc = b_crossing(canonicalize(vp + vm, vp - vm, vz, 0.0))
             if bc > 0.0:
                 models.append(canonicalize(vp + vm, vp - vm, vz, bc * (1.0 + 10.0 ** rng.uniform(-12.0, 0.0))))
         worst = 0.0
@@ -193,6 +192,10 @@ class TestHamiltonianMatrix:
     @settings(max_examples=200, deadline=None)
     def test_spectrum_sign_invariance(self, vx, vy, vz, b):
         raw = XYZParams(vx=vx, vy=vy, vz=vz, b=b)
+        if 0.0 < raw.energy_scale < MIN_ENERGY_SCALE:
+            with pytest.raises(OutOfRange):  # a nonzero scale below the bound is rejected
+                canonicalize(vx, vy, vz, b)
+            return
         p = canonicalize(vx, vy, vz, b)
         w_raw = np.sort(np.linalg.eigvalsh(hamiltonian_matrix(raw)))
         w_canon = np.sort(eigensystem(p).energies)
@@ -225,7 +228,7 @@ class TestEigenColumns:
                 while bc == 0.0:
                     vp, vz = rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.3)
                     vm = rng.uniform(0.0, 0.9) * vp
-                    bc = canonicalize(vp + vm, vp - vm, vz * vp, 0.0).b_crossing
+                    bc = b_crossing(canonicalize(vp + vm, vp - vm, vz * vp, 0.0))
                 b = bc * (1.0 + side * 10.0 ** rng.uniform(-16.0, -12.0))
                 near.append(canonicalize(lam * (vp + vm), lam * (vp - vm), lam * vz * vp, lam * b))
         top = MAX_ENERGY_SCALE

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from xyzent.limits import _limit_records
+from xyzent.linalg import b_crossing
 from xyzent.model import canonicalize
 
 from conftest import log_uniform
@@ -115,7 +116,7 @@ def families(rng, n):
         vp = rng.uniform(0.5, 2.0)
         vm = rng.uniform(0.0, 0.9) * vp
         vz = rng.uniform(-0.5, 0.3) * vp
-        bc = canonicalize(vp + vm, vp - vm, vz, 0.0).b_crossing
+        bc = b_crossing(canonicalize(vp + vm, vp - vm, vz, 0.0))
         if bc > 0.0:
             out.append(canonicalize(vp + vm, vp - vm, vz, bc * (1.0 + log_uniform(rng, 1e-12, 1.0))))
     for v_plus, v_minus in ((1.0, 0.0), (0.0, 1.0), (1.0, 0.7)):  # fig2, fig3, fig4

@@ -3,9 +3,11 @@
 Multiplying every coupling, the field and the temperature by lam leaves
 concurrences and margins unchanged and scales every temperature by lam,
 for lam from 1e-300 to 1e300 (pytest turns every warning into an error).
-Energy scales above model.MAX_ENERGY_SCALE are rejected as input errors.
+Energy scales above model.MAX_ENERGY_SCALE, or nonzero and below
+model.MIN_ENERGY_SCALE, are rejected as input errors.
 """
 
+import json
 import math
 
 import numpy as np
@@ -16,7 +18,7 @@ from xyzent.errors import OutOfRange
 from xyzent.criteria import margin_table
 from xyzent.limits import limit_temperatures, reentry_two_level
 from xyzent.meanfield import critical_temperature, exact_free_energy, solve_mf
-from xyzent.model import MAX_ENERGY_SCALE, canonicalize, eigensystem
+from xyzent.model import MAX_ENERGY_SCALE, MIN_ENERGY_SCALE, canonicalize, eigensystem
 from xyzent.states import thermal_mixture
 
 from conftest import log_uniform, random_canonical_params
@@ -184,3 +186,62 @@ def test_gap_temperature_when_delta_over_v_minus_overflows():
         q = canonicalize(*model)
         eig = eigensystem(q)
         assert reentry_two_level(q) == float(eig.gaps[3]) / math.log(eig.delta / q.v_minus), model
+
+
+def _commands_at(scale):
+    """A run of every command that takes couplings, on a model whose energy
+    scale is scale (figure takes none)."""
+    vx, vy, b, t = (repr(f * scale) for f in (1.0, 0.3, 0.2, 0.5))
+    return [
+        ["point", f"--vx={vx}", f"--vy={vy}", f"--b={b}", f"--temp={t}"],
+        ["limits", f"--vx={vx}", f"--vy={vy}", f"--b={b}", "--format=json"],
+        ["sweep", "--axis=b", "--from=0", f"--to={b}", "--steps=3", f"--vx={vx}", f"--vy={vy}"],
+        ["sweep", "--axis=temp", "--from=0", f"--to={t}", "--steps=3", f"--vx={vx}", f"--vy={vy}", f"--b={b}"],
+    ]
+
+
+def test_energy_scale_below_the_bound_is_input_error(capsys):
+    below = math.nextafter(MIN_ENERGY_SCALE, 0.0)
+    # at the bound every command runs warning-free, and limit temperatures stay homogeneous
+    for argv in _commands_at(MIN_ENERGY_SCALE):
+        assert main(argv) == 0, argv
+        out, err = capsys.readouterr()
+        assert out and err == "", (argv, err)
+        if argv[0] == "limits":
+            row = json.loads(out)
+            assert row["t_critical_numeric"] > 0.0 and row["t_critical_closed"] > 0.0, row
+    lt, unit = (limit_temperatures(canonicalize(*(lam * x for x in MODEL))) for lam in (MIN_ENERGY_SCALE, 1.0))
+    assert_same_limits(limits_over(lt, MIN_ENERGY_SCALE), limits_over(unit, 1.0), 1e-15)
+    # below it (subnormal couplings included) each exits 2 with one line
+    for argv in _commands_at(below) + [["limits", "--vx=5e-324"], ["limits", "--vx=1e-310", "--vy=3e-311"]]:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: energy scale") and err.count("\n") == 1, (argv, err)
+    for vals in [(below, 0.0, 0.0, 0.0), (0.0, 0.0, -below, 0.0), (5e-324, 0.0, 0.0, 0.0)]:
+        with pytest.raises(OutOfRange):
+            canonicalize(*vals)
+    # the all-zero model stays valid
+    assert canonicalize(0.0, -0.0, 0.0, 0.0).energy_scale == 0.0
+    assert main(["limits", "--vx=0"]) == 0 and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "couplings, t_max", [(["--vx=1e300", "--vy=3e299"], "1e-10"), (["--vx=1", "--vy=0.3"], "1e-308")]
+)
+def test_t_max_far_below_the_level_gaps_is_censored_warning_free(capsys, couplings, t_max):
+    # the level gaps over t_max overflow
+    assert main(["limits", *couplings, f"--tmax={t_max}", "--format=json"]) == 0
+    out, err = capsys.readouterr()
+    row = json.loads(out)
+    assert row["t_exact"] == row["t_disorder"] == row["t_entropic"] == float(t_max), row
+    assert err.startswith("warning: exact, disorder, entropic still detected") and err.count("\n") == 1, err
+
+
+def test_t_max_far_below_the_level_gaps_in_a_figure(capsys, tmp_path):
+    # the level gaps over t_max = 1e-308 overflow
+    assert main(["figure", "fig4", "--steps=5", "--tmax=1e-308", f"--out={tmp_path}"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 5 and err.count("warning: exact, disorder, entropic") == 5, err
+    head, *rows = (tmp_path / "fig4_center.csv").read_text().splitlines()
+    assert head.split(",")[2:5] == ["t_exact", "t_disorder", "t_entropic"]
+    assert len(rows) == 5 and all(row.split(",")[2:5] == ["1e-308"] * 3 for row in rows), rows

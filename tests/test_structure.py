@@ -25,7 +25,6 @@ PUBLIC = [
     "EigenSystem",
     "LimitTemperatures",
     "MeanFieldSolution",
-    "MixtureThresholds",
     "PTSpectrum",
     "ReentryWindow",
     "SeparabilityReport",
@@ -43,7 +42,6 @@ PUBLIC = [
     "limit_temperatures",
     "mf_free_energy",
     "mixture",
-    "mixture_thresholds",
     "pt_spectrum",
     "realize_matrix",
     "reentry_two_level",
@@ -66,14 +64,48 @@ def _imported_modules(tree):
             yield from (f"{base}.{alias.name}" for alias in node.names)
 
 
+def _runtime_modules():
+    """The source files of every module but the oracles and the package."""
+    return [f for f in sorted(PACKAGE.glob("*.py")) if f.name not in ("linalg.py", "__init__.py")]
+
+
 def test_no_runtime_module_imports_the_oracles():
-    runtime = [f for f in sorted(PACKAGE.glob("*.py")) if f.name not in ("linalg.py", "__init__.py")]
+    runtime = _runtime_modules()
     layers = {"model", "states", "entanglement", "criteria", "limits", "meanfield", "cli"}
     assert layers <= {f.stem for f in runtime}
     for f in runtime:
         names = _imported_modules(ast.parse(f.read_text(), str(f)))
         hits = [n for n in names if "linalg" in n.split(".")]
         assert hits == [], (f.name, hits)
+
+
+#: reference closed forms that no command prints: only tests and the
+#: benchmark checks read them, from the oracle module
+ORACLE_ONLY = {"ClosedFormLimits", "closed_form_limits", "MixtureThresholds", "mixture_thresholds", "b_crossing"}
+#: names deleted with their last reader
+DELETED = {"v_min"}
+
+
+def _defined_names(tree):
+    """Every name a module defines at any depth: functions, methods and
+    properties, classes, and plain or annotated assignment targets."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_reference_closed_forms_live_only_in_the_oracles():
+    for f in _runtime_modules():
+        hits = set(_defined_names(ast.parse(f.read_text(), str(f)))) & (ORACLE_ONLY | DELETED)
+        assert hits == set(), (f.name, hits)
+    assert all(hasattr(xyzent.linalg, name) for name in ORACLE_ONLY)
+    assert not any(hasattr(xyzent.linalg, name) or hasattr(xyzent.XYZParams, name) for name in DELETED)
+    # the benchmark checks read the closed forms from the package
+    assert xyzent.closed_form_limits is xyzent.linalg.closed_form_limits
+    assert xyzent.ClosedFormLimits is xyzent.linalg.ClosedFormLimits
 
 
 def test_public_names_are_pinned():
