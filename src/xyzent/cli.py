@@ -172,13 +172,11 @@ def _state_values(columns, temps: np.ndarray) -> dict:
     return dict(zip(STATE_COLUMNS, (c, entanglement.entanglement_of_formation(c), m12, m03, dis, ent)))
 
 
-def _limit_rows(ps, tmax, grid, tol, columns=None) -> list[dict]:
+def _limit_rows(ps, tmax, tol, columns=None) -> list[dict]:
     """The limit values of every model in ps, from one limit scan (of their
-    _eigen_columns, if given); a grid or tol of None takes the scan's
-    default."""
-    grid = limits.DEFAULT_GRID if grid is None else grid
+    _eigen_columns, if given); a tol of None takes the scan's default."""
     tol = limits.DEFAULT_REL_TOL if tol is None else tol
-    return [_limit_values(p, lt) for p, lt in zip(ps, limits._limit_records(ps, tmax, grid, tol, columns))]
+    return [_limit_values(p, lt) for p, lt in zip(ps, limits._limit_records(ps, tmax, tol, columns))]
 
 
 def _limit_values(p: XYZParams, lt: limits.LimitTemperatures) -> dict:
@@ -238,7 +236,7 @@ def cmd_limits(args) -> int:
     import json
 
     p = canonicalize(args.vx, args.vy, args.vz, args.b)
-    (lim,) = _limit_rows([p], args.tmax, args.grid, args.tol)
+    (lim,) = _limit_rows([p], args.tmax, args.tol)
     tc_numeric = meanfield.critical_temperature(p, method="numeric")
     row = {
         "vx": args.vx,
@@ -301,7 +299,7 @@ def cmd_sweep(args) -> int:
         if "state" not in groups and "temp" in args._explicit:
             raise XyzentError("--temp on a parameter axis is read only by the state columns")
     if "limits" not in groups:
-        for key in ("tmax", "grid", "tol"):
+        for key in ("tmax", "tol"):
             if key in args._explicit:
                 raise XyzentError(f"--{key} is read only by the limits columns")
 
@@ -319,7 +317,7 @@ def cmd_sweep(args) -> int:
         columns += STATE_COLUMNS
         parts.append(np.column_stack([cols[k] for k in STATE_COLUMNS]))
     if "limits" in groups:
-        lims = _limit_rows(models, args.tmax, args.grid, args.tol, eig_columns)
+        lims = _limit_rows(models, args.tmax, args.tol, eig_columns)
         lims = [[lim[k] for k in LIMIT_COLUMNS] for lim in lims]
         columns += LIMIT_COLUMNS
         parts.append(np.broadcast_to(np.array(lims, dtype=float), (values.size, len(LIMIT_COLUMNS))))
@@ -353,7 +351,7 @@ def cmd_figure(args) -> int:
     fields = _steps(0.0, 2.0, args.steps) * v_unit
     models = [canonicalize(vx, vy, 0.0, float(b)) for b in fields]
     eig_columns = _eigen_columns(models)
-    lims = _limit_rows(models, args.tmax, args.grid, args.tol, eig_columns)
+    lims = _limit_rows(models, args.tmax, args.tol, eig_columns)
     # the concurrence at each model's four limits, one kernel column each
     ts = np.array([[lim[k] or 0.0 for k in ("t_exact", "t_disorder", "t_entropic", "t_critical")] for lim in lims])
     c = _state_values([np.repeat(x, ts.shape[1], axis=-1) for x in eig_columns[:3]], ts.ravel())["concurrence"]
@@ -450,7 +448,6 @@ def _add_couplings(sub):
 
 def _add_scan(sub):
     sub.add_argument("--tmax", type=float, default=None, help="scan range override")
-    sub.add_argument("--grid", type=int, default=None, help="entropic-limit sampling steps up to --tmax, 64 to 2**20")
     sub.add_argument("--tol", type=float, default=None, help="bisection relative tolerance")
 
 

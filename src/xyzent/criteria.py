@@ -12,7 +12,9 @@ is its one-model view), evaluates the margins of thermal states: the
 exact rows of entanglement, the disorder row and the entropic row, with
 the formulas of the scalar checks (entanglement.exact_margins,
 disorder_check, entropic_check) broadcast over the columns.  The CLI's
-state columns and the limit scan (limits) both read their margins here.
+state columns and the limit scan (limits) both read their margins here;
+the scan also bounds the entropic row on pieces of temperature
+(_entropic_margin_bound).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import _LN2, _exact_margin_rows, _xlogx, separability_exact
+from .entanglement import _LN2, _binary_entropy_bits, _exact_margin_rows, _xlogx, separability_exact
 from .model import EigenSystem
 from .states import BellMixture, _gibbs_exponents
 
@@ -139,6 +141,29 @@ def _entropic_margin_row(p, b_r, vm_r):
     xp = _xlogx(p)
     margin = ((_xlogx(q1) - xp[1]) + (_xlogx(q2) - xp[2]) - xp[0] - xp[3]) / _LN2
     return _near_zero(margin, _entropic_near_zero, p, b_r, vm_r)
+
+
+def _entropic_margin_bound(gaps, b_r, t_lo, t_hi):
+    """A lower bound (N,) of the entropic margin on each piece [t_lo, t_hi]
+    (N,) of temperature, of the model in the same column of gaps (4, N)
+    and b_r (N,) (as in _margin_columns).  Each term of
+    p_j = 1 / sum_i exp(-(g_i - g_j)/T) is monotone in T (at T = 0 its
+    T -> 0+ limit), so p_j lies between the sum's reciprocals with every
+    term at its largest and at its smallest end.  -x log2 x is concave, so
+    S(rho) is at least the sum of its smaller values at the ends of each
+    p_j's interval, and S(rho_A) = h(q_1), q_1 = 1/2 + |b/Delta| (p_1 - p_2)/2,
+    is at most the largest binary entropy on q_1's interval (1 where it
+    holds 1/2).  The rounding lies far below _NEAR_ZERO."""
+    d = gaps[:, None] - gaps[None]  # d[i, j] = g_i - g_j
+    with np.errstate(divide="ignore", over="ignore"):
+        r_lo, r_hi = (np.exp(-np.divide(d, t, out=np.zeros(d.shape), where=d != 0.0)) for t in (t_lo, t_hi))
+    rising = d > 0.0
+    lo, hi = 1.0 / np.where(rising, r_hi, r_lo).sum(axis=0), 1.0 / np.where(rising, r_lo, r_hi).sum(axis=0)
+    s = -np.maximum(_xlogx(lo), _xlogx(hi)).sum(axis=0) / _LN2
+    half = 0.5 * np.abs(b_r)
+    q_lo, q_hi = 0.5 + half * (lo[1] - hi[2]), 0.5 + half * (hi[1] - lo[2])
+    nearest = np.clip(np.where(q_hi < 0.5, q_hi, q_lo), 0.0, 1.0)
+    return s - np.where((q_lo <= 0.5) & (0.5 <= q_hi), 1.0, _binary_entropy_bits(nearest))
 
 
 def _entropic_near_zero(p, b_r, vm_r):

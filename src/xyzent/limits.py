@@ -38,14 +38,16 @@ the sign of its sum's leading coefficient, its sign just above T = 0.
 The entropic margin has no such bound, but entropic detection implies
 disorder detection (the spectrum of rho is majorized by that of rho_A
 wherever the disorder margin is >= 0, and entropy is Schur-concave).  So
-it is sampled at T = i t_max/grid_n from the first sample above the
-disorder row's top bracket, past which it is >= 0, downward, and only
-until its first sign change seen from the top (in chunks per model; down
-to T = 0 where there is none); grid_n sets this sampling and nothing
-else.  The record keeps only the top edges of the disorder and entropic
-rows, so of those rows only the top bracket is refined, and of the exact
-rows every bracket, all in one vectorised bisection that reports each
-edge at the end of its final bracket where its margin is >= 0.
+it is >= 0 above U, the end of the disorder row's top bracket (t_max
+where that row detects there), and on [0, U] interval branch and bound
+certifies it (_entropic_brackets): a piece is dropped where it lies
+below the highest negative sample or criteria._entropic_margin_bound
+proves it positive, and split and sampled otherwise, down to pieces of
+the floor U/4096.  The record keeps only the top edges of the disorder
+and entropic rows, so of those rows only the top bracket is refined, and
+of the exact rows every bracket, all in one vectorised bisection that
+reports each edge at the end of its final bracket where its margin is
+>= 0.
 
 The two exact margins are refined separately and their violation sets
 merged.  Each margin crosses zero transversally, so both reentry
@@ -62,16 +64,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expsums
-from .criteria import _margin_columns
+from .criteria import _NEAR_ZERO, _entropic_margin_bound, _margin_columns
 from .errors import OutOfRange
 from .model import XYZParams, _eigen_columns, eigensystem
 from .states import thermal_probabilities  # noqa: F401  (kept bound for tracing)
 
 __all__ = ["LimitTemperatures", "ReentryWindow", "limit_temperatures", "reentry_two_level"]
 
-DEFAULT_GRID = 4096
-#: The largest grid_n: the entropic sampling is linear in it.
-MAX_GRID = 256 * DEFAULT_GRID
 DEFAULT_REL_TOL = 1e-10
 _CRITERIA = ("exact", "disorder", "entropic")
 _EPS = float(np.finfo(float).eps)
@@ -120,16 +119,12 @@ def _default_t_max(p: XYZParams) -> float:
     return 20.0 * (p.energy_scale or 1.0)
 
 
-def _scan_ranges(ps, t_max: float | None, grid_n: int) -> np.ndarray:
-    """The top t_max of each model's scan, with the settings checked once.
+def _scan_ranges(ps, t_max: float | None) -> np.ndarray:
+    """The top t_max of each model's scan, with the setting checked once.
     No check that the state is separable there is needed: every margin is
     >= 0.1 past t_cut (module docstring), and t_cut < 4.33 energy_scale, as
     every level gap is at most 3 energy_scale (2 v_plus, 2 Delta, or
     |vz| + v_plus + Delta)."""
-    if grid_n < 64:
-        raise OutOfRange(f"grid_n must be >= 64, got {grid_n}")
-    if grid_n > MAX_GRID:
-        raise OutOfRange(f"grid_n must be <= {MAX_GRID} (2**20), got {grid_n}")
     if t_max is None:
         return np.array([_default_t_max(p) for p in ps], dtype=float)
     if not (math.isfinite(t_max) and t_max > 0.0):
@@ -142,13 +137,10 @@ def _scan_ranges(ps, t_max: float | None, grid_n: int) -> np.ndarray:
 #: by the midpoint to a neighbouring zero closer than that): so a bracket
 #: does not hang on the last bits of z, and scales with the model.
 _STRADDLE = 2.0**-20
-#: The entropic pass samples each model from the top down in chunks, the
-#: first _FIRST_CHUNK samples and each next _GROWTH times more.
-_FIRST_CHUNK, _GROWTH = 64, 4
-#: The most entropic samples one pass of the kernel takes (and the largest
-#: chunk), and the most columns one kernel call evaluates; together they
-#: bound the scan's memory.
-_BATCH = 1 << 15
+#: The entropic pass splits each live piece into _SPLIT in each of _ROUNDS
+#: rounds, down to the floor U/4096 (U the top of its range).
+_SPLIT, _ROUNDS = 8, 4
+#: The most columns one call of the kernel or the bound evaluates.
 _CHUNK = 1 << 11
 
 # Row r of _sign_change_bounds is the sum over j of (N + M rho) w_I w_J, with
@@ -202,13 +194,19 @@ def _sign_change_bounds(gaps, vm_ratio, b_ratio):
     return expsums.sign_changes(np.where(ends, sums(n, m), 0.0)), lam, np.where(ends, runs, 0.0)
 
 
+def _chunked(f, columns, model, *ts):
+    """f of the columns (indexed on their last axis) of model[k] and of
+    ts[.][k], at most _CHUNK columns per call: yields (start, result)."""
+    for lo in range(0, model.size, _CHUNK):
+        m = model[lo : lo + _CHUNK]
+        yield lo, f(*(c[..., m] for c in columns), *(t[lo : lo + _CHUNK] for t in ts))
+
+
 def _signs(gaps, vm_ratio, b_ratio, model, ts) -> np.ndarray:
     """The signs (4, N) of the kernel's margins of model[k] at ts[k], as
     int8, from at most _CHUNK columns per kernel call."""
     out = np.empty((4, ts.size), np.int8)
-    for lo in range(0, ts.size, _CHUNK):
-        m = model[lo : lo + _CHUNK]
-        table = _margin_columns(gaps[:, m], vm_ratio[m], b_ratio[m], ts[lo : lo + _CHUNK])
+    for lo, table in _chunked(_margin_columns, (gaps, vm_ratio, b_ratio), model, ts):
         out[:, lo : lo + _CHUNK] = (table > 0.0).view(np.int8) - (table < 0.0).view(np.int8)
     return out
 
@@ -243,69 +241,53 @@ def _root_brackets(gaps, vm_ratio, b_ratio, t_max):
     return neg[:, first], neg[:, last], rows, neg[rows, idx], ts[idx], ts[idx + 1], model[idx]
 
 
-def _entropic_brackets(gaps, vm_ratio, b_ratio, t_max, grid_n, upper):
-    """The kernel's signs of the entropic row of each model at T = i step,
-    step = t_max/grid_n, from the first sample above upper (K,) downward
-    (none where upper is 0), each model until its first sign change seen
-    from the top: the negative flags (K,) of the bottom and the top sample,
-    and the sign below, bracket and model of each model's top sign change,
-    its top end cut to upper, where the disorder margin and so the entropic
-    one are >= 0.  Each model is sampled in chunks, the first _FIRST_CHUNK
-    samples and each next _GROWTH times more (at most _BATCH), so it stops
-    at most one chunk below its top sign change; its bottom flag is then
-    the sign below that change.  A model without one is sampled down to
-    T = 0, where a margin exactly 0 takes the sign of the next sample."""
-    step = t_max / grid_n
-    i = np.floor(upper / step) - 1.0
-    for _ in range(3):  # to the first sample above upper; the quotient may round either way
-        i += i * step <= upper
-    top = np.where(upper > 0.0, np.minimum(i, grid_n), -1.0).astype(int)  # each model's next sample down
-    first, last, above = np.zeros(top.size, bool), np.zeros(top.size, bool), None
-    tops = [(np.zeros(0, bool), np.zeros(0), np.zeros(0), np.zeros(0, int))]
-    live, size = np.flatnonzero(top >= 0), min(_FIRST_CHUNK, _BATCH)
-    while live.size:
-        for ks in np.split(live, range(_BATCH // size, live.size, _BATCH // size)):  # at most _BATCH samples
-            n = np.minimum(size, top[ks] + 1)
-            model, start = np.repeat(ks, n), np.cumsum(n) - n
-            i = np.repeat(top[ks], n) - (np.arange(model.size) - np.repeat(start, n))
-            ts = np.where(i == grid_n, t_max[model], i * step[model])
-            sign = _signs(gaps, vm_ratio, b_ratio, model, ts)[3]
-            neg = sign < 0.0
-            # the sign of the sample above each one; a model's top sample has none
-            up = np.append(False, neg[:-1])
-            up[start] = neg[start] if above is None else above[ks]
-            zero = (i == 0) & (sign == 0)
-            neg[zero] = up[zero]
-            if above is None:
-                last[ks] = neg[start]
-            idx = np.flatnonzero(neg != up)
-            idx = idx[model[idx] != np.append(-1, model[idx][:-1])]  # each model's top one
-            m = model[idx]
-            hi = np.where(i[idx] + 1 == grid_n, t_max[m], (i[idx] + 1) * step[m])
-            tops.append((neg[idx], ts[idx], np.minimum(hi, upper[m]), m))
-            bottom = start + n - 1
-            # first holds each model's bottom sign so far
-            first[ks], top[ks] = neg[bottom], top[ks] - n
-            first[m], top[m] = neg[idx], -1
-        above = first.copy()
-        live, size = live[top[live] >= 0], min(size * _GROWTH, _BATCH)
-    leaving, lo, hi, model = (np.concatenate(x) for x in zip(*tops))
-    order = np.argsort(model, kind="stable")
-    return first, last, leaving[order], lo[order], hi[order], model[order]
+def _entropic_brackets(gaps, vm_ratio, b_ratio, upper):
+    """The entropic row of each model, certified on [0, U], U = upper (K,)
+    (none where upper is 0; module docstring), sampled at U i/N,
+    N = _SPLIT**_ROUNDS: the negative flags (K,) below the top sign change
+    (of every sample, without one) and at U, and the sign below, bracket
+    and model of each top sign change, the floor piece from the highest
+    negative sample (never bounded, as it is negative at its start).  A
+    margin exactly 0 at T = 0 counts as >= 0, as the sign of the next
+    sample up would be wherever it matters."""
+    n, top = _SPLIT**_ROUNDS, np.full(upper.size, -1)  # each model's highest negative sample, as i
+
+    def at(m, i):
+        return upper[m] * (i / n)
+
+    def sample(m, i):
+        neg = _signs(gaps, vm_ratio, b_ratio, m, at(m, i))[3] < 0.0
+        np.maximum.at(top, m[neg], i[neg])
+
+    live = np.flatnonzero(upper > 0.0)
+    sample(np.repeat(live, 2), np.tile([0, n], live.size))
+    model = live[top[live] < n]  # the live pieces, model by model and in T order
+    start = np.zeros(model.size, int)
+    for width in _SPLIT ** np.arange(_ROUNDS - 1, -1, -1):
+        model, start = np.repeat(model, _SPLIT), (start[:, None] + width * np.arange(_SPLIT)).ravel()
+        new = start % (width * _SPLIT) > 0  # the new samples, at the pieces' starts
+        sample(model[new], start[new])
+        keep = start >= top[model]
+        if width > 1:
+            b = np.flatnonzero(start > top[model])
+            lo, hi = at(model[b], start[b]), at(model[b], start[b] + width)
+            bound = [c for _, c in _chunked(_entropic_margin_bound, (gaps, b_ratio), model[b], lo, hi)]
+            keep[b[np.concatenate([np.zeros(0), *bound]) > _NEAR_ZERO]] = False
+        model, start = model[keep], start[keep]
+    k = np.flatnonzero((top >= 0) & (top < n))
+    return top >= 0, top == n, np.ones(k.size, bool), at(k, top[k]), at(k, top[k] + 1), k
 
 
-def _limit_records(
-    ps, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL, columns=None
-) -> list[LimitTemperatures]:
+def _limit_records(ps, t_max=None, rel_tol=DEFAULT_REL_TOL, columns=None) -> list[LimitTemperatures]:
     """The LimitTemperatures of every model in ps (see limit_temperatures).
 
     The models' level gaps and ratios come from one model._eigen_columns
     pass, or are its result for ps, given as columns.  _root_brackets
     brackets every sign change of the exact and disorder rows below
     t_end = min(t_max, t_cut), of which the disorder row keeps its top one;
-    _entropic_brackets brackets the entropic row's top one, scanned down
-    from the disorder row's top bracket, or from t_max where the disorder
-    row detects there (module docstring).  One bisection refines every
+    _entropic_brackets brackets the entropic row's top one up to the end
+    of the disorder row's top bracket, or t_max where the disorder row
+    detects there (module docstring).  One bisection refines every
     bracket in its own model's column; each stops once hi - lo <= rel_tol
     * hi (checked before each step), as it would alone, or once lo, hi are
     adjacent floats, within 2,098 halvings of any bracket, and reports the
@@ -313,7 +295,7 @@ def _limit_records(
     """
     if not 0.0 < rel_tol < 1.0:
         raise OutOfRange(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
-    t_max = _scan_ranges(ps, t_max, grid_n)
+    t_max = _scan_ranges(ps, t_max)
     gaps, vm_ratio, b_ratio, delta = _eigen_columns(ps) if columns is None else columns
     first, last, rows, leaving, lo, hi, model = _root_brackets(gaps, vm_ratio, b_ratio, t_max)
     dis = np.flatnonzero(rows == 2)
@@ -323,7 +305,7 @@ def _limit_records(
     upper = np.zeros(len(ps))
     upper[model[top]] = hi[top]
     upper[last[2]] = t_max[last[2]]
-    ent_first, ent_last, *ent = _entropic_brackets(gaps, vm_ratio, b_ratio, t_max, grid_n, upper)
+    ent_first, ent_last, *ent = _entropic_brackets(gaps, vm_ratio, b_ratio, upper)
     order = np.argsort(np.append(model[keep], ent[-1]), kind="stable")
     rows = np.append(rows[keep], np.full(ent[-1].size, 3))[order]
     leaving, lo, hi, model = (np.append(x[keep], y)[order] for x, y in zip((leaving, lo, hi, model), ent))
@@ -403,15 +385,14 @@ def _record(rows, t_cross, leaving, first, last, t_max, t_r, rel_tol) -> LimitTe
 def limit_temperatures(
     p: XYZParams,
     t_max: float | None = None,
-    grid_n: int = DEFAULT_GRID,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> LimitTemperatures:
     """All detection limits in one record (see LimitTemperatures).
 
-    Raises OutOfRange for a grid_n outside [64, MAX_GRID], a t_max that is
-    not finite and positive, or a rel_tol outside (0, 1).
+    Raises OutOfRange for a t_max that is not finite and positive, or a
+    rel_tol outside (0, 1).
     """
-    return _limit_records([p], t_max, grid_n, rel_tol)[0]
+    return _limit_records([p], t_max, rel_tol)[0]
 
 
 def reentry_two_level(p: XYZParams) -> float | None:

@@ -129,10 +129,7 @@ def entropy_base2(spectrum) -> float:
 
 def hamiltonian_matrix(p: XYZParams) -> np.ndarray:
     """The Hamiltonian as a real symmetric 4x4 matrix in the standard basis.
-
-    Accepts raw (pre-canonicalization) parameters as well; the matrix
-    itself is sign-dependent but its spectrum is not.  Checks the
-    closed-form energies of model.eigensystem.
+    Checks the closed-form energies of model.eigensystem.
     """
     vp, vm, vz, b = p.v_plus, p.v_minus, p.vz, p.b
     return np.array(

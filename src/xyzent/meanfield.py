@@ -51,7 +51,7 @@ RESIDUAL_TOL = 1e-9
 FP_SWEEPS = 2000
 #: a seed row hands off to Newton after HANDOFF_SWEEPS sweeps that each shrank its largest
 #: update by less than HANDOFF_RATIO or held it (2-cycle) to within rounding, never grew it
-HANDOFF_RATIO, HANDOFF_GROWTH, HANDOFF_SWEEPS = 0.9, 1.0 + 1e-6, 20
+HANDOFF_RATIO, HANDOFF_HOLD, HANDOFF_SWEEPS = 0.9, 1.0 + 1e-6, 20
 #: largest component update at which the fixed-point sweeps stop, relative to energy_scale
 UPDATE_TOL = 1e-12
 #: a polished seed stops once its full Newton step is this small relative to |lambda|
@@ -149,7 +149,7 @@ def _default_seeds(p: XYZParams) -> np.ndarray:
     mirrored seed converges to the negated fields in the same sweep, with
     the same free energy, and would lose every tie to its mirror image.
     """
-    v = max(p.v_max, 0.0)
+    v = p.v_max  # >= 0 in the canonical sector (XYZParams)
     seeds = np.zeros((4, 2, 3))
     seeds[1, :, 0] = v
     seeds[2, :, 1] = v
@@ -282,7 +282,7 @@ def _solve_rows(p: XYZParams, temperatures: np.ndarray, seeds: np.ndarray) -> _R
         lam[active] = new
         moved = np.abs(new - x).max(axis=(1, 2))
         ratio, last = moved / last, moved
-        slow = np.where((ratio > HANDOFF_RATIO) & (ratio <= HANDOFF_GROWTH), slow + 1, 0)
+        slow = np.where((ratio > HANDOFF_RATIO) & (ratio <= HANDOFF_HOLD), slow + 1, 0)
         still = (moved > update_tol) & (slow < HANDOFF_SWEEPS)
         if not still.all():
             sweeps[active[~still]] = sweep

@@ -43,7 +43,10 @@ MIN_ENERGY_SCALE = 2.0**-1018
 
 @dataclass(frozen=True)
 class XYZParams:
-    """Couplings (vx, vy, vz), field b, plus the derived combinations."""
+    """Canonical couplings (vx, vy, vz), field b, plus the derived
+    combinations.  Building one raises NonFiniteInput (a NaN or infinite
+    parameter) or OutOfRange (an energy scale outside the bounds, or b,
+    v_plus or v_minus < 0; canonicalize maps raw couplings into range)."""
 
     vx: float
     vy: float
@@ -52,6 +55,18 @@ class XYZParams:
     #: names among {"b", "v_plus", "v_minus"} whose sign was flipped
     #: by canonicalize(); empty for already-canonical input.
     flips: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        vals = (self.vx, self.vy, self.vz, self.b)
+        if not all(math.isfinite(v) for v in vals):
+            raise NonFiniteInput(f"non-finite parameter in {vals!r}")
+        scale = self.energy_scale
+        if scale > MAX_ENERGY_SCALE:
+            raise OutOfRange(f"energy scale {scale!r} exceeds the bound 2**1018 (about 2.8e306)")
+        if 0.0 < scale < MIN_ENERGY_SCALE:
+            raise OutOfRange(f"energy scale {scale!r} is below the bound 2**-1018 (about 3.6e-307)")
+        if not (self.b >= 0.0 and self.v_plus >= 0.0 and self.v_minus >= 0.0):
+            raise OutOfRange(f"b, v_plus and v_minus must be >= 0 (see canonicalize), got couplings {vals!r}")
 
     @property
     def v_plus(self) -> float:
@@ -104,34 +119,17 @@ def canonicalize(vx: float, vy: float, vz: float, b: float) -> XYZParams:
     b, v_plus and v_minus are replaced by their absolute values (vz is
     kept as given); the applied flips are recorded on the result.  The
     spectrum, concurrence and every limit temperature are unchanged.
-    Raises OutOfRange for an energy scale above MAX_ENERGY_SCALE, or
-    nonzero and below MIN_ENERGY_SCALE.
+    The result is checked as every XYZParams is (NonFiniteInput,
+    OutOfRange).
     """
-    vals = (vx, vy, vz, b)
-    if not all(math.isfinite(v) for v in vals):
-        raise NonFiniteInput(f"non-finite parameter in {vals!r}")
-    scale = max(abs(v) for v in vals)
-    if scale > MAX_ENERGY_SCALE:
-        raise OutOfRange(f"energy scale {scale!r} exceeds the bound 2**1018 (about 2.8e306)")
-    if 0.0 < scale < MIN_ENERGY_SCALE:
-        raise OutOfRange(f"energy scale {scale!r} is below the bound 2**-1018 (about 3.6e-307)")
-    flips = []
-    if b < 0.0:
-        b = -b
-        flips.append("b")
-    vp = 0.5 * (vx + vy)
-    vm = 0.5 * (vx - vy)
-    if vp < 0.0:
-        vp = -vp
-        flips.append("v_plus")
-    if vm < 0.0:
-        vm = -vm
-        flips.append("v_minus")
-    if flips and flips != ["b"]:
-        # reconstruct couplings only when a combination was flipped, so
-        # already-canonical input passes through bit-exactly
-        vx, vy = vp + vm, vp - vm
-    return XYZParams(vx=vx, vy=vy, vz=vz, b=b, flips=tuple(flips))
+    vp, vm = 0.5 * (vx + vy), 0.5 * (vx - vy)
+    flips = tuple(name for name, v in (("b", b), ("v_plus", vp), ("v_minus", vm)) if v < 0.0)
+    # couplings are rebuilt only where a combination was flipped, so canonical
+    # input passes through bit-exactly; where the half-sums overflow, the raw
+    # couplings are out of range and are reported as given
+    if flips not in ((), ("b",)) and math.isfinite(abs(vp) + abs(vm)):
+        vx, vy = abs(vp) + abs(vm), abs(vp) - abs(vm)
+    return XYZParams(vx=vx, vy=vy, vz=vz, b=-b if b < 0.0 else b, flips=flips)
 
 
 @dataclass(frozen=True)

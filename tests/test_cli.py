@@ -29,7 +29,7 @@ from xyzent.cli import (
 )
 from xyzent.entanglement import entanglement_of_formation
 from xyzent.criteria import margin_table
-from xyzent.limits import DEFAULT_GRID, DEFAULT_REL_TOL, limit_temperatures
+from xyzent.limits import DEFAULT_REL_TOL, limit_temperatures
 from xyzent.meanfield import critical_temperature
 from xyzent.model import canonicalize, eigensystem
 
@@ -196,8 +196,7 @@ class TestLimits:
         assert err == ""
 
     def test_invalid_scan_settings_are_input_errors(self, capsys):
-        # a grid above 2**20 is refused at once, not sampled without end
-        flags = ("--grid=10", "--grid=9999999999999999999", "--tmax=-1", "--tmax=0", "--tmax=nan", "--tmax=inf")
+        flags = ("--tmax=-1", "--tmax=0", "--tmax=nan", "--tmax=inf")
         for flag in flags + ("--tol=nan", "--tol=-1", "--tol=0"):
             code, out, err = run(capsys, "limits", "--vx", "1", "--vy", "1", flag)
             assert code == 2, flag
@@ -279,11 +278,16 @@ class TestSweep:
         assert (code, out) == (2, "") and err.startswith(f"error: steps={steps} is too many") and err.count("\n") == 1
 
     def test_invalid_grid_is_input_error(self, capsys):
-        code, out, err = run(
-            capsys, "sweep", "--axis", "b", "--from", "0", "--to", "1", "--steps", "3",
-            "--vx", "1", "--outputs", "limits", "--grid=10",
-        )
-        assert code == 2 and out == "" and "grid_n" in err
+        # the scan takes no grid: --grid is an unknown flag of every subcommand
+        for argv in (
+            ["sweep", "--axis", "b", "--from", "0", "--to", "1", "--steps", "3", "--vx", "1", "--outputs", "limits"],
+            ["limits", "--vx", "1", "--vy", "0.3"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--grid", "64"])
+            out = capsys.readouterr()
+            assert exc.value.code == 2 and out.out == "", argv
+            assert out.err.endswith("error: unrecognized arguments: --grid 64\n"), out.err
 
     def test_parameter_axis_matches_one_model_rows(self, capsys):
         # one limit scan and one state kernel call for all 41 rows, each row
@@ -395,7 +399,7 @@ class TestSweep:
         assert len(out.strip().split("\n")) == 5
 
     @pytest.mark.parametrize(
-        "flag, name", [("--grid=10", "grid"), ("--tol=nan", "tol"), ("--tmax=3", "tmax"), ("--gr=64", "grid")]
+        "flag, name", [("--tol=nan", "tol"), ("--tmax=3", "tmax"), ("--tm=3", "tmax")]
     )
     def test_scan_flag_needs_limit_columns(self, capsys, tmp_path, flag, name):
         for argv in (
@@ -406,7 +410,8 @@ class TestSweep:
             code, out, err = run(capsys, "sweep", *argv, flag)
             assert code == 2 and out == "" and err.count("\n") == 1, (argv, err)
             assert err == f"error: --{name} is read only by the limits columns\n", err
-        # a key of the config file stays ignored where nothing reads it
+        # a key of the config file stays ignored where nothing reads it, as
+        # does grid, which no subcommand reads
         cfg = tmp_path / "scan.cfg"
         cfg.write_text("grid = 10\ntol = nan\ntmax = 3\n")
         code, out, _ = run(
@@ -454,6 +459,13 @@ class TestConfig:
         assert code == 0
         assert out.split("\n")[1].startswith("0.25,")
 
+    def test_grid_key_is_ignored(self, capsys, tmp_path):
+        # the scan takes no grid, so a grid key is read by no subcommand
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("grid = 64\n")
+        argv = ["limits", "--vx", "1.7", "--vy", "0.3", "--b", "0.2"]
+        assert run(capsys, *argv, "--config", str(cfg)) == run(capsys, *argv)
+
     def test_missing_config_is_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "point", "--temp", "1", "--config", str(tmp_path / "nope.cfg"))
         assert code == 3
@@ -471,7 +483,7 @@ class TestConfig:
         code, _, _ = run(capsys, "point", "--temp", "1", "--config", str(cfg))
         assert code == 2
         # values are converted and checked as the flag's would be
-        for command, line in (("limits", "format = xml"), ("limits", "grid = 10.5"), ("point", "temp = abc")):
+        for command, line in (("limits", "format = xml"), ("limits", "tmax = 10,5"), ("point", "temp = abc")):
             cfg.write_text(line + "\n")
             code, out, err = run(capsys, command, "--vx", "1", "--config", str(cfg))
             assert code == 2 and out == "" and f"config key {line.split()[0]!r}" in err, line
@@ -481,7 +493,6 @@ class TestFigure:
     def test_fig2_datasets(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "figure", "fig2", "--out", str(tmp_path), "--steps", "41",
-            "--grid", "1024",
         )
         assert code == 0
         center = (tmp_path / "fig2_center.csv").read_text().strip().split("\n")
@@ -503,7 +514,6 @@ class TestFigure:
     def test_fig3_disorder_minimum(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "figure", "fig3", "--out", str(tmp_path), "--steps", "81",
-            "--grid", "1024",
         )
         assert code == 0
         center = (tmp_path / "fig3_center.csv").read_text().strip().split("\n")
@@ -518,7 +528,6 @@ class TestFigure:
     def test_fig4_reentry_band(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "figure", "fig4", "--out", str(tmp_path), "--steps", "41",
-            "--grid", "2048",
         )
         assert code == 0
         center = (tmp_path / "fig4_center.csv").read_text().strip().split("\n")
@@ -532,17 +541,15 @@ class TestFigure:
         assert max(populated) < 1 / 0.85
 
     def test_invalid_grid_is_input_error(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "figure", "fig2", "--out", str(tmp_path), "--steps", "5", "--grid=10"
-        )
-        assert code == 2 and "grid_n" in err
-        assert list(tmp_path.iterdir()) == []  # no panel written before validation
+        # --grid is an unknown flag: argparse exits 2 before any panel is written
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "fig2", "--out", str(tmp_path), "--steps", "5", "--grid=64"])
+        assert exc.value.code == 2 and "unrecognized arguments: --grid=64" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "flag, message",
         [
-            ("--grid=10", "grid_n must be >= 64, got 10"),
-            ("--grid=1048577", "grid_n must be <= 1048576 (2**20), got 1048577"),
             ("--tmax=-1", "t_max must be finite and positive, got -1.0"),
             ("--tol=nan", "rel_tol must lie in (0, 1), got nan"),
         ],
@@ -598,12 +605,12 @@ class TestFigure:
 #: every value each subcommand can set, positionals included
 OPTIONS = {
     "point": ["vx", "vy", "vz", "b", "temp", "format", "out", "config"],
-    "limits": ["vx", "vy", "vz", "b", "tmax", "grid", "tol", "format", "out", "config"],
+    "limits": ["vx", "vy", "vz", "b", "tmax", "tol", "format", "out", "config"],
     "sweep": [
-        "vx", "vy", "vz", "b", "temp", "tmax", "grid", "tol",
+        "vx", "vy", "vz", "b", "temp", "tmax", "tol",
         "axis", "start", "stop", "steps", "outputs", "out", "config",
     ],
-    "figure": ["which", "tmax", "grid", "tol", "steps", "out", "config"],
+    "figure": ["which", "tmax", "tol", "steps", "out", "config"],
 }
 
 
@@ -617,7 +624,7 @@ class TestOptions:
             for name, sub in subs.choices.items()
         }
         assert got == OPTIONS
-        assert sum(map(len, got.values())) == 40
+        assert sum(map(len, got.values())) == 37
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -690,7 +697,7 @@ def reference_sweep(argv) -> str:
         cols.update(_state_values(stacked([eigensystem(p) for p in models]), temps))
     if "limits" in groups:
         columns += LIMIT_COLUMNS
-        lims = _limit_rows(models, args.tmax, args.grid, args.tol) * (values.size // len(models))
+        lims = _limit_rows(models, args.tmax, args.tol) * (values.size // len(models))
         cols.update((k, [lim[k] for lim in lims]) for k in LIMIT_COLUMNS)
     return per_cell_csv(columns, ([cols[c][i] for c in columns] for i in range(values.size)))
 
@@ -708,7 +715,7 @@ def reference_figure(which, steps) -> dict:
     v_unit = v_plus if v_plus > 0.0 else v_minus
     fields = np.linspace(0.0, 2.0, steps) * v_unit
     models = [canonicalize(vx, vy, 0.0, float(b)) for b in fields]
-    lims = _limit_rows(models, None, DEFAULT_GRID, DEFAULT_REL_TOL)
+    lims = _limit_rows(models, None, DEFAULT_REL_TOL)
     keys = ("t_exact", "t_disorder", "t_entropic", "t_critical")
     ts = np.array([[lim[k] or 0.0 for k in keys] for lim in lims])
     eigs = [e for e in map(eigensystem, models) for _ in keys]

@@ -2,7 +2,7 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from xyzent import linalg
-from xyzent.criteria import disorder_check, entropic_check, exact_check, margin_table
+from xyzent.criteria import _entropic_margin_bound, disorder_check, entropic_check, exact_check, margin_table
 from xyzent.entanglement import _LN2, _binary_entropy_bits, _xlogx, separability_exact
 from xyzent.linalg import disorder_margins_spin_form, majorization_margins, realize_matrix, spin_averages
 from xyzent.model import canonicalize, eigensystem
@@ -156,6 +156,39 @@ class TestEntropicCheck:
             assert_allclose(
                 linalg.partial_trace(rho, "A"), linalg.partial_trace(rho, "B"), atol=1e-14
             )
+
+
+class TestEntropicMarginBound:
+    """criteria._entropic_margin_bound, which the limit scan drops pieces
+    of temperature by, lies below the entropic margin on its piece."""
+
+    @staticmethod
+    def bound(eig, t_lo, t_hi):
+        return _entropic_margin_bound(eig.gaps[:, None], np.array([eig.b_ratio]), np.array([t_lo]), np.array([t_hi]))[0]
+
+    def test_bound_lies_below_the_margin_on_its_piece(self, rng):
+        models = [random_canonical_params(rng) for _ in range(150)]
+        models += [canonicalize(*m) for m in ((1.0, 1.0, 1.0, 0.0), (1.0, 0.4, 0.4, 0.0), (0.0, 0.0, 0.0, 0.0))]
+        models += [canonicalize(1.7, 0.3, 0.0, b) for b in (0.2, 0.71, 0.9, 1.5)]
+        tight = 0
+        for k, p in enumerate(models):
+            eig, s = eigensystem(p), p.energy_scale or 1.0
+            t_lo = 0.0 if k % 3 == 0 else float(log_uniform(rng, 1e-3, 3.0)) * s
+            t_hi = t_lo + float(log_uniform(rng, 1e-6, 1.0)) * s
+            margin = margin_table(eig, np.linspace(t_lo, t_hi, 257))[3]
+            bound = self.bound(eig, t_lo, t_hi)
+            assert bound <= margin.min() + 1e-15, (p, t_lo, t_hi, bound, margin.min())
+            tight += t_lo > 0.0 and bound > 0.9 * margin.min() > 0.0
+        assert tight  # narrow pieces where the margin is positive are proved so
+
+    def test_bound_on_a_point_is_the_margin(self, rng):
+        # a piece of width 0 pins every weight, so the bound is the margin
+        # with q_1 taken at its own value, up to rounding
+        for _ in range(50):
+            p = random_canonical_params(rng)
+            eig = eigensystem(p)
+            t = float(log_uniform(rng, 1e-2, 3.0)) * p.energy_scale
+            assert abs(self.bound(eig, t, t) - margin_table(eig, np.array([t]))[3, 0]) < 1e-12, (p, t)
 
 
 class TestHierarchy:

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from xyzent import limits
-from xyzent.criteria import disorder_check, entropic_check, margin_table
+from xyzent.criteria import _NEAR_ZERO, disorder_check, entropic_check, margin_table
 from xyzent.entanglement import exact_margins, separability_exact
 from xyzent.errors import DegenerateBasis, OutOfRange
 from xyzent.limits import (
-    DEFAULT_GRID,
     DEFAULT_REL_TOL,
     LimitTemperatures,
     ReentryWindow,
@@ -37,6 +36,9 @@ ALPHA = 1.0 / math.log(1.0 + math.sqrt(2.0))  # 1.134593
 XX = lambda b: canonicalize(1.0, 1.0, 0.0, b)  # case 1: v_plus = 1
 MAX_ANISO = lambda b: canonicalize(1.0, -1.0, 0.0, b)  # case 2: v_minus = 1
 CASE3 = lambda b: canonicalize(1.7, 0.3, 0.0, b)  # v_plus = 1, v_minus = 0.7
+
+#: the reference scans' own grid: samples every t_max/REF_GRID up to t_max
+REF_GRID = 4096
 
 
 class TestThermalMarginExact:
@@ -107,29 +109,47 @@ class TestEntangledIntervals:
         assert limit_temperatures(p).intervals == ()
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            limit_temperatures(XX(0.5), grid_n=16)
-        with pytest.raises(ValueError):
-            limit_temperatures(XX(0.5), t_max=-1.0)
+        # the scan takes no grid; its range is checked once per scan, before
+        # any model (an empty batch included)
+        with pytest.raises(TypeError):
+            limit_temperatures(XX(0.5), grid_n=4096)
+        for ps in ([], [XX(0.5)] * 3):
+            with pytest.raises(ValueError, match="t_max must be finite and positive"):
+                _limit_records(ps, t_max=-1.0)
+
+    def test_grid_is_bounded_above(self, monkeypatch):
+        # the entropic pass samples each model on the floor grid U i/4096 at
+        # most, the size of the grid it replaced: with a bound that proves
+        # nothing it splits every piece above the highest negative sample down
+        # to the floor, in kernel calls of at most _CHUNK columns, and finds
+        # the same records, as a piece the bound drops holds no negative sample
+        ps = [CASE3(0.2), CASE3(0.9), XX(0.5), MAX_ANISO(1.0)]
+        want = _limit_records(ps)
+        columns, in_pass = [], []
+        kernel, entropic = limits._margin_columns, limits._entropic_brackets
+
+        def record(*args):
+            if in_pass:
+                columns.append(args[-1].size)
+            return kernel(*args)
+
+        def flagged(*args):
+            in_pass.append(True)
+            try:
+                return entropic(*args)
+            finally:
+                in_pass.clear()
+
+        monkeypatch.setattr(limits, "_margin_columns", record)
+        monkeypatch.setattr(limits, "_entropic_brackets", flagged)
+        monkeypatch.setattr(limits, "_entropic_margin_bound", lambda gaps, b_r, lo, hi: np.full(lo.shape, -1.0))
+        assert _limit_records(ps) == want
+        assert 2 * len(ps) < sum(columns) <= 4097 * len(ps) and max(columns) <= limits._CHUNK, columns
 
     def test_invalid_scan_settings_are_out_of_range(self):
-        for kwargs in ({"grid_n": 63}, {"t_max": 0.0}, {"t_max": math.nan}, {"t_max": math.inf}):
+        for kwargs in ({"t_max": 0.0}, {"t_max": math.nan}, {"t_max": math.inf}, {"rel_tol": 1.0}):
             with pytest.raises(OutOfRange):
                 limit_temperatures(XX(0.5), **kwargs)
-
-    def test_grid_is_bounded_above(self):
-        # the entropic sampling is linear in grid_n; the settings are checked
-        # once per scan, before any model (an empty batch included)
-        assert limits.MAX_GRID == 2**20 == 256 * DEFAULT_GRID
-        for ps in ([], [CASE3(0.2)] * 3):
-            with pytest.raises(OutOfRange, match=r"grid_n must be <= 1048576 \(2\*\*20\), got 1048577"):
-                _limit_records(ps, grid_n=limits.MAX_GRID + 1)
-        with pytest.raises(OutOfRange):
-            limit_temperatures(CASE3(0.2), grid_n=10**19)
-        # at the bound the scan runs; the exact and disorder limits ignore the grid
-        fine, default = limit_temperatures(CASE3(0.2), grid_n=limits.MAX_GRID), limit_temperatures(CASE3(0.2))
-        assert (fine.t_exact, fine.t_disorder) == (default.t_exact, default.t_disorder)
-        assert fine.t_entropic == pytest.approx(default.t_entropic, rel=1e-9)
 
 
 class TestLimitTemperature:
@@ -257,7 +277,7 @@ class TestLimitRecord:
         for vm in np.linspace(0.0, 1.5, 6):
             for b in np.linspace(0.0, 2.0, 6):
                 p = canonicalize(1.0 + vm, 1.0 - vm, 0.0, float(b))
-                lt = limit_temperatures(p, grid_n=1024)
+                lt = limit_temperatures(p)
                 if lt.t_entropic is not None:
                     assert lt.t_disorder is not None
                     assert lt.t_entropic <= lt.t_disorder + 1e-9
@@ -268,7 +288,7 @@ class TestLimitRecord:
 
     def test_disorder_over_exact_ratio_case2(self):
         for b in (0.0, 0.5, 1.0, 2.0, 5.0):
-            lt = limit_temperatures(MAX_ANISO(b), grid_n=2048)
+            lt = limit_temperatures(MAX_ANISO(b))
             assert lt.t_disorder / lt.t_exact >= 0.5 - 1e-9
 
     def test_reentry_flag_matches_interval_count(self):
@@ -314,16 +334,13 @@ class TestLimitRecord:
 
 class TestBisectionConverges:
     def test_limits_do_not_depend_on_t_max(self):
-        # the bracket [0, t_max / grid_n] needs log2(step / limit) + 34
-        # halvings, about 1,060 at t_max = 1.7e308; 200 used to stop it early
+        # every row is scanned up to t_cut at most, so a t_max above it,
+        # up to the largest float, changes no bit
         p = canonicalize(1.0, 0.3, 0.0, 0.0)
         ref = limit_temperatures(p)
         assert ref.t_exact == pytest.approx(0.66442074918, rel=1e-10)
         for t_max in (1e20, 1e60, 1e100, 1.7e308):
-            lt = limit_temperatures(p, t_max=t_max)
-            for key in ("t_exact", "t_disorder", "t_entropic"):
-                assert getattr(lt, key) == pytest.approx(getattr(ref, key), rel=1e-9), (t_max, key)
-            assert lt.censored == ()
+            assert limit_temperatures(p, t_max=t_max) == ref, t_max
 
     def test_bisection_stops_at_adjacent_floats(self, monkeypatch):
         # a rel_tol below the float spacing is never met; each bracket stops
@@ -332,20 +349,21 @@ class TestBisectionConverges:
         kernel = limits._margin_columns
         monkeypatch.setattr(limits, "_margin_columns", lambda *args: calls.append(1) or kernel(*args))
         lt = limit_temperatures(CASE3(0.9), rel_tol=1e-300)
-        assert len(calls) <= 100  # the root and entropic tables, about 50 halvings
+        assert len(calls) <= 100  # the root table, 5 of the entropic pass, about 50 halvings
         monkeypatch.undo()
         assert lt == reference_limit_temperatures(CASE3(0.9), rel_tol=1e-300)
 
 
 class TestScanFromZero:
-    """T = 0 is the first grid sample, so a limit below the first positive
-    sample t_max / grid_n is still found."""
+    """T = 0 is the first sample of every row, so a limit far below the scan
+    range is still found."""
 
     def test_criteria_firing_only_below_first_step(self):
         # fig4 model at b/v = 0.71: disorder and entropic fire only below
-        # T = 0.00549, under the first positive sample 20 * 1.7 / 4096
+        # T = 0.00549, under the first positive sample 20 * 1.7 / 4096 of a
+        # 4096-step grid over the default range
         lt = limit_temperatures(CASE3(0.71))
-        assert lt.t_disorder < 20.0 * 1.7 / DEFAULT_GRID
+        assert lt.t_disorder < 20.0 * 1.7 / REF_GRID
         assert lt.t_disorder == pytest.approx(0.00549421282194, rel=1e-10)
         assert lt.t_entropic == pytest.approx(0.00549421282194, rel=1e-10)
         below, above = (thermal_mixture(CASE3(0.71), t) for t in (0.0054, 0.0056))
@@ -353,14 +371,13 @@ class TestScanFromZero:
         assert not (disorder_check(above).detected or entropic_check(above).detected)
 
     def test_whole_entangled_range_below_first_coarse_step(self):
-        # Bell ground state |Phi_3>; entangled on [0, 1.899], first grid-64
-        # sample at 20 * 6.26 / 64 = 1.96
+        # Bell ground state |Phi_3>; entangled on [0, 1.899], below the first
+        # sample 20 * 6.26 / 64 = 1.96 of a 64-step grid over the default range
         p = canonicalize(1.343514123042203, -1.1694385314915339, -6.263640849586743, 0.8798462890500257)
-        coarse = limit_temperatures(p, grid_n=64)
-        assert coarse.intervals[0][0] == 0.0
-        assert coarse.t_exact == pytest.approx(1.89878669384, rel=1e-10)
-        assert coarse.t_exact == pytest.approx(limit_temperatures(p).t_exact, rel=1e-10)
-        assert coarse.t_disorder is not None and coarse.t_entropic is not None
+        lt = limit_temperatures(p)
+        assert lt.intervals[0][0] == 0.0
+        assert lt.t_exact == pytest.approx(1.89878669384, rel=1e-10) and lt.t_exact < 20.0 * 6.26 / 64
+        assert lt.t_disorder is not None and lt.t_entropic is not None
 
     def test_zero_margin_at_zero_temperature_takes_next_sign(self):
         # XX above b = 1: m03 is exactly 0 from T = 0 until exp stops
@@ -489,78 +506,85 @@ class TestDefaultScanRange:
         with pytest.raises(RuntimeError, match="lies above" if fault == "above" else "detects where"):
             limit_temperatures(CASE3(0.9))
 
-    def test_grid_pass_evaluates_only_grid_samples(self, monkeypatch):
-        # the entropic pass evaluates the samples i t_max/grid_n of each model
-        # from the first above the disorder row's top bracket (i = grid_n where
-        # the disorder row detects at t_max) down, in chunks of 64, 256, 1024,
-        # ... samples, and stops at the end of the chunk that holds its top
-        # sign change (at T = 0 without one): a contiguous run of grid samples
-        # reaching at most one chunk below that change, and none where the
-        # disorder row never detects.  Over the whole scan, bisection included,
-        # fig2's, fig3's and fig4's 201 models take at most 20,000, 33,000 and
-        # 25,000 kernel columns (21,493, 41,138 and 22,296 when the row was
-        # sampled from T = 0 up; fig4 took 65,658 when the exact and disorder
-        # rows were found on the grid too)
-        calls, in_entropic_pass, uppers = [], [], []
-        kernel, entropic = limits._margin_columns, limits._entropic_brackets
+    def test_certified_pass_drops_only_certified_pieces(self, monkeypatch):
+        # the entropic pass samples each model at U i/4096 on [0, U], U the
+        # end of the disorder row's top bracket (t_max where that row detects
+        # there), none where the disorder row never detects.  Each piece
+        # between neighbouring samples was dropped: it lies below the highest
+        # negative sample, is one floor U/4096 wide, or lies inside a piece
+        # whose bound exceeds _NEAR_ZERO, so the entropic margin is positive
+        # on it.  The top bracket is the floor piece from the highest negative
+        # sample, and t_entropic lies in it.  Kernel columns plus bounds of the
+        # pass on fig2, fig3 and fig4 (3,864, 9,680 and 7,033) stay below the
+        # 11,569, 20,198 and 7,172 samples of the grid the pass replaced
+        columns, bounds, uppers, in_pass = [], [], [], []
+        kernel, bound, entropic = limits._margin_columns, limits._entropic_margin_bound, limits._entropic_brackets
 
-        def record(energies, vm_ratio, b_ratio, ts):
-            table = kernel(energies, vm_ratio, b_ratio, ts)
-            calls.append((energies, ts, table[3], bool(in_entropic_pass)))
+        def record(gaps, vm_ratio, b_ratio, ts):
+            table = kernel(gaps, vm_ratio, b_ratio, ts)
+            if in_pass:
+                columns.append((gaps, ts, table[3]))
             return table
 
+        def record_bound(gaps, b_ratio, t_lo, t_hi):
+            out = bound(gaps, b_ratio, t_lo, t_hi)
+            bounds.append((gaps, t_lo, t_hi, out))
+            return out
+
         def flagged(*args):
-            uppers.append(args[-1])  # the disorder row's top bracket ends, or t_max
-            in_entropic_pass.append(True)
+            uppers.append(args[-1])
+            in_pass.append(True)
             try:
                 return entropic(*args)
             finally:
-                in_entropic_pass.clear()
+                in_pass.clear()
 
         monkeypatch.setattr(limits, "_margin_columns", record)
+        monkeypatch.setattr(limits, "_entropic_margin_bound", record_bound)
         monkeypatch.setattr(limits, "_entropic_brackets", flagged)
         fields = np.linspace(0.0, 2.0, 201)
         for t_max, ps, budget in (
-            (None, [XX(b) for b in fields], 20_000),
-            (None, [MAX_ANISO(b) for b in fields], 33_000),
-            (None, [CASE3(b) for b in fields], 25_000),
+            (None, [XX(b) for b in fields], 4_000),
+            (None, [MAX_ANISO(b) for b in fields], 10_000),
+            (None, [CASE3(b) for b in fields], 7_172),
             (0.5, [CASE3(b) for b in (0.0, 0.9, 2.0)], None),
             (30.0, [CASE3(0.9), XX(0.5), canonicalize(0.0, 0.0, 0.0, 0.0)], None),
         ):
-            calls.clear()
-            uppers.clear()
+            columns.clear(), bounds.clear(), uppers.clear()
             records = _limit_records(ps, t_max)
             (upper,) = uppers
-            energies, ts, margin = (np.concatenate([c[k] for c in calls if c[3]], axis=-1) for k in range(3))
-            stopped = 0
-            for p, lt, hi in zip(ps, records, upper):
-                step = (_default_t_max(p) if t_max is None else t_max) / DEFAULT_GRID
-                mine = (energies == eigensystem(p).gaps[:, None]).all(axis=0)
-                order = np.argsort(-ts[mine], kind="stable")
-                evaluated, neg = ts[mine][order], margin[mine][order] < 0.0
+            gaps, ts, margin = (np.concatenate([c[k] for c in columns], axis=-1) for k in range(3))
+            b_gaps, b_lo, b_hi, b_val = (np.concatenate([c[k] for c in bounds], axis=-1) for k in range(4))
+            tops = 0
+            for p, lt, u in zip(ps, records, upper):
+                g = eigensystem(p).gaps[:, None]
+                mine = (gaps == g).all(axis=0)
                 if lt.t_disorder is None:
-                    assert evaluated.size == 0, p
+                    assert u == 0.0 and not mine.any(), p
                     continue
-                top = DEFAULT_GRID if "disorder" in lt.censored else round(evaluated[0] / step)
-                assert np.array_equal(evaluated, np.arange(top, top - evaluated.size, -1) * step), p
-                if "disorder" not in lt.censored:
-                    assert lt.t_disorder <= hi <= lt.t_disorder * (1.0 + 1e-5), p
-                    assert evaluated[1] <= hi < evaluated[0], p
-                if evaluated[-1] == 0.0 and margin[mine][order][-1] == 0.0:
-                    neg[-1] = neg[-2]  # a margin exactly 0 at T = 0 takes the sign above it
-                changes = np.flatnonzero(neg[1:] != neg[:-1])
-                ends = np.cumsum(limits._FIRST_CHUNK * limits._GROWTH ** np.arange(8))  # down to each chunk's end
-                if changes.size == 0:
-                    assert evaluated[-1] == 0.0, p
-                    continue
-                stopped += 1
-                c = changes[0] + 1  # the sample below the top sign change, in evaluation order
-                assert evaluated.size == min(top + 1, ends[np.searchsorted(ends, c, side="right")]), p
-                if lt.t_entropic is not None and "entropic" not in lt.censored:
-                    assert evaluated[c] <= lt.t_entropic <= evaluated[c - 1], p
-            assert stopped
+                assert lt.t_disorder <= u and (u == t_max or "disorder" not in lt.censored), p
+                order = np.argsort(ts[mine], kind="stable")
+                t, neg = ts[mine][order], margin[mine][order] < 0.0
+                i = np.round(t / u * 4096)
+                assert np.array_equal(t, u * (i / 4096)) and np.all(np.diff(i) > 0), p  # each sample once
+                assert i[0] == 0 and i[-1] == 4096, p
+                top = i[neg].max() if neg.any() else -1
+                cert = (b_gaps == g).all(axis=0) & (b_val > _NEAR_ZERO)
+                # the certified pieces are disjoint; k = -1 (none starts at or below) reads -inf
+                lo, hi = np.sort(b_lo[cert]), np.append(np.sort(b_hi[cert]), -np.inf)
+                inside = t[1:] <= hi[np.searchsorted(lo, t[:-1], side="right") - 1]
+                assert np.all((i[1:] <= top) | (np.diff(i) == 1) | inside), p
+                if lt.t_entropic is None:
+                    assert top == -1, p
+                elif "entropic" in lt.censored:
+                    assert top == 4096, p
+                else:
+                    above = u * ((top + 1) / 4096)
+                    assert top + 1 in i and u * (top / 4096) <= lt.t_entropic <= above, p
+                    tops += 1
+            assert tops
             if budget is not None:
-                assert sum(t.size for _, t, _, _ in calls) <= budget
+                assert ts.size + b_val.size <= budget, (ts.size, b_val.size)
 
 
 class TestSignChangeCertificate:
@@ -568,7 +592,7 @@ class TestSignChangeCertificate:
     exponential sums, isolated by Laguerre's rule of signs and Rolle steps
     (module docstring): the bound holds on every full grid, narrow lobes are
     found, and entropic detection implies disorder detection pointwise, so
-    the entropic row need not be sampled above the disorder row's top."""
+    the entropic row need not be examined above the disorder row's top."""
 
     #: between these fields (4 ulps apart) the second exact interval of CASE3,
     #: an m03 lobe near T = 0.6451, closes: the minimum of the 50-digit m03
@@ -592,9 +616,9 @@ class TestSignChangeCertificate:
 
     def test_grid_sign_changes_within_the_partial_sum_bound(self, rng):
         tight = 0
-        for p, t_max, grid_n in _reference_cases(rng):
+        for p, t_max in _reference_cases(rng):
             eig = eigensystem(p)
-            changes = self.grid_sign_changes(margin_table(eig, _ref_grid(p, t_max, grid_n)))[:3]
+            changes = self.grid_sign_changes(margin_table(eig, _ref_grid(p, t_max)))[:3]
             bound = self.certificate(p)
             assert np.all(changes <= bound), (p, changes, bound)
             tight += int(np.sum((changes == bound) & (changes == 2)))
@@ -609,7 +633,7 @@ class TestSignChangeCertificate:
             canonicalize(1.0000001310448017, 0.9999998689551984, 0.21050010602433808, 4.652433864616178),
         ]
         for p in ps:
-            changes = self.grid_sign_changes(margin_table(eigensystem(p), _ref_grid(p, None, DEFAULT_GRID)))[:3]
+            changes = self.grid_sign_changes(margin_table(eigensystem(p), _ref_grid(p, None)))[:3]
             bound = self.certificate(p)
             assert changes[2] == 1 and np.all(changes <= bound), (p, changes, bound)
 
@@ -647,7 +671,7 @@ class TestSignChangeCertificate:
         for p in (canonicalize(*self.LOOSE_BOUND), CASE3(self.LOBE_OPEN * (1.0 - 1e-6))):
             assert self.certificate(p)[1] == 2, p
         p = canonicalize(*self.LOOSE_BOUND)
-        assert_within(limit_temperatures(p, grid_n=64), reference_limit_temperatures(p, None, 64), 2 * DEFAULT_REL_TOL)
+        assert_within(limit_temperatures(p), reference_limit_temperatures(p), 2 * DEFAULT_REL_TOL)
         widths = []
         for b in [self.LOBE_OPEN * (1.0 - 10.0**-k) for k in range(3, 16)] + [self.LOBE_OPEN]:
             lt = limit_temperatures(CASE3(b))
@@ -659,32 +683,37 @@ class TestSignChangeCertificate:
 
     def test_entropic_row_is_evaluated_wherever_disorder_detects(self, monkeypatch):
         # no real model shows a second entropic interval, so a narrow one is
-        # put into the kernel inside CASE3(0.2)'s disorder-only range
-        # (0.378, 0.718); the entropic row has no bound of its own, and the
-        # scan finds the interval because it samples the row up to the
-        # disorder row's top edge
-        kernel = limits._margin_columns
+        # put into the kernel, and into the bound, inside CASE3(0.2)'s
+        # disorder-only range (0.378, 0.718); the entropic row has no sign
+        # change bound of its own, and the scan finds the interval because
+        # it drops no piece up to the disorder row's top edge that its bound
+        # does not prove positive
+        kernel, bound = limits._margin_columns, limits._entropic_margin_bound
 
         def with_lobe(energies, vm_ratio, b_ratio, ts):
             table = kernel(energies, vm_ratio, b_ratio, ts)
             table[3, (0.6 < ts) & (ts < 0.61)] = -1.0
             return table
 
+        def bound_with_lobe(gaps, b_ratio, t_lo, t_hi):
+            out = bound(gaps, b_ratio, t_lo, t_hi)
+            out[(t_lo < 0.61) & (0.6 < t_hi)] = -1.0
+            return out
+
         monkeypatch.setattr(limits, "_margin_columns", with_lobe)
-        lt = limit_temperatures(CASE3(0.2), grid_n=8192)
+        monkeypatch.setattr(limits, "_entropic_margin_bound", bound_with_lobe)
+        lt = limit_temperatures(CASE3(0.2))
         assert lt.t_entropic == pytest.approx(0.61, rel=1e-9) and lt.t_disorder == pytest.approx(0.718, rel=1e-3)
 
     def test_entropic_sign_changes_below_the_top_detection_are_not_needed(self, monkeypatch):
         # a positive blip in the entropic row below CASE3(0.2)'s top entropic
-        # edge (0.378), where the row detects on every grid sample: the
-        # entropic pass scans down from the disorder row's top edge (0.718)
-        # and stops in the first chunk that holds the top sign change, so it
-        # never evaluates the blip, and the record is the same
+        # edge (0.378), where the row detects: the entropic pass on [0, 0.718]
+        # finds a negative sample at 0.359 in its first round and drops every
+        # piece below it, so it never evaluates the blip, and the record is
+        # the same
         p = CASE3(0.2)
         want = limit_temperatures(p)
-        step = _default_t_max(p) / DEFAULT_GRID
-        grid = np.arange(math.ceil(0.1 / step), math.floor(0.11 / step) + 1) * step
-        assert grid.size and np.all(margin_table(eigensystem(p), grid)[3] < 0.0)
+        assert np.all(margin_table(eigensystem(p), np.linspace(0.1, 0.11, 50))[3] < 0.0)
         kernel, entropic, blip, in_entropic_pass = limits._margin_columns, limits._entropic_brackets, [], []
 
         def with_blip(energies, vm_ratio, b_ratio, ts):
@@ -707,9 +736,9 @@ class TestSignChangeCertificate:
         assert limit_temperatures(p) == want
         assert blip and np.concatenate(blip).size == 0  # the entropic pass ran, and never inside the blip
 
-    def test_exact_and_disorder_limits_ignore_the_grid(self, rng):
-        # the exact and disorder rows take no grid: grid_n, and a t_max above
-        # t_cut, change no bit of their limits (only the entropic row's sampling)
+    def test_exact_and_disorder_limits_ignore_the_grid(self, rng, monkeypatch):
+        # the exact and disorder rows take no grid: the entropic pass's floor,
+        # and a t_max above t_cut, change no bit of their limits
         ps = [random_canonical_params(rng) for _ in range(400)]
         while len(ps) < 500:  # and fields just above the level crossing
             vp = rng.uniform(0.5, 2.0)
@@ -718,19 +747,20 @@ class TestSignChangeCertificate:
             ps.append(canonicalize(vp + vm, vp - vm, 0.2 * vp, bc * (1.0 + 10.0 ** rng.uniform(-12.0, -2.0))))
         key = lambda lt: (lt.t_exact, lt.t_disorder, lt.intervals, lt.reentry)
         want = [key(lt) for lt in _limit_records(ps)]
-        for t_max, grid_n in ((None, 64), (1e6, DEFAULT_GRID), (1e6, 64)):
-            assert [key(lt) for lt in _limit_records(ps, t_max, grid_n)] == want, (t_max, grid_n)
+        for t_max, rounds in ((None, 2), (1e6, limits._ROUNDS), (1e6, 2)):
+            monkeypatch.setattr(limits, "_ROUNDS", rounds)
+            assert [key(lt) for lt in _limit_records(ps, t_max)] == want, (t_max, rounds)
 
 
 class TestSharedScanBoundaries:
-    """Models share the scan's kernel calls, the entropic pass's in batches
-    of samples, but one model's last sample and the next one's T = 0 sample
-    are no bracket: a model still negative at t_max followed by one
-    separable at T = 0 (or the reverse) gives each model its own record."""
+    """Models share the scan's kernel calls, in chunks of columns, but one
+    model's last sample and the next one's T = 0 sample are no bracket: a
+    model still negative at t_max followed by one separable at T = 0 (or
+    the reverse) gives each model its own record."""
 
-    @pytest.mark.parametrize("batch", [limits._BATCH, 64])
-    def test_censored_models_in_one_scan(self, monkeypatch, batch):
-        monkeypatch.setattr(limits, "_BATCH", batch)
+    @pytest.mark.parametrize("chunk", [1 << 15, 64])
+    def test_censored_models_in_one_scan(self, monkeypatch, chunk):
+        monkeypatch.setattr(limits, "_CHUNK", chunk)
         ps = [CASE3(b) for b in np.linspace(0.0, 2.0, 21)] + [XX(0.0), canonicalize(1.0, 0.4, 0.4, 0.0)]
         for t_max in (0.3, 0.5, None):
             got = _limit_records(ps, t_max)
@@ -890,7 +920,7 @@ def _ref_violation_intervals(f_arr, ts, t_end, rel):
     return intervals, bool(neg[-1])
 
 
-def _ref_grid(p, t_max, grid_n):
+def _ref_grid(p, t_max, grid_n=REF_GRID):
     """The whole grid up to t_max, with a window of grid_n samples up to
     3 t_r merged in where the two-level gap temperature t_r exists and
     level 3 lies below levels 0 and 1, so both lobes around the separable
@@ -904,7 +934,7 @@ def _ref_grid(p, t_max, grid_n):
     return ts[ts <= t_end]
 
 
-def reference_limit_temperatures(p, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEFAULT_REL_TOL):
+def reference_limit_temperatures(p, t_max=None, rel_tol=DEFAULT_REL_TOL, grid_n=REF_GRID):
     # the whole grid up to t_max: the scan's claim that no margin changes
     # sign past t_cut is checked, not assumed
     eig = eigensystem(p)
@@ -942,13 +972,12 @@ def reference_limit_temperatures(p, t_max=None, grid_n=DEFAULT_GRID, rel_tol=DEF
 
 
 def _reference_cases(rng):
-    """About 200 (params, t_max, grid_n) cases over the awkward corners."""
-    grids = (64, 256, 1024, DEFAULT_GRID)
+    """About 200 (params, t_max) cases over the awkward corners."""
     cases = []
-    for k in range(80):  # generic, vz != 0
+    for _ in range(80):  # generic, vz != 0
         vp, vm, b = log_uniform(rng, 1e-2, 1e1, size=3)
         vz = log_uniform(rng, 1e-2, 1e1) * rng.choice([-1.0, 1.0])
-        cases.append((canonicalize(vp + vm, vp - vm, vz, b), None, grids[k % 4]))
+        cases.append((canonicalize(vp + vm, vp - vm, vz, b), None))
     while len(cases) < 130:  # just above the level-crossing field
         vp = rng.uniform(0.5, 2.0)
         vm = rng.uniform(0.0, 0.9) * vp
@@ -956,23 +985,23 @@ def _reference_cases(rng):
         bc = b_crossing(canonicalize(vp + vm, vp - vm, vz, 0.0))
         if bc > 0.0:
             b = bc * (1.0 + 10.0 ** rng.uniform(-4.0, -2.0))
-            cases.append((canonicalize(vp + vm, vp - vm, vz, b), None, grids[len(cases) % 4]))
-    for k in range(20):  # Delta = 0
+            cases.append((canonicalize(vp + vm, vp - vm, vz, b), None))
+    for _ in range(20):  # Delta = 0
         vp = log_uniform(rng, 1e-1, 1e1)
         vz = rng.uniform(-1.0, 1.0) * vp
-        cases.append((canonicalize(vp, vp, vz, 0.0), None, grids[k % 4]))
-    for k in range(20):  # v_minus = 0, vz above v_plus: never entangled
+        cases.append((canonicalize(vp, vp, vz, 0.0), None))
+    for _ in range(20):  # v_minus = 0, vz above v_plus: never entangled
         vp = rng.uniform(0.1, 1.0)
         vz = vp + rng.uniform(0.1, 2.0)
-        cases.append((canonicalize(vp, vp, vz, rng.uniform(0.0, 2.0)), None, grids[k % 4]))
-    for k in range(30):  # user t_max, often below t_exact (censored)
+        cases.append((canonicalize(vp, vp, vz, rng.uniform(0.0, 2.0)), None))
+    for _ in range(30):  # user t_max, often below t_exact (censored)
         vp, vm, b = rng.uniform(0.1, 2.0, size=3)
         vz = rng.uniform(-0.5, 0.5)
-        cases.append((canonicalize(vp + vm, vp - vm, vz, b), rng.uniform(0.05, 3.0), grids[k % 4]))
-    for k in range(12):  # user t_max far above t_cut, where the scan stops its tables
+        cases.append((canonicalize(vp + vm, vp - vm, vz, b), rng.uniform(0.05, 3.0)))
+    for _ in range(12):  # user t_max far above t_cut, where the scan stops its tables
         vp, vm, b = rng.uniform(0.1, 2.0, size=3)
         p = canonicalize(vp + vm, vp - vm, rng.uniform(-0.5, 0.5), b)
-        cases.append((p, rng.uniform(5.0, 100.0) * p.energy_scale, grids[k % 4]))
+        cases.append((p, rng.uniform(5.0, 100.0) * p.energy_scale))
     return cases
 
 
@@ -989,12 +1018,16 @@ def assert_within(got, want, rel):
 
 
 class TestSingleScanMatchesReference:
-    #: the one reference case whose kernel margin flips sign more than once
-    #: near its limit: the disorder margin reads +, +, -, -, -, + on the six
-    #: floats from T = 0.864397809566739 up, so bisections from different
-    #: brackets stop on different flips, 5 ulps apart (CHANGES.md, FOUND:
-    #: `limits._margin_columns` flips the sign of a margin)
-    FLIPPING = canonicalize(3.8376180877178805, -0.08983962495432518, -0.48062809776662885, 0.7076993154781767)
+    #: the reference cases whose kernel margin flips sign more than once
+    #: near a limit, so bisections from different brackets stop on different
+    #: flips, a few ulps apart (CHANGES.md, FOUND: `limits._margin_columns`
+    #: flips the sign of a margin): the disorder margin reads +, +, -, -, -, +
+    #: on the six floats from T = 0.864397809566739 up, and the entropic one
+    #: -, 0, -, + on the four from T = 0.2891632110214554 up
+    FLIPPING = {
+        canonicalize(3.8376180877178805, -0.08983962495432518, -0.48062809776662885, 0.7076993154781767): "t_disorder",
+        canonicalize(2.1837209737254906, 0.07843027846510986, -0.15716358736878533, 1.4049380943975776): "t_entropic",
+    }
 
     def test_bit_identical_to_per_criterion_scans(self, rng):
         # both sides refine to adjacent floats, so the brackets the zeros of
@@ -1003,33 +1036,35 @@ class TestSingleScanMatchesReference:
         cases = _reference_cases(rng)
         assert len(cases) >= 200
         censored = never = reentry = flipping = 0
-        for p, t_max, grid_n in cases:
-            got = limit_temperatures(p, t_max=t_max, grid_n=grid_n, rel_tol=1e-300)
-            want = reference_limit_temperatures(p, t_max, grid_n, rel_tol=1e-300)
-            if p == self.FLIPPING:
+        for p, t_max in cases:
+            got = limit_temperatures(p, t_max=t_max, rel_tol=1e-300)
+            want = reference_limit_temperatures(p, t_max, rel_tol=1e-300)
+            key = self.FLIPPING.get(p)
+            if key is not None:
                 flipping += 1
-                assert got == dataclasses.replace(want, t_disorder=got.t_disorder), (p, t_max)
-                assert abs(got.t_disorder - want.t_disorder) <= 5 * math.ulp(want.t_disorder), (got, want)
+                edge = getattr(got, key)
+                assert got == dataclasses.replace(want, **{key: edge}), (p, t_max)
+                assert abs(edge - getattr(want, key)) <= 5 * math.ulp(edge), (got, want)
             else:
                 assert got == want, (p, t_max)
             censored += "exact" in got.censored
             never += not got.intervals
             reentry += got.reentry is not None
-        assert censored and never and reentry and flipping == 1
+        assert censored and never and reentry and flipping == 2
 
     def test_default_tolerance_matches_per_criterion_scans(self, rng):
         # at rel_tol = 1e-10 the brackets differ, and so the last steps of each
         # bisection: the same record structure, every temperature within 2 rel_tol
-        for p, t_max, grid_n in _reference_cases(rng):
-            got = limit_temperatures(p, t_max=t_max, grid_n=grid_n)
-            assert_within(got, reference_limit_temperatures(p, t_max, grid_n), 2 * DEFAULT_REL_TOL)
+        for p, t_max in _reference_cases(rng):
+            got = limit_temperatures(p, t_max=t_max)
+            assert_within(got, reference_limit_temperatures(p, t_max), 2 * DEFAULT_REL_TOL)
 
     def test_scalar_checks_match_table(self, rng):
         # the disorder and entropic checks run the table's formulas on the
         # same weights, so they agree bit for bit; the exact margins take
         # their cross term from sqrt(p_1 p_2) instead of the amplitudes
         eps = np.finfo(float).eps
-        for p, _, _ in _reference_cases(rng)[::5]:
+        for p, _ in _reference_cases(rng)[::5]:
             eig = eigensystem(p)
             ts = np.concatenate([[0.0], log_uniform(rng, 1e-2, 1e1, size=8) * p.energy_scale, [0.0]])
             table = margin_table(eig, ts)
@@ -1093,20 +1128,18 @@ class TestSingleScanMatchesReference:
 
 class TestBatchedScan:
     def test_groups_match_one_model_scans(self, rng):
-        # every (t_max, grid_n) group in one scan: each record equals the
-        # model's own limit_temperatures field for field, bit for bit
+        # every t_max group in one scan: each record equals the model's own
+        # limit_temperatures field for field, bit for bit
         groups = {}
-        for p, t_max, grid_n in _reference_cases(rng):
-            groups.setdefault((t_max, grid_n), []).append(p)
-            if t_max is None:  # and every default-range model in one scan
-                groups.setdefault((None, 512), []).append(p)
+        for p, t_max in _reference_cases(rng):
+            groups.setdefault(t_max, []).append(p)
         assert max(map(len, groups.values())) >= 150
         censored = never = reentry = degenerate = 0
-        for (t_max, grid_n), ps in groups.items():
-            got = _limit_records(ps, t_max, grid_n, DEFAULT_REL_TOL)
+        for t_max, ps in groups.items():
+            got = _limit_records(ps, t_max, DEFAULT_REL_TOL)
             assert len(got) == len(ps)
             for p, lt in zip(ps, got):
-                assert lt == limit_temperatures(p, t_max=t_max, grid_n=grid_n), (p, t_max, grid_n)
+                assert lt == limit_temperatures(p, t_max=t_max), (p, t_max)
                 censored += "exact" in lt.censored
                 never += not lt.intervals
                 reentry += lt.reentry is not None

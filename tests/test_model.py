@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from xyzent.errors import NonFiniteInput, OutOfRange
 from xyzent.linalg import _amplitudes, b_crossing, eigenvectors, hamiltonian_matrix
+from xyzent.limits import limit_temperatures
 from xyzent.meanfield import critical_temperature
 from xyzent.model import MAX_ENERGY_SCALE, MIN_ENERGY_SCALE, XYZParams, _eigen_columns, canonicalize, eigensystem
 
@@ -44,6 +45,41 @@ class TestCanonicalize:
             canonicalize(np.nan, 0, 0, 0)
         with pytest.raises(NonFiniteInput):
             canonicalize(0, 0, 0, np.inf)
+
+    def test_params_built_without_canonicalize_are_checked(self):
+        # outside the sign sector the limit scan reported t_exact = 0 beside
+        # t_entropic = 0.305 (the canonical form has t_exact = 0.715); below
+        # the energy-scale bound the numeric T_c overflowed with a RuntimeWarning
+        with pytest.raises(OutOfRange, match="must be >= 0"):
+            limit_temperatures(XYZParams(vx=-1.0, vy=0.3, vz=0.0, b=-0.5))
+        assert limit_temperatures(canonicalize(-1.0, 0.3, 0.0, -0.5)).t_exact == pytest.approx(0.715, abs=1e-3)
+        with pytest.raises(OutOfRange, match="below the bound"):
+            critical_temperature(XYZParams(vx=1e-310, vy=3e-311, vz=0.0, b=0.0), "numeric")
+        for vals in ((1.0, 2.0, 0.0, 0.0), (0.0, 0.0, 0.0, -1.0), (-1.0, -1.0, 0.0, 0.0)):
+            with pytest.raises(OutOfRange, match="must be >= 0"):
+                XYZParams(*vals)
+        with pytest.raises(NonFiniteInput):
+            XYZParams(math.nan, 0.0, 0.0, 0.0)
+        with pytest.raises(OutOfRange, match="exceeds the bound"):
+            XYZParams(2.0 * MAX_ENERGY_SCALE, 0.0, 0.0, 0.0)
+
+    def test_raw_couplings_beyond_the_bound_are_reported_as_given(self):
+        # their half-sums overflow, so the flipped couplings would be infinite
+        for vals in ((-1e308, 1e308, 0.0, 0.0), (-1e308, -1e308, 0.0, -1.0)):
+            with pytest.raises(OutOfRange, match=r"energy scale 1e\+308 exceeds"):
+                canonicalize(*vals)
+
+    @given(st.floats(allow_nan=False), st.floats(allow_nan=False), finite, finite)
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_sector_has_non_negative_v_max(self, vx, vy, vz, b):
+        # v_plus, v_minus >= 0 put vx = v_plus + v_minus >= 0, so every model
+        # that builds has v_max >= 0 (meanfield._default_seeds takes it as is)
+        for build in (XYZParams, canonicalize):
+            try:
+                p = build(vx, vy, vz, b)
+            except (NonFiniteInput, OutOfRange):
+                continue
+            assert p.v_max >= 0.0, p
 
     def test_derived_fields(self):
         p = canonicalize(1.7, 0.3, 0.0, 0.9)
@@ -191,13 +227,15 @@ class TestHamiltonianMatrix:
     @given(finite, finite, finite, finite)
     @settings(max_examples=200, deadline=None)
     def test_spectrum_sign_invariance(self, vx, vy, vz, b):
-        raw = XYZParams(vx=vx, vy=vy, vz=vz, b=b)
-        if 0.0 < raw.energy_scale < MIN_ENERGY_SCALE:
+        if 0.0 < max(abs(vx), abs(vy), abs(vz), abs(b)) < MIN_ENERGY_SCALE:
             with pytest.raises(OutOfRange):  # a nonzero scale below the bound is rejected
                 canonicalize(vx, vy, vz, b)
             return
         p = canonicalize(vx, vy, vz, b)
-        w_raw = np.sort(np.linalg.eigvalsh(hamiltonian_matrix(raw)))
+        # the raw Hamiltonian from the couplings as given: hamiltonian_matrix takes canonical ones
+        vp, vm = 0.5 * (vx + vy), 0.5 * (vx - vy)
+        raw = [[b - 0.5 * vz, 0, 0, -vm], [0, 0.5 * vz, -vp, 0], [0, -vp, 0.5 * vz, 0], [-vm, 0, 0, -b - 0.5 * vz]]
+        w_raw = np.sort(np.linalg.eigvalsh(np.array(raw, dtype=float)))
         w_canon = np.sort(eigensystem(p).energies)
         scale = max(1.0, np.abs(w_raw).max())
         assert np.abs(w_raw - w_canon).max() < 1e-10 * scale

@@ -12,7 +12,10 @@ checks per model:
 - a sampling of the margins on a log-T grid up to t_cut finds no sign
   change the record lacks: each one of m12 or m03 holds an interval edge,
   and the disorder and entropic limits lie at or above every sample where
-  their margin is negative.
+  their margin is negative;
+- a sampling of the entropic margin alone on a log-T grid up to
+  t_disorder, where the entropic row is examined, finds no negative sample
+  above t_entropic.
 
 The families are seeded: log-uniform couplings, b far above and far below
 v_minus, fields just above the level crossing, and the fig2-4 field
@@ -36,7 +39,8 @@ mp = mpmath.mp
 
 #: an edge is confirmed when its margin changes sign between edge (1 -+ EDGE_REL)
 EDGE_REL = 1e-9
-#: log-T samples per model, from T_FLOOR * t_cut to t_cut
+#: log-T samples per model, from T_FLOOR * t_cut to t_cut, and of the
+#: entropic margin from T_FLOOR * t_disorder to t_disorder
 SAMPLES = 48
 T_FLOOR = 1e-4
 
@@ -54,22 +58,34 @@ class Model:
         floats = [float(e) for e in self.energies]
         self.t_cut = (max(floats) - min(floats)) / math.log(2.0)
 
+    def weights(self, t):
+        """The Gibbs weights at t > 0 (at 50 digits, inside mp.workdps(50))."""
+        t = mpmath.mpf(float(t))
+        low = min(self.energies)
+        w = [mpmath.exp(-(e - low) / t) for e in self.energies]
+        z = mpmath.fsum(w)
+        return [x / z for x in w]
+
+    def entropic(self, p):
+        """The entropic margin of the weights p."""
+        split = self.b_r * (p[1] - p[2])
+        xlog = lambda x: x * mpmath.log(x) if x > 0 else mpmath.mpf(0)
+        q = ((1 + split) / 2, (1 - split) / 2)
+        return (mpmath.fsum(map(xlog, q)) - mpmath.fsum(map(xlog, p))) / mpmath.log(2)
+
     def margins(self, t):
         """m12, m03, disorder and entropic margins of the Gibbs state at t > 0."""
         with mp.workdps(50):
-            t = mpmath.mpf(float(t))
-            low = min(self.energies)
-            w = [mpmath.exp(-(e - low) / t) for e in self.energies]
-            z = mpmath.fsum(w)
-            p0, p1, p2, p3 = (x / z for x in w)
+            p0, p1, p2, p3 = p = self.weights(t)
             m12 = p0 + p3 - self.vm_r * abs(p2 - p1)
             m03 = mpmath.sqrt((self.vm_r * (p2 - p1)) ** 2 + 4 * p1 * p2) - abs(p3 - p0)
-            split = self.b_r * (p1 - p2)
-            disorder = min((1 + abs(split)) / 2 - x for x in (p0, p1, p2, p3))
-            xlog = lambda x: x * mpmath.log(x) if x > 0 else mpmath.mpf(0)
-            q = ((1 + split) / 2, (1 - split) / 2)
-            entropic = (mpmath.fsum(map(xlog, q)) - mpmath.fsum(map(xlog, (p0, p1, p2, p3)))) / mpmath.log(2)
-            return [m12, m03, disorder, entropic]
+            disorder = min((1 + abs(self.b_r * (p1 - p2))) / 2 - x for x in p)
+            return [m12, m03, disorder, self.entropic(p)]
+
+    def entropic_margin(self, t):
+        """The entropic margin alone at t > 0."""
+        with mp.workdps(50):
+            return self.entropic(self.weights(t))
 
     def changes_sign(self, row, t):
         lo, hi = (self.margins(t * (1.0 + s * EDGE_REL))[row] for s in (-1.0, 1.0))
@@ -77,7 +93,7 @@ class Model:
 
 
 def check(p, lt):
-    """Both checks of the module docstring on one model's record."""
+    """The checks of the module docstring on one model's record."""
     model = Model(p)
     t_end = model.t_cut  # the default scan range reaches past t_cut, so nothing is censored
     assert lt.censored == (), (p, lt)
@@ -97,6 +113,11 @@ def check(p, lt):
         if neg[:, row].any():
             top = ts[np.flatnonzero(neg[:, row])[-1]]
             assert t is not None and t >= top * (1.0 - EDGE_REL), (p, lt, row, top)
+    if lt.t_disorder is not None:
+        ts = np.geomspace(T_FLOOR * lt.t_disorder, lt.t_disorder, SAMPLES)
+        neg = [t for t in ts if model.entropic_margin(t) < 0]
+        if neg:
+            assert lt.t_entropic is not None and lt.t_entropic >= neg[-1] * (1.0 - EDGE_REL), (p, lt, neg[-1])
 
 
 def families(rng, n):
