@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid input, 3 I/O failure, 4 solver
 non-convergence.  Floats in CSV output carry up to 12 significant
-digits; absent values are empty fields.  Output is deterministic:
-identical invocations produce byte-identical files.
+digits, and a limit temperature's are all the margin kernel's (limits
+refines it to adjacent floats); absent values are empty fields.  Output
+is deterministic: identical invocations produce byte-identical files.
 
 Run as a program (`python -m xyzent.cli`, or the `xyzent` console script,
 xyzent._console_script), it has numpy start OpenBLAS with one thread
@@ -172,11 +173,9 @@ def _state_values(columns, temps: np.ndarray) -> dict:
     return dict(zip(STATE_COLUMNS, (c, entanglement.entanglement_of_formation(c), m12, m03, dis, ent)))
 
 
-def _limit_rows(ps, tmax, tol, columns=None) -> list[dict]:
-    """The limit values of every model in ps, from one limit scan (of their
-    _eigen_columns, if given); a tol of None takes the scan's default."""
-    tol = limits.DEFAULT_REL_TOL if tol is None else tol
-    return [_limit_values(p, lt) for p, lt in zip(ps, limits._limit_records(ps, tmax, tol, columns))]
+def _limit_rows(ps, tmax, columns=None) -> list[dict]:
+    """The limit values of every model in ps, from one scan (of their _eigen_columns, if given)."""
+    return [_limit_values(p, lt) for p, lt in zip(ps, limits._limit_records(ps, tmax, columns))]
 
 
 def _limit_values(p: XYZParams, lt: limits.LimitTemperatures) -> dict:
@@ -236,7 +235,7 @@ def cmd_limits(args) -> int:
     import json
 
     p = canonicalize(args.vx, args.vy, args.vz, args.b)
-    (lim,) = _limit_rows([p], args.tmax, args.tol)
+    (lim,) = _limit_rows([p], args.tmax)
     tc_numeric = meanfield.critical_temperature(p, method="numeric")
     row = {
         "vx": args.vx,
@@ -298,10 +297,8 @@ def cmd_sweep(args) -> int:
             raise XyzentError("state columns on a parameter axis need --temp")
         if "state" not in groups and "temp" in args._explicit:
             raise XyzentError("--temp on a parameter axis is read only by the state columns")
-    if "limits" not in groups:
-        for key in ("tmax", "tol"):
-            if key in args._explicit:
-                raise XyzentError(f"--{key} is read only by the limits columns")
+    if "limits" not in groups and "tmax" in args._explicit:
+        raise XyzentError("--tmax is read only by the limits columns")
 
     values = _steps(args.start, args.stop, args.steps)
     # a temperature axis is one model, whose limits fill every row
@@ -317,7 +314,7 @@ def cmd_sweep(args) -> int:
         columns += STATE_COLUMNS
         parts.append(np.column_stack([cols[k] for k in STATE_COLUMNS]))
     if "limits" in groups:
-        lims = _limit_rows(models, args.tmax, args.tol, eig_columns)
+        lims = _limit_rows(models, args.tmax, eig_columns)
         lims = [[lim[k] for k in LIMIT_COLUMNS] for lim in lims]
         columns += LIMIT_COLUMNS
         parts.append(np.broadcast_to(np.array(lims, dtype=float), (values.size, len(LIMIT_COLUMNS))))
@@ -351,7 +348,7 @@ def cmd_figure(args) -> int:
     fields = _steps(0.0, 2.0, args.steps) * v_unit
     models = [canonicalize(vx, vy, 0.0, float(b)) for b in fields]
     eig_columns = _eigen_columns(models)
-    lims = _limit_rows(models, args.tmax, args.tol, eig_columns)
+    lims = _limit_rows(models, args.tmax, eig_columns)
     # the concurrence at each model's four limits, one kernel column each
     ts = np.array([[lim[k] or 0.0 for k in ("t_exact", "t_disorder", "t_entropic", "t_critical")] for lim in lims])
     c = _state_values([np.repeat(x, ts.shape[1], axis=-1) for x in eig_columns[:3]], ts.ravel())["concurrence"]
@@ -446,11 +443,6 @@ def _add_couplings(sub):
         sub.add_argument(f"--{key}", type=float, default=0.0)
 
 
-def _add_scan(sub):
-    sub.add_argument("--tmax", type=float, default=None, help="scan range override")
-    sub.add_argument("--tol", type=float, default=None, help="bisection relative tolerance")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand declares only the options it reads, so any other
     flag is an argparse error (exit 2) rather than silently dropped."""
@@ -464,13 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sl = subs.add_parser("limits", help="limit temperatures for one model")
     _add_couplings(sl)
-    _add_scan(sl)
+    sl.add_argument("--tmax", type=float, default=None, help="scan range override")
     sl.set_defaults(func=cmd_limits)
 
     ss = subs.add_parser("sweep", help="1-D parameter sweep as CSV")
     _add_couplings(ss)
     ss.add_argument("--temp", type=float, default=None, help="fixed temperature of a parameter-axis state sweep")
-    _add_scan(ss)
+    ss.add_argument("--tmax", type=float, default=None, help="scan range override")
     ss.add_argument("--axis", choices=_AXES, required=True)
     ss.add_argument("--from", dest="start", type=float, required=True)
     ss.add_argument("--to", dest="stop", type=float, required=True)
@@ -480,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sf = subs.add_parser("figure", help="regenerate a reference dataset")
     sf.add_argument("which", choices=tuple(_FIGURES))
-    _add_scan(sf)
+    sf.add_argument("--tmax", type=float, default=None, help="scan range override")
     sf.add_argument("--steps", type=int, default=201, help="field grid points")
     sf.add_argument("--out", default=None, help="output directory (required)")
     sf.set_defaults(func=cmd_figure)

@@ -45,9 +45,9 @@ below the highest negative sample or criteria._entropic_margin_bound
 proves it positive, and split and sampled otherwise, down to pieces of
 the floor U/4096.  The record keeps only the top edges of the disorder
 and entropic rows, so of those rows only the top bracket is refined, and
-of the exact rows every bracket, all in one vectorised bisection that
-reports each edge at the end of its final bracket where its margin is
->= 0.
+of the exact rows every bracket, all in one vectorised Illinois
+iteration down to adjacent floats that reports each edge at the end of
+its final bracket where its margin is >= 0.
 
 The two exact margins are refined separately and their violation sets
 merged.  Each margin crosses zero transversally, so both reentry
@@ -71,7 +71,6 @@ from .states import thermal_probabilities  # noqa: F401  (kept bound for tracing
 
 __all__ = ["LimitTemperatures", "ReentryWindow", "limit_temperatures", "reentry_two_level"]
 
-DEFAULT_REL_TOL = 1e-10
 _CRITERIA = ("exact", "disorder", "entropic")
 _EPS = float(np.finfo(float).eps)
 
@@ -142,6 +141,9 @@ _STRADDLE = 2.0**-20
 _SPLIT, _ROUNDS = 8, 4
 #: The most columns one call of the kernel or the bound evaluates.
 _CHUNK = 1 << 11
+#: The refinement's steps at most: its midpoint rule halves each bracket at
+#: least every third step, and 2,098 halvings reach adjacent floats.
+_MAX_STEPS = 6300
 
 # Row r of _sign_change_bounds is the sum over j of (N + M rho) w_I w_J, with
 # w_4 = 1 and the Gibbs weights w_i = exp(-beta g_i), g_i = E_i - E_min:
@@ -202,13 +204,11 @@ def _chunked(f, columns, model, *ts):
         yield lo, f(*(c[..., m] for c in columns), *(t[lo : lo + _CHUNK] for t in ts))
 
 
-def _signs(gaps, vm_ratio, b_ratio, model, ts) -> np.ndarray:
-    """The signs (4, N) of the kernel's margins of model[k] at ts[k], as
-    int8, from at most _CHUNK columns per kernel call."""
-    out = np.empty((4, ts.size), np.int8)
-    for lo, table in _chunked(_margin_columns, (gaps, vm_ratio, b_ratio), model, ts):
-        out[:, lo : lo + _CHUNK] = (table > 0.0).view(np.int8) - (table < 0.0).view(np.int8)
-    return out
+def _values(gaps, vm_ratio, b_ratio, model, ts) -> np.ndarray:
+    """The kernel's margins (4, N) of model[k] at ts[k], from at most
+    _CHUNK columns per kernel call."""
+    tables = _chunked(_margin_columns, (gaps, vm_ratio, b_ratio), model, ts)
+    return np.hstack([np.empty((4, 0))] + [t for _, t in tables])
 
 
 def _root_brackets(gaps, vm_ratio, b_ratio, t_max):
@@ -232,11 +232,11 @@ def _root_brackets(gaps, vm_ratio, b_ratio, t_max):
     count = (~np.isnan(pts)).sum(axis=1)
     ts, model = pts[~np.isnan(pts)], np.repeat(np.arange(k), count)
     first, last = np.cumsum(count) - count, np.cumsum(count) - 1
-    sign = _signs(gaps, vm_ratio, b_ratio, model, ts)[:3]
-    neg = sign < 0.0
+    value = _values(gaps, vm_ratio, b_ratio, model, ts)[:3]
+    neg = value < 0.0
     # a margin exactly 0 at T = 0 takes the sign of its sum's leading coefficient
     lead = np.take_along_axis(coef, np.argmax(coef != 0.0, axis=-1)[..., None], axis=-1)[..., 0]
-    neg[:, first] = np.where(sign[:, first] == 0.0, lead < 0.0, neg[:, first])
+    neg[:, first] = np.where(value[:, first] == 0.0, lead < 0.0, neg[:, first])
     idx, rows = np.nonzero(((neg[:, 1:] != neg[:, :-1]) & (model[1:] == model[:-1])).T)
     return neg[:, first], neg[:, last], rows, neg[rows, idx], ts[idx], ts[idx + 1], model[idx]
 
@@ -256,7 +256,7 @@ def _entropic_brackets(gaps, vm_ratio, b_ratio, upper):
         return upper[m] * (i / n)
 
     def sample(m, i):
-        neg = _signs(gaps, vm_ratio, b_ratio, m, at(m, i))[3] < 0.0
+        neg = _values(gaps, vm_ratio, b_ratio, m, at(m, i))[3] < 0.0
         np.maximum.at(top, m[neg], i[neg])
 
     live = np.flatnonzero(upper > 0.0)
@@ -278,7 +278,7 @@ def _entropic_brackets(gaps, vm_ratio, b_ratio, upper):
     return top >= 0, top == n, np.ones(k.size, bool), at(k, top[k]), at(k, top[k] + 1), k
 
 
-def _limit_records(ps, t_max=None, rel_tol=DEFAULT_REL_TOL, columns=None) -> list[LimitTemperatures]:
+def _limit_records(ps, t_max=None, columns=None) -> list[LimitTemperatures]:
     """The LimitTemperatures of every model in ps (see limit_temperatures).
 
     The models' level gaps and ratios come from one model._eigen_columns
@@ -287,14 +287,13 @@ def _limit_records(ps, t_max=None, rel_tol=DEFAULT_REL_TOL, columns=None) -> lis
     t_end = min(t_max, t_cut), of which the disorder row keeps its top one;
     _entropic_brackets brackets the entropic row's top one up to the end
     of the disorder row's top bracket, or t_max where the disorder row
-    detects there (module docstring).  One bisection refines every
-    bracket in its own model's column; each stops once hi - lo <= rel_tol
-    * hi (checked before each step), as it would alone, or once lo, hi are
-    adjacent floats, within 2,098 halvings of any bracket, and reports the
-    end where its margin is >= 0.
+    detects there (module docstring).  From the margins at their ends, one
+    Illinois iteration refines every bracket in its own model's column (an
+    end's margin halved when it is kept twice, Dowell and Jarratt 1971; the
+    midpoint where the bracket did not halve over two steps, Brent 1973)
+    until lo, hi are adjacent floats, in _MAX_STEPS steps (else
+    RuntimeError), and reports the end where its margin is >= 0.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise OutOfRange(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
     t_max = _scan_ranges(ps, t_max)
     gaps, vm_ratio, b_ratio, delta = _eigen_columns(ps) if columns is None else columns
     first, last, rows, leaving, lo, hi, model = _root_brackets(gaps, vm_ratio, b_ratio, t_max)
@@ -309,27 +308,41 @@ def _limit_records(ps, t_max=None, rel_tol=DEFAULT_REL_TOL, columns=None) -> lis
     order = np.argsort(np.append(model[keep], ent[-1]), kind="stable")
     rows = np.append(rows[keep], np.full(ent[-1].size, 3))[order]
     leaving, lo, hi, model = (np.append(x[keep], y)[order] for x, y in zip((leaving, lo, hi, model), ent))
-    for _ in range(2200):
+    ends = _values(gaps, vm_ratio, b_ratio, np.tile(model, 2), np.append(lo, hi))
+    f_lo, f_hi = ends[np.tile(rows, 2), np.arange(2 * lo.size)].reshape(2, -1)
+    # the width one and two steps back, and whether the last step moved lo (-1 before any)
+    w1, w2, moved_lo = np.full(lo.size, np.inf), np.full(lo.size, np.inf), np.full(lo.size, -1)
+    for step in range(_MAX_STEPS + 1):
         mid = 0.5 * (lo + hi)
-        live = np.flatnonzero(~(hi - lo <= rel_tol * hi) & (lo < mid) & (mid < hi))
+        live = np.flatnonzero((lo < mid) & (mid < hi))
         if live.size == 0:
             break
-        mid = mid[live]
-        sign = _signs(gaps, vm_ratio, b_ratio, model[live], mid)
-        to_lo = (sign[rows[live], np.arange(live.size)] < 0.0) == leaving[live]
-        lo[live[to_lo]] = mid[to_lo]
-        hi[live[~to_lo]] = mid[~to_lo]
+        if step == _MAX_STEPS:
+            raise RuntimeError(f"limit scan: {live.size} brackets are not adjacent floats after {_MAX_STEPS} steps")
+        a, b, fa, fb, mid = lo[live], hi[live], f_lo[live], f_hi[live], mid[live]
+        s = 4.0 * np.spacing(b)
+        x = np.clip(b - np.divide(fb, fb - fa, out=np.full(b.size, 0.5), where=fb != fa) * (b - a), a + s, b - s)
+        x = np.where((a < x) & (x < b) & (b - a <= 0.5 * w2[live]), x, mid)
+        w2[live], w1[live] = w1[live], b - a
+        value = _values(gaps, vm_ratio, b_ratio, model[live], x)[rows[live], np.arange(live.size)]
+        to_lo = (value < 0.0) == leaving[live]
+        stale = moved_lo[live] == to_lo  # the end kept now was kept the step before
+        moved_lo[live] = to_lo
+        lo[live[to_lo]], f_lo[live[to_lo]] = x[to_lo], value[to_lo]
+        hi[live[~to_lo]], f_hi[live[~to_lo]] = x[~to_lo], value[~to_lo]
+        f_lo[live[stale & ~to_lo]] *= 0.5
+        f_hi[live[stale & to_lo]] *= 0.5
     ends = np.searchsorted(model, np.arange(len(ps) + 1)).tolist()
     rows, t_cross, leaving = rows.tolist(), np.where(leaving, hi, lo).tolist(), leaving.tolist()
     first, last = np.vstack([first, ent_first]).T.tolist(), np.vstack([last, ent_last]).T.tolist()
     t_r = [_two_level(p, d, u) for p, d, u in zip(ps, delta.tolist(), gaps[3].tolist())]
     return [
-        _record(rows[a:b], t_cross[a:b], leaving[a:b], f, l, t, r, rel_tol)
+        _record(rows[a:b], t_cross[a:b], leaving[a:b], f, l, t, r)
         for a, b, f, l, t, r in zip(ends[:-1], ends[1:], first, last, t_max.tolist(), t_r)
     ]
 
 
-def _record(rows, t_cross, leaving, first, last, t_max, t_r, rel_tol) -> LimitTemperatures:
+def _record(rows, t_cross, leaving, first, last, t_max, t_r) -> LimitTemperatures:
     """One model's record from its refined sign changes (lists, in T order).
 
     An exact row's sign changes alternate, so with 0 in front of a negative
@@ -341,9 +354,9 @@ def _record(rows, t_cross, leaving, first, last, t_max, t_r, rel_tol) -> LimitTe
     without one) must be its sign at the last sample.  Entropic detection
     implies disorder detection, so an entropic limit above the disorder one
     is refinement noise of coinciding limits, and is moved onto it, if it
-    lies within 2 max(rel_tol, 8 eps) of it.  A row that breaks any of these
-    rules is a fault of the scan, and raises RuntimeError rather than
-    report a wrong limit.  The exact margins' violation sets are merged;
+    lies within 16 eps of it.  A row that breaks any of these rules is a
+    fault of the scan, and raises RuntimeError rather than report a wrong
+    limit.  The exact margins' violation sets are merged;
     they are disjoint (m12 < 0 needs vm (hi - lo) > big, m03 < 0 needs
     |w3 - w0| > vm (hi - lo), with hi, lo = max, min(w1, w2) and
     big = max(w0, w3) >= |w3 - w0|), so only refinement noise overlaps them.
@@ -360,7 +373,7 @@ def _record(rows, t_cross, leaving, first, last, t_max, t_r, rel_tol) -> LimitTe
     if (tops[0] is None and tops[1] is not None) or (last[3] and not last[2]):
         raise RuntimeError("limit scan: the entropic margin detects where the disorder margin does not")
     if tops[1] is not None and tops[1] > tops[0]:
-        if tops[1] - tops[0] > 2.0 * max(rel_tol, 8.0 * _EPS) * tops[0]:
+        if tops[1] - tops[0] > 16.0 * _EPS * tops[0]:
             raise RuntimeError(f"limit scan: the entropic limit {tops[1]!r} lies above the disorder limit {tops[0]!r}")
         tops[1] = tops[0]
     m12, m03 = (list(zip(e[::2], e[1::2])) for e in edges)
@@ -382,17 +395,12 @@ def _record(rows, t_cross, leaving, first, last, t_max, t_r, rel_tol) -> LimitTe
     )
 
 
-def limit_temperatures(
-    p: XYZParams,
-    t_max: float | None = None,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> LimitTemperatures:
+def limit_temperatures(p: XYZParams, t_max: float | None = None) -> LimitTemperatures:
     """All detection limits in one record (see LimitTemperatures).
 
-    Raises OutOfRange for a t_max that is not finite and positive, or a
-    rel_tol outside (0, 1).
+    Raises OutOfRange for a t_max that is not finite and positive.
     """
-    return _limit_records([p], t_max, rel_tol)[0]
+    return _limit_records([p], t_max)[0]
 
 
 def reentry_two_level(p: XYZParams) -> float | None:

@@ -8,6 +8,7 @@ while the aligned-sector gap stays well away from degeneracy.
 import numpy as np
 import pytest
 
+from xyzent.linalg import b_crossing
 from xyzent.model import XYZParams, canonicalize
 from xyzent.states import BellMixture, mixture
 
@@ -42,6 +43,35 @@ def random_mixture(rng, params: XYZParams | None = None) -> BellMixture:
     if params is None:
         params = random_canonical_params(rng)
     return mixture(params, random_simplex(rng))
+
+
+def limit_families(rng, n):
+    """n seeded models of each family the limit oracle checks
+    (tests/test_oracle.py): log-uniform couplings, b far above and far below
+    v_minus, fields just above the level crossing, and the fig2-4 field
+    sweeps."""
+    out = []
+    for _ in range(n):  # log-uniform couplings
+        vp, vm, b = log_uniform(rng, 1e-2, 1e2, size=3)
+        vz = log_uniform(rng, 1e-2, 1e2) * rng.choice([-1.0, 1.0])
+        out.append(canonicalize(vp + vm, vp - vm, vz, b))
+    for k in range(n):  # b far above v_minus, and far below
+        vp, b = log_uniform(rng, 0.1, 10.0, size=2)
+        vz = rng.uniform(-1.0, 1.0) * vp
+        ratio = log_uniform(rng, 1e-12, 0.1) if k % 2 else log_uniform(rng, 1e-9, 0.1)
+        vm = b * ratio if k % 2 else b / ratio
+        out.append(canonicalize(vp + vm, vp - vm, vz, b))
+    while len(out) < 3 * n:  # fields just above the level crossing
+        vp = rng.uniform(0.5, 2.0)
+        vm = rng.uniform(0.0, 0.9) * vp
+        vz = rng.uniform(-0.5, 0.3) * vp
+        bc = b_crossing(canonicalize(vp + vm, vp - vm, vz, 0.0))
+        if bc > 0.0:
+            out.append(canonicalize(vp + vm, vp - vm, vz, bc * (1.0 + log_uniform(rng, 1e-12, 1.0))))
+    for v_plus, v_minus in ((1.0, 0.0), (0.0, 1.0), (1.0, 0.7)):  # fig2, fig3, fig4
+        for b in rng.uniform(0.0, 2.0, size=n // 3 + 1):
+            out.append(canonicalize(v_plus + v_minus, v_plus - v_minus, 0.0, b))
+    return out
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from xyzent.cli import (
 )
 from xyzent.entanglement import entanglement_of_formation
 from xyzent.criteria import margin_table
-from xyzent.limits import DEFAULT_REL_TOL, limit_temperatures
+from xyzent.limits import limit_temperatures
 from xyzent.meanfield import critical_temperature
 from xyzent.model import canonicalize, eigensystem
 
@@ -196,8 +196,7 @@ class TestLimits:
         assert err == ""
 
     def test_invalid_scan_settings_are_input_errors(self, capsys):
-        flags = ("--tmax=-1", "--tmax=0", "--tmax=nan", "--tmax=inf")
-        for flag in flags + ("--tol=nan", "--tol=-1", "--tol=0"):
+        for flag in ("--tmax=-1", "--tmax=0", "--tmax=nan", "--tmax=inf"):
             code, out, err = run(capsys, "limits", "--vx", "1", "--vy", "1", flag)
             assert code == 2, flag
             assert out == ""
@@ -398,9 +397,7 @@ class TestSweep:
         assert code == 0
         assert len(out.strip().split("\n")) == 5
 
-    @pytest.mark.parametrize(
-        "flag, name", [("--tol=nan", "tol"), ("--tmax=3", "tmax"), ("--tm=3", "tmax")]
-    )
+    @pytest.mark.parametrize("flag, name", [("--tmax=3", "tmax"), ("--tm=3", "tmax")])
     def test_scan_flag_needs_limit_columns(self, capsys, tmp_path, flag, name):
         for argv in (
             ["--axis=temp", "--from=0", "--to=1", "--steps=3", "--vx=1"],
@@ -411,7 +408,7 @@ class TestSweep:
             assert code == 2 and out == "" and err.count("\n") == 1, (argv, err)
             assert err == f"error: --{name} is read only by the limits columns\n", err
         # a key of the config file stays ignored where nothing reads it, as
-        # does grid, which no subcommand reads
+        # do grid and tol, which no subcommand reads
         cfg = tmp_path / "scan.cfg"
         cfg.write_text("grid = 10\ntol = nan\ntmax = 3\n")
         code, out, _ = run(
@@ -465,6 +462,18 @@ class TestConfig:
         cfg.write_text("grid = 64\n")
         argv = ["limits", "--vx", "1.7", "--vy", "0.3", "--b", "0.2"]
         assert run(capsys, *argv, "--config", str(cfg)) == run(capsys, *argv)
+
+    def test_tol_key_is_ignored(self, capsys, tmp_path):
+        # every limit is refined to adjacent floats, so no subcommand reads a
+        # tolerance, not even an invalid one
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("tol = nan\n")
+        for argv in (
+            ["limits", "--vx", "1.7", "--vy", "0.3", "--b", "0.2"],
+            ["sweep", "--axis=b", "--from=0", "--to=1", "--steps=3", "--vx=1"],
+            ["figure", "fig2", "--steps", "3", "--out", str(tmp_path / "panels")],
+        ):
+            assert run(capsys, *argv, "--config", str(cfg)) == run(capsys, *argv), argv
 
     def test_missing_config_is_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "point", "--temp", "1", "--config", str(tmp_path / "nope.cfg"))
@@ -551,7 +560,6 @@ class TestFigure:
         "flag, message",
         [
             ("--tmax=-1", "t_max must be finite and positive, got -1.0"),
-            ("--tol=nan", "rel_tol must lie in (0, 1), got nan"),
         ],
     )
     def test_invalid_scan_settings_write_nothing(self, capsys, tmp_path, flag, message):
@@ -605,12 +613,12 @@ class TestFigure:
 #: every value each subcommand can set, positionals included
 OPTIONS = {
     "point": ["vx", "vy", "vz", "b", "temp", "format", "out", "config"],
-    "limits": ["vx", "vy", "vz", "b", "tmax", "tol", "format", "out", "config"],
+    "limits": ["vx", "vy", "vz", "b", "tmax", "format", "out", "config"],
     "sweep": [
-        "vx", "vy", "vz", "b", "temp", "tmax", "tol",
+        "vx", "vy", "vz", "b", "temp", "tmax",
         "axis", "start", "stop", "steps", "outputs", "out", "config",
     ],
-    "figure": ["which", "tmax", "tol", "steps", "out", "config"],
+    "figure": ["which", "tmax", "steps", "out", "config"],
 }
 
 
@@ -624,7 +632,7 @@ class TestOptions:
             for name, sub in subs.choices.items()
         }
         assert got == OPTIONS
-        assert sum(map(len, got.values())) == 37
+        assert sum(map(len, got.values())) == 34
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -633,6 +641,9 @@ class TestOptions:
             ("point", "--grid=10"),
             ("point", "--tol=-1"),
             ("limits", "--temp=nan"),
+            ("limits", "--tol=1e-6"),
+            ("sweep", "--tol=nan"),
+            ("figure", "--tol=0"),
             ("sweep", "--format=json"),
             ("figure", "--vx=5"),
             ("figure", "--vy=1"),
@@ -697,7 +708,7 @@ def reference_sweep(argv) -> str:
         cols.update(_state_values(stacked([eigensystem(p) for p in models]), temps))
     if "limits" in groups:
         columns += LIMIT_COLUMNS
-        lims = _limit_rows(models, args.tmax, args.tol) * (values.size // len(models))
+        lims = _limit_rows(models, args.tmax) * (values.size // len(models))
         cols.update((k, [lim[k] for lim in lims]) for k in LIMIT_COLUMNS)
     return per_cell_csv(columns, ([cols[c][i] for c in columns] for i in range(values.size)))
 
@@ -715,7 +726,7 @@ def reference_figure(which, steps) -> dict:
     v_unit = v_plus if v_plus > 0.0 else v_minus
     fields = np.linspace(0.0, 2.0, steps) * v_unit
     models = [canonicalize(vx, vy, 0.0, float(b)) for b in fields]
-    lims = _limit_rows(models, None, DEFAULT_REL_TOL)
+    lims = _limit_rows(models, None)
     keys = ("t_exact", "t_disorder", "t_entropic", "t_critical")
     ts = np.array([[lim[k] or 0.0 for k in keys] for lim in lims])
     eigs = [e for e in map(eigensystem, models) for _ in keys]

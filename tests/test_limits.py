@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from xyzent import limits
+from xyzent.cli import _FIGURES
 from xyzent.criteria import _NEAR_ZERO, disorder_check, entropic_check, margin_table
 from xyzent.entanglement import exact_margins, separability_exact
 from xyzent.errors import DegenerateBasis, OutOfRange
 from xyzent.limits import (
-    DEFAULT_REL_TOL,
     LimitTemperatures,
     ReentryWindow,
     _default_t_max,
@@ -29,7 +29,7 @@ from xyzent.meanfield import critical_temperature
 from xyzent.model import MAX_ENERGY_SCALE, MIN_ENERGY_SCALE, canonicalize, eigensystem
 from xyzent.states import mixture, thermal_mixture, thermal_probabilities
 
-from conftest import log_uniform, random_canonical_params
+from conftest import limit_families, log_uniform, random_canonical_params
 
 ALPHA = 1.0 / math.log(1.0 + math.sqrt(2.0))  # 1.134593
 
@@ -39,6 +39,8 @@ CASE3 = lambda b: canonicalize(1.7, 0.3, 0.0, b)  # v_plus = 1, v_minus = 0.7
 
 #: the reference scans' own grid: samples every t_max/REF_GRID up to t_max
 REF_GRID = 4096
+#: the reference scans' bisection stop, hi - lo <= REF_REL_TOL hi
+REF_REL_TOL = 1e-10
 
 
 class TestThermalMarginExact:
@@ -147,9 +149,9 @@ class TestEntangledIntervals:
         assert 2 * len(ps) < sum(columns) <= 4097 * len(ps) and max(columns) <= limits._CHUNK, columns
 
     def test_invalid_scan_settings_are_out_of_range(self):
-        for kwargs in ({"t_max": 0.0}, {"t_max": math.nan}, {"t_max": math.inf}, {"rel_tol": 1.0}):
+        for t_max in (0.0, math.nan, math.inf):
             with pytest.raises(OutOfRange):
-                limit_temperatures(XX(0.5), **kwargs)
+                limit_temperatures(XX(0.5), t_max)
 
 
 class TestLimitTemperature:
@@ -342,16 +344,92 @@ class TestBisectionConverges:
         for t_max in (1e20, 1e60, 1e100, 1.7e308):
             assert limit_temperatures(p, t_max=t_max) == ref, t_max
 
-    def test_bisection_stops_at_adjacent_floats(self, monkeypatch):
-        # a rel_tol below the float spacing is never met; each bracket stops
-        # once lo and hi are neighbours, where more steps would move nothing
+    #: the most kernel calls of one scan: a figure's 201 models, and one model
+    BUDGET = {"figure": 20, "one model": 16}
+
+    def test_bisection_stops_at_adjacent_floats(self, rng, monkeypatch):
+        # every edge is certified by the kernel itself: its row's margin is
+        # >= 0 at the edge and negative on the next float toward the
+        # detecting side, on fig2-4 and the oracle's families, and the scan
+        # takes at most BUDGET kernel calls
         calls = []
         kernel = limits._margin_columns
         monkeypatch.setattr(limits, "_margin_columns", lambda *args: calls.append(1) or kernel(*args))
-        lt = limit_temperatures(CASE3(0.9), rel_tol=1e-300)
-        assert len(calls) <= 100  # the root table, 5 of the entropic pass, about 50 halvings
+        groups = []
+        for v_plus, v_minus, _ in _FIGURES.values():
+            fields = np.linspace(0.0, 2.0, 201) * (v_plus or v_minus)
+            groups.append(("figure", [canonicalize(v_plus + v_minus, v_plus - v_minus, 0.0, float(b)) for b in fields]))
+        groups.append(("one model", [CASE3(0.2)]))
+        cases = []
+        for kind, ps in groups:
+            calls.clear()
+            cases += zip(ps, _limit_records(ps))
+            assert len(calls) <= self.BUDGET[kind], (kind, len(calls))
+        ps = limit_families(rng, 60)
+        cases += zip(ps, _limit_records(ps))
         monkeypatch.undo()
-        assert lt == reference_limit_temperatures(CASE3(0.9), rel_tol=1e-300)
+        edges = 0
+        for p, lt in cases:
+            eig = eigensystem(p)
+            for rows, t, side in self.edges(lt):
+                near = margin_table(eig, np.array([t, np.nextafter(t, side * math.inf)]))
+                assert any(near[r, 0] >= 0.0 > near[r, 1] for r in rows), (p, lt, rows, t)
+                edges += 1
+            if lt.t_entropic is not None and lt.t_entropic == lt.t_disorder and "entropic" not in lt.censored:
+                # an entropic edge within 16 eps above the disorder one is moved
+                # onto it (_record): the entropic margin is >= 0 by then
+                ts = lt.t_disorder * (1.0 + np.arange(17) * np.finfo(float).eps)
+                assert (margin_table(eig, ts)[3] >= 0.0).any(), (p, lt)
+        assert edges >= 2000, edges
+
+    def test_minimal_steps_still_reach_adjacent_floats(self, monkeypatch):
+        # a margin that reads 0 wherever it is not negative, and -inf wherever
+        # it is (so that no Illinois halving moves it), pins every regula
+        # falsi step to 4 ulps inside a bracket leaving the negative set, so
+        # only the midpoint safeguard shrinks it, by half every third step.
+        # Widened to [5e-324, 1e300], the m03 bracket of CASE3(0.2) then
+        # takes about 3,100 steps, and still ends on the same adjacent floats
+        # within _MAX_STEPS; with fewer steps the scan raises rather than
+        # report an edge of a wider bracket
+        want = limit_temperatures(CASE3(0.2))
+        roots, values, calls = limits._root_brackets, limits._values, []
+
+        def wide(*args):
+            first, last, rows, leaving, lo, hi, model = roots(*args)
+            assert rows.tolist() == [2, 1] and lo[1] < want.t_exact <= hi[1]
+            lo[1], hi[1] = 5e-324, 1e300
+            return first, last, rows, leaving, lo, hi, model
+
+        def clipped(*args):
+            calls.append(1)
+            return np.where(values(*args) < 0.0, -math.inf, 0.0)
+
+        monkeypatch.setattr(limits, "_root_brackets", wide)
+        monkeypatch.setattr(limits, "_values", clipped)
+        assert limit_temperatures(CASE3(0.2)) == want
+        assert 2200 < len(calls) <= limits._MAX_STEPS, len(calls)
+        monkeypatch.setattr(limits, "_MAX_STEPS", 2200)
+        with pytest.raises(RuntimeError, match="not adjacent floats after 2200 steps"):
+            limit_temperatures(CASE3(0.2))
+
+    @staticmethod
+    def edges(lt):
+        """(rows, edge, side) of every edge of a record below t_max: the rows
+        of the margin table that change sign there, and the side (+-1) of
+        the negative margin.  An entropic edge on the disorder one, and a
+        lower end on the upper end below it, are left out: _record moved
+        them onto that edge (coinciding limits, overlapping violation
+        sets), which is certified."""
+        ints = lt.intervals
+        censored = "exact" in lt.censored
+        for k, (lo, hi) in enumerate(ints):
+            if lo > 0.0 and not (k and lo == ints[k - 1][1]):
+                yield (0, 1), lo, 1.0
+            if not (censored and k == len(ints) - 1):
+                yield (0, 1), hi, -1.0
+        for row, t, name in ((2, lt.t_disorder, "disorder"), (3, lt.t_entropic, "entropic")):
+            if t is not None and name not in lt.censored and not (row == 3 and t == lt.t_disorder):
+                yield (row,), t, -1.0
 
 
 class TestScanFromZero:
@@ -671,7 +749,7 @@ class TestSignChangeCertificate:
         for p in (canonicalize(*self.LOOSE_BOUND), CASE3(self.LOBE_OPEN * (1.0 - 1e-6))):
             assert self.certificate(p)[1] == 2, p
         p = canonicalize(*self.LOOSE_BOUND)
-        assert_within(limit_temperatures(p), reference_limit_temperatures(p), 2 * DEFAULT_REL_TOL)
+        assert_within(limit_temperatures(p), reference_limit_temperatures(p), 2 * REF_REL_TOL)
         widths = []
         for b in [self.LOBE_OPEN * (1.0 - 10.0**-k) for k in range(3, 16)] + [self.LOBE_OPEN]:
             lt = limit_temperatures(CASE3(b))
@@ -934,7 +1012,7 @@ def _ref_grid(p, t_max, grid_n=REF_GRID):
     return ts[ts <= t_end]
 
 
-def reference_limit_temperatures(p, t_max=None, rel_tol=DEFAULT_REL_TOL, grid_n=REF_GRID):
+def reference_limit_temperatures(p, t_max=None, rel_tol=REF_REL_TOL, grid_n=REF_GRID):
     # the whole grid up to t_max: the scan's claim that no margin changes
     # sign past t_cut is checked, not assumed
     eig = eigensystem(p)
@@ -1037,7 +1115,7 @@ class TestSingleScanMatchesReference:
         assert len(cases) >= 200
         censored = never = reentry = flipping = 0
         for p, t_max in cases:
-            got = limit_temperatures(p, t_max=t_max, rel_tol=1e-300)
+            got = limit_temperatures(p, t_max=t_max)
             want = reference_limit_temperatures(p, t_max, rel_tol=1e-300)
             key = self.FLIPPING.get(p)
             if key is not None:
@@ -1053,11 +1131,12 @@ class TestSingleScanMatchesReference:
         assert censored and never and reentry and flipping == 2
 
     def test_default_tolerance_matches_per_criterion_scans(self, rng):
-        # at rel_tol = 1e-10 the brackets differ, and so the last steps of each
-        # bisection: the same record structure, every temperature within 2 rel_tol
+        # the reference stops its bisection at REF_REL_TOL, the scan at
+        # adjacent floats: the same record structure, every temperature
+        # within 2 REF_REL_TOL
         for p, t_max in _reference_cases(rng):
             got = limit_temperatures(p, t_max=t_max)
-            assert_within(got, reference_limit_temperatures(p, t_max), 2 * DEFAULT_REL_TOL)
+            assert_within(got, reference_limit_temperatures(p, t_max), 2 * REF_REL_TOL)
 
     def test_scalar_checks_match_table(self, rng):
         # the disorder and entropic checks run the table's formulas on the
@@ -1136,7 +1215,7 @@ class TestBatchedScan:
         assert max(map(len, groups.values())) >= 150
         censored = never = reentry = degenerate = 0
         for t_max, ps in groups.items():
-            got = _limit_records(ps, t_max, DEFAULT_REL_TOL)
+            got = _limit_records(ps, t_max)
             assert len(got) == len(ps)
             for p, lt in zip(ps, got):
                 assert lt == limit_temperatures(p, t_max=t_max), (p, t_max)

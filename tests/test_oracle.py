@@ -3,12 +3,14 @@
 The reference builds the four margins in mpmath from the canonical float
 couplings exactly as given (energies, ratios and Gibbs weights at 50
 digits) and looks at one margin at a time; it never uses min(m12, m03),
-which at a reentry gap narrower than an ulp never changes sign.  Two
+which at a reentry gap narrower than an ulp never changes sign.  Three
 checks per model:
 
 - every edge a record reports (interval ends other than 0 and a censored
   top, t_disorder, t_entropic) has a sign change of its own margin within
-  EDGE_REL of it;
+  EDGE_REL = 1e-13 of it: the scan refines each edge to adjacent floats
+  of the kernel's margin, whose rounding leaves it within 7.2e-15 of the
+  50-digit root on the tier-1 families (median 1.1e-16);
 - a sampling of the margins on a log-T grid up to t_cut finds no sign
   change the record lacks: each one of m12 or m03 holds an interval edge,
   and the disorder and entropic limits lie at or above every sample where
@@ -17,9 +19,9 @@ checks per model:
   t_disorder, where the entropic row is examined, finds no negative sample
   above t_entropic.
 
-The families are seeded: log-uniform couplings, b far above and far below
-v_minus, fields just above the level crossing, and the fig2-4 field
-sweeps.  A few hundred models run in tier-1; the marker `oracle` selects
+The families are seeded (conftest.limit_families): log-uniform
+couplings, b far above and far below v_minus, fields just above the level
+crossing, and the fig2-4 field sweeps.  A few hundred models run in tier-1; the marker `oracle` selects
 a larger set (`pytest -m oracle`).
 """
 
@@ -29,16 +31,14 @@ import numpy as np
 import pytest
 
 from xyzent.limits import _limit_records
-from xyzent.linalg import b_crossing
-from xyzent.model import canonicalize
 
-from conftest import log_uniform
+from conftest import limit_families
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
 #: an edge is confirmed when its margin changes sign between edge (1 -+ EDGE_REL)
-EDGE_REL = 1e-9
+EDGE_REL = 1e-13
 #: log-T samples per model, from T_FLOOR * t_cut to t_cut, and of the
 #: entropic margin from T_FLOOR * t_disorder to t_disorder
 SAMPLES = 48
@@ -120,34 +120,8 @@ def check(p, lt):
             assert lt.t_entropic is not None and lt.t_entropic >= neg[-1] * (1.0 - EDGE_REL), (p, lt, neg[-1])
 
 
-def families(rng, n):
-    """n seeded models of each family."""
-    out = []
-    for _ in range(n):  # log-uniform couplings
-        vp, vm, b = log_uniform(rng, 1e-2, 1e2, size=3)
-        vz = log_uniform(rng, 1e-2, 1e2) * rng.choice([-1.0, 1.0])
-        out.append(canonicalize(vp + vm, vp - vm, vz, b))
-    for k in range(n):  # b far above v_minus, and far below
-        vp, b = log_uniform(rng, 0.1, 10.0, size=2)
-        vz = rng.uniform(-1.0, 1.0) * vp
-        ratio = log_uniform(rng, 1e-12, 0.1) if k % 2 else log_uniform(rng, 1e-9, 0.1)
-        vm = b * ratio if k % 2 else b / ratio
-        out.append(canonicalize(vp + vm, vp - vm, vz, b))
-    while len(out) < 3 * n:  # fields just above the level crossing
-        vp = rng.uniform(0.5, 2.0)
-        vm = rng.uniform(0.0, 0.9) * vp
-        vz = rng.uniform(-0.5, 0.3) * vp
-        bc = b_crossing(canonicalize(vp + vm, vp - vm, vz, 0.0))
-        if bc > 0.0:
-            out.append(canonicalize(vp + vm, vp - vm, vz, bc * (1.0 + log_uniform(rng, 1e-12, 1.0))))
-    for v_plus, v_minus in ((1.0, 0.0), (0.0, 1.0), (1.0, 0.7)):  # fig2, fig3, fig4
-        for b in rng.uniform(0.0, 2.0, size=n // 3 + 1):
-            out.append(canonicalize(v_plus + v_minus, v_plus - v_minus, 0.0, b))
-    return out
-
-
 def run(rng, n):
-    ps = families(rng, n)
+    ps = limit_families(rng, n)
     for p, lt in zip(ps, _limit_records(ps)):
         check(p, lt)
     return len(ps)
