@@ -8,10 +8,15 @@ Subcommands:
     figure  regenerate the reference datasets (fig2/fig3/fig4) as CSV files
 
 Exit codes: 0 success, 2 invalid input, 3 I/O failure, 4 solver
-non-convergence.  Floats in CSV output carry up to 12 significant
-digits, and a limit temperature's are all the margin kernel's (limits
-refines it to adjacent floats); absent values are empty fields.  Output
-is deterministic: identical invocations produce byte-identical files.
+non-convergence.  `limits` prints the mean-field T_c twice:
+t_critical_closed (XYZParams.t_critical), and t_critical_numeric, the
+onset of the mean field's broken global minimum, which is the same
+closed form where XYZParams.t_critical_is_onset certifies it and the
+solver bisection (meanfield.critical_temperature "numeric") elsewhere.
+Floats in CSV output carry up to 12 significant digits, and a limit
+temperature's are all the margin kernel's (limits refines it to adjacent
+floats); absent values are empty fields.  Output is deterministic:
+identical invocations produce byte-identical files.
 
 Run as a program (`python -m xyzent.cli`, or the `xyzent` console script,
 xyzent._console_script), it has numpy start OpenBLAS with one thread
@@ -236,7 +241,12 @@ def cmd_limits(args) -> int:
 
     p = canonicalize(args.vx, args.vy, args.vz, args.b)
     (lim,) = _limit_rows([p], args.tmax)
-    tc_numeric = meanfield.critical_temperature(p, method="numeric")
+    # the onset of the broken global minimum: the closed form where it is
+    # certified, so meanfield runs only for the others (Neel-z models)
+    if p.t_critical_is_onset:
+        tc_numeric = p.t_critical
+    else:
+        tc_numeric = meanfield.critical_temperature(p, method="numeric").t_c
     row = {
         "vx": args.vx,
         "vy": args.vy,
@@ -246,7 +256,7 @@ def cmd_limits(args) -> int:
         "t_disorder": lim["t_disorder"],
         "t_entropic": lim["t_entropic"],
         "t_critical_closed": lim["t_critical"],
-        "t_critical_numeric": tc_numeric.t_c,
+        "t_critical_numeric": tc_numeric,
         "reentry_lower": lim["reentry_lower"],
         "reentry_upper": lim["reentry_upper"],
         "reentry_two_level": lim["reentry_two_level"],

@@ -387,6 +387,12 @@ def critical_temperature(p: XYZParams, method: str = "closed") -> CriticalTemper
     T_c takes at most one round more than trees alone.  Only a midpoint
     the walk visits raises NoConvergence.  Absent (t_c None) whenever
     v_max <= max(vz, 0) or |b| >= v_max - vz.
+
+    The CLI's t_critical_numeric is the onset of the broken global
+    minimum.  Where XYZParams.t_critical_is_onset holds, that is the
+    closed form, and "numeric" is its labelled second route (to 1e-6);
+    elsewhere (Neel-z models, vz < -2 T_c) the CLI prints this bisection,
+    whose solver may miss a staggered-z minimum.
     """
     if method not in ("closed", "numeric"):
         raise ValueError(f"method must be 'closed' or 'numeric', got {method!r}")

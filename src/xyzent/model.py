@@ -15,14 +15,18 @@ The level gaps and mixing ratios of any number of models come from one
 array pass, _eigen_columns, which the limit scan and the CLI's
 many-model tables call once per batch; eigensystem is its one-model view,
 with the same bits in every column whatever the batch.  The closed-form
-mean-field T_c (XYZParams.t_critical) lives here too, so the commands
-that print only it never run the mean-field module.  Quantities that no
-command prints, such as the level-crossing field, are oracles in linalg.
+mean-field T_c (XYZParams.t_critical) lives here too, with the
+certificate that it is the onset of the mean field's broken global
+minimum (XYZParams.t_critical_is_onset), so the commands that print only
+it, and `limits` on a certified model, never run the mean-field module.
+Quantities that no command prints, such as the level-crossing field, are
+oracles in linalg.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,11 +101,49 @@ class XYZParams:
         """Closed-form mean-field critical temperature
         v_max chi / (2 atanh chi), v_max/2 at chi = 0; None where the
         transverse solution is infeasible: chi >= 1 (which covers
-        v_max <= vz), or v_max <= 0, without transverse coupling to break."""
+        v_max <= vz), or v_max <= 0, without transverse coupling to break.
+        Where the product v_max chi is subnormal it is taken as
+        v_max (chi / atanh chi) / 2, which loses no digits there."""
         v_max, chi = self.v_max, self.chi
         if not (v_max > 0.0 and chi < 1.0):
             return None
-        return 0.5 * v_max if chi == 0.0 else v_max * chi / (2.0 * math.atanh(chi))
+        if chi == 0.0:
+            return 0.5 * v_max
+        product = v_max * chi
+        if product < sys.float_info.min:  # subnormal: the ratio keeps every digit
+            return 0.5 * v_max * (chi / math.atanh(chi))
+        return product / (2.0 * math.atanh(chi))
+
+    @property
+    def t_critical_is_onset(self) -> bool:
+        """Whether t_critical is the onset of the mean field's broken
+        global minimum: t_critical is None, or T_c > -vz/2, strictly and
+        beyond t_critical's rounding (a relative error of a few ulps times
+        its condition number in chi, at most 1/(1 - chi)).  Where t_critical
+        is None, meanfield.critical_temperature has no T_c either.
+
+        Proof.  The product-state free energy is
+
+            F(s_A, s_B) = b (s_A^z + s_B^z) - 2 sum_i v_i s_A^i s_B^i - T [S(s_A) + S(s_B)].
+
+        The Hessian of -S is at least 4 I: 1/(1/4 - m^2) radially and
+        2 atanh(2m)/m tangentially, at |s| = m.  Flipping s_B^y changes
+        only vy -> |vy|, so take vy >= 0; then every v_i but vz is >= 0
+        (vx >= |vy| in the canonical sector).  Along any line
+        (sigma + d, sigma - d), F has curvature at least
+        8T|d|^2 + 4 sum_i v_i d_i^2, so for T >= max(-vz/2, 0) it is convex
+        there; F is symmetric under A <-> B, so
+        F(sigma + d, sigma - d) >= F(sigma, sigma), and every global
+        minimum is uniform.  Among uniform states the transverse branch has
+        lambda_z = b v_max/(v_max - vz) and tanh(n/2T) = n/v_max, and
+        exists iff T < T_c; the z-only root lambda_0(T) is monotone in T
+        and transversally unstable iff T < T_c; a stationary point
+        anti-aligned with b is never the global minimum.  Hence, when
+        T_c > -vz/2, the global minimum is broken on (max(-vz/2, 0), T_c)
+        and unbroken on [T_c, inf), so the onset is exactly T_c.
+        """
+        t = self.t_critical
+        return t is None or t > -0.5 * self.vz * (1.0 + 8.0 * sys.float_info.epsilon / (1.0 - self.chi))
 
     @property
     def delta(self) -> float:

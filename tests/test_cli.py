@@ -17,6 +17,7 @@ from xyzent.cli import (
     _BLOCK,
     _FIGURES,
     LIMIT_COLUMNS,
+    PARAM_KEYS,
     STATE_COLUMNS,
     _csv_blocks,
     _limit_rows,
@@ -155,8 +156,45 @@ class TestLimits:
         values = dict(zip(header.split(","), row.split(",")))
         assert abs(float(values["t_exact"]) - ALPHA) < 1e-5
         assert values["reentry_lower"] == ""
-        # closed and numeric mean-field temperatures agree
-        assert abs(float(values["t_critical_closed"]) - float(values["t_critical_numeric"])) < 1e-4
+        # the certified closed form is the numeric T_c
+        assert values["t_critical_numeric"] == values["t_critical_closed"] != ""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            (1.0, 1.0, 0.0, 0.5),  # xx
+            (1.0, 0.4, 0.1, 0.5),
+            (1.0, -1.0, 0.0, 0.3),  # maximal anisotropy
+            (1.7, 0.3, -0.2, 0.9),
+            (1.0, 0.3, -0.9, 0.05),  # vz < 0, T_c > -vz/2
+            (1e-300, 0.4e-300, 0.1e-300, 0.5e-300),
+            (1e300, 0.4e300, -0.3e300, 0.5e300),
+        ],
+    )
+    def test_certified_numeric_tc_is_the_closed_form(self, capsys, model):
+        p = canonicalize(*model)
+        assert p.t_critical_is_onset and p.t_critical is not None
+        args = [f"--{k}={x!r}" for k, x in zip(PARAM_KEYS, model)]
+        code, out, _ = run(capsys, "limits", *args, "--format=json")
+        got = json.loads(out)
+        assert code == 0 and got["t_critical_numeric"] == got["t_critical_closed"] == p.t_critical
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            (0.865, 0.192, -2.775, 0.877),  # Neel-z, numeric T_c far below the closed form
+            (0.4276, 0.2210, -3.0231, 0.1091),  # Neel-z, no numeric T_c
+            (1.0, 0.3, -1.2, 0.4),
+        ],
+    )
+    def test_uncertified_numeric_tc_is_the_solver_bisection(self, capsys, model):
+        p = canonicalize(*model)
+        assert not p.t_critical_is_onset
+        args = [f"--{k}={x!r}" for k, x in zip(PARAM_KEYS, model)]
+        code, out, _ = run(capsys, "limits", *args, "--format=json")
+        got = json.loads(out)
+        assert code == 0 and got["t_critical_closed"] == p.t_critical
+        assert got["t_critical_numeric"] == critical_temperature(p, "numeric").t_c
 
     def test_reentry_columns(self, capsys):
         code, out, _ = run(capsys, "limits", "--vx", "1.7", "--vy", "0.3", "--b", "0.9")

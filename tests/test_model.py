@@ -306,3 +306,40 @@ class TestEigenColumns:
             assert p.t_critical == tc.t_c and (p.t_critical is None) == (not tc.feasible), p
         assert canonicalize(1.0, 0.0, 0.0, 0.0).t_critical == 0.5
         assert 0.0 < below_one.t_critical < 0.1
+
+
+class TestCriticalTemperatureCertificate:
+    def test_t_critical_keeps_its_digits_where_v_max_chi_is_subnormal(self):
+        # v_max chi = 3.3e-323 used to keep one significant digit: T_c came out 13% high
+        p = canonicalize(2.0**-1018, 0.0, -0.7 * 2.0**-1018, 3 * 2.0**-1074)
+        assert p.v_max * p.chi < 2.0**-1022
+        assert abs(p.t_critical / (0.5 * p.v_max) - 1.0) < 1e-15
+        assert p.t_critical_is_onset
+
+    def test_t_critical_keeps_the_bits_of_the_plain_formula(self, rng):
+        for _ in range(200):
+            p = random_canonical_params(rng)
+            if p.t_critical is not None:
+                assert p.t_critical == p.v_max * p.chi / (2.0 * math.atanh(p.chi)), p
+
+    def test_certified_without_a_transverse_solution_or_with_vz_non_negative(self):
+        for p in (
+            canonicalize(1.0, 0.0, 0.0, 1.5),  # chi > 1
+            canonicalize(0.0, 0.0, -1.0, 0.2),  # v_max = 0
+            canonicalize(1.0, 0.4, 0.9, 0.05),  # vz >= 0, T_c < vz/2
+            canonicalize(1.0, 0.0, 0.0, math.nextafter(1.0, 0.0)),  # chi = 1 - eps
+        ):
+            assert p.t_critical_is_onset, p
+
+    def test_certificate_keeps_a_rounding_margin(self):
+        # b where t_critical crosses -vz/2 = 0.25, to adjacent floats: a
+        # t_critical a few ulps above -vz/2 is not certified, one 1e-9 above is
+        lo, hi = 0.0, 1.5
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if canonicalize(1.0, 0.0, -0.5, mid).t_critical > 0.25 else (lo, mid)
+        edge = canonicalize(1.0, 0.0, -0.5, lo)
+        assert 0.25 < edge.t_critical < 0.25 * (1.0 + 1e-13) and not edge.t_critical_is_onset
+        assert not canonicalize(1.0, 0.0, -0.5, hi).t_critical_is_onset
+        inside = canonicalize(1.0, 0.0, -0.5, lo * (1.0 - 1e-9))
+        assert inside.t_critical > 0.25 * (1.0 + 1e-10) and inside.t_critical_is_onset

@@ -152,8 +152,12 @@ def _fresh_cli(argv):
 
 
 #: the modules of the limit scan; `meanfield` runs only for the numeric T_c
-#: of `limits`, as the closed-form T_c is model.XYZParams.t_critical
+#: of `limits` on a model whose closed-form T_c (model.XYZParams.t_critical)
+#: is not certified as the onset of the broken global minimum
 _SCAN_MODULES = {"limits", "expsums"}
+#: `limits` of a Neel-z model (vz < -2 T_c), whose closed-form T_c is not
+#: certified, so its numeric T_c (meanfield, with its 6x6 pinv) runs
+_NEEL_Z = ["limits", "--vx=0.865", "--vy=0.192", "--vz=-2.775", "--b=0.877"]
 
 
 @pytest.mark.parametrize(
@@ -161,7 +165,8 @@ _SCAN_MODULES = {"limits", "expsums"}
     [
         (["point", "--vx=1", "--vy=0.3", "--temp=0.5"], False, False),
         (["sweep", "--axis=temp", "--from=0", "--to=2", "--steps=50", "--vx=1.7", "--vy=0.3", "--b=0.9"], False, False),
-        (["limits", "--vx=1", "--vy=0.3", "--b=0.2"], True, True),
+        (["limits", "--vx=1", "--vy=0.3", "--b=0.2"], True, False),
+        (_NEEL_Z, True, True),
         (
             ["sweep", "--axis=b", "--from=0", "--to=2", "--steps=9", "--vx=1.7", "--vy=0.3", "--outputs=limits"],
             True,
@@ -169,7 +174,7 @@ _SCAN_MODULES = {"limits", "expsums"}
         ),
         (["figure", "fig2", "--steps=9", "--out={out}"], True, False),
     ],
-    ids=["point", "sweep_temp", "limits", "sweep_b_limits", "figure_fig2"],
+    ids=["point", "sweep_temp", "limits", "limits_neel_z", "sweep_b_limits", "figure_fig2"],
 )
 def test_cli_command_runs_only_the_modules_it_uses(argv, scan, mean_field, tmp_path):
     code, ran, _ = _fresh_cli([a.replace("{out}", str(tmp_path)) for a in argv])
@@ -256,7 +261,7 @@ openblas_threads = pytest.mark.skipif(
 )
 
 #: a model whose numeric T_c (meanfield, with its 6x6 pinv) runs
-_LIMITS = ["limits", "--vx=1", "--vy=0.4", "--vz=0.1", "--b=0.5", "--format=json"]
+_LIMITS = [*_NEEL_Z, "--format=json"]
 
 
 @openblas_threads
