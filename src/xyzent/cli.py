@@ -13,6 +13,8 @@ t_critical_closed (XYZParams.t_critical), and t_critical_numeric, the
 onset of the mean field's broken global minimum, which is the same
 closed form where XYZParams.t_critical_is_onset certifies it and the
 solver bisection (meanfield.critical_temperature "numeric") elsewhere.
+Limits are scanned up to each model's own t_cut, past which no criterion
+detects (limits module docstring), so no option sets a scan range.
 Floats in CSV output carry up to 12 significant digits, and a limit
 temperature's are all the margin kernel's (limits refines it to adjacent
 floats); absent values are empty fields.  Output is deterministic:
@@ -178,19 +180,12 @@ def _state_values(columns, temps: np.ndarray) -> dict:
     return dict(zip(STATE_COLUMNS, (c, entanglement.entanglement_of_formation(c), m12, m03, dis, ent)))
 
 
-def _limit_rows(ps, tmax, columns=None) -> list[dict]:
+def _limit_rows(ps, columns=None) -> list[dict]:
     """The limit values of every model in ps, from one scan (of their _eigen_columns, if given)."""
-    return [_limit_values(p, lt) for p, lt in zip(ps, limits._limit_records(ps, tmax, columns))]
+    return [_limit_values(p, lt) for p, lt in zip(ps, limits._limit_records(ps, columns))]
 
 
 def _limit_values(p: XYZParams, lt: limits.LimitTemperatures) -> dict:
-    if lt.censored:
-        print(
-            f"warning: {', '.join(lt.censored)} still detected at the top of the scan for"
-            f" vx={fmt(p.vx)} vy={fmt(p.vy)} vz={fmt(p.vz)} b={fmt(p.b)}; those limits are"
-            " lower bounds (raise --tmax)",
-            file=sys.stderr,
-        )
     return {
         "t_exact": lt.t_exact,
         "t_disorder": lt.t_disorder,
@@ -240,7 +235,7 @@ def cmd_limits(args) -> int:
     import json
 
     p = canonicalize(args.vx, args.vy, args.vz, args.b)
-    (lim,) = _limit_rows([p], args.tmax)
+    (lim,) = _limit_rows([p])
     # the onset of the broken global minimum: the closed form where it is
     # certified, so meanfield runs only for the others (Neel-z models)
     if p.t_critical_is_onset:
@@ -307,8 +302,6 @@ def cmd_sweep(args) -> int:
             raise XyzentError("state columns on a parameter axis need --temp")
         if "state" not in groups and "temp" in args._explicit:
             raise XyzentError("--temp on a parameter axis is read only by the state columns")
-    if "limits" not in groups and "tmax" in args._explicit:
-        raise XyzentError("--tmax is read only by the limits columns")
 
     values = _steps(args.start, args.stop, args.steps)
     # a temperature axis is one model, whose limits fill every row
@@ -324,7 +317,7 @@ def cmd_sweep(args) -> int:
         columns += STATE_COLUMNS
         parts.append(np.column_stack([cols[k] for k in STATE_COLUMNS]))
     if "limits" in groups:
-        lims = _limit_rows(models, args.tmax, eig_columns)
+        lims = _limit_rows(models, eig_columns)
         lims = [[lim[k] for k in LIMIT_COLUMNS] for lim in lims]
         columns += LIMIT_COLUMNS
         parts.append(np.broadcast_to(np.array(lims, dtype=float), (values.size, len(LIMIT_COLUMNS))))
@@ -358,7 +351,7 @@ def cmd_figure(args) -> int:
     fields = _steps(0.0, 2.0, args.steps) * v_unit
     models = [canonicalize(vx, vy, 0.0, float(b)) for b in fields]
     eig_columns = _eigen_columns(models)
-    lims = _limit_rows(models, args.tmax, eig_columns)
+    lims = _limit_rows(models, eig_columns)
     # the concurrence at each model's four limits, one kernel column each
     ts = np.array([[lim[k] or 0.0 for k in ("t_exact", "t_disorder", "t_entropic", "t_critical")] for lim in lims])
     c = _state_values([np.repeat(x, ts.shape[1], axis=-1) for x in eig_columns[:3]], ts.ravel())["concurrence"]
@@ -466,13 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sl = subs.add_parser("limits", help="limit temperatures for one model")
     _add_couplings(sl)
-    sl.add_argument("--tmax", type=float, default=None, help="scan range override")
     sl.set_defaults(func=cmd_limits)
 
     ss = subs.add_parser("sweep", help="1-D parameter sweep as CSV")
     _add_couplings(ss)
     ss.add_argument("--temp", type=float, default=None, help="fixed temperature of a parameter-axis state sweep")
-    ss.add_argument("--tmax", type=float, default=None, help="scan range override")
     ss.add_argument("--axis", choices=_AXES, required=True)
     ss.add_argument("--from", dest="start", type=float, required=True)
     ss.add_argument("--to", dest="stop", type=float, required=True)
@@ -482,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sf = subs.add_parser("figure", help="regenerate a reference dataset")
     sf.add_argument("which", choices=tuple(_FIGURES))
-    sf.add_argument("--tmax", type=float, default=None, help="scan range override")
     sf.add_argument("--steps", type=int, default=201, help="field grid points")
     sf.add_argument("--out", default=None, help="output directory (required)")
     sf.set_defaults(func=cmd_figure)

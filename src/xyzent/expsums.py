@@ -25,10 +25,11 @@ def sign_changes(a: np.ndarray) -> np.ndarray:
 
 
 def sum_zeros(lam, coef, bound, t_end):
-    """The zeros below t_end (> 0) of the sums f(T) = sum_j coef_j
+    """The zeros below t_end of the sums f(T) = sum_j coef_j
     exp(-lam_j/T), one per row of lam (increasing) and coef (summed over
     equal exponents), whose Laguerre bound is bound: (R, 6), increasing,
-    NaN-padded.
+    NaN-padded.  lam_max/t_end must be finite; it is at most 2 ln 2 at
+    limits' t_end, t_cut.
 
     In x = lam_max/T (beta scaled, so nothing overflows) level k + 1 is the
     derivative of e^{x e_m} times level k, for e_m the first exponent or
@@ -41,8 +42,7 @@ def sum_zeros(lam, coef, bound, t_end):
     at = np.flatnonzero(bound > 0)
     scale = lam[at, -1]
     mu = lam[at] / scale[:, None]
-    with np.errstate(over="ignore"):  # t_end far below the exponents: x_end = inf, and no zero lies past it
-        x_end = scale / t_end[at]
+    x_end = scale / t_end[at]
     levels, depth, cut = [coef[at]], np.zeros(at.size, int), bound[at] >= 2
     while cut.any():
         c, m, rows = levels[-1][cut], mu[cut], np.arange(cut.sum())

@@ -20,7 +20,10 @@ margin is >= 0.1:
   Z m03 >= 2 a1 a2 - |w3 - w0| >= 2 w_min - (w_max - w_min) >= w_min;
   disorder >= 1/2 - p_max >= 1/2 - 2/5 = 0.1;
   entropic >= -log2 p_max - 1 >= log2(5/2) - 1 > 0.32 bits.
-So a model's scan ends at t_end = min(t_max, t_cut).
+So each model's scan ends at its own t_cut, below 4.33 energy_scale as
+every level gap is at most 3 energy_scale (2 v_plus, 2 Delta, or
+|vz| + v_plus + Delta), and a margin negative there is a fault of the
+scan, which raises RuntimeError.
 
 The exact and disorder rows need no grid.  In beta = 1/T, with
 w_j = exp(-beta (E_j - E_min)), three margins have the signs of sums of
@@ -31,23 +34,23 @@ at most six exponentials:
 with vm, b = v_minus/Delta, b/Delta, whose zeros expsums.sum_zeros
 isolates (Laguerre's rule of signs and Rolle steps, bounded by
 _sign_change_bounds).  The zeros only place the kernel's samples: it runs
-at T = 0, around each zero and at t_end, and each sign change between
+at T = 0, around each zero and at t_cut, and each sign change between
 neighbouring samples is a bracket.  A margin exactly 0 at T = 0 takes
 the sign of its sum's leading coefficient, its sign just above T = 0.
 
 The entropic margin has no such bound, but entropic detection implies
 disorder detection (the spectrum of rho is majorized by that of rho_A
 wherever the disorder margin is >= 0, and entropy is Schur-concave).  So
-it is >= 0 above U, the end of the disorder row's top bracket (t_max
-where that row detects there), and on [0, U] interval branch and bound
-certifies it (_entropic_brackets): a piece is dropped where it lies
-below the highest negative sample or criteria._entropic_margin_bound
-proves it positive, and split and sampled otherwise, down to pieces of
-the floor U/4096.  The record keeps only the top edges of the disorder
-and entropic rows, so of those rows only the top bracket is refined, and
-of the exact rows every bracket, all in one vectorised Illinois
-iteration down to adjacent floats that reports each edge at the end of
-its final bracket where its margin is >= 0.
+it is >= 0 above U, the end of the disorder row's top bracket, and on
+[0, U] interval branch and bound certifies it (_entropic_brackets): a
+piece is dropped where it lies below the highest negative sample or
+criteria._entropic_margin_bound proves it positive, and split and
+sampled otherwise, down to pieces of the floor U/4096.  The record
+keeps only the top edges of the disorder and entropic rows, so of those
+rows only the top bracket is refined, and of the exact rows every
+bracket, all in one vectorised Illinois iteration down to adjacent
+floats that reports each edge at the end of its final bracket where its
+margin is >= 0.
 
 The two exact margins are refined separately and their violation sets
 merged.  Each margin crosses zero transversally, so both reentry
@@ -65,13 +68,11 @@ import numpy as np
 
 from . import expsums
 from .criteria import _NEAR_ZERO, _entropic_margin_bound, _margin_columns
-from .errors import OutOfRange
 from .model import XYZParams, _eigen_columns, eigensystem
 from .states import thermal_probabilities  # noqa: F401  (kept bound for tracing)
 
 __all__ = ["LimitTemperatures", "ReentryWindow", "limit_temperatures", "reentry_two_level"]
 
-_CRITERIA = ("exact", "disorder", "entropic")
 _EPS = float(np.finfo(float).eps)
 
 
@@ -81,9 +82,7 @@ class LimitTemperatures:
 
     t_exact is 0.0 when the thermal state is separable at every
     temperature; t_disorder / t_entropic are None when the criterion
-    never fires.  censored names the criteria ("exact", "disorder",
-    "entropic") still detecting at the top of the scan, whose limit is
-    then only a lower bound.
+    never fires.
     """
 
     t_exact: float
@@ -91,7 +90,6 @@ class LimitTemperatures:
     t_entropic: float | None
     intervals: tuple[tuple[float, float], ...]
     reentry: "ReentryWindow | None"
-    censored: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -111,24 +109,6 @@ class ReentryWindow:
 # ---------------------------------------------------------------------------
 # scanning machinery
 # ---------------------------------------------------------------------------
-
-
-def _default_t_max(p: XYZParams) -> float:
-    # the all-zero model is separable at every T, so any positive t_max will do
-    return 20.0 * (p.energy_scale or 1.0)
-
-
-def _scan_ranges(ps, t_max: float | None) -> np.ndarray:
-    """The top t_max of each model's scan, with the setting checked once.
-    No check that the state is separable there is needed: every margin is
-    >= 0.1 past t_cut (module docstring), and t_cut < 4.33 energy_scale, as
-    every level gap is at most 3 energy_scale (2 v_plus, 2 Delta, or
-    |vz| + v_plus + Delta)."""
-    if t_max is None:
-        return np.array([_default_t_max(p) for p in ps], dtype=float)
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise OutOfRange(f"t_max must be finite and positive, got {t_max!r}")
-    return np.full(len(ps), float(t_max))
 
 
 #: The kernel brackets each zero z of a sum by the points t_cut r^-k of a
@@ -211,17 +191,16 @@ def _values(gaps, vm_ratio, b_ratio, model, ts) -> np.ndarray:
     return np.hstack([np.empty((4, 0))] + [t for _, t in tables])
 
 
-def _root_brackets(gaps, vm_ratio, b_ratio, t_max):
+def _root_brackets(gaps, vm_ratio, b_ratio):
     """The kernel's signs of the rows m12, m03 and disorder of each model,
-    a column of level gaps, up to t_end = min(t_max, t_cut) (K,): the
-    negative flags (3, K) at T = 0 and at t_end, and the row, sign below,
-    bracket and model of every sign change, model by model and in T order
-    (module docstring)."""
-    k, t_cut = t_max.size, gaps.max(axis=0) / math.log(2.0)
-    t_end = np.minimum(t_max, t_cut)
+    a column of level gaps, up to t_end = t_cut (K,): the negative flags
+    (3, K) at T = 0 and at t_end, and the row, sign below, bracket and
+    model of every sign change, model by model and in T order (module
+    docstring)."""
+    k, t_end = gaps.shape[1], gaps.max(axis=0) / math.log(2.0)
     bound, lam, coef = _sign_change_bounds(gaps, vm_ratio, b_ratio)
     zeros = expsums.sum_zeros(lam.reshape(-1, 6), coef.reshape(-1, 6), bound.ravel(), np.tile(t_end, 3))
-    step, t_cut = math.log1p(_STRADDLE), np.tile(t_cut, 3)[:, None]
+    step, t_cut = math.log1p(_STRADDLE), np.tile(t_end, 3)[:, None]
     i = np.floor(np.log(t_cut / zeros) / step)
     lower, upper = t_cut * np.exp(-(i + 2.0) * step), t_cut * np.exp(-(i - 1.0) * step)
     mid = 0.5 * (zeros[:, 1:] + zeros[:, :-1])  # for zeros closer than three grid steps
@@ -278,33 +257,34 @@ def _entropic_brackets(gaps, vm_ratio, b_ratio, upper):
     return top >= 0, top == n, np.ones(k.size, bool), at(k, top[k]), at(k, top[k] + 1), k
 
 
-def _limit_records(ps, t_max=None, columns=None) -> list[LimitTemperatures]:
+def _limit_records(ps, columns=None) -> list[LimitTemperatures]:
     """The LimitTemperatures of every model in ps (see limit_temperatures).
 
     The models' level gaps and ratios come from one model._eigen_columns
     pass, or are its result for ps, given as columns.  _root_brackets
     brackets every sign change of the exact and disorder rows below
-    t_end = min(t_max, t_cut), of which the disorder row keeps its top one;
-    _entropic_brackets brackets the entropic row's top one up to the end
-    of the disorder row's top bracket, or t_max where the disorder row
-    detects there (module docstring).  From the margins at their ends, one
-    Illinois iteration refines every bracket in its own model's column (an
-    end's margin halved when it is kept twice, Dowell and Jarratt 1971; the
-    midpoint where the bracket did not halve over two steps, Brent 1973)
-    until lo, hi are adjacent floats, in _MAX_STEPS steps (else
-    RuntimeError), and reports the end where its margin is >= 0.
+    t_cut, of which the disorder row keeps its top one; _entropic_brackets
+    brackets the entropic row's top one up to the end of the disorder
+    row's top bracket (module docstring); a margin negative at the top of
+    its range, which the module docstring rules out, raises RuntimeError.
+    From the margins at their ends, one Illinois iteration refines every
+    bracket in its own model's column (an end's margin halved when it is
+    kept twice, Dowell and Jarratt 1971; the midpoint where the bracket did
+    not halve over two steps, Brent 1973) until lo, hi are adjacent floats,
+    in _MAX_STEPS steps (else RuntimeError), and reports the end where its
+    margin is >= 0.
     """
-    t_max = _scan_ranges(ps, t_max)
     gaps, vm_ratio, b_ratio, delta = _eigen_columns(ps) if columns is None else columns
-    first, last, rows, leaving, lo, hi, model = _root_brackets(gaps, vm_ratio, b_ratio, t_max)
+    first, last, rows, leaving, lo, hi, model = _root_brackets(gaps, vm_ratio, b_ratio)
     dis = np.flatnonzero(rows == 2)
     top = dis[model[dis] != np.append(model[dis][1:], -1)]
     keep = rows < 2
     keep[top] = True
     upper = np.zeros(len(ps))
     upper[model[top]] = hi[top]
-    upper[last[2]] = t_max[last[2]]
     ent_first, ent_last, *ent = _entropic_brackets(gaps, vm_ratio, b_ratio, upper)
+    if last.any() or ent_last.any():
+        raise RuntimeError("limit scan: a margin is negative at the top of its range")
     order = np.argsort(np.append(model[keep], ent[-1]), kind="stable")
     rows = np.append(rows[keep], np.full(ent[-1].size, 3))[order]
     leaving, lo, hi, model = (np.append(x[keep], y)[order] for x, y in zip((leaving, lo, hi, model), ent))
@@ -334,43 +314,39 @@ def _limit_records(ps, t_max=None, columns=None) -> list[LimitTemperatures]:
         f_hi[live[stale & to_lo]] *= 0.5
     ends = np.searchsorted(model, np.arange(len(ps) + 1)).tolist()
     rows, t_cross, leaving = rows.tolist(), np.where(leaving, hi, lo).tolist(), leaving.tolist()
-    first, last = np.vstack([first, ent_first]).T.tolist(), np.vstack([last, ent_last]).T.tolist()
+    first = np.vstack([first, ent_first]).T.tolist()
     t_r = [_two_level(p, d, u) for p, d, u in zip(ps, delta.tolist(), gaps[3].tolist())]
-    return [
-        _record(rows[a:b], t_cross[a:b], leaving[a:b], f, l, t, r)
-        for a, b, f, l, t, r in zip(ends[:-1], ends[1:], first, last, t_max.tolist(), t_r)
-    ]
+    return [_record(rows[a:b], t_cross[a:b], leaving[a:b], f, r) for a, b, f, r in zip(ends[:-1], ends[1:], first, t_r)]
 
 
-def _record(rows, t_cross, leaving, first, last, t_max, t_r) -> LimitTemperatures:
+def _record(rows, t_cross, leaving, first, t_r) -> LimitTemperatures:
     """One model's record from its refined sign changes (lists, in T order).
 
     An exact row's sign changes alternate, so with 0 in front of a negative
-    first sample and t_max (censored) behind a negative last one they pair
-    up into the maximal intervals where the margin is negative.  The
-    disorder and entropic rows bring only their top sign change, and their
-    limit is its edge, t_max when the last sample is negative, or None when
-    the row never detects; the row's sign above that edge (its first sign,
-    without one) must be its sign at the last sample.  Entropic detection
-    implies disorder detection, so an entropic limit above the disorder one
-    is refinement noise of coinciding limits, and is moved onto it, if it
-    lies within 16 eps of it.  A row that breaks any of these rules is a
-    fault of the scan, and raises RuntimeError rather than report a wrong
-    limit.  The exact margins' violation sets are merged;
-    they are disjoint (m12 < 0 needs vm (hi - lo) > big, m03 < 0 needs
+    first sample they pair up into the maximal intervals where the margin
+    is negative, as its last sample is not.  The disorder and entropic rows
+    bring only their top sign change, and their limit is its edge, or None
+    when the row never detects; the row's sign above that edge (its first
+    sign, without one) must be that of its last sample, >= 0.  Entropic
+    detection implies disorder detection, so an entropic limit above the
+    disorder one is refinement noise of coinciding limits, and is moved onto
+    it, if it lies within 16 eps of it.  A row that breaks any of these
+    rules is a fault of the scan, and raises RuntimeError rather than report
+    a wrong limit.  The exact margins' violation sets are merged; they are
+    disjoint (m12 < 0 needs vm (hi - lo) > big, m03 < 0 needs
     |w3 - w0| > vm (hi - lo), with hi, lo = max, min(w1, w2) and
     big = max(w0, w3) >= |w3 - w0|), so only refinement noise overlaps them.
     """
-    edges = [[0.0] * first[r] + [t for t, q in zip(t_cross, rows) if q == r] + [t_max] * last[r] for r in range(2)]
+    edges = [[0.0] * first[r] + [t for t, q in zip(t_cross, rows) if q == r] for r in range(2)]
     if any(len(e) % 2 for e in edges):
         raise RuntimeError(f"limit scan: unpaired sign changes, {[len(e) for e in edges]} edges per exact margin")
     tops = []
     for r in (2, 3):
         top = next((k for k, q in enumerate(rows) if q == r), None)
-        if (first[r] if top is None else not leaving[top]) != last[r]:
+        if first[r] if top is None else not leaving[top]:
             raise RuntimeError(f"limit scan: the top edge of margin {r} disagrees with its sign at the top")
-        tops.append(t_max if last[r] else None if top is None else t_cross[top])
-    if (tops[0] is None and tops[1] is not None) or (last[3] and not last[2]):
+        tops.append(None if top is None else t_cross[top])
+    if tops[0] is None and tops[1] is not None:
         raise RuntimeError("limit scan: the entropic margin detects where the disorder margin does not")
     if tops[1] is not None and tops[1] > tops[0]:
         if tops[1] - tops[0] > 16.0 * _EPS * tops[0]:
@@ -391,16 +367,12 @@ def _record(rows, t_cross, leaving, first, last, t_max, t_r) -> LimitTemperature
         t_entropic=tops[1],
         intervals=tuple(ints),
         reentry=reentry,
-        censored=tuple(c for c, hit in zip(_CRITERIA, (last[0] or last[1], *last[2:])) if hit),
     )
 
 
-def limit_temperatures(p: XYZParams, t_max: float | None = None) -> LimitTemperatures:
-    """All detection limits in one record (see LimitTemperatures).
-
-    Raises OutOfRange for a t_max that is not finite and positive.
-    """
-    return _limit_records([p], t_max)[0]
+def limit_temperatures(p: XYZParams) -> LimitTemperatures:
+    """All detection limits in one record (see LimitTemperatures)."""
+    return _limit_records([p])[0]
 
 
 def reentry_two_level(p: XYZParams) -> float | None:

@@ -45,9 +45,9 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def limits_alone(p, t_max=None):
+def limits_alone(p):
     """The limit values of one model, from its own limit_temperatures."""
-    lt = limit_temperatures(p, t_max=t_max)
+    lt = limit_temperatures(p)
     window = lt.reentry
     return {
         "t_exact": lt.t_exact,
@@ -223,23 +223,16 @@ class TestLimits:
         joined = run(capsys, "limits", "--vx", "1", "--vy=-4e-15")
         assert spaced[0] == 0 and spaced == joined
 
-    def test_censored_limits_warn_on_stderr(self, capsys):
-        code, out, err = run(capsys, "limits", "--vx", "1", "--vy", "1", "--tmax", "0.5")
-        assert code == 0
-        header, row = out.strip().split("\n")
-        values = dict(zip(header.split(","), row.split(",")))
-        assert values["t_exact"] == values["t_disorder"] == "0.5"  # stdout as before
-        assert err.startswith("warning: exact, disorder ") and err.count("\n") == 1, err
-        _, _, err = run(capsys, "limits", "--vx", "1", "--vy", "1")
-        assert err == ""
-
     def test_invalid_scan_settings_are_input_errors(self, capsys):
-        for flag in ("--tmax=-1", "--tmax=0", "--tmax=nan", "--tmax=inf"):
-            code, out, err = run(capsys, "limits", "--vx", "1", "--vy", "1", flag)
-            assert code == 2, flag
-            assert out == ""
-            # one short line, not a traceback or an echoed temperature grid
-            assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 120, err
+        # each model is scanned up to its own t_cut, so no flag sets a scan
+        # range: --tmax, of any value, is an unknown flag, exit 2 with
+        # nothing printed but argparse's usage and error
+        for flag in ("--tmax=-1", "--tmax=30"):
+            with pytest.raises(SystemExit) as exc:
+                main(["limits", "--vx", "1", "--vy", "1", flag])
+            out = capsys.readouterr()
+            assert exc.value.code == 2 and out.out == "", flag
+            assert out.err.endswith(f"error: unrecognized arguments: {flag}\n"), out.err
 
 
 class TestSweep:
@@ -342,28 +335,6 @@ class TestSweep:
             want = {**state_alone(p, 0.3), **limits_alone(p)}
             assert line == ",".join([fmt(b)] + [fmt(want[k]) for k in header[1:]]), b
 
-    def test_censored_rows_warn_in_row_order(self, capsys):
-        # t_exact = 1.13 at b <= 1 and 0 above; the disorder limit falls with b
-        code, out, err = run(
-            capsys, "sweep", "--axis", "b", "--from", "0", "--to", "2", "--steps", "9",
-            "--vx", "1", "--vy", "1", "--outputs", "limits", "--tmax", "0.6",
-        )
-        assert code == 0
-        want = []
-        for b in np.linspace(0.0, 2.0, 9):
-            p = canonicalize(1.0, 1.0, 0.0, float(b))
-            censored = limit_temperatures(p, t_max=0.6).censored
-            if censored:
-                want.append(
-                    f"warning: {', '.join(censored)} still detected at the top of the scan for"
-                    f" vx=1 vy=1 vz=0 b={fmt(b)}; those limits are lower bounds (raise --tmax)"
-                )
-        assert len(want) >= 2 and err == "".join(w + "\n" for w in want)
-        assert [line.split(",")[1] for line in out.strip().split("\n")[1:]] == [
-            fmt(limits_alone(canonicalize(1.0, 1.0, 0.0, float(b)), 0.6)["t_exact"])
-            for b in np.linspace(0.0, 2.0, 9)
-        ]
-
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "axis, start, stop",
@@ -435,25 +406,6 @@ class TestSweep:
         assert code == 0
         assert len(out.strip().split("\n")) == 5
 
-    @pytest.mark.parametrize("flag, name", [("--tmax=3", "tmax"), ("--tm=3", "tmax")])
-    def test_scan_flag_needs_limit_columns(self, capsys, tmp_path, flag, name):
-        for argv in (
-            ["--axis=temp", "--from=0", "--to=1", "--steps=3", "--vx=1"],
-            ["--axis=temp", "--from=0", "--to=1", "--steps=3", "--vx=1", "--outputs=state"],
-            ["--axis=vz", "--from=0", "--to=1", "--steps=3", "--vx=1", "--outputs=state", "--temp=0.5"],
-        ):
-            code, out, err = run(capsys, "sweep", *argv, flag)
-            assert code == 2 and out == "" and err.count("\n") == 1, (argv, err)
-            assert err == f"error: --{name} is read only by the limits columns\n", err
-        # a key of the config file stays ignored where nothing reads it, as
-        # do grid and tol, which no subcommand reads
-        cfg = tmp_path / "scan.cfg"
-        cfg.write_text("grid = 10\ntol = nan\ntmax = 3\n")
-        code, out, _ = run(
-            capsys, "sweep", "--axis=temp", "--from=0", "--to=1", "--steps=3", "--vx=1", "--config", str(cfg),
-        )
-        assert code == 0 and out.count("\n") == 4
-
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run(
@@ -513,6 +465,18 @@ class TestConfig:
         ):
             assert run(capsys, *argv, "--config", str(cfg)) == run(capsys, *argv), argv
 
+    def test_tmax_key_is_ignored(self, capsys, tmp_path):
+        # each model is scanned up to its own t_cut, so no subcommand reads a
+        # scan range, not even an invalid one
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("tmax = -1\n")
+        for argv in (
+            ["limits", "--vx", "1.7", "--vy", "0.3", "--b", "0.2"],
+            ["sweep", "--axis=b", "--from=0", "--to=1", "--steps=3", "--vx=1"],
+            ["figure", "fig2", "--steps", "3", "--out", str(tmp_path / "panels")],
+        ):
+            assert run(capsys, *argv, "--config", str(cfg)) == run(capsys, *argv), argv
+
     def test_missing_config_is_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "point", "--temp", "1", "--config", str(tmp_path / "nope.cfg"))
         assert code == 3
@@ -530,7 +494,7 @@ class TestConfig:
         code, _, _ = run(capsys, "point", "--temp", "1", "--config", str(cfg))
         assert code == 2
         # values are converted and checked as the flag's would be
-        for command, line in (("limits", "format = xml"), ("limits", "tmax = 10,5"), ("point", "temp = abc")):
+        for command, line in (("limits", "format = xml"), ("limits", "vy = 10,5"), ("point", "temp = abc")):
             cfg.write_text(line + "\n")
             code, out, err = run(capsys, command, "--vx", "1", "--config", str(cfg))
             assert code == 2 and out == "" and f"config key {line.split()[0]!r}" in err, line
@@ -594,21 +558,6 @@ class TestFigure:
         assert exc.value.code == 2 and "unrecognized arguments: --grid=64" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize(
-        "flag, message",
-        [
-            ("--tmax=-1", "t_max must be finite and positive, got -1.0"),
-        ],
-    )
-    def test_invalid_scan_settings_write_nothing(self, capsys, tmp_path, flag, message):
-        for argv in (
-            ["figure", "fig4", "--steps", "5", "--out", str(tmp_path / "panels")],
-            ["sweep", "--axis=b", "--from=0", "--to=1", "--steps=5", "--vx=1", "--out", str(tmp_path / "rows.csv")],
-        ):
-            code, out, err = run(capsys, *argv, flag)
-            assert (code, out, err) == (2, "", f"error: {message}\n"), argv
-            assert list(tmp_path.iterdir()) == [], argv
-
     def test_fig4_matches_one_model_rows(self, capsys, tmp_path):
         # centre and bottom panels come from one limit scan and one kernel
         # call; every row must be what its model gives alone
@@ -651,12 +600,12 @@ class TestFigure:
 #: every value each subcommand can set, positionals included
 OPTIONS = {
     "point": ["vx", "vy", "vz", "b", "temp", "format", "out", "config"],
-    "limits": ["vx", "vy", "vz", "b", "tmax", "format", "out", "config"],
+    "limits": ["vx", "vy", "vz", "b", "format", "out", "config"],
     "sweep": [
-        "vx", "vy", "vz", "b", "temp", "tmax",
+        "vx", "vy", "vz", "b", "temp",
         "axis", "start", "stop", "steps", "outputs", "out", "config",
     ],
-    "figure": ["which", "tmax", "steps", "out", "config"],
+    "figure": ["which", "steps", "out", "config"],
 }
 
 
@@ -670,12 +619,16 @@ class TestOptions:
             for name, sub in subs.choices.items()
         }
         assert got == OPTIONS
-        assert sum(map(len, got.values())) == 34
+        assert sum(map(len, got.values())) == 31
 
     @pytest.mark.parametrize(
         "command, flag",
         [
             ("point", "--tmax=-3"),
+            # each model is scanned up to its own t_cut: no flag sets a range
+            ("sweep", "--tmax=30"),
+            ("sweep", "--tm=3"),
+            ("figure", "--tmax=30"),
             ("point", "--grid=10"),
             ("point", "--tol=-1"),
             ("limits", "--temp=nan"),
@@ -746,7 +699,7 @@ def reference_sweep(argv) -> str:
         cols.update(_state_values(stacked([eigensystem(p) for p in models]), temps))
     if "limits" in groups:
         columns += LIMIT_COLUMNS
-        lims = _limit_rows(models, args.tmax) * (values.size // len(models))
+        lims = _limit_rows(models) * (values.size // len(models))
         cols.update((k, [lim[k] for lim in lims]) for k in LIMIT_COLUMNS)
     return per_cell_csv(columns, ([cols[c][i] for c in columns] for i in range(values.size)))
 

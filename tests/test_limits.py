@@ -18,7 +18,6 @@ from xyzent.errors import DegenerateBasis, OutOfRange
 from xyzent.limits import (
     LimitTemperatures,
     ReentryWindow,
-    _default_t_max,
     _limit_records,
     _margin_columns,
     limit_temperatures,
@@ -37,8 +36,9 @@ XX = lambda b: canonicalize(1.0, 1.0, 0.0, b)  # case 1: v_plus = 1
 MAX_ANISO = lambda b: canonicalize(1.0, -1.0, 0.0, b)  # case 2: v_minus = 1
 CASE3 = lambda b: canonicalize(1.7, 0.3, 0.0, b)  # v_plus = 1, v_minus = 0.7
 
-#: the reference scans' own grid: samples every t_max/REF_GRID up to t_max
-REF_GRID = 4096
+#: the reference scans' own grid: samples every REF_RANGE/REF_GRID up to
+#: REF_RANGE energy scales (1 for the all-zero model), far past t_cut
+REF_GRID, REF_RANGE = 4096, 20.0
 #: the reference scans' bisection stop, hi - lo <= REF_REL_TOL hi
 REF_REL_TOL = 1e-10
 
@@ -111,13 +111,14 @@ class TestEntangledIntervals:
         assert limit_temperatures(p).intervals == ()
 
     def test_grid_validation(self):
-        # the scan takes no grid; its range is checked once per scan, before
-        # any model (an empty batch included)
-        with pytest.raises(TypeError):
-            limit_temperatures(XX(0.5), grid_n=4096)
-        for ps in ([], [XX(0.5)] * 3):
-            with pytest.raises(ValueError, match="t_max must be finite and positive"):
-                _limit_records(ps, t_max=-1.0)
+        # the scan takes no grid and no range: each model's ends at its own
+        # t_cut, and a record names no criterion cut off at the top
+        for setting in ({"grid_n": 4096}, {"t_max": 30.0}):
+            with pytest.raises(TypeError):
+                limit_temperatures(XX(0.5), **setting)
+        assert [f.name for f in dataclasses.fields(LimitTemperatures)] == [
+            "t_exact", "t_disorder", "t_entropic", "intervals", "reentry",
+        ]
 
     def test_grid_is_bounded_above(self, monkeypatch):
         # the entropic pass samples each model on the floor grid U i/4096 at
@@ -147,11 +148,6 @@ class TestEntangledIntervals:
         monkeypatch.setattr(limits, "_entropic_margin_bound", lambda gaps, b_r, lo, hi: np.full(lo.shape, -1.0))
         assert _limit_records(ps) == want
         assert 2 * len(ps) < sum(columns) <= 4097 * len(ps) and max(columns) <= limits._CHUNK, columns
-
-    def test_invalid_scan_settings_are_out_of_range(self):
-        for t_max in (0.0, math.nan, math.inf):
-            with pytest.raises(OutOfRange):
-                limit_temperatures(XX(0.5), t_max)
 
 
 class TestLimitTemperature:
@@ -299,12 +295,6 @@ class TestLimitRecord:
         lt = limit_temperatures(XX(0.5))
         assert lt.reentry is None and len(lt.intervals) == 1
 
-    def test_censored_names_criteria_firing_at_t_max(self):
-        lt = limit_temperatures(XX(0.0), t_max=0.5)
-        assert lt.censored == ("exact", "disorder")
-        assert lt.t_exact == lt.t_disorder == 0.5 and lt.t_entropic < 0.5
-        assert limit_temperatures(XX(0.0)).censored == ()
-
     def test_separable_model_reports_zero(self):
         # degenerate ground state at zero field: T_c exists but T_e = 0
         p = canonicalize(1.0, 0.4, 0.4, 0.0)
@@ -335,14 +325,15 @@ class TestLimitRecord:
 
 
 class TestBisectionConverges:
-    def test_limits_do_not_depend_on_t_max(self):
-        # every row is scanned up to t_cut at most, so a t_max above it,
-        # up to the largest float, changes no bit
+    def test_scan_ends_at_t_cut(self, monkeypatch):
+        # the kernel samples the model from T = 0 up to its own t_cut, the
+        # scan's range, and no higher
         p = canonicalize(1.0, 0.3, 0.0, 0.0)
-        ref = limit_temperatures(p)
-        assert ref.t_exact == pytest.approx(0.66442074918, rel=1e-10)
-        for t_max in (1e20, 1e60, 1e100, 1.7e308):
-            assert limit_temperatures(p, t_max=t_max) == ref, t_max
+        kernel, ts = limits._margin_columns, []
+        monkeypatch.setattr(limits, "_margin_columns", lambda *args: ts.append(args[-1]) or kernel(*args))
+        assert limit_temperatures(p).t_exact == pytest.approx(0.66442074918, rel=1e-10)
+        eig, ts = eigensystem(p), np.concatenate(ts)
+        assert (ts.min(), ts.max()) == (0.0, (eig.energies.max() - eig.energies.min()) / math.log(2.0))
 
     #: the most kernel calls of one scan: a figure's 201 models, and one model
     BUDGET = {"figure": 20, "one model": 16}
@@ -375,7 +366,7 @@ class TestBisectionConverges:
                 near = margin_table(eig, np.array([t, np.nextafter(t, side * math.inf)]))
                 assert any(near[r, 0] >= 0.0 > near[r, 1] for r in rows), (p, lt, rows, t)
                 edges += 1
-            if lt.t_entropic is not None and lt.t_entropic == lt.t_disorder and "entropic" not in lt.censored:
+            if lt.t_entropic is not None and lt.t_entropic == lt.t_disorder:
                 # an entropic edge within 16 eps above the disorder one is moved
                 # onto it (_record): the entropic margin is >= 0 by then
                 ts = lt.t_disorder * (1.0 + np.arange(17) * np.finfo(float).eps)
@@ -414,21 +405,19 @@ class TestBisectionConverges:
 
     @staticmethod
     def edges(lt):
-        """(rows, edge, side) of every edge of a record below t_max: the rows
-        of the margin table that change sign there, and the side (+-1) of
-        the negative margin.  An entropic edge on the disorder one, and a
-        lower end on the upper end below it, are left out: _record moved
-        them onto that edge (coinciding limits, overlapping violation
-        sets), which is certified."""
+        """(rows, edge, side) of every edge of a record: the rows of the
+        margin table that change sign there, and the side (+-1) of the
+        negative margin.  An entropic edge on the disorder one, and a lower
+        end on the upper end below it, are left out: _record moved them onto
+        that edge (coinciding limits, overlapping violation sets), which is
+        certified."""
         ints = lt.intervals
-        censored = "exact" in lt.censored
         for k, (lo, hi) in enumerate(ints):
             if lo > 0.0 and not (k and lo == ints[k - 1][1]):
                 yield (0, 1), lo, 1.0
-            if not (censored and k == len(ints) - 1):
-                yield (0, 1), hi, -1.0
-        for row, t, name in ((2, lt.t_disorder, "disorder"), (3, lt.t_entropic, "entropic")):
-            if t is not None and name not in lt.censored and not (row == 3 and t == lt.t_disorder):
+            yield (0, 1), hi, -1.0
+        for row, t in ((2, lt.t_disorder), (3, lt.t_entropic)):
+            if t is not None and not (row == 3 and t == lt.t_disorder):
                 yield (row,), t, -1.0
 
 
@@ -473,8 +462,8 @@ class TestDefaultScanRange:
     t_cut = (E_max - E_min)/ln 2 <= 4.33 energy_scale, where every Gibbs
     weight is within a factor 2 of every other.  This holds at every
     scale up to MAX_ENERGY_SCALE, on a coupling lattice and at fields
-    just above the level crossing, so each model's scan ends at
-    t_end = min(t_max, t_cut)."""
+    just above the level crossing, so each model's scan ends at its t_cut,
+    and a margin negative there is a fault of the scan."""
 
     def assert_separable_from_three_scales(self, p):
         s = p.energy_scale or 1.0
@@ -547,12 +536,32 @@ class TestDefaultScanRange:
         with pytest.raises(RuntimeError, match="unpaired sign changes"):
             limit_temperatures(CASE3(0.9))
 
+    @pytest.mark.parametrize("row", range(4))
+    def test_margin_negative_at_t_cut_raises(self, monkeypatch, row):
+        # no margin is negative at t_cut, the top of every row's range but the
+        # entropic one's, which ends at the disorder row's top edge; a kernel
+        # negative there is a fault that the scan must refuse, rather than
+        # report a limit cut off at the top
+        p = CASE3(0.9)
+        lt, eig = limit_temperatures(p), eigensystem(p)
+        top = lt.t_disorder if row == 3 else 0.999 * (eig.energies.max() - eig.energies.min()) / math.log(2.0)
+        kernel = limits._margin_columns
+
+        def negative_at_top(gaps, vm_ratio, b_ratio, ts):
+            table = kernel(gaps, vm_ratio, b_ratio, ts)
+            table[row, ts > top] = -1.0
+            return table
+
+        monkeypatch.setattr(limits, "_margin_columns", negative_at_top)
+        with pytest.raises(RuntimeError, match="negative at the top of its range"):
+            limit_temperatures(p)
+
     def test_top_edge_against_the_top_sign_raises(self, monkeypatch):
         # of the entropic row only the top bracket is refined; one entering
         # the negative set contradicts the row's non-negative last sample,
         # and the record must refuse it
         lt = limit_temperatures(CASE3(0.9))
-        assert lt.t_entropic is not None and "entropic" not in lt.censored
+        assert lt.t_entropic is not None
         entropic = limits._entropic_brackets
 
         def entering(*args):
@@ -567,10 +576,10 @@ class TestDefaultScanRange:
     def test_entropic_detection_without_disorder_detection_raises(self, monkeypatch, fault):
         # entropic detection implies disorder detection, so an entropic limit
         # more than refinement noise above the disorder limit, or an entropic
-        # row still negative above the disorder row's top bracket, is a fault
-        # of the scan that the record must refuse, not report
+        # row still negative at the top of its range, the end of the disorder
+        # row's top bracket, is a fault of the scan that it must refuse, not
+        # report
         lt = limit_temperatures(CASE3(0.9))
-        assert "disorder" not in lt.censored
         entropic = limits._entropic_brackets
 
         def faulty(*args):
@@ -581,13 +590,13 @@ class TestDefaultScanRange:
             return first, last, leaving, t, t, model
 
         monkeypatch.setattr(limits, "_entropic_brackets", faulty)
-        with pytest.raises(RuntimeError, match="lies above" if fault == "above" else "detects where"):
+        with pytest.raises(RuntimeError, match="lies above" if fault == "above" else "top of its range"):
             limit_temperatures(CASE3(0.9))
 
     def test_certified_pass_drops_only_certified_pieces(self, monkeypatch):
         # the entropic pass samples each model at U i/4096 on [0, U], U the
-        # end of the disorder row's top bracket (t_max where that row detects
-        # there), none where the disorder row never detects.  Each piece
+        # end of the disorder row's top bracket, none where the disorder row
+        # never detects.  Each piece
         # between neighbouring samples was dropped: it lies below the highest
         # negative sample, is one floor U/4096 wide, or lies inside a piece
         # whose bound exceeds _NEAR_ZERO, so the entropic margin is positive
@@ -621,15 +630,15 @@ class TestDefaultScanRange:
         monkeypatch.setattr(limits, "_entropic_margin_bound", record_bound)
         monkeypatch.setattr(limits, "_entropic_brackets", flagged)
         fields = np.linspace(0.0, 2.0, 201)
-        for t_max, ps, budget in (
-            (None, [XX(b) for b in fields], 4_000),
-            (None, [MAX_ANISO(b) for b in fields], 10_000),
-            (None, [CASE3(b) for b in fields], 7_172),
-            (0.5, [CASE3(b) for b in (0.0, 0.9, 2.0)], None),
-            (30.0, [CASE3(0.9), XX(0.5), canonicalize(0.0, 0.0, 0.0, 0.0)], None),
+        for ps, budget in (
+            ([XX(b) for b in fields], 4_000),
+            ([MAX_ANISO(b) for b in fields], 10_000),
+            ([CASE3(b) for b in fields], 7_172),
+            ([CASE3(b) for b in (0.0, 0.9, 2.0)], None),
+            ([CASE3(0.9), XX(0.5), canonicalize(0.0, 0.0, 0.0, 0.0)], None),
         ):
             columns.clear(), bounds.clear(), uppers.clear()
-            records = _limit_records(ps, t_max)
+            records = _limit_records(ps)
             (upper,) = uppers
             gaps, ts, margin = (np.concatenate([c[k] for c in columns], axis=-1) for k in range(3))
             b_gaps, b_lo, b_hi, b_val = (np.concatenate([c[k] for c in bounds], axis=-1) for k in range(4))
@@ -640,7 +649,7 @@ class TestDefaultScanRange:
                 if lt.t_disorder is None:
                     assert u == 0.0 and not mine.any(), p
                     continue
-                assert lt.t_disorder <= u and (u == t_max or "disorder" not in lt.censored), p
+                assert lt.t_disorder <= u, p
                 order = np.argsort(ts[mine], kind="stable")
                 t, neg = ts[mine][order], margin[mine][order] < 0.0
                 i = np.round(t / u * 4096)
@@ -654,8 +663,6 @@ class TestDefaultScanRange:
                 assert np.all((i[1:] <= top) | (np.diff(i) == 1) | inside), p
                 if lt.t_entropic is None:
                     assert top == -1, p
-                elif "entropic" in lt.censored:
-                    assert top == 4096, p
                 else:
                     above = u * ((top + 1) / 4096)
                     assert top + 1 in i and u * (top / 4096) <= lt.t_entropic <= above, p
@@ -694,9 +701,9 @@ class TestSignChangeCertificate:
 
     def test_grid_sign_changes_within_the_partial_sum_bound(self, rng):
         tight = 0
-        for p, t_max in _reference_cases(rng):
+        for p in _reference_cases(rng):
             eig = eigensystem(p)
-            changes = self.grid_sign_changes(margin_table(eig, _ref_grid(p, t_max)))[:3]
+            changes = self.grid_sign_changes(margin_table(eig, _ref_grid(p)))[:3]
             bound = self.certificate(p)
             assert np.all(changes <= bound), (p, changes, bound)
             tight += int(np.sum((changes == bound) & (changes == 2)))
@@ -711,7 +718,7 @@ class TestSignChangeCertificate:
             canonicalize(1.0000001310448017, 0.9999998689551984, 0.21050010602433808, 4.652433864616178),
         ]
         for p in ps:
-            changes = self.grid_sign_changes(margin_table(eigensystem(p), _ref_grid(p, None)))[:3]
+            changes = self.grid_sign_changes(margin_table(eigensystem(p), _ref_grid(p)))[:3]
             bound = self.certificate(p)
             assert changes[2] == 1 and np.all(changes <= bound), (p, changes, bound)
 
@@ -815,8 +822,8 @@ class TestSignChangeCertificate:
         assert blip and np.concatenate(blip).size == 0  # the entropic pass ran, and never inside the blip
 
     def test_exact_and_disorder_limits_ignore_the_grid(self, rng, monkeypatch):
-        # the exact and disorder rows take no grid: the entropic pass's floor,
-        # and a t_max above t_cut, change no bit of their limits
+        # the exact and disorder rows take no grid: the entropic pass's floor
+        # changes no bit of their limits
         ps = [random_canonical_params(rng) for _ in range(400)]
         while len(ps) < 500:  # and fields just above the level crossing
             vp = rng.uniform(0.5, 2.0)
@@ -825,25 +832,25 @@ class TestSignChangeCertificate:
             ps.append(canonicalize(vp + vm, vp - vm, 0.2 * vp, bc * (1.0 + 10.0 ** rng.uniform(-12.0, -2.0))))
         key = lambda lt: (lt.t_exact, lt.t_disorder, lt.intervals, lt.reentry)
         want = [key(lt) for lt in _limit_records(ps)]
-        for t_max, rounds in ((None, 2), (1e6, limits._ROUNDS), (1e6, 2)):
+        for rounds in (1, 2, 3):
             monkeypatch.setattr(limits, "_ROUNDS", rounds)
-            assert [key(lt) for lt in _limit_records(ps, t_max)] == want, (t_max, rounds)
+            assert [key(lt) for lt in _limit_records(ps)] == want, rounds
 
 
 class TestSharedScanBoundaries:
     """Models share the scan's kernel calls, in chunks of columns, but one
     model's last sample and the next one's T = 0 sample are no bracket: a
-    model still negative at t_max followed by one separable at T = 0 (or
-    the reverse) gives each model its own record."""
+    model separable at its t_cut followed by one entangled at T = 0, or
+    by one separable at every T, gives each model its own record."""
 
     @pytest.mark.parametrize("chunk", [1 << 15, 64])
-    def test_censored_models_in_one_scan(self, monkeypatch, chunk):
+    def test_models_in_one_scan(self, monkeypatch, chunk):
         monkeypatch.setattr(limits, "_CHUNK", chunk)
         ps = [CASE3(b) for b in np.linspace(0.0, 2.0, 21)] + [XX(0.0), canonicalize(1.0, 0.4, 0.4, 0.0)]
-        for t_max in (0.3, 0.5, None):
-            got = _limit_records(ps, t_max)
-            assert got == [limit_temperatures(p, t_max=t_max) for p in ps], t_max
-            assert t_max is None or sum(bool(lt.censored) for lt in got) >= 10
+        got = _limit_records(ps)
+        assert got == [limit_temperatures(p) for p in ps]
+        # each entangled at T = 0 after one separable at its t_cut, and the last one never entangled
+        assert [lt.intervals[0][0] if lt.intervals else None for lt in got] == [0.0] * 22 + [None]
 
 
 # ---------------------------------------------------------------------------
@@ -971,15 +978,16 @@ def _ref_bisect(f, lo, hi, f_lo_neg, rel):
     return hi if f_lo_neg else lo  # the end where the margin is >= 0
 
 
-def _ref_violation_intervals(f_arr, ts, t_end, rel):
-    """The intervals where f_arr is negative, and whether the last one
-    reaches t_end (the criterion still fires at the top of the scan)."""
+def _ref_violation_intervals(f_arr, ts, rel):
+    """The intervals where f_arr is negative, which end below the top of
+    the grid: no margin is negative past t_cut (limits module docstring)."""
     values = f_arr(ts)
     neg = values < 0.0
     if values[0] == 0.0:  # a margin exactly 0 at T = 0 takes the next sample's sign
         neg[0] = neg[1]
+    assert not neg[-1], "a margin is negative at the top of the reference grid"
     if not neg.any():
-        return [], False
+        return []
 
     @functools.cache  # a bisection below the float spacing repeats its last midpoint
     def f(t):
@@ -993,18 +1001,17 @@ def _ref_violation_intervals(f_arr, ts, t_end, rel):
             intervals.append((starts.pop(), t_cross))
         else:
             starts.append(t_cross)
-    if neg[-1]:
-        intervals.append((starts.pop(), float(t_end)))
-    return intervals, bool(neg[-1])
+    return intervals
 
 
-def _ref_grid(p, t_max, grid_n=REF_GRID):
-    """The whole grid up to t_max, with a window of grid_n samples up to
-    3 t_r merged in where the two-level gap temperature t_r exists and
-    level 3 lies below levels 0 and 1, so both lobes around the separable
-    gap are sampled even where they are much narrower than the grid step."""
+def _ref_grid(p, grid_n=REF_GRID):
+    """The whole grid up to REF_RANGE energy scales, with a window of grid_n
+    samples up to 3 t_r merged in where the two-level gap temperature t_r
+    exists and level 3 lies below levels 0 and 1, so both lobes around the
+    separable gap are sampled even where they are much narrower than the
+    grid step."""
     eig = eigensystem(p)
-    t_end = _default_t_max(p) if t_max is None else t_max
+    t_end = REF_RANGE * (p.energy_scale or 1.0)
     ts = np.linspace(0.0, t_end, grid_n + 1)
     t_r = reentry_two_level(p)
     if t_r is not None and eig.energies[3] < min(eig.energies[:2]):
@@ -1012,17 +1019,16 @@ def _ref_grid(p, t_max, grid_n=REF_GRID):
     return ts[ts <= t_end]
 
 
-def reference_limit_temperatures(p, t_max=None, rel_tol=REF_REL_TOL, grid_n=REF_GRID):
-    # the whole grid up to t_max: the scan's claim that no margin changes
-    # sign past t_cut is checked, not assumed
+def reference_limit_temperatures(p, rel_tol=REF_REL_TOL, grid_n=REF_GRID):
+    # the whole grid up to REF_RANGE energy scales: the scan's claim that no
+    # margin changes sign past t_cut is checked, not assumed
     eig = eigensystem(p)
-    t_end = _default_t_max(p) if t_max is None else t_max
-    ts = _ref_grid(p, t_max, grid_n)
+    ts = _ref_grid(p, grid_n)
 
     def scan(f_arr):
-        return _ref_violation_intervals(lambda t: f_arr(eig, t), ts, t_end, rel_tol)
+        return _ref_violation_intervals(lambda t: f_arr(eig, t), ts, rel_tol)
 
-    (m12, top_12), (m03, top_03) = (scan(lambda e, t: _ref_exact(e, t)[k]) for k in (0, 1))
+    m12, m03 = (scan(lambda e, t: _ref_exact(e, t)[k]) for k in (0, 1))
     raw = sorted(m12 + m03)
     ints = []
     for lo, hi in raw:
@@ -1032,8 +1038,8 @@ def reference_limit_temperatures(p, t_max=None, rel_tol=REF_REL_TOL, grid_n=REF_
                 continue
             lo = ints[-1][1]
         ints.append((lo, max(lo, hi)))
-    t_disorder, top_dis = scan(_ref_disorder)
-    t_entropic, top_ent = scan(_ref_entropic)
+    t_disorder = scan(_ref_disorder)
+    t_entropic = scan(_ref_entropic)
     reentry = None
     if len(ints) >= 2:
         reentry = ReentryWindow(lower=ints[0][1], upper=ints[1][0], two_level=reentry_two_level(p))
@@ -1043,19 +1049,16 @@ def reference_limit_temperatures(p, t_max=None, rel_tol=REF_REL_TOL, grid_n=REF_
         t_entropic=t_entropic[-1][1] if t_entropic else None,
         intervals=tuple(ints),
         reentry=reentry,
-        censored=tuple(
-            c for c, top in zip(("exact", "disorder", "entropic"), (top_12 or top_03, top_dis, top_ent)) if top
-        ),
     )
 
 
 def _reference_cases(rng):
-    """About 200 (params, t_max) cases over the awkward corners."""
+    """About 200 models over the awkward corners."""
     cases = []
     for _ in range(80):  # generic, vz != 0
         vp, vm, b = log_uniform(rng, 1e-2, 1e1, size=3)
         vz = log_uniform(rng, 1e-2, 1e1) * rng.choice([-1.0, 1.0])
-        cases.append((canonicalize(vp + vm, vp - vm, vz, b), None))
+        cases.append(canonicalize(vp + vm, vp - vm, vz, b))
     while len(cases) < 130:  # just above the level-crossing field
         vp = rng.uniform(0.5, 2.0)
         vm = rng.uniform(0.0, 0.9) * vp
@@ -1063,29 +1066,32 @@ def _reference_cases(rng):
         bc = b_crossing(canonicalize(vp + vm, vp - vm, vz, 0.0))
         if bc > 0.0:
             b = bc * (1.0 + 10.0 ** rng.uniform(-4.0, -2.0))
-            cases.append((canonicalize(vp + vm, vp - vm, vz, b), None))
+            cases.append(canonicalize(vp + vm, vp - vm, vz, b))
     for _ in range(20):  # Delta = 0
         vp = log_uniform(rng, 1e-1, 1e1)
         vz = rng.uniform(-1.0, 1.0) * vp
-        cases.append((canonicalize(vp, vp, vz, 0.0), None))
+        cases.append(canonicalize(vp, vp, vz, 0.0))
     for _ in range(20):  # v_minus = 0, vz above v_plus: never entangled
         vp = rng.uniform(0.1, 1.0)
         vz = vp + rng.uniform(0.1, 2.0)
-        cases.append((canonicalize(vp, vp, vz, rng.uniform(0.0, 2.0)), None))
-    for _ in range(30):  # user t_max, often below t_exact (censored)
+        cases.append(canonicalize(vp, vp, vz, rng.uniform(0.0, 2.0)))
+    # two sets of unit couplings, each followed by one unused draw that keeps
+    # the models of the draws after it
+    for _ in range(30):
         vp, vm, b = rng.uniform(0.1, 2.0, size=3)
         vz = rng.uniform(-0.5, 0.5)
-        cases.append((canonicalize(vp + vm, vp - vm, vz, b), rng.uniform(0.05, 3.0)))
-    for _ in range(12):  # user t_max far above t_cut, where the scan stops its tables
+        cases.append(canonicalize(vp + vm, vp - vm, vz, b))
+        rng.uniform(0.05, 3.0)
+    for _ in range(12):
         vp, vm, b = rng.uniform(0.1, 2.0, size=3)
-        p = canonicalize(vp + vm, vp - vm, rng.uniform(-0.5, 0.5), b)
-        cases.append((p, rng.uniform(5.0, 100.0) * p.energy_scale))
+        cases.append(canonicalize(vp + vm, vp - vm, rng.uniform(-0.5, 0.5), b))
+        rng.uniform(5.0, 100.0)
     return cases
 
 
 def assert_within(got, want, rel):
     """The records have the same structure and their temperatures agree within rel."""
-    assert (got.censored, len(got.intervals), got.reentry is None) == (want.censored, len(want.intervals), want.reentry is None)
+    assert (len(got.intervals), got.reentry is None) == (len(want.intervals), want.reentry is None)
     pairs = [(got.t_exact, want.t_exact), (got.t_disorder, want.t_disorder), (got.t_entropic, want.t_entropic)]
     pairs += list(zip(np.ravel(got.intervals), np.ravel(want.intervals)))
     if got.reentry is not None:
@@ -1113,37 +1119,35 @@ class TestSingleScanMatchesReference:
         # of the kernel's margin
         cases = _reference_cases(rng)
         assert len(cases) >= 200
-        censored = never = reentry = flipping = 0
-        for p, t_max in cases:
-            got = limit_temperatures(p, t_max=t_max)
-            want = reference_limit_temperatures(p, t_max, rel_tol=1e-300)
+        never = reentry = flipping = 0
+        for p in cases:
+            got = limit_temperatures(p)
+            want = reference_limit_temperatures(p, rel_tol=1e-300)
             key = self.FLIPPING.get(p)
             if key is not None:
                 flipping += 1
                 edge = getattr(got, key)
-                assert got == dataclasses.replace(want, **{key: edge}), (p, t_max)
+                assert got == dataclasses.replace(want, **{key: edge}), p
                 assert abs(edge - getattr(want, key)) <= 5 * math.ulp(edge), (got, want)
             else:
-                assert got == want, (p, t_max)
-            censored += "exact" in got.censored
+                assert got == want, p
             never += not got.intervals
             reentry += got.reentry is not None
-        assert censored and never and reentry and flipping == 2
+        assert never and reentry and flipping == 2
 
     def test_default_tolerance_matches_per_criterion_scans(self, rng):
         # the reference stops its bisection at REF_REL_TOL, the scan at
         # adjacent floats: the same record structure, every temperature
         # within 2 REF_REL_TOL
-        for p, t_max in _reference_cases(rng):
-            got = limit_temperatures(p, t_max=t_max)
-            assert_within(got, reference_limit_temperatures(p, t_max), 2 * REF_REL_TOL)
+        for p in _reference_cases(rng):
+            assert_within(limit_temperatures(p), reference_limit_temperatures(p), 2 * REF_REL_TOL)
 
     def test_scalar_checks_match_table(self, rng):
         # the disorder and entropic checks run the table's formulas on the
         # same weights, so they agree bit for bit; the exact margins take
         # their cross term from sqrt(p_1 p_2) instead of the amplitudes
         eps = np.finfo(float).eps
-        for p, _ in _reference_cases(rng)[::5]:
+        for p in _reference_cases(rng)[::5]:
             eig = eigensystem(p)
             ts = np.concatenate([[0.0], log_uniform(rng, 1e-2, 1e1, size=8) * p.energy_scale, [0.0]])
             table = margin_table(eig, ts)
@@ -1207,23 +1211,18 @@ class TestSingleScanMatchesReference:
 
 class TestBatchedScan:
     def test_groups_match_one_model_scans(self, rng):
-        # every t_max group in one scan: each record equals the model's own
-        # limit_temperatures field for field, bit for bit
-        groups = {}
-        for p, t_max in _reference_cases(rng):
-            groups.setdefault(t_max, []).append(p)
-        assert max(map(len, groups.values())) >= 150
-        censored = never = reentry = degenerate = 0
-        for t_max, ps in groups.items():
-            got = _limit_records(ps, t_max)
-            assert len(got) == len(ps)
-            for p, lt in zip(ps, got):
-                assert lt == limit_temperatures(p, t_max=t_max), (p, t_max)
-                censored += "exact" in lt.censored
-                never += not lt.intervals
-                reentry += lt.reentry is not None
-                degenerate += eigensystem(p).degenerate
-        assert censored and never and reentry and degenerate
+        # every reference case in one scan: each record equals the model's
+        # own limit_temperatures field for field, bit for bit
+        ps = _reference_cases(rng)
+        got = _limit_records(ps)
+        assert len(got) == len(ps) >= 200
+        never = reentry = degenerate = 0
+        for p, lt in zip(ps, got):
+            assert lt == limit_temperatures(p), p
+            never += not lt.intervals
+            reentry += lt.reentry is not None
+            degenerate += eigensystem(p).degenerate
+        assert never and reentry and degenerate
 
 
 class TestZeroTemperatureLimit:
