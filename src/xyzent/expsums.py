@@ -4,11 +4,13 @@ In beta = 1/T such a sum has no more positive zeros than the partial sums
 of its coefficients, taken in increasing exponent, have sign changes
 (Laguerre's rule of signs; Polya and Szego, Problems and Theorems in
 Analysis II, Part V, 77; G. J. O. Jameson, Math. Gazette 90, 2006).  Where
-that bound exceeds 1, Rolle steps isolate the zeros: e^{beta e_m} times
-the sum has the same zeros, its beta-derivative is again such a sum, and
-one of its zeros lies between any two of the sum's, so the derivative's
-zeros cut the range into pieces with one zero at most.  limits brackets
-the margins m12, m03 and disorder from these zeros.
+that bound exceeds 1, Rolle steps isolate the zeros: e^{beta e_top} times
+the sum, e_top its largest exponent, has the same zeros, its
+beta-derivative is again such a sum, one term shorter, and one of its zeros
+lies between any two of the sum's, so the derivative's zeros cut the range
+into pieces with one zero at most.  The steps stop at two terms, as such a
+sum has one zero at most.  limits brackets the margins m12, m03 and
+disorder from these zeros.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ def sum_zeros(lam, coef, bound, t_end):
     limits' t_end, t_cut.
 
     In x = lam_max/T (beta scaled, so nothing overflows) level k + 1 is the
-    derivative of e^{x e_m} times level k, for e_m the first exponent or
-    midpoint of two whose level k + 1 has a bound of at most 1 clear of
-    rounding, else the largest exponent left, which drops a term.  The
-    zeros of level k + 1 cut level k into pieces with one zero at most.
+    derivative of e^{x e_top} times level k, for e_top the largest exponent
+    left in level k, so each level drops that term; a row descends until
+    two terms are left, as such a sum has one zero at most.  The zeros of
+    level k + 1 cut level k into pieces with one zero at most.
     """
-    tiny = np.finfo(float).tiny
     zeros = np.full((lam.shape[0], 6), np.nan)
     at = np.flatnonzero(bound > 0)
     scale = lam[at, -1]
@@ -45,20 +46,13 @@ def sum_zeros(lam, coef, bound, t_end):
     x_end = scale / t_end[at]
     levels, depth, cut = [coef[at]], np.zeros(at.size, int), bound[at] >= 2
     while cut.any():
-        c, m, rows = levels[-1][cut], mu[cut], np.arange(cut.sum())
-        top = m[rows, 5 - np.argmax(c[:, ::-1] != 0.0, axis=1)]
-        e_m = np.concatenate([m, 0.5 * (m[:, 1:] + m[:, :-1]), top[:, None]], axis=1)
-        d = c[:, None, :] * (e_m[:, :, None] - m[:, None, :])
-        d /= np.maximum(np.abs(d).max(axis=2, keepdims=True), tiny)
-        partial, rounding = np.cumsum(d, axis=2), 1e-9 * np.abs(d).sum(axis=2, keepdims=True)
-        unclear = np.logical_or.accumulate(d != 0.0, axis=2) & (np.abs(partial) <= rounding)
-        ok = (sign_changes(partial) <= 1) & ~unclear.any(axis=2)
-        ok[:, -1] |= len(levels) == 4  # at most two terms are left
-        pick = np.where(ok.any(axis=1), np.argmax(ok, axis=1), 11)
+        c, m = levels[-1][cut], mu[cut]
+        top = np.max(m, axis=1, initial=0.0, where=c != 0.0)
+        d = c * (top[:, None] - m)
         levels.append(np.zeros_like(mu))
-        levels[-1][cut] = d[rows, pick]
+        levels[-1][cut] = d / np.abs(d).max(axis=1, keepdims=True)
         depth[cut] = len(levels) - 1  # the level a row solves without cuts
-        cut[cut] = ~ok[rows, pick]
+        cut[cut] = (d != 0.0).sum(axis=1) > 2
     x = np.full((at.size, 7), np.nan)
     for k in range(len(levels) - 1, -1, -1):
         on = np.flatnonzero(depth >= k)
@@ -87,22 +81,18 @@ def sum_zeros(lam, coef, bound, t_end):
 
 
 def _newton(c, e, lo, hi, neg_lo):
-    """The zero in (lo, hi) of each F(x) = sum_j c_j exp(-x e_j) (rows),
-    negative at lo where neg_lo and not at hi: Newton steps on ln P - ln N,
-    P - N = F split by the sign of its terms (linear in x for two terms),
-    each part scaled by its leading exponential; a step out of the bracket
-    is a bisection, geometric where the bracket spans a factor 2 or more."""
-    lead = [np.where(s * c > 0.0, e, np.inf).min(axis=1) for s in (1.0, -1.0)]
-    rate, e = lead[1] - lead[0], np.where(c > 0.0, e - lead[0][:, None], e - lead[1][:, None])
-    parts, done = np.stack([np.maximum(c, 0.0), np.maximum(-c, 0.0)]), np.zeros(lo.size, bool)
+    """The zero in (lo, hi) of each F(x) = sum_j c_j exp(-x e_j) (rows,
+    e >= 0, so nothing overflows), negative at lo where neg_lo and not at
+    hi: Newton steps on F; a step out of the bracket is a bisection,
+    geometric where the bracket spans a factor 2 or more."""
+    done = np.zeros(lo.size, bool)
     x = np.where(hi > 2.0 * lo, lo * np.sqrt(hi / lo), 0.5 * (lo + hi))
     for _ in range(200):
-        t = parts * np.exp(-x[:, None] * e)
-        (p, n), (dp, dn) = t.sum(axis=2), (t * e).sum(axis=2)
-        phi = x * rate + np.log(p / n)
-        lo, hi = np.where((phi < 0.0) == neg_lo, x, lo), np.where((phi < 0.0) == neg_lo, hi, x)
+        t = c * np.exp(-x[:, None] * e)
+        f, df = t.sum(axis=1), -(t * e).sum(axis=1)
+        lo, hi = np.where((f < 0.0) == neg_lo, x, lo), np.where((f < 0.0) == neg_lo, hi, x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = x - phi / (rate - dp / p + dn / n)
+            step = x - f / df
         close = ~done & (np.abs(step - x) <= 1e-12 * x)
         done |= close | (hi - lo <= 1e-12 * hi)
         x = np.where(close, step, x)  # a row once done keeps its x

@@ -178,17 +178,16 @@ def _sign_change_bounds(gaps, vm_ratio, b_ratio):
 
 def _chunked(f, columns, model, *ts):
     """f of the columns (indexed on their last axis) of model[k] and of
-    ts[.][k], at most _CHUNK columns per call: yields (start, result)."""
+    ts[.][k], at most _CHUNK columns per call: yields each call's result."""
     for lo in range(0, model.size, _CHUNK):
         m = model[lo : lo + _CHUNK]
-        yield lo, f(*(c[..., m] for c in columns), *(t[lo : lo + _CHUNK] for t in ts))
+        yield f(*(c[..., m] for c in columns), *(t[lo : lo + _CHUNK] for t in ts))
 
 
 def _values(gaps, vm_ratio, b_ratio, model, ts) -> np.ndarray:
     """The kernel's margins (4, N) of model[k] at ts[k], from at most
     _CHUNK columns per kernel call."""
-    tables = _chunked(_margin_columns, (gaps, vm_ratio, b_ratio), model, ts)
-    return np.hstack([np.empty((4, 0))] + [t for _, t in tables])
+    return np.hstack([np.empty((4, 0)), *_chunked(_margin_columns, (gaps, vm_ratio, b_ratio), model, ts)])
 
 
 def _root_brackets(gaps, vm_ratio, b_ratio):
@@ -250,8 +249,8 @@ def _entropic_brackets(gaps, vm_ratio, b_ratio, upper):
         if width > 1:
             b = np.flatnonzero(start > top[model])
             lo, hi = at(model[b], start[b]), at(model[b], start[b] + width)
-            bound = [c for _, c in _chunked(_entropic_margin_bound, (gaps, b_ratio), model[b], lo, hi)]
-            keep[b[np.concatenate([np.zeros(0), *bound]) > _NEAR_ZERO]] = False
+            bound = np.concatenate([np.zeros(0), *_chunked(_entropic_margin_bound, (gaps, b_ratio), model[b], lo, hi)])
+            keep[b[bound > _NEAR_ZERO]] = False
         model, start = model[keep], start[keep]
     k = np.flatnonzero((top >= 0) & (top < n))
     return top >= 0, top == n, np.ones(k.size, bool), at(k, top[k]), at(k, top[k] + 1), k

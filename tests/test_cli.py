@@ -13,6 +13,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import xyzent
+from xyzent import meanfield
 from xyzent.cli import (
     _BLOCK,
     _FIGURES,
@@ -196,6 +197,20 @@ class TestLimits:
         assert code == 0 and got["t_critical_closed"] == p.t_critical
         assert got["t_critical_numeric"] == critical_temperature(p, "numeric").t_c
 
+    def test_solver_failure_exits_4(self, capsys, monkeypatch):
+        # an uncertified model's numeric T_c where no solver seed converges:
+        # exit 4, nothing on stdout and one error line on stderr
+        solve_rows = meanfield._solve_rows
+
+        def failing(p, temperatures, seeds):
+            rows = solve_rows(p, temperatures, seeds)
+            return rows._replace(converged=np.zeros_like(rows.converged))
+
+        monkeypatch.setattr(meanfield, "_solve_rows", failing)
+        code, out, err = run(capsys, "limits", "--vx=0.865", "--vy=0.192", "--vz=-2.775", "--b=0.877")
+        assert code == 4 and out == "" and err.startswith("error: no seed converged; best residual ")
+        assert err.count("\n") == 1, err
+
     def test_reentry_columns(self, capsys):
         code, out, _ = run(capsys, "limits", "--vx", "1.7", "--vy", "0.3", "--b", "0.9")
         assert code == 0
@@ -288,12 +303,14 @@ class TestSweep:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
-    def test_axis_cannot_be_fixed(self, capsys):
-        code, _, err = run(
-            capsys, "sweep", "--axis", "b", "--b", "1", "--from", "0", "--to", "1",
+    @pytest.mark.parametrize("axis", ["b", "temp"])
+    def test_axis_cannot_be_fixed(self, capsys, axis):
+        fixed = {"b": "1", "temp": "0.3"}[axis]
+        code, out, err = run(
+            capsys, "sweep", "--axis", axis, f"--{axis}", fixed, "--from", "0", "--to", "1",
             "--steps", "3",
         )
-        assert code == 2 and "cannot also be fixed" in err
+        assert code == 2 and out == "" and f"axis parameter {axis!r} cannot also be fixed" in err
 
     def test_bad_range(self, capsys):
         code, _, _ = run(capsys, "sweep", "--axis", "b", "--from", "1", "--to", "0", "--steps", "3")

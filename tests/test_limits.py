@@ -572,26 +572,37 @@ class TestDefaultScanRange:
         with pytest.raises(RuntimeError, match="top edge"):
             limit_temperatures(CASE3(0.9))
 
-    @pytest.mark.parametrize("fault", ["above", "censored"])
+    @pytest.mark.parametrize("fault", ["above", "censored", "orphan"])
     def test_entropic_detection_without_disorder_detection_raises(self, monkeypatch, fault):
         # entropic detection implies disorder detection, so an entropic limit
-        # more than refinement noise above the disorder limit, or an entropic
+        # more than refinement noise above the disorder limit, an entropic
         # row still negative at the top of its range, the end of the disorder
-        # row's top bracket, is a fault of the scan that it must refuse, not
-        # report
-        lt = limit_temperatures(CASE3(0.9))
+        # row's top bracket, or an entropic limit of a model whose disorder
+        # margin never detects, is a fault of the scan that it must refuse,
+        # not report
+        p = canonicalize(0.5, 0.5, 0.0, 2.0) if fault == "orphan" else CASE3(0.9)
+        lt = limit_temperatures(p)
+        assert (lt.t_disorder is None) == (fault == "orphan")
         entropic = limits._entropic_brackets
 
         def faulty(*args):
             first, last, leaving, lo, hi, model = entropic(*args)
+            if fault == "orphan":  # one top edge, at adjacent floats
+                t = np.array([0.1])
+                return first, last, np.ones(1, bool), t, np.nextafter(t, 1.0), np.zeros(1, int)
             if fault == "censored":
                 return first, np.ones_like(last), ~leaving, lo, hi, model
             t = np.full_like(lo, lt.t_disorder * (1.0 + 1e-9))
             return first, last, leaving, t, t, model
 
         monkeypatch.setattr(limits, "_entropic_brackets", faulty)
-        with pytest.raises(RuntimeError, match="lies above" if fault == "above" else "top of its range"):
-            limit_temperatures(CASE3(0.9))
+        match = {
+            "above": "lies above",
+            "censored": "top of its range",
+            "orphan": "the entropic margin detects where the disorder margin does not",
+        }[fault]
+        with pytest.raises(RuntimeError, match=match):
+            limit_temperatures(p)
 
     def test_certified_pass_drops_only_certified_pieces(self, monkeypatch):
         # the entropic pass samples each model at U i/4096 on [0, U], U the
