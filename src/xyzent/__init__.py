@@ -98,10 +98,10 @@ def _one_blas_thread():
 
     OpenBLAS reads its thread count once, when numpy loads it, and by
     default starts a worker thread per core but the first, which spin
-    while numpy imports.  The largest matrix the CLI hands to LAPACK is
-    6x6, so it never uses them.  Does nothing once numpy is imported, or
-    where the user set any of _BLAS_THREADS.  For the programs only: it
-    changes os.environ, which every child process inherits.
+    while numpy imports.  The CLI hands nothing to LAPACK, so it never
+    uses them.  Does nothing once numpy is imported, or where the user
+    set any of _BLAS_THREADS.  For the programs only: it changes
+    os.environ, which every child process inherits.
     """
     if "numpy" not in _sys.modules and not any(_os.environ.get(k) for k in _BLAS_THREADS):
         _os.environ["OPENBLAS_NUM_THREADS"] = "1"

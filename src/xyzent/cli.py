@@ -7,12 +7,13 @@ Subcommands:
     sweep   1-D parameter sweep emitted as CSV
     figure  regenerate the reference datasets (fig2/fig3/fig4) as CSV files
 
-Exit codes: 0 success, 2 invalid input, 3 I/O failure, 4 solver
-non-convergence.  `limits` prints the mean-field T_c twice:
-t_critical_closed (XYZParams.t_critical), and t_critical_numeric, the
-onset of the mean field's broken global minimum, which is the same
-closed form where XYZParams.t_critical_is_onset certifies it and the
-solver bisection (meanfield.critical_temperature "numeric") elsewhere.
+Exit codes: 0 success, 2 invalid input, 3 I/O failure; 4 (solver
+non-convergence) is no longer produced, as the mean field iterates
+nothing.  `limits` prints the mean-field T_c twice: t_critical_closed
+(XYZParams.t_critical), and t_critical_numeric, the onset of the mean
+field's broken global minimum, which is the same closed form where
+XYZParams.t_critical_is_onset certifies it and the onset of the
+enumerated minimum (meanfield.critical_temperature "numeric") elsewhere.
 Limits are scanned up to each model's own t_cut, past which no criterion
 detects (limits module docstring), so no option sets a scan range.
 Floats in CSV output carry up to 12 significant digits, and a limit
@@ -22,10 +23,10 @@ identical invocations produce byte-identical files.
 
 Run as a program (`python -m xyzent.cli`, or the `xyzent` console script,
 xyzent._console_script), it has numpy start OpenBLAS with one thread
-unless the user set a thread count (xyzent._one_blas_thread): its largest
-matrix is 6x6.  It also keeps the garbage collector off while its imports
-run and then freezes what they built, which lives until exit, and
-freezes again at exit, so the collector never scans those objects
+unless the user set a thread count (xyzent._one_blas_thread): it calls
+no LAPACK routine.  It also keeps the garbage collector off while its
+imports run and then freezes what they built, which lives until exit,
+and freezes again at exit, so the collector never scans those objects
 (xyzent._start_program, xyzent._freeze_imports).  Importing this module,
 or calling main in a process, does neither: the environment, the
 collector and the atexit callbacks stay as they were.
@@ -46,7 +47,7 @@ import sys
 import numpy as np
 
 from . import criteria, entanglement, limits, meanfield, states
-from .errors import NoConvergence, XyzentError
+from .errors import XyzentError
 from .model import XYZParams, _eigen_columns, canonicalize
 
 PARAM_KEYS = ("vx", "vy", "vz", "b")
@@ -504,9 +505,6 @@ def main(argv=None) -> int:
         if args.command in ("sweep", "figure") and args.steps < 2:
             raise XyzentError(f"steps must be >= 2, got {args.steps}")
         return args.func(args)
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except XyzentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

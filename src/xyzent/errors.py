@@ -36,7 +36,3 @@ class DegenerateBasis(XyzentError, ValueError):
 
 class OutOfRange(XyzentError, ValueError):
     """Scalar argument outside its documented domain."""
-
-
-class NoConvergence(XyzentError, RuntimeError):
-    """Self-consistent solver failed to converge from every seed."""

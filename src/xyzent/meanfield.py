@@ -1,8 +1,11 @@
 """Finite-temperature independent-qubit (mean-field) approximation.
 
-The free energy F = <H> - T S is minimized over product states
-rho_A (x) rho_B, each qubit parameterized by an effective field vector
-lambda with
+The free energy
+
+    F(s_A, s_B) = b (s_A^z + s_B^z) - 2 sum_i v_i s_A^i s_B^i - T [S(s_A) + S(s_B)]
+
+is minimized over product states rho_A (x) rho_B, each qubit
+parameterized by an effective field vector lambda with
 
     <s> = -lambda tanh(|lambda| / 2T) / (2 |lambda|),
 
@@ -18,18 +21,44 @@ solution exists below the critical temperature
 
 feasible for v_max > max(vz, 0) and |b| < v_max - vz, with T_c -> v_max/2 as
 chi -> 0.  Entropies here are natural-log (thermodynamic convention).
+
+solve_mf returns the least-F point of a complete list of stationary
+points, so nothing iterates.  With vx >= |vy| (the canonical sector),
+vx s_A^x s_B^x + |vy| s_A^y s_B^y <= vx rho_A rho_B for transverse lengths
+rho, so a global minimum can be taken with its transverse part along x,
+and its stationary points fall into three families:
+
+- z only: lambda^A = b + vz tanh(lambda^B / 2T) and back.  Among uniform
+  ones the largest root is lowest for b >= 0 (split at cosh w =
+  sqrt(vz/2T) where vz > 2T).  For vz < 0 the map is decreasing, so there
+  is one uniform root lambda_0, and a staggered pair exists iff the map's
+  slope at lambda_0 exceeds 1 in size; its square has negative Schwarzian,
+  hence at most one pair.
+- uniform x: tanh(n/2T) = n/vx, lambda_z = vx chi, which exists iff
+  T < T_c and is then the lowest uniform state (XYZParams.t_critical_is_onset).
+- canted x: 2 vx kappa = rho and 1/rho on the two qubits (kappa =
+  tanh(n/2T)/2n, rho > 1), with z fields b (1 + (vz/vx)/rho)/D and
+  b (1 + (vz/vx) rho)/D, D = 1 - (vz/vx)^2; consistency is one chord
+  condition on psi(kappa) = kappa n^2, so they exist only for vz^2 > vx^2
+  and b > 0, and at most one pair (_canted).
+
+For T >= -vz/2 every global minimum is uniform (the same proof), so the
+non-uniform families are solved only below -vz/2.  Every formula is a
+ratio of couplings, fields and T, so results scale exactly with the
+energy unit; each root is bisected to adjacent floats in their order
+(_bisect), or found by a monotone Newton iteration (_nu).
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .entanglement import _xlogx
-from .errors import InvalidTemperature, NoConvergence
+from .errors import InvalidTemperature
 from .model import XYZParams, eigensystem
 from .states import _gibbs_exponents
 
@@ -43,25 +72,6 @@ __all__ = [
     "critical_temperature",
 ]
 
-#: |lambda_{x,y}| above this multiple of v_max counts as a broken phase flip
-BREAK_TOL = 1e-6
-#: self-consistency residual accepted as converged, relative to energy_scale
-RESIDUAL_TOL = 1e-9
-#: backstop cap on a seed row's damped sweeps; the hand-off below ends rows first
-FP_SWEEPS = 2000
-#: a seed row hands off to Newton after HANDOFF_SWEEPS sweeps that each shrank its largest
-#: update by less than HANDOFF_RATIO or held it (2-cycle) to within rounding, never grew it
-HANDOFF_RATIO, HANDOFF_HOLD, HANDOFF_SWEEPS = 0.9, 1.0 + 1e-6, 20
-#: largest component update at which the fixed-point sweeps stop, relative to energy_scale
-UPDATE_TOL = 1e-12
-#: a polished seed stops once its full Newton step is this small relative to |lambda|
-NEWTON_STEP_TOL = 1e-13
-#: Newton steps per polish, and step halvings per Newton step
-NEWTON_STEPS = 100
-NEWTON_HALVINGS = 60
-#: bisection levels of the numeric T_c solved together in each round after the first
-TREE_LEVELS = 5
-
 
 @dataclass(frozen=True)
 class MeanFieldSolution:
@@ -70,10 +80,11 @@ class MeanFieldSolution:
     s_a: np.ndarray  # spin expectation of qubit A, |s| <= 1/2
     s_b: np.ndarray
     free_energy: float
-    broken_phase_flip: bool
-    broken_permutation: bool
-    converged: bool
-    iterations: int
+    broken_phase_flip: bool  # uniform or canted x
+    broken_permutation: bool  # staggered z or canted x
+    #: always True and 0: the minimum is enumerated, nothing iterates
+    converged: bool = True
+    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -92,34 +103,34 @@ def _check_temperature(t: float) -> float:
 
 
 def qubit_expectations(lambdas, temperature: float) -> np.ndarray:
-    """<s> for each effective field row; zero field gives zero spin."""
-    return _spins(np.asarray(lambdas, dtype=float), _check_temperature(temperature))
+    """<s> for each effective field row; zero field gives zero spin.
 
-
-def _spins(lam: np.ndarray, temperature) -> np.ndarray:
-    """qubit_expectations for a validated temperature, a float or an array
-    that broadcasts against the field rows.
-
-    Norms here and below come from np.hypot.reduce, which never squares a
-    component, so fields near the top of the float range do not overflow.
+    Norms come from np.hypot.reduce, which never squares a component, so
+    fields near the top of the float range do not overflow.
     """
+    lam, t = np.asarray(lambdas, dtype=float), _check_temperature(temperature)
     norm = np.hypot.reduce(lam, axis=-1, keepdims=True)
-    amp = np.divide(
-        np.tanh(0.5 * norm / temperature), norm, out=np.zeros_like(norm), where=norm > 0.0
-    )
+    amp = np.divide(np.tanh(0.5 * norm / t), norm, out=np.zeros_like(norm), where=norm > 0.0)
     return -0.5 * lam * amp
 
 
-def _qubit_entropy_nat(s) -> np.ndarray:
-    """Natural-log entropy of qubits with spin expectation rows s."""
-    m = np.hypot.reduce(np.asarray(s, dtype=float), axis=-1)
-    up, dn = 0.5 + m, 0.5 - m
-    return -(_xlogx(up) + _xlogx(dn))
+def _qubit(lam, t: float):
+    """(<s>, -T S) of one qubit in the field lam at T, with
+    exp(-|lam|/T) = e giving tanh = (1 - e)/(1 + e) and
+    S = ln(2 cosh x) - x tanh x = 2x e/(1 + e) + ln(1 + e), x = |lam|/2T,
+    to full relative accuracy at every T."""
+    n = math.hypot(*lam)
+    e = math.exp(-n / t)
+    m = 0.5 * (1.0 - e) / (1.0 + e)
+    return [-m * (c / n) if n > 0.0 else 0.0 for c in lam], -(n * e / (1.0 + e) + t * math.log1p(e))
 
 
-def _interaction_energy(p: XYZParams, s_a, s_b) -> np.ndarray:
-    v = np.array([p.vx, p.vy, p.vz])
-    return p.b * (s_a[..., 2] + s_b[..., 2]) - 2.0 * (v * s_a * s_b).sum(axis=-1)
+def _free(p: XYZParams, t: float, lam_a, lam_b):
+    """(F, s_A, s_B) of the product state of the fields lam_a, lam_b."""
+    s_a, ts_a = _qubit(lam_a, t)
+    s_b, ts_b = _qubit(lam_b, t)
+    energy = p.b * (s_a[2] + s_b[2]) - 2.0 * (p.vx * s_a[0] * s_b[0] + p.vy * s_a[1] * s_b[1] + p.vz * s_a[2] * s_b[2])
+    return energy + (ts_a + ts_b), s_a, s_b
 
 
 def mf_free_energy(lambda_a, lambda_b, p: XYZParams, temperature: float) -> float:
@@ -128,10 +139,7 @@ def mf_free_energy(lambda_a, lambda_b, p: XYZParams, temperature: float) -> floa
     Exact for genuinely uncorrelated problems (all couplings zero).
     """
     t = _check_temperature(temperature)
-    s_a = _spins(np.asarray(lambda_a, dtype=float), t)
-    s_b = _spins(np.asarray(lambda_b, dtype=float), t)
-    energy = _interaction_energy(p, s_a, s_b)
-    return float(energy - t * (_qubit_entropy_nat(s_a) + _qubit_entropy_nat(s_b)))
+    return _free(p, t, *(np.asarray(lam, dtype=float).tolist() for lam in (lambda_a, lambda_b)))[0]
 
 
 def exact_free_energy(p: XYZParams, temperature: float) -> float:
@@ -141,232 +149,147 @@ def exact_free_energy(p: XYZParams, temperature: float) -> float:
     return float(eig.energies.min() - t * np.log(np.exp(-_gibbs_exponents(eig.energies, t)).sum()))
 
 
-def _default_seeds(p: XYZParams) -> np.ndarray:
-    """Seed fields, shape (n_seeds, 2, 3): symmetric first (tie-break order),
-    then +x, +y transverse, then one permutation-asymmetric x seed.
-
-    No -x or -y seed: the map is odd in the transverse components, so a
-    mirrored seed converges to the negated fields in the same sweep, with
-    the same free energy, and would lose every tie to its mirror image.
-    """
-    v = p.v_max  # >= 0 in the canonical sector (XYZParams)
-    seeds = np.zeros((4, 2, 3))
-    seeds[1, :, 0] = v
-    seeds[2, :, 1] = v
-    seeds[3, 0, 0] = v
-    seeds[3, 1, 0] = -v
-    return seeds
+_DOUBLE, _INT = struct.Struct("<d"), struct.Struct("<q")
 
 
-def _self_consistent_map(lam, p: XYZParams, t) -> np.ndarray:
-    """One sweep of lambda_i^{A,B} = b delta_iz - 2 v_i <s_i^{B,A}> for seed
-    rows of shape (k, 2, 3) at temperatures t of shape (k, 1, 1)."""
-    v = np.array([p.vx, p.vy, p.vz])
-    s = _spins(lam, t)
-    out = -2.0 * v * s[..., ::-1, :]
-    out[..., 2] += p.b
-    return out
+def _order(x: float) -> int:
+    """The position of x among the floats, as an integer."""
+    i = _INT.unpack(_DOUBLE.pack(x))[0]
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
 
 
-def _residual(lam, p: XYZParams, t) -> np.ndarray:
-    return _self_consistent_map(lam, p, t) - lam
+def _float(k: int) -> float:
+    """The float at position k (the inverse of _order)."""
+    return _DOUBLE.unpack(_INT.pack(k if k >= 0 else -k - (1 << 63)))[0]
 
 
-def _residual_jacobian(lam, p: XYZParams, t) -> np.ndarray:
-    """Jacobian of r(lambda) = F(lambda) - lambda for seed rows of shape
-    (k, 2, 3) at temperatures t of shape (k, 1, 1), flattened to (k, 6, 6).
-
-    F_A depends only on lambda_B, through -2 v_i <s_i>, and
-
-        d<s>/dlambda = -[(tanh(n/2T)/n)(I - u u^T) + (sech^2(n/2T)/2T) u u^T] / 2
-
-    with n = |lambda|, u = lambda/n, and the limit -I/(4T) at n = 0.  u u^T
-    comes from the unit vector, never lambda lambda^T / n^2, which would
-    overflow for |lambda| beyond ~1e154.
-    """
-    n = np.hypot.reduce(lam, axis=-1, keepdims=True)
-    u = np.divide(lam, n, out=np.zeros_like(lam), where=n > 0.0)
-    th = np.tanh(0.5 * n / t)
-    across = np.divide(th, n, out=np.full_like(n, 0.5 / t), where=n > 0.0)[..., None]
-    along = ((1.0 - th * th) / (2.0 * t))[..., None]
-    uu = u[..., :, None] * u[..., None, :]
-    d_map = np.array([p.vx, p.vy, p.vz])[:, None] * (across * (np.eye(3) - uu) + along * uu)
-    jac = np.zeros((lam.shape[0], 6, 6))
-    jac[:, :3, 3:] = d_map[:, 1]
-    jac[:, 3:, :3] = d_map[:, 0]
-    return jac - np.eye(6)
+def _bisect(inside, lo: float, hi: float, unit: float = 1.0) -> tuple[float, float]:
+    """unit times adjacent floats lo' < hi' in [lo/unit, hi/unit] with
+    inside(unit lo') and not inside(unit hi'), where inside(lo) and not
+    inside(hi) are taken as given: each step halves the floats between
+    them, so at most 64 steps.  A field bisected in units of a coupling
+    scales exactly with the energy unit."""
+    a, b = _order(lo / unit), _order(hi / unit)
+    while b - a > 1:
+        mid = (a + b) // 2
+        if inside(unit * _float(mid)):
+            a = mid
+        else:
+            b = mid
+    return unit * _float(a), unit * _float(b)
 
 
-def _newton_polish(lam: np.ndarray, t: np.ndarray, live: np.ndarray, p: XYZParams, tol: float) -> None:
-    """Newton's method on r(lambda) = 0 for the seed rows lam[live] at their
-    temperatures t[live], all at once and in place.
-
-    Each step is the minimum-norm solution of J step = -r (a pseudo-
-    inverse: J is singular along the Goldstone direction of a broken root
-    with |vx| = |vy|), halved until the residual norm strictly decreases;
-    an equal residual is no progress (a 2-cycle of the damped iteration
-    looks like that).  A seed stops once its full step is within
-    NEWTON_STEP_TOL |lambda| with its residual at most tol, when no halving
-    decreases its residual, or after NEWTON_STEPS steps.
-    """
-    for _ in range(NEWTON_STEPS):
-        if live.size == 0:
-            break
-        x, tx = lam[live], t[live]
-        r = _residual(x, p, tx)
-        step = -(np.linalg.pinv(_residual_jacobian(x, p, tx)) @ r.reshape(-1, 6, 1)).reshape(x.shape)
-        small = np.hypot.reduce(step, axis=(1, 2)) <= NEWTON_STEP_TOL * np.hypot.reduce(x, axis=(1, 2))
-        going = ~(small & (np.abs(r).max(axis=(1, 2)) <= tol))
-        r_norm = np.hypot.reduce(r, axis=(1, 2))
-        moved = np.zeros(live.size, dtype=bool)
-        frac = 1.0
-        for _ in range(NEWTON_HALVINGS):
-            todo = np.flatnonzero(going & ~moved)
-            if todo.size == 0:
-                break
-            trial = x[todo] + frac * step[todo]
-            better = np.hypot.reduce(_residual(trial, p, tx[todo]), axis=(1, 2)) < r_norm[todo]
-            lam[live[todo[better]]] = trial[better]
-            moved[todo[better]] = True
-            frac *= 0.5
-        live = live[moved]
+def _nu(a: float, c: float) -> float:
+    """The nu > 0 with nu = a tanh(c nu), for a c > 1.  h(nu) = a tanh(c nu) - nu
+    is concave and tanh(u) <= u/sqrt(1 + u^2/3), so h <= 0 at
+    min(a, sqrt(3 (a^2 c^2 - 1))/c), and Newton from there decreases
+    monotonically to the root; it stops where a step no longer decreases nu."""
+    nu = min(a, math.sqrt(3.0 * (a * c - 1.0) * (a * c + 1.0)) / c)
+    while True:
+        e = math.exp(-2.0 * c * nu)
+        slope = a * c * 4.0 * e / (1.0 + e) ** 2 - 1.0 if e > 0.0 else -1.0
+        step = (a * (1.0 - e) / (1.0 + e) - nu) / slope
+        if not nu - step < nu:
+            return nu
+        nu -= step
 
 
-class _Rows(NamedTuple):
-    """solve_mf at k temperatures of one model; entry i belongs to row i."""
-
-    lam: np.ndarray  # winning seed's fields, (k, 2, 3)
-    s: np.ndarray  # their spin expectations, (k, 2, 3)
-    free_energy: np.ndarray  # (k,)
-    converged: np.ndarray  # (k,) bool: the winner's residual is accepted
-    residual: np.ndarray  # (k,) smallest residual over the row's seeds
-    iterations: np.ndarray  # (k,) sweeps before the stop or hand-off, the max over the row's seeds
-    broken_phase_flip: np.ndarray  # (k,) bool
-    broken_permutation: np.ndarray  # (k,) bool
-
-    def solution(self, i: int) -> MeanFieldSolution:
-        """Row i as solve_mf returns it; NoConvergence if no seed converged."""
-        if not self.converged[i]:
-            raise NoConvergence(f"no seed converged; best residual {self.residual[i]:.3e}")
-        return MeanFieldSolution(
-            lambda_a=self.lam[i, 0],
-            lambda_b=self.lam[i, 1],
-            s_a=self.s[i, 0],
-            s_b=self.s[i, 1],
-            free_energy=float(self.free_energy[i]),
-            broken_phase_flip=bool(self.broken_phase_flip[i]),
-            broken_permutation=bool(self.broken_permutation[i]),
-            converged=True,
-            iterations=int(self.iterations[i]),
-        )
+def _uniform_z(p: XYZParams, t: float) -> float:
+    """The largest root of lambda = b + vz tanh(lambda/2T): the lowest
+    uniform z-only state, as b >= 0.  Where vz > 2T the root function
+    decreases between -+lambda*, cosh(lambda*/2T) = sqrt(vz/2T), and is
+    <= -b at lambda*, so the root lies above lambda*."""
+    b, vz = p.b, p.vz
+    hi = b + abs(vz)
+    if hi == 0.0:
+        return 0.0
+    lo = min(2.0 * t * math.acosh(math.sqrt(vz / (2.0 * t))), hi) if vz > 2.0 * t else b - abs(vz)
+    return _bisect(lambda lam: lam - b - vz * math.tanh(lam / (2.0 * t)) < 0.0, lo, hi, hi)[1]
 
 
-def _solve_rows(p: XYZParams, temperatures: np.ndarray, seeds: np.ndarray) -> _Rows:
-    """The solver of solve_mf over a row axis: row i holds every seed at
-    temperatures[i], which must be valid (finite and > 0).
-
-    The rows are flattened to seed rows of shape (k * n_seeds, 2, 3); each
-    stops or hands off (see solve_mf) on its own updates alone, so row i
-    is solve_mf(p, temperatures[i], seeds) bit for bit.
-    """
-    k, n = temperatures.size, seeds.shape[0]
-    lam = np.tile(seeds, (k, 1, 1))
-    t = np.repeat(temperatures, n)[:, None, None]
-    sweeps = np.full(k * n, FP_SWEEPS)
-    active = np.arange(k * n)
-    last, slow = np.full(k * n, np.inf), np.zeros(k * n, dtype=int)
-    update_tol = UPDATE_TOL * p.energy_scale
-    for sweep in range(1, FP_SWEEPS + 1):
-        x = lam[active]
-        new = 0.5 * x + 0.5 * _self_consistent_map(x, p, t[active])
-        lam[active] = new
-        moved = np.abs(new - x).max(axis=(1, 2))
-        ratio, last = moved / last, moved
-        slow = np.where((ratio > HANDOFF_RATIO) & (ratio <= HANDOFF_HOLD), slow + 1, 0)
-        still = (moved > update_tol) & (slow < HANDOFF_SWEEPS)
-        if not still.all():
-            sweeps[active[~still]] = sweep
-            active, last, slow = active[still], moved[still], slow[still]
-            if active.size == 0:
-                break
-
-    # plain iteration slows critically near T_c; the rows handed off (or
-    # cut at FP_SWEEPS) are already in the right basin
-    tol = RESIDUAL_TOL * p.energy_scale
-    stragglers = np.flatnonzero(np.abs(_residual(lam, p, t)).max(axis=(1, 2)) > tol)
-    _newton_polish(lam, t, stragglers, p, tol)
-    resid = np.abs(_residual(lam, p, t)).max(axis=(1, 2))
-    ok = resid <= tol
-
-    s = _spins(lam, t)
-    energy = _interaction_energy(p, s[:, 0], s[:, 1])
-    free = energy - t[:, 0, 0] * (_qubit_entropy_nat(s[:, 0]) + _qubit_entropy_nat(s[:, 1]))
-    free = np.where(ok, free, np.inf)
-    # argmin takes the first minimum: seed order
-    winner = np.arange(k) * n + np.argmin(free.reshape(k, n), axis=1)
-
-    lam = lam[winner]
-    break_scale = BREAK_TOL * p.v_max
-    return _Rows(
-        lam=lam,
-        s=s[winner],
-        free_energy=free[winner],
-        converged=ok[winner],
-        residual=resid.reshape(k, n).min(axis=1),
-        iterations=sweeps.reshape(k, n).max(axis=1),
-        broken_phase_flip=np.abs(lam[:, :, :2]).max(axis=(1, 2)) > break_scale,
-        broken_permutation=np.abs(lam[:, 0] - lam[:, 1]).max(axis=1) > break_scale,
-    )
+def _uniform_x(p: XYZParams, t: float):
+    """The fields of the uniform x branch at T < T_c: |lambda| = vx nu with
+    nu = tanh(vx nu/2T), lambda_z = vx chi."""
+    nu, chi = _nu(1.0, p.vx / (2.0 * t)), p.chi
+    lam = [p.vx * math.sqrt(max((nu - chi) * (nu + chi), 0.0)), 0.0, p.vx * chi]
+    return lam, lam
 
 
-def solve_mf(p: XYZParams, temperature: float, seeds=None) -> MeanFieldSolution:
-    """Damped fixed-point solution of the self-consistency conditions.
-
-    Seeds are iterated (damping 0.5) until the largest component update
-    is at most UPDATE_TOL, or hand off once HANDOFF_SWEEPS sweeps in a row
-    shrank it by less than the factor HANDOFF_RATIO without growing it
-    (near T_c, or in a 2-cycle); FP_SWEEPS is only a backstop.  Seeds whose
-    residual is then above RESIDUAL_TOL get a Newton finish (_newton_polish).
-    Among the seeds whose final residual is at most RESIDUAL_TOL the one
-    with the lowest free energy wins (ties fall to seed order, so results
-    are deterministic).  Both tolerances are relative to p.energy_scale and
-    the hand-off compares updates only, so the solution and `iterations`
-    (sweeps of the slowest seed before its stop or hand-off) do not depend
-    on the energy unit; the all-zero model converges in one sweep.
-    """
-    t = _check_temperature(temperature)
-    lam = np.array(seeds, dtype=float) if seeds is not None else _default_seeds(p)
-    if lam.ndim == 2:
-        lam = lam[None]
-    if lam.shape[1:] != (2, 3) or lam.shape[0] == 0:
-        raise ValueError(f"seeds must have shape (n, 2, 3) with n >= 1, got {lam.shape}")
-    return _solve_rows(p, np.array([t]), lam).solution(0)
+def _staggered(p: XYZParams, t: float, lam0: float):
+    """The staggered z pair around the uniform root lam0 (vz < 0), or None:
+    it exists iff |vz|/2T sech^2(lam0/2T) > 1, and its lower field is the
+    one sign change of H(H(lambda)) - lambda below lam0."""
+    vz, b = p.vz, p.b
+    e = math.exp(-abs(lam0) / t)
+    if not -vz * 4.0 * e / (1.0 + e) ** 2 > 2.0 * t:
+        return None
+    field = lambda lam: b + vz * math.tanh(lam / (2.0 * t))
+    low = _bisect(lambda lam: field(field(lam)) > lam, b + vz, lam0, b - vz)[1]
+    return [0.0, 0.0, field(low)], [0.0, 0.0, low]
 
 
-def _unresolved(lo: float, hi: float) -> bool:
-    """Whether the numeric T_c bisection still halves [lo, hi]."""
-    return hi - lo > 1e-6 * hi
+def _canted(p: XYZParams, t: float):
+    """The canted x pair, or None.  With c = vx/2T, 2 vx kappa_A = rho and
+    2 vx kappa_B = 1/rho for some rho in (1, c), and nu = |lambda|/vx solves
+    nu_A = tanh(c nu_A)/rho and nu_B = rho tanh(c nu_B); the chord
+    condition reads
+
+        G(rho) = (nu_B^2/rho - rho nu_A^2)/(1/rho - rho) - (b/vx)^2/D = 0,
+
+    with G monotone (decreasing on every grid tried), nu_A = 0 at rho = c,
+    and G(1+) = nu_0^2 (1 + c s)/(c s - 1) - (b/vx)^2/D at the uniform x
+    root nu_0, s = sech^2(c nu_0).  Its x components need |lambda| >
+    |lambda_z| on A, and lambda_B^x = rho lambda_A^x."""
+    vx, r = p.vx, p.vz / p.vx
+    d, c = 1.0 - r * r, vx / (2.0 * t)
+    if not (p.b > 0.0 and d < 0.0 and 1.0 < c < math.inf):
+        return None
+    rhs = (p.b / vx) ** 2 / d
+
+    def g(rho):
+        nu_a, nu_b = (_nu(1.0 / rho, c) if rho < c else 0.0), _nu(rho, c)
+        return (nu_b / rho * nu_b - rho * nu_a * nu_a) / (1.0 / rho - rho) - rhs
+
+    nu0 = _nu(1.0, c)
+    e = math.exp(-2.0 * c * nu0)
+    cs = c * 4.0 * e / (1.0 + e) ** 2 if e > 0.0 else 0.0
+    sign = nu0 * nu0 * (1.0 + cs) / (cs - 1.0) - rhs > 0.0
+    if sign == (g(c) > 0.0):
+        return None
+    rho = _bisect(lambda rho: (g(rho) > 0.0) == sign, 1.0, c)[1]
+    nu_a = _nu(1.0 / rho, c) if rho < c else 0.0
+    z_a, z_b = (p.b / vx) * (1.0 + r / rho) / d, (p.b / vx) * (1.0 + r * rho) / d
+    if not nu_a > abs(z_a):
+        return None
+    x_a = math.sqrt((nu_a - abs(z_a)) * (nu_a + abs(z_a)))
+    return [vx * x_a, 0.0, vx * z_a], [vx * (rho * x_a), 0.0, vx * z_b]
 
 
-def _bisection_path(lo: float, hi: float, t: float) -> list[tuple[float, float]]:
-    """Every bracket the numeric T_c bisection halves from [lo, hi] if each
-    midpoint below t is broken and each other midpoint is not."""
-    path = []
-    while _unresolved(lo, hi):
-        path.append((lo, hi))
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if mid < t else (lo, mid)
-    return path
+def _minimum(p: XYZParams, t: float) -> MeanFieldSolution:
+    """The least-F stationary point at T (module docstring); ties keep the
+    first of uniform, staggered, canted."""
+    t_c = p.t_critical
+    x = t_c is not None and t < t_c
+    lam0 = None if x and t >= -0.5 * p.vz else _uniform_z(p, t)
+    candidates = [(_uniform_x(p, t) if x else ([0.0, 0.0, lam0],) * 2, x, False)]
+    if t < -0.5 * p.vz:
+        candidates += [(_staggered(p, t, lam0), False, True), (p.vx > 0.0 and _canted(p, t), True, True)]
+    best = None
+    for fields, flip, perm in candidates:
+        if fields:
+            f, s_a, s_b = _free(p, t, *fields)
+            if best is None or f < best.free_energy:
+                best = MeanFieldSolution(*map(np.array, (*fields, s_a, s_b)), f, flip, perm)
+    return best
 
 
-def _bisection_tree(lo: float, hi: float, levels: int = TREE_LEVELS) -> list[tuple[float, float]]:
-    """Every bracket the numeric T_c bisection can halve in its next
-    `levels` steps from [lo, hi]: at most 2**levels - 1, fewer where it
-    stops first."""
-    if levels == 0 or not _unresolved(lo, hi):
-        return []
-    mid = 0.5 * (lo + hi)
-    return [(lo, hi)] + _bisection_tree(lo, mid, levels - 1) + _bisection_tree(mid, hi, levels - 1)
+def solve_mf(p: XYZParams, temperature: float) -> MeanFieldSolution:
+    """The global minimum of the product-state free energy at T, the
+    least-F point of the enumerated stationary points (module docstring).
+    Its transverse part lies along +x; of the staggered and canted pairs,
+    qubit A holds the field along b (staggered) or the shorter field
+    (canted)."""
+    return _minimum(p, _check_temperature(temperature))
 
 
 def critical_temperature(p: XYZParams, method: str = "closed") -> CriticalTemperature:
@@ -374,51 +297,26 @@ def critical_temperature(p: XYZParams, method: str = "closed") -> CriticalTemper
 
     "closed" returns XYZParams.t_critical, T_c = v_max chi /
     ln[(1+chi)/(1-chi)] (the chi -> 0 limit v_max/2 taken analytically),
-    which needs nothing of this module; "numeric" bisects the onset of
-    broken_phase_flip in solve_mf to 1e-6 relative.  The bisection runs
-    in rounds, each one batch of _solve_rows, walked as the step-by-step
-    bisection would walk them, with the same midpoints and stop test, so
-    T_c is the same to the last bit.  The first round solves the lowest
-    temperature and every midpoint of the path the bisection takes if the
-    closed-form T_c is right (_bisection_path); where the walk leaves it,
-    each further round solves every bracket of the next TREE_LEVELS steps
-    (up to 2**TREE_LEVELS - 1 temperatures).  The closed form only
-    schedules temperatures, never decides a verdict, so where it is wrong
-    T_c takes at most one round more than trees alone.  Only a midpoint
-    the walk visits raises NoConvergence.  Absent (t_c None) whenever
-    v_max <= max(vz, 0) or |b| >= v_max - vz.
-
-    The CLI's t_critical_numeric is the onset of the broken global
-    minimum.  Where XYZParams.t_critical_is_onset holds, that is the
-    closed form, and "numeric" is its labelled second route (to 1e-6);
-    elsewhere (Neel-z models, vz < -2 T_c) the CLI prints this bisection,
-    whose solver may miss a staggered-z minimum.
+    which needs nothing of this module.  "numeric" returns the onset of
+    the broken phase flip of solve_mf's global minimum.  Where
+    XYZParams.t_critical_is_onset certifies it, that is the closed form,
+    bit for bit.  Elsewhere (Neel-z models, vz < -2 T_c) it is T_c too
+    unless the staggered z pair is the minimum at T_c; then the uniform x
+    branch can win only below a first-order crossing with it, bisected to
+    adjacent floats of T/T_c between T_c and eps T_c (where every
+    Boltzmann factor of an O(T_c) gap underflows), and the onset is
+    absent (t_c None) where the branch does not win there either.  Absent
+    whenever v_max <= max(vz, 0) or |b| >= v_max - vz.
     """
     if method not in ("closed", "numeric"):
         raise ValueError(f"method must be 'closed' or 'numeric', got {method!r}")
-    v_max, chi, t_closed = p.v_max, p.chi, p.t_critical
-    if t_closed is None:
+    v_max, chi, t_c = p.v_max, p.chi, p.t_critical
+    if t_c is None:
         return CriticalTemperature(t_c=None, chi=chi, v_max=v_max, feasible=False)
-    if method == "closed":
-        return CriticalTemperature(t_c=t_closed, chi=chi, v_max=v_max, feasible=True)
-
-    seeds = _default_seeds(p)
-
-    def solve_round(brackets, *extra):
-        """Rows for `extra`, then the midpoint of each bracket."""
-        rows = _solve_rows(p, np.array([*extra, *(0.5 * (a + b) for a, b in brackets)]), seeds)
-        return rows, {bracket: i for i, bracket in enumerate(brackets, len(extra))}
-
-    lo, hi = _check_temperature(1e-4 * v_max), 0.75 * v_max
-    rows, row_of = solve_round(_bisection_path(lo, hi, t_closed), lo)
-    if not rows.solution(0).broken_phase_flip:
-        return CriticalTemperature(t_c=None, chi=chi, v_max=v_max, feasible=True)
-    while _unresolved(lo, hi):
-        if (lo, hi) not in row_of:
-            rows, row_of = solve_round(_bisection_tree(lo, hi))
-        mid = 0.5 * (lo + hi)
-        if rows.solution(row_of[lo, hi]).broken_phase_flip:
-            lo = mid
-        else:
-            hi = mid
-    return CriticalTemperature(t_c=0.5 * (lo + hi), chi=chi, v_max=v_max, feasible=True)
+    if method == "numeric" and not p.t_critical_is_onset:
+        at_tc = _minimum(p, t_c)
+        if at_tc.broken_permutation and not at_tc.broken_phase_flip:
+            broken = lambda tau: _minimum(p, t_c * tau).broken_phase_flip
+            lo = sys.float_info.epsilon
+            t_c = t_c * _bisect(broken, lo, 1.0)[1] if broken(lo) else None
+    return CriticalTemperature(t_c=t_c, chi=chi, v_max=v_max, feasible=True)

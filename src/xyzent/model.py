@@ -119,8 +119,11 @@ class XYZParams:
         """Whether t_critical is the onset of the mean field's broken
         global minimum: t_critical is None, or T_c > -vz/2, strictly and
         beyond t_critical's rounding (a relative error of a few ulps times
-        its condition number in chi, at most 1/(1 - chi)).  Where t_critical
-        is None, meanfield.critical_temperature has no T_c either.
+        its condition number in chi, at most 1/(1 - chi)).  Where it holds,
+        meanfield.critical_temperature(p, "numeric") returns t_critical bit
+        for bit; elsewhere that onset also weighs the staggered z pair
+        (meanfield module docstring).  Where t_critical is None,
+        meanfield.critical_temperature has no T_c either.
 
         Proof.  The product-state free energy is
 

@@ -74,6 +74,29 @@ def limit_families(rng, n):
     return out
 
 
+#: Neel-z models (vz < -2 T_c, not certified by XYZParams.t_critical_is_onset):
+#: three without a numeric onset, and one whose onset is a first-order
+#: crossing below the closed-form T_c
+NEEL_Z_MODELS = [
+    canonicalize(0.865, 0.192, -2.775, 0.877),
+    canonicalize(1.0, 0.3, -1.2, 0.4),
+    canonicalize(0.4276, 0.2210, -3.0231, 0.1091),
+    canonicalize(2.601, -2.094, -2.969, 1.518),
+]
+
+
+def neel_z_family():
+    """60 uncertified models with a closed-form T_c, couplings uniform in
+    (-3, 3) (numpy seed 7)."""
+    rng = np.random.default_rng(7)
+    models = []
+    while len(models) < 60:
+        p = canonicalize(*rng.uniform(-3.0, 3.0, size=4))
+        if p.t_critical is not None and not p.t_critical_is_onset:
+            models.append(p)
+    return models
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -13,7 +13,6 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import xyzent
-from xyzent import meanfield
 from xyzent.cli import (
     _BLOCK,
     _FIGURES,
@@ -181,35 +180,24 @@ class TestLimits:
         assert code == 0 and got["t_critical_numeric"] == got["t_critical_closed"] == p.t_critical
 
     @pytest.mark.parametrize(
-        "model",
+        "model, onset",
         [
-            (0.865, 0.192, -2.775, 0.877),  # Neel-z, numeric T_c far below the closed form
-            (0.4276, 0.2210, -3.0231, 0.1091),  # Neel-z, no numeric T_c
-            (1.0, 0.3, -1.2, 0.4),
+            # Neel-z: the staggered z pair wins at every T < T_c
+            pytest.param((0.865, 0.192, -2.775, 0.877), None, id="model0"),
+            pytest.param((0.4276, 0.2210, -3.0231, 0.1091), None, id="model1"),
+            pytest.param((1.0, 0.3, -1.2, 0.4), None, id="model2"),
+            # the uniform x branch wins below a first-order crossing below T_c
+            pytest.param((2.601, -2.094, -2.969, 1.518), 0.5121224172882678, id="crossing"),
         ],
     )
-    def test_uncertified_numeric_tc_is_the_solver_bisection(self, capsys, model):
+    def test_uncertified_numeric_tc_is_the_enumerated_onset(self, capsys, model, onset):
         p = canonicalize(*model)
         assert not p.t_critical_is_onset
         args = [f"--{k}={x!r}" for k, x in zip(PARAM_KEYS, model)]
         code, out, _ = run(capsys, "limits", *args, "--format=json")
         got = json.loads(out)
         assert code == 0 and got["t_critical_closed"] == p.t_critical
-        assert got["t_critical_numeric"] == critical_temperature(p, "numeric").t_c
-
-    def test_solver_failure_exits_4(self, capsys, monkeypatch):
-        # an uncertified model's numeric T_c where no solver seed converges:
-        # exit 4, nothing on stdout and one error line on stderr
-        solve_rows = meanfield._solve_rows
-
-        def failing(p, temperatures, seeds):
-            rows = solve_rows(p, temperatures, seeds)
-            return rows._replace(converged=np.zeros_like(rows.converged))
-
-        monkeypatch.setattr(meanfield, "_solve_rows", failing)
-        code, out, err = run(capsys, "limits", "--vx=0.865", "--vy=0.192", "--vz=-2.775", "--b=0.877")
-        assert code == 4 and out == "" and err.startswith("error: no seed converged; best residual ")
-        assert err.count("\n") == 1, err
+        assert got["t_critical_numeric"] == critical_temperature(p, "numeric").t_c == onset
 
     def test_reentry_columns(self, capsys):
         code, out, _ = run(capsys, "limits", "--vx", "1.7", "--vy", "0.3", "--b", "0.9")

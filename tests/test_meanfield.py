@@ -1,13 +1,10 @@
-import dataclasses
-import functools
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from xyzent import meanfield
-from xyzent.errors import InvalidTemperature, NoConvergence
+from xyzent.errors import InvalidTemperature
 from xyzent.meanfield import (
     critical_temperature,
     exact_free_energy,
@@ -17,7 +14,7 @@ from xyzent.meanfield import (
 )
 from xyzent.model import canonicalize
 
-from conftest import log_uniform, random_canonical_params
+from conftest import NEEL_Z_MODELS, log_uniform, neel_z_family, random_canonical_params
 
 XCHAIN = canonicalize(1.0, 0.0, 0.0, 0.0)  # v_max = 1, T_c = 1/2
 
@@ -114,14 +111,12 @@ class TestSolveMF:
             assert not sol.broken_permutation
 
     def test_sign_degeneracy(self):
+        # the minimum's transverse part lies along +x; its mirror image has the same F
         t = 0.3
-        seeds = np.zeros((1, 2, 3))
-        seeds[0, :, 0] = 1.0
-        plus = solve_mf(XCHAIN, t, seeds=seeds)
-        seeds[0, :, 0] = -1.0
-        minus = solve_mf(XCHAIN, t, seeds=seeds)
-        assert abs(plus.free_energy - minus.free_energy) < 1e-10
-        assert abs(plus.lambda_a[0] + minus.lambda_a[0]) < 1e-8
+        sol = solve_mf(XCHAIN, t)
+        assert sol.lambda_a[0] > 0.0
+        flip = np.array([-1.0, 1.0, 1.0])
+        assert mf_free_energy(flip * sol.lambda_a, flip * sol.lambda_b, XCHAIN, t) == sol.free_energy
 
     def test_self_consistency_residual(self, rng):
         v = np.array([0, 0, 0.0])
@@ -145,7 +140,8 @@ class TestSolveMF:
 
     @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 3, 2), (6,)])
     def test_rejects_bad_seed_shape(self, shape):
-        with pytest.raises(ValueError, match=r"seeds must have shape \(n, 2, 3\)"):
+        # the minimum is enumerated: solve_mf takes no seeds of any shape
+        with pytest.raises(TypeError, match="seeds"):
             solve_mf(XCHAIN, 0.3, seeds=np.zeros(shape))
 
 
@@ -158,23 +154,23 @@ def _max_residual(p, sol):
     )
 
 
+#: models on which the former iterative solver's Newton polish once failed
 _POLISH_REGRESSIONS = [
-    # stop rule: a polish that stops as soon as the residual is below
-    # tolerance accepts non-roots near T_c and moves T_c by 8e-6
+    # stop rule: a polish that stopped as soon as the residual was below
+    # tolerance accepted non-roots near T_c and moved T_c by 8e-6
     pytest.param(
         canonicalize(4004660.677592519, 2952603.4204812893, 949004.5412642648, 2113942.929786735),
         None,
         id="stop_rule",
     ),
-    # |vx| = |vy|: the Jacobian at the broken root is singular along
-    # the Goldstone direction, so only a minimum-norm step works
+    # |vx| = |vy|: the broken root is degenerate along the Goldstone direction
     pytest.param(
         canonicalize(8.890061109800813e42, -8.890061109800813e42, 0.0, 8.112159671074608e42),
         None,
         id="singular_jacobian",
     ),
-    # the damped iteration ends in a 2-cycle whose half Newton step has
-    # exactly the same residual: backtracking needs a strict decrease
+    # the damped iteration ended in a 2-cycle near the uniform z root, which
+    # vz = -72 makes a saddle: the minimum is the staggered z pair
     pytest.param(
         canonicalize(4.561518660819901, 4.266003906532173, -71.71507665235677, 9.339780289050124),
         0.012324222183123517,
@@ -196,44 +192,12 @@ def test_newton_polish_regressions(p, t):
         assert abs(numeric - closed) <= 2e-6 * closed
         return
     sol = solve_mf(p, t)
-    assert sol.converged
     assert _max_residual(p, sol) < 1e-9 * max(1.0, p.energy_scale)
-    assert not sol.broken_phase_flip and not sol.broken_permutation
-    assert_allclose([sol.lambda_a[2], sol.lambda_b[2]], 0.003227, rtol=1e-3)
-
-
-def _with_mirrored_seeds(p):
-    """Symmetric, +-x, +-y transverse, then the permutation-asymmetric x
-    seed: the default seeds plus the mirror images of the +x and +y rows."""
-    v = max(p.v_max, 0.0)
-    seeds = np.zeros((6, 2, 3))
-    seeds[1, :, 0] = v
-    seeds[2, :, 0] = -v
-    seeds[3, :, 1] = v
-    seeds[4, :, 1] = -v
-    seeds[5, 0, 0] = v
-    seeds[5, 1, 0] = -v
-    return seeds
-
-
-def _solver_cases(rng):
-    """(model, temperatures) pairs around T_c, where the Newton polish fires:
-    four Newton-regression models, four seeded ones and the x chain."""
-    cases = [case.values for case in _POLISH_REGRESSIONS[:4]]
-    cases += [(random_canonical_params(rng), None) for _ in range(4)] + [(XCHAIN, None)]
-    for p, t_case in cases:
-        t_c = critical_temperature(p).t_c or p.energy_scale
-        yield p, [t_c * x for x in (0.05, 0.5, 1.0 - 1e-5, 1.0 + 1e-5, 3.0)] + ([t_case] if t_case else [])
-
-
-def test_mirrored_seeds_change_nothing(rng):
-    # a -x or -y seed converges to the negated fields of its mirror image in
-    # the same sweep, at the same free energy, and loses the tie to it
-    for p, temps in _solver_cases(rng):
-        for t in temps:
-            got, ref = solve_mf(p, t), solve_mf(p, t, seeds=_with_mirrored_seeds(p))
-            for f in dataclasses.fields(got):
-                assert np.array_equal(getattr(got, f.name), getattr(ref, f.name)), (p, t, f.name)
+    assert not sol.broken_phase_flip and sol.broken_permutation
+    assert sol.lambda_a[2] > 0.0 > sol.lambda_b[2]
+    # the uniform z root the iteration used to return lies far above it
+    uniform = np.array([0.0, 0.0, 0.003227286273768])
+    assert sol.free_energy < mf_free_energy(uniform, uniform, p, t) - 35.0
 
 
 class TestCriticalTemperature:
@@ -291,32 +255,18 @@ class TestCriticalTemperature:
                 critical_temperature(p, "numerci")
 
 
-@functools.lru_cache(maxsize=None)
-def _ref_bisection(p):
-    """The numeric T_c as a step-by-step bisection, one solve_mf per
-    temperature, and the temperatures it solves in order."""
-    visited = []
-
-    def broken(t):
-        visited.append(t)
-        return solve_mf(p, t).broken_phase_flip
-
+def _ref_numeric_tc(p):
+    """The onset of solve_mf's broken phase flip as a step-by-step bisection
+    of its verdicts between 1e-4 v_max and 0.75 v_max, to 1e-6 relative."""
     if not critical_temperature(p).feasible:
-        return None, ()
+        return None
     lo, hi = 1e-4 * p.v_max, 0.75 * p.v_max
-    if not broken(lo):
-        return None, tuple(visited)
+    if not solve_mf(p, lo).broken_phase_flip:
+        return None
     while hi - lo > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
-        if broken(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), tuple(visited)
-
-
-def _ref_numeric_tc(p):
-    return _ref_bisection(p)[0]
+        lo, hi = (mid, hi) if solve_mf(p, mid).broken_phase_flip else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def _seeded_tc_models():
@@ -339,8 +289,7 @@ def _seeded_tc_models():
     return models
 
 
-#: a Neel-z model whose numeric T_c lies far below the closed form, so the
-#: walk leaves the predicted first round
+#: a Neel-z model whose staggered z pair wins at every T below T_c: no onset
 NEEL_MISS = canonicalize(0.865, 0.192, -2.775, 0.877)
 
 _TC_MODELS = [
@@ -353,162 +302,12 @@ _TC_MODELS = [
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", _TC_MODELS)
-def test_numeric_tc_matches_sequential_bisection(monkeypatch, p):
-    # the first round solves the predicted path, each later one a tree of
-    # midpoints; the walk through them must end on exactly the bits of the
-    # step-by-step bisection, in at most one round more than trees alone
-    t_c, rounds = _tc_rounds(monkeypatch, p)
-    assert t_c == _ref_numeric_tc(p)
-    assert rounds <= _tree_walk_rounds(p) + 1
-
-
-def _tc_rounds(monkeypatch, p):
-    """The numeric T_c of p and the _solve_rows calls (rounds) it makes."""
-    calls = []
-    solve_rows = meanfield._solve_rows
-
-    def counted(*args):
-        calls.append(args)
-        return solve_rows(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(meanfield, "_solve_rows", counted)
-        return critical_temperature(p, "numeric").t_c, len(calls)
-
-
-def _tree_walk_rounds(p):
-    """Rounds of the plain tree walk, every round one TREE_LEVELS tree,
-    replayed along the brackets of the step-by-step bisection."""
-    visited = _ref_bisection(p)[1]
-    if not visited:
-        return 0
-    lo, hi = visited[0], 0.75 * p.v_max
-    rounds, tree = 1, meanfield._bisection_tree(lo, hi)
-    for mid, after in zip(visited[1:], visited[2:] + (None,)):
-        if (lo, hi) not in tree:
-            rounds, tree = rounds + 1, meanfield._bisection_tree(lo, hi)
-        assert mid == 0.5 * (lo + hi)
-        if after is not None:
-            lo, hi = (mid, hi) if after > mid else (lo, mid)
-    return rounds
-
-
-def _model_limits_families(rng):
-    """Feasible models like those of the model_limits benchmark: low, mid
-    and high chi, just above the level crossing, and the xx and maximal-
-    anisotropy closed forms, at energy scales from 1e-4 to 1e100."""
-    for _ in range(3):
-        scale = 10.0 ** rng.uniform(-4.0, 100.0)
-        v_minus, vz = rng.uniform(0.0, 0.9), rng.uniform(-0.5, 0.5)
-        for chi in ((0.0, 0.05), (0.3, 0.7), (0.9, 0.95)):
-            b = rng.uniform(*chi) * (1.0 + v_minus - vz)
-            yield canonicalize(*(scale * x for x in (1.0 + v_minus, 1.0 - v_minus, vz, b)))
-        vz = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.6)
-        b = math.sqrt((1.0 - vz) ** 2 - v_minus**2) * (1.0 + 10.0 ** rng.uniform(-4.0, -2.0))
-        yield canonicalize(*(scale * x for x in (1.0 + v_minus, 1.0 - v_minus, vz, b)))
-        yield canonicalize(scale, scale, 0.0, scale * rng.uniform(0.0, 0.95))
-        yield canonicalize(scale, -scale, 0.0, scale * rng.uniform(0.0, 0.95))
-
-
-def test_predicted_path_takes_one_round(monkeypatch, rng):
-    # where the walk follows the closed form, the first round (the lowest
-    # temperature and the predicted path) holds every midpoint it visits
-    seeded = [param.values[0] for param in _seeded_tc_models()]
-    for p in [*(p for p in seeded if critical_temperature(p).feasible), *_model_limits_families(rng)]:
-        assert _tc_rounds(monkeypatch, p)[1] == 1, p
-
-
-def test_missed_prediction_falls_back_to_trees(monkeypatch):
-    # the walk leaves the predicted path at its first midpoint between the
-    # numeric and the closed-form T_c; trees of TREE_LEVELS steps finish it
-    t_c, rounds = _tc_rounds(monkeypatch, NEEL_MISS)
-    assert t_c != critical_temperature(NEEL_MISS).t_c
-    assert rounds > 1
-
-
-def test_rows_match_one_temperature_solves(rng):
-    # all temperatures of a model in one row solve, each equal to its own solve_mf
-    for p, temps in _solver_cases(rng):
-        rows = meanfield._solve_rows(p, np.array(temps), meanfield._default_seeds(p))
-        for i, t in enumerate(temps):
-            got, ref = rows.solution(i), solve_mf(p, t)
-            for f in dataclasses.fields(got):
-                assert np.array_equal(getattr(got, f.name), getattr(ref, f.name)), (p, t, f.name)
-
-
-@pytest.mark.parametrize(
-    "p, pinned",
-    [
-        pytest.param(XCHAIN, (40, 45, 67), id="xchain"),
-        pytest.param(canonicalize(1.0, 0.4, 0.1, 0.5), (141, 114, 72), id="xyz"),
-        pytest.param(canonicalize(1.0, 0.0, 0.0, 0.5), (58, 67, 70), id="x_field"),
-    ],
-)
-def test_sweeps_near_tc_hand_off(p, pinned):
-    # near T_c the damped map contracts by ~1 - |T - T_c|/T_c per sweep; a
-    # fixed cap ran all 2000 sweeps there, the hand-off leaves after < 100
-    t_c = critical_temperature(p).t_c
-    for factor in (1.0 - 1e-5, 1.0 + 1e-5):
-        assert solve_mf(p, t_c * factor).iterations <= 200, factor
-    # away from T_c every row stops on UPDATE_TOL, as before the hand-off
-    assert tuple(solve_mf(p, t_c * f).iterations for f in (0.05, 0.5, 3.0)) == pinned
-
-
-#: T/T_c of the verdict-stability pairs: far below, near and far above T_c
-_STABILITY_FACTORS = (0.3, 0.9, 1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-5, 1.0 + 1e-5, 2.0)
-
-
-def test_hand_off_keeps_verdicts(rng, monkeypatch):
-    # 1,001 (model, T) pairs against the same solver with the hand-off
-    # disabled (FP_SWEEPS damped sweeps before the polish); infeasible
-    # models take energy_scale for T_c
-    cases = []
-    for _ in range(143):
-        p = random_canonical_params(rng)
-        temps = np.array(_STABILITY_FACTORS) * (critical_temperature(p).t_c or p.energy_scale)
-        cases.append((p, temps, meanfield._solve_rows(p, temps, meanfield._default_seeds(p))))
-    monkeypatch.setattr(meanfield, "HANDOFF_SWEEPS", meanfield.FP_SWEEPS + 1)
-    for p, temps, got in cases:
-        ref = meanfield._solve_rows(p, temps, meanfield._default_seeds(p))
-        assert got.converged.all(), p
-        slack = 1e-12 * np.abs(ref.free_energy)
-        assert (got.free_energy <= ref.free_energy + slack).all(), p
-        same = (got.broken_phase_flip == ref.broken_phase_flip) & (
-            got.broken_permutation == ref.broken_permutation
-        )
-        # a changed verdict must be a strictly better root
-        assert (same | (got.free_energy < ref.free_energy - slack)).all(), p
-        # where vz/(2T) < -3 the damped map's symmetric z mode has multiplier
-        # below -1: its 2-cycle may decay a transverse seed the hand-off keeps
-        plain = p.vz / (2.0 * temps) >= -3.0
-        assert same[plain].all(), p
-        assert (np.abs(got.free_energy - ref.free_energy) <= slack)[plain].all(), p
-
-
-def _failing_rows(monkeypatch, fails):
-    """Make every row whose temperature satisfies fails(t) report no converged seed."""
-    solve_rows = meanfield._solve_rows
-
-    def patched(p, temperatures, seeds):
-        rows = solve_rows(p, temperatures, seeds)
-        bad = np.array([fails(t) for t in temperatures], dtype=bool)
-        return rows._replace(converged=rows.converged & ~bad)
-
-    monkeypatch.setattr(meanfield, "_solve_rows", patched)
-
-
-@pytest.mark.parametrize("p", [XCHAIN, canonicalize(1.0, 0.4, 0.1, 0.5)])
-def test_unvisited_rows_may_fail(monkeypatch, p):
-    t_c, visited = _ref_bisection(p)
-    _failing_rows(monkeypatch, lambda t: t not in visited)
-    assert critical_temperature(p, "numeric").t_c == t_c
-
-
-def test_visited_row_failure_raises(monkeypatch):
-    visited = _ref_bisection(XCHAIN)[1]
-    _failing_rows(monkeypatch, lambda t: t == visited[7])
-    with pytest.raises(NoConvergence, match="no seed converged"):
-        critical_temperature(XCHAIN, "numeric")
+def test_numeric_tc_matches_sequential_bisection(p):
+    # the numeric onset agrees with solve_mf's verdicts, bisected one by one
+    t_c, ref = critical_temperature(p, "numeric").t_c, _ref_numeric_tc(p)
+    assert (t_c is None) == (ref is None)
+    if ref is not None:
+        assert abs(t_c - ref) <= 1e-6 * ref
 
 
 class TestVariationalBound:
@@ -522,10 +321,10 @@ class TestVariationalBound:
 
 
 # ---------------------------------------------------------------------------
-# the certificate XYZParams.t_critical_is_onset against a multi-start solver
+# solve_mf and the onset against a multi-start minimization of F
 # ---------------------------------------------------------------------------
 
-#: the Neel-z repro of the solver's missed staggered-z minimum
+#: a Neel-z model whose staggered z minimum the former iterative solver missed
 NEEL_REPRO = canonicalize(0.4276, 0.2210, -3.0231, 0.1091)
 
 
@@ -570,17 +369,75 @@ def _certified_models():
     return models
 
 
-def _multi_start_seeds(p, rng):
-    """The default seeds, 16 random ones and the staggered-z ones (lambda_z
-    of opposite sign on A and B, plain and canted in x)."""
-    v = p.energy_scale
-    staggered = np.zeros((4, 2, 3))
-    staggered[:, 0, 2], staggered[:, 1, 2] = v, -v
-    staggered[1, :, 0] = v
-    staggered[2, 0, 0], staggered[2, 1, 0] = v, -v
-    staggered[3] *= 0.01
-    random = rng.normal(size=(16, 2, 3)) * v
-    return np.concatenate([meanfield._default_seeds(p), random, staggered])
+def _ball_free_energy(y, v, b, t):
+    """F and dF/dy of rows of six unconstrained numbers y, which give the
+    spins s = tanh(|y|) y/(2|y|) of A and B inside the ball |s| < 1/2, with
+    S = ln(2 cosh |y|) - |y| tanh |y|; couplings and T in one unit."""
+    y = y.reshape(-1, 2, 3)
+    r = np.hypot.reduce(y, axis=2)
+    th = np.tanh(r)
+    u = np.divide(y, r[..., None], out=np.zeros_like(y), where=r[..., None] > 0.0)
+    s = 0.5 * th[..., None] * u
+    entropy = (np.logaddexp(r, -r) - r * th).sum(axis=1)
+    f = b * s[..., 2].sum(axis=1) - 2.0 * (v * s[:, 0] * s[:, 1]).sum(axis=1) - t * entropy
+    # dF/ds, then the chain rule through s(y): radial sech^2/2, tangential tanh(r)/2r
+    grad_s = b * np.eye(3)[2] - 2.0 * v * s[:, ::-1] + 2.0 * t * r[..., None] * u
+    along = (grad_s * u).sum(axis=2, keepdims=True)
+    across = np.divide(0.5 * th, r, out=np.full_like(r, 0.5), where=r > 0.0)[..., None]
+    grad = 0.5 * (1.0 - th * th)[..., None] * along * u + across * (grad_s - along * u)
+    return f, grad.reshape(-1, 6), s
+
+
+#: the fixed starts (A then B): small and symmetric, uniform x, staggered z
+#: either way, canted x either way
+_STARTS = np.array(
+    [
+        [0.1, 0.0, 0.1, 0.1, 0.0, 0.1],
+        [2.0, 0.0, 0.0, 2.0, 0.0, 0.0],
+        [0.0, 0.0, 2.0, 0.0, 0.0, -2.0],
+        [0.0, 0.0, -2.0, 0.0, 0.0, 2.0],
+        [1.0, 0.0, 1.0, 1.0, 0.0, -1.0],
+        [1.0, 0.0, -1.0, 1.0, 0.0, 1.0],
+    ]
+)
+
+
+def _multi_start_minimum(p, t, rng, h=1e-6):
+    """(F, broken) of the lowest local minimum of F reached from the fixed
+    starts and four random ones, broken where a transverse spin exceeds
+    1e-4.  Each start takes saddle-free Newton steps (the Hessian from
+    central differences of the gradient, its eigenvalues taken in size),
+    halved until F decreases, until its gradient is below 1e-11 or no
+    step decreases F."""
+    scale = p.energy_scale
+    args = (np.array([p.vx, p.vy, p.vz]) / scale, p.b / scale, t / scale)
+    y = np.concatenate([_STARTS, 2.0 * rng.normal(size=(4, 6))])
+    f, g, _ = _ball_free_energy(y, *args)
+    live, probe = np.arange(len(y)), h * np.concatenate([np.eye(6), -np.eye(6)])
+    for _ in range(100):
+        live = live[np.abs(g[live]).max(axis=1) > 1e-11]
+        if live.size == 0:
+            break
+        near = _ball_free_energy((y[live, None, :] + probe).reshape(-1, 6), *args)[1].reshape(-1, 12, 6)
+        hess = (near[:, :6] - near[:, 6:]) / (2.0 * h)
+        w, vec = np.linalg.eigh(0.5 * (hess + hess.transpose(0, 2, 1)))
+        step = -np.einsum("kij,kj->ki", vec, np.einsum("kji,kj->ki", vec, g[live]) / np.maximum(np.abs(w), 1e-12))
+        moved = np.zeros(live.size, dtype=bool)
+        for _ in range(30):
+            todo = np.flatnonzero(~moved)
+            if todo.size == 0:
+                break
+            trial = y[live[todo]] + step[todo]
+            f_t, g_t, _ = _ball_free_energy(trial, *args)
+            ok = f_t < f[live[todo]]
+            done = live[todo[ok]]
+            y[done], f[done], g[done] = trial[ok], f_t[ok], g_t[ok]
+            moved[todo[ok]] = True
+            step[todo] *= 0.5
+        live = live[moved]
+    best = np.argmin(f)
+    s = _ball_free_energy(y[best], *args)[2][0]
+    return f[best] * scale, bool(np.hypot(s[:, 0], s[:, 1]).max() > 1e-4)
 
 
 def _bisect(f, lo, hi):
@@ -637,17 +494,17 @@ def test_certified_closed_form_is_the_multi_start_onset(p, kind):
     # near chi = 1 the broken gain vanishes like (1 - chi)^2, below what a
     # double-precision free energy resolves (test_unresolved_gain_near_chi_one)
     check_below = below > tau and _resolved(p, below)
-    check_bisection = _resolved(p, t_c * (1.0 - 2e-6))
-    assert kind in ("boundary", "edge") or (check_below and check_bisection)
+    assert kind in ("boundary", "edge") or (check_below and _resolved(p, t_c * (1.0 - 2e-6)))
     temps = [t_c * 1.5, t_c * (1.0 + 1e-3)] + [below] * check_below
-    rows = meanfield._solve_rows(p, np.array(temps), _multi_start_seeds(p, rng))
-    assert rows.converged.all()
-    # the best free energy over every start is unbroken above T_c, broken just below
-    assert rows.broken_phase_flip.tolist() == [False, False, True][: len(temps)]
-    if check_bisection:
-        # the solver bisection, the labelled second route, meets the closed form
-        numeric = critical_temperature(p, "numeric").t_c
-        assert abs(numeric - t_c) <= 2e-6 * t_c
+    for t, broken in zip(temps, (False, False, True)):
+        # the lowest free energy over every start is unbroken above T_c,
+        # broken just below, and no lower than solve_mf's
+        f, oracle_broken = _multi_start_minimum(p, t, rng)
+        sol = solve_mf(p, t)
+        assert oracle_broken == sol.broken_phase_flip == broken, t
+        assert f >= sol.free_energy - 1e-14 * p.energy_scale, t
+    # the certified closed form is the numeric onset, bit for bit
+    assert critical_temperature(p, "numeric").t_c == t_c
 
 
 def test_boundary_family_is_mostly_resolved():
@@ -659,18 +516,44 @@ def test_boundary_family_is_mostly_resolved():
 
 
 def test_unresolved_gain_near_chi_one():
-    # certified at chi = 1 - 8e-7, yet the broken minimum wins by less than
-    # rounding: the solver's free energies cannot place the onset, and its
-    # bisection misses the closed form by 1e-3; the CLI prints the closed form
+    # certified at chi = 1 - 8e-7, where the broken minimum wins by less than
+    # rounding, so no comparison of free energies could place the onset; the
+    # numeric onset is the certified closed form and compares none
     p = canonicalize(4.297213449286957e37, 1.7503162380788435e37, -5.256414461862536e36, 4.822851165038169e37)
     assert p.t_critical_is_onset and 1.0 - p.chi < 1e-6
     assert not _resolved(p, p.t_critical * (1.0 - 2e-6))
-    assert abs(critical_temperature(p, "numeric").t_c - p.t_critical) > 1e-4 * p.t_critical
+    assert critical_temperature(p, "numeric").t_c == p.t_critical
 
 
 def test_neel_z_models_are_not_certified():
-    for p in (NEEL_MISS, NEEL_REPRO):
+    for p in NEEL_Z_MODELS:
         assert p.t_critical is not None and not p.t_critical_is_onset, p
+
+
+def test_neel_z_family_onsets():
+    # 29 have no onset, 28 the closed form and 3 a crossing below it
+    kinds = []
+    for p in neel_z_family():
+        t_c = critical_temperature(p, "numeric").t_c
+        kinds.append("none" if t_c is None else "closed" if t_c == p.t_critical else "crossing")
+        assert t_c is None or t_c <= p.t_critical
+    assert (kinds.count("none"), kinds.count("closed"), kinds.count("crossing")) == (29, 28, 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_enumerated_minimum_is_the_multi_start_minimum(rng):
+    # no start finds a lower free energy than solve_mf, and the lowest one
+    # found is broken just below each onset and unbroken just above it
+    family = neel_z_family()
+    crossings = [p for p in family if critical_temperature(p, "numeric").t_c not in (None, p.t_critical)]
+    for p in [*NEEL_Z_MODELS, *family[::6], *crossings]:
+        onset = critical_temperature(p, "numeric").t_c
+        top = onset or p.t_critical
+        for t, broken in ((0.5 * top, onset is not None), (0.99 * top, onset is not None), (1.01 * top, False)):
+            f, oracle_broken = _multi_start_minimum(p, t, rng)
+            sol = solve_mf(p, t)
+            assert oracle_broken == sol.broken_phase_flip == broken, (p, t)
+            assert f >= sol.free_energy - 1e-14 * p.energy_scale, (p, t)
 
 
 def _product_free_energy(v, b, t, s_a, s_b):

@@ -72,8 +72,9 @@ class TestCanonicalize:
     @given(st.floats(allow_nan=False), st.floats(allow_nan=False), finite, finite)
     @settings(max_examples=300, deadline=None)
     def test_canonical_sector_has_non_negative_v_max(self, vx, vy, vz, b):
-        # v_plus, v_minus >= 0 put vx = v_plus + v_minus >= 0, so every model
-        # that builds has v_max >= 0 (meanfield._default_seeds takes it as is)
+        # v_plus, v_minus >= 0 put vx = v_plus + v_minus >= |vy|, so every model
+        # that builds has v_max = vx >= 0 (meanfield takes a minimum's
+        # transverse part along x)
         for build in (XYZParams, canonicalize):
             try:
                 p = build(vx, vy, vz, b)

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from xyzent.cli import main
 from xyzent.errors import OutOfRange
@@ -21,7 +22,7 @@ from xyzent.meanfield import critical_temperature, exact_free_energy, solve_mf
 from xyzent.model import MAX_ENERGY_SCALE, MIN_ENERGY_SCALE, canonicalize, eigensystem
 from xyzent.states import thermal_mixture
 
-from conftest import log_uniform, random_canonical_params
+from conftest import NEEL_Z_MODELS, log_uniform, neel_z_family, random_canonical_params
 
 #: (vx, vy, vz, b) whose small-scale copies once came out degenerate
 MODEL = (1.3, -0.4, 0.2, 0.7)
@@ -90,7 +91,31 @@ def test_homogeneous_from_1e_minus_300_to_1e300(rng):
         assert_same_limits(limits_over(lt_q, lam), limits_over(lt, 1.0), 1e-12)
 
         t = float(log_uniform(rng, 5e-2, 1e1)) * p.energy_scale
-        assert solve_mf(q, t * lam).iterations == solve_mf(p, t).iterations, (p, k)
+        got, want = solve_mf(q, t * lam), solve_mf(p, t)
+        assert (got.broken_phase_flip, got.broken_permutation) == (want.broken_phase_flip, want.broken_permutation)
+        for name in ("lambda_a", "lambda_b"):
+            assert_allclose(getattr(got, name) / lam, getattr(want, name), rtol=1e-12, atol=1e-12 * p.energy_scale)
+        assert_allclose([got.s_a, got.s_b], [want.s_a, want.s_b], rtol=0.0, atol=1e-12)
+        assert abs(got.free_energy / lam - want.free_energy) <= 1e-12 * p.energy_scale, (p, k)
+
+
+@pytest.mark.parametrize("k", [-1000, -40, 40, 1000])
+def test_mean_field_is_exact_at_powers_of_two(k):
+    # every mean-field formula is a ratio of couplings, fields and T, so at
+    # the energy unit 2^k the onset, fields and free energy are 2^k times
+    # those at unit scale and the spins the same, bit for bit
+    lam = 2.0**k
+    for p in [*NEEL_Z_MODELS, *neel_z_family()]:
+        q = scaled(p, lam)
+        unit = critical_temperature(p, "numeric").t_c
+        onset = critical_temperature(q, "numeric").t_c
+        assert (onset is None and unit is None) or onset == lam * unit, (p, k)
+        for t in (0.5 * p.t_critical, 0.99 * (unit or p.t_critical), 1.01 * (unit or p.t_critical)):
+            got, want = solve_mf(q, lam * t), solve_mf(p, t)
+            assert got.free_energy == lam * want.free_energy, (p, k, t)
+            for name in ("lambda_a", "lambda_b"):
+                assert np.array_equal(getattr(got, name), lam * getattr(want, name)), (p, k, t, name)
+            assert np.array_equal([got.s_a, got.s_b], [want.s_a, want.s_b]), (p, k, t)
 
 
 def test_numeric_critical_temperature_at_three_scales():

@@ -79,6 +79,14 @@ def test_no_runtime_module_imports_the_oracles():
         assert hits == [], (f.name, hits)
 
 
+def test_no_runtime_module_calls_lapack():
+    # no np.linalg anywhere in the runtime, so the CLI hands nothing to LAPACK
+    for f in _runtime_modules():
+        tree = ast.parse(f.read_text(), str(f))
+        hits = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "linalg"]
+        assert hits == [], (f.name, hits)
+
+
 #: reference closed forms that no command prints: only tests and the
 #: benchmark checks read them, from the oracle module
 ORACLE_ONLY = {"ClosedFormLimits", "closed_form_limits", "MixtureThresholds", "mixture_thresholds", "b_crossing"}
@@ -156,7 +164,7 @@ def _fresh_cli(argv):
 #: is not certified as the onset of the broken global minimum
 _SCAN_MODULES = {"limits", "expsums"}
 #: `limits` of a Neel-z model (vz < -2 T_c), whose closed-form T_c is not
-#: certified, so its numeric T_c (meanfield, with its 6x6 pinv) runs
+#: certified, so its numeric T_c (meanfield's enumerated minimum) runs
 _NEEL_Z = ["limits", "--vx=0.865", "--vy=0.192", "--vz=-2.775", "--b=0.877"]
 
 
@@ -260,8 +268,9 @@ openblas_threads = pytest.mark.skipif(
     reason="counts threads in /proc/self/task of a numpy linked to OpenBLAS",
 )
 
-#: a model whose numeric T_c (meanfield, with its 6x6 pinv) runs
-_LIMITS = [*_NEEL_Z, "--format=json"]
+#: a Neel-z model whose numeric T_c runs meanfield and is a positive
+#: crossing below its closed form
+_LIMITS = ["limits", "--vx=2.601", "--vy=-2.094", "--vz=-2.969", "--b=1.518", "--format=json"]
 
 
 @openblas_threads
