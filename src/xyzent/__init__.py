@@ -48,7 +48,6 @@ _EXPORTS = {
     "limits": ("LimitTemperatures", "ReentryWindow", "limit_temperatures", "reentry_two_level"),
     "linalg": ("ClosedFormLimits", "closed_form_limits", "concurrence_general", "realize_matrix"),
     "meanfield": (
-        "CriticalTemperature",
         "MeanFieldSolution",
         "critical_temperature",
         "exact_free_energy",

@@ -11,9 +11,9 @@ Exit codes: 0 success, 2 invalid input, 3 I/O failure; 4 (solver
 non-convergence) is no longer produced, as the mean field iterates
 nothing.  `limits` prints the mean-field T_c twice: t_critical_closed
 (XYZParams.t_critical), and t_critical_numeric, the onset of the mean
-field's broken global minimum, which is the same closed form where
-XYZParams.t_critical_is_onset certifies it and the onset of the
-enumerated minimum (meanfield.critical_temperature "numeric") elsewhere.
+field's broken global minimum (meanfield.critical_temperature), which
+is the closed form wherever XYZParams.t_critical_is_onset holds; only
+elsewhere does `limits` run the mean-field module.
 Limits are scanned up to each model's own t_cut, past which no criterion
 detects (limits module docstring), so no option sets a scan range.
 Floats in CSV output carry up to 12 significant digits, and a limit
@@ -237,12 +237,9 @@ def cmd_limits(args) -> int:
 
     p = canonicalize(args.vx, args.vy, args.vz, args.b)
     (lim,) = _limit_rows([p])
-    # the onset of the broken global minimum: the closed form where it is
-    # certified, so meanfield runs only for the others (Neel-z models)
-    if p.t_critical_is_onset:
-        tc_numeric = p.t_critical
-    else:
-        tc_numeric = meanfield.critical_temperature(p, method="numeric").t_c
+    # the onset of the broken global minimum: the closed form where the rule
+    # says so, so meanfield runs only for the others (Neel-z models)
+    tc_numeric = p.t_critical if p.t_critical_is_onset else meanfield.critical_temperature(p)
     row = {
         "vx": args.vx,
         "vy": args.vy,

@@ -72,7 +72,7 @@ def sum_zeros(lam, coef, bound, t_end):
         c_lead = np.abs(c[r, lead[r]])
         after = (c[r] != 0.0) & (np.arange(6) > lead[r, None])
         gap = np.where(after.any(axis=1), e[r, np.argmax(after, axis=1)], 1.0)
-        far = np.log1p((np.abs(c[r]).sum(axis=1) - c_lead) / c_lead) / np.maximum(gap, 1e-300)
+        far = np.log1p((np.abs(c[r]).sum(axis=1) - c_lead) / c_lead) / gap
         x = np.full((at.size, 7), np.nan)
         x[on[r], j] = _newton(c[r], e[r], lo, np.where(np.isinf(hi), np.maximum(far, 2.0 * lo), hi), sign[r, j] < 0.0)
         x.sort(axis=1, kind="stable")  # at most 5 zeros: the last column stays NaN

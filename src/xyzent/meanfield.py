@@ -43,10 +43,13 @@ and its stationary points fall into three families:
   and b > 0, and at most one pair (_canted).
 
 For T >= -vz/2 every global minimum is uniform (the same proof), so the
-non-uniform families are solved only below -vz/2.  Every formula is a
-ratio of couplings, fields and T, so results scale exactly with the
-energy unit; each root is bisected to adjacent floats in their order
-(_bisect), or found by a monotone Newton iteration (_nu).
+non-uniform families are solved only below -vz/2.  critical_temperature
+is the onset of the minimum's broken phase flip: the closed form T_c
+wherever XYZParams.t_critical_is_onset holds (T_c >= -vz/2), and
+otherwise found from solve_mf's verdicts.  Every formula is a ratio of
+couplings, fields and T, so results scale exactly with the energy unit;
+each root is bisected to adjacent floats in their order (_bisect), or
+found by a monotone Newton iteration (_nu).
 """
 
 from __future__ import annotations
@@ -64,8 +67,6 @@ from .states import _gibbs_exponents
 
 __all__ = [
     "MeanFieldSolution",
-    "CriticalTemperature",
-    "qubit_expectations",
     "mf_free_energy",
     "exact_free_energy",
     "solve_mf",
@@ -87,31 +88,11 @@ class MeanFieldSolution:
     iterations: int = 0
 
 
-@dataclass(frozen=True)
-class CriticalTemperature:
-    t_c: float | None  # None when the broken solution is infeasible
-    chi: float
-    v_max: float
-    feasible: bool
-
-
 def _check_temperature(t: float) -> float:
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise InvalidTemperature(f"mean field needs T > 0, got {t!r}")
     return t
-
-
-def qubit_expectations(lambdas, temperature: float) -> np.ndarray:
-    """<s> for each effective field row; zero field gives zero spin.
-
-    Norms come from np.hypot.reduce, which never squares a component, so
-    fields near the top of the float range do not overflow.
-    """
-    lam, t = np.asarray(lambdas, dtype=float), _check_temperature(temperature)
-    norm = np.hypot.reduce(lam, axis=-1, keepdims=True)
-    amp = np.divide(np.tanh(0.5 * norm / t), norm, out=np.zeros_like(norm), where=norm > 0.0)
-    return -0.5 * lam * amp
 
 
 def _qubit(lam, t: float):
@@ -265,10 +246,13 @@ def _canted(p: XYZParams, t: float):
     return [vx * x_a, 0.0, vx * z_a], [vx * (rho * x_a), 0.0, vx * z_b]
 
 
-def _minimum(p: XYZParams, t: float) -> MeanFieldSolution:
-    """The least-F stationary point at T (module docstring); ties keep the
-    first of uniform, staggered, canted."""
-    t_c = p.t_critical
+def solve_mf(p: XYZParams, temperature: float) -> MeanFieldSolution:
+    """The global minimum of the product-state free energy at T, the
+    least-F point of the enumerated stationary points (module docstring);
+    ties keep the first of uniform, staggered, canted.  Its transverse
+    part lies along +x; of the staggered and canted pairs, qubit A holds
+    the field along b (staggered) or the shorter field (canted)."""
+    t, t_c = _check_temperature(temperature), p.t_critical
     x = t_c is not None and t < t_c
     lam0 = None if x and t >= -0.5 * p.vz else _uniform_z(p, t)
     candidates = [(_uniform_x(p, t) if x else ([0.0, 0.0, lam0],) * 2, x, False)]
@@ -283,40 +267,26 @@ def _minimum(p: XYZParams, t: float) -> MeanFieldSolution:
     return best
 
 
-def solve_mf(p: XYZParams, temperature: float) -> MeanFieldSolution:
-    """The global minimum of the product-state free energy at T, the
-    least-F point of the enumerated stationary points (module docstring).
-    Its transverse part lies along +x; of the staggered and canted pairs,
-    qubit A holds the field along b (staggered) or the shorter field
-    (canted)."""
-    return _minimum(p, _check_temperature(temperature))
+def critical_temperature(p: XYZParams) -> float | None:
+    """The onset of the broken phase flip of solve_mf's global minimum, or
+    None where it is broken at no temperature.
 
-
-def critical_temperature(p: XYZParams, method: str = "closed") -> CriticalTemperature:
-    """Critical temperature of the transverse symmetry-breaking solution.
-
-    "closed" returns XYZParams.t_critical, T_c = v_max chi /
-    ln[(1+chi)/(1-chi)] (the chi -> 0 limit v_max/2 taken analytically),
-    which needs nothing of this module.  "numeric" returns the onset of
-    the broken phase flip of solve_mf's global minimum.  Where
-    XYZParams.t_critical_is_onset certifies it, that is the closed form,
-    bit for bit.  Elsewhere (Neel-z models, vz < -2 T_c) it is T_c too
-    unless the staggered z pair is the minimum at T_c; then the uniform x
-    branch can win only below a first-order crossing with it, bisected to
-    adjacent floats of T/T_c between T_c and eps T_c (where every
-    Boltzmann factor of an O(T_c) gap underflows), and the onset is
-    absent (t_c None) where the branch does not win there either.  Absent
-    whenever v_max <= max(vz, 0) or |b| >= v_max - vz.
+    Where XYZParams.t_critical_is_onset holds, that is the closed form
+    XYZParams.t_critical bit for bit, None included (absent whenever
+    v_max <= max(vz, 0) or |b| >= v_max - vz).  Elsewhere (Neel-z models,
+    vz < -2 T_c) it is T_c too unless the staggered z pair is the minimum
+    at T_c; then the uniform x branch can win only below a first-order
+    crossing with it, bisected to adjacent floats of T/T_c between T_c
+    and eps T_c (where every Boltzmann factor of an O(T_c) gap
+    underflows), and the onset is None where the branch does not win
+    there either.
     """
-    if method not in ("closed", "numeric"):
-        raise ValueError(f"method must be 'closed' or 'numeric', got {method!r}")
-    v_max, chi, t_c = p.v_max, p.chi, p.t_critical
-    if t_c is None:
-        return CriticalTemperature(t_c=None, chi=chi, v_max=v_max, feasible=False)
-    if method == "numeric" and not p.t_critical_is_onset:
-        at_tc = _minimum(p, t_c)
-        if at_tc.broken_permutation and not at_tc.broken_phase_flip:
-            broken = lambda tau: _minimum(p, t_c * tau).broken_phase_flip
-            lo = sys.float_info.epsilon
-            t_c = t_c * _bisect(broken, lo, 1.0)[1] if broken(lo) else None
-    return CriticalTemperature(t_c=t_c, chi=chi, v_max=v_max, feasible=True)
+    t_c = p.t_critical
+    if p.t_critical_is_onset:
+        return t_c
+    at_tc = solve_mf(p, t_c)
+    if at_tc.broken_permutation and not at_tc.broken_phase_flip:
+        broken = lambda tau: solve_mf(p, t_c * tau).broken_phase_flip
+        lo = sys.float_info.epsilon
+        t_c = t_c * _bisect(broken, lo, 1.0)[1] if broken(lo) else None
+    return t_c

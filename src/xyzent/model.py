@@ -15,10 +15,10 @@ The level gaps and mixing ratios of any number of models come from one
 array pass, _eigen_columns, which the limit scan and the CLI's
 many-model tables call once per batch; eigensystem is its one-model view,
 with the same bits in every column whatever the batch.  The closed-form
-mean-field T_c (XYZParams.t_critical) lives here too, with the
-certificate that it is the onset of the mean field's broken global
+mean-field T_c (XYZParams.t_critical) lives here too, with the rule
+that says where it is the onset of the mean field's broken global
 minimum (XYZParams.t_critical_is_onset), so the commands that print only
-it, and `limits` on a certified model, never run the mean-field module.
+it, and `limits` where the rule holds, never run the mean-field module.
 Quantities that no command prints, such as the level-crossing field, are
 oracles in linalg.
 """
@@ -117,13 +117,10 @@ class XYZParams:
     @property
     def t_critical_is_onset(self) -> bool:
         """Whether t_critical is the onset of the mean field's broken
-        global minimum: t_critical is None, or T_c > -vz/2, strictly and
-        beyond t_critical's rounding (a relative error of a few ulps times
-        its condition number in chi, at most 1/(1 - chi)).  Where it holds,
-        meanfield.critical_temperature(p, "numeric") returns t_critical bit
-        for bit; elsewhere that onset also weighs the staggered z pair
-        (meanfield module docstring).  Where t_critical is None,
-        meanfield.critical_temperature has no T_c either.
+        global minimum: t_critical is None, or T_c >= -vz/2.  Where it
+        holds, meanfield.critical_temperature returns t_critical bit for
+        bit, None included; elsewhere that onset also weighs the staggered
+        z pair (meanfield module docstring).
 
         Proof.  The product-state free energy is
 
@@ -144,9 +141,15 @@ class XYZParams:
         anti-aligned with b is never the global minimum.  Hence, when
         T_c > -vz/2, the global minimum is broken on (max(-vz/2, 0), T_c)
         and unbroken on [T_c, inf), so the onset is exactly T_c.
+
+        The rounding of t_critical cannot change a printed value: this is
+        the float test meanfield.solve_mf makes at T = t_critical before it
+        weighs the staggered and canted pairs, so where it holds the
+        minimum there is uniform z, and the enumeration would return
+        t_critical's own bits as well.
         """
         t = self.t_critical
-        return t is None or t > -0.5 * self.vz * (1.0 + 8.0 * sys.float_info.epsilon / (1.0 - self.chi))
+        return t is None or not t < -0.5 * self.vz
 
     @property
     def delta(self) -> float:

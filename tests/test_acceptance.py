@@ -67,23 +67,23 @@ def test_ac3_entropic_limits():
 def test_ac4_mean_field_critical_temperature():
     for chi in np.linspace(0.05, 0.94, 10):
         p = canonicalize(1.0, 0.0, 0.0, float(chi))  # v_max = b_c = 1
-        closed = critical_temperature(p, "closed").t_c
-        numeric = critical_temperature(p, "numeric").t_c
+        closed = p.t_critical
+        numeric = critical_temperature(p)
         assert abs(closed - numeric) / closed < 1e-4
 
     small = canonicalize(1.0, 0.0, 0.0, 1e-6)
-    assert abs(critical_temperature(small, "closed").t_c - 0.5) < 1e-4
-    assert abs(critical_temperature(small, "numeric").t_c - 0.5) < 1e-4
+    assert abs(small.t_critical - 0.5) < 1e-4
+    assert abs(critical_temperature(small) - 0.5) < 1e-4
     for b in (1.0, 1.5):
-        assert critical_temperature(canonicalize(1.0, 0.0, 0.0, b)).t_c is None
+        assert critical_temperature(canonicalize(1.0, 0.0, 0.0, b)) is None
 
     # thermal-state concurrence at T_c: case 1 near zero field
-    t_c = critical_temperature(XX(0.01), "closed").t_c
+    t_c = XX(0.01).t_critical
     c1 = concurrence_at(XX(0.01), t_c)
     assert abs(c1 - 0.55) < 0.01
     # case 2 at the edge of mean-field feasibility
     p = MAX_ANISO(0.999)
-    t_c = critical_temperature(p, "closed").t_c
+    t_c = p.t_critical
     c2 = concurrence_at(p, t_c)
     assert abs(c2 - 1.0 / math.sqrt(2.0)) < 0.01
     print(f"ACCEPTANCE 4 PASS: T_c closed = numeric; C(T_c) = {c1:.3f} and {c2:.3f}")
@@ -101,9 +101,9 @@ def test_ac5_case3_phase_structure():
     lt = limit_temperatures(CASE3(0.01))
     assert abs(lt.t_exact - 0.93) < 0.01
     assert abs(lt.t_entropic - 0.39) < 0.01
-    assert abs(critical_temperature(CASE3(0.01)).t_c - 0.85) < 0.01
+    assert abs(critical_temperature(CASE3(0.01)) - 0.85) < 0.01
     for b in (1.15, 1.25, 1.3):
-        assert critical_temperature(CASE3(b)).t_c > limit_temperatures(CASE3(b)).t_exact
+        assert critical_temperature(CASE3(b)) > limit_temperatures(CASE3(b)).t_exact
     print(f"ACCEPTANCE 5 PASS: b0 = {b0:.5f}; reentry band and T_c > T_e region verified")
 
 
@@ -204,7 +204,7 @@ def test_ac8_degenerate_ground_state_separability():
         assert concurrence_at(p, t) == 0.0
     lt = limit_temperatures(p)
     assert lt.t_exact == 0.0 and lt.intervals == ()
-    t_c = critical_temperature(p).t_c
+    t_c = critical_temperature(p)
     assert t_c == 0.5
     assert t_c > lt.t_exact
     print("ACCEPTANCE 8 PASS: degenerate ground state, T_c = 0.5 > T_e = 0")

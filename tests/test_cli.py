@@ -1,8 +1,10 @@
 import argparse
+import ast
 import json
 import math
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -53,7 +55,7 @@ def limits_alone(p):
         "t_exact": lt.t_exact,
         "t_disorder": lt.t_disorder,
         "t_entropic": lt.t_entropic,
-        "t_critical": critical_temperature(p, method="closed").t_c,
+        "t_critical": p.t_critical,
         "reentry_lower": window.lower if window else None,
         "reentry_upper": window.upper if window else None,
         "reentry_two_level": window.two_level if window else None,
@@ -197,7 +199,7 @@ class TestLimits:
         code, out, _ = run(capsys, "limits", *args, "--format=json")
         got = json.loads(out)
         assert code == 0 and got["t_critical_closed"] == p.t_critical
-        assert got["t_critical_numeric"] == critical_temperature(p, "numeric").t_c == onset
+        assert got["t_critical_numeric"] == critical_temperature(p) == onset
 
     def test_reentry_columns(self, capsys):
         code, out, _ = run(capsys, "limits", "--vx", "1.7", "--vy", "0.3", "--b", "0.9")
@@ -673,6 +675,24 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv[1:]) == 0, argv
+
+
+def test_readme_library_sketch_runs():
+    # every line runs, and each value a comment states is what the line gives
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines, namespace, stated = block.splitlines(), {}, 0
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if not isinstance(node, ast.Expr):
+            exec(source, namespace)
+            continue
+        value = eval(source, namespace)
+        number = re.search(r"#\D*(\d+\.(\d+))", lines[node.lineno - 1])
+        if number:
+            stated += 1
+            assert abs(value - float(number[1])) <= 0.5 * 10.0 ** -len(number[2]), (source, value)
+    assert stated >= 4
 
 
 def per_cell_csv(columns, rows) -> str:

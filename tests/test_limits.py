@@ -301,7 +301,7 @@ class TestLimitRecord:
         lt = limit_temperatures(p)
         assert lt.t_exact == 0.0
         assert lt.t_disorder is None
-        assert critical_temperature(p).t_c == pytest.approx(0.5, abs=1e-12)
+        assert critical_temperature(p) == pytest.approx(0.5, abs=1e-12)
 
     def test_degenerate_separable_ground_pair_is_not_detected(self):
         # E2 = E3 and b/Delta = 2.6e-9: every thermal state is separable, the

@@ -9,7 +9,6 @@ from xyzent.meanfield import (
     critical_temperature,
     exact_free_energy,
     mf_free_energy,
-    qubit_expectations,
     solve_mf,
 )
 from xyzent.model import canonicalize
@@ -63,31 +62,6 @@ class TestFreeEnergy:
             exact_free_energy(XCHAIN, -1.0)
 
 
-class TestQubitExpectations:
-    def test_zero_field(self):
-        assert_allclose(qubit_expectations(np.zeros(3), 1.0), np.zeros(3))
-
-    def test_saturation(self):
-        s = qubit_expectations(np.array([0.0, 0.0, 100.0]), 0.01)
-        assert abs(s[2] + 0.5) < 1e-12
-
-    def test_self_consistency_relation(self, rng):
-        for _ in range(20):
-            lam = rng.normal(size=3)
-            t = float(log_uniform(rng, 0.05, 5.0))
-            s = qubit_expectations(lam, t)
-            norm = np.linalg.norm(lam)
-            assert abs(np.linalg.norm(s) - 0.5 * math.tanh(0.5 * norm / t)) < 1e-9
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("t", [0.0, -0.0, -1.0, math.inf, math.nan])
-    def test_rejects_bad_temperature(self, t):
-        # at T = 0 the tanh argument divides by zero; at T < 0 the spin
-        # silently took the wrong sign
-        with pytest.raises(InvalidTemperature):
-            qubit_expectations([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], t)
-
-
 class TestSolveMF:
     def test_symmetric_above_tc(self):
         sol = solve_mf(XCHAIN, 0.6)
@@ -95,6 +69,7 @@ class TestSolveMF:
         assert not sol.broken_phase_flip
         assert not sol.broken_permutation
         assert_allclose(sol.lambda_a, np.zeros(3), atol=1e-9)
+        assert sol.s_a.tolist() == sol.s_b.tolist() == [0.0, 0.0, 0.0]  # zero field, zero spin
 
     def test_broken_below_tc_solves_gap_equation(self):
         t = 0.25
@@ -103,6 +78,8 @@ class TestSolveMF:
         m = gap_equation_magnetization(1.0, t)
         assert abs(abs(sol.s_a[0]) - m) < 1e-9
         assert 0.0 < m < 0.5
+        # far below T_c the spin saturates at 1/2 to the last bit
+        assert solve_mf(XCHAIN, 1e-3).s_a.tolist() == [-0.5, 0.0, 0.0]
 
     def test_permutation_symmetric_ferromagnet(self, rng):
         for t in (0.1, 0.3, 0.8):
@@ -137,6 +114,14 @@ class TestSolveMF:
     def test_rejects_zero_temperature(self):
         with pytest.raises(InvalidTemperature):
             solve_mf(XCHAIN, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [0.0, -0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_temperature(self, t):
+        # at T = 0 the tanh argument divides by zero; at T < 0 the spin
+        # would take the wrong sign
+        with pytest.raises(InvalidTemperature):
+            solve_mf(XCHAIN, t)
 
     @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 3, 2), (6,)])
     def test_rejects_bad_seed_shape(self, shape):
@@ -187,8 +172,8 @@ _POLISH_REGRESSIONS = [
 @pytest.mark.parametrize("p, t", _POLISH_REGRESSIONS)
 def test_newton_polish_regressions(p, t):
     if t is None:
-        closed = critical_temperature(p, "closed").t_c
-        numeric = critical_temperature(p, "numeric").t_c
+        closed = p.t_critical
+        numeric = critical_temperature(p)
         assert abs(numeric - closed) <= 2e-6 * closed
         return
     sol = solve_mf(p, t)
@@ -203,34 +188,32 @@ def test_newton_polish_regressions(p, t):
 class TestCriticalTemperature:
     def test_zero_field_limit(self):
         tc = critical_temperature(canonicalize(1.0, 0.0, 0.0, 1e-6))
-        assert abs(tc.t_c - 0.5) < 1e-6
+        assert abs(tc - 0.5) < 1e-6
         tc0 = critical_temperature(XCHAIN)
-        assert tc0.t_c == 0.5
+        assert tc0 == 0.5
 
     def test_half_chi(self):
         tc = critical_temperature(canonicalize(1.0, 0.0, 0.0, 0.5))
-        assert abs(tc.t_c - 0.5 / math.log(3.0)) < 1e-12
+        assert abs(tc - 0.5 / math.log(3.0)) < 1e-12
 
     def test_closed_vs_numeric(self):
         p = canonicalize(1.0, 0.0, 0.0, 0.5)
-        closed = critical_temperature(p, "closed").t_c
-        numeric = critical_temperature(p, "numeric").t_c
+        closed = p.t_critical
+        numeric = critical_temperature(p)
         assert abs(closed - numeric) / closed < 1e-4
 
     def test_absent_above_critical_field(self):
-        tc = critical_temperature(canonicalize(1.0, 0.0, 0.0, 1.5))
-        assert tc.t_c is None and not tc.feasible
+        p = canonicalize(1.0, 0.0, 0.0, 1.5)
+        assert critical_temperature(p) is None and p.t_critical is None
 
     def test_absent_for_dominant_zz(self):
         # v_max <= vz, and v_max = 0 (nothing transverse to break) with vz < 0
         for p in (canonicalize(0.5, 0.5, 1.0, 0.1), canonicalize(0, 0, -1, 0.2)):
-            for method in ("closed", "numeric"):
-                tc = critical_temperature(p, method)
-                assert tc.t_c is None and not tc.feasible, (p, method)
+            assert critical_temperature(p) is None and p.t_critical is None, p
 
     def test_monotone_decreasing_in_chi(self):
         chis = [0.05, 0.2, 0.5, 0.8, 0.95, 0.999]
-        tcs = [critical_temperature(canonicalize(1.0, 0.0, 0.0, c)).t_c for c in chis]
+        tcs = [critical_temperature(canonicalize(1.0, 0.0, 0.0, c)) for c in chis]
         assert all(a > b for a, b in zip(tcs, tcs[1:]))
         assert tcs[-1] < 0.14  # T_c -> 0 as chi -> 1
 
@@ -241,24 +224,13 @@ class TestCriticalTemperature:
             p = canonicalize(1.0, vy, 0.0, 0.2)
             sol = solve_mf(p, 0.3)
             assert abs(sol.free_energy - ref.free_energy) < 1e-9
-            assert abs(critical_temperature(p).t_c - critical_temperature(
-                canonicalize(1.0, 0.0, 0.0, 0.2)).t_c) < 1e-12
-
-    def test_method_validation(self):
-        with pytest.raises(ValueError):
-            critical_temperature(XCHAIN, "analytic")
-
-    def test_method_validated_on_infeasible_models(self):
-        # the method used to be checked only after the infeasible return
-        for p in (canonicalize(1.0, 0.4, 0.1, 5.0), canonicalize(0.5, 0.5, 1.0, 0.1)):
-            with pytest.raises(ValueError, match="method"):
-                critical_temperature(p, "numerci")
+            assert abs(critical_temperature(p) - critical_temperature(canonicalize(1.0, 0.0, 0.0, 0.2))) < 1e-12
 
 
 def _ref_numeric_tc(p):
     """The onset of solve_mf's broken phase flip as a step-by-step bisection
     of its verdicts between 1e-4 v_max and 0.75 v_max, to 1e-6 relative."""
-    if not critical_temperature(p).feasible:
+    if p.t_critical is None:
         return None
     lo, hi = 1e-4 * p.v_max, 0.75 * p.v_max
     if not solve_mf(p, lo).broken_phase_flip:
@@ -304,7 +276,7 @@ _TC_MODELS = [
 @pytest.mark.parametrize("p", _TC_MODELS)
 def test_numeric_tc_matches_sequential_bisection(p):
     # the numeric onset agrees with solve_mf's verdicts, bisected one by one
-    t_c, ref = critical_temperature(p, "numeric").t_c, _ref_numeric_tc(p)
+    t_c, ref = critical_temperature(p), _ref_numeric_tc(p)
     assert (t_c is None) == (ref is None)
     if ref is not None:
         assert abs(t_c - ref) <= 1e-6 * ref
@@ -504,7 +476,7 @@ def test_certified_closed_form_is_the_multi_start_onset(p, kind):
         assert oracle_broken == sol.broken_phase_flip == broken, t
         assert f >= sol.free_energy - 1e-14 * p.energy_scale, t
     # the certified closed form is the numeric onset, bit for bit
-    assert critical_temperature(p, "numeric").t_c == t_c
+    assert critical_temperature(p) == t_c
 
 
 def test_boundary_family_is_mostly_resolved():
@@ -522,7 +494,7 @@ def test_unresolved_gain_near_chi_one():
     p = canonicalize(4.297213449286957e37, 1.7503162380788435e37, -5.256414461862536e36, 4.822851165038169e37)
     assert p.t_critical_is_onset and 1.0 - p.chi < 1e-6
     assert not _resolved(p, p.t_critical * (1.0 - 2e-6))
-    assert critical_temperature(p, "numeric").t_c == p.t_critical
+    assert critical_temperature(p) == p.t_critical
 
 
 def test_neel_z_models_are_not_certified():
@@ -534,7 +506,7 @@ def test_neel_z_family_onsets():
     # 29 have no onset, 28 the closed form and 3 a crossing below it
     kinds = []
     for p in neel_z_family():
-        t_c = critical_temperature(p, "numeric").t_c
+        t_c = critical_temperature(p)
         kinds.append("none" if t_c is None else "closed" if t_c == p.t_critical else "crossing")
         assert t_c is None or t_c <= p.t_critical
     assert (kinds.count("none"), kinds.count("closed"), kinds.count("crossing")) == (29, 28, 3)
@@ -545,9 +517,9 @@ def test_enumerated_minimum_is_the_multi_start_minimum(rng):
     # no start finds a lower free energy than solve_mf, and the lowest one
     # found is broken just below each onset and unbroken just above it
     family = neel_z_family()
-    crossings = [p for p in family if critical_temperature(p, "numeric").t_c not in (None, p.t_critical)]
+    crossings = [p for p in family if critical_temperature(p) not in (None, p.t_critical)]
     for p in [*NEEL_Z_MODELS, *family[::6], *crossings]:
-        onset = critical_temperature(p, "numeric").t_c
+        onset = critical_temperature(p)
         top = onset or p.t_critical
         for t, broken in ((0.5 * top, onset is not None), (0.99 * top, onset is not None), (1.01 * top, False)):
             f, oracle_broken = _multi_start_minimum(p, t, rng)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from xyzent.cli import main
 from xyzent.errors import NonFiniteInput, OutOfRange
 from xyzent.linalg import _amplitudes, b_crossing, eigenvectors, hamiltonian_matrix
 from xyzent.limits import limit_temperatures
@@ -54,7 +56,7 @@ class TestCanonicalize:
             limit_temperatures(XYZParams(vx=-1.0, vy=0.3, vz=0.0, b=-0.5))
         assert limit_temperatures(canonicalize(-1.0, 0.3, 0.0, -0.5)).t_exact == pytest.approx(0.715, abs=1e-3)
         with pytest.raises(OutOfRange, match="below the bound"):
-            critical_temperature(XYZParams(vx=1e-310, vy=3e-311, vz=0.0, b=0.0), "numeric")
+            critical_temperature(XYZParams(vx=1e-310, vy=3e-311, vz=0.0, b=0.0))
         for vals in ((1.0, 2.0, 0.0, 0.0), (0.0, 0.0, 0.0, -1.0), (-1.0, -1.0, 0.0, 0.0)):
             with pytest.raises(OutOfRange, match="must be >= 0"):
                 XYZParams(*vals)
@@ -303,8 +305,7 @@ class TestEigenColumns:
             canonicalize(1.0, 0.0, 2.0, 0.0),  # v_max < vz
             canonicalize(0.0, 0.0, 0.0, 0.0),  # v_max = 0
         ):
-            tc = critical_temperature(p, "closed")
-            assert p.t_critical == tc.t_c and (p.t_critical is None) == (not tc.feasible), p
+            assert p.t_critical == critical_temperature(p), p
         assert canonicalize(1.0, 0.0, 0.0, 0.0).t_critical == 0.5
         assert 0.0 < below_one.t_critical < 0.1
 
@@ -332,15 +333,48 @@ class TestCriticalTemperatureCertificate:
         ):
             assert p.t_critical_is_onset, p
 
-    def test_certificate_keeps_a_rounding_margin(self):
-        # b where t_critical crosses -vz/2 = 0.25, to adjacent floats: a
-        # t_critical a few ulps above -vz/2 is not certified, one 1e-9 above is
+    @staticmethod
+    def _edge_models():
+        """The four floats b around the field where t_critical crosses
+        -vz/2 = 0.25, and a seeded family with T_c within 1e-16 to 1e-6 of
+        -vz/2 on either side, each placed by iterating vz = -2 T_c (1 + d)."""
         lo, hi = 0.0, 1.5
         while math.nextafter(lo, hi) < hi:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if canonicalize(1.0, 0.0, -0.5, mid).t_critical > 0.25 else (lo, mid)
-        edge = canonicalize(1.0, 0.0, -0.5, lo)
-        assert 0.25 < edge.t_critical < 0.25 * (1.0 + 1e-13) and not edge.t_critical_is_onset
-        assert not canonicalize(1.0, 0.0, -0.5, hi).t_critical_is_onset
-        inside = canonicalize(1.0, 0.0, -0.5, lo * (1.0 - 1e-9))
-        assert inside.t_critical > 0.25 * (1.0 + 1e-10) and inside.t_critical_is_onset
+        models = [canonicalize(1.0, 0.0, -0.5, b) for b in (math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, 2.0))]
+        rng = np.random.default_rng(33)
+        while len(models) < 44:
+            vx, vy, b = rng.uniform(-3.0, 3.0, size=3).tolist()
+            d = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -6.0))
+            vz = -1.0
+            for _ in range(60):
+                t_c = canonicalize(vx, vy, vz, b).t_critical
+                if t_c is None:
+                    break
+                vz = -2.0 * t_c * (1.0 + d)
+            else:
+                models.append(canonicalize(vx, vy, vz, b))
+        return models
+
+    def test_onset_rule_is_the_enumeration_at_the_edge(self, monkeypatch, capsys):
+        # limits prints the same t_critical_numeric bits whether the rule
+        # spares it the mean field or the enumeration runs: the rule is the
+        # float test solve_mf makes at T = t_critical, so it needs no margin
+        models = self._edge_models()
+        rule = [p.t_critical_is_onset for p in models]
+        assert rule[:4] == [True, True, False, False] and 10 < sum(rule) < len(rule) - 10
+
+        def printed():
+            out = []
+            for p in models:
+                assert main(["limits", *(f"--{k}={getattr(p, k)!r}" for k in ("vx", "vy", "vz", "b")), "--format=json"]) == 0
+                out.append(json.loads(capsys.readouterr().out)["t_critical_numeric"])
+            return out
+
+        ruled = printed()
+        monkeypatch.setattr(XYZParams, "t_critical_is_onset", property(lambda self: self.t_critical is None))
+        enumerated = [critical_temperature(p) for p in models]
+        assert ruled == printed() == enumerated
+        for p, holds, t_c in zip(models, rule, ruled):
+            assert not holds or t_c == p.t_critical, p

@@ -107,8 +107,8 @@ def test_mean_field_is_exact_at_powers_of_two(k):
     lam = 2.0**k
     for p in [*NEEL_Z_MODELS, *neel_z_family()]:
         q = scaled(p, lam)
-        unit = critical_temperature(p, "numeric").t_c
-        onset = critical_temperature(q, "numeric").t_c
+        unit = critical_temperature(p)
+        onset = critical_temperature(q)
         assert (onset is None and unit is None) or onset == lam * unit, (p, k)
         for t in (0.5 * p.t_critical, 0.99 * (unit or p.t_critical), 1.01 * (unit or p.t_critical)):
             got, want = solve_mf(q, lam * t), solve_mf(p, t)
@@ -120,9 +120,9 @@ def test_mean_field_is_exact_at_powers_of_two(k):
 
 def test_numeric_critical_temperature_at_three_scales():
     p = canonicalize(1.0, 0.3, 0.1, 0.4)
-    unit = critical_temperature(p, "numeric").t_c
+    unit = critical_temperature(p)
     for lam in (1e-300, 1e-14, 1e300):
-        t_c = critical_temperature(scaled(p, lam), "numeric").t_c
+        t_c = critical_temperature(scaled(p, lam))
         assert t_c is not None and abs(t_c / lam - unit) <= 1e-9 * unit, lam
 
 

@@ -21,7 +21,6 @@ PUBLIC = [
     "BellMixture",
     "ClosedFormLimits",
     "CriterionReport",
-    "CriticalTemperature",
     "EigenSystem",
     "LimitTemperatures",
     "MeanFieldSolution",
@@ -160,11 +159,11 @@ def _fresh_cli(argv):
 
 
 #: the modules of the limit scan; `meanfield` runs only for the numeric T_c
-#: of `limits` on a model whose closed-form T_c (model.XYZParams.t_critical)
-#: is not certified as the onset of the broken global minimum
+#: of `limits` on a model where model.XYZParams.t_critical_is_onset does not
+#: hold
 _SCAN_MODULES = {"limits", "expsums"}
-#: `limits` of a Neel-z model (vz < -2 T_c), whose closed-form T_c is not
-#: certified, so its numeric T_c (meanfield's enumerated minimum) runs
+#: `limits` of a Neel-z model (vz < -2 T_c), where the onset rule does not
+#: hold, so its numeric T_c (meanfield's enumerated minimum) runs
 _NEEL_Z = ["limits", "--vx=0.865", "--vy=0.192", "--vz=-2.775", "--b=0.877"]
 
 
