@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from xyzent.errors import InvalidTemperature
 from xyzent.meanfield import (
+    _qubit,
     critical_temperature,
     exact_free_energy,
     mf_free_energy,
@@ -60,6 +61,25 @@ class TestFreeEnergy:
             mf_free_energy(np.zeros(3), np.zeros(3), XCHAIN, 0.0)
         with pytest.raises(InvalidTemperature):
             exact_free_energy(XCHAIN, -1.0)
+
+
+class TestQubitExpectations:
+    """<s> of one qubit in an effective field, as solve_mf's free energy uses it."""
+
+    def test_zero_field(self):
+        assert _qubit(np.zeros(3), 1.0)[0] == [0.0, 0.0, 0.0]
+
+    def test_saturation(self):
+        s = _qubit(np.array([0.0, 0.0, 100.0]), 0.01)[0]
+        assert abs(s[2] + 0.5) < 1e-12
+
+    def test_self_consistency_relation(self, rng):
+        for _ in range(20):
+            lam = rng.normal(size=3)
+            t = float(log_uniform(rng, 0.05, 5.0))
+            s = _qubit(lam, t)[0]
+            norm = np.linalg.norm(lam)
+            assert abs(np.linalg.norm(s) - 0.5 * math.tanh(0.5 * norm / t)) < 1e-9
 
 
 class TestSolveMF:
