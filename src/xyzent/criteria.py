@@ -7,14 +7,13 @@ entanglement, but entangled states may pass.  The disorder
 (majorization) check is exact at zero field; the entropic check is
 strictly weaker for mixed states.
 
-The margin kernel, _margin_columns (one model per column; margin_table
-is its one-model view), evaluates the margins of thermal states: the
-exact rows of entanglement, the disorder row and the entropic row, with
-the formulas of the scalar checks (entanglement.exact_margins,
-disorder_check, entropic_check) broadcast over the columns.  The CLI's
-state columns and the limit scan (limits) both read their margins here;
-the scan also bounds the entropic row on pieces of temperature
-(_entropic_margin_bound).
+The margin kernel, _margin_columns (one model per column), evaluates
+the margins of thermal states: the exact rows of entanglement, the
+disorder row and the entropic row, from the row functions that the
+scalar checks (entanglement.exact_margins, disorder_check,
+entropic_check) call too.  The CLI's state columns and the limit scan (limits)
+both read their margins here; the scan also bounds the entropic row on
+pieces of temperature (_entropic_margin_bound).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import _LN2, _binary_entropy_bits, _exact_margin_rows, _xlogx, separability_exact
-from .model import EigenSystem
 from .states import BellMixture, _gibbs_exponents
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "exact_check",
     "disorder_check",
     "entropic_check",
-    "margin_table",
 ]
 
 
@@ -68,7 +65,8 @@ def disorder_check(m: BellMixture) -> CriterionReport:
     with |<S_z>| = |(b/Delta)(p_2 - p_1)|.  Detection requires some
     p_j > 1/2, and the check is exact when b = 0.
     """
-    margins = tuple(float(x) for x in _disorder_margin_rows(m.probs, m.eigen.b_ratio, m.eigen.vm_ratio))
+    rows = _disorder_margin_rows(m.probs[:, None], m.eigen.b_ratio, m.eigen.vm_ratio)
+    margins = tuple(float(x) for x in rows[:, 0])
     worst = min(margins)
     return CriterionReport(
         criterion="disorder",
@@ -80,9 +78,9 @@ def disorder_check(m: BellMixture) -> CriterionReport:
 
 def _disorder_margin_rows(p, b_r, vm_r):
     """Per-level disorder margins [1 + |(b/Delta)(p_2 - p_1)|]/2 - p_j of
-    probabilities p (shape (4,) or (4, N)); b_r and vm_r (v_minus/Delta)
-    broadcast with p[0].  A margin within _NEAR_ZERO of 0 is replaced by
-    that of _disorder_near_zero."""
+    probabilities p (4, N); b_r and vm_r (v_minus/Delta) broadcast with
+    p[0].  A margin within _NEAR_ZERO of 0 is replaced by that of
+    _disorder_near_zero."""
     bound = 0.5 * (1.0 + np.abs(b_r * (p[2] - p[1])))
     return _near_zero(bound - p, _disorder_near_zero, p, b_r, vm_r)
 
@@ -98,7 +96,7 @@ def _disorder_near_zero(p, b_r, vm_r):
     b = np.abs(b_r)
     d = np.abs(p[2] - p[1])
     c = vm_r * vm_r / (1.0 + b)
-    k = np.arange(4).reshape((4,) + (1,) * (p.ndim - 1))
+    k = np.arange(4)[:, None]
     larger = (k == np.where(p[1] >= p[2], 1, 2)) & (b >= 0.5)
     return 0.5 * np.where(larger, (p[0] + p[3]) - c * d, b * d - _deviations(p)[0])
 
@@ -110,7 +108,7 @@ def entropic_check(m: BellMixture) -> CriterionReport:
     straight from the mixture weights (the state is diagonal in its own
     eigenbasis) and each reduction has spectrum (1 +- <S_z>)/2.
     """
-    margin = float(_entropic_margin_row(m.probs, m.eigen.b_ratio, m.eigen.vm_ratio))
+    margin = float(_entropic_margin_row(m.probs[:, None], m.eigen.b_ratio, m.eigen.vm_ratio)[0])
     return CriterionReport(
         criterion="entropic",
         detected=bool(margin < 0.0),
@@ -121,9 +119,9 @@ def entropic_check(m: BellMixture) -> CriterionReport:
 
 def _entropic_margin_row(p, b_r, vm_r):
     """Entropic margin S(rho) - S(rho_A) in bits of probabilities p
-    (shape (4,) or (4, N)); b_r and vm_r (v_minus/Delta) broadcast with
-    p[0].  The two reductions are identical by permutation symmetry, with
-    spectrum (1 +- <S_z>)/2 and <S_z> = (b/Delta)(p_1 - p_2).
+    (4, N); b_r and vm_r (v_minus/Delta) broadcast with p[0].  The two
+    reductions are identical by permutation symmetry, with spectrum
+    (1 +- <S_z>)/2 and <S_z> = (b/Delta)(p_1 - p_2).
 
     The spectrum is built from the weights as q_1 = s + a p_1 + (1-a) p_2
     and q_2 = s + (1-a) p_1 + a p_2, with s = (p_0 + p_3)/2 and
@@ -257,8 +255,6 @@ def _near_zero(values, form, p, *ratios):
     near = np.abs(values) < _NEAR_ZERO
     if not near.any():
         return values
-    if p.ndim == 1:
-        return np.where(near, form(p, *ratios), values)
     cols = near.reshape(-1, near.shape[-1]).any(axis=0)
     sub = form(p[:, cols], *(np.broadcast_to(r, cols.shape)[cols] for r in ratios))
     values[..., cols] = np.where(near[..., cols], sub, values[..., cols])
@@ -268,13 +264,6 @@ def _near_zero(values, form, p, *ratios):
 # ---------------------------------------------------------------------------
 # the margin kernel: thermal states as functions of temperature
 # ---------------------------------------------------------------------------
-
-
-def margin_table(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
-    """The (4, len(ts)) table of signed margins of the thermal states at
-    the temperatures ts >= 0 (1-D); rows m12, m03, disorder, entropic.
-    The one-model view of the margin kernel, _margin_columns."""
-    return _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts)
 
 
 def _margin_columns(gaps, vm_ratio, b_ratio, ts) -> np.ndarray:

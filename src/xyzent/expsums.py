@@ -68,11 +68,13 @@ def sum_zeros(lam, coef, bound, t_end):
         sign = np.where(np.isinf(edges), np.sign(c[np.arange(on.size), lead])[:, None], sign)  # the lead wins at inf
         r, j = np.nonzero(~np.isnan(edges[:, 1:]) & (sign[:, :-1] * sign[:, 1:] < 0.0))
         lo, hi = edges[r, j], edges[r, j + 1]
-        # past far the leading term outweighs the others: e^{-far gap} sum|c_others| < |c_lead|
-        c_lead = np.abs(c[r, lead[r]])
+        # past far the leading term outweighs the others: e^{-far gap} sum|c_others| < |c_lead|;
+        # log1p(others/lead) is a difference of logs where the ratio may overflow (a floored vm^2 lead)
+        c_abs, c_lead = np.abs(c[r]).sum(axis=1), np.abs(c[r, lead[r]])
+        fits = c_lead > c_abs * 2.0**-1000
+        far = np.where(fits, np.log1p((c_abs - c_lead) / np.where(fits, c_lead, c_abs)), np.log(c_abs) - np.log(c_lead))
         after = (c[r] != 0.0) & (np.arange(6) > lead[r, None])
-        gap = np.where(after.any(axis=1), e[r, np.argmax(after, axis=1)], 1.0)
-        far = np.log1p((np.abs(c[r]).sum(axis=1) - c_lead) / c_lead) / gap
+        far /= np.where(after.any(axis=1), e[r, np.argmax(after, axis=1)], 1.0)
         x = np.full((at.size, 7), np.nan)
         x[on[r], j] = _newton(c[r], e[r], lo, np.where(np.isinf(hi), np.maximum(far, 2.0 * lo), hi), sign[r, j] < 0.0)
         x.sort(axis=1, kind="stable")  # at most 5 zeros: the last column stays NaN

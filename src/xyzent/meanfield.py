@@ -124,10 +124,10 @@ def mf_free_energy(lambda_a, lambda_b, p: XYZParams, temperature: float) -> floa
 
 
 def exact_free_energy(p: XYZParams, temperature: float) -> float:
-    """-T ln Z from the exact spectrum; lower bound for every product state."""
+    """-T ln Z = E_min - T ln sum_j exp(-g_j/T), g_j the level gaps; lower bound for every product state."""
     t = _check_temperature(temperature)
     eig = eigensystem(p)
-    return float(eig.energies.min() - t * np.log(np.exp(-_gibbs_exponents(eig.energies, t)).sum()))
+    return float(eig.energies.min() - t * np.log(np.exp(-_gibbs_exponents(eig.gaps, t)).sum()))
 
 
 _DOUBLE, _INT = struct.Struct("<d"), struct.Struct("<q")
@@ -220,12 +220,15 @@ def _canted(p: XYZParams, t: float):
     with G monotone (decreasing on every grid tried), nu_A = 0 at rho = c,
     and G(1+) = nu_0^2 (1 + c s)/(c s - 1) - (b/vx)^2/D at the uniform x
     root nu_0, s = sech^2(c nu_0).  Its x components need |lambda| >
-    |lambda_z| on A, and lambda_B^x = rho lambda_A^x."""
-    vx, r = p.vx, p.vz / p.vx
-    d, c = 1.0 - r * r, vx / (2.0 * t)
-    if not (p.b > 0.0 and d < 0.0 and 1.0 < c < math.inf):
+    |lambda_z| on A, and lambda_B^x = rho lambda_A^x.  As D < 0 (|vz| > vx),
+    (b/vx)^2/D = (b/vz)^2/(q^2 - 1), q = vx/vz, and the z fields over vx,
+    (b/vz)(q + 1/rho)/(q^2 - 1) and (b/vz)(q + rho)/(q^2 - 1), never overflow."""
+    vx, c = p.vx, p.vx / (2.0 * t)
+    if not (p.b > 0.0 and abs(p.vz) > vx and 1.0 < c < math.inf):
         return None
-    rhs = (p.b / vx) ** 2 / d
+    q, bz = vx / p.vz, p.b / p.vz
+    d = (q - 1.0) * (q + 1.0)
+    rhs = bz * bz / d
 
     def g(rho):
         nu_a, nu_b = (_nu(1.0 / rho, c) if rho < c else 0.0), _nu(rho, c)
@@ -239,7 +242,7 @@ def _canted(p: XYZParams, t: float):
         return None
     rho = _bisect(lambda rho: (g(rho) > 0.0) == sign, 1.0, c)[1]
     nu_a = _nu(1.0 / rho, c) if rho < c else 0.0
-    z_a, z_b = (p.b / vx) * (1.0 + r / rho) / d, (p.b / vx) * (1.0 + r * rho) / d
+    z_a, z_b = bz * (q + 1.0 / rho) / d, bz * (q + rho) / d
     if not nu_a > abs(z_a):
         return None
     x_a = math.sqrt((nu_a - abs(z_a)) * (nu_a + abs(z_a)))
@@ -278,8 +281,8 @@ def critical_temperature(p: XYZParams) -> float | None:
     at T_c; then the uniform x branch can win only below a first-order
     crossing with it, bisected to adjacent floats of T/T_c between T_c
     and eps T_c (where every Boltzmann factor of an O(T_c) gap
-    underflows), and the onset is None where the branch does not win
-    there either.
+    underflows; or the least tau with T_c tau > 0), and the onset is None
+    where the branch does not win there either.
     """
     t_c = p.t_critical
     if p.t_critical_is_onset:
@@ -287,6 +290,6 @@ def critical_temperature(p: XYZParams) -> float | None:
     at_tc = solve_mf(p, t_c)
     if at_tc.broken_permutation and not at_tc.broken_phase_flip:
         broken = lambda tau: solve_mf(p, t_c * tau).broken_phase_flip
-        lo = sys.float_info.epsilon
+        lo = max(sys.float_info.epsilon, math.ulp(0.0) / t_c)
         t_c = t_c * _bisect(broken, lo, 1.0)[1] if broken(lo) else None
     return t_c

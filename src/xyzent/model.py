@@ -101,17 +101,18 @@ class XYZParams:
         """Closed-form mean-field critical temperature
         v_max chi / (2 atanh chi), v_max/2 at chi = 0; None where the
         transverse solution is infeasible: chi >= 1 (which covers
-        v_max <= vz), or v_max <= 0, without transverse coupling to break.
-        Where the product v_max chi is subnormal it is taken as
+        v_max <= vz), or v_max <= 0, without transverse coupling to break,
+        or where T_c rounds to 0, as no temperature lies below it.  Where
+        the product v_max chi is subnormal it is taken as
         v_max (chi / atanh chi) / 2, which loses no digits there."""
         v_max, chi = self.v_max, self.chi
         if not (v_max > 0.0 and chi < 1.0):
             return None
         if chi == 0.0:
-            return 0.5 * v_max
+            return 0.5 * v_max or None
         product = v_max * chi
         if product < sys.float_info.min:  # subnormal: the ratio keeps every digit
-            return 0.5 * v_max * (chi / math.atanh(chi))
+            return 0.5 * v_max * (chi / math.atanh(chi)) or None
         return product / (2.0 * math.atanh(chi))
 
     @property
@@ -199,38 +200,15 @@ class EigenSystem:
     built by the oracle linalg.eigenvectors.
     """
 
-    energies: np.ndarray  # shape (4,), indexed by level label
-    #: E_j - E_min, each to full relative accuracy (_eigen_columns); the Gibbs
-    #: weights are taken from these, not from differences of energies
+    energies: np.ndarray  # shape (4,), by level label; those of gap 0 set to the lowest
+    #: E_j - E_min, each to full relative accuracy (_eigen_columns), 0 on the
+    #: ground levels; every Gibbs quantity is taken from these
     gaps: np.ndarray
     delta: float
     degenerate: bool
     #: v_minus/Delta and b/Delta under the degenerate convention
     vm_ratio: float = 0.0
     b_ratio: float = 0.0
-
-
-def _snap_degeneracies(energies: np.ndarray) -> np.ndarray:
-    """Collapse level splittings below closed-form rounding error.
-
-    Physically degenerate levels (e.g. the ground doublet at vy = vz,
-    b = 0) can come out a few ulps apart because the closed forms round
-    differently; at low temperature the Gibbs weights amplify that fake
-    splitting into wrong separability verdicts.  Levels closer together
-    than 16 ulps of the largest |E_j| are set to their common mean, so the
-    rule is the same in every energy unit.
-    """
-    tol = 16.0 * np.finfo(float).eps * float(np.abs(energies).max())
-    order = np.argsort(energies)
-    out = energies.copy()
-    start = 0
-    for k in range(1, 5):
-        if k == 4 or energies[order[k]] - energies[order[k - 1]] > tol:
-            group = order[start:k]
-            if group.size > 1:
-                out[group] = energies[group].mean()
-            start = k
-    return out
 
 
 def _eigen_columns(ps) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -247,9 +225,10 @@ def _eigen_columns(ps) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     two-product, on the couplings scaled by a power of 2).  Every other gap
     is a sum of terms of one sign: (u + 2 v_plus, 2 Delta, 0, u) when the
     ground level is E_2, (2 v_plus, 2 Delta - u, -u, 0) when it is E_3.
-    Gaps below 16 ulps of the largest |E_j| (the snapping tolerance of
-    _snap_degeneracies) are 0.  Delta is math.hypot of each column, as
-    np.hypot rounds some of them differently.
+    Gaps below 16 ulps of the largest |E_j|, the closed forms' rounding
+    error, are 0: this is the one rule that decides which levels are
+    degenerate, so the same in every energy unit.  Delta is math.hypot of
+    each column, as np.hypot rounds some of them differently.
     """
     vx, vy, vz, b = np.array([(p.vx, p.vy, p.vz, p.b) for p in ps], dtype=float).reshape(-1, 4).T
     vp, vm = 0.5 * (vx + vy), 0.5 * (vx - vy)
@@ -303,12 +282,15 @@ def _split(a):
 
 def eigensystem(p: XYZParams) -> EigenSystem:
     """Eigen-energies and mixing ratios for canonical parameters: the
-    one-column view of _eigen_columns, plus the snapped energies."""
+    one-column view of _eigen_columns, plus the energies, each level whose
+    gap is 0 set to the lowest."""
     gaps, vm_ratio, b_ratio, delta = _eigen_columns([p])
-    delta = float(delta[0])
+    gaps, delta = gaps[:, 0], float(delta[0])
+    energies = _energies(p.vz, p.v_plus, delta) + 0.0  # + 0.0: no -0
+    energies[gaps == 0.0] = energies.min()
     return EigenSystem(
-        energies=_snap_degeneracies(_energies(p.vz, p.v_plus, delta)),
-        gaps=gaps[:, 0],
+        energies=energies,
+        gaps=gaps,
         delta=delta,
         degenerate=delta == 0.0,
         vm_ratio=float(vm_ratio[0]),

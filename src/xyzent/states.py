@@ -44,10 +44,10 @@ def mixture(params: XYZParams, probs) -> BellMixture:
     return BellMixture(probs=np.asarray(probs, dtype=float), params=params, eigen=eigensystem(params))
 
 
-def _gibbs_exponents(energies, temperature) -> np.ndarray:
-    """The Boltzmann exponents (E_j - E_min)/T.
+def _gibbs_exponents(gaps, temperature) -> np.ndarray:
+    """The Boltzmann exponents g_j/T of the level gaps g_j = E_j - E_min (EigenSystem.gaps).
 
-    energies has shape (4,), one model broadcast over any shape of T, or
+    gaps has shape (4,), one model broadcast over any shape of T, or
     (4, K), one model per column at the temperatures T of shape (K,).
     Exactly 0 on the ground levels and +inf above them wherever the ratio
     overflows, T = 0 included, so exp(-r) is the T -> 0+ limit of the
@@ -57,8 +57,7 @@ def _gibbs_exponents(energies, temperature) -> np.ndarray:
     bad = ~(np.isfinite(t) & (t >= 0.0))
     if bad.any():
         raise InvalidTemperature(f"temperature must be finite and >= 0, got {float(t[bad][0])!r}")
-    gap = energies - energies.min(axis=0)
-    gap = gap.reshape(gap.shape + (1,) * (t.ndim + 1 - gap.ndim))
+    gap = gaps.reshape(gaps.shape + (1,) * (t.ndim + 1 - gaps.ndim))
     with np.errstate(divide="ignore", over="ignore"):
         return np.divide(gap, t, out=np.zeros(np.broadcast_shapes(gap.shape, t.shape)), where=gap > 0.0)
 

@@ -31,7 +31,7 @@ from xyzent.cli import (
     point_report,
 )
 from xyzent.entanglement import entanglement_of_formation
-from xyzent.criteria import margin_table
+from xyzent.criteria import _margin_columns
 from xyzent.limits import limit_temperatures
 from xyzent.meanfield import critical_temperature
 from xyzent.model import canonicalize, eigensystem
@@ -63,8 +63,9 @@ def limits_alone(p):
 
 
 def state_alone(p, temp):
-    """The state values of one model at one temperature, from its own margin_table."""
-    m12, m03, dis, ent = margin_table(eigensystem(p), np.array([temp]))[:, 0]
+    """The state values of one model at one temperature, from its own kernel column."""
+    eig = eigensystem(p)
+    m12, m03, dis, ent = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([temp]))[:, 0]
     c = -min(m12, m03) if min(m12, m03) < 0.0 else 0.0
     return {
         "concurrence": c,
@@ -285,6 +286,14 @@ class TestSweep:
                 rep = point_report(p.vx, p.vy, p.vz, p.b, float(t))
                 assert cols["concurrence"][k] == rep["concurrence"], (p, t)
                 assert cols["eof"][k] == rep["eof"], (p, t)
+
+    def test_parameter_axis_with_temp_defaults_to_state_and_limits(self, capsys):
+        # with --temp and no --outputs a parameter-axis sweep prints both groups
+        argv = ["sweep", "--axis=b", "--from=0", "--to=2", "--steps=5", "--vx=1.7", "--vy=0.3", "--temp=0.3"]
+        code, default, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert run(capsys, *argv, "--outputs=state,limits") == (0, default, "")
+        assert default.startswith("b,concurrence,") and "t_exact" in default.splitlines()[0]
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["sweep", "--axis", "b", "--from", "0", "--to", "2", "--steps", "5",

@@ -2,7 +2,7 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from xyzent import linalg
-from xyzent.criteria import _entropic_margin_bound, disorder_check, entropic_check, exact_check, margin_table
+from xyzent.criteria import _entropic_margin_bound, disorder_check, entropic_check, exact_check, _margin_columns
 from xyzent.entanglement import _LN2, _binary_entropy_bits, _xlogx, separability_exact
 from xyzent.linalg import disorder_margins_spin_form, majorization_margins, realize_matrix, spin_averages
 from xyzent.model import canonicalize, eigensystem
@@ -122,7 +122,8 @@ class TestEntropicCheck:
         # subtracting the two entropies whole can leave -1 ulp there
         temps = np.linspace(2e-4, 2e-3, 40)
         for b in np.linspace(1e-4, 1e-3, 40):
-            m12, m03, _, ent = margin_table(eigensystem(canonicalize(0.0, 0.0, 1.0, b)), temps)
+            eig = eigensystem(canonicalize(0.0, 0.0, 1.0, b))
+            m12, m03, _, ent = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, temps)
             assert np.all((ent >= 0.0) | (np.minimum(m12, m03) < 0.0)), b
 
     def test_half_half_pair_keeps_its_small_margin(self):
@@ -148,7 +149,7 @@ class TestEntropicCheck:
             w = thermal_probabilities(eig, temps)
             q = 0.5 * (1.0 + np.abs(eig.b_ratio * (w[1] - w[2])))
             whole = -_xlogx(w).sum(axis=0) / _LN2 - _binary_entropy_bits(q)
-            assert np.abs(margin_table(eig, temps)[3] - whole).max() <= 1e-14, p
+            assert np.abs(_margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, temps)[3] - whole).max() <= 1e-14, p
 
     def test_reductions_identical(self, rng):
         for _ in range(20):
@@ -175,7 +176,7 @@ class TestEntropicMarginBound:
             eig, s = eigensystem(p), p.energy_scale or 1.0
             t_lo = 0.0 if k % 3 == 0 else float(log_uniform(rng, 1e-3, 3.0)) * s
             t_hi = t_lo + float(log_uniform(rng, 1e-6, 1.0)) * s
-            margin = margin_table(eig, np.linspace(t_lo, t_hi, 257))[3]
+            margin = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.linspace(t_lo, t_hi, 257))[3]
             bound = self.bound(eig, t_lo, t_hi)
             assert bound <= margin.min() + 1e-15, (p, t_lo, t_hi, bound, margin.min())
             tight += t_lo > 0.0 and bound > 0.9 * margin.min() > 0.0
@@ -188,7 +189,7 @@ class TestEntropicMarginBound:
             p = random_canonical_params(rng)
             eig = eigensystem(p)
             t = float(log_uniform(rng, 1e-2, 3.0)) * p.energy_scale
-            assert abs(self.bound(eig, t, t) - margin_table(eig, np.array([t]))[3, 0]) < 1e-12, (p, t)
+            assert abs(self.bound(eig, t, t) - _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([t]))[3, 0]) < 1e-12, (p, t)
 
 
 class TestHierarchy:

@@ -12,7 +12,7 @@ from scipy.special import xlogy
 
 from xyzent import limits
 from xyzent.cli import _FIGURES
-from xyzent.criteria import _NEAR_ZERO, disorder_check, entropic_check, margin_table
+from xyzent.criteria import _NEAR_ZERO, _margin_columns, disorder_check, entropic_check
 from xyzent.entanglement import exact_margins, separability_exact
 from xyzent.errors import DegenerateBasis, OutOfRange
 from xyzent.limits import (
@@ -363,14 +363,14 @@ class TestBisectionConverges:
         for p, lt in cases:
             eig = eigensystem(p)
             for rows, t, side in self.edges(lt):
-                near = margin_table(eig, np.array([t, np.nextafter(t, side * math.inf)]))
+                near = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([t, np.nextafter(t, side * math.inf)]))
                 assert any(near[r, 0] >= 0.0 > near[r, 1] for r in rows), (p, lt, rows, t)
                 edges += 1
             if lt.t_entropic is not None and lt.t_entropic == lt.t_disorder:
                 # an entropic edge within 16 eps above the disorder one is moved
                 # onto it (_record): the entropic margin is >= 0 by then
                 ts = lt.t_disorder * (1.0 + np.arange(17) * np.finfo(float).eps)
-                assert (margin_table(eig, ts)[3] >= 0.0).any(), (p, lt)
+                assert (_margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts)[3] >= 0.0).any(), (p, lt)
         assert edges >= 2000, edges
 
     def test_minimal_steps_still_reach_adjacent_floats(self, monkeypatch):
@@ -450,7 +450,8 @@ class TestScanFromZero:
         # XX above b = 1: m03 is exactly 0 from T = 0 until exp stops
         # underflowing; it takes the sign of its sum's leading coefficient,
         # its sign just above T = 0, so the interval still starts at 0
-        assert margin_table(eigensystem(XX(1.5)), np.array([0.0]))[1, 0] == 0.0
+        eig = eigensystem(XX(1.5))
+        assert _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([0.0]))[1, 0] == 0.0
         (lo, hi), = limit_temperatures(XX(1.5)).intervals
         assert lo == 0.0 and abs(hi - ALPHA) < 1e-6
 
@@ -467,7 +468,8 @@ class TestDefaultScanRange:
 
     def assert_separable_from_three_scales(self, p):
         s = p.energy_scale or 1.0
-        table = margin_table(eigensystem(p), np.array([3.0 * s, 20.0 * s]))
+        eig = eigensystem(p)
+        table = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([3.0 * s, 20.0 * s]))
         assert np.all(table[:2] > 0.0), (p, table[:2])
 
     def test_seeded_models_at_every_scale(self, rng):
@@ -491,7 +493,7 @@ class TestDefaultScanRange:
         eig = eigensystem(p)
         t_cut = self.t_cut(eig)
         above = np.array([np.nextafter(t_cut, np.inf), t_cut * (1.0 + 1e-9), 1.5 * t_cut, 4.0 * t_cut])
-        table = margin_table(eig, np.append(above, 20.0 * (p.energy_scale or 1.0)))
+        table = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.append(above, 20.0 * (p.energy_scale or 1.0)))
         assert table.min() >= 0.09, (p, table.min(axis=1))
 
     def test_margins_past_cut_at_every_scale(self, rng):
@@ -714,7 +716,7 @@ class TestSignChangeCertificate:
         tight = 0
         for p in _reference_cases(rng):
             eig = eigensystem(p)
-            changes = self.grid_sign_changes(margin_table(eig, _ref_grid(p)))[:3]
+            changes = self.grid_sign_changes(_margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, _ref_grid(p)))[:3]
             bound = self.certificate(p)
             assert np.all(changes <= bound), (p, changes, bound)
             tight += int(np.sum((changes == bound) & (changes == 2)))
@@ -729,7 +731,8 @@ class TestSignChangeCertificate:
             canonicalize(1.0000001310448017, 0.9999998689551984, 0.21050010602433808, 4.652433864616178),
         ]
         for p in ps:
-            changes = self.grid_sign_changes(margin_table(eigensystem(p), _ref_grid(p)))[:3]
+            eig = eigensystem(p)
+            changes = self.grid_sign_changes(_margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, _ref_grid(p)))[:3]
             bound = self.certificate(p)
             assert changes[2] == 1 and np.all(changes <= bound), (p, changes, bound)
 
@@ -757,7 +760,8 @@ class TestSignChangeCertificate:
             return
         p = canonicalize(*vals)
         ts = np.concatenate([[0.0], np.geomspace(1e-4, 10.0, 400)]) * (p.energy_scale or 1.0)
-        table = margin_table(eigensystem(p), ts)
+        eig = eigensystem(p)
+        table = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts)
         assert np.all(table[2, table[3] < 0.0] < 0.0), (p, ts[(table[3] < 0.0) & (table[2] >= 0.0)])
 
     def test_pinned_cases_keep_their_second_interval(self):
@@ -786,8 +790,8 @@ class TestSignChangeCertificate:
         # does not prove positive
         kernel, bound = limits._margin_columns, limits._entropic_margin_bound
 
-        def with_lobe(energies, vm_ratio, b_ratio, ts):
-            table = kernel(energies, vm_ratio, b_ratio, ts)
+        def with_lobe(gaps, vm_ratio, b_ratio, ts):
+            table = kernel(gaps, vm_ratio, b_ratio, ts)
             table[3, (0.6 < ts) & (ts < 0.61)] = -1.0
             return table
 
@@ -809,11 +813,12 @@ class TestSignChangeCertificate:
         # the same
         p = CASE3(0.2)
         want = limit_temperatures(p)
-        assert np.all(margin_table(eigensystem(p), np.linspace(0.1, 0.11, 50))[3] < 0.0)
+        eig = eigensystem(p)
+        assert np.all(_margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.linspace(0.1, 0.11, 50))[3] < 0.0)
         kernel, entropic, blip, in_entropic_pass = limits._margin_columns, limits._entropic_brackets, [], []
 
-        def with_blip(energies, vm_ratio, b_ratio, ts):
-            table = kernel(energies, vm_ratio, b_ratio, ts)
+        def with_blip(gaps, vm_ratio, b_ratio, ts):
+            table = kernel(gaps, vm_ratio, b_ratio, ts)
             inside = (0.1 < ts) & (ts < 0.11)
             if in_entropic_pass:
                 blip.append(ts[inside])
@@ -942,7 +947,7 @@ def _ref_near_zero(eig, ts, values, exact, row, ulps):
     for k in np.flatnonzero(np.abs(values) < _REF_NEAR_ZERO):
         t = float(ts[k])
         values[k] = exact(eig, t)
-        kernel = margin_table(eig, np.array([t]))[row, 0]
+        kernel = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([t]))[row, 0]
         if (values[k] < 0.0) != (kernel < 0.0):
             around = [t]
             for direction in (-math.inf, math.inf):
@@ -1161,7 +1166,7 @@ class TestSingleScanMatchesReference:
         for p in _reference_cases(rng)[::5]:
             eig = eigensystem(p)
             ts = np.concatenate([[0.0], log_uniform(rng, 1e-2, 1e1, size=8) * p.energy_scale, [0.0]])
-            table = margin_table(eig, ts)
+            table = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts)
             for k, t in enumerate(ts):
                 m = thermal_mixture(p, float(t))
                 assert np.abs(np.array(exact_margins(m)) - table[:2, k]).max() <= 16 * eps, (p, t)
@@ -1176,11 +1181,11 @@ class TestSingleScanMatchesReference:
             p = random_canonical_params(rng)
             eig = eigensystem(p)
             ts = log_uniform(rng, 1e-2, 1e1, size=5000) * p.energy_scale
-            batch = margin_table(eig, ts)
+            batch = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts)
             for k in range(3, 5000, 125):
-                alone = margin_table(eig, ts[k : k + 1])[:, 0]
+                alone = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts[k : k + 1])[:, 0]
                 assert np.array_equal(alone, batch[:, k]), (p, ts[k])
-                assert np.array_equal(margin_table(eig, ts[k - 3 : k + 4])[:, 3], alone), (p, ts[k])
+                assert np.array_equal(_margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts[k - 3 : k + 4])[:, 3], alone), (p, ts[k])
                 m = thermal_mixture(p, float(ts[k]))
                 assert disorder_check(m).margin == batch[2, k], (p, ts[k])
                 assert entropic_check(m).margin == batch[3, k], (p, ts[k])
@@ -1195,7 +1200,7 @@ class TestSingleScanMatchesReference:
         checked = 0
         for p, ts in cases:
             eig = eigensystem(p)
-            table = margin_table(eig, ts)
+            table = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts)
             for k, t in enumerate(ts):
                 for row, exact in ((2, _exact_disorder), (3, _exact_entropic)):
                     want = exact(eig, float(t))
@@ -1217,7 +1222,7 @@ class TestSingleScanMatchesReference:
             ts,
         )
         for k, (eig, t) in enumerate(zip(eigs, ts)):
-            assert np.array_equal(table[:, k], margin_table(eig, np.array([t]))[:, 0]), (models[k], t)
+            assert np.array_equal(table[:, k], _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([t]))[:, 0]), (models[k], t)
 
 
 class TestBatchedScan:
@@ -1262,7 +1267,7 @@ class TestZeroTemperatureLimit:
             assert np.array_equal(thermal_probabilities(eig, 0.0), probs[:, 0]), model
             assert np.array_equal(probs, np.repeat(probs[:, :1], cold.size, axis=1)), model
 
-            table = margin_table(eig, cold)
+            table = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, cold)
             assert np.array_equal(table, np.repeat(table[:, :1], cold.size, axis=1)), model
             m = thermal_mixture(p, 0.0)
             scalar = (*exact_margins(m), disorder_check(m).margin, entropic_check(m).margin)
@@ -1271,5 +1276,6 @@ class TestZeroTemperatureLimit:
     def test_exact_margins_at_zero_temperature_are_exact(self):
         # the (|Phi_1>, |Phi_2>) = (|++>, |-->) ground pair is separable
         # with m03 = 1 exactly; amplitudes sqrt(1/2) would round it up
-        table = margin_table(eigensystem(canonicalize(0.0, 0.0, 1.0, 0.0)), np.array([0.0]))
+        eig = eigensystem(canonicalize(0.0, 0.0, 1.0, 0.0))
+        table = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([0.0]))
         assert table[1, 0] == 1.0

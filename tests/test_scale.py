@@ -16,8 +16,8 @@ from numpy.testing import assert_allclose
 
 from xyzent.cli import main
 from xyzent.errors import OutOfRange
-from xyzent.criteria import margin_table
-from xyzent.limits import limit_temperatures, reentry_two_level
+from xyzent.criteria import _margin_columns
+from xyzent.limits import _limit_records, limit_temperatures, reentry_two_level
 from xyzent.meanfield import critical_temperature, exact_free_energy, solve_mf
 from xyzent.model import MAX_ENERGY_SCALE, MIN_ENERGY_SCALE, canonicalize, eigensystem
 from xyzent.states import thermal_mixture
@@ -84,8 +84,9 @@ def test_homogeneous_from_1e_minus_300_to_1e300(rng):
         p = random_canonical_params(rng)
         q = scaled(p, lam)
         ts = np.concatenate([[0.0], log_uniform(rng, 1e-2, 1e1, size=8)]) * p.energy_scale
-        table = margin_table(eigensystem(q), ts * lam)
-        assert np.abs(table - margin_table(eigensystem(p), ts)).max() <= 1e-13, (p, k)
+        eq, ep = eigensystem(q), eigensystem(p)
+        table = _margin_columns(eq.gaps, eq.vm_ratio, eq.b_ratio, ts * lam)
+        assert np.abs(table - _margin_columns(ep.gaps, ep.vm_ratio, ep.b_ratio, ts)).max() <= 1e-13, (p, k)
 
         lt, lt_q = limit_temperatures(p), limit_temperatures(q)
         assert_same_limits(limits_over(lt_q, lam), limits_over(lt, 1.0), 1e-12)
@@ -137,7 +138,7 @@ def test_no_overflow_far_below_the_level_gaps(capsys):
 
     p = canonicalize(*HUGE)
     eig = eigensystem(p)
-    cold = margin_table(eig, np.array([0.0, 1e-10]))
+    cold = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([0.0, 1e-10]))
     assert np.array_equal(cold[:, 1], cold[:, 0])
     assert exact_free_energy(p, 1e-10) == eig.energies.min()
 
@@ -247,3 +248,77 @@ def test_energy_scale_below_the_bound_is_input_error(capsys):
     # the all-zero model stays valid
     assert canonicalize(0.0, -0.0, 0.0, 0.0).energy_scale == 0.0
     assert main(["limits", "--vx=0"]) == 0 and capsys.readouterr().err == ""
+
+
+def tiny_coupling_family(n):
+    """n models with a tiny transverse coupling (numpy seed 12): vx =
+    10^U(-323, -1), vy = 0 or vx U(-1, 1), vz = +-10^U(-1, 0.5) or 0,
+    b = U(0, 3) or 0."""
+    rng = np.random.default_rng(12)
+    models = []
+    for _ in range(n):
+        vx = 10.0 ** rng.uniform(-323.0, -1.0)
+        vy = 0.0 if rng.random() < 0.5 else vx * rng.uniform(-1.0, 1.0)
+        vz = (1.0, -1.0, 0.0)[rng.integers(0, 3)] * 10.0 ** rng.uniform(-1.0, 0.5)
+        b = rng.uniform(0.0, 3.0) if rng.random() < 0.5 else 0.0
+        models.append(tuple(float(x) for x in (vx, vy, vz, b)))
+    return models
+
+
+#: models whose v_minus/Delta is far below 1e-154: the floored vm^2 leads the
+#: disorder sum beside terms of order 1
+TINY_V_MINUS = [(5.827409141637327e-243, 0.0, -0.1857535470761426, 0.6916237397697178)] + [
+    (1e-200, 0.0, 0.3, b) for b in (0.25, 0.5, 0.75, 1.0)
+]
+
+
+def test_limit_scan_at_tiny_v_minus_over_delta(capsys):
+    # the bracket end past the lead of the disorder sum, log1p(others/lead),
+    # overflowed, and the NaN gave a t_disorder of 0 with five warnings.  At
+    # these scales 1 - |b/Delta| lies far below 50 digits, so no oracle judges
+    # the values; they are what the kernel's signs give: the exact edge is
+    # certified on its two floats, and the disorder row reads 0.0 at T = 0
+    # (its margin -(v_minus/Delta)^2/... underflows) and detects there only by
+    # the sign of its sum's leading coefficient, so t_disorder is the least float
+    ps = [canonicalize(*m) for m in TINY_V_MINUS]
+    for m, p, lt in zip(TINY_V_MINUS, ps, _limit_records(ps)):
+        eig = eigensystem(p)
+        assert lt.intervals == ((0.0, lt.t_exact),) and lt.t_exact > 0.0, (m, lt)
+        near = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([lt.t_exact, math.nextafter(lt.t_exact, 0.0)]))
+        assert near[:2, 0].min() >= 0.0 > near[:2, 1].min(), (m, near)
+        cold = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([0.0, 5e-324]))
+        assert lt.t_disorder == 5e-324 and not cold[2].any(), (m, lt)
+        assert lt.t_entropic is None and lt.reentry is None, (m, lt)
+    assert main(["sweep", "--axis=b", "--from=0", "--to=1", "--steps=5", "--vx=1e-200", "--vz=0.3", "--outputs=limits"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and [row.split(",")[2] for row in out.splitlines()[1:]] == ["", *["4.94065645841e-324"] * 4]
+
+
+def test_mean_field_at_tiny_v_max():
+    # (b/vx)^2 overflowed in the canted pair (OverflowError); the onset
+    # bisection's lower end t_c eps underflowed to T = 0 (exit 2); and
+    # T_c = 0.5 * 5e-324 rounded to 0.0, below which no temperature lies
+    p = canonicalize(1e-300, 0.0, -1.0, 0.5)
+    assert p.t_critical == 4.551196133134188e-301 and critical_temperature(p) is None
+    p = canonicalize(1e-310, 0.0, -1.0, 0.0)
+    assert p.t_critical == 5e-311 and critical_temperature(p) is None
+    assert canonicalize(5e-324, 0.0, -1.0, 0.0).t_critical is None
+
+
+def test_tiny_transverse_couplings_exit_cleanly(capsys):
+    # every valid model prints its limits without a warning, a NaN or a
+    # T_c of 0; a nonzero energy scale below the bound exits 2
+    for m in tiny_coupling_family(24):
+        try:
+            p = canonicalize(*m)
+        except OutOfRange:
+            p = None
+        code = main(["limits", *(f"--{k}={x!r}" for k, x in zip(("vx", "vy", "vz", "b"), m)), "--format=json"])
+        out, err = capsys.readouterr()
+        if p is None:
+            assert code == 2 and err.startswith("error: energy scale"), (m, err)
+            continue
+        row = json.loads(out)
+        assert code == 0 and err == "" and "NaN" not in out, (m, err, out)
+        assert p.t_critical is None or p.t_critical > 0.0, m
+        assert row["t_critical_numeric"] is None or row["t_critical_numeric"] > 0.0, (m, row)

@@ -90,7 +90,7 @@ def test_no_runtime_module_calls_lapack():
 #: benchmark checks read them, from the oracle module
 ORACLE_ONLY = {"ClosedFormLimits", "closed_form_limits", "MixtureThresholds", "mixture_thresholds", "b_crossing"}
 #: names deleted with their last reader
-DELETED = {"v_min"}
+DELETED = {"v_min", "margin_table", "_snap_degeneracies"}
 
 
 def _defined_names(tree):
