@@ -189,7 +189,8 @@ class TestEntropicMarginBound:
             p = random_canonical_params(rng)
             eig = eigensystem(p)
             t = float(log_uniform(rng, 1e-2, 3.0)) * p.energy_scale
-            assert abs(self.bound(eig, t, t) - _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([t]))[3, 0]) < 1e-12, (p, t)
+            margin = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([t]))[3, 0]
+            assert abs(self.bound(eig, t, t) - margin) < 1e-12, (p, t)
 
 
 class TestHierarchy:

@@ -363,7 +363,8 @@ class TestBisectionConverges:
         for p, lt in cases:
             eig = eigensystem(p)
             for rows, t, side in self.edges(lt):
-                near = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([t, np.nextafter(t, side * math.inf)]))
+                ts = np.array([t, np.nextafter(t, side * math.inf)])
+                near = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts)
                 assert any(near[r, 0] >= 0.0 > near[r, 1] for r in rows), (p, lt, rows, t)
                 edges += 1
             if lt.t_entropic is not None and lt.t_entropic == lt.t_disorder:
@@ -1185,7 +1186,8 @@ class TestSingleScanMatchesReference:
             for k in range(3, 5000, 125):
                 alone = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts[k : k + 1])[:, 0]
                 assert np.array_equal(alone, batch[:, k]), (p, ts[k])
-                assert np.array_equal(_margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts[k - 3 : k + 4])[:, 3], alone), (p, ts[k])
+                window = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts[k - 3 : k + 4])
+                assert np.array_equal(window[:, 3], alone), (p, ts[k])
                 m = thermal_mixture(p, float(ts[k]))
                 assert disorder_check(m).margin == batch[2, k], (p, ts[k])
                 assert entropic_check(m).margin == batch[3, k], (p, ts[k])
@@ -1222,7 +1224,8 @@ class TestSingleScanMatchesReference:
             ts,
         )
         for k, (eig, t) in enumerate(zip(eigs, ts)):
-            assert np.array_equal(table[:, k], _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([t]))[:, 0]), (models[k], t)
+            alone = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([t]))
+            assert np.array_equal(table[:, k], alone[:, 0]), (models[k], t)
 
 
 class TestBatchedScan:
