@@ -172,13 +172,13 @@ def point_report(vx, vy, vz, b, temp) -> dict:
 def _state_values(columns, temps: np.ndarray) -> dict:
     """The STATE_COLUMNS of the thermal states at the temperatures temps
     (1-D), one array each, from one call to the margin kernel
-    (criteria._margin_columns, which the limit scan also reads); columns
+    (states._margin_columns, which the limit scan also reads); columns
     are the level gaps, v_minus/Delta and b/Delta of model._eigen_columns,
     of one model for every temperature or of one per temperature."""
-    m12, m03, dis, ent = criteria._margin_columns(*columns[:3], temps)
+    m12, m03, dis, ent = states._margin_columns(*columns[:3], temps)
     worst = np.minimum(m12, m03)
     c = np.where(worst < 0.0, -worst, 0.0)
-    return dict(zip(STATE_COLUMNS, (c, entanglement.entanglement_of_formation(c), m12, m03, dis, ent)))
+    return dict(zip(STATE_COLUMNS, (c, states._eof(c), m12, m03, dis, ent)))
 
 
 def _limit_rows(ps, columns=None) -> list[dict]:
@@ -462,10 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
     ss = subs.add_parser("sweep", help="1-D parameter sweep as CSV")
     _add_couplings(ss)
     ss.add_argument("--temp", type=float, default=None, help="fixed temperature of a parameter-axis state sweep")
-    ss.add_argument("--axis", choices=_AXES, required=True)
-    ss.add_argument("--from", dest="start", type=float, required=True)
-    ss.add_argument("--to", dest="stop", type=float, required=True)
-    ss.add_argument("--steps", type=int, required=True)
+    # required, but checked once --config has filled the gaps (main)
+    ss.add_argument("--axis", choices=_AXES, default=None)
+    ss.add_argument("--from", dest="start", type=float, default=None)
+    ss.add_argument("--to", dest="stop", type=float, default=None)
+    ss.add_argument("--steps", type=int, default=None)
     ss.add_argument("--outputs", default=None, help="comma list: state,limits")
     ss.set_defaults(func=cmd_sweep)
 
@@ -494,6 +495,10 @@ def main(argv=None) -> int:
         if args.command == "figure" and args.out is None:
             raise XyzentError("figure requires --out")
         if args.command == "sweep":
+            given = {"--axis": args.axis, "--from": args.start, "--to": args.stop, "--steps": args.steps}
+            missing = [flag for flag, value in given.items() if value is None]
+            if missing:
+                raise XyzentError(f"sweep requires {', '.join(missing)}")
             if args.axis == "temp":
                 if "temp" in args._explicit:
                     raise XyzentError("axis parameter 'temp' cannot also be fixed")

@@ -1,5 +1,4 @@
-"""Weaker entanglement-detection criteria: disorder and entropic, and the
-margin kernel that evaluates them beside the exact margins.
+"""Weaker entanglement-detection criteria: disorder and entropic.
 
 Both criteria compare the global state against its single-qubit
 reductions and can only under-detect: every detection implies genuine
@@ -7,23 +6,17 @@ entanglement, but entangled states may pass.  The disorder
 (majorization) check is exact at zero field; the entropic check is
 strictly weaker for mixed states.
 
-The margin kernel, _margin_columns (one model per column), evaluates
-the margins of thermal states: the exact rows of entanglement, the
-disorder row and the entropic row, from the row functions that the
-scalar checks (entanglement.exact_margins, disorder_check,
-entropic_check) call too.  The CLI's state columns and the limit scan (limits)
-both read their margins here; the scan also bounds the entropic row on
-pieces of temperature (_entropic_margin_bound).
+The checks report on one mixture from the margin rows of the kernel in
+states (_disorder_margin_rows, _entropic_margin_row), which the CLI's
+state columns and the limit scan read for thermal states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .entanglement import _LN2, _binary_entropy_bits, _exact_margin_rows, _xlogx, separability_exact
-from .states import BellMixture, _gibbs_exponents
+from .entanglement import separability_exact
+from .states import BellMixture, _disorder_margin_rows, _entropic_margin_row
 
 __all__ = [
     "CriterionReport",
@@ -76,31 +69,6 @@ def disorder_check(m: BellMixture) -> CriterionReport:
     )
 
 
-def _disorder_margin_rows(p, b_r, vm_r):
-    """Per-level disorder margins [1 + |(b/Delta)(p_2 - p_1)|]/2 - p_j of
-    probabilities p (4, N); b_r and vm_r (v_minus/Delta) broadcast with
-    p[0].  A margin within _NEAR_ZERO of 0 is replaced by that of
-    _disorder_near_zero."""
-    bound = 0.5 * (1.0 + np.abs(b_r * (p[2] - p[1])))
-    return _near_zero(bound - p, _disorder_near_zero, p, b_r, vm_r)
-
-
-def _disorder_near_zero(p, b_r, vm_r):
-    """The disorder margins without cancellation.  Twice the margin of p_j
-    is |b/Delta| |p_2 - p_1| - e_j (e_j = 2 p_j - sum p, _deviations).  For
-    the larger of p_1, p_2 these two terms nearly cancel where |b/Delta| is
-    near 1, so for |b/Delta| >= 1/2 that row is (p_0 + p_3) - c |p_2 - p_1|,
-    with c = 1 - |b/Delta| taken as (v_minus/Delta)^2 / (1 + |b/Delta|)
-    (Delta^2 = v_minus^2 + b^2): it keeps its relative accuracy where
-    1 - |b/Delta| is rounding (c near or below 2^-53)."""
-    b = np.abs(b_r)
-    d = np.abs(p[2] - p[1])
-    c = vm_r * vm_r / (1.0 + b)
-    k = np.arange(4)[:, None]
-    larger = (k == np.where(p[1] >= p[2], 1, 2)) & (b >= 0.5)
-    return 0.5 * np.where(larger, (p[0] + p[3]) - c * d, b * d - _deviations(p)[0])
-
-
 def entropic_check(m: BellMixture) -> CriterionReport:
     """Von Neumann entropic criterion, base-2 on both sides.
 
@@ -115,176 +83,3 @@ def entropic_check(m: BellMixture) -> CriterionReport:
         margin=margin,
         detail=(margin, margin),
     )
-
-
-def _entropic_margin_row(p, b_r, vm_r):
-    """Entropic margin S(rho) - S(rho_A) in bits of probabilities p
-    (4, N); b_r and vm_r (v_minus/Delta) broadcast with p[0].  The two
-    reductions are identical by permutation symmetry, with spectrum
-    (1 +- <S_z>)/2 and <S_z> = (b/Delta)(p_1 - p_2).
-
-    The spectrum is built from the weights as q_1 = s + a p_1 + (1-a) p_2
-    and q_2 = s + (1-a) p_1 + a p_2, with s = (p_0 + p_3)/2 and
-    a = (1 + |b/Delta|)/2, and each q_k ln q_k is paired with the
-    p_k ln p_k it cancels against, so the separable product-diagonal
-    mixture (p_0 = p_3 = 0, |b/Delta| = 1, hence q_k = p_k) gives exactly
-    0; subtracting the two entropies whole can leave -1 ulp there.  The
-    sums are elementwise, as a matrix product rounds by batch size.  A
-    margin within _NEAR_ZERO of 0 is replaced by that of
-    _entropic_near_zero.
-    """
-    a = 0.5 * (1.0 + np.abs(b_r))
-    q1 = 0.5 * p[0] + a * p[1] + (1.0 - a) * p[2] + 0.5 * p[3]
-    q2 = 0.5 * p[0] + (1.0 - a) * p[1] + a * p[2] + 0.5 * p[3]
-    xp = _xlogx(p)
-    margin = ((_xlogx(q1) - xp[1]) + (_xlogx(q2) - xp[2]) - xp[0] - xp[3]) / _LN2
-    return _near_zero(margin, _entropic_near_zero, p, b_r, vm_r)
-
-
-def _entropic_margin_bound(gaps, b_r, t_lo, t_hi):
-    """A lower bound (N,) of the entropic margin on each piece [t_lo, t_hi]
-    (N,) of temperature, of the model in the same column of gaps (4, N)
-    and b_r (N,) (as in _margin_columns).  Each term of
-    p_j = 1 / sum_i exp(-(g_i - g_j)/T) is monotone in T (at T = 0 its
-    T -> 0+ limit), so p_j lies between the sum's reciprocals with every
-    term at its largest and at its smallest end.  -x log2 x is concave, so
-    S(rho) is at least the sum of its smaller values at the ends of each
-    p_j's interval, and S(rho_A) = h(q_1), q_1 = 1/2 + |b/Delta| (p_1 - p_2)/2,
-    is at most the largest binary entropy on q_1's interval (1 where it
-    holds 1/2).  The rounding lies far below _NEAR_ZERO."""
-    d = gaps[:, None] - gaps[None]  # d[i, j] = g_i - g_j
-    with np.errstate(divide="ignore", over="ignore"):
-        r_lo, r_hi = (np.exp(-np.divide(d, t, out=np.zeros(d.shape), where=d != 0.0)) for t in (t_lo, t_hi))
-    rising = d > 0.0
-    lo, hi = 1.0 / np.where(rising, r_hi, r_lo).sum(axis=0), 1.0 / np.where(rising, r_lo, r_hi).sum(axis=0)
-    s = -np.maximum(_xlogx(lo), _xlogx(hi)).sum(axis=0) / _LN2
-    half = 0.5 * np.abs(b_r)
-    q_lo, q_hi = 0.5 + half * (lo[1] - hi[2]), 0.5 + half * (hi[1] - lo[2])
-    nearest = np.clip(np.where(q_hi < 0.5, q_hi, q_lo), 0.0, 1.0)
-    return s - np.where((q_lo <= 0.5) & (0.5 <= q_hi), 1.0, _binary_entropy_bits(nearest))
-
-
-def _entropic_near_zero(p, b_r, vm_r):
-    """The entropic margin without cancellation.
-
-    With sigma = sum p = sum q, sigma times the margin is
-    sum_k q_k ln(2 q_k/sigma) - sum_j p_j ln(2 p_j/sigma) in nats.  Each log
-    is of a ratio near 1 where its weight is large: for x >= 1/4 it is
-    log1p of the deviation 2x - sigma, which is e_j for p_j (_deviations)
-    and +-t, t = |b/Delta| (p_1 - p_2), for q_1 and q_2; below 1/4 it is
-    log(2x/sigma).
-
-    The terms are paired as in the short form, each pair taken as
-    (q - p) ln(2q/sigma) + p ln(q/p) (_pair_gain), with q_k - p_k formed
-    without cancellation: (p_0 + p_3 -+ c (p_1 - p_2))/2 for |b/Delta| >= 1/2,
-    with c = 1 - |b/Delta| as in _disorder_near_zero, and (+-t - e_k)/2
-    below.  q_k itself is p_k plus that difference, which is at least
-    -p_k/2, so q_k is accurate too.  Where q_1 and q_2, or p_1 and p_2, are
-    both >= 1/4, the two terms of each pair are summed jointly instead
-    (_pair_xlog2x), so a reduction near fully mixed gives its t^2/2 to
-    full relative accuracy.  On the product-diagonal mixture (c = 0, so
-    q_k = p_k, and e_1 = t = -e_2) either way gives exactly 0.
-    """
-    e, sigma = _deviations(p)
-    b = np.abs(b_r)
-    t = b * (p[1] - p[2])
-    c = vm_r * vm_r / (1.0 + b)
-    rest, split = p[0] + p[3], c * (p[1] - p[2])
-    d1 = np.where(b >= 0.5, 0.5 * (rest - split), 0.5 * (t - e[1]))
-    d2 = np.where(b >= 0.5, 0.5 * (rest + split), 0.5 * (-t - e[2]))
-    q1, q2 = p[1] + d1, p[2] + d2
-    lq1, lq2, lp = _log_twice(q1, t, sigma), _log_twice(q2, -t, sigma), _log_twice(p, e, sigma)
-    pairs = _pair_gain(d1, p[1], lq1, lp[1]) + _pair_gain(d2, p[2], lq2, lp[2])
-    q_joint, q_sum = _pair_xlog2x(q1, q2, t, t, -t, lq1, lq2)
-    p_joint, p_sum = _pair_xlog2x(p[1], p[2], p[1] - p[2], e[1], e[2], lp[1], lp[2])
-    pairs = np.where(q_joint | p_joint, q_sum - p_sum, pairs)
-    return (pairs - p[0] * lp[0] - p[3] * lp[3]) / (sigma * _LN2)
-
-
-def _pair_gain(d, w, lq, lw):
-    """q ln(2q/sigma) - w ln(2w/sigma) of weights q = w + d, from d and the
-    logs lq, lw: d lq + w ln(q/w), the last log a log1p(d/w) where |d| <= w."""
-    close = np.abs(d) <= w
-    ratio = np.log1p(np.where(close, d, 0.0) / np.where(close & (w > 0.0), w, 1.0))
-    return d * lq + w * np.where(close, ratio, lq - lw)
-
-
-def _pair_xlog2x(w1, w2, diff, e1, e2, l1, l2):
-    """w1 l1 + w2 l2 of two weights with difference diff = w1 - w2,
-    deviations e_k = 2 w_k - sigma and logs l_k = ln(2 w_k/sigma); and
-    where it is summed jointly, the first result.  That is where both
-    weights are >= 1/4: there the sum is
-    (w1 + w2)/2 log1p(e1 + e2 + e1 e2) + diff/2 (l1 - l2), so opposite
-    deviations cancel inside the one log1p rather than between two terms."""
-    joint = (w1 >= 0.25) & (w2 >= 0.25)
-    both = np.log1p(np.where(joint, (e1 + e2) + e1 * e2, 0.0))
-    return joint, np.where(joint, 0.5 * (w1 + w2) * both + 0.5 * diff * (l1 - l2), w1 * l1 + w2 * l2)
-
-
-def _log_twice(x, e, sigma):
-    """ln(2x/sigma) of weights x >= 0 with deviations e = 2x - sigma: log1p(e)
-    where x >= 1/4, log(2x/sigma) below, and 0 where x = 0."""
-    big = x >= 0.25
-    return np.where(big, np.log1p(np.where(big, e, 0.0)), np.log(np.where(x > 0.0, (x + x) / sigma, 1.0)))
-
-
-def _deviations(p):
-    """e_j = 2 p_j - sum p of weights p (4, ...), and sum p.  The sum is
-    carried as s + err (Neumaier), so e_j = (2 p_j - s) - err, whose first
-    difference is exact wherever e_j is small, is correct to its own
-    rounding: two equal weights near 1/2 give e exactly, and weights far
-    below the spacing of 1 still count."""
-    s, err = p[0], 0.0
-    for x in p[1:]:
-        t = s + x
-        err = err + np.where(s >= x, (s - t) + x, (x - t) + s)
-        s = t
-    return (p + p - s) - err, s + err
-
-
-#: a margin closer to 0 than this may owe its sign to the rounding of its
-#: short form (a few ulps of terms up to 1 in size; under 2e-15 measured),
-#: so it is evaluated again by the cancellation-free form
-_NEAR_ZERO = 1e-13
-
-
-def _near_zero(values, form, p, *ratios):
-    """values, with each entry within _NEAR_ZERO of 0 replaced by that of
-    form(p, *ratios), evaluated only on the columns of p holding one; each
-    step is elementwise, so a column's bits do not depend on its batch."""
-    near = np.abs(values) < _NEAR_ZERO
-    if not near.any():
-        return values
-    cols = near.reshape(-1, near.shape[-1]).any(axis=0)
-    sub = form(p[:, cols], *(np.broadcast_to(r, cols.shape)[cols] for r in ratios))
-    values[..., cols] = np.where(near[..., cols], sub, values[..., cols])
-    return values
-
-
-# ---------------------------------------------------------------------------
-# the margin kernel: thermal states as functions of temperature
-# ---------------------------------------------------------------------------
-
-
-def _margin_columns(gaps, vm_ratio, b_ratio, ts) -> np.ndarray:
-    """The margin kernel: column k of the (4, K) table holds the margins
-    of a model's thermal state at ts[k] >= 0, the model given by column k
-    of its level gaps (4, K) (EigenSystem.gaps) and of vm_ratio, b_ratio
-    (K,), or by gaps (4,) and scalar ratios in every column.  Each step is
-    elementwise, so a column's bits do not depend on its neighbours.
-
-    The exact rows use the half-exponent Gibbs amplitudes
-    a_j = exp(-g_j/2T), so that a genuinely separable model never scans
-    as entangled at any temperature (see _exact_margin_rows); the last two
-    the Gibbs weights.  Both come from states._gibbs_exponents, so T = 0
-    is their T -> 0+ limit (a_j = 1 on each ground level, 0 above).
-    """
-    r = _gibbs_exponents(gaps, ts)
-    w = np.exp(-r)
-    p = w / w.sum(axis=0)
-    a = np.exp(-0.5 * r)
-    w = a * a
-    z = w.sum(axis=0)
-    m12, m03 = _exact_margin_rows(w, a[1], a[2], vm_ratio)
-    dis = _disorder_margin_rows(p, b_ratio, vm_ratio).min(axis=0)
-    return np.stack([m12 / z, m03 / z, dis, _entropic_margin_row(p, b_ratio, vm_ratio)])

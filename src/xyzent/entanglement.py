@@ -10,6 +10,10 @@ concurrence equals the size of the violation.  The labels 12/03 name the
 eigenstate pair the entanglement is attributed to when the corresponding
 inequality breaks.  The general (any two-qubit density matrix) route via
 the spin-flipped product spectrum is the oracle linalg.concurrence_general.
+
+The margin rows and the entanglement-of-formation formula are those of
+the margin kernel in states (_exact_margin_rows, _eof); this module
+applies them to one mixture and reports the verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .states import BellMixture
+from .states import BellMixture, _eof, _exact_margin_rows
 
 __all__ = [
     "SeparabilityReport",
@@ -30,8 +34,6 @@ __all__ = [
     "pt_spectrum",
     "entanglement_of_formation",
 ]
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -61,29 +63,6 @@ class PTSpectrum:
     @property
     def minimum(self) -> float:
         return min(self.q_0, self.q_1, self.q_2, self.q_3)
-
-
-def _exact_margin_rows(w, a1, a2, vm_r):
-    """(margin_12, margin_03) of the mixture w / sum(w), times sum(w).
-
-    w has shape (4, ...) and may be unnormalised; everything broadcasts
-    over the trailing axes, vm_r included.
-
-    a1, a2 are the amplitudes sqrt(w_1), sqrt(w_2).  The cross term is
-    their product, never sqrt(w_1 w_2), so it survives where w_1 alone
-    underflows.  Both margins are in cancellation-free form: the 03
-    radicand (w1+w2)^2 - (b/Delta)^2 (w2-w1)^2 equals
-    (v_minus/Delta)^2 (w2-w1)^2 + 4 w1 w2 identically, and the 12 margin
-    groups the two dominant weights first so near-degenerate ground pairs
-    cancel exactly instead of leaving O(eps) verdict noise.
-    """
-    hi = np.maximum(w[1], w[2])
-    lo = np.minimum(w[1], w[2])
-    big = np.maximum(w[0], w[3])
-    small = np.minimum(w[0], w[3])
-    margin_12 = (big - vm_r * hi) + small + vm_r * lo
-    margin_03 = np.hypot(vm_r * (w[2] - w[1]), 2.0 * a1 * a2) - np.abs(w[3] - w[0])
-    return margin_12, margin_03
 
 
 def exact_margins(m: BellMixture) -> tuple[float, float]:
@@ -142,24 +121,5 @@ def entanglement_of_formation(concurrence):
     bad = ~((-1e-12 <= c) & (c <= 1.0 + 1e-12))
     if bad.any():
         raise OutOfRange(f"concurrence must lie in [0, 1], got {float(c[bad][0])!r}")
-    c = np.clip(c, 0.0, 1.0)
-    e = _binary_entropy_bits(c * c / (2.0 * (1.0 + np.sqrt(1.0 - c * c))))
+    e = _eof(c)
     return float(e) if e.ndim == 0 else e
-
-
-def _xlogx(q):
-    """q ln q, with 0 ln 0 = 0; broadcasts."""
-    q = np.asarray(q, dtype=float)
-    return q * np.log(np.where(q > 0.0, q, 1.0))
-
-
-def _binary_entropy_bits(q):
-    """Binary entropy h(q) in bits, with 0 log 0 = 0; broadcasts.
-
-    The complement term is (1 - q) log1p(-q), so h keeps full relative
-    accuracy for q far below machine epsilon.  Subtracting from 0.0
-    (rather than negating) makes h(0) = h(1) = +0.0, so a separable
-    state's entanglement of formation prints as 0, not -0.
-    """
-    q = np.asarray(q, dtype=float)
-    return (0.0 - (_xlogx(q) + (1.0 - q) * np.log1p(-np.where(q < 1.0, q, 0.0)))) / _LN2

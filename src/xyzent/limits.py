@@ -8,10 +8,9 @@ prints, are oracles in linalg.
 One scan (_limit_records) computes every limit of any number of models,
 from one model._eigen_columns pass over their couplings;
 limit_temperatures is its one-model view.  All margins come from the
-kernel criteria._margin_columns (one model per column), whose formulas
-are those of the scalar checks (entanglement.exact_margins,
-criteria.disorder_check, criteria.entropic_check) broadcast over the
-columns.
+kernel states._margin_columns (one model per column), whose row
+functions the scalar checks (entanglement.exact_margins,
+criteria.disorder_check, criteria.entropic_check) call on one mixture.
 
 No margin is negative past t_cut = (E_max - E_min)/ln 2.  There the
 Gibbs weights (sum Z) obey w_max <= 2 w_min, so w_min/Z >= 1/7 and every
@@ -44,7 +43,7 @@ wherever the disorder margin is >= 0, and entropy is Schur-concave).  So
 it is >= 0 above U, the end of the disorder row's top bracket, and on
 [0, U] interval branch and bound certifies it (_entropic_brackets): a
 piece is dropped where it lies below the highest negative sample or
-criteria._entropic_margin_bound proves it positive, and split and
+states._entropic_margin_bound proves it positive, and split and
 sampled otherwise, down to pieces of the floor U/4096.  The record
 keeps only the top edges of the disorder and entropic rows, so of those
 rows only the top bracket is refined, and of the exact rows every
@@ -67,8 +66,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expsums
-from .criteria import _NEAR_ZERO, _entropic_margin_bound, _margin_columns
 from .model import XYZParams, _eigen_columns, eigensystem
+from .states import _NEAR_ZERO, _entropic_margin_bound, _margin_columns
 from .states import thermal_probabilities  # noqa: F401  (kept bound for tracing)
 
 __all__ = ["LimitTemperatures", "ReentryWindow", "limit_temperatures", "reentry_two_level"]
@@ -121,9 +120,10 @@ _STRADDLE = 2.0**-20
 _SPLIT, _ROUNDS = 8, 4
 #: The most columns one call of the kernel or the bound evaluates.
 _CHUNK = 1 << 11
-#: The refinement's steps at most: its midpoint rule halves each bracket at
-#: least every third step, and 2,098 halvings reach adjacent floats.
-_MAX_STEPS = 6300
+#: The refinement's steps at most: its midpoint rule halves each bracket's
+#: width in floats (below 2^63, as T >= +0.0) at least every third step, and
+#: 63 halvings reach adjacent floats: 3 * 63.
+_MAX_STEPS = 189
 
 # Row r of _sign_change_bounds is the sum over j of (N + M rho) w_I w_J, with
 # w_4 = 1 and the Gibbs weights w_i = exp(-beta g_i), g_i = E_i - E_min:
@@ -271,7 +271,10 @@ def _limit_records(ps, columns=None) -> list[LimitTemperatures]:
     kept twice, Dowell and Jarratt 1971; the midpoint where the bracket did
     not halve over two steps, Brent 1973) until lo, hi are adjacent floats,
     in _MAX_STEPS steps (else RuntimeError), and reports the end where its
-    margin is >= 0.
+    margin is >= 0.  Widths and midpoints are in the floats' order: the bits
+    of a float T >= +0.0, read as an integer, count the floats below it, so
+    any bracket, one from 0 to 1e300 included, reaches adjacent floats in
+    at most 63 halvings.
     """
     gaps, vm_ratio, b_ratio, delta = _eigen_columns(ps) if columns is None else columns
     first, last, rows, leaving, lo, hi, model = _root_brackets(gaps, vm_ratio, b_ratio)
@@ -289,20 +292,22 @@ def _limit_records(ps, columns=None) -> list[LimitTemperatures]:
     leaving, lo, hi, model = (np.append(x[keep], y)[order] for x, y in zip((leaving, lo, hi, model), ent))
     ends = _values(gaps, vm_ratio, b_ratio, np.tile(model, 2), np.append(lo, hi))
     f_lo, f_hi = ends[np.tile(rows, 2), np.arange(2 * lo.size)].reshape(2, -1)
-    # the width one and two steps back, and whether the last step moved lo (-1 before any)
-    w1, w2, moved_lo = np.full(lo.size, np.inf), np.full(lo.size, np.inf), np.full(lo.size, -1)
+    # the width in floats one and two steps back, and whether the last step moved lo (-1 before any)
+    widest = np.iinfo(np.int64).max
+    w1, w2, moved_lo = np.full(lo.size, widest), np.full(lo.size, widest), np.full(lo.size, -1)
     for step in range(_MAX_STEPS + 1):
-        mid = 0.5 * (lo + hi)
-        live = np.flatnonzero((lo < mid) & (mid < hi))
+        width = hi.view(np.int64) - lo.view(np.int64)
+        live = np.flatnonzero(width > 1)
         if live.size == 0:
             break
         if step == _MAX_STEPS:
             raise RuntimeError(f"limit scan: {live.size} brackets are not adjacent floats after {_MAX_STEPS} steps")
-        a, b, fa, fb, mid = lo[live], hi[live], f_lo[live], f_hi[live], mid[live]
+        a, b, fa, fb, width = lo[live], hi[live], f_lo[live], f_hi[live], width[live]
+        mid = (a.view(np.int64) + width // 2).view(float)
         s = 4.0 * np.spacing(b)
         x = np.clip(b - np.divide(fb, fb - fa, out=np.full(b.size, 0.5), where=fb != fa) * (b - a), a + s, b - s)
-        x = np.where((a < x) & (x < b) & (b - a <= 0.5 * w2[live]), x, mid)
-        w2[live], w1[live] = w1[live], b - a
+        x = np.where((a < x) & (x < b) & (width <= w2[live] // 2), x, mid)
+        w2[live], w1[live] = w1[live], width
         value = _values(gaps, vm_ratio, b_ratio, model[live], x)[rows[live], np.arange(live.size)]
         to_lo = (value < 0.0) == leaving[live]
         stale = moved_lo[live] == to_lo  # the end kept now was kept the step before

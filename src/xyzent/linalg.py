@@ -343,7 +343,7 @@ def thermal_margin_exact(p: XYZParams, temperature: float) -> tuple[float, float
     Z e^{+-b_z/2} / 2), so min < 0 iff the thermal state is entangled.
     Evaluated with a factored-out exponential so extreme beta yields
     +-inf rather than NaN.  Checks the m12 and m03 rows of
-    criteria._margin_columns and the limit temperatures scanned from them.
+    states._margin_columns and the limit temperatures scanned from them.
     """
     if temperature <= 0.0 or not math.isfinite(temperature):
         raise InvalidTemperature(f"temperature must be positive, got {temperature!r}")

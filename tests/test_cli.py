@@ -31,10 +31,10 @@ from xyzent.cli import (
     point_report,
 )
 from xyzent.entanglement import entanglement_of_formation
-from xyzent.criteria import _margin_columns
 from xyzent.limits import limit_temperatures
 from xyzent.meanfield import critical_temperature
 from xyzent.model import canonicalize, eigensystem
+from xyzent.states import _margin_columns
 
 from conftest import log_uniform, random_canonical_params
 
@@ -461,6 +461,19 @@ class TestConfig:
         )
         assert code == 0
         assert out.split("\n")[1].startswith("0.25,")
+
+    def test_config_supplies_the_sweep_range(self, capsys, tmp_path):
+        # the axis and range are required, but a config file may supply them
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("axis = b\nstart = 0\nstop = 1\nsteps = 5\nvx = 1.7\nvy = 0.3\n")
+        flags = ["--axis=b", "--from=0", "--to=1", "--steps=5", "--vx=1.7", "--vy=0.3"]
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 0 and err == "" and (code, out, err) == run(capsys, "sweep", *flags)
+        # and where neither gives one: one error line, exit 2, nothing printed
+        cfg.write_text("axis = b\nstop = 1\n")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: sweep requires --from, --steps\n"), err
+        assert run(capsys, "sweep", "--to=1") == (2, "", "error: sweep requires --axis, --from, --steps\n")
 
     def test_grid_key_is_ignored(self, capsys, tmp_path):
         # the scan takes no grid, so a grid key is read by no subcommand

@@ -2,11 +2,20 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from xyzent import linalg
-from xyzent.criteria import _entropic_margin_bound, disorder_check, entropic_check, exact_check, _margin_columns
-from xyzent.entanglement import _LN2, _binary_entropy_bits, _xlogx, separability_exact
+from xyzent.criteria import disorder_check, entropic_check, exact_check
+from xyzent.entanglement import separability_exact
 from xyzent.linalg import disorder_margins_spin_form, majorization_margins, realize_matrix, spin_averages
 from xyzent.model import canonicalize, eigensystem
-from xyzent.states import mixture, thermal_mixture, thermal_probabilities
+from xyzent.states import (
+    _LN2,
+    _binary_entropy_bits,
+    _entropic_margin_bound,
+    _margin_columns,
+    _xlogx,
+    mixture,
+    thermal_mixture,
+    thermal_probabilities,
+)
 
 from conftest import log_uniform, random_canonical_params, random_mixture
 
@@ -160,7 +169,7 @@ class TestEntropicCheck:
 
 
 class TestEntropicMarginBound:
-    """criteria._entropic_margin_bound, which the limit scan drops pieces
+    """states._entropic_margin_bound, which the limit scan drops pieces
     of temperature by, lies below the entropic margin on its piece."""
 
     @staticmethod

@@ -12,7 +12,7 @@ from scipy.special import xlogy
 
 from xyzent import limits
 from xyzent.cli import _FIGURES
-from xyzent.criteria import _NEAR_ZERO, _margin_columns, disorder_check, entropic_check
+from xyzent.criteria import disorder_check, entropic_check
 from xyzent.entanglement import exact_margins, separability_exact
 from xyzent.errors import DegenerateBasis, OutOfRange
 from xyzent.limits import (
@@ -26,7 +26,7 @@ from xyzent.limits import (
 from xyzent.linalg import b_crossing, closed_form_limits, mixture_thresholds, thermal_margin_exact
 from xyzent.meanfield import critical_temperature
 from xyzent.model import MAX_ENERGY_SCALE, MIN_ENERGY_SCALE, canonicalize, eigensystem
-from xyzent.states import mixture, thermal_mixture, thermal_probabilities
+from xyzent.states import _NEAR_ZERO, mixture, thermal_mixture, thermal_probabilities
 
 from conftest import limit_families, log_uniform, random_canonical_params
 
@@ -378,11 +378,11 @@ class TestBisectionConverges:
         # a margin that reads 0 wherever it is not negative, and -inf wherever
         # it is (so that no Illinois halving moves it), pins every regula
         # falsi step to 4 ulps inside a bracket leaving the negative set, so
-        # only the midpoint safeguard shrinks it, by half every third step.
-        # Widened to [5e-324, 1e300], the m03 bracket of CASE3(0.2) then
-        # takes about 3,100 steps, and still ends on the same adjacent floats
-        # within _MAX_STEPS; with fewer steps the scan raises rather than
-        # report an edge of a wider bracket
+        # only the midpoint safeguard shrinks it, by half its width in floats
+        # every third step.  Widened to [5e-324, 1e300], the m03 bracket of
+        # CASE3(0.2) then takes about 180 steps, and still ends on the same
+        # adjacent floats within _MAX_STEPS; with fewer steps the scan raises
+        # rather than report an edge of a wider bracket
         want = limit_temperatures(CASE3(0.2))
         roots, values, calls = limits._root_brackets, limits._values, []
 
@@ -399,9 +399,9 @@ class TestBisectionConverges:
         monkeypatch.setattr(limits, "_root_brackets", wide)
         monkeypatch.setattr(limits, "_values", clipped)
         assert limit_temperatures(CASE3(0.2)) == want
-        assert 2200 < len(calls) <= limits._MAX_STEPS, len(calls)
-        monkeypatch.setattr(limits, "_MAX_STEPS", 2200)
-        with pytest.raises(RuntimeError, match="not adjacent floats after 2200 steps"):
+        assert 150 < len(calls) <= limits._MAX_STEPS, len(calls)
+        monkeypatch.setattr(limits, "_MAX_STEPS", 150)
+        with pytest.raises(RuntimeError, match="not adjacent floats after 150 steps"):
             limit_temperatures(CASE3(0.2))
 
     @staticmethod

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from xyzent import limits
 from xyzent.cli import main
 from xyzent.errors import OutOfRange
-from xyzent.criteria import _margin_columns
 from xyzent.limits import _limit_records, limit_temperatures, reentry_two_level
 from xyzent.meanfield import critical_temperature, exact_free_energy, solve_mf
 from xyzent.model import MAX_ENERGY_SCALE, MIN_ENERGY_SCALE, canonicalize, eigensystem
-from xyzent.states import thermal_mixture
+from xyzent.states import _margin_columns, thermal_mixture
 
 from conftest import NEEL_Z_MODELS, log_uniform, neel_z_family, random_canonical_params
 
@@ -295,6 +295,18 @@ def test_limit_scan_at_tiny_v_minus_over_delta(capsys):
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert err == "" and [row.split(",")[2] for row in out.splitlines()[1:]] == ["", *["4.94065645841e-324"] * 4]
+
+
+def test_refinement_halves_brackets_in_floats(capsys, monkeypatch):
+    # the disorder edges above lie on the least float, 5e-324, refined from
+    # brackets [0, ~1e-3]: halved as numbers, they took about a thousand
+    # kernel calls to reach adjacent floats; halved in the floats' order,
+    # under a hundred
+    calls, kernel = [], limits._margin_columns
+    monkeypatch.setattr(limits, "_margin_columns", lambda *args: calls.append(1) or kernel(*args))
+    argv = ["sweep", "--axis=b", "--from=0", "--to=1", "--steps=5", "--vx=1e-200", "--vz=0.3", "--outputs=limits"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == "" and len(calls) < 200, len(calls)
 
 
 def test_mean_field_at_tiny_v_max():

@@ -158,38 +158,38 @@ def _fresh_cli(argv):
     return json.loads(out.stdout)
 
 
+#: the modules every command runs: the margin kernel and the Gibbs weights
+#: are in states, so only `point` runs the scalar report layer
+#: (entanglement, criteria)
+_BASE_MODULES = ["__init__", "cli", "errors", "model", "states"]
 #: the modules of the limit scan; `meanfield` runs only for the numeric T_c
 #: of `limits` on a model where model.XYZParams.t_critical_is_onset does not
 #: hold
-_SCAN_MODULES = {"limits", "expsums"}
+_SCAN_MODULES = ["expsums", "limits"]
 #: `limits` of a Neel-z model (vz < -2 T_c), where the onset rule does not
 #: hold, so its numeric T_c (meanfield's enumerated minimum) runs
 _NEEL_Z = ["limits", "--vx=0.865", "--vy=0.192", "--vz=-2.775", "--b=0.877"]
 
 
 @pytest.mark.parametrize(
-    "argv, scan, mean_field",
+    "argv, extra",
     [
-        (["point", "--vx=1", "--vy=0.3", "--temp=0.5"], False, False),
-        (["sweep", "--axis=temp", "--from=0", "--to=2", "--steps=50", "--vx=1.7", "--vy=0.3", "--b=0.9"], False, False),
-        (["limits", "--vx=1", "--vy=0.3", "--b=0.2"], True, False),
-        (_NEEL_Z, True, True),
+        (["point", "--vx=1", "--vy=0.3", "--temp=0.5"], ["criteria", "entanglement"]),
+        (["sweep", "--axis=temp", "--from=0", "--to=2", "--steps=50", "--vx=1.7", "--vy=0.3", "--b=0.9"], []),
+        (["limits", "--vx=1", "--vy=0.3", "--b=0.2"], _SCAN_MODULES),
+        (_NEEL_Z, [*_SCAN_MODULES, "meanfield"]),
         (
             ["sweep", "--axis=b", "--from=0", "--to=2", "--steps=9", "--vx=1.7", "--vy=0.3", "--outputs=limits"],
-            True,
-            False,
+            _SCAN_MODULES,
         ),
-        (["figure", "fig2", "--steps=9", "--out={out}"], True, False),
+        (["figure", "fig2", "--steps=9", "--out={out}"], _SCAN_MODULES),
     ],
     ids=["point", "sweep_temp", "limits", "limits_neel_z", "sweep_b_limits", "figure_fig2"],
 )
-def test_cli_command_runs_only_the_modules_it_uses(argv, scan, mean_field, tmp_path):
+def test_cli_command_runs_only_the_modules_it_uses(argv, extra, tmp_path):
     code, ran, _ = _fresh_cli([a.replace("{out}", str(tmp_path)) for a in argv])
     assert code == 0
-    assert {"cli", "model", "states", "entanglement", "criteria"} <= set(ran), ran
-    assert (_SCAN_MODULES <= set(ran)) if scan else not (_SCAN_MODULES & set(ran)), ran
-    assert ("meanfield" in ran) == mean_field, ran
-    assert "linalg" not in ran
+    assert ran == sorted(_BASE_MODULES + extra), ran
 
 
 def test_cli_import_runs_no_oracle_and_registers_every_layer():
