@@ -7,13 +7,12 @@ Subcommands:
     sweep   1-D parameter sweep emitted as CSV
     figure  regenerate the reference datasets (fig2/fig3/fig4) as CSV files
 
-Exit codes: 0 success, 2 invalid input, 3 I/O failure; 4 (solver
-non-convergence) is no longer produced, as the mean field iterates
-nothing.  `limits` prints the mean-field T_c twice: t_critical_closed
-(XYZParams.t_critical), and t_critical_numeric, the onset of the mean
-field's broken global minimum (meanfield.critical_temperature), which
-is the closed form wherever XYZParams.t_critical_is_onset holds; only
-elsewhere does `limits` run the mean-field module.
+Exit codes: 0 success, 2 invalid input, 3 I/O failure.  `limits`
+prints the mean-field T_c twice: t_critical_closed (XYZParams.t_critical),
+and t_critical_numeric, the onset of the mean field's broken global
+minimum (meanfield.critical_temperature), which is the closed form
+wherever XYZParams.t_critical_is_onset holds; only elsewhere does
+`limits` run the mean-field module.
 Limits are scanned up to each model's own t_cut, past which no criterion
 detects (limits module docstring), so no option sets a scan range.
 Floats in CSV output carry up to 12 significant digits, and a limit
@@ -126,44 +125,23 @@ def _write_lines(lines, out_path):
 
 
 def point_report(vx, vy, vz, b, temp) -> dict:
-    """Everything `point` prints, as one plain dict (stable key order).
-
-    The exact fields come from the margin table, as in sweep and figure:
-    its half-exponent amplitudes keep the cross term sqrt(p_1 p_2) that
-    the weights lose once one of them underflows to 0.
-    """
+    """Everything `point` prints, as one plain dict (stable key order),
+    from the scalar API on one Gibbs state (its margins are the kernel's)."""
     p = canonicalize(vx, vy, vz, b)
     m = states.thermal_mixture(p, temp)
-    eig = m.eigen  # the one-column view of _eigen_columns([p])
-    cols = _state_values((eig.gaps[:, None], np.array([eig.vm_ratio]), np.array([eig.b_ratio])), np.array([temp]))
-    c, eof, m12, m03 = (float(cols[k][0]) for k in ("concurrence", "eof", "margin_12", "margin_03"))
+    sep = entanglement.separability_exact(m)
     dis = criteria.disorder_check(m)
     ent = criteria.entropic_check(m)
     pt = entanglement.pt_spectrum(m)
     return {
         "input": {"vx": vx, "vy": vy, "vz": vz, "b": b, "temp": temp},
-        "canonical": {
-            "vx": p.vx,
-            "vy": p.vy,
-            "vz": p.vz,
-            "b": p.b,
-            "flips": list(p.flips),
-        },
+        "canonical": {"vx": p.vx, "vy": p.vy, "vz": p.vz, "b": p.b, "flips": list(p.flips)},
         "energies": [float(e) for e in m.eigen.energies],
         "probabilities": [float(x) for x in m.probs],
-        "concurrence": c,
-        "eof": eof,
-        "exact": {
-            "margin_12": m12,
-            "margin_03": m03,
-            "entangled": c > 0.0,
-            "violated": ("12" if m12 < m03 else "03") if c > 0.0 else None,
-        },
-        "disorder": {
-            "detected": dis.detected,
-            "margin": dis.margin,
-            "detail": list(dis.detail),
-        },
+        "concurrence": sep.concurrence,
+        "eof": entanglement.entanglement_of_formation(sep.concurrence),
+        "exact": {k: getattr(sep, k) for k in ("margin_12", "margin_03", "entangled", "violated")},
+        "disorder": {"detected": dis.detected, "margin": dis.margin, "detail": list(dis.detail)},
         "entropic": {"detected": ent.detected, "margin": ent.margin},
         "pt_spectrum": [pt.q_0, pt.q_1, pt.q_2, pt.q_3],
     }

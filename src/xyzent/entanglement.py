@@ -13,7 +13,9 @@ the spin-flipped product spectrum is the oracle linalg.concurrence_general.
 
 The margin rows and the entanglement-of-formation formula are those of
 the margin kernel in states (_exact_margin_rows, _eof); this module
-applies them to one mixture and reports the verdict.
+applies them to one mixture and reports the verdict.  A Gibbs state
+(states.thermal_mixture) has the kernel's margins, from its amplitudes
+exp(-g_j/2T); any other mixture takes its cross term as sqrt(p_1) sqrt(p_2).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .states import BellMixture, _eof, _exact_margin_rows
+from .states import BellMixture, _eof, _exact_margin_rows, _gibbs_exact_margins
 
 __all__ = [
     "SeparabilityReport",
@@ -67,8 +69,11 @@ class PTSpectrum:
 
 def exact_margins(m: BellMixture) -> tuple[float, float]:
     """(margin_12, margin_03) for the mixture; negative means violated."""
-    p = m.probs
-    margin_12, margin_03 = _exact_margin_rows(p, math.sqrt(p[1]), math.sqrt(p[2]), m.eigen.vm_ratio)
+    if m.amplitudes is not None:
+        margin_12, margin_03 = _gibbs_exact_margins(m.amplitudes, m.eigen.vm_ratio)
+    else:
+        p = m.probs
+        margin_12, margin_03 = _exact_margin_rows(p, math.sqrt(p[1]), math.sqrt(p[2]), m.eigen.vm_ratio)
     return float(margin_12), float(margin_03)
 
 

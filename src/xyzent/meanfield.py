@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import InvalidTemperature
 from .model import XYZParams, eigensystem
-from .states import _gibbs_exponents
+from .states import _gibbs
 
 __all__ = [
     "MeanFieldSolution",
@@ -124,10 +124,11 @@ def mf_free_energy(lambda_a, lambda_b, p: XYZParams, temperature: float) -> floa
 
 
 def exact_free_energy(p: XYZParams, temperature: float) -> float:
-    """-T ln Z = E_min - T ln sum_j exp(-g_j/T), g_j the level gaps; lower bound for every product state."""
+    """-T ln Z = E_min - T ln sum_j a_j^2, a_j = exp(-g_j/2T) of the level gaps g_j
+    (states._gibbs); lower bound for every product state."""
     t = _check_temperature(temperature)
     eig = eigensystem(p)
-    return float(eig.energies.min() - t * np.log(np.exp(-_gibbs_exponents(eig.gaps, t)).sum()))
+    return float(eig.energies.min() - t * np.log(np.square(_gibbs(eig.gaps, t)[1]).sum()))
 
 
 _DOUBLE, _INT = struct.Struct("<d"), struct.Struct("<q")
@@ -177,15 +178,20 @@ def _nu(a: float, c: float) -> float:
 
 def _uniform_z(p: XYZParams, t: float) -> float:
     """The largest root of lambda = b + vz tanh(lambda/2T): the lowest
-    uniform z-only state, as b >= 0.  Where vz > 2T the root function
-    decreases between -+lambda*, cosh(lambda*/2T) = sqrt(vz/2T), and is
-    <= -b at lambda*, so the root lies above lambda*."""
+    uniform z-only state, as b >= 0.  For vz < 0 it is the one root, in
+    [0, b], bisected in the floats' order: near 2T atanh(b/|vz|) at low T,
+    it may lie below 2^-1074 b.  Where vz > 2T the root function decreases
+    between -+lambda*, cosh(lambda*/2T) = sqrt(vz/2T), and is <= -b at
+    lambda*, so the root lies above lambda*."""
     b, vz = p.b, p.vz
-    hi = b + abs(vz)
+    inside = lambda lam: lam - b - vz * math.tanh(lam / (2.0 * t)) < 0.0
+    if vz < 0.0:
+        return _bisect(inside, 0.0, b)[1]
+    hi = b + vz
     if hi == 0.0:
         return 0.0
-    lo = min(2.0 * t * math.acosh(math.sqrt(vz / (2.0 * t))), hi) if vz > 2.0 * t else b - abs(vz)
-    return _bisect(lambda lam: lam - b - vz * math.tanh(lam / (2.0 * t)) < 0.0, lo, hi, hi)[1]
+    lo = min(2.0 * t * math.acosh(math.sqrt(vz / (2.0 * t))), hi) if vz > 2.0 * t else b - vz
+    return _bisect(inside, lo, hi, hi)[1]
 
 
 def _uniform_x(p: XYZParams, t: float):
@@ -222,7 +228,9 @@ def _canted(p: XYZParams, t: float):
     root nu_0, s = sech^2(c nu_0).  Its x components need |lambda| >
     |lambda_z| on A, and lambda_B^x = rho lambda_A^x.  As D < 0 (|vz| > vx),
     (b/vx)^2/D = (b/vz)^2/(q^2 - 1), q = vx/vz, and the z fields over vx,
-    (b/vz)(q + 1/rho)/(q^2 - 1) and (b/vz)(q + rho)/(q^2 - 1), never overflow."""
+    (b/vz)(q + 1/rho)/(q^2 - 1) and (b/vz)(q + rho)/(q^2 - 1), never overflow.
+    exp(-2 c nu_0) leaves the normal floats only where c nu_0 > 354; c s is
+    then below 2^-1000, so its rounding does not move G(1+)'s sign."""
     vx, c = p.vx, p.vx / (2.0 * t)
     if not (p.b > 0.0 and abs(p.vz) > vx and 1.0 < c < math.inf):
         return None
@@ -236,7 +244,7 @@ def _canted(p: XYZParams, t: float):
 
     nu0 = _nu(1.0, c)
     e = math.exp(-2.0 * c * nu0)
-    cs = c * 4.0 * e / (1.0 + e) ** 2 if e > 0.0 else 0.0
+    cs = c * 4.0 * e / (1.0 + e) ** 2
     sign = nu0 * nu0 * (1.0 + cs) / (cs - 1.0) - rhs > 0.0
     if sign == (g(c) > 0.0):
         return None

@@ -4,7 +4,8 @@ kernel of thermal states.
 A BellMixture is the most general two-qubit state that is permutation
 and phase-flip symmetric and real in the standard basis: a probability
 vector (p_0..p_3) over the four eigenstates |Phi_j> of the model.  Gibbs
-thermal states are the special case p_j ~ exp(-E_j / T).
+thermal states are the special case p_j ~ exp(-E_j / T), and carry the
+kernel's amplitudes exp(-g_j/2T) of the level gaps g_j (_gibbs).
 
 Every margin formula lives here too, each batched over columns: the
 exact (12)/(03) rows (_exact_margin_rows), the disorder and entropic
@@ -16,7 +17,7 @@ entanglement of formation (_eof).  The margin kernel, _margin_columns
 state columns and the limit scan (limits) read their margins from it,
 and the scalar checks (entanglement.exact_margins,
 entanglement.entanglement_of_formation, criteria.disorder_check,
-criteria.entropic_check) call the same row functions on one mixture.
+criteria.entropic_check) call the same rows on one mixture: the kernel's bits.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ class BellMixture:
     probs: np.ndarray  # shape (4,)
     params: XYZParams
     eigen: EigenSystem
+    amplitudes: np.ndarray | None = None  # of a Gibbs state, exp(-g_j/2T) (_gibbs)
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
@@ -58,14 +60,16 @@ def mixture(params: XYZParams, probs) -> BellMixture:
     return BellMixture(probs=np.asarray(probs, dtype=float), params=params, eigen=eigensystem(params))
 
 
-def _gibbs_exponents(gaps, temperature) -> np.ndarray:
-    """The Boltzmann exponents g_j/T of the level gaps g_j = E_j - E_min (EigenSystem.gaps).
+def _gibbs(gaps, temperature):
+    """The Gibbs weights exp(-g_j/T)/Z and amplitudes exp(-g_j/2T) of the
+    level gaps g_j = E_j - E_min (EigenSystem.gaps) at T.
 
     gaps has shape (4,), one model broadcast over any shape of T, or
     (4, K), one model per column at the temperatures T of shape (K,).
-    Exactly 0 on the ground levels and +inf above them wherever the ratio
-    overflows, T = 0 included, so exp(-r) is the T -> 0+ limit of the
-    Gibbs factors at every temperature and nothing warns.
+    The exponent g_j/T is exactly 0 on the ground levels and +inf above
+    them wherever the ratio overflows, T = 0 included, so both are the
+    T -> 0+ limit of the Gibbs state at every temperature (at T = 0 the
+    weight is spread uniformly over the ground levels) and nothing warns.
     """
     t = np.asarray(temperature, dtype=float)
     bad = ~(np.isfinite(t) & (t >= 0.0))
@@ -73,26 +77,21 @@ def _gibbs_exponents(gaps, temperature) -> np.ndarray:
         raise InvalidTemperature(f"temperature must be finite and >= 0, got {float(t[bad][0])!r}")
     gap = gaps.reshape(gaps.shape + (1,) * (t.ndim + 1 - gaps.ndim))
     with np.errstate(divide="ignore", over="ignore"):
-        return np.divide(gap, t, out=np.zeros(np.broadcast_shapes(gap.shape, t.shape)), where=gap > 0.0)
+        r = np.divide(gap, t, out=np.zeros(np.broadcast_shapes(gap.shape, t.shape)), where=gap > 0.0)
+    w = np.exp(-r)
+    return w / w.sum(axis=0), np.exp(-0.5 * r)
 
 
 def thermal_probabilities(eigen: EigenSystem, temperature) -> np.ndarray:
-    """Gibbs weights exp(-E_j/T)/Z, broadcast over an array of temperatures.
-
-    Computed from the exponents of _gibbs_exponents, so arbitrarily low
-    temperatures neither overflow nor produce NaN.  At T = 0 the weight is
-    spread uniformly over all degenerate ground levels (the T -> 0+ limit
-    of the Gibbs state).
-    """
-    w = np.exp(-_gibbs_exponents(eigen.gaps, temperature))
-    return w / w.sum(axis=0)
+    """Gibbs weights exp(-E_j/T)/Z, broadcast over an array of temperatures (_gibbs)."""
+    return _gibbs(eigen.gaps, temperature)[0]
 
 
 def thermal_mixture(params: XYZParams, temperature: float) -> BellMixture:
-    """The Gibbs state of the canonical Hamiltonian at temperature T >= 0."""
+    """The Gibbs state of the canonical Hamiltonian at temperature T >= 0, with its amplitudes."""
     eig = eigensystem(params)
-    p = thermal_probabilities(eig, float(temperature))
-    return BellMixture(probs=p, params=params, eigen=eig)
+    p, a = _gibbs(eig.gaps, float(temperature))
+    return BellMixture(probs=p, params=params, eigen=eig, amplitudes=a)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +149,14 @@ def _exact_margin_rows(w, a1, a2, vm_r):
     margin_12 = (big - vm_r * hi) + small + vm_r * lo
     margin_03 = np.hypot(vm_r * (w[2] - w[1]), 2.0 * a1 * a2) - np.abs(w[3] - w[0])
     return margin_12, margin_03
+
+
+def _gibbs_exact_margins(a, vm_r):
+    """(margin_12, margin_03) of the Gibbs state of amplitudes a (4, ...) (_gibbs)."""
+    w = a * a
+    m12, m03 = _exact_margin_rows(w, a[1], a[2], vm_r)
+    z = w.sum(axis=0)
+    return m12 / z, m03 / z
 
 
 def _disorder_margin_rows(p, b_r, vm_r):
@@ -331,15 +338,10 @@ def _margin_columns(gaps, vm_ratio, b_ratio, ts) -> np.ndarray:
     The exact rows use the half-exponent Gibbs amplitudes
     a_j = exp(-g_j/2T), so that a genuinely separable model never scans
     as entangled at any temperature (see _exact_margin_rows); the last two
-    the Gibbs weights.  Both come from _gibbs_exponents, so T = 0
-    is their T -> 0+ limit (a_j = 1 on each ground level, 0 above).
+    the Gibbs weights.  Both come from _gibbs, so T = 0 is their T -> 0+
+    limit (a_j = 1 on each ground level, 0 above).
     """
-    r = _gibbs_exponents(gaps, ts)
-    w = np.exp(-r)
-    p = w / w.sum(axis=0)
-    a = np.exp(-0.5 * r)
-    w = a * a
-    z = w.sum(axis=0)
-    m12, m03 = _exact_margin_rows(w, a[1], a[2], vm_ratio)
+    p, a = _gibbs(gaps, ts)
+    m12, m03 = _gibbs_exact_margins(a, vm_ratio)
     dis = _disorder_margin_rows(p, b_ratio, vm_ratio).min(axis=0)
-    return np.stack([m12 / z, m03 / z, dis, _entropic_margin_row(p, b_ratio, vm_ratio)])
+    return np.stack([m12, m03, dis, _entropic_margin_row(p, b_ratio, vm_ratio)])

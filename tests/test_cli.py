@@ -30,11 +30,11 @@ from xyzent.cli import (
     main,
     point_report,
 )
-from xyzent.entanglement import entanglement_of_formation
+from xyzent.entanglement import entanglement_of_formation, separability_exact
 from xyzent.limits import limit_temperatures
 from xyzent.meanfield import critical_temperature
 from xyzent.model import canonicalize, eigensystem
-from xyzent.states import _margin_columns
+from xyzent.states import _margin_columns, thermal_mixture
 
 from conftest import log_uniform, random_canonical_params
 
@@ -113,13 +113,16 @@ class TestPoint:
 
     def test_underflowed_weight_keeps_separable_verdict(self, capsys):
         # p1 = exp(-2/T)/Z underflows to 0, which drops the weights' cross
-        # term sqrt(p1 p2); the margin table's amplitudes keep it (m03 > 0)
+        # term sqrt(p1) sqrt(p2); the Gibbs state's amplitudes keep it
+        # (m03 > 0), in the library as in `point`
         code, out, _ = run(
             capsys, "point", "--vx", "1", "--vy", "1", "--vz", "1.5", "--b", "1", "--temp", "0.0023"
         )
         assert code == 0
         assert "concurrence: 0\n" in out
         assert "exact: separable" in out and "violated" not in out
+        rep = separability_exact(thermal_mixture(canonicalize(1.0, 1.0, 1.5, 1.0), 0.0023))
+        assert not rep.entangled and rep.concurrence == 0.0 and rep.margin_03 == 3.001526704682303e-189, rep
 
     def test_json_roundtrip(self, capsys):
         args = ["point", "--vx", "1", "--vy", "-1", "--vz", "0.2", "--b", "0.4",

@@ -1160,17 +1160,15 @@ class TestSingleScanMatchesReference:
             assert_within(limit_temperatures(p), reference_limit_temperatures(p), 2 * REF_REL_TOL)
 
     def test_scalar_checks_match_table(self, rng):
-        # the disorder and entropic checks run the table's formulas on the
-        # same weights, so they agree bit for bit; the exact margins take
-        # their cross term from sqrt(p_1 p_2) instead of the amplitudes
-        eps = np.finfo(float).eps
+        # the scalar checks run the table's formulas on the same weights
+        # and amplitudes, so they agree bit for bit
         for p in _reference_cases(rng)[::5]:
             eig = eigensystem(p)
             ts = np.concatenate([[0.0], log_uniform(rng, 1e-2, 1e1, size=8) * p.energy_scale, [0.0]])
             table = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts)
             for k, t in enumerate(ts):
                 m = thermal_mixture(p, float(t))
-                assert np.abs(np.array(exact_margins(m)) - table[:2, k]).max() <= 16 * eps, (p, t)
+                assert exact_margins(m) == tuple(table[:2, k]), (p, t)
                 assert disorder_check(m).margin == table[2, k], (p, t)
                 assert entropic_check(m).margin == table[3, k], (p, t)
 

@@ -274,9 +274,9 @@ TINY_V_MINUS = [(5.827409141637327e-243, 0.0, -0.1857535470761426, 0.69162373976
 
 def test_limit_scan_at_tiny_v_minus_over_delta(capsys):
     # the bracket end past the lead of the disorder sum, log1p(others/lead),
-    # overflowed, and the NaN gave a t_disorder of 0 with five warnings.  At
-    # these scales 1 - |b/Delta| lies far below 50 digits, so no oracle judges
-    # the values; they are what the kernel's signs give: the exact edge is
+    # overflowed, and the NaN gave a t_disorder of 0 with five warnings.  The
+    # values are what the kernel's signs give, and the 600-digit reference
+    # of the next test shows the disorder ones wrong: the exact edge is
     # certified on its two floats, and the disorder row reads 0.0 at T = 0
     # and above (its ground margin, about -(v_minus/Delta)^2/4 there,
     # underflows) and detects only at T = 0, by the sign of its sum's leading
@@ -297,8 +297,28 @@ def test_limit_scan_at_tiny_v_minus_over_delta(capsys):
     assert err == "" and [row.split(",")[2] for row in out.splitlines()[1:]] == ["", *["4.94065645841e-324"] * 4]
 
 
+#: the disorder limits of TINY_V_MINUS at 600 digits (mpmath, from the same
+#: float couplings): the Gibbs state of the dense Hamiltonian, its
+#: majorization margin lambda_max(rho_A) - lambda_max(rho), and bisection of
+#: its one sign change in T on [1e-8, 1]
+TINY_V_MINUS_T_DISORDER = [
+    4.52653377136289e-4, 5.97154912616971e-4, 8.67283571956975e-4, 1.13730984150312e-3, 1.40722090914379e-3
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the ground disorder margin, about -(v_minus/Delta)^2/4, underflows to 0.0, so t_disorder is the least float",
+)
+def test_tiny_v_minus_disorder_limits_match_the_600_digit_reference():
+    ps = [canonicalize(*m) for m in TINY_V_MINUS]
+    for m, lt, ref in zip(TINY_V_MINUS, _limit_records(ps), TINY_V_MINUS_T_DISORDER):
+        assert lt.t_disorder is not None and abs(lt.t_disorder - ref) <= 1e-9 * ref, (m, lt.t_disorder, ref)
+
+
 def test_refinement_halves_brackets_in_floats(capsys, monkeypatch):
-    # the disorder edges above lie on the least float, 5e-324, refined from
+    # the TINY_V_MINUS disorder edges lie on the least float, 5e-324, refined from
     # brackets [0, ~1e-3]: halved as numbers, they took about a thousand
     # kernel calls to reach adjacent floats; halved in the floats' order,
     # under a hundred
@@ -307,6 +327,17 @@ def test_refinement_halves_brackets_in_floats(capsys, monkeypatch):
     argv = ["sweep", "--axis=b", "--from=0", "--to=1", "--steps=5", "--vx=1e-200", "--vz=0.3", "--outputs=limits"]
     assert main(argv) == 0
     assert capsys.readouterr().err == "" and len(calls) < 200, len(calls)
+
+
+def test_staggered_pair_far_below_the_couplings():
+    # the uniform z root, about 2T atanh(b/|vz|), was bisected in units of
+    # b + |vz|, below whose least multiple it lay: it read 1.04e-23 at every
+    # T <= 1e-200, the staggered pair's existence test failed, and the
+    # uniform x branch (F = -5.02e299) was returned
+    p = canonicalize(1e300, 3e299, -2e300, 1e299)
+    for t in (1e-10, 1e-300, 5e-324):
+        sol = solve_mf(p, t)
+        assert sol.broken_permutation and not sol.broken_phase_flip and sol.free_energy == -1e300, (t, sol)
 
 
 def test_mean_field_at_tiny_v_max():
