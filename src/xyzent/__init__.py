@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 
 #: The public names, by the submodule that defines them.
 _EXPORTS = {
-    "criteria": ("CriterionReport", "disorder_check", "entropic_check", "exact_check"),
+    "criteria": ("CriterionReport", "disorder_check", "entropic_check"),
     "entanglement": (
         "PTSpectrum",
         "SeparabilityReport",
@@ -46,14 +46,8 @@ _EXPORTS = {
         "separability_exact",
     ),
     "limits": ("LimitTemperatures", "ReentryWindow", "limit_temperatures", "reentry_two_level"),
-    "linalg": ("ClosedFormLimits", "closed_form_limits", "concurrence_general", "realize_matrix"),
-    "meanfield": (
-        "MeanFieldSolution",
-        "critical_temperature",
-        "exact_free_energy",
-        "mf_free_energy",
-        "solve_mf",
-    ),
+    "linalg": ("ClosedFormLimits", "closed_form_limits", "concurrence_general", "exact_free_energy", "realize_matrix"),
+    "meanfield": ("MeanFieldSolution", "critical_temperature", "mf_free_energy", "solve_mf"),
     "model": ("EigenSystem", "XYZParams", "canonicalize", "eigensystem"),
     "states": ("BellMixture", "mixture", "thermal_mixture"),
 }

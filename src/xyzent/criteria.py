@@ -8,19 +8,19 @@ strictly weaker for mixed states.
 
 The checks report on one mixture from the margin rows of the kernel in
 states (_disorder_margin_rows, _entropic_margin_row), which the CLI's
-state columns and the limit scan read for thermal states.
+state columns and the limit scan read for thermal states.  The exact
+verdict they are weaker than is entanglement.separability_exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .entanglement import separability_exact
+from .entanglement import separability_exact  # noqa: F401  (kept bound for tracing)
 from .states import BellMixture, _disorder_margin_rows, _entropic_margin_row
 
 __all__ = [
     "CriterionReport",
-    "exact_check",
     "disorder_check",
     "entropic_check",
 ]
@@ -28,23 +28,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CriterionReport:
-    criterion: str  # "exact" | "disorder" | "entropic"
+    criterion: str  # "disorder" | "entropic"
     detected: bool
     #: most-violated signed margin; negative means detection
     margin: float
     #: per-inequality margins backing `margin`
     detail: tuple[float, ...]
-
-
-def exact_check(m: BellMixture) -> CriterionReport:
-    """The exact verdict repackaged as a CriterionReport."""
-    rep = separability_exact(m)
-    return CriterionReport(
-        criterion="exact",
-        detected=rep.entangled,
-        margin=float(min(rep.margin_12, rep.margin_03)),
-        detail=(rep.margin_12, rep.margin_03),
-    )
 
 
 def disorder_check(m: BellMixture) -> CriterionReport:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types the runtime raises; those only the oracles raise are in linalg."""
 
 
 class XyzentError(Exception):
@@ -7,18 +7,6 @@ class XyzentError(Exception):
 
 class NonFiniteInput(XyzentError, ValueError):
     """A model parameter is NaN or infinite."""
-
-
-class NonHermitianInput(XyzentError, ValueError):
-    """Matrix deviates from Hermiticity beyond tolerance."""
-
-
-class NonPhysicalState(XyzentError, ValueError):
-    """Density matrix fails the trace or positivity requirements."""
-
-
-class InvalidSpectrum(XyzentError, ValueError):
-    """Probability spectrum is not normalized or has genuine negativity."""
 
 
 class InvalidTemperature(XyzentError, ValueError):

@@ -5,10 +5,12 @@ partial traces and transposes, the spin-flipped Wootters concurrence),
 alternative closed forms (the R spectrum, the spin-form and hyperbolic
 margins), and reference closed forms that no command prints (the limit
 temperatures of the special coupling cases, the two-level mixture
-thresholds, the level-crossing field), for tests and benchmark checks
-only.  No runtime module imports this one, so none of it runs on the hot
-path; each docstring names the runtime number its function checks.
-Matrices are numpy arrays in the standard basis |++>, |+->, |-+>, |-->.
+thresholds, the level-crossing field) and the exact free energy -T ln Z
+that bounds the mean field's, for tests and benchmark checks only, with
+the three errors only they raise.  No runtime module imports this one,
+so none of it runs on the hot path; each docstring names the runtime
+number its function checks.  Matrices are numpy arrays in the standard
+basis |++>, |+->, |-+>, |-->.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBasis, InvalidSpectrum, InvalidTemperature, NonHermitianInput, NonPhysicalState
+from .errors import DegenerateBasis, InvalidTemperature, XyzentError
 from .model import EigenSystem, XYZParams, eigensystem
-from .states import BellMixture
+from .states import BellMixture, _gibbs
 
 HERMITICITY_TOL = 1e-8
 PSD_TOL = 1e-10
@@ -30,6 +32,18 @@ _SZ = np.diag([1.0, 0.0, 0.0, -1.0])
 _XX = np.fliplr(np.eye(4))
 _YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))  # sigma_y (x) sigma_y, used by the spin flip
 _ZZ = np.diag([1.0, -1.0, -1.0, 1.0])
+
+
+class NonHermitianInput(XyzentError, ValueError):
+    """Matrix deviates from Hermiticity beyond tolerance."""
+
+
+class NonPhysicalState(XyzentError, ValueError):
+    """Density matrix fails the trace or positivity requirements."""
+
+
+class InvalidSpectrum(XyzentError, ValueError):
+    """Probability spectrum is not normalized or has genuine negativity."""
 
 
 def _as_square(m, dims=(2, 4)):
@@ -330,6 +344,17 @@ def majorization_margins(spectrum4, spectrum2) -> np.ndarray:
     b = np.sort(np.asarray(spectrum2, dtype=float))[::-1]
     r[: b.size] = b
     return np.cumsum(r) - np.cumsum(a)
+
+
+def exact_free_energy(p: XYZParams, temperature: float) -> float:
+    """-T ln Z = E_min - T ln sum_j a_j^2, a_j = exp(-g_j/2T) of the level gaps g_j
+    (states._gibbs); lower bound for every product state, so it checks
+    meanfield.solve_mf's free energies."""
+    t = float(temperature)
+    if not math.isfinite(t) or t <= 0.0:
+        raise InvalidTemperature(f"free energy needs T > 0, got {t!r}")
+    eig = eigensystem(p)
+    return float(eig.energies.min() - t * np.log(np.square(_gibbs(eig.gaps, t)[1]).sum()))
 
 
 def thermal_margin_exact(p: XYZParams, temperature: float) -> tuple[float, float]:

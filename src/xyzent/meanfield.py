@@ -49,7 +49,9 @@ wherever XYZParams.t_critical_is_onset holds (T_c >= -vz/2), and
 otherwise found from solve_mf's verdicts.  Every formula is a ratio of
 couplings, fields and T, so results scale exactly with the energy unit;
 each root is bisected to adjacent floats in their order (_bisect), or
-found by a monotone Newton iteration (_nu).
+found by a monotone Newton iteration (_nu).  The exact free energy
+-T ln Z, which bounds every product state's F from below, is an oracle
+in linalg (exact_free_energy).
 """
 
 from __future__ import annotations
@@ -62,13 +64,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidTemperature
-from .model import XYZParams, eigensystem
-from .states import _gibbs
+from .model import XYZParams
+from .model import eigensystem  # noqa: F401  (kept bound for tracing)
 
 __all__ = [
     "MeanFieldSolution",
     "mf_free_energy",
-    "exact_free_energy",
     "solve_mf",
     "critical_temperature",
 ]
@@ -121,14 +122,6 @@ def mf_free_energy(lambda_a, lambda_b, p: XYZParams, temperature: float) -> floa
     """
     t = _check_temperature(temperature)
     return _free(p, t, *(np.asarray(lam, dtype=float).tolist() for lam in (lambda_a, lambda_b)))[0]
-
-
-def exact_free_energy(p: XYZParams, temperature: float) -> float:
-    """-T ln Z = E_min - T ln sum_j a_j^2, a_j = exp(-g_j/2T) of the level gaps g_j
-    (states._gibbs); lower bound for every product state."""
-    t = _check_temperature(temperature)
-    eig = eigensystem(p)
-    return float(eig.energies.min() - t * np.log(np.square(_gibbs(eig.gaps, t)[1]).sum()))
 
 
 _DOUBLE, _INT = struct.Struct("<d"), struct.Struct("<q")

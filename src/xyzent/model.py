@@ -153,11 +153,6 @@ class XYZParams:
         return t is None or not t < -0.5 * self.vz
 
     @property
-    def delta(self) -> float:
-        """Gap parameter sqrt(v_minus^2 + b^2) of the aligned sector."""
-        return math.hypot(self.v_minus, self.b)
-
-    @property
     def energy_scale(self) -> float:
         return max(abs(self.vx), abs(self.vy), abs(self.vz), abs(self.b))
 

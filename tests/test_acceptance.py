@@ -10,8 +10,8 @@ import numpy as np
 
 from xyzent.entanglement import separability_exact
 from xyzent.limits import limit_temperatures, reentry_two_level
-from xyzent.linalg import b_crossing, thermal_margin_exact
-from xyzent.meanfield import critical_temperature, exact_free_energy, solve_mf
+from xyzent.linalg import b_crossing, exact_free_energy, thermal_margin_exact
+from xyzent.meanfield import critical_temperature, solve_mf
 from xyzent.model import canonicalize
 from xyzent.states import thermal_mixture
 

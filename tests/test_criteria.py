@@ -2,7 +2,7 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from xyzent import linalg
-from xyzent.criteria import disorder_check, entropic_check, exact_check
+from xyzent.criteria import disorder_check, entropic_check
 from xyzent.entanglement import separability_exact
 from xyzent.linalg import disorder_margins_spin_form, majorization_margins, realize_matrix, spin_averages
 from xyzent.model import canonicalize, eigensystem
@@ -207,19 +207,21 @@ class TestHierarchy:
         guard = 1e-12
         for _ in range(500):
             m = random_mixture(rng)
-            exact = exact_check(m)
+            sep = separability_exact(m)
+            exact = min(sep.margin_12, sep.margin_03)
             dis = disorder_check(m)
             ent = entropic_check(m)
             if ent.margin < -guard:
                 assert dis.margin < guard
             if dis.margin < -guard:
-                assert exact.margin < guard
+                assert exact < guard
 
     def test_exact_at_zero_field(self, rng):
         guard = 1e-12
         for _ in range(300):
             m = random_mixture(rng, BELL_DIAG)
             dis = disorder_check(m).margin
-            exact = exact_check(m).margin
+            sep = separability_exact(m)
+            exact = min(sep.margin_12, sep.margin_03)
             if abs(dis) > guard or abs(exact) > guard:
                 assert (dis < 0) == (exact < 0)

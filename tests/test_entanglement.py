@@ -8,8 +8,15 @@ from numpy.testing import assert_allclose
 
 from xyzent import linalg
 from xyzent.entanglement import entanglement_of_formation, pt_spectrum, separability_exact
-from xyzent.errors import DegenerateBasis, NonPhysicalState, OutOfRange
-from xyzent.linalg import concurrence_general, r_spectrum, realize_matrix, spin_averages, total_spin_margins
+from xyzent.errors import DegenerateBasis, OutOfRange
+from xyzent.linalg import (
+    NonPhysicalState,
+    concurrence_general,
+    r_spectrum,
+    realize_matrix,
+    spin_averages,
+    total_spin_margins,
+)
 from xyzent.model import canonicalize
 from xyzent.states import mixture, thermal_mixture
 

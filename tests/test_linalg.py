@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from xyzent import linalg
-from xyzent.errors import InvalidSpectrum, NonHermitianInput, NonPhysicalState
-from xyzent.linalg import realize_matrix, spin_averages
+from xyzent.errors import InvalidTemperature
+from xyzent.linalg import InvalidSpectrum, NonHermitianInput, NonPhysicalState, realize_matrix, spin_averages
 from xyzent.model import canonicalize
 from xyzent.states import thermal_mixture
 
-from conftest import random_mixture
+from conftest import log_uniform, random_canonical_params, random_mixture
 
 SINGLET = np.zeros((4, 4))
 SINGLET[1:3, 1:3] = [[0.5, -0.5], [-0.5, 0.5]]
@@ -166,3 +168,23 @@ class TestValidateDensity:
     def test_rejects_bad_trace(self):
         with pytest.raises(NonPhysicalState):
             linalg.validate_density(np.eye(4))
+
+
+class TestExactFreeEnergy:
+    def test_matches_the_dense_route(self, rng):
+        # -T ln Tr exp(-H/T) from the eigenvalues of the dense Hamiltonian,
+        # shifted by their least so that no exponent overflows
+        for _ in range(200):
+            q = random_canonical_params(rng)
+            lam = log_uniform(rng, 1e-3, 1e3) / q.energy_scale
+            p = canonicalize(lam * q.vx, lam * q.vy, lam * q.vz, lam * q.b)
+            t = float(log_uniform(rng, 1e-2, 1e2)) * p.energy_scale
+            w = np.linalg.eigvalsh(linalg.hamiltonian_matrix(p))
+            dense = w.min() - t * math.log(np.exp(-(w - w.min()) / t).sum())
+            tol = 64 * np.finfo(float).eps * (p.energy_scale + t)
+            assert abs(linalg.exact_free_energy(p, t) - dense) <= tol, (p, t)
+
+    def test_rejects_non_positive_temperature(self):
+        for t in (0.0, -0.0, -1.0):
+            with pytest.raises(InvalidTemperature):
+                linalg.exact_free_energy(canonicalize(1.0, 0.3, 0.2, 0.5), t)

@@ -5,10 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from xyzent.errors import InvalidTemperature
+from xyzent.linalg import exact_free_energy
 from xyzent.meanfield import (
     _qubit,
     critical_temperature,
-    exact_free_energy,
     mf_free_energy,
     solve_mf,
 )
@@ -59,8 +59,6 @@ class TestFreeEnergy:
     def test_rejects_bad_temperature(self):
         with pytest.raises(InvalidTemperature):
             mf_free_energy(np.zeros(3), np.zeros(3), XCHAIN, 0.0)
-        with pytest.raises(InvalidTemperature):
-            exact_free_energy(XCHAIN, -1.0)
 
 
 class TestQubitExpectations:

@@ -283,7 +283,7 @@ class TestEigenColumns:
 
     def test_columns_are_the_one_model_views_in_any_batch(self, rng):
         ps, near = self.models(rng)
-        assert any(p.delta == 0.0 for p in ps) and all(p.vz < p.v_plus and p.b > 0.0 for p in near)
+        assert any(eigensystem(p).delta == 0.0 for p in ps) and all(p.vz < p.v_plus and p.b > 0.0 for p in near)
         for batch in (ps, ps[::-1], [ps[k] for k in rng.permutation(len(ps))]):
             gaps, vm_ratio, b_ratio, delta = _eigen_columns(batch)
             assert gaps.shape == (4, len(batch))

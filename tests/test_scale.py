@@ -18,7 +18,8 @@ from xyzent import limits
 from xyzent.cli import main
 from xyzent.errors import OutOfRange
 from xyzent.limits import _limit_records, limit_temperatures, reentry_two_level
-from xyzent.meanfield import critical_temperature, exact_free_energy, solve_mf
+from xyzent.linalg import exact_free_energy
+from xyzent.meanfield import critical_temperature, solve_mf
 from xyzent.model import MAX_ENERGY_SCALE, MIN_ENERGY_SCALE, canonicalize, eigensystem
 from xyzent.states import _margin_columns, thermal_mixture
 
