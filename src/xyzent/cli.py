@@ -17,7 +17,10 @@ Limits are scanned up to each model's own t_cut, past which no criterion
 detects (limits module docstring), so no option sets a scan range.
 Floats in CSV output carry up to 12 significant digits, and a limit
 temperature's are all the margin kernel's (limits refines it to adjacent
-floats); absent values are empty fields.  Output is deterministic:
+floats).  `limits`, `sweep` and `figure` read one limit table
+(_limit_table), a float array from one scan of all their models, in
+which an absent value is NaN; absent values print as empty fields.  The
+figure's top panel is one margin-kernel call.  Output is deterministic:
 identical invocations produce byte-identical files.
 
 Run as a program (`python -m xyzent.cli`, or the `xyzent` console script,
@@ -147,33 +150,28 @@ def point_report(vx, vy, vz, b, temp) -> dict:
     }
 
 
-def _state_values(columns, temps: np.ndarray) -> dict:
-    """The STATE_COLUMNS of the thermal states at the temperatures temps
-    (1-D), one array each, from one call to the margin kernel
+def _state_values(columns, temps: np.ndarray) -> np.ndarray:
+    """The thermal states at the temperatures temps (1-D), one row each,
+    with the STATE_COLUMNS in order, from one call to the margin kernel
     (states._margin_columns, which the limit scan also reads); columns
     are the level gaps, v_minus/Delta and b/Delta of model._eigen_columns,
     of one model for every temperature or of one per temperature."""
     m12, m03, dis, ent = states._margin_columns(*columns[:3], temps)
     worst = np.minimum(m12, m03)
     c = np.where(worst < 0.0, -worst, 0.0)
-    return dict(zip(STATE_COLUMNS, (c, states._eof(c), m12, m03, dis, ent)))
+    return np.column_stack((c, states._eof(c), m12, m03, dis, ent))
 
 
-def _limit_rows(ps, columns=None) -> list[dict]:
-    """The limit values of every model in ps, from one scan (of their _eigen_columns, if given)."""
-    return [_limit_values(p, lt) for p, lt in zip(ps, limits._limit_records(ps, columns))]
-
-
-def _limit_values(p: XYZParams, lt: limits.LimitTemperatures) -> dict:
-    return {
-        "t_exact": lt.t_exact,
-        "t_disorder": lt.t_disorder,
-        "t_entropic": lt.t_entropic,
-        "t_critical": p.t_critical,
-        "reentry_lower": lt.reentry.lower if lt.reentry else None,
-        "reentry_upper": lt.reentry.upper if lt.reentry else None,
-        "reentry_two_level": lt.reentry.two_level if lt.reentry else None,
-    }
+def _limit_table(ps, columns=None) -> np.ndarray:
+    """The limits of every model in ps, one row each, with the
+    LIMIT_COLUMNS and then reentry_two_level, NaN where a value is absent,
+    from one scan (of their _eigen_columns, if given)."""
+    rows = [
+        (lt.t_exact, lt.t_disorder, lt.t_entropic, p.t_critical)
+        + ((lt.reentry.lower, lt.reentry.upper, lt.reentry.two_level) if lt.reentry else (None,) * 3)
+        for p, lt in zip(ps, limits._limit_records(ps, columns))
+    ]
+    return np.array(rows, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +212,9 @@ def cmd_limits(args) -> int:
     import json
 
     p = canonicalize(args.vx, args.vy, args.vz, args.b)
-    (lim,) = _limit_rows([p])
+    (t_exact, t_disorder, t_entropic, t_critical, lower, upper, two_level) = (
+        None if math.isnan(x) else x for x in _limit_table([p])[0].tolist()
+    )
     # the onset of the broken global minimum: the closed form where the rule
     # says so, so meanfield runs only for the others (Neel-z models)
     tc_numeric = p.t_critical if p.t_critical_is_onset else meanfield.critical_temperature(p)
@@ -223,14 +223,14 @@ def cmd_limits(args) -> int:
         "vy": args.vy,
         "vz": args.vz,
         "b": args.b,
-        "t_exact": lim["t_exact"],
-        "t_disorder": lim["t_disorder"],
-        "t_entropic": lim["t_entropic"],
-        "t_critical_closed": lim["t_critical"],
+        "t_exact": t_exact,
+        "t_disorder": t_disorder,
+        "t_entropic": t_entropic,
+        "t_critical_closed": t_critical,
         "t_critical_numeric": tc_numeric,
-        "reentry_lower": lim["reentry_lower"],
-        "reentry_upper": lim["reentry_upper"],
-        "reentry_two_level": lim["reentry_two_level"],
+        "reentry_lower": lower,
+        "reentry_upper": upper,
+        "reentry_two_level": two_level,
     }
     if args.format == "json":
         _write_lines([json.dumps(row)], args.out)
@@ -289,14 +289,12 @@ def cmd_sweep(args) -> int:
     columns, parts = [args.axis], [values[:, None]]
     if "state" in groups:
         temps = values if args.axis == "temp" else np.full(values.size, args.temp)
-        cols = _state_values(eig_columns, temps)
         columns += STATE_COLUMNS
-        parts.append(np.column_stack([cols[k] for k in STATE_COLUMNS]))
+        parts.append(_state_values(eig_columns, temps))
     if "limits" in groups:
-        lims = _limit_rows(models, eig_columns)
-        lims = [[lim[k] for k in LIMIT_COLUMNS] for lim in lims]
         columns += LIMIT_COLUMNS
-        parts.append(np.broadcast_to(np.array(lims, dtype=float), (values.size, len(LIMIT_COLUMNS))))
+        lims = _limit_table(models, eig_columns)[:, : len(LIMIT_COLUMNS)]
+        parts.append(np.broadcast_to(lims, (values.size, len(LIMIT_COLUMNS))))
     _write_lines(_csv_blocks(columns, np.hstack(parts)), args.out)
     return 0
 
@@ -315,32 +313,31 @@ def cmd_figure(args) -> int:
     v_plus, v_minus, top_fields = _FIGURES[args.which]
     vx, vy = v_plus + v_minus, v_plus - v_minus
 
-    # top: concurrence vs temperature at a few fields
+    # top: concurrence vs temperature at a few fields, one kernel column per field and temperature
     temps = np.linspace(0.0, 2.5, 501)[1:]
-    top = []
-    for b in top_fields:
-        c = _state_values(_eigen_columns([canonicalize(vx, vy, 0.0, b)]), temps)["concurrence"]
-        top.append(np.column_stack([np.full(temps.size, b), temps, c]))
+    top_columns = _eigen_columns([canonicalize(vx, vy, 0.0, b) for b in top_fields])[:3]
+    top_columns = [np.repeat(x, temps.size, axis=-1) for x in top_columns]
+    b_col, t_col = np.repeat(top_fields, temps.size), np.tile(temps, len(top_fields))
+    top = np.column_stack([b_col, t_col, _state_values(top_columns, t_col)[:, 0]])
 
     # center: limit temperatures vs field; bottom: concurrence at each limit
     v_unit = v_plus if v_plus > 0.0 else v_minus
     fields = _steps(0.0, 2.0, args.steps) * v_unit
     models = [canonicalize(vx, vy, 0.0, float(b)) for b in fields]
     eig_columns = _eigen_columns(models)
-    lims = _limit_rows(models, eig_columns)
-    # the concurrence at each model's four limits, one kernel column each
-    ts = np.array([[lim[k] or 0.0 for k in ("t_exact", "t_disorder", "t_entropic", "t_critical")] for lim in lims])
-    c = _state_values([np.repeat(x, ts.shape[1], axis=-1) for x in eig_columns[:3]], ts.ravel())["concurrence"]
-    c = c.reshape(ts.shape)
+    lims = _limit_table(models, eig_columns)
+    # the concurrence at each model's four limits, one kernel column each (at T = 0 where absent)
+    ts = np.where(np.isnan(lims[:, :4]), 0.0, lims[:, :4])
+    c = _state_values([np.repeat(x, ts.shape[1], axis=-1) for x in eig_columns[:3]], ts.ravel())[:, 0].reshape(ts.shape)
     c = np.where(ts > 0.0, c, np.nan)  # absent at T = 0
     ratio = fields / v_unit
     inv = np.divide(1.0, ratio, out=np.full(ratio.size, np.nan), where=ratio > 0.0)
-    center = np.column_stack([ratio, inv, np.array([list(lim.values()) for lim in lims], dtype=float)])
+    center = np.column_stack([ratio, inv, lims])
     bottom = np.column_stack([ratio, inv, c])
     # every panel is built (and every setting validated) before any file is written
     os.makedirs(args.out, exist_ok=True)
     for panel, columns, table in (
-        ("top", ("b", "temp", "concurrence"), np.vstack(top)),
+        ("top", ("b", "temp", "concurrence"), top),
         ("center", ("b_over_v", "v_over_b", *LIMIT_COLUMNS, "reentry_two_level"), center),
         (
             "bottom",

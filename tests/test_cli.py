@@ -22,7 +22,7 @@ from xyzent.cli import (
     PARAM_KEYS,
     STATE_COLUMNS,
     _csv_blocks,
-    _limit_rows,
+    _limit_table,
     _state_values,
     _sweep_model,
     build_parser,
@@ -33,7 +33,7 @@ from xyzent.cli import (
 from xyzent.entanglement import entanglement_of_formation, separability_exact
 from xyzent.limits import limit_temperatures
 from xyzent.meanfield import critical_temperature
-from xyzent.model import canonicalize, eigensystem
+from xyzent.model import _eigen_columns, canonicalize, eigensystem
 from xyzent.states import _margin_columns, thermal_mixture
 
 from conftest import log_uniform, random_canonical_params
@@ -83,6 +83,34 @@ def stacked(eigs):
     model's eigensystem on its own, not in one batch."""
     gaps = np.stack([e.gaps for e in eigs], axis=1)
     return gaps, np.array([e.vm_ratio for e in eigs]), np.array([e.b_ratio for e in eigs])
+
+
+#: a reentry window of nonzero width, an infeasible closed-form T_c (vz
+#: above v_max) and a model separable at every temperature (Ising zz in a field)
+REENTRY = canonicalize(1.0, 0.3, 0.0, 0.9)
+INFEASIBLE_TC = canonicalize(0.3, 0.1, 1.0, 0.5)
+SEPARABLE = canonicalize(0.0, 0.0, 1.0, 0.5)
+
+
+class TestLimitTable:
+    @pytest.mark.parametrize("seed", [381, 382, 383])
+    def test_rows_are_the_one_model_records(self, seed):
+        # each row holds the model's own limit_temperatures fields and
+        # t_critical, NaN exactly where the record holds None
+        rng = np.random.default_rng(seed)
+        models = [random_canonical_params(rng) for _ in range(12)] + [REENTRY, INFEASIBLE_TC, SEPARABLE]
+        models = [models[k] for k in rng.permutation(len(models))]
+        table = _limit_table(models)
+        assert table.shape == (len(models), len(LIMIT_COLUMNS) + 1)
+        # the scan of given _eigen_columns is the same scan
+        assert np.array_equal(_limit_table(models, _eigen_columns(models)), table, equal_nan=True)
+        want = [limits_alone(p) for p in models]
+        got = [[None if math.isnan(x) else x for x in row] for row in table.tolist()]
+        assert got == [list(w.values()) for w in want]
+        # the batch holds each kind of row
+        assert any(w["reentry_lower"] is not None and w["reentry_lower"] < w["reentry_upper"] for w in want)
+        assert any(w["t_critical"] is None and w["t_exact"] > 0.0 for w in want)
+        assert any(w["t_exact"] == 0.0 and w["t_disorder"] is None for w in want)
 
 
 class TestPoint:
@@ -283,12 +311,12 @@ class TestSweep:
         ties = [canonicalize(1.0, 0.4, 0.4, 0.0), canonicalize(0.7, 0.7, -0.3, 0.0)]
         for p in ties + [random_canonical_params(rng) for _ in range(20)]:
             temps = np.concatenate([[0.0], log_uniform(rng, 1e-2, 1e1, size=6) * p.energy_scale])
-            cols = _state_values(stacked([eigensystem(p)]), temps)
-            assert not np.signbit(cols["concurrence"]).any()  # never prints "-0"
+            c, eof = _state_values(stacked([eigensystem(p)]), temps)[:, :2].T
+            assert not np.signbit(c).any()  # never prints "-0"
             for k, t in enumerate(temps):
                 rep = point_report(p.vx, p.vy, p.vz, p.b, float(t))
-                assert cols["concurrence"][k] == rep["concurrence"], (p, t)
-                assert cols["eof"][k] == rep["eof"], (p, t)
+                assert c[k] == rep["concurrence"], (p, t)
+                assert eof[k] == rep["eof"], (p, t)
 
     def test_parameter_axis_with_temp_defaults_to_state_and_limits(self, capsys):
         # with --temp and no --outputs a parameter-axis sweep prints both groups
@@ -380,12 +408,12 @@ class TestSweep:
         rows = out.strip().split("\n")[1:]
         assert [float(r.split(",")[0]) for r in rows] == list(temps)
         p = canonicalize(0.0, 0.0, 1.0, 1e-13)
-        cols = _state_values(stacked([eigensystem(p)]), temps)
+        c, eof = _state_values(stacked([eigensystem(p)]), temps)[:, :2].T
         eps = np.finfo(float).eps
         for k, t in enumerate(temps):
             rep = point_report(0.0, 0.0, 1.0, 1e-13, float(t))
-            assert abs(cols["concurrence"][k] - rep["concurrence"]) <= 16 * eps, t
-            assert abs(cols["eof"][k] - rep["eof"]) <= 16 * eps, t
+            assert abs(c[k] - rep["concurrence"]) <= 16 * eps, t
+            assert abs(eof[k] - rep["eof"]) <= 16 * eps, t
 
     def test_negative_temperature_names_the_first(self, capsys):
         code, out, err = run(
@@ -590,6 +618,19 @@ class TestFigure:
         assert exc.value.code == 2 and "unrecognized arguments: --grid=64" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_fig2_center_limits_are_the_field_sweep_limits(self, capsys, tmp_path):
+        # both commands build the same field floats and the same models, so
+        # the limit columns are the same bytes
+        assert run(capsys, "figure", "fig2", "--out", str(tmp_path))[0] == 0
+        argv = ["--axis", "b", "--from", "0", "--to", "2", "--steps", "201", "--vx", "1", "--vy", "1"]
+        code, out, err = run(capsys, "sweep", *argv, "--outputs", "limits")
+        assert code == 0 and err == ""
+        center = (tmp_path / "fig2_center.csv").read_text().splitlines()
+        sweep = out.splitlines()
+        assert len(center) == len(sweep) == 202
+        n = len(LIMIT_COLUMNS)
+        assert [line.split(",")[2 : 2 + n] for line in center] == [line.split(",")[1:] for line in sweep]
+
     def test_fig4_matches_one_model_rows(self, capsys, tmp_path):
         # centre and bottom panels come from one limit scan and one kernel
         # call; every row must be what its model gives alone
@@ -746,10 +787,10 @@ def reference_sweep(argv) -> str:
     if "state" in groups:
         columns += STATE_COLUMNS
         temps = values if args.axis == "temp" else np.full(values.size, args.temp)
-        cols.update(_state_values(stacked([eigensystem(p) for p in models]), temps))
+        cols.update(zip(STATE_COLUMNS, _state_values(stacked([eigensystem(p) for p in models]), temps).T))
     if "limits" in groups:
         columns += LIMIT_COLUMNS
-        lims = _limit_rows(models) * (values.size // len(models))
+        lims = [limits_alone(p) for p in models] * (values.size // len(models))
         cols.update((k, [lim[k] for lim in lims]) for k in LIMIT_COLUMNS)
     return per_cell_csv(columns, ([cols[c][i] for c in columns] for i in range(values.size)))
 
@@ -762,16 +803,16 @@ def reference_figure(which, steps) -> dict:
     temps = np.linspace(0.0, 2.5, 501)[1:]
     top = []
     for b in top_fields:
-        c = _state_values(stacked([eigensystem(canonicalize(vx, vy, 0.0, b))]), temps)["concurrence"]
+        c = _state_values(stacked([eigensystem(canonicalize(vx, vy, 0.0, b))]), temps)[:, 0]
         top += ((b, t, x) for t, x in zip(temps, c))
     v_unit = v_plus if v_plus > 0.0 else v_minus
     fields = np.linspace(0.0, 2.0, steps) * v_unit
     models = [canonicalize(vx, vy, 0.0, float(b)) for b in fields]
-    lims = _limit_rows(models, None)
+    lims = [limits_alone(p) for p in models]
     keys = ("t_exact", "t_disorder", "t_entropic", "t_critical")
     ts = np.array([[lim[k] or 0.0 for k in keys] for lim in lims])
     eigs = [e for e in map(eigensystem, models) for _ in keys]
-    c = _state_values(stacked(eigs), ts.ravel())["concurrence"].reshape(ts.shape)
+    c = _state_values(stacked(eigs), ts.ravel())[:, 0].reshape(ts.shape)
     c = np.where(ts > 0.0, c, np.nan)
     center, bottom = [], []
     for b, lim, c_row in zip(fields, lims, c):

@@ -78,6 +78,11 @@ class TestMixtureValidation:
         with pytest.raises(InvalidMixture):
             mixture(CASE2, [1.2, -0.2, 0, 0])
 
+    @pytest.mark.parametrize("probs", [[0.25] * 3, [0.2] * 5, [[0.25] * 4], 1.0, []])
+    def test_rejects_wrong_shape(self, probs):
+        with pytest.raises(InvalidMixture, match="expected 4 weights"):
+            mixture(CASE2, probs)
+
     def test_degenerate_basis_needs_equal_pair(self):
         p = canonicalize(0.5, 0.5, 0.0, 0.0)  # Delta = 0
         with pytest.raises(DegenerateBasis):

@@ -100,7 +100,7 @@ ORACLE_ONLY = {
     "InvalidSpectrum",
 }
 #: names deleted with their last reader
-DELETED = {"v_min", "margin_table", "_snap_degeneracies", "exact_check"}
+DELETED = {"v_min", "margin_table", "_snap_degeneracies", "exact_check", "_limit_rows", "_limit_values"}
 
 
 def _defined_names(tree):
