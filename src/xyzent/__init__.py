@@ -14,21 +14,16 @@ __getattr__, so they load them the same way.  So `xyzent point` never
 runs the limit scan or the mean field, while every submodule can still
 be looked up in sys.modules (perfbench's tracer finds each layer there).
 
-A program run (`python -m xyzent.cli`, or the `xyzent` console script,
-_console_script) sets up its own process twice.  Before numpy loads,
-_start_program has OpenBLAS start with one thread (_one_blas_thread) and
-turns the cyclic garbage collector off; once xyzent.cli has loaded,
-_freeze_imports moves every object the imports built, which lives until
-exit, out of the collector's reach (gc.freeze) and turns it back on, so
-the command's own garbage is collected as before.  An atexit callback
-freezes again before the interpreter's teardown collections.  Importing
-the package or any of its modules, or calling xyzent.cli.main in a
-process, does neither: os.environ, the collector and the atexit
-callbacks stay as they were.
+A program run, `python -m xyzent.cli` or the `xyzent` console script
+(_console_script, which runs that module as __main__ through runpy), sets
+up its own process only in the two __main__ blocks of xyzent.cli: one
+OpenBLAS thread (_one_blas_thread) and the garbage collector kept off the
+objects its imports build (the xyzent.cli docstring).  Importing the
+package or any of its modules, or calling xyzent.cli.main in a process,
+does neither: os.environ, the collector and the atexit callbacks stay as
+they were.
 """
 
-import atexit as _atexit
-import gc as _gc
 import importlib.util as _util
 import os as _os
 import sys as _sys
@@ -65,7 +60,7 @@ def _register(name):
     globals()[name] = module
 
 
-# not cli: `python -m xyzent.cli` warns if that module is already in sys.modules
+# not cli: runpy, which runs it for both program entries, warns if it is already in sys.modules
 for _name in ("errors", "model", "states", "entanglement", "criteria", "expsums", "limits", "meanfield", "linalg"):
     _register(_name)
 del _name
@@ -100,31 +95,9 @@ def _one_blas_thread():
         _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
-def _start_program():
-    """Set up a program run's process before numpy loads: one OpenBLAS
-    thread (_one_blas_thread), and no collection while the imports build
-    what lives until exit.  gc.freeze is registered with atexit, so every
-    way out (a return, sys.exit, a traceback) freezes what is left before
-    the interpreter's teardown collections, which then skip it."""
-    _one_blas_thread()
-    _gc.disable()
-    _atexit.register(_gc.freeze)
-
-
-def _freeze_imports():
-    """Once a program run's imports are done: move every object they made
-    into the collector's permanent generation, then turn it back on for
-    the command's own garbage."""
-    _gc.freeze()
-    _gc.enable()
-
-
 def _console_script():
-    """The `xyzent` console script: cli.main, loaded between
-    _start_program and _freeze_imports (xyzent.cli imports numpy as it
-    loads)."""
-    _start_program()
-    from .cli import main
+    """The `xyzent` console script: xyzent.cli run as __main__, as
+    `python -m xyzent.cli` runs it."""
+    import runpy
 
-    _freeze_imports()
-    return main()
+    runpy.run_module("xyzent.cli", run_name="__main__", alter_sys=True)

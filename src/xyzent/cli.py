@@ -24,22 +24,28 @@ figure's top panel is one margin-kernel call.  Output is deterministic:
 identical invocations produce byte-identical files.
 
 Run as a program (`python -m xyzent.cli`, or the `xyzent` console script,
-xyzent._console_script), it has numpy start OpenBLAS with one thread
-unless the user set a thread count (xyzent._one_blas_thread): it calls
-no LAPACK routine.  It also keeps the garbage collector off while its
-imports run and then freezes what they built, which lives until exit,
-and freezes again at exit, so the collector never scans those objects
-(xyzent._start_program, xyzent._freeze_imports).  Importing this module,
-or calling main in a process, does neither: the environment, the
-collector and the atexit callbacks stay as they were.
+which runs this module as __main__ through runpy), it sets up its process
+in its two __main__ blocks.  Before the imports, numpy's OpenBLAS is set
+to start one thread unless the user set a count (xyzent._one_blas_thread;
+no LAPACK routine is called), the garbage collector is turned off, and
+gc.freeze is registered to run at exit, before the teardown collections.
+After them, what the imports built, which lives until exit, is frozen and
+the collector turned back on.  Importing this module, or calling main in
+a process, does neither: the environment, the collector and the atexit
+callbacks stay as they were.
 """
 
 from __future__ import annotations
 
 if __name__ == "__main__":  # before the imports: OpenBLAS reads its thread count as numpy loads
-    from . import _start_program
+    import atexit
+    import gc
 
-    _start_program()
+    from . import _one_blas_thread
+
+    _one_blas_thread()
+    gc.disable()
+    atexit.register(gc.freeze)
 
 import argparse
 import math
@@ -118,6 +124,8 @@ def _write_lines(lines, out_path):
     if out_path:
         with open(out_path, "w") as fh:
             fh.writelines(line + "\n" for line in lines)
+    elif sys.stdout is None:  # standard output was closed when the program started
+        raise OSError("standard output is closed")
     else:
         sys.stdout.writelines(line + "\n" for line in lines)
 
@@ -485,13 +493,15 @@ def main(argv=None) -> int:
     except XyzentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # input too large to compute, as for _steps
+        print(f"error: out of memory ({exc})", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
 
 if __name__ == "__main__":
-    from . import _freeze_imports
-
-    _freeze_imports()
+    gc.freeze()
+    gc.enable()
     sys.exit(main())

@@ -890,6 +890,38 @@ class TestFormatting:
             assert (tmp_path / f"{which}_{panel}.csv").read_text() == want[panel], panel
 
 
+def run_child(preexec_fn, *argv):
+    """(exit code, standard error) of one fresh `python -W error -m
+    xyzent.cli argv`, standard output discarded, with no thread count for
+    OpenBLAS but the program's own and preexec_fn run in the child first."""
+    src = os.path.dirname(os.path.dirname(xyzent.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in xyzent._BLAS_THREADS}
+    env.update(PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-W", "error", "-m", "xyzent.cli", *argv]
+    out = subprocess.run(
+        cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, preexec_fn=preexec_fn
+    )
+    return out.returncode, out.stderr
+
+
+def test_allocation_failure_is_input_error():
+    resource = pytest.importorskip("resource")
+    # 768 MiB of address space: the 2e7-step grid (160 MB) is allocated,
+    # the (4, 2e7) Gibbs weights of the temperature axis (640 MB) are not
+    limit = 768 * 2**20
+    code, err = run_child(
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        "sweep", "--axis=temp", "--from=0", "--to=2", "--steps=20000000", "--vx=1.7", "--vy=0.3", "--b=0.9",
+        "--out=/dev/null",
+    )
+    assert code == 2 and err.startswith("error: out of memory (") and err.count("\n") == 1, err
+
+
+def test_closed_standard_output_is_io_error():
+    code, err = run_child(lambda: os.close(1), "point", "--vx=1", "--vy=0.3", "--temp=0.5")
+    assert (code, err) == (3, "error: standard output is closed\n")
+
+
 def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(xyzent.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

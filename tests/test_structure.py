@@ -100,7 +100,16 @@ ORACLE_ONLY = {
     "InvalidSpectrum",
 }
 #: names deleted with their last reader
-DELETED = {"v_min", "margin_table", "_snap_degeneracies", "exact_check", "_limit_rows", "_limit_values"}
+DELETED = {
+    "v_min",
+    "margin_table",
+    "_snap_degeneracies",
+    "exact_check",
+    "_limit_rows",
+    "_limit_values",
+    "_start_program",
+    "_freeze_imports",
+}
 
 
 def _defined_names(tree):
@@ -119,7 +128,7 @@ def test_reference_closed_forms_live_only_in_the_oracles():
         hits = set(_defined_names(ast.parse(f.read_text(), str(f)))) & (ORACLE_ONLY | DELETED)
         assert hits == set(), (f.name, hits)
     assert all(hasattr(xyzent.linalg, name) for name in ORACLE_ONLY)
-    assert not any(hasattr(xyzent.linalg, name) or hasattr(xyzent.XYZParams, name) for name in DELETED)
+    assert not any(hasattr(m, name) for m in (xyzent, xyzent.linalg, xyzent.XYZParams) for name in DELETED)
     # Delta is EigenSystem.delta alone (a local or field named delta may stay)
     assert not hasattr(xyzent.XYZParams, "delta")
     for name in ("NonHermitianInput", "NonPhysicalState", "InvalidSpectrum"):
@@ -252,10 +261,14 @@ def test_cli_import_runs_no_oracle_and_registers_every_layer():
 #: registered before the CLI's own (so it runs after them) writes the last
 #: line of standard error: as JSON, the CLI's exit code, the number of
 #: threads of the process after the command, the OPENBLAS_NUM_THREADS it
-#: ended with, and the collector's state after the command and at exit,
-#: each as [gc.isenabled(), gc.get_freeze_count()].
+#: ended with, the collector's state after the command as
+#: [gc.isenabled(), gc.get_freeze_count()], the xyzent modules whose bodies
+#: ran (the "exec" audit events of their code), whether xyzent.cli is in
+#: sys.modules, and the collector's state at exit.
 _PROGRAM = """
 import atexit, gc, importlib, json, os, runpy, sys
+ran = []
+sys.addaudithook(lambda event, args: event == "exec" and ran.append(getattr(args[0], "co_filename", "")))
 report = []
 atexit.register(lambda: print(json.dumps([*report, [gc.isenabled(), gc.get_freeze_count()]]), file=sys.stderr))
 entry, argv = sys.argv[1], json.loads(sys.argv[2])
@@ -269,7 +282,10 @@ try:
 except SystemExit as exc:
     code = exc.code
 threads = len(os.listdir("/proc/self/task"))
+package = os.path.dirname(sys.modules["xyzent"].__file__)
 report += [code, threads, os.environ.get("OPENBLAS_NUM_THREADS"), [gc.isenabled(), gc.get_freeze_count()]]
+report += [sorted(os.path.basename(f)[:-3] for f in ran if os.path.dirname(f) == package)]
+report += ["xyzent.cli" in sys.modules]
 """
 
 
@@ -285,8 +301,9 @@ def _fresh(cmd, **blas_threads):
 
 def _program(entry, argv, **blas_threads):
     """(standard output, the CLI's standard error, [exit code, threads,
-    OPENBLAS_NUM_THREADS, collector after the command, collector at exit])
-    of _PROGRAM; entry "console_script" is the one of pyproject.toml."""
+    OPENBLAS_NUM_THREADS, collector after the command, modules run, whether
+    xyzent.cli is in sys.modules, collector at exit]) of _PROGRAM; entry
+    "console_script" is the one of pyproject.toml."""
     entry = _console_script_entry() if entry == "console_script" else entry
     out = _fresh(["-c", _PROGRAM, entry, json.dumps(argv)], **blas_threads)
     *stderr, report = out.stderr.splitlines(keepends=True)
@@ -344,7 +361,7 @@ def test_cli_program_keeps_a_user_set_thread_count(tmp_path):
 
 @pytest.mark.parametrize("entry", ["-m", "console_script"])
 def test_cli_program_freezes_its_imports(entry):
-    stdout, _, (code, _, _, (enabled, frozen), at_exit) = _program(entry, _LIMITS)
+    stdout, _, (code, _, _, (enabled, frozen), _, _, at_exit) = _program(entry, _LIMITS)
     assert code == 0 and json.loads(stdout)["t_critical_numeric"] > 0.0
     # the command's own garbage is collected; the imports' objects are frozen
     assert enabled and frozen > 0
@@ -369,7 +386,7 @@ def test_cli_program_error_exits(entry, argv, expected, tmp_path):
     import xyzent.cli
 
     argv = [a.replace("{missing}", str(tmp_path / "missing" / "out.txt")) for a in argv]
-    stdout, stderr, (code, _, _, _, at_exit) = _program(entry, argv)
+    stdout, stderr, (code, *_, at_exit) = _program(entry, argv)
     # the same exit code and standard error as an in-process main(argv)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -401,6 +418,26 @@ def test_cli_program_output_is_complete(argv, tmp_path):
         out = tmp_path / f"{entry}.out"
         assert _program(entry, [*argv, f"--out={out}"])[:2] == (b"", b"")
         assert out.read_bytes() == stdout
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (_LIMITS, [*_BASE_MODULES, *_SCAN_MODULES, "meanfield"]),
+        (
+            ["sweep", "--axis=temp", "--from=0", "--to=2", "--steps=50", "--vx=1.7", "--vy=0.3", "--b=0.9"],
+            _BASE_MODULES,
+        ),
+    ],
+    ids=["limits_neel_z", "sweep_temp"],
+)
+def test_cli_program_entries_run_the_same_modules(argv, expected):
+    """The console script runs xyzent.cli as __main__, as `python -m` does:
+    neither imports it as a module, and both run the same modules."""
+    runs = [_program(entry, argv) for entry in ("-m", "console_script")]
+    for _, _, (code, *_, ran, cli_imported, _) in runs:
+        assert (code, ran, cli_imported) == (0, sorted(expected), False)
+    assert runs[0][:2] == runs[1][:2]
 
 
 def test_cli_program_entries_write_the_same_figure(tmp_path):
