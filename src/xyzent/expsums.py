@@ -58,37 +58,35 @@ def sum_zeros(lam, coef, bound, t_end):
         on = np.flatnonzero(depth >= k)
         c, lead = levels[k][on], np.argmax(levels[k][on] != 0.0, axis=1)
         e = np.where(c != 0.0, mu[on] - mu[on, lead][:, None], 0.0)  # F = e^{x mu_lead} f: nothing overflows
+        # past far/2 the other terms sum to less than |c_lead|, so every zero lies below it, and at far
+        # to |c_lead|/4 at most, so its sign is the lead's; a difference of logs, as the ratio
+        # overflows beside a floored vm^2 lead.  gap: the least positive exponent (all are <= 1)
+        gap = np.min(e, axis=1, initial=1.0, where=e > 0.0)
+        far = 2.0 * (np.log(np.abs(c).sum(axis=1)) - np.log(np.abs(c[np.arange(on.size), lead]))) / gap
         cuts = np.where((depth[on] > k)[:, None] & (x[on, :6] > x_end[on, None]), x[on, :6], np.nan)
         # stable sorts (here and in limits) reuse the code the stable argsorts
         # already page in; a quicksort's would add ~130 KB to every process
-        edges = np.concatenate([x_end[on, None], cuts, np.full((on.size, 1), np.inf)], axis=1)
-        edges.sort(axis=1, kind="stable")
-        at_edges = np.exp(-np.where(np.isfinite(edges), edges, 0.0)[..., None] * e[:, None, :])
-        sign = np.sign((c[:, None, :] * at_edges).sum(axis=-1))
-        sign = np.where(np.isinf(edges), np.sign(c[np.arange(on.size), lead])[:, None], sign)  # the lead wins at inf
-        r, j = np.nonzero(~np.isnan(edges[:, 1:]) & (sign[:, :-1] * sign[:, 1:] < 0.0))
-        lo, hi = edges[r, j], edges[r, j + 1]
-        # past far the leading term outweighs the others: e^{-far gap} sum|c_others| < |c_lead|;
-        # log1p(others/lead) is a difference of logs where the ratio may overflow (a floored vm^2 lead)
-        c_abs, c_lead = np.abs(c[r]).sum(axis=1), np.abs(c[r, lead[r]])
-        fits = c_lead > c_abs * 2.0**-1000
-        far = np.where(fits, np.log1p((c_abs - c_lead) / np.where(fits, c_lead, c_abs)), np.log(c_abs) - np.log(c_lead))
-        after = (c[r] != 0.0) & (np.arange(6) > lead[r, None])
-        far /= np.where(after.any(axis=1), e[r, np.argmax(after, axis=1)], 1.0)
+        edges = np.concatenate([x_end[on, None], cuts, np.maximum(far, x_end[on])[:, None]], axis=1)
+        edges.sort(axis=1, kind="stable")  # the NaN cuts go last, and their signs compare false
+        sign = np.sign((c[:, None, :] * np.exp(-edges[..., None] * e[:, None, :])).sum(axis=-1))
+        r, j = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
         x = np.full((at.size, 7), np.nan)
-        x[on[r], j] = _newton(c[r], e[r], lo, np.where(np.isinf(hi), np.maximum(far, 2.0 * lo), hi), sign[r, j] < 0.0)
+        x[on[r], j] = _newton(c[r], e[r], edges[r, j], edges[r, j + 1], sign[r, j] < 0.0)
         x.sort(axis=1, kind="stable")  # at most 5 zeros: the last column stays NaN
     zeros[at] = np.sort(scale[:, None] / x[:, :6], axis=1, kind="stable")
     return zeros
 
 
 def _newton(c, e, lo, hi, neg_lo):
-    """The zero in (lo, hi) of each F(x) = sum_j c_j exp(-x e_j) (rows,
-    e >= 0, so nothing overflows), negative at lo where neg_lo and not at
-    hi: Newton steps on F; a step out of the bracket is a bisection,
-    geometric where the bracket spans a factor 2 or more."""
-    done = np.zeros(lo.size, bool)
-    x = np.where(hi > 2.0 * lo, lo * np.sqrt(hi / lo), 0.5 * (lo + hi))
+    """The zero in (lo, hi) (finite, lo >= 0) of each F(x) = sum_j c_j
+    exp(-x e_j) (rows, e >= 0, so nothing overflows), negative at lo where
+    neg_lo and not at hi.  A Newton step on F is kept where it stays in the
+    bracket and moves x at most half as far as the move before it (rtsafe,
+    Press et al., Numerical Recipes, 9.4), so it cannot crawl; else x is the
+    bracket's midpoint in the floats' order (_mid).  A row stops on a Newton
+    step of at most 1e-12 x, which it takes, or on adjacent floats."""
+    done, x = np.zeros(lo.size, bool), _mid(lo, hi)
+    move = hi - lo  # taken as the move before the first step, as in rtsafe
     for _ in range(200):
         t = c * np.exp(-x[:, None] * e)
         f, df = t.sum(axis=1), -(t * e).sum(axis=1)
@@ -96,10 +94,18 @@ def _newton(c, e, lo, hi, neg_lo):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             step = x - f / df
         close = ~done & (np.abs(step - x) <= 1e-12 * x)
-        done |= close | (hi - lo <= 1e-12 * hi)
         x = np.where(close, step, x)  # a row once done keeps its x
+        done |= close | (hi.view(np.int64) - lo.view(np.int64) <= 1)
         if done.all():
             return x
-        mid = np.where(hi > 2.0 * lo, lo * np.sqrt(hi / lo), 0.5 * (lo + hi))
-        x = np.where(done, x, np.where((lo < step) & (step < hi), step, mid))
+        keep = (lo < step) & (step < hi) & (np.abs(step - x) <= 0.5 * move)
+        step = np.where(keep, step, _mid(lo, hi))
+        move, x = np.abs(step - x), np.where(done, x, step)
     return x
+
+
+def _mid(lo, hi):
+    """The midpoint of each bracket 0 <= lo <= hi in the floats' order, whose
+    bits count the floats below them: a + (b - a) // 2, as a + b overflows."""
+    a = lo.view(np.int64)
+    return (a + (hi.view(np.int64) - a) // 2).view(float)

@@ -271,10 +271,10 @@ def _limit_records(ps, columns=None) -> list[LimitTemperatures]:
     kept twice, Dowell and Jarratt 1971; the midpoint where the bracket did
     not halve over two steps, Brent 1973) until lo, hi are adjacent floats,
     in _MAX_STEPS steps (else RuntimeError), and reports the end where its
-    margin is >= 0.  Widths and midpoints are in the floats' order: the bits
-    of a float T >= +0.0, read as an integer, count the floats below it, so
-    any bracket, one from 0 to 1e300 included, reaches adjacent floats in
-    at most 63 halvings.
+    margin is >= 0.  Widths and midpoints (expsums._mid) are in the
+    floats' order: the bits of a float T >= +0.0, read as an integer, count
+    the floats below it, so any bracket, one from 0 to 1e300 included,
+    reaches adjacent floats in at most 63 halvings.
     """
     gaps, vm_ratio, b_ratio, delta = _eigen_columns(ps) if columns is None else columns
     first, last, rows, leaving, lo, hi, model = _root_brackets(gaps, vm_ratio, b_ratio)
@@ -303,7 +303,7 @@ def _limit_records(ps, columns=None) -> list[LimitTemperatures]:
         if step == _MAX_STEPS:
             raise RuntimeError(f"limit scan: {live.size} brackets are not adjacent floats after {_MAX_STEPS} steps")
         a, b, fa, fb, width = lo[live], hi[live], f_lo[live], f_hi[live], width[live]
-        mid = (a.view(np.int64) + width // 2).view(float)
+        mid = expsums._mid(a, b)
         s = 4.0 * np.spacing(b)
         x = np.clip(b - np.divide(fb, fb - fa, out=np.full(b.size, 0.5), where=fb != fa) * (b - a), a + s, b - s)
         x = np.where((a < x) & (x < b) & (width <= w2[live] // 2), x, mid)

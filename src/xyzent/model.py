@@ -34,8 +34,9 @@ import numpy as np
 from .errors import NonFiniteInput, OutOfRange
 
 #: Largest accepted energy scale max(|vx|, |vy|, |vz|, |b|), about 2.8e306:
-#: v_plus, v_minus, every level gap and the bisection sum lo + hi <= 2 t_cut
-#: (at most about 8.7 energy_scale) stay finite.  The two-level gap
+#: v_plus, v_minus, every level gap and the sum of two neighbouring zeros
+#: below t_cut, which limits._root_brackets halves, <= 2 t_cut (at most about
+#: 8.7 energy_scale) stay finite.  The two-level gap
 #: temperature (E_3 - E_2)/ln(Delta/v_minus) may not; limits._two_level drops it.
 MAX_ENERGY_SCALE = 2.0**1018
 #: Smallest accepted nonzero energy scale, about 3.6e-307, the mirror of

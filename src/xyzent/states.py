@@ -46,7 +46,7 @@ class BellMixture:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (4,):
             raise InvalidMixture(f"expected 4 weights, got shape {p.shape}")
-        if (p < -_PROB_TOL).any() or abs(p.sum() - 1.0) > _PROB_TOL:
+        if not ((p >= -_PROB_TOL).all() and abs(p.sum() - 1.0) <= _PROB_TOL):  # NaN fails both
             raise InvalidMixture(f"not a probability vector: {p!r}")
         if self.eigen.degenerate and abs(p[1] - p[2]) > _PROB_TOL:
             # With Delta = 0 the |Phi_1>, |Phi_2> basis choice is a pure
@@ -75,6 +75,7 @@ def _gibbs(gaps, temperature):
     bad = ~(np.isfinite(t) & (t >= 0.0))
     if bad.any():
         raise InvalidTemperature(f"temperature must be finite and >= 0, got {float(t[bad][0])!r}")
+    t = np.where(t == 0.0, 0.0, t)  # T = -0.0 is T = 0: g/(-0.0) would be -inf
     gap = gaps.reshape(gaps.shape + (1,) * (t.ndim + 1 - gaps.ndim))
     with np.errstate(divide="ignore", over="ignore"):
         r = np.divide(gap, t, out=np.zeros(np.broadcast_shapes(gap.shape, t.shape)), where=gap > 0.0)

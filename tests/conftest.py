@@ -74,6 +74,21 @@ def limit_families(rng, n):
     return out
 
 
+def tiny_coupling_family(n):
+    """n models with a tiny transverse coupling (numpy seed 12): vx =
+    10^U(-323, -1), vy = 0 or vx U(-1, 1), vz = +-10^U(-1, 0.5) or 0,
+    b = U(0, 3) or 0."""
+    rng = np.random.default_rng(12)
+    models = []
+    for _ in range(n):
+        vx = 10.0 ** rng.uniform(-323.0, -1.0)
+        vy = 0.0 if rng.random() < 0.5 else vx * rng.uniform(-1.0, 1.0)
+        vz = (1.0, -1.0, 0.0)[rng.integers(0, 3)] * 10.0 ** rng.uniform(-1.0, 0.5)
+        b = rng.uniform(0.0, 3.0) if rng.random() < 0.5 else 0.0
+        models.append(tuple(float(x) for x in (vx, vy, vz, b)))
+    return models
+
+
 #: Neel-z models (vz < -2 T_c, not certified by XYZParams.t_critical_is_onset):
 #: three without a numeric onset, and one whose onset is a first-order
 #: crossing below the closed-form T_c

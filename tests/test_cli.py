@@ -422,6 +422,14 @@ class TestSweep:
         assert code == 2 and out == ""
         assert "-1.0" in err and err.count("\n") == 1 and len(err) < 120, err
 
+    def test_negative_zero_temperature_is_zero(self, capsys):
+        # -0.0 passes T >= 0; the Gibbs weights took g/(-0.0) = -inf and
+        # printed concurrence 0 and empty margins where T = 0 prints 0.707, 0.447
+        argv = ("sweep", "--axis=b", "--from=0", "--to=1", "--steps=3", "--vx=1", "--outputs=state")
+        zero, negative_zero = (run(capsys, *argv, temp) for temp in ("--temp=0", "--temp=-0.0"))
+        assert negative_zero == zero and zero[0] == 0 and zero[2] == "", zero
+        assert zero[1].splitlines()[2].split(",")[1] == "0.707106781187", zero
+
     def test_state_columns_need_temperature(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--axis", "b", "--from", "0", "--to", "1", "--steps", "3",

@@ -13,6 +13,8 @@ from xyzent.expsums import sign_changes, sum_zeros
 from xyzent.linalg import b_crossing
 from xyzent.model import MAX_ENERGY_SCALE, MIN_ENERGY_SCALE, _eigen_columns, canonicalize
 
+from conftest import tiny_coupling_family
+
 
 def zeros_of(coef, t_end=1e9):
     lam = np.arange(6.0)[None, :]
@@ -65,11 +67,13 @@ def _margin_models(rng, n=400):
 
 
 def test_margin_exponent_gaps_stay_far_from_underflow(monkeypatch):
-    # sum_zeros bounds the last zero of a sum by far = ln(sum|c|/|c_lead|)/gap,
-    # gap the scaled exponent of the first term after the leading one.
-    # _eigen_columns sets every level gap below 16 ulps of max|E_j| to 0, so
-    # gap is a few ulps of 1 at least, at either energy-scale bound and a
-    # hair from the level crossing: far needs no floor against 0 or 1e-300
+    # sum_zeros ends the last piece of a sum at far = 2 ln(sum|c|/|c_lead|)/gap,
+    # gap the scaled exponent of the first term after the leading one, and
+    # evaluates its sign there.  _eigen_columns sets every level gap below 16
+    # ulps of max|E_j| to 0, so gap is a few ulps of 1 at least, at either
+    # energy-scale bound and a hair from the level crossing: far stays below
+    # about 1.7e18 (ln |c_lead| >= -745), so the edge and the exponents
+    # -far e_j at it are finite and form no inf * 0
     seen, newton = [], expsums._newton
 
     def spy(c, e, *args):
@@ -85,3 +89,37 @@ def test_margin_exponent_gaps_stay_far_from_underflow(monkeypatch):
     sum_zeros(lam.reshape(-1, 6), coef.reshape(-1, 6), bound.ravel(), t_end)
     seen = np.concatenate(seen)
     assert seen.size > 1000 and seen.min() > 4.0 * np.finfo(float).eps, seen.min()
+
+
+def test_a_tiny_lead_does_not_make_newton_crawl():
+    # F(x) = 1e-305 - exp(-x/5), x = 5/T: from below its zero each Newton step
+    # moves x by about 5, and kept whenever it stayed in the bracket, 200 steps
+    # stopped at T = 0.0049999790
+    got = zeros_of(np.array([1e-305, -1.0, 0.0, 0.0, 0.0, 0.0]))
+    want = 1.0 / math.log(1e305)
+    assert abs(got[0] - want) <= 1e-12 * want and np.isnan(got[1:]).all(), got
+
+
+def test_newton_rows_end_converged(monkeypatch):
+    # every x _newton returns in the scans of the tiny-coupling family is a
+    # Newton step of at most 1e-9 x from the zero, or the sum changes sign
+    # between the floats next to it (446 of 692 rows did neither where steps
+    # could crawl)
+    rows, failed, newton = [0], [], expsums._newton
+
+    def spy(c, e, *args):
+        x = newton(c, e, *args)
+
+        def F(y, w=1.0):  # w = -e: F'
+            return (c * w * np.exp(-y[:, None] * e)).sum(axis=1)
+
+        f, df, below, above = F(x), F(x, -e), F(np.nextafter(x, 0.0)), F(np.nextafter(x, np.inf))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = (np.abs(f / df) <= 1e-9 * x) | (np.sign(below) * np.sign(above) <= 0.0)
+        rows[0] += x.size
+        failed.extend(x[~ok])
+        return x
+
+    monkeypatch.setattr(expsums, "_newton", spy)
+    limits._limit_records([canonicalize(*m) for m in tiny_coupling_family(600) if max(map(abs, m)) >= MIN_ENERGY_SCALE])
+    assert rows[0] > 500 and not failed, (rows[0], len(failed), failed[:5])

@@ -23,7 +23,7 @@ from xyzent.meanfield import critical_temperature, solve_mf
 from xyzent.model import MAX_ENERGY_SCALE, MIN_ENERGY_SCALE, canonicalize, eigensystem
 from xyzent.states import _margin_columns, thermal_mixture
 
-from conftest import NEEL_Z_MODELS, log_uniform, neel_z_family, random_canonical_params
+from conftest import NEEL_Z_MODELS, log_uniform, neel_z_family, random_canonical_params, tiny_coupling_family
 
 #: (vx, vy, vz, b) whose small-scale copies once came out degenerate
 MODEL = (1.3, -0.4, 0.2, 0.7)
@@ -249,21 +249,6 @@ def test_energy_scale_below_the_bound_is_input_error(capsys):
     # the all-zero model stays valid
     assert canonicalize(0.0, -0.0, 0.0, 0.0).energy_scale == 0.0
     assert main(["limits", "--vx=0"]) == 0 and capsys.readouterr().err == ""
-
-
-def tiny_coupling_family(n):
-    """n models with a tiny transverse coupling (numpy seed 12): vx =
-    10^U(-323, -1), vy = 0 or vx U(-1, 1), vz = +-10^U(-1, 0.5) or 0,
-    b = U(0, 3) or 0."""
-    rng = np.random.default_rng(12)
-    models = []
-    for _ in range(n):
-        vx = 10.0 ** rng.uniform(-323.0, -1.0)
-        vy = 0.0 if rng.random() < 0.5 else vx * rng.uniform(-1.0, 1.0)
-        vz = (1.0, -1.0, 0.0)[rng.integers(0, 3)] * 10.0 ** rng.uniform(-1.0, 0.5)
-        b = rng.uniform(0.0, 3.0) if rng.random() < 0.5 else 0.0
-        models.append(tuple(float(x) for x in (vx, vy, vz, b)))
-    return models
 
 
 #: models whose v_minus/Delta is far below 1e-154: the floored vm^2 leads the

@@ -52,6 +52,12 @@ class TestThermalMixture:
         with pytest.raises(InvalidTemperature, match=r"got -2\.0$"):
             thermal_probabilities(eigensystem(CASE2), np.r_[np.linspace(0.0, 1.0, 999), -2.0, -3.0])
 
+    def test_negative_zero_temperature_is_zero(self):
+        # -0.0 >= 0 holds, and g/(-0.0) = -inf made every weight NaN
+        eig = eigensystem(CASE2)
+        assert thermal_probabilities(eig, [-0.0]).tolist() == thermal_probabilities(eig, [0.0]).tolist()
+        assert thermal_mixture(CASE2, -0.0).probs.tolist() == [0.0, 0.0, 1.0, 0.0]
+
     def test_weights_invariant_under_sign_flips(self):
         # thermal_mixture after canonicalize is well defined: any sign
         # choice for (b, v_plus, v_minus) gives the same level weights
@@ -77,6 +83,12 @@ class TestMixtureValidation:
     def test_rejects_negative(self):
         with pytest.raises(InvalidMixture):
             mixture(CASE2, [1.2, -0.2, 0, 0])
+
+    @pytest.mark.parametrize("probs", [[np.nan] * 4, [np.nan, 1.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]])
+    def test_rejects_non_finite(self, probs):
+        # NaN fails every comparison, so the checks are written to fail on it
+        with pytest.raises(InvalidMixture):
+            mixture(canonicalize(1.0, 0.3, 0.0, 0.5), probs)
 
     @pytest.mark.parametrize("probs", [[0.25] * 3, [0.2] * 5, [[0.25] * 4], 1.0, []])
     def test_rejects_wrong_shape(self, probs):
