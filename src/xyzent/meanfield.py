@@ -22,11 +22,14 @@ solution exists below the critical temperature
 feasible for v_max > max(vz, 0) and |b| < v_max - vz, with T_c -> v_max/2 as
 chi -> 0.  Entropies here are natural-log (thermodynamic convention).
 
-solve_mf returns the least-F point of a complete list of stationary
-points, so nothing iterates.  With vx >= |vy| (the canonical sector),
+solve_mf returns the least-F point of a complete list of stationary points,
+so nothing iterates.  With vx >= |vy| (the canonical sector),
 vx s_A^x s_B^x + |vy| s_A^y s_B^y <= vx rho_A rho_B for transverse lengths
-rho, so a global minimum can be taken with its transverse part along x,
-and its stationary points fall into three families:
+rho, so a global minimum can be taken with its transverse part along x.  A
+qubit in a field of length n has spin length m = tanh(n/2T)/2 and
+k = n/m = 2n coth(n/2T), both rising with n (k from 4T); stationarity reads
+k_A s_A = 2 V s_B - b z, k_B s_B = 2 V s_A - b z with V = diag(v), and the
+x rows give k_A k_B = 4 vx^2 where s^x != 0.  The minimum is in one of:
 
 - z only: lambda^A = b + vz tanh(lambda^B / 2T) and back.  Among uniform
   ones the largest root is lowest for b >= 0 (split at cosh w =
@@ -34,25 +37,60 @@ and its stationary points fall into three families:
   is one uniform root lambda_0, and a staggered pair exists iff the map's
   slope at lambda_0 exceeds 1 in size; its square has negative Schwarzian,
   hence at most one pair.
-- uniform x: tanh(n/2T) = n/vx, lambda_z = vx chi, which exists iff
-  T < T_c and is then the lowest uniform state (XYZParams.t_critical_is_onset).
-- canted x: 2 vx kappa = rho and 1/rho on the two qubits (kappa =
-  tanh(n/2T)/2n, rho > 1), with z fields b (1 + (vz/vx)/rho)/D and
-  b (1 + (vz/vx) rho)/D, D = 1 - (vz/vx)^2; consistency is one chord
-  condition on psi(kappa) = kappa n^2, so they exist only for vz^2 > vx^2
-  and b > 0, and at most one pair (_canted).
+- uniform x (k_A = k_B = 2 vx): tanh(n/2T) = n/vx, lambda_z = vx chi, which
+  exists iff T < T_c and is then the lowest uniform state
+  (XYZParams.t_critical_is_onset).  The z rows then give s_A = s_B, or,
+  at b = 0 = vx + vz, mirror images in z with the uniform state's F.
+
+The canted x pairs (s^x != 0, k_A != k_B) are saddles, never a minimum.
+
+Proof.  Take k_A < k_B, so m_A < m_B; write s = (p, z) in the xz plane
+that holds the pair, and D = vz^2 - vx^2.  The z rows give
+4 D (z_B - z_A) = b (k_A - k_B), and with the x rows
+k_A m_A^2 - k_B m_B^2 = b (z_B - z_A) < 0; hence D > 0 and b != 0.  The
+Hessian of -TS at s is k across s and r = T/(1/4 - m^2) > k along it, so
+on the plane F's Hessian is H = K + gamma_A v_A v_A^T + gamma_B v_B v_B^T,
+K = [[k_A, -2V], [-2V, k_B]], v_A = (s_A, 0), v_B = (0, s_B) and
+gamma = (r - k)/m^2 > 0.  K's x block is singular, so det K = 0 and
+adj K = -4 D adj(K_x) on the x rows; expanding det H in the two rank-one
+terms, with pi = k_A p_A^2 = k_B p_B^2 and the z rows in the tangent block,
+
+    det H = 4 D pi [gamma_A gamma_B (m_B^2 - m_A^2)/(k_B - k_A) - gamma_A k_B/k_A - gamma_B k_A/k_B].
+
+At fixed T, dk/dm = (r - k)/m, so 1/gamma = M'(k)/2 for M(k) = m^2, and
+with G(k) = k^2 M(k) = n^2,
+
+    det H = -(2 D pi gamma_A gamma_B/(k_A k_B)) [G'(k_A) + G'(k_B) - 2 (G(k_B) - G(k_A))/(k_B - k_A)],
+
+whose bracket is 2/(k_B - k_A) times the excess of the trapezoid rule
+over the integral of G' on [k_A, k_B], positive as G''' > 0 (below).  So
+det H < 0: H has a negative eigenvalue, and F decreases along its vector.
+
+G''' > 0.  With x = n/2T, k = 4T x coth x and G = 4T^2 x^2, so
+G''' = N(2x)/(32 T (sinh 2x - 2x)^5), where N(t), an odd function, is
+
+    (t^2 + 6) sinh 4t - 6t cosh 4t - 12 (t^2 + 3) sinh 3t + 4t (t^2 + 9) cosh 3t + 2 (19 t^2 + 42) sinh 2t
+    - 12t (t^2 + 8) cosh 2t - 4 (11 t^2 + 21) sinh t + 12t (t^2 + 13) cosh t - 4 t^3 - 90 t
+
+and its t^j coefficient, j odd, is 4 c_j/j! less the polynomial's, with
+c_j = 4^(j-3) (j^2 - 25j + 96) + 3^(j-3) (j^3 - 12j^2 + 92j - 243)
+      - 2^(j-3) (3j^3 - 28j^2 + 121j - 168) + 3j^3 - 20j^2 + 56j - 21.
+c_1 = 45/2 and c_3 = 6 cancel the polynomial, c_5 ... c_13 = 0, and c_15,
+c_17, c_19 = 34594560, 2352430080, 95429228544.  For j >= 5 the second and
+last terms are positive and the third is above -2^(j-3) 3j^3, and for
+j >= 21 the first is at least 12 4^(j-3) > 2^(j-3) 3j^3, so c_j > 0.  So
+N(t) > 0 for t > 0.  tests/test_meanfield.py checks the c_j, and N and
+det H at 50 digits.
 
 For T >= -vz/2 every global minimum is uniform (the same proof), so the
-non-uniform families are solved only below -vz/2.  critical_temperature
-is the onset of the minimum's broken phase flip: the closed form T_c
-wherever XYZParams.t_critical_is_onset holds (T_c >= -vz/2), and
-otherwise found from solve_mf's verdicts.  Every formula is a ratio of
-couplings, fields and T, so results scale exactly with the energy unit;
-each root is bisected to adjacent floats in their order (_bisect), or
-found by a monotone Newton iteration (_nu).  The exact free energy
--T ln Z, which bounds every product state's F from below, is an oracle
-in linalg (exact_free_energy).
-"""
+staggered pair is solved only below -vz/2.  critical_temperature is the
+onset of the minimum's broken phase flip: the closed form T_c wherever
+XYZParams.t_critical_is_onset holds (T_c >= -vz/2), and otherwise found from
+solve_mf's verdicts.  Every formula is a ratio of couplings, fields and T,
+so results scale exactly with the energy unit; each root is bisected to
+adjacent floats in their order (_bisect), or found by a monotone Newton
+iteration (_nu).  The exact free energy -T ln Z, which bounds every product
+state's F from below, is an oracle in linalg (exact_free_energy)."""
 
 from __future__ import annotations
 
@@ -82,8 +120,8 @@ class MeanFieldSolution:
     s_a: np.ndarray  # spin expectation of qubit A, |s| <= 1/2
     s_b: np.ndarray
     free_energy: float
-    broken_phase_flip: bool  # uniform or canted x
-    broken_permutation: bool  # staggered z or canted x
+    broken_phase_flip: bool  # uniform x
+    broken_permutation: bool  # staggered z
     #: always True and 0: the minimum is enumerated, nothing iterates
     converged: bool = True
     iterations: int = 0
@@ -154,16 +192,16 @@ def _bisect(inside, lo: float, hi: float, unit: float = 1.0) -> tuple[float, flo
     return unit * _float(a), unit * _float(b)
 
 
-def _nu(a: float, c: float) -> float:
-    """The nu > 0 with nu = a tanh(c nu), for a c > 1.  h(nu) = a tanh(c nu) - nu
+def _nu(c: float) -> float:
+    """The nu > 0 with nu = tanh(c nu), for c > 1.  h(nu) = tanh(c nu) - nu
     is concave and tanh(u) <= u/sqrt(1 + u^2/3), so h <= 0 at
-    min(a, sqrt(3 (a^2 c^2 - 1))/c), and Newton from there decreases
+    min(1, sqrt(3 (c^2 - 1))/c), and Newton from there decreases
     monotonically to the root; it stops where a step no longer decreases nu."""
-    nu = min(a, math.sqrt(3.0 * (a * c - 1.0) * (a * c + 1.0)) / c)
+    nu = min(1.0, math.sqrt(3.0 * (c - 1.0) * (c + 1.0)) / c)
     while True:
         e = math.exp(-2.0 * c * nu)
-        slope = a * c * 4.0 * e / (1.0 + e) ** 2 - 1.0 if e > 0.0 else -1.0
-        step = (a * (1.0 - e) / (1.0 + e) - nu) / slope
+        slope = c * 4.0 * e / (1.0 + e) ** 2 - 1.0 if e > 0.0 else -1.0
+        step = ((1.0 - e) / (1.0 + e) - nu) / slope
         if not nu - step < nu:
             return nu
         nu -= step
@@ -190,7 +228,7 @@ def _uniform_z(p: XYZParams, t: float) -> float:
 def _uniform_x(p: XYZParams, t: float):
     """The fields of the uniform x branch at T < T_c: |lambda| = vx nu with
     nu = tanh(vx nu/2T), lambda_z = vx chi."""
-    nu, chi = _nu(1.0, p.vx / (2.0 * t)), p.chi
+    nu, chi = _nu(p.vx / (2.0 * t)), p.chi
     lam = [p.vx * math.sqrt(max((nu - chi) * (nu + chi), 0.0)), 0.0, p.vx * chi]
     return lam, lam
 
@@ -208,60 +246,17 @@ def _staggered(p: XYZParams, t: float, lam0: float):
     return [0.0, 0.0, field(low)], [0.0, 0.0, low]
 
 
-def _canted(p: XYZParams, t: float):
-    """The canted x pair, or None.  With c = vx/2T, 2 vx kappa_A = rho and
-    2 vx kappa_B = 1/rho for some rho in (1, c), and nu = |lambda|/vx solves
-    nu_A = tanh(c nu_A)/rho and nu_B = rho tanh(c nu_B); the chord
-    condition reads
-
-        G(rho) = (nu_B^2/rho - rho nu_A^2)/(1/rho - rho) - (b/vx)^2/D = 0,
-
-    with G monotone (decreasing on every grid tried), nu_A = 0 at rho = c,
-    and G(1+) = nu_0^2 (1 + c s)/(c s - 1) - (b/vx)^2/D at the uniform x
-    root nu_0, s = sech^2(c nu_0).  Its x components need |lambda| >
-    |lambda_z| on A, and lambda_B^x = rho lambda_A^x.  As D < 0 (|vz| > vx),
-    (b/vx)^2/D = (b/vz)^2/(q^2 - 1), q = vx/vz, and the z fields over vx,
-    (b/vz)(q + 1/rho)/(q^2 - 1) and (b/vz)(q + rho)/(q^2 - 1), never overflow.
-    exp(-2 c nu_0) leaves the normal floats only where c nu_0 > 354; c s is
-    then below 2^-1000, so its rounding does not move G(1+)'s sign."""
-    vx, c = p.vx, p.vx / (2.0 * t)
-    if not (p.b > 0.0 and abs(p.vz) > vx and 1.0 < c < math.inf):
-        return None
-    q, bz = vx / p.vz, p.b / p.vz
-    d = (q - 1.0) * (q + 1.0)
-    rhs = bz * bz / d
-
-    def g(rho):
-        nu_a, nu_b = (_nu(1.0 / rho, c) if rho < c else 0.0), _nu(rho, c)
-        return (nu_b / rho * nu_b - rho * nu_a * nu_a) / (1.0 / rho - rho) - rhs
-
-    nu0 = _nu(1.0, c)
-    e = math.exp(-2.0 * c * nu0)
-    cs = c * 4.0 * e / (1.0 + e) ** 2
-    sign = nu0 * nu0 * (1.0 + cs) / (cs - 1.0) - rhs > 0.0
-    if sign == (g(c) > 0.0):
-        return None
-    rho = _bisect(lambda rho: (g(rho) > 0.0) == sign, 1.0, c)[1]
-    nu_a = _nu(1.0 / rho, c) if rho < c else 0.0
-    z_a, z_b = bz * (q + 1.0 / rho) / d, bz * (q + rho) / d
-    if not nu_a > abs(z_a):
-        return None
-    x_a = math.sqrt((nu_a - abs(z_a)) * (nu_a + abs(z_a)))
-    return [vx * x_a, 0.0, vx * z_a], [vx * (rho * x_a), 0.0, vx * z_b]
-
-
 def solve_mf(p: XYZParams, temperature: float) -> MeanFieldSolution:
     """The global minimum of the product-state free energy at T, the
     least-F point of the enumerated stationary points (module docstring);
-    ties keep the first of uniform, staggered, canted.  Its transverse
-    part lies along +x; of the staggered and canted pairs, qubit A holds
-    the field along b (staggered) or the shorter field (canted)."""
+    ties keep the uniform state.  Its transverse part lies along +x; of
+    the staggered pair, qubit A holds the field along b."""
     t, t_c = _check_temperature(temperature), p.t_critical
     x = t_c is not None and t < t_c
     lam0 = None if x and t >= -0.5 * p.vz else _uniform_z(p, t)
     candidates = [(_uniform_x(p, t) if x else ([0.0, 0.0, lam0],) * 2, x, False)]
     if t < -0.5 * p.vz:
-        candidates += [(_staggered(p, t, lam0), False, True), (p.vx > 0.0 and _canted(p, t), True, True)]
+        candidates.append((_staggered(p, t, lam0), False, True))
     best = None
     for fields, flip, perm in candidates:
         if fields:

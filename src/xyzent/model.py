@@ -146,9 +146,9 @@ class XYZParams:
 
         The rounding of t_critical cannot change a printed value: this is
         the float test meanfield.solve_mf makes at T = t_critical before it
-        weighs the staggered and canted pairs, so where it holds the
-        minimum there is uniform z, and the enumeration would return
-        t_critical's own bits as well.
+        weighs the staggered pair, so where it holds the minimum there is
+        uniform z, and the enumeration would return t_critical's own bits
+        as well.
         """
         t = self.t_critical
         return t is None or not t < -0.5 * self.vz

@@ -219,12 +219,16 @@ def _entropic_margin_bound(gaps, b_r, t_lo, t_hi):
     S(rho) is at least the sum of its smaller values at the ends of each
     p_j's interval, and S(rho_A) = h(q_1), q_1 = 1/2 + |b/Delta| (p_1 - p_2)/2,
     is at most the largest binary entropy on q_1's interval (1 where it
-    holds 1/2).  The rounding lies far below _NEAR_ZERO."""
+    holds 1/2).  A sum whose largest exponent exceeds 700 has that term
+    factored out (below, four terms sum to under 2^1013), so no sum leaves
+    the float range.  The rounding lies far below _NEAR_ZERO."""
     d = gaps[:, None] - gaps[None]  # d[i, j] = g_i - g_j
-    with np.errstate(divide="ignore", over="ignore"):
-        r_lo, r_hi = (np.exp(-np.divide(d, t, out=np.zeros(d.shape), where=d != 0.0)) for t in (t_lo, t_hi))
+    with np.errstate(divide="ignore"):  # -d/0 is -+inf at T = 0, clipped to 2^14
+        a_lo, a_hi = (np.minimum(-np.divide(d, t, out=np.zeros(d.shape), where=d != 0.0), 16384.0) for t in (t_lo, t_hi))
     rising = d > 0.0
-    lo, hi = 1.0 / np.where(rising, r_hi, r_lo).sum(axis=0), 1.0 / np.where(rising, r_lo, r_hi).sum(axis=0)
+    a = np.stack([np.where(rising, a_hi, a_lo), np.where(rising, a_lo, a_hi)])  # lo's exponents, then hi's
+    top = np.where(a.max(axis=1) > 700.0, a.max(axis=1), 0.0)
+    lo, hi = np.exp(-top) / np.exp(a - top[:, None]).sum(axis=1)
     s = -np.maximum(_xlogx(lo), _xlogx(hi)).sum(axis=0) / _LN2
     half = 0.5 * np.abs(b_r)
     q_lo, q_hi = 0.5 + half * (lo[1] - hi[2]), 0.5 + half * (hi[1] - lo[2])

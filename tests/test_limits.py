@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from xyzent import limits
-from xyzent.cli import _FIGURES
+from xyzent.cli import _FIGURES, main
 from xyzent.criteria import disorder_check, entropic_check
 from xyzent.entanglement import exact_margins, separability_exact
 from xyzent.errors import DegenerateBasis, OutOfRange
@@ -1280,3 +1280,24 @@ class TestZeroTemperatureLimit:
         eig = eigensystem(canonicalize(0.0, 0.0, 1.0, 0.0))
         table = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, np.array([0.0]))
         assert table[1, 0] == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_entropic_bound_sums_stay_finite(capsys):
+    # levels 1e-14 apart: on the pieces nearest T = 0 the bound's sums of
+    # exp((g_j - g_i)/T) hold terms far above 1e308, yet no sum overflows
+    # ("overflow encountered in reduce"), the bound stays below the margin
+    # and the limits print their 12-digit values
+    model = (1.0, 0.8775691036854282, 0.8775691036854182, 0.0)
+    assert main(["limits", *(f"--{k}={x!r}" for k, x in zip(("vx", "vy", "vz", "b"), model))]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[1] == (
+        "1,0.877569103685,0.877569103685,0,0.00456038509123,0.00456037863577,0.00212467880832,0.5,0.5,,,"
+    )
+    eig = eigensystem(canonicalize(*model))
+    edges = np.concatenate([[0.0], np.geomspace(1e-19, 0.01, 61)])
+    gaps = np.repeat(eig.gaps[:, None], edges.size - 1, axis=1)
+    bound = limits._entropic_margin_bound(gaps, np.full(edges.size - 1, eig.b_ratio), edges[:-1], edges[1:])
+    ts = edges[:-1] + np.outer([0.0, 0.5, 1.0], np.diff(edges))
+    margin = _margin_columns(eig.gaps[:, None], eig.vm_ratio, eig.b_ratio, ts.ravel())[3].reshape(ts.shape)
+    assert np.isfinite(bound).all() and np.all(bound <= margin), (bound, margin)

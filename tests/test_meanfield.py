@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -528,6 +529,129 @@ def test_neel_z_family_onsets():
         kinds.append("none" if t_c is None else "closed" if t_c == p.t_critical else "crossing")
         assert t_c is None or t_c <= p.t_critical
     assert (kinds.count("none"), kinds.count("closed"), kinds.count("crossing")) == (29, 28, 3)
+
+
+#: float.hex of critical_temperature on NEEL_Z_MODELS, then neel_z_family(),
+#: pinned while solve_mf still weighed the canted x pairs: dropping those
+#: saddles moved no onset
+NEEL_Z_ONSETS = [
+    None, None, None, '0x1.0634e8d39a681p-1', None, None, '0x1.0941971cb6c6bp+0', None,
+    '0x1.585e906526ca3p+0', '0x1.056be5c7b6e4ep-1', '0x1.67d1d7e0928b0p-2', None,
+    '0x1.e4e6d88ca82fdp-3', None, '0x1.3a2af17f0f904p+0', None, '0x1.09e2149516677p+0',
+    '0x1.fb0bb1acaaa00p-1', None, '0x1.1eb581f2abbc6p+0', '0x1.3732def307e03p-2',
+    '0x1.196d1277e8c53p+0', '0x1.36c4d29d5a1f8p-1', '0x1.023379802de8ep+0', '0x1.1279ca195a4a6p-1',
+    None, '0x1.65a5d1efb4c62p-1', None, None, '0x1.4d9084bcf74f6p-2', None, None,
+    '0x1.560347c7350adp-1', None, '0x1.cdc63700b6e0dp-1', '0x1.185b071b87049p-1',
+    '0x1.d2510b121a442p-2', None, None, '0x1.8a16b003b55a5p-2', '0x1.2c25352e693efp+0',
+    '0x1.56d879708ecf8p+0', None, None, '0x1.4ee8cf88cac24p-1', '0x1.2d983086e28fcp+0', None,
+    '0x1.db8c65769f069p-2', '0x1.074609f96557ep+0', None, None, None, None, '0x1.177c57b010948p+0',
+    None, None, '0x1.3a482784de574p+0', None, None, None, None, '0x1.12e345ce46c65p+0', None,
+    '0x1.25bd98b6dc216p-1',
+]
+
+
+def test_neel_z_onsets_are_pinned():
+    onsets = [critical_temperature(p) for p in [*NEEL_Z_MODELS, *neel_z_family()]]
+    assert [None if t is None else t.hex() for t in onsets] == NEEL_Z_ONSETS
+
+
+def _canted_pair(mp, t, x_a, x_b, q):
+    """The canted x pair (vx, vz, b, s_A, s_B, k) at field lengths n = 2T x
+    (x_a < x_b) and vz = q vx (|q| > 1), or None: vx from k_A k_B = 4 vx^2,
+    b from the chord k_A m_A^2 - k_B m_B^2 = b (z_B - z_A), and the z rows
+    solved (meanfield module docstring)."""
+    m = [mp.tanh(x) / 2 for x in (x_a, x_b)]
+    k = [4 * t * x * mp.coth(x) for x in (x_a, x_b)]
+    vx = mp.sqrt(k[0] * k[1]) / 2
+    vz = q * vx
+    d = vz**2 - vx**2
+    b = mp.sqrt(4 * d * (k[1] * m[1] ** 2 - k[0] * m[0] ** 2) / (k[1] - k[0]))
+    z_a, z_b = b * (k[1] + 2 * vz) / (4 * d), b * (k[0] + 2 * vz) / (4 * d)
+    if not m[0] ** 2 > z_a**2:
+        return None
+    p_a = mp.sqrt(m[0] ** 2 - z_a**2)
+    return vx, vz, b, (p_a, z_a), (k[0] * p_a / (2 * vx), z_b), k
+
+
+def test_canted_pairs_are_saddles():
+    # at 200 canted x pairs built at 50 digits (either sign of vz, T over
+    # four decades), F's Hessian in the spins on the xz plane has the
+    # determinant the module docstring derives, and it is negative
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(41)
+    found = 0
+    with mp.workdps(50):
+        while found < 200:
+            t = mp.mpf(10.0 ** rng.uniform(-3.0, 1.0))
+            x_a = mp.mpf(10.0 ** rng.uniform(-3.0, 1.0))
+            x_b = x_a * (1 + mp.mpf(10.0 ** rng.uniform(-6.0, 0.3)))
+            q = (1 + mp.mpf(10.0 ** rng.uniform(-4.0, 1.0))) * rng.choice([-1, 1])
+            pair = _canted_pair(mp, t, x_a, x_b, q)
+            if pair is None:
+                continue
+            found += 1
+            vx, vz, b, s_a, s_b, k = pair
+            v = (vx, vz)
+            h = mp.zeros(4, 4)
+            gamma = []
+            for j, (s, x) in enumerate(((s_a, x_a), (s_b, x_b))):
+                m2 = s[0] ** 2 + s[1] ** 2
+                assert abs(mp.sqrt(m2) - mp.tanh(x) / 2) < mp.mpf(10) ** -45
+                gamma.append((4 * t * mp.cosh(x) ** 2 - k[j]) / m2)
+                for i in range(2):
+                    h[2 * j + i, 2 * (1 - j) + i] = -2 * v[i]
+                    for l in range(2):
+                        h[2 * j + i, 2 * j + l] = k[j] * (i == l) + gamma[j] * s[i] * s[l]
+            # stationarity: k_A s_A = 2 V s_B - b z, and back
+            for s, o, kj in ((s_a, s_b, k[0]), (s_b, s_a, k[1])):
+                assert abs(kj * s[0] - 2 * vx * o[0]) + abs(kj * s[1] - 2 * vz * o[1] + b) < mp.mpf(10) ** -40 * (vx + b)
+            trapezoid = lambda f, df: df(k[0]) + df(k[1]) - 2 * (f(k[1]) - f(k[0])) / (k[1] - k[0])
+            n2 = lambda kk: (2 * t * mp.findroot(lambda x: 4 * t * x * mp.coth(x) - kk, x_a)) ** 2
+            dn2 = lambda kk: mp.diff(n2, kk)
+            pi = k[0] * s_a[0] ** 2
+            det = -(2 * (vz**2 - vx**2) * pi * gamma[0] * gamma[1] / (k[0] * k[1])) * trapezoid(n2, dn2)
+            assert det < 0 and abs(mp.det(h) / det - 1) < mp.mpf(10) ** -20, (t, x_a, x_b, vz)
+            assert min(mp.eigsy(h)[0]) < 0
+
+
+def test_trapezoid_lemma():
+    # d^3(x^2)/d kappa^3 = N(2x)/(2 (sinh 2x - 2x)^5) for kappa = x coth x,
+    # and N's odd Taylor coefficients 4 c_j/j! are those of the module
+    # docstring: 0 below j = 15 (with t and t^3 cancelled), positive above
+    mp = pytest.importorskip("mpmath")
+
+    def c(j):
+        w = lambda base: Fraction(base) ** (j - 3)
+        return (
+            w(4) * (j * j - 25 * j + 96)
+            + w(3) * (j**3 - 12 * j * j + 92 * j - 243)
+            - w(2) * (3 * j**3 - 28 * j * j + 121 * j - 168)
+            + 3 * j**3 - 20 * j * j + 56 * j - 21
+        )
+
+    assert [c(j) for j in (1, 3)] == [Fraction(45, 2), 6] and all(c(j) == 0 for j in range(5, 15, 2))
+    assert [c(j) for j in (15, 17, 19)] == [34594560, 2352430080, 95429228544]
+    assert all(c(j) > 0 and 2 ** (j - 3) * 12 > 3 * j**3 for j in range(21, 41, 2))
+    with mp.workdps(50):
+
+        def n(t):
+            sh, ch = mp.sinh, mp.cosh
+            return (
+                (t * t + 6) * sh(4 * t) - 6 * t * ch(4 * t) - 12 * (t * t + 3) * sh(3 * t)
+                + 4 * t * (t * t + 9) * ch(3 * t) + 2 * (19 * t * t + 42) * sh(2 * t)
+                - 12 * t * (t * t + 8) * ch(2 * t) - 4 * (11 * t * t + 21) * sh(t)
+                + 12 * t * (t * t + 13) * ch(t) - 4 * t**3 - 90 * t
+            )
+
+        kappa = lambda x: x * mp.coth(x)
+        d1 = lambda x: 2 * x / mp.diff(kappa, x)  # d(x^2)/d kappa
+        d2 = lambda x: mp.diff(d1, x) / mp.diff(kappa, x)
+        for x in map(mp.mpf, ("0.4", "1", "3", "8")):
+            t = 2 * x
+            series = sum(4 * mp.mpf(c(j).numerator) / c(j).denominator * t**j / mp.factorial(j) for j in range(1, 302, 2))
+            assert abs(series - 4 * t**3 - 90 * t - n(t)) < mp.mpf(10) ** -30 * n(t)
+            third = mp.diff(d2, x) / mp.diff(kappa, x)
+            assert abs(third * 2 * (mp.sinh(t) - t) ** 5 / n(t) - 1) < mp.mpf(10) ** -20
 
 
 @pytest.mark.filterwarnings("error")

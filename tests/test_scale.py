@@ -327,7 +327,8 @@ def test_staggered_pair_far_below_the_couplings():
 
 
 def test_mean_field_at_tiny_v_max():
-    # (b/vx)^2 overflowed in the canted pair (OverflowError); the onset
+    # at vx = 1e-300 the mean field runs at T_c = 4.6e-301, far below b
+    # and vz, where (b/vx)^2 once overflowed (OverflowError); the onset
     # bisection's lower end t_c eps underflowed to T = 0 (exit 2); and
     # T_c = 0.5 * 5e-324 rounded to 0.0, below which no temperature lies
     p = canonicalize(1e-300, 0.0, -1.0, 0.5)

@@ -109,6 +109,7 @@ DELETED = {
     "_limit_values",
     "_start_program",
     "_freeze_imports",
+    "_canted",
 }
 
 
