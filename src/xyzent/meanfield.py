@@ -87,10 +87,11 @@ staggered pair is solved only below -vz/2.  critical_temperature is the
 onset of the minimum's broken phase flip: the closed form T_c wherever
 XYZParams.t_critical_is_onset holds (T_c >= -vz/2), and otherwise found from
 solve_mf's verdicts.  Every formula is a ratio of couplings, fields and T,
-so results scale exactly with the energy unit; each root is bisected to
-adjacent floats in their order (_bisect), or found by a monotone Newton
-iteration (_nu).  The exact free energy -T ln Z, which bounds every product
-state's F from below, is an oracle in linalg (exact_free_energy)."""
+so results scale exactly with the energy unit; each root is bisected in
+the floats' order to the first float past its sign change (_bisect), or
+found by a monotone Newton iteration (_nu).  The exact free energy
+-T ln Z, which bounds every product state's F from below, is an oracle in
+linalg (exact_free_energy)."""
 
 from __future__ import annotations
 
@@ -122,9 +123,6 @@ class MeanFieldSolution:
     free_energy: float
     broken_phase_flip: bool  # uniform x
     broken_permutation: bool  # staggered z
-    #: always True and 0: the minimum is enumerated, nothing iterates
-    converged: bool = True
-    iterations: int = 0
 
 
 def _check_temperature(t: float) -> float:
@@ -176,11 +174,11 @@ def _float(k: int) -> float:
     return _DOUBLE.unpack(_INT.pack(k if k >= 0 else -k - (1 << 63)))[0]
 
 
-def _bisect(inside, lo: float, hi: float, unit: float = 1.0) -> tuple[float, float]:
-    """unit times adjacent floats lo' < hi' in [lo/unit, hi/unit] with
-    inside(unit lo') and not inside(unit hi'), where inside(lo) and not
-    inside(hi) are taken as given: each step halves the floats between
-    them, so at most 64 steps.  A field bisected in units of a coupling
+def _bisect(inside, lo: float, hi: float, unit: float = 1.0) -> float:
+    """unit times a float h in (lo/unit, hi/unit] with not inside(unit h)
+    and inside(unit times the float below h), where inside(lo) and not
+    inside(hi) are taken as given: each step halves the floats between the
+    two ends, so at most 64 steps.  A field bisected in units of a coupling
     scales exactly with the energy unit."""
     a, b = _order(lo / unit), _order(hi / unit)
     while b - a > 1:
@@ -189,7 +187,7 @@ def _bisect(inside, lo: float, hi: float, unit: float = 1.0) -> tuple[float, flo
             a = mid
         else:
             b = mid
-    return unit * _float(a), unit * _float(b)
+    return unit * _float(b)
 
 
 def _nu(c: float) -> float:
@@ -217,12 +215,12 @@ def _uniform_z(p: XYZParams, t: float) -> float:
     b, vz = p.b, p.vz
     inside = lambda lam: lam - b - vz * math.tanh(lam / (2.0 * t)) < 0.0
     if vz < 0.0:
-        return _bisect(inside, 0.0, b)[1]
+        return _bisect(inside, 0.0, b)
     hi = b + vz
     if hi == 0.0:
         return 0.0
     lo = min(2.0 * t * math.acosh(math.sqrt(vz / (2.0 * t))), hi) if vz > 2.0 * t else b - vz
-    return _bisect(inside, lo, hi, hi)[1]
+    return _bisect(inside, lo, hi, hi)
 
 
 def _uniform_x(p: XYZParams, t: float):
@@ -242,7 +240,7 @@ def _staggered(p: XYZParams, t: float, lam0: float):
     if not -vz * 4.0 * e / (1.0 + e) ** 2 > 2.0 * t:
         return None
     field = lambda lam: b + vz * math.tanh(lam / (2.0 * t))
-    low = _bisect(lambda lam: field(field(lam)) > lam, b + vz, lam0, b - vz)[1]
+    low = _bisect(lambda lam: field(field(lam)) > lam, b + vz, lam0, b - vz)
     return [0.0, 0.0, field(low)], [0.0, 0.0, low]
 
 
@@ -274,18 +272,19 @@ def critical_temperature(p: XYZParams) -> float | None:
     XYZParams.t_critical bit for bit, None included (absent whenever
     v_max <= max(vz, 0) or |b| >= v_max - vz).  Elsewhere (Neel-z models,
     vz < -2 T_c) it is T_c too unless the staggered z pair is the minimum
-    at T_c; then the uniform x branch can win only below a first-order
-    crossing with it, bisected to adjacent floats of T/T_c between T_c
-    and eps T_c (where every Boltzmann factor of an O(T_c) gap
-    underflows; or the least tau with T_c tau > 0), and the onset is None
-    where the branch does not win there either.
+    at T_c (the uniform x branch needs T < T_c, so no minimum breaks phase
+    flip there); then the branch can win only below a first-order
+    crossing with it, bisected in the floats of T/T_c between T_c and
+    eps T_c (where every Boltzmann factor of an O(T_c) gap underflows; or
+    the least tau with T_c tau > 0) to the float where phase flip holds
+    next above one where it is broken, and the onset is None where the
+    branch does not win at eps T_c either.
     """
     t_c = p.t_critical
     if p.t_critical_is_onset:
         return t_c
-    at_tc = solve_mf(p, t_c)
-    if at_tc.broken_permutation and not at_tc.broken_phase_flip:
+    if solve_mf(p, t_c).broken_permutation:
         broken = lambda tau: solve_mf(p, t_c * tau).broken_phase_flip
         lo = max(sys.float_info.epsilon, math.ulp(0.0) / t_c)
-        t_c = t_c * _bisect(broken, lo, 1.0)[1] if broken(lo) else None
+        t_c = t_c * _bisect(broken, lo, 1.0) if broken(lo) else None
     return t_c

@@ -1301,3 +1301,44 @@ def test_entropic_bound_sums_stay_finite(capsys):
     ts = edges[:-1] + np.outer([0.0, 0.5, 1.0], np.diff(edges))
     margin = _margin_columns(eig.gaps[:, None], eig.vm_ratio, eig.b_ratio, ts.ravel())[3].reshape(ts.shape)
     assert np.isfinite(bound).all() and np.all(bound <= margin), (bound, margin)
+
+
+def _within_ulps(got, want, ulps):
+    return got is not None and abs(got - want) <= ulps * math.ulp(want)
+
+
+#: (t_exact = t_disorder, t_entropic) of canonicalize(1, 0, vz, 0) at 120
+#: digits (mpmath, from the same float couplings): the Gibbs weights of the
+#: four levels, the margins min(m12, m03), disorder and entropic, and
+#: bisection of each margin's highest sign change in T
+NEAR_DEGENERATE_LIMITS = {
+    1e-14: (0.033848421052979071485, 0.016017013789583165827),
+    1e-15: (0.031472968925920087702, 0.01493259259749036784),
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="levels vz apart: the 16-ulp gap rule zeroes the gap at vz = 1e-15, and the margin rows "
+    "subtract rounded weights of levels far closer than T",
+)
+@pytest.mark.parametrize("vz", list(NEAR_DEGENERATE_LIMITS))
+def test_near_degenerate_limits_match_the_120_digit_reference(vz):
+    t_exact, t_entropic = NEAR_DEGENERATE_LIMITS[vz]
+    lt = limit_temperatures(canonicalize(1.0, 0.0, vz, 0.0))
+    got = (lt.t_exact, lt.t_disorder, lt.t_entropic)
+    assert all(_within_ulps(t, ref, 4) for t, ref in zip(got, (t_exact, t_exact, t_entropic))), got
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the entropic row's signs near its root are rounding noise of the Gibbs weights, so the edge "
+    "refined to adjacent floats lands where the refinement's path takes it, 1,072 ulps above the root",
+)
+def test_entropic_edge_matches_the_120_digit_root():
+    # the reference is the margin's sign change at 120 digits, found as above
+    p = canonicalize(1.3313780006137097, 1.3088296774101076, 59.84523011102626, 0.8583650681338771)
+    t_entropic = limit_temperatures(p).t_entropic
+    assert _within_ulps(t_entropic, 3.929863288258562086308, 8), t_entropic
