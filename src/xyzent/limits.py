@@ -118,8 +118,6 @@ _STRADDLE = 2.0**-20
 #: The entropic pass splits each live piece into _SPLIT in each of _ROUNDS
 #: rounds, down to the floor U/4096 (U the top of its range).
 _SPLIT, _ROUNDS = 8, 4
-#: The most columns one call of the kernel or the bound evaluates.
-_CHUNK = 1 << 11
 #: The refinement's steps at most: its midpoint rule halves each bracket's
 #: width in floats (below 2^63, as T >= +0.0) at least every third step, and
 #: 63 halvings reach adjacent floats: 3 * 63.
@@ -176,18 +174,9 @@ def _sign_change_bounds(gaps, vm_ratio, b_ratio):
     return expsums.sign_changes(np.where(ends, sums(n, m), 0.0)), lam, np.where(ends, runs, 0.0)
 
 
-def _chunked(f, columns, model, *ts):
-    """f of the columns (indexed on their last axis) of model[k] and of
-    ts[.][k], at most _CHUNK columns per call: yields each call's result."""
-    for lo in range(0, model.size, _CHUNK):
-        m = model[lo : lo + _CHUNK]
-        yield f(*(c[..., m] for c in columns), *(t[lo : lo + _CHUNK] for t in ts))
-
-
 def _values(gaps, vm_ratio, b_ratio, model, ts) -> np.ndarray:
-    """The kernel's margins (4, N) of model[k] at ts[k], from at most
-    _CHUNK columns per kernel call."""
-    return np.hstack([np.empty((4, 0)), *_chunked(_margin_columns, (gaps, vm_ratio, b_ratio), model, ts)])
+    """The kernel's margins (4, N) of model[k] at ts[k], from one kernel call."""
+    return _margin_columns(gaps[:, model], vm_ratio[model], b_ratio[model], ts)
 
 
 def _root_brackets(gaps, vm_ratio, b_ratio):
@@ -249,7 +238,7 @@ def _entropic_brackets(gaps, vm_ratio, b_ratio, upper):
         if width > 1:
             b = np.flatnonzero(start > top[model])
             lo, hi = at(model[b], start[b]), at(model[b], start[b] + width)
-            bound = np.concatenate([np.zeros(0), *_chunked(_entropic_margin_bound, (gaps, b_ratio), model[b], lo, hi)])
+            bound = _entropic_margin_bound(gaps[:, model[b]], b_ratio[model[b]], lo, hi)
             keep[b[bound > _NEAR_ZERO]] = False
         model, start = model[keep], start[keep]
     k = np.flatnonzero((top >= 0) & (top < n))

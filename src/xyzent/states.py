@@ -322,15 +322,13 @@ _NEAR_ZERO = 1e-13
 
 def _near_zero(values, form, p, *ratios):
     """values, with each entry within _NEAR_ZERO of 0 replaced by that of
-    form(p, *ratios), evaluated only on the columns of p holding one; each
-    step is elementwise, so a column's bits do not depend on its batch."""
+    form(p, *ratios), which runs on the whole array wherever any entry lies
+    that near; each step is elementwise, so a column's bits do not depend
+    on its batch."""
     near = np.abs(values) < _NEAR_ZERO
     if not near.any():
         return values
-    cols = near.reshape(-1, near.shape[-1]).any(axis=0)
-    sub = form(p[:, cols], *(np.broadcast_to(r, cols.shape)[cols] for r in ratios))
-    values[..., cols] = np.where(near[..., cols], sub, values[..., cols])
-    return values
+    return np.where(near, form(p, *ratios), values)
 
 
 def _margin_columns(gaps, vm_ratio, b_ratio, ts) -> np.ndarray:
