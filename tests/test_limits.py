@@ -859,14 +859,17 @@ class TestSharedScanBoundaries:
     """Models share the scan's kernel calls, but one model's last sample
     and the next one's T = 0 sample are no bracket: a model separable at
     its t_cut followed by one entangled at T = 0, or by one separable at
-    every T, gives each model its own record."""
+    every T, gives each model its own record. Nor does a record depend on
+    which models share its scan: a sweep split into scans of `per_scan`
+    models, one split falling inside the list, gives the same records."""
 
-    def test_models_in_one_scan(self):
-        ps = [CASE3(b) for b in np.linspace(0.0, 2.0, 21)] + [XX(0.0), canonicalize(1.0, 0.4, 0.4, 0.0)]
-        got = _limit_records(ps)
+    @pytest.mark.parametrize("per_scan", [1 << 15, 64])
+    def test_models_in_one_scan(self, per_scan):
+        ps = 3 * ([CASE3(b) for b in np.linspace(0.0, 2.0, 21)] + [XX(0.0), canonicalize(1.0, 0.4, 0.4, 0.0)])
+        got = [lt for i in range(0, len(ps), per_scan) for lt in _limit_records(ps[i : i + per_scan])]
         assert got == [limit_temperatures(p) for p in ps]
         # each entangled at T = 0 after one separable at its t_cut, and the last one never entangled
-        assert [lt.intervals[0][0] if lt.intervals else None for lt in got] == [0.0] * 22 + [None]
+        assert [lt.intervals[0][0] if lt.intervals else None for lt in got] == 3 * ([0.0] * 22 + [None])
 
 
 # ---------------------------------------------------------------------------
