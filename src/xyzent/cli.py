@@ -170,14 +170,14 @@ def _state_values(columns, temps: np.ndarray) -> np.ndarray:
     return np.column_stack((c, states._eof(c), m12, m03, dis, ent))
 
 
-def _limit_table(ps, columns=None) -> np.ndarray:
+def _limit_table(ps) -> np.ndarray:
     """The limits of every model in ps, one row each, with the
     LIMIT_COLUMNS and then reentry_two_level, NaN where a value is absent,
-    from one scan (of their _eigen_columns, if given)."""
+    from one scan."""
     rows = [
         (lt.t_exact, lt.t_disorder, lt.t_entropic, p.t_critical)
         + ((lt.reentry.lower, lt.reentry.upper, lt.reentry.two_level) if lt.reentry else (None,) * 3)
-        for p, lt in zip(ps, limits._limit_records(ps, columns))
+        for p, lt in zip(ps, limits._limit_records(ps))
     ]
     return np.array(rows, dtype=float)
 
@@ -293,15 +293,14 @@ def cmd_sweep(args) -> int:
         models = [canonicalize(args.vx, args.vy, args.vz, args.b)]
     else:
         models = [_sweep_model(args, float(v)) for v in values]
-    eig_columns = _eigen_columns(models)
     columns, parts = [args.axis], [values[:, None]]
     if "state" in groups:
         temps = values if args.axis == "temp" else np.full(values.size, args.temp)
         columns += STATE_COLUMNS
-        parts.append(_state_values(eig_columns, temps))
+        parts.append(_state_values(_eigen_columns(models), temps))
     if "limits" in groups:
         columns += LIMIT_COLUMNS
-        lims = _limit_table(models, eig_columns)[:, : len(LIMIT_COLUMNS)]
+        lims = _limit_table(models)[:, : len(LIMIT_COLUMNS)]
         parts.append(np.broadcast_to(lims, (values.size, len(LIMIT_COLUMNS))))
     _write_lines(_csv_blocks(columns, np.hstack(parts)), args.out)
     return 0
@@ -332,11 +331,11 @@ def cmd_figure(args) -> int:
     v_unit = v_plus if v_plus > 0.0 else v_minus
     fields = _steps(0.0, 2.0, args.steps) * v_unit
     models = [canonicalize(vx, vy, 0.0, float(b)) for b in fields]
-    eig_columns = _eigen_columns(models)
-    lims = _limit_table(models, eig_columns)
+    lims = _limit_table(models)
     # the concurrence at each model's four limits, one kernel column each (at T = 0 where absent)
     ts = np.where(np.isnan(lims[:, :4]), 0.0, lims[:, :4])
-    c = _state_values([np.repeat(x, ts.shape[1], axis=-1) for x in eig_columns[:3]], ts.ravel())[:, 0].reshape(ts.shape)
+    bottom_columns = [np.repeat(x, ts.shape[1], axis=-1) for x in _eigen_columns(models)[:3]]
+    c = _state_values(bottom_columns, ts.ravel())[:, 0].reshape(ts.shape)
     c = np.where(ts > 0.0, c, np.nan)  # absent at T = 0
     ratio = fields / v_unit
     inv = np.divide(1.0, ratio, out=np.full(ratio.size, np.nan), where=ratio > 0.0)

@@ -162,7 +162,7 @@ def _sign_change_bounds(gaps, vm_ratio, b_ratio):
 
     def sums(n, m):
         s = n + m * rho
-        s[2] = np.where((n[2] != 0) & (n[2] == -m[2] * np.sign(b_ratio)[:, None]), n[2] * c, s[2])
+        s[2] = np.where(n[2] == -m[2] * np.sign(b_ratio)[:, None], n[2] * c, s[2])
         return s
 
     n, m = np.cumsum(n, axis=-1), np.cumsum(m, axis=-1)
@@ -245,16 +245,16 @@ def _entropic_brackets(gaps, vm_ratio, b_ratio, upper):
     return top >= 0, top == n, np.ones(k.size, bool), at(k, top[k]), at(k, top[k] + 1), k
 
 
-def _limit_records(ps, columns=None) -> list[LimitTemperatures]:
+def _limit_records(ps) -> list[LimitTemperatures]:
     """The LimitTemperatures of every model in ps (see limit_temperatures).
 
     The models' level gaps and ratios come from one model._eigen_columns
-    pass, or are its result for ps, given as columns.  _root_brackets
-    brackets every sign change of the exact and disorder rows below
-    t_cut, of which the disorder row keeps its top one; _entropic_brackets
-    brackets the entropic row's top one up to the end of the disorder
-    row's top bracket (module docstring); a margin negative at the top of
-    its range, which the module docstring rules out, raises RuntimeError.
+    pass.  _root_brackets brackets every sign change of the exact and
+    disorder rows below t_cut, of which the disorder row keeps its top
+    one; _entropic_brackets brackets the entropic row's top one up to the
+    end of the disorder row's top bracket (module docstring); a margin
+    negative at the top of its range, which the module docstring rules
+    out, raises RuntimeError.
     From the margins at their ends, one Illinois iteration refines every
     bracket in its own model's column (an end's margin halved when it is
     kept twice, Dowell and Jarratt 1971; the midpoint where the bracket did
@@ -265,7 +265,7 @@ def _limit_records(ps, columns=None) -> list[LimitTemperatures]:
     the floats below it, so any bracket, one from 0 to 1e300 included,
     reaches adjacent floats in at most 63 halvings.
     """
-    gaps, vm_ratio, b_ratio, delta = _eigen_columns(ps) if columns is None else columns
+    gaps, vm_ratio, b_ratio, delta = _eigen_columns(ps)
     first, last, rows, leaving, lo, hi, model = _root_brackets(gaps, vm_ratio, b_ratio)
     dis = np.flatnonzero(rows == 2)
     top = dis[model[dis] != np.append(model[dis][1:], -1)]

@@ -12,8 +12,8 @@ are canonicalized to b >= 0, v_plus >= 0, v_minus >= 0 at the library
 boundary and internal code assumes that form.
 
 The level gaps and mixing ratios of any number of models come from one
-array pass, _eigen_columns, which the limit scan and the CLI's
-many-model tables call once per batch; eigensystem is its one-model view,
+array pass, _eigen_columns, which the limit scan and the CLI's state
+columns each call once per batch; eigensystem is its one-model view,
 with the same bits in every column whatever the batch.  The closed-form
 mean-field T_c (XYZParams.t_critical) lives here too, with the rule
 that says where it is the onset of the mean field's broken global

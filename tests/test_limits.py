@@ -1369,6 +1369,48 @@ def test_near_degenerate_hierarchy_holds_at_the_120_digit_reference():
     assert all(_within_ulps(t, ref, 4) for t, ref in zip(got, (t_exact, t_exact, t_entropic))), got
 
 
+#: ground levels closer than T at their limits, with (t_exact, t_disorder =
+#: t_entropic) at 120 digits, found as above on a 400-point log-T grid from
+#: 1e-10 (1e-14 for the second) to t_cut, each top sign change bisected 130
+#: times: a field of 1e-7 on the XX model, whose ground levels lie 1e-14
+#: apart, and a ground pair 1.3e-18 apart, which the 16-ulp gap rule sets to 0
+@pytest.mark.parametrize(
+    "model, t_exact, t_disorder",
+    [
+        pytest.param(
+            (1.0, 0.0, 0.0, 1e-7),
+            0.03377109692266215989323,
+            4.999999500000033107077e-8,
+            id="small_field",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=RuntimeError,
+                reason="the ground levels lie 1e-14 apart at T near 5e-8, and the margin rows subtract rounded "
+                "weights, so the disorder edge lands 2.1e-9 below the root and the entropic one 8.7e-10 above "
+                "it: 1.1e-9 above the disorder edge, past _record's 16-eps allowance",
+            ),
+        ),
+        pytest.param(
+            (0.890625, 0.125, 0.125, 1e-9),
+            0.020500202423017202003,
+            4.9999999934693880722e-10,
+            id="snapped_pair",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="the float couplings put the ground pair 1.3e-18 apart, and the 16-ulp gap rule sets "
+                "that gap to 0: the record is (0.0, None, None, ())",
+            ),
+        ),
+    ],
+)
+def test_close_ground_pair_limits_match_the_120_digit_reference(model, t_exact, t_disorder):
+    lt = limit_temperatures(canonicalize(*model))
+    got = (lt.t_exact, lt.t_disorder, lt.t_entropic)
+    assert all(_within_ulps(t, ref, 4) for t, ref in zip(got, (t_exact, t_disorder, t_disorder))), got
+    assert lt.t_entropic <= lt.t_disorder <= lt.t_exact, got
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
