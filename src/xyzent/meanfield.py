@@ -232,11 +232,11 @@ def _uniform_x(p: XYZParams, t: float):
 
 
 def _staggered(p: XYZParams, t: float, lam0: float):
-    """The staggered z pair around the uniform root lam0 (vz < 0), or None:
-    it exists iff |vz|/2T sech^2(lam0/2T) > 1, and its lower field is the
-    one sign change of H(H(lambda)) - lambda below lam0."""
+    """The staggered z pair around the uniform root lam0 in [0, b]
+    (vz < 0), or None: it exists iff |vz|/2T sech^2(lam0/2T) > 1, and its
+    lower field is the one sign change of H(H(lambda)) - lambda below lam0."""
     vz, b = p.vz, p.b
-    e = math.exp(-abs(lam0) / t)
+    e = math.exp(-lam0 / t)
     if not -vz * 4.0 * e / (1.0 + e) ** 2 > 2.0 * t:
         return None
     field = lambda lam: b + vz * math.tanh(lam / (2.0 * t))

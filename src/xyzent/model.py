@@ -235,8 +235,7 @@ def _eigen_columns(ps) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     tol = 16.0 * np.finfo(float).eps * np.abs(_energies(vz, vp, delta)).max(axis=0)
     u = (vz - vp) + delta
     near = np.flatnonzero(vz < vp)
-    if near.size:
-        u[near] = _crossing_gap(*(x[near] for x in (vx, vy, vz, b, vp, delta)))
+    u[near] = _crossing_gap(*(x[near] for x in (vx, vy, vz, b, vp, delta)))
     zero = np.zeros_like(u)
     gaps = np.where(u >= 0.0, [u + 2.0 * vp, 2.0 * delta, zero, u], [2.0 * vp, 2.0 * delta - u, -u, zero])
     return np.where(gaps < tol, 0.0, gaps), vm_ratio, b_ratio, delta

@@ -231,7 +231,7 @@ def _entropic_margin_bound(gaps, b_r, t_lo, t_hi):
     s = -np.maximum(_xlogx(lo), _xlogx(hi)).sum(axis=0) / _LN2
     half = 0.5 * np.abs(b_r)
     q_lo, q_hi = 0.5 + half * (lo[1] - hi[2]), 0.5 + half * (hi[1] - lo[2])
-    return s - _binary_entropy_bits(np.clip(np.clip(0.5, q_lo, q_hi), 0.0, 1.0))
+    return s - _binary_entropy_bits(np.clip(0.5, q_lo, q_hi))
 
 
 def _entropic_near_zero(p, b_r, vm_r):

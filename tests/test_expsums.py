@@ -104,8 +104,22 @@ def test_newton_rows_end_converged(monkeypatch):
     # every x _newton returns in the scans of the tiny-coupling family is a
     # Newton step of at most 1e-9 x from the zero, or the sum changes sign
     # between the floats next to it (446 of 692 rows did neither where steps
-    # could crawl)
-    rows, failed, newton = [0], [], expsums._newton
+    # could crawl), and every call ends within half its cap of 200 rounds
+    # (59 at most here), counted by a module-global range that shadows the
+    # builtin in expsums
+    rows, failed, newton, rounds = [0], [], expsums._newton, []
+
+    def counting_range(*args):
+        if args != (200,):
+            return range(*args)
+        rounds.append(0)
+
+        def count():
+            for k in range(200):
+                rounds[-1] = k + 1
+                yield k
+
+        return count()
 
     def spy(c, e, *args):
         x = newton(c, e, *args)
@@ -121,5 +135,7 @@ def test_newton_rows_end_converged(monkeypatch):
         return x
 
     monkeypatch.setattr(expsums, "_newton", spy)
+    monkeypatch.setattr(expsums, "range", counting_range, raising=False)
     limits._limit_records([canonicalize(*m) for m in tiny_coupling_family(600) if max(map(abs, m)) >= MIN_ENERGY_SCALE])
     assert rows[0] > 500 and not failed, (rows[0], len(failed), failed[:5])
+    assert rounds and max(rounds) <= 100, (len(rounds), max(rounds, default=None))

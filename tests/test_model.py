@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -72,17 +72,24 @@ class TestCanonicalize:
                 canonicalize(*vals)
 
     @given(st.floats(allow_nan=False), st.floats(allow_nan=False), finite, finite)
+    @example(-5e-324, 0.0, 1.0, 0.0)  # v_minus = 0.5 * -5e-324 rounds to -0.0
     @settings(max_examples=300, deadline=None)
     def test_canonical_sector_has_non_negative_v_max(self, vx, vy, vz, b):
-        # v_plus, v_minus >= 0 put vx = v_plus + v_minus >= |vy|, so every model
-        # that builds has v_max = vx >= 0 (meanfield takes a minimum's
-        # transverse part along x)
+        # v_plus, v_minus >= 0 put max(vx, vy) >= 0 (meanfield takes a
+        # minimum's transverse part along x); v_minus may round to -0.0 with
+        # vx < vy, so v_max is not always vx
         for build in (XYZParams, canonicalize):
             try:
                 p = build(vx, vy, vz, b)
             except (NonFiniteInput, OutOfRange):
                 continue
             assert p.v_max >= 0.0, p
+
+    def test_v_max_is_the_larger_coupling_where_v_minus_rounds_to_zero(self):
+        p = canonicalize(5e-324, 1e-323, -1.0, 0.0)
+        assert p.v_minus == 0.0 and p.vx < p.vy
+        assert p.v_max == 1e-323
+        assert p.t_critical == 5e-324
 
     def test_derived_fields(self):
         p = canonicalize(1.7, 0.3, 0.0, 0.9)
