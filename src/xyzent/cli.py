@@ -18,10 +18,12 @@ detects (limits module docstring), so no option sets a scan range.
 Floats in CSV output carry up to 12 significant digits, and a limit
 temperature's are all the margin kernel's (limits refines it to adjacent
 floats).  `limits`, `sweep` and `figure` read one limit table
-(_limit_table), a float array from one scan of all their models, in
-which an absent value is NaN; absent values print as empty fields.  The
-figure's top panel is one margin-kernel call.  Output is deterministic:
-identical invocations produce byte-identical files.
+(_limit_table), the float array limits._limit_table builds in one scan
+of all their models, with t_critical inserted, in which an absent value
+is NaN; absent values print as empty fields.  A fault of the scan
+(limits module docstring) raises RuntimeError, which exits 1 with its
+traceback.  The figure's top panel is one margin-kernel call.  Output
+is deterministic: identical invocations produce byte-identical files.
 
 Run as a program (`python -m xyzent.cli`, or the `xyzent` console script,
 which runs this module as __main__ through runpy), it sets up its process
@@ -171,15 +173,9 @@ def _state_values(columns, temps: np.ndarray) -> np.ndarray:
 
 
 def _limit_table(ps) -> np.ndarray:
-    """The limits of every model in ps, one row each, with the
-    LIMIT_COLUMNS and then reentry_two_level, NaN where a value is absent,
-    from one scan."""
-    rows = [
-        (lt.t_exact, lt.t_disorder, lt.t_entropic, p.t_critical)
-        + ((lt.reentry.lower, lt.reentry.upper, lt.reentry.two_level) if lt.reentry else (None,) * 3)
-        for p, lt in zip(ps, limits._limit_records(ps))
-    ]
-    return np.array(rows, dtype=float)
+    """limits._limit_table of the models ps with t_critical inserted: the
+    LIMIT_COLUMNS and then reentry_two_level, NaN where a value is absent."""
+    return np.insert(limits._limit_table(ps)[0], 3, [p.t_critical for p in ps], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ vanishing-plus-reentry window.  The reference closed forms of the special
 coupling cases and the two-level mixture thresholds, which no command
 prints, are oracles in linalg.
 
-One scan (_limit_records) computes every limit of any number of models,
-from one model._eigen_columns pass over their couplings;
-limit_temperatures is its one-model view.  All margins come from the
-kernel states._margin_columns (one model per column), whose row
-functions the scalar checks (entanglement.exact_margins,
-criteria.disorder_check, criteria.entropic_check) call on one mixture.
+One scan (_limit_table) computes every limit of any number of models
+as a float table, from one model._eigen_columns pass and array rules
+over their refined edges; _limit_records and limit_temperatures build
+records from its rows.  It raises RuntimeError on a fault: a margin
+negative at the top of its range, a bracket not at adjacent floats
+after _MAX_STEPS steps, or an entropic limit over 16 eps above the
+disorder one.  All margins come from the kernel states._margin_columns
+(one model per column), whose row functions the scalar checks
+(entanglement.exact_margins, criteria.disorder_check,
+criteria.entropic_check) call on one mixture.
 
 No margin is negative past t_cut = (E_max - E_min)/ln 2.  There the
 Gibbs weights (sum Z) obey w_max <= 2 w_min, so w_min/Z >= 1/7 and every
@@ -21,8 +25,7 @@ margin is >= 0.1:
   entropic >= -log2 p_max - 1 >= log2(5/2) - 1 > 0.32 bits.
 So each model's scan ends at its own t_cut, below 4.33 energy_scale as
 every level gap is at most 3 energy_scale (2 v_plus, 2 Delta, or
-|vz| + v_plus + Delta), and a margin negative there is a fault of the
-scan, which raises RuntimeError.
+|vz| + v_plus + Delta), and a margin negative there is a fault.
 
 The exact and disorder rows need no grid.  In beta = 1/T, with
 w_j = exp(-beta (E_j - E_min)), three margins have the signs of sums of
@@ -44,7 +47,7 @@ it is >= 0 above U, the end of the disorder row's top bracket, and on
 [0, U] interval branch and bound certifies it (_entropic_brackets): a
 piece is dropped where it lies below the highest negative sample or
 states._entropic_margin_bound proves it positive, and split and
-sampled otherwise, down to pieces of the floor U/4096.  The record
+sampled otherwise, down to pieces of the floor U/4096.  The table
 keeps only the top edges of the disorder and entropic rows, so of those
 rows only the top bracket is refined, and of the exact rows every
 bracket, all in one vectorised Illinois iteration down to adjacent
@@ -211,12 +214,11 @@ def _root_brackets(gaps, vm_ratio, b_ratio):
 def _entropic_brackets(gaps, vm_ratio, b_ratio, upper):
     """The entropic row of each model, certified on [0, U], U = upper (K,)
     (none where upper is 0; module docstring), sampled at U i/N,
-    N = _SPLIT**_ROUNDS: the negative flags (K,) below the top sign change
-    (of every sample, without one) and at U, and the sign below, bracket
-    and model of each top sign change, the floor piece from the highest
-    negative sample (never bounded, as it is negative at its start).  A
-    margin exactly 0 at T = 0 counts as >= 0, as the sign of the next
-    sample up would be wherever it matters."""
+    N = _SPLIT**_ROUNDS: the negative flags (K,) at U, and the bracket and
+    model of each top sign change, the floor piece from the highest
+    negative sample (never bounded, as it is negative at its start), which
+    leaves the negative set.  A margin exactly 0 at T = 0 counts as >= 0,
+    as the sign of the next sample up would be wherever it matters."""
     n, top = _SPLIT**_ROUNDS, np.full(upper.size, -1)  # each model's highest negative sample, as i
 
     def at(m, i):
@@ -242,28 +244,46 @@ def _entropic_brackets(gaps, vm_ratio, b_ratio, upper):
             keep[b[bound > _NEAR_ZERO]] = False
         model, start = model[keep], start[keep]
     k = np.flatnonzero((top >= 0) & (top < n))
-    return top >= 0, top == n, np.ones(k.size, bool), at(k, top[k]), at(k, top[k] + 1), k
+    return top == n, at(k, top[k]), at(k, top[k] + 1), k
 
 
-def _limit_records(ps) -> list[LimitTemperatures]:
-    """The LimitTemperatures of every model in ps (see limit_temperatures).
+def _limit_table(ps):
+    """The limits of every model in ps from one scan: a table (K, 6) of
+    t_exact, t_disorder, t_entropic and the reentry window's lower, upper
+    and two_level (see LimitTemperatures), NaN where absent, and the merged
+    exact intervals (n, 2) with the model (n,) owning each, in model order.
 
-    The models' level gaps and ratios come from one model._eigen_columns
-    pass.  _root_brackets brackets every sign change of the exact and
-    disorder rows below t_cut, of which the disorder row keeps its top
-    one; _entropic_brackets brackets the entropic row's top one up to the
-    end of the disorder row's top bracket (module docstring); a margin
-    negative at the top of its range, which the module docstring rules
-    out, raises RuntimeError.
-    From the margins at their ends, one Illinois iteration refines every
-    bracket in its own model's column (an end's margin halved when it is
-    kept twice, Dowell and Jarratt 1971; the midpoint where the bracket did
-    not halve over two steps, Brent 1973) until lo, hi are adjacent floats,
-    in _MAX_STEPS steps (else RuntimeError), and reports the end where its
-    margin is >= 0.  Widths and midpoints (expsums._mid) are in the
-    floats' order: the bits of a float T >= +0.0, read as an integer, count
-    the floats below it, so any bracket, one from 0 to 1e300 included,
-    reaches adjacent floats in at most 63 halvings.
+    _root_brackets brackets every sign change of the exact and disorder
+    rows below t_cut, and _entropic_brackets the entropic row's top one
+    below the disorder row's top bracket (module docstring).  From the
+    margins at their ends, one Illinois iteration refines every exact
+    bracket and each top one in its own model's column (an end's margin
+    halved when it is kept twice, Dowell and Jarratt 1971; the midpoint
+    where the bracket did not halve over two steps, Brent 1973) until
+    lo, hi are adjacent floats, and reports the end where its margin is
+    >= 0.  Widths and midpoints (expsums._mid) are in the floats' order:
+    the bits of a float T >= +0.0, read as an integer, count the floats
+    below it, so any bracket, one from 0 to 1e300 included, reaches
+    adjacent floats in at most 63 halvings.
+
+    RuntimeError is raised where a margin is negative at the top of its
+    range, a bracket is not at adjacent floats after _MAX_STEPS steps, or
+    an entropic limit lies over 16 eps above the disorder one (entropic
+    detection implies disorder detection, so a smaller excess is
+    refinement noise, and the entropic limit is moved onto the disorder
+    one).  Nothing else needs a check, as each sign change lies between
+    neighbouring samples of one model in T order, and no last sample is
+    negative.  So a row's sign changes number (first sample negative) mod
+    2, and with 0.0 in front there an exact row's edges pair up into the
+    maximal intervals where its margin is negative; the sign above a
+    row's top sign change is its last sample's, so its top edge leaves
+    the negative set; and _entropic_brackets samples only models with a
+    disorder limit.  The exact margins' violation sets are disjoint
+    (m12 < 0 needs vm (hi - lo) > big, m03 < 0 needs |w3 - w0| >
+    vm (hi - lo), with hi, lo = max, min(w1, w2), big = max(w0, w3)), so
+    in (model, lo, hi) order only refinement noise overlaps them: each
+    but the first of its model (whose lo <= hi, its edges in T order)
+    becomes lo' = max(lo, hi' before it), hi' = max(lo', hi).
     """
     gaps, vm_ratio, b_ratio, delta = _eigen_columns(ps)
     first, last, rows, leaving, lo, hi, model = _root_brackets(gaps, vm_ratio, b_ratio)
@@ -273,12 +293,12 @@ def _limit_records(ps) -> list[LimitTemperatures]:
     keep[top] = True
     upper = np.zeros(len(ps))
     upper[model[top]] = hi[top]
-    ent_first, ent_last, *ent = _entropic_brackets(gaps, vm_ratio, b_ratio, upper)
+    ent_last, *ent = _entropic_brackets(gaps, vm_ratio, b_ratio, upper)
     if last.any() or ent_last.any():
         raise RuntimeError("limit scan: a margin is negative at the top of its range")
-    order = np.argsort(np.append(model[keep], ent[-1]), kind="stable")
-    rows = np.append(rows[keep], np.full(ent[-1].size, 3))[order]
-    leaving, lo, hi, model = (np.append(x[keep], y)[order] for x, y in zip((leaving, lo, hi, model), ent))
+    rows = np.append(rows[keep], np.full(ent[-1].size, 3))
+    leaving = np.append(leaving[keep], np.ones(ent[-1].size, bool))
+    lo, hi, model = (np.append(x[keep], y) for x, y in zip((lo, hi, model), ent))
     ends = _values(gaps, vm_ratio, b_ratio, np.tile(model, 2), np.append(lo, hi))
     f_lo, f_hi = ends[np.tile(rows, 2), np.arange(2 * lo.size)].reshape(2, -1)
     # the width in floats one and two steps back, and whether the last step moved lo (-1 before any)
@@ -305,62 +325,44 @@ def _limit_records(ps) -> list[LimitTemperatures]:
         hi[live[~to_lo]], f_hi[live[~to_lo]] = x[~to_lo], value[~to_lo]
         f_lo[live[stale & ~to_lo]] *= 0.5
         f_hi[live[stale & to_lo]] *= 0.5
-    ends = np.searchsorted(model, np.arange(len(ps) + 1)).tolist()
-    rows, t_cross, leaving = rows.tolist(), np.where(leaving, hi, lo).tolist(), leaving.tolist()
-    first = np.vstack([first, ent_first]).T.tolist()
-    t_r = [_two_level(p, d, u) for p, d, u in zip(ps, delta.tolist(), gaps[3].tolist())]
-    return [_record(rows[a:b], t_cross[a:b], leaving[a:b], f, r) for a, b, f, r in zip(ends[:-1], ends[1:], first, t_r)]
+    t_cross = np.where(leaving, hi, lo)
+    table = np.full((len(ps), 6), [0.0] + 5 * [np.nan])  # t_exact is 0 without an interval
+    table[model[rows >= 2], rows[rows >= 2] - 1] = t_cross[rows >= 2]  # the disorder and entropic limits
+    far = np.flatnonzero(table[:, 2] - table[:, 1] > 16.0 * _EPS * table[:, 1])
+    if far.size:
+        t_dis, t_ent = table[far[0], 1:3].tolist()
+        raise RuntimeError(f"limit scan: the entropic limit {t_ent!r} lies above the disorder limit {t_dis!r}")
+    table[:, 2] = np.minimum(table[:, 2], table[:, 1])
+    # each exact row's edges, model by model, after 0.0 where its first sample is negative
+    r, z = np.nonzero(first[:2])
+    key = np.append(2 * z + r, (2 * model + rows)[rows < 2])
+    order = np.argsort(key, kind="stable")
+    ints, owner = np.append(np.zeros(z.size), t_cross[rows < 2])[order].reshape(-1, 2), key[order][::2] // 2
+    order = np.lexsort((ints[:, 1], ints[:, 0], owner))
+    ints, owner = ints[order], owner[order]
+    pos = np.arange(owner.size) - np.searchsorted(owner, owner)  # each interval's place in its model
+    for j in range(1, pos.max(initial=0) + 1):  # refinement noise; keep the gap structure
+        at = np.flatnonzero(pos == j)
+        ints[at, 0] = np.maximum(ints[at, 0], ints[at - 1, 1])
+        ints[at, 1] = np.maximum(ints[at, 0], ints[at, 1])
+    np.maximum.at(table[:, 0], owner, ints[:, 1])  # the end of each model's last interval, its highest
+    at = np.flatnonzero(pos == 1)
+    m = owner[at]  # the models with a reentry window
+    table[m, 3:5] = np.column_stack([ints[at - 1, 1], ints[at, 0]])
+    table[m, 5] = [_two_level(ps[k], d, g) for k, d, g in zip(m.tolist(), delta[m].tolist(), gaps[3, m].tolist())]
+    return table, ints, owner
 
 
-def _record(rows, t_cross, leaving, first, t_r) -> LimitTemperatures:
-    """One model's record from its refined sign changes (lists, in T order).
-
-    An exact row's sign changes alternate, so with 0 in front of a negative
-    first sample they pair up into the maximal intervals where the margin
-    is negative, as its last sample is not.  The disorder and entropic rows
-    bring only their top sign change, and their limit is its edge, or None
-    when the row never detects; the row's sign above that edge (its first
-    sign, without one) must be that of its last sample, >= 0.  Entropic
-    detection implies disorder detection, so an entropic limit above the
-    disorder one is refinement noise of coinciding limits, and is moved onto
-    it, if it lies within 16 eps of it.  A row that breaks any of these
-    rules is a fault of the scan, and raises RuntimeError rather than report
-    a wrong limit.  The exact margins' violation sets are merged; they are
-    disjoint (m12 < 0 needs vm (hi - lo) > big, m03 < 0 needs
-    |w3 - w0| > vm (hi - lo), with hi, lo = max, min(w1, w2) and
-    big = max(w0, w3) >= |w3 - w0|), so only refinement noise overlaps them.
-    """
-    edges = [[0.0] * first[r] + [t for t, q in zip(t_cross, rows) if q == r] for r in range(2)]
-    if any(len(e) % 2 for e in edges):
-        raise RuntimeError(f"limit scan: unpaired sign changes, {[len(e) for e in edges]} edges per exact margin")
-    tops = []
-    for r in (2, 3):
-        top = next((k for k, q in enumerate(rows) if q == r), None)
-        if first[r] if top is None else not leaving[top]:
-            raise RuntimeError(f"limit scan: the top edge of margin {r} disagrees with its sign at the top")
-        tops.append(None if top is None else t_cross[top])
-    if tops[0] is None and tops[1] is not None:
-        raise RuntimeError("limit scan: the entropic margin detects where the disorder margin does not")
-    if tops[1] is not None and tops[1] > tops[0]:
-        if tops[1] - tops[0] > 16.0 * _EPS * tops[0]:
-            raise RuntimeError(f"limit scan: the entropic limit {tops[1]!r} lies above the disorder limit {tops[0]!r}")
-        tops[1] = tops[0]
-    m12, m03 = (list(zip(e[::2], e[1::2])) for e in edges)
-    ints: list[tuple[float, float]] = []
-    for lo, hi in sorted(m12 + m03):
-        if ints and lo < ints[-1][1]:
-            lo = ints[-1][1]  # refinement noise; keep the gap structure
-        ints.append((lo, max(lo, hi)))
-    reentry = None
-    if len(ints) >= 2:
-        reentry = ReentryWindow(lower=ints[0][1], upper=ints[1][0], two_level=t_r)
-    return LimitTemperatures(
-        t_exact=ints[-1][1] if ints else 0.0,
-        t_disorder=tops[0],
-        t_entropic=tops[1],
-        intervals=tuple(ints),
-        reentry=reentry,
-    )
+def _limit_records(ps) -> list[LimitTemperatures]:
+    """The LimitTemperatures of every model in ps (see limit_temperatures),
+    the rows of _limit_table."""
+    table, ints, owner = _limit_table(ps)
+    ints, ends = list(map(tuple, ints.tolist())), np.searchsorted(owner, np.arange(len(ps) + 1)).tolist()
+    rows = ([None if math.isnan(x) else x for x in row] for row in table.tolist())
+    return [
+        LimitTemperatures(t_e, t_d, t_s, tuple(ints[a:b]), ReentryWindow(lower, upper, t_r) if b - a >= 2 else None)
+        for (t_e, t_d, t_s, lower, upper, t_r), a, b in zip(rows, ends[:-1], ends[1:])
+    ]
 
 
 def limit_temperatures(p: XYZParams) -> LimitTemperatures:

@@ -15,6 +15,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import xyzent
+from xyzent import limits
 from xyzent.cli import (
     _BLOCK,
     _FIGURES,
@@ -95,13 +96,19 @@ SEPARABLE = canonicalize(0.0, 0.0, 1.0, 0.5)
 class TestLimitTable:
     @pytest.mark.parametrize("seed", [381, 382, 383])
     def test_rows_are_the_one_model_records(self, seed):
+        # the scan's table (limits._limit_table) with t_critical inserted:
         # each row holds the model's own limit_temperatures fields and
-        # t_critical, NaN exactly where the record holds None
+        # t_critical, NaN exactly where the record holds None, and the
+        # scan's merged intervals are each model's own
         rng = np.random.default_rng(seed)
         models = [random_canonical_params(rng) for _ in range(12)] + [REENTRY, INFEASIBLE_TC, SEPARABLE]
         models = [models[k] for k in rng.permutation(len(models))]
         table = _limit_table(models)
         assert table.shape == (len(models), len(LIMIT_COLUMNS) + 1)
+        scan, intervals, owner = limits._limit_table(models)
+        assert np.delete(table, 3, axis=1).tobytes() == scan.tobytes()
+        alone = [limit_temperatures(p).intervals for p in models]
+        assert [tuple(map(tuple, intervals[owner == k].tolist())) for k in range(len(models))] == alone
         want = [limits_alone(p) for p in models]
         got = [[None if math.isnan(x) else x for x in row] for row in table.tolist()]
         assert got == [list(w.values()) for w in want]

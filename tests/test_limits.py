@@ -25,10 +25,10 @@ from xyzent.limits import (
 )
 from xyzent.linalg import b_crossing, closed_form_limits, mixture_thresholds, thermal_margin_exact
 from xyzent.meanfield import critical_temperature
-from xyzent.model import MAX_ENERGY_SCALE, MIN_ENERGY_SCALE, canonicalize, eigensystem
+from xyzent.model import MAX_ENERGY_SCALE, MIN_ENERGY_SCALE, _eigen_columns, canonicalize, eigensystem
 from xyzent.states import _NEAR_ZERO, mixture, thermal_mixture, thermal_probabilities
 
-from conftest import limit_families, log_uniform, random_canonical_params
+from conftest import limit_families, log_uniform, random_canonical_params, tiny_coupling_family
 
 ALPHA = 1.0 / math.log(1.0 + math.sqrt(2.0))  # 1.134593
 
@@ -370,7 +370,7 @@ class TestBisectionConverges:
                 edges += 1
             if lt.t_entropic is not None and lt.t_entropic == lt.t_disorder:
                 # an entropic edge within 16 eps above the disorder one is moved
-                # onto it (_record): the entropic margin is >= 0 by then
+                # onto it (_limit_table): the entropic margin is >= 0 by then
                 ts = lt.t_disorder * (1.0 + np.arange(17) * np.finfo(float).eps)
                 assert (_margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts)[3] >= 0.0).any(), (p, lt)
         assert edges >= 2000, edges
@@ -410,9 +410,9 @@ class TestBisectionConverges:
         """(rows, edge, side) of every edge of a record: the rows of the
         margin table that change sign there, and the side (+-1) of the
         negative margin.  An entropic edge on the disorder one, and a lower
-        end on the upper end below it, are left out: _record moved them onto
-        that edge (coinciding limits, overlapping violation sets), which is
-        certified."""
+        end on the upper end below it, are left out: limits._limit_table
+        moved them onto that edge (coinciding limits, overlapping violation
+        sets), which is certified."""
         ints = lt.intervals
         for k, (lo, hi) in enumerate(ints):
             if lo > 0.0 and not (k and lo == ints[k - 1][1]):
@@ -526,20 +526,6 @@ class TestDefaultScanRange:
         for model in itertools.product((-top, -0.3 * top, 0.0, 0.7 * top, top), repeat=4):
             self.assert_margins_positive_past_cut(canonicalize(*model))
 
-    def test_unpaired_sign_change_raises(self, monkeypatch):
-        # one spurious bracket leaves an exact row with an odd number of
-        # edges; the record must refuse it rather than drop a limit
-        assert limit_temperatures(CASE3(0.9)).intervals
-        roots = limits._root_brackets
-
-        def spurious(*args):
-            first, last, *brackets = roots(*args)
-            return first, last, *(np.append(x, a) for x, a in zip((1, True, 0.01, 0.02, 0), brackets))
-
-        monkeypatch.setattr(limits, "_root_brackets", spurious)
-        with pytest.raises(RuntimeError, match="unpaired sign changes"):
-            limit_temperatures(CASE3(0.9))
-
     @pytest.mark.parametrize("row", range(4))
     def test_margin_negative_at_t_cut_raises(self, monkeypatch, row):
         # no margin is negative at t_cut, the top of every row's range but the
@@ -560,53 +546,57 @@ class TestDefaultScanRange:
         with pytest.raises(RuntimeError, match="negative at the top of its range"):
             limit_temperatures(p)
 
-    def test_top_edge_against_the_top_sign_raises(self, monkeypatch):
-        # of the entropic row only the top bracket is refined; one entering
-        # the negative set contradicts the row's non-negative last sample,
-        # and the record must refuse it
-        lt = limit_temperatures(CASE3(0.9))
+    @pytest.mark.parametrize("fault", ["above", "censored"])
+    def test_entropic_detection_without_disorder_detection_raises(self, monkeypatch, fault):
+        # entropic detection implies disorder detection, so an entropic limit
+        # more than refinement noise above the disorder limit, or an entropic
+        # row still negative at the top of its range, the end of the disorder
+        # row's top bracket, is a fault of the scan that it must refuse, not
+        # report
+        p = CASE3(0.9)
+        lt = limit_temperatures(p)
         assert lt.t_entropic is not None
         entropic = limits._entropic_brackets
 
-        def entering(*args):
-            first, last, leaving, *bracket = entropic(*args)
-            return first, last, ~leaving, *bracket
-
-        monkeypatch.setattr(limits, "_entropic_brackets", entering)
-        with pytest.raises(RuntimeError, match="top edge"):
-            limit_temperatures(CASE3(0.9))
-
-    @pytest.mark.parametrize("fault", ["above", "censored", "orphan"])
-    def test_entropic_detection_without_disorder_detection_raises(self, monkeypatch, fault):
-        # entropic detection implies disorder detection, so an entropic limit
-        # more than refinement noise above the disorder limit, an entropic
-        # row still negative at the top of its range, the end of the disorder
-        # row's top bracket, or an entropic limit of a model whose disorder
-        # margin never detects, is a fault of the scan that it must refuse,
-        # not report
-        p = canonicalize(0.5, 0.5, 0.0, 2.0) if fault == "orphan" else CASE3(0.9)
-        lt = limit_temperatures(p)
-        assert (lt.t_disorder is None) == (fault == "orphan")
-        entropic = limits._entropic_brackets
-
         def faulty(*args):
-            first, last, leaving, lo, hi, model = entropic(*args)
-            if fault == "orphan":  # one top edge, at adjacent floats
-                t = np.array([0.1])
-                return first, last, np.ones(1, bool), t, np.nextafter(t, 1.0), np.zeros(1, int)
+            last, lo, hi, model = entropic(*args)
             if fault == "censored":
-                return first, np.ones_like(last), ~leaving, lo, hi, model
+                return np.ones_like(last), lo, hi, model
             t = np.full_like(lo, lt.t_disorder * (1.0 + 1e-9))
-            return first, last, leaving, t, t, model
+            return last, t, t, model
 
         monkeypatch.setattr(limits, "_entropic_brackets", faulty)
-        match = {
-            "above": "lies above",
-            "censored": "top of its range",
-            "orphan": "the entropic margin detects where the disorder margin does not",
-        }[fault]
+        match = {"above": "lies above", "censored": "top of its range"}[fault]
         with pytest.raises(RuntimeError, match=match):
             limit_temperatures(p)
+
+    def test_bracket_invariants_that_need_no_check(self, rng):
+        # the scan makes no check of what its brackets decide
+        # (limits._limit_table): a row's count of sign changes is odd
+        # exactly where its first and last samples differ in sign; the top
+        # sign change of a row leaves the negative set, as its last sample
+        # is >= 0; and only a model whose disorder row has a top bracket
+        # gets an entropic one.  All three hold on the oracle's families and
+        # the in-range tiny-coupling models
+        tiny = [canonicalize(*m) for m in tiny_coupling_family(600) if max(map(abs, m)) >= MIN_ENERGY_SCALE]
+        for ps in (limit_families(rng, 800), tiny):
+            gaps, vm_ratio, b_ratio, _ = _eigen_columns(ps)
+            first, last, rows, leaving, lo, hi, model = limits._root_brackets(gaps, vm_ratio, b_ratio)
+            assert not last.any()
+            count = np.zeros((3, len(ps)), int)
+            np.add.at(count, (rows, model), 1)
+            assert np.array_equal(count % 2, first ^ last)
+            tops = []
+            for r in range(3):
+                mine = np.flatnonzero(rows == r)
+                tops.append(mine[model[mine] != np.append(model[mine][1:], -1)])
+                assert leaving[tops[r]].all(), r
+            upper = np.zeros(len(ps))
+            upper[model[tops[2]]] = hi[tops[2]]
+            ent_last, ent_lo, ent_hi, ent_model = limits._entropic_brackets(gaps, vm_ratio, b_ratio, upper)
+            assert not ent_last.any() and (upper[ent_model] > 0.0).all()
+            assert np.all((0.0 <= ent_lo) & (ent_lo < ent_hi) & (ent_hi <= upper[ent_model]))
+        assert len(tiny) == 597
 
     def test_certified_pass_drops_only_certified_pieces(self, monkeypatch):
         # the entropic pass samples each model at U i/4096 on [0, U], U the
@@ -861,13 +851,16 @@ class TestSharedScanBoundaries:
     its t_cut followed by one entangled at T = 0, or by one separable at
     every T, gives each model its own record. Nor does a record depend on
     which models share its scan: a sweep split into scans of `per_scan`
-    models, one split falling inside the list, gives the same records."""
+    models, one split falling inside the list, gives the same records, and
+    the same limit table bit for bit, NaN included."""
 
     @pytest.mark.parametrize("per_scan", [1 << 15, 64])
     def test_models_in_one_scan(self, per_scan):
         ps = 3 * ([CASE3(b) for b in np.linspace(0.0, 2.0, 21)] + [XX(0.0), canonicalize(1.0, 0.4, 0.4, 0.0)])
         got = [lt for i in range(0, len(ps), per_scan) for lt in _limit_records(ps[i : i + per_scan])]
         assert got == [limit_temperatures(p) for p in ps]
+        split = np.vstack([limits._limit_table(ps[i : i + per_scan])[0] for i in range(0, len(ps), per_scan)])
+        assert split.tobytes() == limits._limit_table(ps)[0].tobytes()
         # each entangled at T = 0 after one separable at its t_cut, and the last one never entangled
         assert [lt.intervals[0][0] if lt.intervals else None for lt in got] == 3 * ([0.0] * 22 + [None])
 
@@ -1382,7 +1375,7 @@ def test_near_degenerate_hierarchy_holds_at_the_120_digit_reference():
                 raises=RuntimeError,
                 reason="the ground levels lie 1e-14 apart at T near 5e-8, and the margin rows subtract rounded "
                 "weights, so the disorder edge lands 2.1e-9 below the root and the entropic one 8.7e-10 above "
-                "it: 1.1e-9 above the disorder edge, past _record's 16-eps allowance",
+                "it: 1.1e-9 above the disorder edge, past the scan's 16-eps allowance",
             ),
         ),
         pytest.param(
@@ -1407,7 +1400,7 @@ def test_near_degenerate_hierarchy_holds_at_the_120_digit_reference():
                 raises=RuntimeError,
                 reason="the ground levels lie 1.03e-3 apart at T near 0.0156, and the margin rows subtract rounded "
                 "weights, so the disorder edge lands 14 ulps below the root and the entropic one 18 ulps above "
-                "it: 3.6e-15 above the disorder edge, past _record's 16-eps allowance",
+                "it: 3.6e-15 above the disorder edge, past the scan's 16-eps allowance",
             ),
         ),
     ],
