@@ -71,8 +71,9 @@ def sum_zeros(lam, coef, bound, t_end):
         sign = np.sign((c[:, None, :] * np.exp(-edges[..., None] * e[:, None, :])).sum(axis=-1))
         r, j = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
         x = np.full((at.size, 7), np.nan)
-        x[on[r], j] = _newton(c[r], e[r], edges[r, j], edges[r, j + 1], sign[r, j] < 0.0)
-        x.sort(axis=1, kind="stable")  # at most 5 zeros: the last column stays NaN
+        if r.size:  # a level without a sign change has no zero to refine
+            x[on[r], j] = _newton(c[r], e[r], edges[r, j], edges[r, j + 1], sign[r, j] < 0.0)
+            x.sort(axis=1, kind="stable")  # at most 5 zeros: the last column stays NaN
     zeros[at] = np.sort(scale[:, None] / x[:, :6], axis=1, kind="stable")
     return zeros
 

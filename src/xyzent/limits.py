@@ -8,10 +8,10 @@ prints, are oracles in linalg.
 One scan (_limit_table) computes every limit of any number of models
 as a float table, from one model._eigen_columns pass and array rules
 over their refined edges; _limit_records and limit_temperatures build
-records from its rows.  It raises RuntimeError on a fault: a margin
-negative at the top of its range, a bracket not at adjacent floats
-after _MAX_STEPS steps, or an entropic limit over 16 eps above the
-disorder one.  All margins come from the kernel states._margin_columns
+records from its rows.  It raises RuntimeError on a fault: an entropic
+margin negative at the top of its range, a bracket not at adjacent
+floats after _MAX_STEPS steps, or an entropic limit over 16 eps above
+the disorder one.  All margins come from the kernel states._margin_columns
 (one model per column), whose row functions the scalar checks
 (entanglement.exact_margins, criteria.disorder_check,
 criteria.entropic_check) call on one mixture.
@@ -25,7 +25,7 @@ margin is >= 0.1:
   entropic >= -log2 p_max - 1 >= log2(5/2) - 1 > 0.32 bits.
 So each model's scan ends at its own t_cut, below 4.33 energy_scale as
 every level gap is at most 3 energy_scale (2 v_plus, 2 Delta, or
-|vz| + v_plus + Delta), and a margin negative there is a fault.
+|vz| + v_plus + Delta), and no margin of its scan is negative there.
 
 The exact and disorder rows need no grid.  In beta = 1/T, with
 w_j = exp(-beta (E_j - E_min)), three margins have the signs of sums of
@@ -47,12 +47,12 @@ it is >= 0 above U, the end of the disorder row's top bracket, and on
 [0, U] interval branch and bound certifies it (_entropic_brackets): a
 piece is dropped where it lies below the highest negative sample or
 states._entropic_margin_bound proves it positive, and split and
-sampled otherwise, down to pieces of the floor U/4096.  The table
-keeps only the top edges of the disorder and entropic rows, so of those
-rows only the top bracket is refined, and of the exact rows every
-bracket, all in one vectorised Illinois iteration down to adjacent
-floats that reports each edge at the end of its final bracket where its
-margin is >= 0.
+sampled otherwise, down to pieces of the floor U/4096.  The table keeps
+only the top edges of the disorder and entropic rows, so of those only
+the top bracket is refined, and of the exact rows every bracket, all in
+one vectorised Illinois iteration from the samples at their ends (one
+more kernel call at the entropic ones) down to adjacent floats that
+reports each edge at its final bracket's end where its margin is >= 0.
 
 The two exact margins are refined separately and their violation sets
 merged.  Each margin crosses zero transversally, so both reentry
@@ -185,9 +185,9 @@ def _values(gaps, vm_ratio, b_ratio, model, ts) -> np.ndarray:
 def _root_brackets(gaps, vm_ratio, b_ratio):
     """The kernel's signs of the rows m12, m03 and disorder of each model,
     a column of level gaps, up to t_end = t_cut (K,): the negative flags
-    (3, K) at T = 0 and at t_end, and the row, sign below, bracket and
-    model of every sign change, model by model and in T order (module
-    docstring)."""
+    (3, K) at T = 0, and the row, sign below, bracket, margins at the
+    bracket's ends and model of every sign change, model by model and in
+    T order (module docstring)."""
     k, t_end = gaps.shape[1], gaps.max(axis=0) / math.log(2.0)
     bound, lam, coef = _sign_change_bounds(gaps, vm_ratio, b_ratio)
     zeros = expsums.sum_zeros(lam.reshape(-1, 6), coef.reshape(-1, 6), bound.ravel(), np.tile(t_end, 3))
@@ -201,14 +201,14 @@ def _root_brackets(gaps, vm_ratio, b_ratio):
     pts = np.sort(np.concatenate([np.zeros((k, 1)), pts, t_end[:, None]], axis=1), axis=1, kind="stable")
     count = (~np.isnan(pts)).sum(axis=1)
     ts, model = pts[~np.isnan(pts)], np.repeat(np.arange(k), count)
-    first, last = np.cumsum(count) - count, np.cumsum(count) - 1
+    first = np.cumsum(count) - count
     value = _values(gaps, vm_ratio, b_ratio, model, ts)[:3]
     neg = value < 0.0
-    # a margin exactly 0 at T = 0 takes the sign of its sum's leading coefficient
+    # a margin exactly 0 at T = 0 takes the sign of its sum's leading coefficient (its value stays 0.0)
     lead = np.take_along_axis(coef, np.argmax(coef != 0.0, axis=-1)[..., None], axis=-1)[..., 0]
     neg[:, first] = np.where(value[:, first] == 0.0, lead < 0.0, neg[:, first])
     idx, rows = np.nonzero(((neg[:, 1:] != neg[:, :-1]) & (model[1:] == model[:-1])).T)
-    return neg[:, first], neg[:, last], rows, neg[rows, idx], ts[idx], ts[idx + 1], model[idx]
+    return neg[:, first], rows, neg[rows, idx], ts[idx], ts[idx + 1], value[rows, idx], value[rows, idx + 1], model[idx]
 
 
 def _entropic_brackets(gaps, vm_ratio, b_ratio, upper):
@@ -256,23 +256,23 @@ def _limit_table(ps):
     _root_brackets brackets every sign change of the exact and disorder
     rows below t_cut, and _entropic_brackets the entropic row's top one
     below the disorder row's top bracket (module docstring).  From the
-    margins at their ends, one Illinois iteration refines every exact
+    margins at their ends (_root_brackets' samples, and one kernel call
+    at the entropic ends), one Illinois iteration refines every exact
     bracket and each top one in its own model's column (an end's margin
     halved when it is kept twice, Dowell and Jarratt 1971; the midpoint
     where the bracket did not halve over two steps, Brent 1973) until
     lo, hi are adjacent floats, and reports the end where its margin is
-    >= 0.  Widths and midpoints (expsums._mid) are in the floats' order:
-    the bits of a float T >= +0.0, read as an integer, count the floats
-    below it, so any bracket, one from 0 to 1e300 included, reaches
-    adjacent floats in at most 63 halvings.
+    >= 0.  Widths and midpoints are in the floats' order (expsums._mid),
+    so any bracket, one from 0 to 1e300 included, reaches adjacent
+    floats in at most 63 halvings.
 
-    RuntimeError is raised where a margin is negative at the top of its
-    range, a bracket is not at adjacent floats after _MAX_STEPS steps, or
-    an entropic limit lies over 16 eps above the disorder one (entropic
-    detection implies disorder detection, so a smaller excess is
+    RuntimeError is raised where the entropic margin is negative at the
+    top of its range, a bracket is not at adjacent floats after _MAX_STEPS
+    steps, or an entropic limit lies over 16 eps above the disorder one
+    (entropic detection implies disorder detection, so a smaller excess is
     refinement noise, and the entropic limit is moved onto the disorder
     one).  Nothing else needs a check, as each sign change lies between
-    neighbouring samples of one model in T order, and no last sample is
+    neighbouring samples of one model in T order, and none at t_cut is
     negative.  So a row's sign changes number (first sample negative) mod
     2, and with 0.0 in front there an exact row's edges pair up into the
     maximal intervals where its margin is negative; the sign above a
@@ -286,21 +286,20 @@ def _limit_table(ps):
     becomes lo' = max(lo, hi' before it), hi' = max(lo', hi).
     """
     gaps, vm_ratio, b_ratio, delta = _eigen_columns(ps)
-    first, last, rows, leaving, lo, hi, model = _root_brackets(gaps, vm_ratio, b_ratio)
+    first, rows, leaving, lo, hi, f_lo, f_hi, model = _root_brackets(gaps, vm_ratio, b_ratio)
     dis = np.flatnonzero(rows == 2)
     top = dis[model[dis] != np.append(model[dis][1:], -1)]
     keep = rows < 2
     keep[top] = True
     upper = np.zeros(len(ps))
     upper[model[top]] = hi[top]
-    ent_last, *ent = _entropic_brackets(gaps, vm_ratio, b_ratio, upper)
-    if last.any() or ent_last.any():
-        raise RuntimeError("limit scan: a margin is negative at the top of its range")
-    rows = np.append(rows[keep], np.full(ent[-1].size, 3))
-    leaving = np.append(leaving[keep], np.ones(ent[-1].size, bool))
-    lo, hi, model = (np.append(x[keep], y) for x, y in zip((lo, hi, model), ent))
-    ends = _values(gaps, vm_ratio, b_ratio, np.tile(model, 2), np.append(lo, hi))
-    f_lo, f_hi = ends[np.tile(rows, 2), np.arange(2 * lo.size)].reshape(2, -1)
+    ent_last, ent_lo, ent_hi, ent_model = _entropic_brackets(gaps, vm_ratio, b_ratio, upper)
+    if ent_last.any():
+        raise RuntimeError("limit scan: an entropic margin is negative at the top of its range")
+    f_ent = _values(gaps, vm_ratio, b_ratio, np.tile(ent_model, 2), np.append(ent_lo, ent_hi))[3].reshape(2, -1)
+    roots = rows, leaving, lo, hi, f_lo, f_hi, model
+    ent = np.full(ent_model.size, 3), np.ones(ent_model.size, bool), ent_lo, ent_hi, *f_ent, ent_model
+    rows, leaving, lo, hi, f_lo, f_hi, model = (np.append(x[keep], y) for x, y in zip(roots, ent))
     # the width in floats one and two steps back, and whether the last step moved lo (-1 before any)
     widest = np.iinfo(np.int64).max
     w1, w2, moved_lo = np.full(lo.size, widest), np.full(lo.size, widest), np.full(lo.size, -1)

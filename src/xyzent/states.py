@@ -209,6 +209,11 @@ def _entropic_margin_row(p, b_r, vm_r):
     return _near_zero(margin, _entropic_near_zero, p, b_r, vm_r)
 
 
+#: _entropic_margin_bound's rounding allowances (its docstring): 16u on
+#: the ends of q_1 and 256u on the bound, u = eps/2
+_Q_ROUNDING, _BOUND_ROUNDING = 2.0**-49, 2.0**-45
+
+
 def _entropic_margin_bound(gaps, b_r, t_lo, t_hi):
     """A lower bound (N,) of the entropic margin on each piece [t_lo, t_hi]
     (N,) of temperature, of the model in the same column of gaps (4, N)
@@ -220,7 +225,25 @@ def _entropic_margin_bound(gaps, b_r, t_lo, t_hi):
     p_j's interval, and S(rho_A) = h(q_1), q_1 = 1/2 + |b/Delta| (p_1 - p_2)/2,
     is at most h at the point of q_1's interval nearest 1/2.  Every sum has
     its largest term factored out, so it lies in [1, 4] and no sum leaves
-    the float range.  The rounding lies far below _NEAR_ZERO."""
+    the float range.
+
+    Rounding (first order in u = eps/2, N. J. Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 3; exp and
+    log within 1 ulp).  Each exponent a = -(g_i - g_j)/T is within 2u|a|,
+    so each term exp(a - top) of a sum is within (2 + 3|a - top| + 4 top)u,
+    relatively; as the sum holds 1 and three terms t with t |ln t| <= 1/e,
+    it is within (9 + 4 top)u, and each end P = e^-top/sum of a weight
+    within (12 + 6 top)u.  With P <= e^-top, P |1 + ln P| <= 1 and
+    |P ln P| <= 1/e, each -P ln P is within 14u, so S is within 92u in
+    bits.  q_1's ends are within 14u: widened by 16u (_Q_ROUNDING), the
+    interval holds the exact one, and h at a float is within 6u.  So the
+    bound is within 100u of its exact value.  The kernel forms read
+    weights within (10 + g_j/T)u of the exact Gibbs ones; by the same
+    count, and as rounding |b/Delta| by u moves h(q_1) by at most
+    u log2(1/u) < 54u, either lies within 150u of the exact margin.  So
+    the bound subtracts 256u (_BOUND_ROUNDING, 2.8e-14) and stays below
+    either form's margin; the pass drops a piece only where it exceeds
+    _NEAR_ZERO (1e-13)."""
     d = gaps[:, None] - gaps[None]  # d[i, j] = g_i - g_j
     with np.errstate(divide="ignore"):  # -d/0 is -+inf at T = 0, clipped to 2^14
         a_lo, a_hi = (np.minimum(-np.divide(d, t, out=np.zeros(d.shape), where=d != 0.0), 16384.0) for t in (t_lo, t_hi))
@@ -230,8 +253,8 @@ def _entropic_margin_bound(gaps, b_r, t_lo, t_hi):
     lo, hi = np.exp(-top) / np.exp(a - top[:, None]).sum(axis=1)
     s = -np.maximum(_xlogx(lo), _xlogx(hi)).sum(axis=0) / _LN2
     half = 0.5 * np.abs(b_r)
-    q_lo, q_hi = 0.5 + half * (lo[1] - hi[2]), 0.5 + half * (hi[1] - lo[2])
-    return s - _binary_entropy_bits(np.clip(0.5, q_lo, q_hi))
+    q_lo, q_hi = 0.5 + half * (lo[1] - hi[2]) - _Q_ROUNDING, 0.5 + half * (hi[1] - lo[2]) + _Q_ROUNDING
+    return s - _binary_entropy_bits(np.clip(0.5, q_lo, q_hi)) - _BOUND_ROUNDING
 
 
 def _entropic_near_zero(p, b_r, vm_r):
