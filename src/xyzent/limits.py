@@ -12,9 +12,10 @@ records from its rows.  It raises RuntimeError on a fault: an entropic
 margin negative at the top of its range, a bracket not at adjacent
 floats after _MAX_STEPS steps, or an entropic limit over 16 eps above
 the disorder one.  All margins come from the kernel states._margin_columns
-(one model per column), whose row functions the scalar checks
+(one model per column), the entropic pass's from its row 3 alone
+(states._entropic_columns, the same bits); the scalar checks
 (entanglement.exact_margins, criteria.disorder_check,
-criteria.entropic_check) call on one mixture.
+criteria.entropic_check) call its row functions on one mixture.
 
 No margin is negative past t_cut = (E_max - E_min)/ln 2.  There the
 Gibbs weights (sum Z) obey w_max <= 2 w_min, so w_min/Z >= 1/7 and every
@@ -51,7 +52,7 @@ sampled otherwise, down to pieces of the floor U/4096.  The table keeps
 only the top edges of the disorder and entropic rows, so of those only
 the top bracket is refined, and of the exact rows every bracket, all in
 one vectorised Illinois iteration from the samples at their ends (one
-more kernel call at the entropic ones) down to adjacent floats that
+more entropic call at the entropic ones) down to adjacent floats that
 reports each edge at its final bracket's end where its margin is >= 0.
 
 The two exact margins are refined separately and their violation sets
@@ -70,7 +71,7 @@ import numpy as np
 
 from . import expsums
 from .model import XYZParams, _eigen_columns, eigensystem
-from .states import _NEAR_ZERO, _entropic_margin_bound, _margin_columns
+from .states import _NEAR_ZERO, _entropic_columns, _entropic_margin_bound, _margin_columns
 from .states import thermal_probabilities  # noqa: F401  (kept bound for tracing)
 
 __all__ = ["LimitTemperatures", "ReentryWindow", "limit_temperatures", "reentry_two_level"]
@@ -177,9 +178,9 @@ def _sign_change_bounds(gaps, vm_ratio, b_ratio):
     return expsums.sign_changes(np.where(ends, sums(n, m), 0.0)), lam, np.where(ends, runs, 0.0)
 
 
-def _values(gaps, vm_ratio, b_ratio, model, ts) -> np.ndarray:
-    """The kernel's margins (4, N) of model[k] at ts[k], from one kernel call."""
-    return _margin_columns(gaps[:, model], vm_ratio[model], b_ratio[model], ts)
+def _values(kernel, gaps, vm_ratio, b_ratio, model, ts) -> np.ndarray:
+    """The margins of model[k] at ts[k] from one call of kernel (_margin_columns or _entropic_columns)."""
+    return kernel(gaps[:, model], vm_ratio[model], b_ratio[model], ts)
 
 
 def _root_brackets(gaps, vm_ratio, b_ratio):
@@ -202,7 +203,7 @@ def _root_brackets(gaps, vm_ratio, b_ratio):
     count = (~np.isnan(pts)).sum(axis=1)
     ts, model = pts[~np.isnan(pts)], np.repeat(np.arange(k), count)
     first = np.cumsum(count) - count
-    value = _values(gaps, vm_ratio, b_ratio, model, ts)[:3]
+    value = _values(_margin_columns, gaps, vm_ratio, b_ratio, model, ts)[:3]
     neg = value < 0.0
     # a margin exactly 0 at T = 0 takes the sign of its sum's leading coefficient (its value stays 0.0)
     lead = np.take_along_axis(coef, np.argmax(coef != 0.0, axis=-1)[..., None], axis=-1)[..., 0]
@@ -225,7 +226,7 @@ def _entropic_brackets(gaps, vm_ratio, b_ratio, upper):
         return upper[m] * (i / n)
 
     def sample(m, i):
-        neg = _values(gaps, vm_ratio, b_ratio, m, at(m, i))[3] < 0.0
+        neg = _values(_entropic_columns, gaps, vm_ratio, b_ratio, m, at(m, i)) < 0.0
         np.maximum.at(top, m[neg], i[neg])
 
     live = np.flatnonzero(upper > 0.0)
@@ -256,7 +257,7 @@ def _limit_table(ps):
     _root_brackets brackets every sign change of the exact and disorder
     rows below t_cut, and _entropic_brackets the entropic row's top one
     below the disorder row's top bracket (module docstring).  From the
-    margins at their ends (_root_brackets' samples, and one kernel call
+    margins at their ends (_root_brackets' samples, and one entropic call
     at the entropic ends), one Illinois iteration refines every exact
     bracket and each top one in its own model's column (an end's margin
     halved when it is kept twice, Dowell and Jarratt 1971; the midpoint
@@ -296,9 +297,9 @@ def _limit_table(ps):
     ent_last, ent_lo, ent_hi, ent_model = _entropic_brackets(gaps, vm_ratio, b_ratio, upper)
     if ent_last.any():
         raise RuntimeError("limit scan: an entropic margin is negative at the top of its range")
-    f_ent = _values(gaps, vm_ratio, b_ratio, np.tile(ent_model, 2), np.append(ent_lo, ent_hi))[3].reshape(2, -1)
+    f_ent = _values(_entropic_columns, gaps, vm_ratio, b_ratio, np.tile(ent_model, 2), np.append(ent_lo, ent_hi))
     roots = rows, leaving, lo, hi, f_lo, f_hi, model
-    ent = np.full(ent_model.size, 3), np.ones(ent_model.size, bool), ent_lo, ent_hi, *f_ent, ent_model
+    ent = np.full(ent_model.size, 3), np.ones(ent_model.size, bool), ent_lo, ent_hi, *f_ent.reshape(2, -1), ent_model
     rows, leaving, lo, hi, f_lo, f_hi, model = (np.append(x[keep], y) for x, y in zip(roots, ent))
     # the width in floats one and two steps back, and whether the last step moved lo (-1 before any)
     widest = np.iinfo(np.int64).max
@@ -316,7 +317,7 @@ def _limit_table(ps):
         x = np.clip(b - np.divide(fb, fb - fa, out=np.full(b.size, 0.5), where=fb != fa) * (b - a), a + s, b - s)
         x = np.where((a < x) & (x < b) & (width <= w2[live] // 2), x, mid)
         w2[live], w1[live] = w1[live], width
-        value = _values(gaps, vm_ratio, b_ratio, model[live], x)[rows[live], np.arange(live.size)]
+        value = _values(_margin_columns, gaps, vm_ratio, b_ratio, model[live], x)[rows[live], np.arange(live.size)]
         to_lo = (value < 0.0) == leaving[live]
         stale = moved_lo[live] == to_lo  # the end kept now was kept the step before
         moved_lo[live] = to_lo

@@ -8,14 +8,15 @@ thermal states are the special case p_j ~ exp(-E_j / T), and carry the
 kernel's amplitudes exp(-g_j/2T) of the level gaps g_j (_gibbs).
 
 Every margin formula lives here too, each batched over columns: the
-exact (12)/(03) rows (_exact_margin_rows), the disorder and entropic
-rows (_disorder_margin_rows, _entropic_margin_row) with their
-cancellation-free forms near 0 (_near_zero), the entropic row's lower
-bound on pieces of temperature (_entropic_margin_bound), and the
-entanglement of formation (_eof).  The margin kernel, _margin_columns
-(one model per column), evaluates them on thermal states.  The CLI's
-state columns and the limit scan (limits) read their margins from it,
-and the scalar checks (entanglement.exact_margins,
+exact (12)/(03) rows (_exact_margin_rows), the disorder rows in one
+cancellation-free form (_disorder_margin_rows), the entropic row with its
+cancellation-free form within _NEAR_ZERO of 0 (_entropic_margin_row,
+_entropic_near_zero), the entropic row's lower bound on pieces of
+temperature (_entropic_margin_bound), and the entanglement of formation
+(_eof).  The margin kernel, _margin_columns (one model per column),
+evaluates them on thermal states, and _entropic_columns its entropic row
+alone.  The CLI's state columns and the limit scan (limits) read their
+margins from these, and the scalar checks (entanglement.exact_margins,
 entanglement.entanglement_of_formation, criteria.disorder_check,
 criteria.entropic_check) call the same rows on one mixture: the kernel's bits.
 """
@@ -163,20 +164,14 @@ def _gibbs_exact_margins(a, vm_r):
 def _disorder_margin_rows(p, b_r, vm_r):
     """Per-level disorder margins [1 + |(b/Delta)(p_2 - p_1)|]/2 - p_j of
     probabilities p (4, N); b_r and vm_r (v_minus/Delta) broadcast with
-    p[0].  A margin within _NEAR_ZERO of 0 is replaced by that of
-    _disorder_near_zero."""
-    bound = 0.5 * (1.0 + np.abs(b_r * (p[2] - p[1])))
-    return _near_zero(bound - p, _disorder_near_zero, p, b_r, vm_r)
-
-
-def _disorder_near_zero(p, b_r, vm_r):
-    """The disorder margins without cancellation.  Twice the margin of p_j
-    is |b/Delta| |p_2 - p_1| - e_j (e_j = 2 p_j - sum p, _deviations).  For
-    the larger of p_1, p_2 these two terms nearly cancel where |b/Delta| is
-    near 1, so for |b/Delta| >= 1/2 that row is (p_0 + p_3) - c |p_2 - p_1|,
-    with c = 1 - |b/Delta| taken as (v_minus/Delta)^2 / (1 + |b/Delta|)
-    (Delta^2 = v_minus^2 + b^2): it keeps its relative accuracy where
-    1 - |b/Delta| is rounding (c near or below 2^-53)."""
+    p[0], in one form without cancellation.  Twice the margin of p_j is
+    |b/Delta| |p_2 - p_1| - e_j, with e_j = 2 p_j - sum p correct to its
+    own rounding (_deviations).  For the larger of p_1, p_2 these two terms
+    nearly cancel where |b/Delta| is near 1, so for |b/Delta| >= 1/2 that
+    row is (p_0 + p_3) - c |p_2 - p_1|, with c = 1 - |b/Delta| taken as
+    (v_minus/Delta)^2 / (1 + |b/Delta|) (Delta^2 = v_minus^2 + b^2): it
+    keeps its relative accuracy where 1 - |b/Delta| is rounding (c near or
+    below 2^-53)."""
     b = np.abs(b_r)
     d = np.abs(p[2] - p[1])
     c = vm_r * vm_r / (1.0 + b)
@@ -199,14 +194,17 @@ def _entropic_margin_row(p, b_r, vm_r):
     0; subtracting the two entropies whole can leave -1 ulp there.  The
     sums are elementwise, as a matrix product rounds by batch size.  A
     margin within _NEAR_ZERO of 0 is replaced by that of
-    _entropic_near_zero.
+    _entropic_near_zero, which runs on the whole array wherever any entry
+    lies that near; each step is elementwise, so a column's bits do not
+    depend on its batch.
     """
     a = 0.5 * (1.0 + np.abs(b_r))
     q1 = 0.5 * p[0] + a * p[1] + (1.0 - a) * p[2] + 0.5 * p[3]
     q2 = 0.5 * p[0] + (1.0 - a) * p[1] + a * p[2] + 0.5 * p[3]
     xp = _xlogx(p)
     margin = ((_xlogx(q1) - xp[1]) + (_xlogx(q2) - xp[2]) - xp[0] - xp[3]) / _LN2
-    return _near_zero(margin, _entropic_near_zero, p, b_r, vm_r)
+    near = np.abs(margin) < _NEAR_ZERO
+    return np.where(near, _entropic_near_zero(p, b_r, vm_r), margin) if near.any() else margin
 
 
 #: _entropic_margin_bound's rounding allowances (its docstring): 16u on
@@ -270,7 +268,7 @@ def _entropic_near_zero(p, b_r, vm_r):
     The terms are paired as in the short form, each pair taken as
     (q - p) ln(2q/sigma) + p ln(q/p) (_pair_gain), with q_k - p_k formed
     without cancellation: (p_0 + p_3 -+ c (p_1 - p_2))/2 for |b/Delta| >= 1/2,
-    with c = 1 - |b/Delta| as in _disorder_near_zero, and (+-t - e_k)/2
+    with c = 1 - |b/Delta| as in _disorder_margin_rows, and (+-t - e_k)/2
     below.  q_k itself is p_k plus that difference, which is at least
     -p_k/2, so q_k is accurate too.  Where q_1 and q_2, or p_1 and p_2, are
     both >= 1/4, the two terms of each pair are summed jointly instead
@@ -335,21 +333,11 @@ def _deviations(p):
     return (p + p - s) - err, s + err
 
 
-#: a margin closer to 0 than this may owe its sign to the rounding of its
-#: short form (a few ulps of terms up to 1 in size; under 2e-15 measured),
-#: so it is evaluated again by the cancellation-free form
+#: an entropic margin closer to 0 than this may owe its sign to the rounding of
+#: the short form (a few ulps of terms up to 1; under 2e-15 measured), so it is
+#: evaluated again by _entropic_near_zero; and the entropic pass
+#: (limits._entropic_brackets) drops only pieces whose bound exceeds it
 _NEAR_ZERO = 1e-13
-
-
-def _near_zero(values, form, p, *ratios):
-    """values, with each entry within _NEAR_ZERO of 0 replaced by that of
-    form(p, *ratios), which runs on the whole array wherever any entry lies
-    that near; each step is elementwise, so a column's bits do not depend
-    on its batch."""
-    near = np.abs(values) < _NEAR_ZERO
-    if not near.any():
-        return values
-    return np.where(near, form(p, *ratios), values)
 
 
 def _margin_columns(gaps, vm_ratio, b_ratio, ts) -> np.ndarray:
@@ -369,3 +357,9 @@ def _margin_columns(gaps, vm_ratio, b_ratio, ts) -> np.ndarray:
     m12, m03 = _gibbs_exact_margins(a, vm_ratio)
     dis = _disorder_margin_rows(p, b_ratio, vm_ratio).min(axis=0)
     return np.stack([m12, m03, dis, _entropic_margin_row(p, b_ratio, vm_ratio)])
+
+
+def _entropic_columns(gaps, vm_ratio, b_ratio, ts) -> np.ndarray:
+    """Row 3 of the margin kernel _margin_columns (same arguments), the
+    entropic margins (K,), bit for bit, without the other rows."""
+    return _entropic_margin_row(_gibbs(gaps, ts)[0], b_ratio, vm_ratio)

@@ -126,13 +126,13 @@ class TestEntangledIntervals:
         # the entropic pass samples each model on the floor grid U i/4096 at
         # most, the size of the grid it replaced: with a bound that proves
         # nothing it splits every piece above the highest negative sample down
-        # to the floor, in one kernel call for the ends and one per round, and
-        # finds the same records, as a piece the bound drops holds no negative
-        # sample
+        # to the floor, in one call of the entropic row for the ends and one
+        # per round, and finds the same records, as a piece the bound drops
+        # holds no negative sample
         ps = [CASE3(0.2), CASE3(0.9), XX(0.5), MAX_ANISO(1.0)]
         want = _limit_records(ps)
         columns, in_pass = [], []
-        kernel, entropic = limits._margin_columns, limits._entropic_brackets
+        kernel, entropic = limits._entropic_columns, limits._entropic_brackets
 
         def record(*args):
             if in_pass:
@@ -146,7 +146,7 @@ class TestEntangledIntervals:
             finally:
                 in_pass.clear()
 
-        monkeypatch.setattr(limits, "_margin_columns", record)
+        monkeypatch.setattr(limits, "_entropic_columns", record)
         monkeypatch.setattr(limits, "_entropic_brackets", flagged)
         monkeypatch.setattr(limits, "_entropic_margin_bound", lambda gaps, b_r, lo, hi: np.full(lo.shape, -1.0))
         assert _limit_records(ps) == want
@@ -394,7 +394,8 @@ class TestBisectionConverges:
             first, rows, leaving, lo, hi, f_lo, f_hi, model = roots(gaps, vm_ratio, b_ratio)
             assert rows.tolist() == [2, 1] and lo[1] < want.t_exact <= hi[1]
             lo[1], hi[1] = 5e-324, 1e300
-            f_lo[1], f_hi[1] = clipped(gaps, vm_ratio, b_ratio, model[[1, 1]], np.array([lo[1], hi[1]]))[1]
+            ends = np.array([lo[1], hi[1]])
+            f_lo[1], f_hi[1] = clipped(_margin_columns, gaps, vm_ratio, b_ratio, model[[1, 1]], ends)[1]
             return first, rows, leaving, lo, hi, f_lo, f_hi, model
 
         def clipped(*args):
@@ -540,14 +541,14 @@ class TestDefaultScanRange:
         # above), and the scan does not check them there
         p = CASE3(0.9)
         top = limit_temperatures(p).t_disorder
-        kernel = limits._margin_columns
+        kernel = limits._entropic_columns
 
         def negative_at_top(gaps, vm_ratio, b_ratio, ts):
-            table = kernel(gaps, vm_ratio, b_ratio, ts)
-            table[row, ts > top] = -1.0
-            return table
+            margin = kernel(gaps, vm_ratio, b_ratio, ts)
+            margin[ts > top] = -1.0
+            return margin
 
-        monkeypatch.setattr(limits, "_margin_columns", negative_at_top)
+        monkeypatch.setattr(limits, "_entropic_columns", negative_at_top)
         with pytest.raises(RuntimeError, match="negative at the top of its range"):
             limit_temperatures(p)
 
@@ -632,13 +633,13 @@ class TestDefaultScanRange:
         # pass on fig2, fig3 and fig4 (3,864, 9,680 and 7,033) stay below the
         # 11,569, 20,198 and 7,172 samples of the grid the pass replaced
         columns, bounds, uppers, in_pass = [], [], [], []
-        kernel, bound, entropic = limits._margin_columns, limits._entropic_margin_bound, limits._entropic_brackets
+        kernel, bound, entropic = limits._entropic_columns, limits._entropic_margin_bound, limits._entropic_brackets
 
         def record(gaps, vm_ratio, b_ratio, ts):
-            table = kernel(gaps, vm_ratio, b_ratio, ts)
+            margin = kernel(gaps, vm_ratio, b_ratio, ts)
             if in_pass:
-                columns.append((gaps, ts, table[3]))
-            return table
+                columns.append((gaps, ts, margin))
+            return margin
 
         def record_bound(gaps, b_ratio, t_lo, t_hi):
             out = bound(gaps, b_ratio, t_lo, t_hi)
@@ -653,7 +654,7 @@ class TestDefaultScanRange:
             finally:
                 in_pass.clear()
 
-        monkeypatch.setattr(limits, "_margin_columns", record)
+        monkeypatch.setattr(limits, "_entropic_columns", record)
         monkeypatch.setattr(limits, "_entropic_margin_bound", record_bound)
         monkeypatch.setattr(limits, "_entropic_brackets", flagged)
         fields = np.linspace(0.0, 2.0, 201)
@@ -815,6 +816,7 @@ class TestSignChangeCertificate:
             return out
 
         monkeypatch.setattr(limits, "_margin_columns", with_lobe)
+        monkeypatch.setattr(limits, "_entropic_columns", lambda *args: with_lobe(*args)[3])
         monkeypatch.setattr(limits, "_entropic_margin_bound", bound_with_lobe)
         lt = limit_temperatures(CASE3(0.2))
         assert lt.t_entropic == pytest.approx(0.61, rel=1e-9) and lt.t_disorder == pytest.approx(0.718, rel=1e-3)
@@ -847,6 +849,7 @@ class TestSignChangeCertificate:
                 in_entropic_pass.clear()
 
         monkeypatch.setattr(limits, "_margin_columns", with_blip)
+        monkeypatch.setattr(limits, "_entropic_columns", lambda *args: with_blip(*args)[3])
         monkeypatch.setattr(limits, "_entropic_brackets", flagged)
         assert limit_temperatures(p) == want
         assert blip and np.concatenate(blip).size == 0  # the entropic pass ran, and never inside the blip
@@ -937,6 +940,31 @@ def _exact_disorder(eig, t):
     w, (b, b_top) = _ref_weights(eig, t), _ref_ratios(eig)
     top = 1 if w[1] >= w[2] else 2
     return float(min((sum(w) + (b_top if j == top else b) * abs(w[2] - w[1])) / 2 - w[j] for j in range(4)))
+
+
+def _disorder_root(p, lo, hi, digits=60):
+    """The sign change of p's disorder margin in [lo, hi] at `digits` digits
+    (mpmath, from the same float couplings): the Gibbs weights of the four
+    levels, the worst level's margin, and bisection far below an ulp."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        vx, vy, vz, b = (mpmath.mpf(x) for x in (p.vx, p.vy, p.vz, p.b))
+        vp, vm = (vx + vy) / 2, (vx - vy) / 2
+        delta = mpmath.sqrt(vm * vm + b * b)
+        energies = [vz / 2 + vp, -vz / 2 + delta, -vz / 2 - delta, vz / 2 - vp]
+
+        def negative(t):
+            w = [mpmath.exp(-(e - min(energies)) / t) for e in energies]
+            q = [x / mpmath.fsum(w) for x in w]
+            return min((1 + abs(b / delta * (q[1] - q[2]))) / 2 - x for x in q) < 0
+
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        below = negative(lo)
+        assert negative(hi) != below
+        for _ in range(4 * digits):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if negative(mid) == below else (lo, mid)
+        return hi
 
 
 def _exact_entropic(eig, t):
@@ -1146,6 +1174,12 @@ class TestSingleScanMatchesReference:
         canonicalize(3.8376180877178805, -0.08983962495432518, -0.48062809776662885, 0.7076993154781767): "t_disorder",
         canonicalize(2.1837209737254906, 0.07843027846510986, -0.15716358736878533, 1.4049380943975776): "t_entropic",
     }
+    #: the reference case whose disorder margin, in exact arithmetic on the
+    #: float weights, reads +, -, + on the three floats from
+    #: T = 0.44044294969266495 up: the grid scan bisects to the first flip,
+    #: the kernel to the second, the first float above the 60-digit root
+    #: 0.4404429496926650222386 (_disorder_root)
+    ROOTED = canonicalize(0.6286207588799866, 0.03991396520433005, 0.32721672731254486, 0.04461197346557345)
 
     def test_bit_identical_to_per_criterion_scans(self, rng):
         # both sides refine to adjacent floats, so the brackets the zeros of
@@ -1153,7 +1187,7 @@ class TestSingleScanMatchesReference:
         # of the kernel's margin
         cases = _reference_cases(rng)
         assert len(cases) >= 200
-        never = reentry = flipping = 0
+        never = reentry = flipping = rooted = 0
         for p in cases:
             got = limit_temperatures(p)
             want = reference_limit_temperatures(p, rel_tol=1e-300)
@@ -1163,11 +1197,16 @@ class TestSingleScanMatchesReference:
                 edge = getattr(got, key)
                 assert got == dataclasses.replace(want, **{key: edge}), p
                 assert abs(edge - getattr(want, key)) <= 5 * math.ulp(edge), (got, want)
+            elif p == self.ROOTED:
+                rooted += 1
+                assert got == dataclasses.replace(want, t_disorder=0.44044294969266506), (got, want)
+                root = _disorder_root(p, 0.4404, 0.4405)
+                assert math.nextafter(got.t_disorder, 0.0) < root < got.t_disorder, (got, root)
             else:
                 assert got == want, p
             never += not got.intervals
             reentry += got.reentry is not None
-        assert never and reentry and flipping == 2
+        assert never and reentry and flipping == 2 and rooted == 1
 
     def test_scalar_checks_match_table(self, rng):
         # the scalar checks run the table's formulas on the same weights
@@ -1219,23 +1258,53 @@ class TestSingleScanMatchesReference:
             assert np.array_equal(alone, batch[j : j + 1]), (models[k[j]], t_lo[j], t_hi[j])
 
     def test_margins_near_zero_match_exact_arithmetic(self):
-        # margins within 1e-13 of 0 away from any sign change: a degenerate
-        # separable ground pair (b/Delta from 2.6e-12 to 2.6e-4) and b >> v_minus
-        # below the disorder limit; each keeps full relative accuracy
+        # margins near 0 away from any sign change: a degenerate separable
+        # ground pair (b/Delta from 2.6e-12 to 2.6e-4), b >> v_minus below the
+        # disorder limit, and the sweep model degenerate/7 at T = 3.29e-5,
+        # whose disorder margin 1.2086039069735e-13 lies just above 1e-13
+        # (the short form gave 1.20903287382e-13).
+        # The disorder row, one formula, keeps full relative accuracy at every
+        # magnitude; the entropic row does within 1e-13 of 0, where it takes
+        # its cancellation-free form
         ts = np.geomspace(1e-3, 1.5e-2, 7)
         cases = [(canonicalize(0.890625, 0.125, 0.125, b), ts) for b in np.geomspace(1e-12, 1e-4, 5)]
         cases.append((canonicalize(1.00000001, 0.99999999, 0.3, 1.0), np.geomspace(2e-3, 6e-3, 7)))
-        checked = 0
+        degenerate = canonicalize(0.0006177692816612866, 0.0006177692816612866, 0.0015520326408281888, 0.0)
+        cases.append((degenerate, np.array([3.29454980751e-05])))
+        checked = tiny = 0
         for p, ts in cases:
             eig = eigensystem(p)
             table = _margin_columns(eig.gaps, eig.vm_ratio, eig.b_ratio, ts)
             for k, t in enumerate(ts):
-                for row, exact in ((2, _exact_disorder), (3, _exact_entropic)):
-                    want = exact(eig, float(t))
-                    if 0.0 < abs(want) < 1e-13:
-                        assert abs(table[row, k] - want) <= 1e-12 * abs(want), (p, t, row, table[row, k], want)
-                        checked += 1
-        assert checked >= 30
+                want = _exact_disorder(eig, float(t))
+                assert abs(table[2, k] - want) <= 1e-12 * abs(want), (p, t, table[2, k], want)
+                tiny += 0.0 < abs(want) < 1e-13
+                want = _exact_entropic(eig, float(t))
+                if 0.0 < abs(want) < 1e-13:
+                    assert abs(table[3, k] - want) <= 1e-12 * abs(want), (p, t, table[3, k], want)
+                    checked += 1
+        assert checked + tiny >= 30
+
+    def test_entropic_columns_are_the_kernels_row(self, rng):
+        # the entropic pass's entry computes the kernel's row 3 alone, bit
+        # for bit, on a shuffled batch of the oracle's families and the
+        # tiny-coupling models at T = 0, at random temperatures and at their
+        # entropic limits, where the row takes its cancellation-free form;
+        # and on one model's scalar ratios
+        ps = limit_families(rng, 100) + TINY
+        gaps, vm_ratio, b_ratio, _ = _eigen_columns(ps)
+        scale = np.array([p.energy_scale or 1.0 for p in ps])
+        at_limit = [lt.t_entropic or 0.0 for lt in _limit_records(ps)]
+        ts = np.concatenate([np.zeros(len(ps)), log_uniform(rng, 1e-3, 3.0, size=len(ps)) * scale, at_limit])
+        order = rng.permutation(ts.size)
+        model, ts = np.tile(np.arange(len(ps)), 3)[order], ts[order]
+        columns = gaps[:, model], vm_ratio[model], b_ratio[model], ts
+        row = limits._entropic_columns(*columns)
+        assert row.tobytes() == _margin_columns(*columns)[3].tobytes()
+        assert np.count_nonzero((row != 0.0) & (np.abs(row) < _NEAR_ZERO)) > 100
+        eig = eigensystem(CASE3(0.2))
+        one = eig.gaps, eig.vm_ratio, eig.b_ratio, np.linspace(0.0, 1.0, 101)
+        assert limits._entropic_columns(*one).tobytes() == _margin_columns(*one)[3].tobytes()
 
     def test_kernel_columns_are_one_model_tables(self, rng):
         # one model per column gives each column the bits of its own table

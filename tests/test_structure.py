@@ -110,6 +110,8 @@ DELETED = {
     "_start_program",
     "_freeze_imports",
     "_canted",
+    "_disorder_near_zero",
+    "_near_zero",
 }
 
 
